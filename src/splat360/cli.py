@@ -11,6 +11,7 @@ failure, 5 check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,13 +25,13 @@ from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
                       anchor_set_to_json, depth_gradient, select_anchors)
 from .ct import DrrConfig, ProjectionGeometry, load_volume, render_drr
 from .errors import CheckFailure, FormatError, NumericFailure
-from .fitting import (FitConfig, _Appearance, _patch_backward, _patch_forward,
-                      _scene_with, composite_loss, fit_scene)
+from .fitting import (FitConfig, _patch_backward, _patch_forward,
+                      composite_loss, fit_scene)
 from .fusion import (fuse_backward_batch, fuse_forward_batch, init_mlp,
                      load_mlp, save_mlp)
-from .imgfile import load_pfm, load_ppm, save_pfm, save_ppm
+from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
 from .metrics import SsimConfig, measure_runtime, psnr, ssim
-from .renderer import RenderConfig, ScenePrecompute, render
+from .renderer import RenderConfig, render
 from .scene import (Camera, Scene, load_scene, make_orbit_cameras,
                     make_random_scene, save_scene)
 
@@ -101,12 +102,8 @@ class _Run:
             "seed": seed,
             "version": __version__,
         }
-        path = self.path("manifest.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
+        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        atomic_write(self.path("manifest.json"), text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +302,6 @@ def cmd_fit(args) -> int:
                     optimize_geometry=args.optimize_geometry,
                     ablation=ablation, seed=args.seed,
                     lr_halve_every=args.halve_every,
-                    use_lpips=args.use_lpips,
                     target_dtype="float32" if any_pfm else "float64")
     mlp = None
     if args.mlp:
@@ -505,15 +501,12 @@ def _appearance_gradcheck(seed: int, tol: float) -> float:
     tgt = np.clip(np.random.default_rng(seed + 2).random((16, 16, 3)), 0, 1)
     rows = np.arange(16, dtype=np.float64)
     cols = np.arange(16, dtype=np.float64)
-    app = _Appearance(scene)
 
     def loss_of(sc):
-        pre = ScenePrecompute.from_scene(sc)
-        colors, _ = _patch_forward(pre, cam, rcfg, rows, cols, None, None)
+        colors, _ = _patch_forward(sc, cam, rcfg, rows, cols, None, None)
         return composite_loss(colors.reshape(16, 16, 3), tgt)[0]
 
-    pre = ScenePrecompute.from_scene(scene)
-    colors, work = _patch_forward(pre, cam, rcfg, rows, cols, None, None)
+    colors, work = _patch_forward(scene, cam, rcfg, rows, cols, None, None)
     _, gimg = composite_loss(colors.reshape(16, 16, 3), tgt)
     dalpha, dli, dla, dg, _ = _patch_backward(work, rcfg,
                                               gimg.data.reshape(-1, 3), None)
@@ -521,10 +514,10 @@ def _appearance_gradcheck(seed: int, tol: float) -> float:
     worst = 0.0
     for gi in range(3):
         for ch in range(3):
-            li = app.l_iso.copy(); li[gi, ch] += h
-            lp = loss_of(_scene_with(scene, app.alpha, li, app.l_aniso, app.g))
+            li = scene.l_iso.copy(); li[gi, ch] += h
+            lp = loss_of(dataclasses.replace(scene, l_iso=li))
             li[gi, ch] -= 2 * h
-            lm = loss_of(_scene_with(scene, app.alpha, li, app.l_aniso, app.g))
+            lm = loss_of(dataclasses.replace(scene, l_iso=li))
             err = _relerr(dli[gi, ch], (lp - lm) / (2 * h))
             worst = max(worst, err)
             if err > tol:
@@ -554,7 +547,7 @@ def cmd_bench(args) -> int:
     report = measure_runtime(scene, cams, RenderConfig(), workers=workers)
     doc = report.to_dict()
     doc["cpu_count"] = os.cpu_count()
-    doc["gaussians"] = len(scene.gaussians)
+    doc["gaussians"] = scene.alpha.size
     text = json.dumps(doc, indent=1) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -564,7 +557,7 @@ def cmd_bench(args) -> int:
                 f.write(text)
             run.manifest("bench", {"scene": args.scene, "res": args.res,
                                    "frames": args.frames, "workers": workers,
-                                   "gaussians": len(scene.gaussians)},
+                                   "gaussians": scene.alpha.size},
                          [args.scene] if args.scene else [], args.seed)
         except BaseException:
             run.cleanup()
@@ -667,8 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: no_anchoring,no_disentangle,"
                         "no_dual_branch,no_anisotropy")
     p.add_argument("--optimize-geometry", action="store_true")
-    p.add_argument("--use-lpips", action="store_true",
-                   help="not supported; errors out (documented omission)")
     p.add_argument("--mlp", default=None, help="initial MLP params file")
     p.add_argument("--mlp-init", type=int, default=None,
                    help="initialize a fresh MLP with this embedding dim")

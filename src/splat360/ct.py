@@ -57,9 +57,6 @@ class VoxelVolume:
         if (self.hu < -1024.0).any():
             raise VolumeFormatError("hu values must be >= -1024")
 
-    def value_at(self, ix: int, iy: int, iz: int) -> float:
-        return float(self.hu[iz, iy, ix])
-
     @property
     def box_lo(self) -> np.ndarray:
         """Physical box lower corner: half a voxel below the first node center."""

@@ -25,11 +25,11 @@ import numpy as np
 from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
                       AnchorSet, depth_gradient, select_anchors)
 from .errors import NumericFailure
-from .fusion import (MlpParams, embed_camera, fuse_backward_batch,
+from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch)
 from .metrics import SsimConfig, psnr, ssim, ssim_with_grad
-from .renderer import (RenderConfig, ScenePrecompute, _composite,
-                       _origin_terms, _ray_geometry, render)
+from .renderer import (RenderConfig, _composite, _origin_terms, _ray_geometry,
+                       render)
 from .scene import Camera, ImageBuffer, ImageKind, Scene
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
@@ -57,16 +57,11 @@ class FitConfig:
     anchor_suppression: float = DEFAULT_SUPPRESSION_RADIUS
     anchor_beta: float = DEFAULT_BETA
     anchor_mix: float = 0.5
-    use_lpips: bool = False
     geometry_fd_step: float = 1e-5
     target_dtype: str = "float64"
 
     def __post_init__(self):
         self.ablation = frozenset(self.ablation)
-        if self.use_lpips:
-            raise ValueError(
-                "perceptual (LPIPS) loss is out of scope: it requires a "
-                "pretrained network; use lambda_mse/lambda_ssim")
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
@@ -169,14 +164,6 @@ def _logit(p: np.ndarray) -> np.ndarray:
     q = np.clip(p, BOUNDARY_NUDGE, 1.0 - BOUNDARY_NUDGE)
     return np.log(q) - np.log1p(-q)
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
@@ -203,64 +190,42 @@ def _sigmoid_open(x: np.ndarray) -> np.ndarray:
     return np.clip(_sigmoid(x), 1e-300, 1.0 - 1e-12)
 
 
-class _Appearance:
-    """Flat views over per-gaussian appearance values [G, 8] (constrained space)."""
-
-    def __init__(self, scene: Scene):
-        G = len(scene.gaussians)
-        self.alpha = np.array([p.alpha for p in scene.gaussians])
-        self.l_iso = np.array([p.l_iso for p in scene.gaussians]).reshape(G, 3)
-        self.l_aniso = np.array([p.l_aniso for p in scene.gaussians]).reshape(G, 3)
-        self.g = np.array([p.g for p in scene.gaussians])
-
-    def pack(self) -> np.ndarray:
-        cols = [_logit(self.alpha)[:, None], _logit(self.l_iso),
-                _inv_softplus(self.l_aniso), _atanh(self.g)[:, None]]
-        return np.concatenate(cols, axis=1).ravel()
-
-    def constrained_of(self, theta: np.ndarray):
-        G = self.alpha.size
-        th = theta.reshape(G, APPEARANCE_PER_GAUSSIAN)
-        return (_sigmoid_open(th[:, 0]), _sigmoid(th[:, 1:4]),
-                _softplus(th[:, 4:7]), _tanh_open(th[:, 7]))
-
-    def chain_scale(self, theta: np.ndarray) -> np.ndarray:
-        """d(constrained)/d(theta) for each slot, flat [G*8]."""
-        G = self.alpha.size
-        th = theta.reshape(G, APPEARANCE_PER_GAUSSIAN)
-        a = _sigmoid(th[:, 0])
-        li = _sigmoid(th[:, 1:4])
-        sp = _sigmoid(th[:, 4:7])          # d softplus / dx = sigmoid(x)
-        gv = np.tanh(th[:, 7])
-        out = np.empty((G, APPEARANCE_PER_GAUSSIAN))
-        out[:, 0] = a * (1.0 - a)
-        out[:, 1:4] = li * (1.0 - li)
-        out[:, 4:7] = sp
-        out[:, 7] = 1.0 - gv * gv
-        return out.ravel()
+def _appearance_theta(scene: Scene) -> np.ndarray:
+    """Unconstrained appearance parameters, flat [G*8]."""
+    cols = [_logit(scene.alpha)[:, None], _logit(scene.l_iso),
+            _inv_softplus(scene.l_aniso), _atanh(scene.g)[:, None]]
+    return np.concatenate(cols, axis=1).ravel()
 
 
-def _scene_with(scene: Scene, alpha, l_iso, l_aniso, g,
-                mu=None, cov=None) -> Scene:
-    gs = []
-    for i, p in enumerate(scene.gaussians):
-        kw = dict(alpha=float(alpha[i]), l_iso=l_iso[i].copy(),
-                  l_aniso=l_aniso[i].copy(), g=float(g[i]))
-        if mu is not None:
-            kw["mu"] = mu[i].copy()
-        if cov is not None:
-            kw["cov"] = cov[i].copy()
-        gs.append(replace(p, **kw))
-    return Scene(tuple(gs), scene.background)
+def _appearance_of(theta: np.ndarray):
+    """(alpha, l_iso, l_aniso, g) in constrained space."""
+    th = theta.reshape(-1, APPEARANCE_PER_GAUSSIAN)
+    return (_sigmoid_open(th[:, 0]), _sigmoid(th[:, 1:4]),
+            _softplus(th[:, 4:7]), _tanh_open(th[:, 7]))
+
+
+def _appearance_chain(theta: np.ndarray) -> np.ndarray:
+    """d(constrained)/d(theta) for each slot, flat [G*8]."""
+    th = theta.reshape(-1, APPEARANCE_PER_GAUSSIAN)
+    a = _sigmoid(th[:, 0])
+    li = _sigmoid(th[:, 1:4])
+    sp = _sigmoid(th[:, 4:7])          # d softplus / dx = sigmoid(x)
+    gv = np.tanh(th[:, 7])
+    out = np.empty(th.shape)
+    out[:, 0] = a * (1.0 - a)
+    out[:, 1:4] = li * (1.0 - li)
+    out[:, 4:7] = sp
+    out[:, 7] = 1.0 - gv * gv
+    return out.ravel()
 
 
 class _Geometry:
     """mu and covariance log-eigenvalues; eigenvector frames held fixed."""
 
     def __init__(self, scene: Scene):
-        self.mu = np.array([p.mu for p in scene.gaussians]).reshape(-1, 3)
-        covs = np.array([0.5 * (p.cov + p.cov.T) for p in scene.gaussians])
-        eigval, eigvec = np.linalg.eigh(covs)
+        self.mu = scene.mu
+        self.sym_cov = 0.5 * (scene.cov + np.transpose(scene.cov, (0, 2, 1)))
+        eigval, eigvec = np.linalg.eigh(self.sym_cov)
         self.rot = eigvec                       # [G,3,3], columns are axes
         self.log_eig = 0.5 * np.log(eigval)     # sigma in log space
 
@@ -282,13 +247,13 @@ class _Geometry:
 
 class _PatchWork:
     """Forward pass state for one pixel patch, kept for the backward pass."""
-    __slots__ = ("pre", "order", "w_s", "tw", "Tb", "final_T", "k_grid",
+    __slots__ = ("scene", "la", "order", "w_s", "tw", "Tb", "final_T", "k_grid",
                  "live", "f", "cosg", "dx", "dy", "dz", "c_sorted",
                  "iso_sorted", "aniso_sorted", "color", "iso", "aniso",
                  "mlp_cache", "P", "G")
 
 
-def _patch_forward(pre: ScenePrecompute, cam: Camera, rcfg: RenderConfig,
+def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
                    rows: np.ndarray, cols: np.ndarray,
                    mlp: MlpParams | None, e_vec: np.ndarray | None):
     """Color for the pixel grid rows x cols plus everything backward needs.
@@ -299,41 +264,46 @@ def _patch_forward(pre: ScenePrecompute, cam: Camera, rcfg: RenderConfig,
     dxb, dyb, dzb = cam.pixel_dirs(rows[:, None], cols[None, :])
     dx, dy, dz = dxb.ravel(), dyb.ravel(), dzb.ravel()
     P = dx.size
-    G = pre.n
+    G = scene.alpha.size
     st = _PatchWork()
-    st.pre, st.P, st.G = pre, P, G
+    st.scene, st.P, st.G = scene, P, G
     st.dx, st.dy, st.dz = dx, dy, dz
-    ot = _origin_terms(pre, cam.position)
+    ot = _origin_terms(scene, cam.position)
     v0, v1, v2, cg, _ = ot
     sub = np.arange(G)
-    ts, q = _ray_geometry(pre, v0, v1, v2, cg, dx, dy, dz, sub)
+    ts, q = _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub)
     cutoff2 = rcfg.cutoff_sigma * rcfg.cutoff_sigma
     live = (q <= cutoff2) & (ts >= cam.near)
     k_grid = np.exp(-0.5 * q)
-    w = np.where(live, pre.alpha * k_grid, 0.0)
+    w = np.where(live, scene.alpha * k_grid, 0.0)
     st.live, st.k_grid = live, k_grid
+    # [3, G] copies: each channel row is contiguous for the dense [P, G] math
+    li, la, nr = (np.ascontiguousarray(a.T)
+                  for a in (scene.l_iso, scene.l_aniso, scene.normal))
+    g = scene.g
+    st.la = la
 
     if rcfg.anisotropy_enabled:
         if rcfg.disentangle:
-            cosg = dx[:, None] * pre.n0 + dy[:, None] * pre.n1 + dz[:, None] * pre.n2
-            s = (1.0 + pre.g * pre.g) - (2.0 * pre.g) * cosg
-            f = (1.0 - pre.g * pre.g) / (s * np.sqrt(s))
+            cosg = dx[:, None] * nr[0] + dy[:, None] * nr[1] + dz[:, None] * nr[2]
+            s = (1.0 + g * g) - (2.0 * g) * cosg
+            f = (1.0 - g * g) / (s * np.sqrt(s))
             st.cosg = cosg
         else:
             f = np.ones((P, G))
             st.cosg = None
-        a0 = f * pre.la0
-        a1 = f * pre.la1
-        a2 = f * pre.la2
+        a0 = f * la[0]
+        a1 = f * la[1]
+        a2 = f * la[2]
         st.f = f
-        c0 = pre.li0 + a0
-        c1 = pre.li1 + a1
-        c2 = pre.li2 + a2
+        c0 = li[0] + a0
+        c1 = li[1] + a1
+        c2 = li[2] + a2
     else:
         st.f = None
         st.cosg = None
         a0 = a1 = a2 = None
-        c0, c1, c2 = pre.li0, pre.li1, pre.li2
+        c0, c1, c2 = li
 
     order = np.argsort(ts, axis=1, kind="stable")
     w_s = np.take_along_axis(w, order, 1)
@@ -356,7 +326,7 @@ def _patch_forward(pre: ScenePrecompute, cam: Camera, rcfg: RenderConfig,
 
     cs = (srt(c0), srt(c1), srt(c2))
     st.c_sorted = cs
-    bg = pre.bg
+    bg = scene.background
     color = np.empty((P, 3))
     for ch in range(3):
         color[:, ch] = np.cumsum(tw * cs[ch], axis=1)[:, -1] + final_T * bg[ch]
@@ -365,7 +335,7 @@ def _patch_forward(pre: ScenePrecompute, cam: Camera, rcfg: RenderConfig,
     st.iso = st.aniso = None
     st.mlp_cache = None
     if mlp is not None:
-        iso_s = (srt(pre.li0), srt(pre.li1), srt(pre.li2))
+        iso_s = (srt(li[0]), srt(li[1]), srt(li[2]))
         if a0 is not None:
             an_s = (srt(a0), srt(a1), srt(a2))
         else:
@@ -393,7 +363,7 @@ def _patch_backward(st: _PatchWork, rcfg: RenderConfig, gpix: np.ndarray,
 
     Returns (dalpha [G], dl_iso [G,3], dl_aniso [G,3], dg [G], mlp_grads).
     """
-    pre, P, G = st.pre, st.P, st.G
+    scene, P, G = st.scene, st.P, st.G
     order, tw, Tb, w_s = st.order, st.tw, st.Tb, st.w_s
     mlp_grads = None
     if mlp is not None:
@@ -413,8 +383,9 @@ def _patch_backward(st: _PatchWork, rcfg: RenderConfig, gpix: np.ndarray,
         ga = gpix
         dotc = (gpix[:, 0, None] * cs[0] + gpix[:, 1, None] * cs[1]
                 + gpix[:, 2, None] * cs[2])
-        tail_bg = ((gpix[:, 0] * pre.bg[0] + gpix[:, 1] * pre.bg[1]
-                    + gpix[:, 2] * pre.bg[2]) * st.final_T)
+        bg = scene.background
+        tail_bg = ((gpix[:, 0] * bg[0] + gpix[:, 1] * bg[1]
+                    + gpix[:, 2] * bg[2]) * st.final_T)
 
     contrib = dotc * tw                       # per sorted slot
     pref = np.cumsum(contrib, axis=1)
@@ -442,10 +413,11 @@ def _patch_backward(st: _PatchWork, rcfg: RenderConfig, gpix: np.ndarray,
             dla[:, ch] = (twg * ga[:, ch, None] * fgrid).sum(axis=0)
     dg = np.zeros(G)
     if rcfg.anisotropy_enabled and rcfg.disentangle:
-        la_dot = (ga[:, 0, None] * pre.la0 + ga[:, 1, None] * pre.la1
-                  + ga[:, 2, None] * pre.la2)
+        la = st.la
+        la_dot = (ga[:, 0, None] * la[0] + ga[:, 1, None] * la[1]
+                  + ga[:, 2, None] * la[2])
         cosg = st.cosg
-        gk = pre.g
+        gk = scene.g
         s = (1.0 + gk * gk) - (2.0 * gk) * cosg
         sq = np.sqrt(s)
         dfdg = (-2.0 * gk) / (s * sq) - 3.0 * (1.0 - gk * gk) * (gk - cosg) / (s * s * sq)
@@ -460,17 +432,16 @@ def render_fused(scene: Scene, cam: Camera, rcfg: RenderConfig,
     Pixels are processed in fixed row-major chunks so results do not depend
     on image tiling.
     """
-    pre = ScenePrecompute.from_scene(scene)
     e_vec = embed_camera(cam, scene.center, scene.radius, mlp.d).vec
     H, W = cam.height, cam.width
     out = np.empty((H * W, 3))
     idx = np.arange(H * W)
-    ot = _origin_terms(pre, cam.position)
+    ot = _origin_terms(scene, cam.position)
     for lo in range(0, H * W, chunk):
         hi = min(lo + chunk, H * W)
         rr, cc = np.divmod(idx[lo:hi].astype(np.float64), float(W))
         dx, dy, dz = cam.pixel_dirs(rr, cc)
-        _, _, _, iso, aniso = _composite(pre, rcfg, cam.near, ot, dx, dy, dz,
+        _, _, _, iso, aniso = _composite(scene, rcfg, cam.near, ot, dx, dy, dz,
                                          fused_streams=True)
         X = np.concatenate([iso, aniso,
                             np.broadcast_to(e_vec, (hi - lo, e_vec.size)),
@@ -539,19 +510,14 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
                 f"{cam.height}x{cam.width}x3")
         cams.append(cam)
         targets_arr.append(arr)
-    H, W = cams[0].height, cams[0].width
 
-    app = _Appearance(scene)
-    theta_app = app.pack()
-    cur_alpha, cur_liso, cur_laniso, cur_g = (app.alpha.copy(),
-                                              app.l_iso.copy(),
-                                              app.l_aniso.copy(),
-                                              app.g.copy())
+    theta_app = _appearance_theta(scene)
+    cur_alpha, cur_liso, cur_laniso, cur_g = (scene.alpha, scene.l_iso,
+                                              scene.l_aniso, scene.g)
     geo = _Geometry(scene) if cfg.optimize_geometry else None
     theta_geo = geo.pack() if geo is not None else np.zeros(0)
-    cur_mu = geo.mu.copy() if geo is not None else None
-    cur_cov = (np.array([0.5 * (p.cov + p.cov.T) for p in scene.gaussians])
-               if geo is not None else None)
+    cur_mu = scene.mu
+    cur_cov = geo.sym_cov if geo is not None else scene.cov
     theta_mlp = live_mlp.to_flat() if live_mlp is not None else np.zeros(0)
     n_app, n_geo = theta_app.size, theta_geo.size
     theta = np.concatenate([theta_app, theta_geo, theta_mlp])
@@ -574,19 +540,12 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
                                               cfg.anchor_beta))
 
     side = int(math.isqrt(cfg.rays_per_step))
-    ph, pw = min(side, H), min(side, W)
     rng = np.random.default_rng(cfg.seed)
     state = (None, None, 0)
     trace: list[float] = []
     full_evals: list = []
     cur_scene = scene
     t_start = time.perf_counter()
-
-    def build_scene():
-        mu = cur_mu if geo is not None else None
-        cov = cur_cov if geo is not None else None
-        return _scene_with(scene, cur_alpha, cur_liso, cur_laniso, cur_g,
-                           mu=mu, cov=cov)
 
     def make_report(final_loss=float("nan"), per_view=None):
         return FitReport(iterations=len(trace),
@@ -597,11 +556,12 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     for it in range(1, cfg.iters + 1):
         view = (it - 1) % len(cams)
         cam = cams[view]
+        H, W = cam.height, cam.width
+        ph, pw = min(side, H), min(side, W)
         r0, c0 = _patch_origin(rng, H, W, ph, pw, anchor_sets[view],
                                cfg.anchor_mix)
         rows = np.arange(r0, r0 + ph, dtype=np.float64)
         cols = np.arange(c0, c0 + pw, dtype=np.float64)
-        pre = ScenePrecompute.from_scene(cur_scene)
         if e_vecs is None:
             e_vec = None
         elif geo is not None:
@@ -610,7 +570,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
                                  live_mlp.d).vec
         else:
             e_vec = e_vecs[view]
-        colors, work = _patch_forward(pre, cam, rcfg, rows, cols,
+        colors, work = _patch_forward(cur_scene, cam, rcfg, rows, cols,
                                       live_mlp, e_vec)
         pred = _pred_for_loss(colors.reshape(ph, pw, 3), cfg)
         tgt = targets_arr[view][r0:r0 + ph, c0:c0 + pw]
@@ -625,10 +585,10 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         dalpha, dli, dla, dg, mlp_g = _patch_backward(work, rcfg, gpix, live_mlp)
         gapp = np.concatenate([dalpha[:, None], dli, dla, dg[:, None]],
                               axis=1).ravel()
-        gapp = gapp * app.chain_scale(theta[:n_app])
+        gapp = gapp * _appearance_chain(theta[:n_app])
         parts = [gapp]
         if geo is not None:
-            parts.append(_geometry_fd(theta, n_app, n_geo, geo, app, scene,
+            parts.append(_geometry_fd(theta, n_app, n_geo, geo, scene,
                                       cam, rcfg, rows, cols, tgt, cfg,
                                       live_mlp, e_vec))
         if live_mlp is not None:
@@ -636,7 +596,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         grad_flat = np.concatenate(parts) if len(parts) > 1 else parts[0]
         theta_new, state = adam_step(theta, grad_flat, state, cfg)
         moved = theta_new[:n_app] != theta[:n_app]
-        na, nl, ns, ng = app.constrained_of(theta_new[:n_app])
+        na, nl, ns, ng = _appearance_of(theta_new[:n_app])
         movedm = moved.reshape(-1, APPEARANCE_PER_GAUSSIAN)
         cur_alpha = np.where(movedm[:, 0], na, cur_alpha)
         cur_liso = np.where(movedm[:, 1:4], nl, cur_liso)
@@ -652,7 +612,10 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         if live_mlp is not None:
             live_mlp = live_mlp.with_flat(theta_new[n_app + n_geo:])
         theta = theta_new
-        cur_scene = build_scene()
+        cur_scene = Scene(mu=cur_mu, cov=cur_cov, alpha=cur_alpha,
+                          l_iso=cur_liso, l_aniso=cur_laniso,
+                          normal=scene.normal, g=cur_g,
+                          background=scene.background)
 
         if cfg.full_eval_every and (it % cfg.full_eval_every == 0):
             full_evals.append([it, _full_eval(cur_scene, cams, targets_arr,
@@ -668,7 +631,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         cmp_img = _pred_for_loss(img.data, cfg)
         loss, _ = composite_loss(cmp_img, tgt, cfg.lambda_mse, cfg.lambda_ssim)
         final_losses.append(loss)
-        win = min(11, H, W)
+        win = min(11, cam.height, cam.width)
         if win % 2 == 0:
             win -= 1
         per_view.append({"view": i, "psnr": psnr(cmp_img, tgt),
@@ -678,19 +641,19 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     return cur_scene, live_mlp, report
 
 
-def _geometry_fd(theta, n_app, n_geo, geo, app, scene, cam, rcfg,
+def _geometry_fd(theta, n_app, n_geo, geo, scene, cam, rcfg,
                  rows, cols, tgt, cfg, mlp, e_vec):
     """Central-difference patch-loss gradients for the geometry block."""
     base = theta.copy()
     h = cfg.geometry_fd_step
     out = np.zeros(n_geo)
-    a, li, la, g = app.constrained_of(base[:n_app])
+    a, li, la, g = _appearance_of(base[:n_app])
 
     def loss_at(yg):
         mu, cov = geo.unpack(yg)
-        sc = _scene_with(scene, a, li, la, g, mu=mu, cov=cov)
-        pre = ScenePrecompute.from_scene(sc)
-        colors, _ = _patch_forward(pre, cam, rcfg, rows, cols, mlp, e_vec)
+        sc = Scene(mu=mu, cov=cov, alpha=a, l_iso=li, l_aniso=la,
+                   normal=scene.normal, g=g, background=scene.background)
+        colors, _ = _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec)
         pred = _pred_for_loss(colors.reshape(rows.size, cols.size, 3), cfg)
         loss, _ = composite_loss(pred, tgt, cfg.lambda_mse, cfg.lambda_ssim)
         return loss

@@ -9,13 +9,12 @@ as the compositing kernel).
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParamsFormatError
+from .imgfile import atomic_write
 from .scene import Camera
 
 EMBED_USED = 13
@@ -208,16 +207,7 @@ def save_mlp(path: str, params: MlpParams) -> None:
     sizes = " ".join(str(s) for s in params.layer_sizes)
     header = f"layers={sizes}\nd={params.d}\nseed={params.seed}\n"
     payload = header.encode("utf-8") + params.to_flat().astype("<f8").tobytes()
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, payload)
 
 
 def load_mlp(path: str) -> MlpParams:

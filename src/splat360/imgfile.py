@@ -18,7 +18,9 @@ from .errors import ImageFormatError
 GAMMA = 2.2
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def atomic_write(path: str, payload: bytes) -> None:
+    """Write `payload` to `path` through a temp file and a rename, so a failed
+    write leaves an existing file untouched and no temp file behind."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
@@ -50,7 +52,7 @@ def save_ppm(path: str, linear: np.ndarray) -> None:
         raise ImageFormatError("PPM export requires finite values")
     h, w = arr.shape[:2]
     body = encode_gamma(arr).tobytes()
-    _atomic_write(path, f"P6\n{w} {h}\n255\n".encode("ascii") + body)
+    atomic_write(path, f"P6\n{w} {h}\n255\n".encode("ascii") + body)
 
 
 def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
@@ -109,7 +111,7 @@ def save_pfm(path: str, data: np.ndarray) -> None:
     magic = b"PF" if c == 3 else b"Pf"
     f32 = arr.astype("<f4")
     body = f32[::-1].tobytes()  # PFM rows run bottom to top
-    _atomic_write(path, magic + f"\n{w} {h}\n-1.0\n".encode("ascii") + body)
+    atomic_write(path, magic + f"\n{w} {h}\n-1.0\n".encode("ascii") + body)
 
 
 def load_pfm(path: str) -> np.ndarray:

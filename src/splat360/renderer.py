@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPrimitiveError
-from .scene import Camera, ImageBuffer, ImageKind, Ray, Scene, MIN_EIGENVALUE
+from .scene import (Camera, GaussianPrimitive, ImageBuffer, ImageKind, Ray,
+                    Scene)
 
 FINE_TILE = 16
 COARSE_TILE = 64
@@ -75,83 +76,29 @@ def phase(dir, normal, g: float) -> float:
     return (1.0 - g * g) / (4.0 * math.pi * (s * math.sqrt(s)))
 
 
-class ScenePrecompute:
-    """Per-scene flat arrays the kernel consumes; cached on the Scene object."""
+def _origin_terms(scene: Scene, origin: np.ndarray):
+    """Per-gaussian quantities that depend only on the ray origin.
 
-    __slots__ = ("n", "mu0", "mu1", "mu2", "i00", "i01", "i02", "i11", "i12", "i22",
-                 "alpha", "li0", "li1", "li2", "la0", "la1", "la2",
-                 "n0", "n1", "n2", "g", "rad", "bg")
-
-    @classmethod
-    def from_scene(cls, scene: Scene) -> "ScenePrecompute":
-        self = cls()
-        G = len(scene.gaussians)
-        self.n = G
-        self.bg = np.asarray(scene.background, dtype=np.float64).copy()
-        if G == 0:
-            for name in cls.__slots__[1:-1]:
-                setattr(self, name, np.zeros(0))
-            return self
-        mu = np.array([p.mu for p in scene.gaussians])
-        cov = np.array([0.5 * (p.cov + p.cov.T) for p in scene.gaussians])
-        eig = np.linalg.eigvalsh(cov)
-        bad = np.where(eig[:, 0] < MIN_EIGENVALUE)[0]
-        if bad.size:
-            raise InvalidPrimitiveError(
-                f"gaussian {bad[0]}: singular covariance (eigenvalue < 1e-12)")
-        inv = np.linalg.inv(cov)
-        inv = 0.5 * (inv + np.transpose(inv, (0, 2, 1)))
-        self.mu0, self.mu1, self.mu2 = (np.ascontiguousarray(mu[:, k]) for k in range(3))
-        self.i00 = np.ascontiguousarray(inv[:, 0, 0])
-        self.i01 = np.ascontiguousarray(inv[:, 0, 1])
-        self.i02 = np.ascontiguousarray(inv[:, 0, 2])
-        self.i11 = np.ascontiguousarray(inv[:, 1, 1])
-        self.i12 = np.ascontiguousarray(inv[:, 1, 2])
-        self.i22 = np.ascontiguousarray(inv[:, 2, 2])
-        self.alpha = np.array([p.alpha for p in scene.gaussians])
-        li = np.array([p.l_iso for p in scene.gaussians])
-        la = np.array([p.l_aniso for p in scene.gaussians])
-        nr = np.array([p.normal for p in scene.gaussians])
-        self.li0, self.li1, self.li2 = (np.ascontiguousarray(li[:, k]) for k in range(3))
-        self.la0, self.la1, self.la2 = (np.ascontiguousarray(la[:, k]) for k in range(3))
-        self.n0, self.n1, self.n2 = (np.ascontiguousarray(nr[:, k]) for k in range(3))
-        self.g = np.array([p.g for p in scene.gaussians])
-        self.rad = 3.0 * np.sqrt(eig[:, 2])
-        return self
-
-    def state(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    @classmethod
-    def from_state(cls, st) -> "ScenePrecompute":
-        self = cls()
-        for name, v in st.items():
-            setattr(self, name, v)
-        return self
-
-
-def precompute(scene: Scene) -> ScenePrecompute:
-    pre = scene.__dict__.get("_precompute")
-    if pre is None:
-        pre = ScenePrecompute.from_scene(scene)
-        scene.__dict__["_precompute"] = pre
-    return pre
-
-
-def _origin_terms(pre: ScenePrecompute, origin: np.ndarray):
-    """Per-gaussian quantities that depend only on the ray origin."""
-    d0 = pre.mu0 - origin[0]
-    d1 = pre.mu1 - origin[1]
-    d2 = pre.mu2 - origin[2]
-    v0 = pre.i00 * d0 + pre.i01 * d1 + pre.i02 * d2
-    v1 = pre.i01 * d0 + pre.i11 * d1 + pre.i12 * d2
-    v2 = pre.i02 * d0 + pre.i12 * d1 + pre.i22 * d2
+    Every kernel path starts here, so this is where splats with a singular
+    covariance are refused.
+    """
+    if scene.singular.any():
+        raise InvalidPrimitiveError(
+            f"gaussian {np.argmax(scene.singular)}: singular covariance "
+            "(eigenvalue < 1e-12)")
+    d0 = scene.mu[:, 0] - origin[0]
+    d1 = scene.mu[:, 1] - origin[1]
+    d2 = scene.mu[:, 2] - origin[2]
+    inv = scene.cov_inv
+    v0 = inv[:, 0, 0] * d0 + inv[:, 0, 1] * d1 + inv[:, 0, 2] * d2
+    v1 = inv[:, 0, 1] * d0 + inv[:, 1, 1] * d1 + inv[:, 1, 2] * d2
+    v2 = inv[:, 0, 2] * d0 + inv[:, 1, 2] * d1 + inv[:, 2, 2] * d2
     cg = np.maximum(d0 * v0 + d1 * v1 + d2 * v2, 0.0)
     dist = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
     return v0, v1, v2, cg, dist
 
 
-def _ray_geometry(pre, v0, v1, v2, cg, dx, dy, dz, sub):
+def _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub):
     """t of peak weight and squared Mahalanobis distance there.
 
     dx/dy/dz are [P] ray direction components (one shared origin), sub indexes
@@ -162,6 +109,7 @@ def _ray_geometry(pre, v0, v1, v2, cg, dx, dy, dz, sub):
         den = i00 dx^2 + i11 dy^2 + i22 dz^2 + 2 (i01 dx dy + i02 dx dz + i12 dy dz)
         ts  = tn / den,  q = max(cg - tn*ts, 0)
     """
+    inv = scene.cov_inv
     dxc = dx[:, None]
     dyc = dy[:, None]
     dzc = dz[:, None]
@@ -171,20 +119,20 @@ def _ray_geometry(pre, v0, v1, v2, cg, dx, dy, dz, sub):
     np.multiply(dzc, v2[sub], out=tmp)
     tn += tmp
     pair = dxc * dxc
-    den = pre.i00[sub] * pair
+    den = inv[sub, 0, 0] * pair
     np.multiply(dyc, dyc, out=pair)
-    np.multiply(pre.i11[sub], pair, out=tmp)
+    np.multiply(inv[sub, 1, 1], pair, out=tmp)
     den += tmp
     np.multiply(dzc, dzc, out=pair)
-    np.multiply(pre.i22[sub], pair, out=tmp)
+    np.multiply(inv[sub, 2, 2], pair, out=tmp)
     den += tmp
     np.multiply(dxc, dyc, out=pair)
-    cross = pre.i01[sub] * pair
+    cross = inv[sub, 0, 1] * pair
     np.multiply(dxc, dzc, out=pair)
-    np.multiply(pre.i02[sub], pair, out=tmp)
+    np.multiply(inv[sub, 0, 2], pair, out=tmp)
     cross += tmp
     np.multiply(dyc, dzc, out=pair)
-    np.multiply(pre.i12[sub], pair, out=tmp)
+    np.multiply(inv[sub, 1, 2], pair, out=tmp)
     cross += tmp
     cross *= 2.0
     den += cross
@@ -196,17 +144,17 @@ def _ray_geometry(pre, v0, v1, v2, cg, dx, dy, dz, sub):
     return ts, tn
 
 
-def _phase_factor(pre, dx, dy, dz, sub):
+def _phase_factor(scene, dx, dy, dz, sub):
     """Normalized anisotropy factor f = 4*pi*phase, elementwise over [P, sub].
 
     Grouping matches s = (1 + g^2) - (2 g) cos, f = (1 - g^2) / (s sqrt(s)).
     """
-    cos = dx[:, None] * pre.n0[sub]
-    tmp = dy[:, None] * pre.n1[sub]
+    cos = dx[:, None] * scene.normal[sub, 0]
+    tmp = dy[:, None] * scene.normal[sub, 1]
     cos += tmp
-    np.multiply(dz[:, None], pre.n2[sub], out=tmp)
+    np.multiply(dz[:, None], scene.normal[sub, 2], out=tmp)
     cos += tmp
-    gk = pre.g[sub]
+    gk = scene.g[sub]
     g2 = gk * gk
     np.multiply(2.0 * gk, cos, out=cos)
     np.subtract(1.0 + g2, cos, out=cos)
@@ -217,7 +165,7 @@ def _phase_factor(pre, dx, dy, dz, sub):
     return tmp
 
 
-def _composite(pre, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
+def _composite(scene, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
                sub=None, fused_streams=False):
     """Shared compositing kernel over P rays with one origin.
 
@@ -227,14 +175,14 @@ def _composite(pre, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
     v0, v1, v2, cg, _ = origin_terms
     P = dx.shape[0]
     if sub is None:
-        sub = np.arange(pre.n)
-    bg = pre.bg
+        sub = np.arange(scene.alpha.size)
+    bg = scene.background
     empty_extra = (np.zeros((P, 3)), np.zeros((P, 3))) if fused_streams else ()
     if sub.size == 0:
         color = np.broadcast_to(bg, (P, 3)).copy()
         return (color, np.zeros(P), np.ones(P)) + empty_extra
 
-    ts, q = _ray_geometry(pre, v0, v1, v2, cg, dx, dy, dz, sub)
+    ts, q = _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub)
     cutoff2 = cfg.cutoff_sigma * cfg.cutoff_sigma
     live = q <= cutoff2
     live &= ts >= near
@@ -252,24 +200,24 @@ def _composite(pre, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
     # multiplied to an exact +0.0, same bits as masking with where)
     np.multiply(q, -0.5, out=q)
     np.exp(q, out=q)
-    np.multiply(pre.alpha[k2], q, out=q)
+    np.multiply(scene.alpha[k2], q, out=q)
     np.multiply(q, live, out=q)
     w = q
 
     if cfg.anisotropy_enabled:
         if cfg.disentangle:
-            f = _phase_factor(pre, dx, dy, dz, k2)
-            a0 = f * pre.la0[k2]
-            a1 = f * pre.la1[k2]
-            a2 = f * pre.la2[k2]
+            f = _phase_factor(scene, dx, dy, dz, k2)
+            a0 = f * scene.l_aniso[k2, 0]
+            a1 = f * scene.l_aniso[k2, 1]
+            a2 = f * scene.l_aniso[k2, 2]
         else:
-            a0, a1, a2 = pre.la0[k2], pre.la1[k2], pre.la2[k2]
-        c0 = pre.li0[k2] + a0
-        c1 = pre.li1[k2] + a1
-        c2 = pre.li2[k2] + a2
+            a0, a1, a2 = (scene.l_aniso[k2, i] for i in range(3))
+        c0 = scene.l_iso[k2, 0] + a0
+        c1 = scene.l_iso[k2, 1] + a1
+        c2 = scene.l_iso[k2, 2] + a2
     else:
         a0 = a1 = a2 = None
-        c0, c1, c2 = pre.li0[k2], pre.li1[k2], pre.li2[k2]
+        c0, c1, c2 = (scene.l_iso[k2, i] for i in range(3))
 
     order = np.argsort(ts, axis=1, kind="stable")
     prow = np.arange(P)[:, None]
@@ -309,9 +257,9 @@ def _composite(pre, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
     np.multiply(tw, _sorted(ts), out=stack[3])
     stack[4] = tw
     if fused_streams:
-        np.multiply(tw, np.take(pre.li0[k2], order), out=stack[5])
-        np.multiply(tw, np.take(pre.li1[k2], order), out=stack[6])
-        np.multiply(tw, np.take(pre.li2[k2], order), out=stack[7])
+        np.multiply(tw, np.take(scene.l_iso[k2, 0], order), out=stack[5])
+        np.multiply(tw, np.take(scene.l_iso[k2, 1], order), out=stack[6])
+        np.multiply(tw, np.take(scene.l_iso[k2, 2], order), out=stack[7])
         if a0 is not None:
             np.multiply(tw, _sorted(a0), out=stack[8])
             np.multiply(tw, _sorted(a1), out=stack[9])
@@ -334,13 +282,6 @@ def _composite(pre, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
     return color, depth, final_T, iso, aniso
 
 
-def _scene_pre_for(p) -> ScenePrecompute:
-    from .scene import GaussianPrimitive  # local to avoid cycle confusion
-    if not isinstance(p, GaussianPrimitive):
-        raise TypeError("expected a GaussianPrimitive")
-    return ScenePrecompute.from_scene(Scene((p,), np.zeros(3)))
-
-
 def ray_gaussian_weight(p, r: Ray, near: float = 0.0,
                         cutoff_sigma: float = 3.0) -> tuple[float, float]:
     """(t of peak weight, weight) for one primitive along one ray.
@@ -348,21 +289,24 @@ def ray_gaussian_weight(p, r: Ray, near: float = 0.0,
     The weight is zero when the peak lies before `near` or farther than
     `cutoff_sigma` Mahalanobis units from the center.
     """
-    pre = _scene_pre_for(p)
-    ot = _origin_terms(pre, r.origin)
+    if not isinstance(p, GaussianPrimitive):
+        raise TypeError("expected a GaussianPrimitive")
+    scene = Scene.from_gaussians([p], np.zeros(3))
+    ot = _origin_terms(scene, r.origin)
     v0, v1, v2, cg, _ = ot
     dx = np.array([r.dir[0]])
     dy = np.array([r.dir[1]])
     dz = np.array([r.dir[2]])
     sub = np.arange(1)
-    ts, q = _ray_geometry(pre, v0, v1, v2, cg, dx, dy, dz, sub)
+    ts, q = _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub)
+    inv = scene.cov_inv
     dxc = dx[:, None]
     dyc = dy[:, None]
     dzc = dz[:, None]
-    den = (pre.i00[sub] * (dxc * dxc) + pre.i11[sub] * (dyc * dyc)
-           + pre.i22[sub] * (dzc * dzc)
-           + 2.0 * (pre.i01[sub] * (dxc * dyc) + pre.i02[sub] * (dxc * dzc)
-                    + pre.i12[sub] * (dyc * dzc)))
+    den = (inv[sub, 0, 0] * (dxc * dxc) + inv[sub, 1, 1] * (dyc * dyc)
+           + inv[sub, 2, 2] * (dzc * dzc)
+           + 2.0 * (inv[sub, 0, 1] * (dxc * dyc) + inv[sub, 0, 2] * (dxc * dzc)
+                    + inv[sub, 1, 2] * (dyc * dzc)))
     if not den[0, 0] > 0.0:
         raise InvalidPrimitiveError("direction quadratic form not positive")
     t_star = float(ts[0, 0])
@@ -382,20 +326,19 @@ def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
     back with the transmittance seen by each.
     """
     cfg = cfg if cfg is not None else RenderConfig()
-    pre = precompute(scene)
-    ot = _origin_terms(pre, r.origin)
+    ot = _origin_terms(scene, r.origin)
     dx = np.array([r.dir[0]])
     dy = np.array([r.dir[1]])
     dz = np.array([r.dir[2]])
-    color, depth, final_T = _composite(pre, cfg, near, ot, dx, dy, dz)
+    color, depth, final_T = _composite(scene, cfg, near, ot, dx, dy, dz)
     samples: list[RaySample] = []
-    if pre.n:
+    if scene.alpha.size:
         v0, v1, v2, cg, _ = ot
-        sub = np.arange(pre.n)
-        ts, q = _ray_geometry(pre, v0, v1, v2, cg, dx, dy, dz, sub)
+        sub = np.arange(scene.alpha.size)
+        ts, q = _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub)
         cutoff2 = cfg.cutoff_sigma * cfg.cutoff_sigma
         live = (q <= cutoff2) & (ts >= near)
-        w = np.where(live, pre.alpha * np.exp(-0.5 * q), 0.0)[0]
+        w = np.where(live, scene.alpha * np.exp(-0.5 * q), 0.0)[0]
         tsr = ts[0]
         hit = np.where(live[0])[0]
         hit = hit[np.argsort(tsr[hit], kind="stable")]
@@ -408,18 +351,18 @@ def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
     return color[0], float(depth[0]), float(final_T[0]), samples
 
 
-def _cone_cull(pre, origin, dist, cd, gamma, sub):
+def _cone_cull(scene, origin, dist, cd, gamma, sub):
     """Indices in `sub` whose 3-sigma bounding ball can meet a ray in the cone.
 
     Conservative: a primitive contributes weight only where the ray passes
     within 3 sigma of its center, and every such ray lies within `gamma` of
     the cone axis once the ball's angular radius is subtracted.
     """
-    d0 = pre.mu0[sub] - origin[0]
-    d1 = pre.mu1[sub] - origin[1]
-    d2 = pre.mu2[sub] - origin[2]
+    d0 = scene.mu[sub, 0] - origin[0]
+    d1 = scene.mu[sub, 1] - origin[1]
+    d2 = scene.mu[sub, 2] - origin[2]
     ds = dist[sub]
-    rad = pre.rad[sub]
+    rad = scene.cull_radius[sub]
     inside = ds <= rad
     cos = np.ones(sub.size)
     np.divide(d0 * cd[0] + d1 * cd[1] + d2 * cd[2], ds, out=cos, where=ds > 0)
@@ -441,7 +384,7 @@ def _cone_of(dxb, dyb, dzb):
     return np.array([ax, ay, az]), math.acos(min(max(cosg, -1.0), 1.0))
 
 
-def _render_coarse_block(pre, cam, cfg, r0, r1, c0, c1, ot):
+def _render_coarse_block(scene, cam, cfg, ot, r0, r1, c0, c1):
     """Render one coarse block; two-level cone culling, fine-tile kernel calls."""
     rows = np.arange(r0, r1, dtype=np.float64)
     cols = np.arange(c0, c1, dtype=np.float64)
@@ -450,9 +393,10 @@ def _render_coarse_block(pre, cam, cfg, r0, r1, c0, c1, ot):
     color = np.empty((Hb, Wb, 3))
     depth = np.empty((Hb, Wb, 1))
     trans = np.empty((Hb, Wb, 1))
-    if pre.n:
+    if scene.alpha.size:
         cd, gamma = _cone_of(dxb, dyb, dzb)
-        sub1 = _cone_cull(pre, cam.position, ot[4], cd, gamma, np.arange(pre.n))
+        sub1 = _cone_cull(scene, cam.position, ot[4], cd, gamma,
+                          np.arange(scene.alpha.size))
     else:
         sub1 = np.arange(0)
     for fr in range(0, Hb, FINE_TILE):
@@ -464,11 +408,11 @@ def _render_coarse_block(pre, cam, cfg, r0, r1, c0, c1, ot):
             dzt = dzb[fr:fr1, fc:fc1]
             if sub1.size:
                 cd, gamma = _cone_of(dxt, dyt, dzt)
-                sub2 = _cone_cull(pre, cam.position, ot[4], cd, gamma, sub1)
+                sub2 = _cone_cull(scene, cam.position, ot[4], cd, gamma, sub1)
             else:
                 sub2 = sub1
             sh = dxt.shape
-            col, dep, fT = _composite(pre, cfg, cam.near, ot,
+            col, dep, fT = _composite(scene, cfg, cam.near, ot,
                                       dxt.ravel(), dyt.ravel(), dzt.ravel(),
                                       sub=sub2)
             color[fr:fr1, fc:fc1] = col.reshape(sh + (3,))
@@ -484,13 +428,8 @@ def _coarse_blocks(height: int, width: int):
 
 
 def _worker_render(payload):
-    st, camf, cfgf, blocks = payload
-    pre = ScenePrecompute.from_state(st)
-    cam = Camera(**camf)
-    cfg = RenderConfig(**cfgf)
-    ot = _origin_terms(pre, cam.position)
-    return [_render_coarse_block(pre, cam, cfg, r0, r1, c0, c1, ot)
-            for (r0, r1, c0, c1) in blocks]
+    scene, cam, cfg, ot, blocks = payload
+    return [_render_coarse_block(scene, cam, cfg, ot, *block) for block in blocks]
 
 
 _POOLS: dict[int, "multiprocessing.pool.Pool"] = {}
@@ -520,31 +459,22 @@ def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
     """Render color, depth, and transmittance images through pixel centers.
 
     Output is bitwise independent of `workers`; workers > 1 forks a process
-    pool (reused across calls) and splits the image by coarse tile blocks.
+    pool (reused across calls), splits the image by coarse tile blocks and
+    pickles the scene into each block list's payload.
     """
     cfg = cfg if cfg is not None else RenderConfig()
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    pre = precompute(scene)
     H, W = cam.height, cam.width
     blocks = _coarse_blocks(H, W)
+    ot = _origin_terms(scene, cam.position)
     use_pool = (workers > 1 and len(blocks) > 1
                 and "fork" in multiprocessing.get_all_start_methods())
     if not use_pool:
-        ot = _origin_terms(pre, cam.position)
-        results = [_render_coarse_block(pre, cam, cfg, r0, r1, c0, c1, ot)
-                   for (r0, r1, c0, c1) in blocks]
+        results = [_render_coarse_block(scene, cam, cfg, ot, *b) for b in blocks]
     else:
-        nw = min(workers, len(blocks))
-        camf = dict(position=cam.position, forward=cam.forward, up=cam.up,
-                    right=cam.right, fov_y=cam.fov_y, width=cam.width,
-                    height=cam.height, near=cam.near)
-        cfgf = dict(termination_epsilon=cfg.termination_epsilon,
-                    cutoff_sigma=cfg.cutoff_sigma, disentangle=cfg.disentangle,
-                    anisotropy_enabled=cfg.anisotropy_enabled)
-        st = pre.state()
-        splits = np.array_split(np.arange(len(blocks)), nw)
-        payloads = [(st, camf, cfgf, [blocks[i] for i in chunk])
+        splits = np.array_split(np.arange(len(blocks)), min(workers, len(blocks)))
+        payloads = [(scene, cam, cfg, ot, [blocks[i] for i in chunk])
                     for chunk in splits if chunk.size]
         outs = _pool_for(workers).map(_worker_render, payloads)
         results = [blk for out in outs for blk in out]
@@ -569,13 +499,12 @@ def render_rays(scene: Scene, origin, dirs, cfg: RenderConfig | None = None,
     accumulated separately (the inputs the fusion head consumes).
     """
     cfg = cfg if cfg is not None else RenderConfig()
-    pre = precompute(scene)
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError("dirs must be [P,3]")
-    ot = _origin_terms(pre, origin)
-    return _composite(pre, cfg, near, ot,
+    ot = _origin_terms(scene, origin)
+    return _composite(scene, cfg, near, ot,
                       np.ascontiguousarray(dirs[:, 0]),
                       np.ascontiguousarray(dirs[:, 1]),
                       np.ascontiguousarray(dirs[:, 2]),

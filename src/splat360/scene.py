@@ -6,6 +6,13 @@ Conventions fixed here and relied on everywhere else:
   - radiance is linear, no gamma until 8-bit export;
   - pixel (row, col) is sampled at its center, row 0 is the top image row
     and +v in camera space points up.
+
+A Scene of G splats is a set of read-only float64 arrays: mu [G,3],
+cov [G,3,3], alpha [G], l_iso [G,3], l_aniso [G,3], normal [G,3], g [G] and
+background [3]. Writing into any of them raises ValueError; a changed scene
+is a new Scene. GaussianPrimitive is a per-splat view for I/O and tests
+only: `Scene.from_gaussians` packs a list of them and `Scene.gaussians`
+hands out fresh copies.
 """
 from __future__ import annotations
 
@@ -17,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidPrimitiveError, SceneFormatError
+from .imgfile import atomic_write
 
 # Covariance eigenvalues below this are treated as singular.
 MIN_EIGENVALUE = 1e-12
@@ -39,7 +47,9 @@ class GaussianPrimitive:
     """One splat: center, covariance, opacity, two radiance terms, orientation.
 
     l_iso is the view-independent radiance, l_aniso the view-dependent one;
-    `normal` and `g` steer the angular redistribution of l_aniso.
+    `normal` and `g` steer the angular redistribution of l_aniso. This is a
+    per-splat input and view for I/O and tests only: a Scene stores its
+    splats as arrays, and `Scene.gaussians` hands out fresh copies.
     """
 
     mu: np.ndarray
@@ -61,32 +71,6 @@ class GaussianPrimitive:
         self.normal = _vec3(self.normal, "normal")
         self.g = float(self.g)
 
-    def sigma_max(self) -> float:
-        """Standard deviation along the widest principal axis."""
-        return float(np.sqrt(np.linalg.eigvalsh(self.cov)[-1]))
-
-    def violations(self) -> list[str]:
-        out = []
-        if not np.all(np.isfinite(self.mu)):
-            out.append("mu not finite")
-        if not np.all(np.isfinite(self.cov)):
-            out.append("cov not finite")
-        elif not np.allclose(self.cov, self.cov.T, rtol=0.0, atol=1e-12):
-            out.append("cov not symmetric")
-        elif np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T))[0] < MIN_EIGENVALUE:
-            out.append("cov not positive-definite")
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
-            out.append("alpha out of range")
-        if not (np.all(np.isfinite(self.l_iso)) and np.all(self.l_iso >= 0.0) and np.all(self.l_iso <= 1.0)):
-            out.append("l_iso out of range")
-        if not (np.all(np.isfinite(self.l_aniso)) and np.all(self.l_aniso >= 0.0)):
-            out.append("l_aniso negative")
-        if not np.all(np.isfinite(self.normal)) or abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
-            out.append("normal not unit")
-        if not (math.isfinite(self.g) and -1.0 < self.g < 1.0):
-            out.append("g out of range")
-        return out
-
 
 def eval_gaussian(p: GaussianPrimitive, x) -> float:
     """alpha * exp(-1/2 (x-mu)^T cov^-1 (x-mu)); exactly alpha at x = mu."""
@@ -99,39 +83,102 @@ def eval_gaussian(p: GaussianPrimitive, x) -> float:
     return p.alpha * math.exp(-0.5 * max(quad, 0.0))
 
 
-@dataclass
-class Scene:
-    """Immutable-by-convention list of primitives plus a background radiance.
+# per-splat shape of each Scene array, in GaussianPrimitive field order
+_SPLAT_SHAPES = {"mu": (3,), "cov": (3, 3), "alpha": (), "l_iso": (3,),
+                 "l_aniso": (3,), "normal": (3,), "g": ()}
 
-    Derived bounds are recomputed at construction; to change the gaussians,
-    build a new Scene (concurrent renders share scenes read-only).
+
+@dataclass(frozen=True, eq=False)
+class Scene:
+    """G splats as read-only float64 arrays (layout in the module docstring).
+
+    The constructor copies its inputs, checks their shapes and computes
+    everything derived exactly once, from one batched eigvalsh on the
+    symmetrised covariance:
+      - bounds_min, bounds_max, center, radius: the 3-sigma scene bounds;
+      - cull_radius [G]: 3 sigma along each splat's widest axis;
+      - singular [G]: the covariance is singular (smallest eigenvalue below
+        MIN_EIGENVALUE) or not finite; such a scene constructs,
+        validate_scene reports it and the renderer refuses it;
+      - cov_inv [G,3,3]: the symmetrised inverse of the symmetrised
+        covariance, NaN where singular.
     """
 
-    gaussians: tuple[GaussianPrimitive, ...]
+    mu: np.ndarray
+    cov: np.ndarray
+    alpha: np.ndarray
+    l_iso: np.ndarray
+    l_aniso: np.ndarray
+    normal: np.ndarray
+    g: np.ndarray
     background: np.ndarray
-    bounds_min: np.ndarray = field(init=False)
-    bounds_max: np.ndarray = field(init=False)
-    center: np.ndarray = field(init=False)
-    radius: float = field(init=False)
+    bounds_min: np.ndarray = field(init=False, repr=False)
+    bounds_max: np.ndarray = field(init=False, repr=False)
+    center: np.ndarray = field(init=False, repr=False)
+    radius: float = field(init=False, repr=False)
+    cull_radius: np.ndarray = field(init=False, repr=False)
+    singular: np.ndarray = field(init=False, repr=False)
+    cov_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.gaussians = tuple(self.gaussians)
-        self.background = _vec3(self.background, "background")
-        if not self.gaussians:
-            self.bounds_min = np.zeros(3)
-            self.bounds_max = np.zeros(3)
-            self.center = np.zeros(3)
-            self.radius = 0.0
-            return
-        mus = np.array([p.mu for p in self.gaussians])
-        ext = np.array([BOUND_SIGMA * p.sigma_max() for p in self.gaussians])
-        self.bounds_min = (mus - ext[:, None]).min(axis=0)
-        self.bounds_max = (mus + ext[:, None]).max(axis=0)
-        self.center = 0.5 * (self.bounds_min + self.bounds_max)
-        self.radius = float(np.max(np.linalg.norm(mus - self.center, axis=1) + ext))
+        if np.ndim(self.alpha) != 1:
+            raise ValueError(f"alpha must be 1-D, got shape {np.shape(self.alpha)}")
+        G = len(self.alpha)
+        arrays = {}
+        for name, shape in _SPLAT_SHAPES.items():
+            arrays[name] = np.array(getattr(self, name), dtype=np.float64)
+            if arrays[name].shape != (G,) + shape:
+                raise ValueError(f"{name} must have shape {(G,) + shape}, "
+                                 f"got {arrays[name].shape}")
+        arrays["background"] = _vec3(self.background, "background")
+        mu, cov = arrays["mu"], arrays["cov"]
+        # extreme (even non-finite) values still construct; validate_scene
+        # reports them and the renderer refuses singular covariances
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+            # LAPACK may fail to converge on non-finite input
+            finite = np.isfinite(sym).all(axis=(1, 2))
+            eig = np.linalg.eigvalsh(np.where(finite[:, None, None], sym, np.eye(3)))
+            eig[~finite] = np.nan
+            ext = BOUND_SIGMA * np.sqrt(eig[:, 2])
+            singular = ~(eig[:, 0] >= MIN_EIGENVALUE)
+            inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(3), sym))
+            inv = 0.5 * (inv + np.transpose(inv, (0, 2, 1)))
+            inv[singular] = np.nan
+            if G == 0:
+                lo = hi = center = np.zeros(3)
+                radius = 0.0
+            else:
+                lo = (mu - ext[:, None]).min(axis=0)
+                hi = (mu + ext[:, None]).max(axis=0)
+                center = 0.5 * (lo + hi)
+                radius = float(np.max(np.linalg.norm(mu - center, axis=1) + ext))
+        arrays.update(bounds_min=lo, bounds_max=hi, center=center,
+                      cull_radius=ext, singular=singular, cov_inv=inv)
+        for name, a in arrays.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "radius", radius)
+
+    @classmethod
+    def from_gaussians(cls, gaussians, background) -> "Scene":
+        """Pack a sequence of GaussianPrimitive into a Scene."""
+        gs = list(gaussians)
+        return cls(**{name: np.array([getattr(p, name) for p in gs],
+                                     dtype=np.float64).reshape((len(gs),) + shape)
+                      for name, shape in _SPLAT_SHAPES.items()},
+                   background=background)
+
+    @property
+    def gaussians(self) -> tuple[GaussianPrimitive, ...]:
+        """Fresh per-splat copies; changing them leaves the scene as it is."""
+        return tuple(GaussianPrimitive(self.mu[i], self.cov[i], self.alpha[i],
+                                       self.l_iso[i], self.l_aniso[i],
+                                       self.normal[i], self.g[i])
+                     for i in range(self.alpha.size))
 
     def with_gaussians(self, gaussians) -> "Scene":
-        return Scene(tuple(gaussians), self.background)
+        return Scene.from_gaussians(gaussians, self.background)
 
 
 def validate_scene(s: Scene) -> list[str]:
@@ -139,8 +186,23 @@ def validate_scene(s: Scene) -> list[str]:
     out = []
     if not np.all(np.isfinite(s.background)) or np.any(s.background < 0.0):
         out.append("background not finite and non-negative")
-    for i, p in enumerate(s.gaussians):
-        out.extend(f"gaussian {i}: {v}" for v in p.violations())
+    with np.errstate(invalid="ignore", over="ignore"):
+        cov_finite = np.isfinite(s.cov).all(axis=(1, 2))
+        symmetric = (np.abs(s.cov - np.transpose(s.cov, (0, 2, 1)))
+                     <= 1e-12).all(axis=(1, 2))
+        rules = (
+            ("mu not finite", ~np.isfinite(s.mu).all(axis=1)),
+            ("cov not finite", ~cov_finite),
+            ("cov not symmetric", cov_finite & ~symmetric),
+            ("cov not positive-definite", cov_finite & symmetric & s.singular),
+            ("alpha out of range", ~((s.alpha > 0.0) & (s.alpha <= 1.0))),
+            ("l_iso out of range", ~((s.l_iso >= 0.0) & (s.l_iso <= 1.0)).all(axis=1)),
+            ("l_aniso negative", ~(np.isfinite(s.l_aniso) & (s.l_aniso >= 0.0)).all(axis=1)),
+            ("normal not unit", ~(np.abs(np.linalg.norm(s.normal, axis=1) - 1.0) <= 1e-9)),
+            ("g out of range", ~((s.g > -1.0) & (s.g < 1.0))),
+        )
+    for i in np.flatnonzero(np.any([mask for _, mask in rules], axis=0)):
+        out.extend(f"gaussian {i}: {msg}" for msg, mask in rules if mask[i])
     return out
 
 
@@ -304,45 +366,39 @@ def make_orbit_cameras(center, radius: float, n: int, elevation: float, mode: st
 # Scene file format: UTF-8 JSON, background + gaussians, cov as upper triangle
 # in order xx, xy, xz, yy, yz, zz. Unknown keys are rejected.
 
-_GAUSSIAN_KEYS = ("mu", "cov", "alpha", "l_iso", "l_aniso", "normal", "g")
-
-
-def _cov_to_triu(cov: np.ndarray) -> list[float]:
-    return [cov[0, 0], cov[0, 1], cov[0, 2], cov[1, 1], cov[1, 2], cov[2, 2]]
-
-
-def _triu_to_cov(t) -> np.ndarray:
-    xx, xy, xz, yy, yz, zz = (float(v) for v in t)
-    return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+_GAUSSIAN_KEYS = tuple(_SPLAT_SHAPES)
+# upper-triangle entries of a covariance, and the triangle index of each entry
+_TRIU_ROWS, _TRIU_COLS = np.triu_indices(3)
+_TRIU_OF = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def scene_to_json(scene: Scene) -> dict:
+    cols = {"mu": scene.mu.tolist(),
+            "cov": scene.cov[:, _TRIU_ROWS, _TRIU_COLS].tolist(),
+            "alpha": scene.alpha.tolist(), "l_iso": scene.l_iso.tolist(),
+            "l_aniso": scene.l_aniso.tolist(), "normal": scene.normal.tolist(),
+            "g": scene.g.tolist()}
     return {
-        "background": [float(v) for v in scene.background],
-        "gaussians": [
-            {
-                "mu": [float(v) for v in p.mu],
-                "cov": [float(v) for v in _cov_to_triu(p.cov)],
-                "alpha": float(p.alpha),
-                "l_iso": [float(v) for v in p.l_iso],
-                "l_aniso": [float(v) for v in p.l_aniso],
-                "normal": [float(v) for v in p.normal],
-                "g": float(p.g),
-            }
-            for p in scene.gaussians
-        ],
+        "background": scene.background.tolist(),
+        "gaussians": [dict(zip(cols, row)) for row in zip(*cols.values())],
     }
+
+
+def _finite_number(v) -> bool:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _require_floats(obj, n: int, where: str) -> list[float]:
     if not isinstance(obj, list) or len(obj) != n:
         raise SceneFormatError(f"{where} must be a list of {n} numbers")
-    out = []
-    for v in obj:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise SceneFormatError(f"{where} must contain finite numbers")
-        out.append(float(v))
-    return out
+    if not all(_finite_number(v) for v in obj):
+        raise SceneFormatError(f"{where} must contain finite numbers")
+    return [float(v) for v in obj]
 
 
 def scene_from_json(obj) -> Scene:
@@ -356,7 +412,7 @@ def scene_from_json(obj) -> Scene:
     background = _require_floats(obj["background"], 3, "background")
     if not isinstance(obj["gaussians"], list):
         raise SceneFormatError("'gaussians' must be a list")
-    prims = []
+    rows = {key: [] for key in _GAUSSIAN_KEYS}
     for i, entry in enumerate(obj["gaussians"]):
         where = f"gaussian {i}"
         if not isinstance(entry, dict):
@@ -367,20 +423,19 @@ def scene_from_json(obj) -> Scene:
         missing = set(_GAUSSIAN_KEYS) - set(entry)
         if missing:
             raise SceneFormatError(f"{where}: missing key {sorted(missing)[0]!r}")
-        for scalar_key in ("alpha", "g"):
-            v = entry[scalar_key]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise SceneFormatError(f"{where}: {scalar_key} must be a finite number")
-        prims.append(GaussianPrimitive(
-            mu=np.array(_require_floats(entry["mu"], 3, f"{where}: mu")),
-            cov=_triu_to_cov(_require_floats(entry["cov"], 6, f"{where}: cov")),
-            alpha=float(entry["alpha"]),
-            l_iso=np.array(_require_floats(entry["l_iso"], 3, f"{where}: l_iso")),
-            l_aniso=np.array(_require_floats(entry["l_aniso"], 3, f"{where}: l_aniso")),
-            normal=np.array(_require_floats(entry["normal"], 3, f"{where}: normal")),
-            g=float(entry["g"]),
-        ))
-    scene = Scene(tuple(prims), np.array(background))
+        for key in _GAUSSIAN_KEYS:
+            if key in ("alpha", "g"):
+                if not _finite_number(entry[key]):
+                    raise SceneFormatError(f"{where}: {key} must be a finite number")
+                rows[key].append(float(entry[key]))
+            else:
+                n = 6 if key == "cov" else 3
+                rows[key].append(_require_floats(entry[key], n, f"{where}: {key}"))
+    G = len(obj["gaussians"])
+    arrays = {key: np.array(v, dtype=np.float64).reshape((G,) + _SPLAT_SHAPES[key])
+              for key, v in rows.items() if key != "cov"}
+    triu = np.array(rows["cov"], dtype=np.float64).reshape(G, 6)
+    scene = Scene(cov=triu[:, _TRIU_OF], background=np.array(background), **arrays)
     problems = validate_scene(scene)
     if problems:
         raise SceneFormatError("invalid scene: " + "; ".join(problems))
@@ -403,9 +458,9 @@ def load_scene(path) -> Scene:
 
 
 def save_scene(path, scene: Scene) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(scene_to_json(scene), f, indent=1)
-        f.write("\n")
+    """Write the scene atomically: a failed write leaves `path` as it was."""
+    text = json.dumps(scene_to_json(scene), indent=1) + "\n"
+    atomic_write(path, text.encode("utf-8"))
 
 
 def make_random_scene(n: int, seed: int, spread: float = 1.0,
@@ -428,9 +483,8 @@ def make_random_scene(n: int, seed: int, spread: float = 1.0,
     nrm = rng.normal(size=(n, 3))
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
     g = rng.uniform(-0.8, 0.8, n)
-    prims = [GaussianPrimitive(mu[i], cov[i], float(alpha[i]), l_iso[i],
-                               l_aniso[i], nrm[i], float(g[i])) for i in range(n)]
-    return Scene(tuple(prims), np.asarray(background, dtype=np.float64))
+    return Scene(mu=mu, cov=cov, alpha=alpha, l_iso=l_iso, l_aniso=l_aniso,
+                 normal=nrm, g=g, background=background)
 
 
 def perturb_appearance(scene: Scene, seed: int, rel: float = 0.2) -> Scene:
@@ -439,15 +493,12 @@ def perturb_appearance(scene: Scene, seed: int, rel: float = 0.2) -> Scene:
     clipped back into their legal ranges.
 
     The standard way to build a fit-recovery problem with known ground truth.
+    Each splat draws its 8 factors in the order alpha, l_iso, l_aniso, g.
     """
-    rng = np.random.default_rng(seed)
-    lo, hi = 1.0 - rel, 1.0 + rel
-    out = []
-    for p in scene.gaussians:
-        out.append(replace(
-            p,
-            alpha=float(np.clip(p.alpha * rng.uniform(lo, hi), 1e-4, 1.0)),
-            l_iso=np.clip(p.l_iso * rng.uniform(lo, hi, 3), 0.0, 1.0),
-            l_aniso=p.l_aniso * rng.uniform(lo, hi, 3),
-            g=float(np.clip(p.g * rng.uniform(lo, hi), -0.999, 0.999))))
-    return Scene(tuple(out), scene.background)
+    u = np.random.default_rng(seed).uniform(1.0 - rel, 1.0 + rel,
+                                            (scene.alpha.size, 8))
+    return replace(scene,
+                   alpha=np.clip(scene.alpha * u[:, 0], 1e-4, 1.0),
+                   l_iso=np.clip(scene.l_iso * u[:, 1:4], 0.0, 1.0),
+                   l_aniso=scene.l_aniso * u[:, 4:7],
+                   g=np.clip(scene.g * u[:, 7], -0.999, 0.999))

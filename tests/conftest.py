@@ -18,7 +18,8 @@ def make_primitive(mu=(0.0, 0.0, 0.0), sigma=0.1, alpha=0.8,
 
 @pytest.fixture
 def simple_scene():
-    return Scene([make_primitive()], background=np.array([0.1, 0.1, 0.1]))
+    return Scene.from_gaussians([make_primitive()],
+                                background=np.array([0.1, 0.1, 0.1]))
 
 
 @pytest.fixture

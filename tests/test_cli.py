@@ -127,15 +127,6 @@ def test_fit_numeric_failure_exits_4_keeps_report(tmp_path, scene_file):
     assert not os.path.exists(os.path.join(fdir, "fitted_scene.json"))
 
 
-def test_fit_lpips_flag_errors(tmp_path, scene_file):
-    tdir = str(tmp_path / "targets")
-    assert main(["render", "--scene", scene_file, "--out", tdir,
-                 "--orbit", "ring:1", "--width", "12", "--height", "12"]) == 0
-    rc = main(["fit", "--scene", scene_file, "--targets", tdir,
-               "--out", str(tmp_path / "f2"), "--iters", "1", "--use-lpips"])
-    assert rc == 2
-
-
 def test_anchors_outputs(tmp_path, scene_file):
     out = str(tmp_path / "anc")
     rc = main(["anchors", "--scene", scene_file, "--out", out,

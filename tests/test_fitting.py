@@ -127,11 +127,6 @@ def test_adam_shape_mismatch():
 # ---------------------------------------------------------------------------
 # FitConfig contract
 
-def test_config_rejects_lpips():
-    with pytest.raises(ValueError, match="out of scope"):
-        FitConfig(use_lpips=True)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(ablation={"no_such_thing"})
@@ -212,6 +207,19 @@ def test_fit_requires_targets(simple_scene):
     with pytest.raises(ValueError):
         fit_scene(simple_scene, [(cams[0], np.zeros((9, 8, 3)))],
                   FitConfig(iters=1))
+
+
+def test_fit_mixed_resolution_targets(small_random_scene):
+    # each view keeps its own size; the patch is clamped to the smaller one
+    rcfg = RenderConfig()
+    big = _views(small_random_scene, n=1, res=16)[0]
+    small = _views(small_random_scene, n=1, res=8)[0]
+    targets = _self_targets(small_random_scene, [big, small], rcfg)
+    cfg = FitConfig(iters=4, rays_per_step=144, seed=0)
+    _, _, report = fit_scene(small_random_scene, targets, cfg, rcfg)
+    assert report.trace == [0.0] * 4
+    assert [v["view"] for v in report.per_view] == [0, 1]
+    assert report.final_loss == 0.0
 
 
 def test_fit_dual_branch_ablation_drops_mlp(small_random_scene):

@@ -82,7 +82,7 @@ def test_weight_culled_past_cutoff():
 
 
 def test_composite_empty_scene():
-    s = Scene([], background=np.array([0.2, 0.4, 0.6]))
+    s = Scene.from_gaussians([], background=np.array([0.2, 0.4, 0.6]))
     color, depth, final_t, samples = composite_ray(
         s, Ray(np.zeros(3), np.array([0.0, 0.0, 1.0])))
     assert np.array_equal(color, [0.2, 0.4, 0.6])
@@ -91,7 +91,7 @@ def test_composite_empty_scene():
 
 def test_composite_single_opaque_splat():
     p = make_primitive(mu=(0.0, 0.0, 2.0), alpha=1.0, l_iso=(0.3, 0.6, 0.9))
-    s = Scene([p], background=BLACK)
+    s = Scene.from_gaussians([p], background=BLACK)
     color, depth, final_t, samples = composite_ray(
         s, Ray(np.zeros(3), np.array([0.0, 0.0, 1.0])))
     assert np.allclose(color, [0.3, 0.6, 0.9], atol=1e-15)
@@ -104,7 +104,7 @@ def test_composite_two_half_weights_hand_oracle():
     # w1 = w2 = 0.5: contributions 0.5 and T2*w2 = 0.5*0.5, final T 0.25
     p1 = make_primitive(mu=(0.0, 0.0, 1.0), alpha=0.5, l_iso=(1.0, 0.0, 0.0))
     p2 = make_primitive(mu=(0.0, 0.0, 2.0), alpha=0.5, l_iso=(0.0, 1.0, 0.0))
-    s = Scene([p1, p2], background=BLACK)
+    s = Scene.from_gaussians([p1, p2], background=BLACK)
     color, _, final_t, samples = composite_ray(
         s, Ray(np.zeros(3), np.array([0.0, 0.0, 1.0])))
     assert np.allclose(color, [0.5, 0.25, 0.0], atol=1e-12)
@@ -195,7 +195,7 @@ def test_view_dependence_requires_anisotropy():
     p = make_primitive(mu=(0.0, 0.0, 0.0), sigma=0.15, alpha=0.9,
                        l_iso=(0.2, 0.2, 0.2), l_aniso=(0.5, 0.5, 0.5),
                        normal=(0.0, 0.0, 1.0), g=0.6)
-    s = Scene([p], background=BLACK)
+    s = Scene.from_gaussians([p], background=BLACK)
     along = Ray(np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0]))
     opposite = Ray(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
     ca, *_ = composite_ray(s, along)
@@ -215,14 +215,14 @@ def test_final_t_monotone_in_scene_size():
     r = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
     prev = 1.0
     for k in range(1, 7):
-        s = Scene(prims[:k], background=BLACK)
+        s = Scene.from_gaussians(prims[:k], background=BLACK)
         _, _, final_t, _ = composite_ray(s, r)
         assert final_t <= prev + 1e-15
         prev = final_t
 
 
 def test_render_empty_scene_images(front_camera):
-    s = Scene([], background=np.array([0.25, 0.5, 0.75]))
+    s = Scene.from_gaussians([], background=np.array([0.25, 0.5, 0.75]))
     color, depth, trans = render(s, front_camera)
     assert np.all(color.data == np.array([0.25, 0.5, 0.75]))
     assert np.all(depth.data == 0.0)
@@ -232,7 +232,7 @@ def test_render_empty_scene_images(front_camera):
 def test_render_depth_at_center_pixel():
     mu = np.array([0.0, 0.0, 0.0])
     p = make_primitive(mu=mu, sigma=0.05, alpha=1.0)
-    s = Scene([p], background=BLACK)
+    s = Scene.from_gaussians([p], background=BLACK)
     # odd image size puts a pixel center exactly on the optical axis
     from splat360 import Camera
     cam = Camera.look_at(np.array([0.0, 0.0, -2.0]), mu, 0.8, 33, 33)
@@ -283,7 +283,7 @@ def test_termination_epsilon_caps_contributions():
     prims = [make_primitive(mu=(0.0, 0.0, 1.0 + 0.2 * i), sigma=0.05,
                             alpha=0.5, l_iso=(1.0, 1.0, 1.0))
              for i in range(30)]
-    s = Scene(prims, background=BLACK)
+    s = Scene.from_gaussians(prims, background=BLACK)
     cfg = RenderConfig(termination_epsilon=1e-2)
     _, _, _, samples = composite_ray(s, Ray(np.zeros(3), np.array([0., 0., 1.])),
                                      cfg)
