@@ -27,8 +27,8 @@ from .ct import DrrConfig, ProjectionGeometry, load_volume, render_drr
 from .errors import CheckFailure, FormatError, NumericFailure
 from .fitting import (FitConfig, _patch_backward, _patch_forward,
                       composite_loss, fit_scene)
-from .fusion import (fuse_backward_batch, fuse_forward_batch, init_mlp,
-                     load_mlp, save_mlp)
+from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
+                     init_mlp, load_mlp, save_mlp)
 from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
 from .metrics import SsimConfig, measure_runtime, psnr, ssim
 from .renderer import RenderConfig, render
@@ -402,10 +402,8 @@ def _load_image_any(path: str) -> np.ndarray:
 def cmd_metrics(args) -> int:
     a = _load_image_any(args.image_a)
     b = _load_image_any(args.image_b)
-    win = min(11, a.shape[0], a.shape[1])
-    if win % 2 == 0:
-        win -= 1
-    result = {"psnr_db": psnr(a, b), "ssim": ssim(a, b, SsimConfig(window_size=win)),
+    result = {"psnr_db": psnr(a, b),
+              "ssim": ssim(a, b, SsimConfig.for_image(a.shape[0], a.shape[1])),
               "image_a": args.image_a, "image_b": args.image_b}
     text = json.dumps(result, indent=1) + "\n"
     sys.stdout.write(text)
@@ -432,6 +430,24 @@ def _relerr(analytic: float, fd: float, abs_floor: float = 1e-8) -> float:
     return abs(analytic - fd) / max(abs(analytic), abs(fd))
 
 
+def _fd_check(label: str, loss, x: np.ndarray, grad: np.ndarray, coords,
+              tol: float, h: float = 1e-5) -> float:
+    """Worst relative error of grad against central differences of loss at x.
+
+    Perturbs one coordinate of x.flat at a time; raises CheckFailure on the
+    first error above tol.
+    """
+    worst = 0.0
+    for i in coords:
+        xp = x.copy(); xp.flat[i] += h
+        xm = x.copy(); xm.flat[i] -= h
+        err = _relerr(grad.flat[i], (loss(xp) - loss(xm)) / (2 * h))
+        worst = max(worst, err)
+        if err > tol:
+            raise CheckFailure(f"{label} gradient off by rel {err:.2e} (> {tol:g})")
+    return worst
+
+
 def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
     """Finite-difference audit of every analytic gradient path.
 
@@ -439,7 +455,6 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
     section otherwise. Each draw checks a seeded random subset of coordinates.
     """
     rng = np.random.default_rng(seed)
-    h = 1e-5
     worst_mlp = 0.0
     for _ in range(draws):
         d = 16
@@ -450,42 +465,22 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
         _, cache = fuse_forward_batch(x[None, :], params, want_cache=True)
         grads, dX = fuse_backward_batch(cache, params, up[None, :])
         flat = params.to_flat()
-        gflat = grads.to_flat()
-        for idx in rng.integers(0, flat.size, 6):
-            fp = flat.copy(); fp[idx] += h
-            fm = flat.copy(); fm[idx] -= h
-            lo = float(fuse_forward_batch(x[None, :], params.with_flat(fp))[0] @ up)
-            hi = float(fuse_forward_batch(x[None, :], params.with_flat(fm))[0] @ up)
-            err = _relerr(gflat[idx], (lo - hi) / (2 * h))
-            worst_mlp = max(worst_mlp, err)
-            if err > tol:
-                raise CheckFailure(
-                    f"mlp param gradient off by rel {err:.2e} (> {tol:g})")
-        for idx in rng.integers(0, x.size, 4):
-            xp = x.copy(); xp[idx] += h
-            xm = x.copy(); xm[idx] -= h
-            lo = float(fuse_forward_batch(xp[None, :], params)[0] @ up)
-            hi = float(fuse_forward_batch(xm[None, :], params)[0] @ up)
-            err = _relerr(dX[0, idx], (lo - hi) / (2 * h))
-            worst_mlp = max(worst_mlp, err)
-            if err > tol:
-                raise CheckFailure(
-                    f"mlp input gradient off by rel {err:.2e} (> {tol:g})")
+        worst_mlp = max(
+            worst_mlp,
+            _fd_check("mlp param", lambda p: float(fuse_forward_batch(
+                x[None, :], params.with_flat(p))[0] @ up),
+                flat, grads.to_flat(), rng.integers(0, flat.size, 6), tol),
+            _fd_check("mlp input", lambda xi: float(fuse_forward_batch(
+                xi[None, :], params)[0] @ up),
+                x, dX[0], rng.integers(0, x.size, 4), tol))
 
-    worst_loss = 0.0
     pred = rng.random((8, 8, 3))
     tgt = rng.random((8, 8, 3))
     _, grad = composite_loss(pred, tgt)
-    for _ in range(40):
-        i, j, c = rng.integers(8), rng.integers(8), rng.integers(3)
-        pp = pred.copy(); pp[i, j, c] += h
-        pm = pred.copy(); pm[i, j, c] -= h
-        fd = (composite_loss(pp, tgt)[0] - composite_loss(pm, tgt)[0]) / (2 * h)
-        err = _relerr(grad.data[i, j, c], fd)
-        worst_loss = max(worst_loss, err)
-        if err > tol:
-            raise CheckFailure(
-                f"composite_loss gradient off by rel {err:.2e} (> {tol:g})")
+    coords = [np.ravel_multi_index((rng.integers(8), rng.integers(8), rng.integers(3)),
+                                   pred.shape) for _ in range(40)]
+    worst_loss = _fd_check("composite_loss", lambda p: composite_loss(p, tgt)[0],
+                           pred, grad.data, coords, tol)
 
     worst_app = _appearance_gradcheck(seed, tol=max(tol, 1e-3))
     return {"mlp": worst_mlp, "composite_loss": worst_loss,
@@ -493,36 +488,34 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
 
 
 def _appearance_gradcheck(seed: int, tol: float) -> float:
-    """Full-render appearance gradients vs finite differences, 3 splats, 16x16."""
+    """Patch gradients of alpha, l_iso, l_aniso and g vs finite differences.
+
+    3 splats, one 16x16 patch, physical color and then a fused MLP.
+    """
     scene = make_random_scene(3, seed=seed + 1, spread=0.12,
-                              sigma_range=(0.05, 0.1))
+                              sigma_range=(0.3, 0.6))
     cam = make_orbit_cameras(scene.center, 0.8, 1, 0.2, "ring", 16, 16, 1.1)[0]
     rcfg = RenderConfig()
     tgt = np.clip(np.random.default_rng(seed + 2).random((16, 16, 3)), 0, 1)
-    rows = np.arange(16, dtype=np.float64)
-    cols = np.arange(16, dtype=np.float64)
-
-    def loss_of(sc):
-        colors, _ = _patch_forward(sc, cam, rcfg, rows, cols, None, None)
-        return composite_loss(colors.reshape(16, 16, 3), tgt)[0]
-
-    colors, work = _patch_forward(scene, cam, rcfg, rows, cols, None, None)
-    _, gimg = composite_loss(colors.reshape(16, 16, 3), tgt)
-    dalpha, dli, dla, dg, _ = _patch_backward(work, rcfg,
-                                              gimg.data.reshape(-1, 3), None)
-    h = 1e-5
+    rows = cols = np.arange(16, dtype=np.float64)
     worst = 0.0
-    for gi in range(3):
-        for ch in range(3):
-            li = scene.l_iso.copy(); li[gi, ch] += h
-            lp = loss_of(dataclasses.replace(scene, l_iso=li))
-            li[gi, ch] -= 2 * h
-            lm = loss_of(dataclasses.replace(scene, l_iso=li))
-            err = _relerr(dli[gi, ch], (lp - lm) / (2 * h))
-            worst = max(worst, err)
-            if err > tol:
-                raise CheckFailure(
-                    f"appearance gradient (splat {gi}) off by rel {err:.2e}")
+    for mlp in (None, init_mlp(d=16, seed=seed + 3)):
+        e_vec = (None if mlp is None
+                 else embed_camera(cam, scene.center, scene.radius, mlp.d).vec)
+
+        def loss_of(sc):
+            colors, _ = _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec)
+            return composite_loss(colors.reshape(16, 16, 3), tgt)[0]
+
+        colors, work = _patch_forward(scene, cam, rcfg, rows, cols, mlp, e_vec,
+                                      tape=True)
+        _, gimg = composite_loss(colors.reshape(16, 16, 3), tgt)
+        grads = _patch_backward(work, rcfg, gimg.data.reshape(-1, 3), mlp)
+        for name, grad in zip(("alpha", "l_iso", "l_aniso", "g"), grads):
+            worst = max(worst, _fd_check(
+                f"{name} ({'fused' if mlp else 'physical'})",
+                lambda v: loss_of(dataclasses.replace(scene, **{name: v})),
+                getattr(scene, name), grad, range(grad.size), tol))
     return worst
 
 

@@ -252,11 +252,7 @@ def render_drr(vol: VoxelVolume, geom: ProjectionGeometry,
     if use_pool:
         from .renderer import _pool_for  # shared fork pool
         splits = np.linspace(0, H * W, min(workers, H * W) + 1).astype(np.int64)
-        payloads = [(vol.dims, vol.spacing, vol.origin, vol.hu,
-                     geom.source, geom.detector_center, geom.detector_u,
-                     geom.detector_v, W, H,
-                     cfg.mu_water, cfg.i0, cfg.step_mm, cfg.output,
-                     int(splits[i]), int(splits[i + 1]))
+        payloads = [(vol, geom, cfg, int(splits[i]), int(splits[i + 1]))
                     for i in range(len(splits) - 1) if splits[i] < splits[i + 1]]
         parts = _pool_for(workers).map(_drr_chunk_worker, payloads)
         for payload, part in zip(payloads, parts):
@@ -293,12 +289,8 @@ def _drr_span(vol, geom, cfg, lo, hi):
 
 
 def _drr_chunk_worker(payload):
-    (dims, spacing, origin, hu, source, det_c, det_u, det_v, W, H,
-     mu_water, i0, step_mm, output, lo, hi) = payload
-    vol = VoxelVolume(dims, spacing, origin, hu)
-    geom = ProjectionGeometry(source, det_c, det_u, det_v, W, H)
-    cfg = DrrConfig(mu_water=mu_water, i0=i0, step_mm=step_mm, output=output)
-    return _drr_span(vol, geom, cfg, lo, hi)
+    # the pickled dataclasses arrive as built, without re-running validation
+    return _drr_span(*payload)
 
 
 # ---------------------------------------------------------------------------

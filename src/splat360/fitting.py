@@ -10,9 +10,9 @@ only under optimize_geometry, by central finite differences. Patch centers
 are drawn from depth-gradient anchors mixed 50/50 with uniform positions
 unless the no_anchoring ablation is set.
 
-The patch forward pass runs the same arithmetic as the renderer's kernel, so
-a fit initialized at the scene that produced its targets measures a loss of
-exactly zero and no parameter moves.
+The patch forward pass runs the renderer's kernel, so a fit initialized at
+the scene that produced its targets measures a loss of exactly zero and no
+parameter moves.
 """
 from __future__ import annotations
 
@@ -111,8 +111,8 @@ def composite_loss(pred, target, lambda_mse: float = 1.0,
                    lambda_ssim: float = 0.2):
     """lambda_mse * MSE + lambda_ssim * (1 - SSIM); analytic pixel gradient.
 
-    The SSIM window shrinks to fit small images (largest odd size <= min(11,
-    H, W), sigma fixed at 1.5) so patch losses stay well defined.
+    The SSIM window shrinks to fit small images (`SsimConfig.for_image`) so
+    patch losses stay well defined.
     """
     p = pred.data if isinstance(pred, ImageBuffer) else np.asarray(pred, dtype=np.float64)
     t = target.data if isinstance(target, ImageBuffer) else np.asarray(target, dtype=np.float64)
@@ -128,10 +128,7 @@ def composite_loss(pred, target, lambda_mse: float = 1.0,
     loss = lambda_mse * float(np.mean(diff * diff))
     grad = (2.0 * lambda_mse / diff.size) * diff
     if lambda_ssim != 0.0:
-        win = min(11, p.shape[0], p.shape[1])
-        if win % 2 == 0:
-            win -= 1
-        s, ds = ssim_with_grad(p, t, SsimConfig(window_size=win))
+        s, ds = ssim_with_grad(p, t, SsimConfig.for_image(p.shape[0], p.shape[1]))
         loss += lambda_ssim * (1.0 - s)
         grad = grad - lambda_ssim * ds
     return loss, ImageBuffer(grad, ImageKind.RADIANCE)
@@ -245,183 +242,101 @@ class _Geometry:
 # ---------------------------------------------------------------------------
 # patch forward/backward through the compositing kernel
 
-class _PatchWork:
-    """Forward pass state for one pixel patch, kept for the backward pass."""
-    __slots__ = ("scene", "la", "order", "w_s", "tw", "Tb", "final_T", "k_grid",
-                 "live", "f", "cosg", "dx", "dy", "dz", "c_sorted",
-                 "iso_sorted", "aniso_sorted", "color", "iso", "aniso",
-                 "mlp_cache", "P", "G")
+def _fuse(mlp, e_vec, iso, aniso, dx, dy, dz, want_cache=False):
+    """Fusion-head output for the kernel's iso/aniso streams of P rays."""
+    X = np.concatenate([iso, aniso, np.broadcast_to(e_vec, (dx.size, e_vec.size)),
+                        np.stack([dx, dy, dz], axis=1)], axis=1)
+    return fuse_forward_batch(X, mlp, want_cache=want_cache)
 
 
 def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
                    rows: np.ndarray, cols: np.ndarray,
-                   mlp: MlpParams | None, e_vec: np.ndarray | None):
-    """Color for the pixel grid rows x cols plus everything backward needs.
+                   mlp: MlpParams | None, e_vec: np.ndarray | None,
+                   tape: bool = False):
+    """Colors [P,3] for the pixel grid rows x cols, and with `tape` the work
+    `_patch_backward` reads (else None).
 
-    Identical arithmetic to the renderer's kernel over the full gaussian set
-    (culling only ever removes zero-weight entries, so results match bitwise).
+    Runs the renderer's kernel over every splat; its culling only ever drops
+    zero-weight entries, so the colors match a render bitwise.
     """
     dxb, dyb, dzb = cam.pixel_dirs(rows[:, None], cols[None, :])
     dx, dy, dz = dxb.ravel(), dyb.ravel(), dzb.ravel()
-    P = dx.size
-    G = scene.alpha.size
-    st = _PatchWork()
-    st.scene, st.P, st.G = scene, P, G
-    st.dx, st.dy, st.dz = dx, dy, dz
-    ot = _origin_terms(scene, cam.position)
-    v0, v1, v2, cg, _ = ot
-    sub = np.arange(G)
-    ts, q = _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub)
-    cutoff2 = rcfg.cutoff_sigma * rcfg.cutoff_sigma
-    live = (q <= cutoff2) & (ts >= cam.near)
-    k_grid = np.exp(-0.5 * q)
-    w = np.where(live, scene.alpha * k_grid, 0.0)
-    st.live, st.k_grid = live, k_grid
-    # [3, G] copies: each channel row is contiguous for the dense [P, G] math
-    li, la, nr = (np.ascontiguousarray(a.T)
-                  for a in (scene.l_iso, scene.l_aniso, scene.normal))
-    g = scene.g
-    st.la = la
-
-    if rcfg.anisotropy_enabled:
-        if rcfg.disentangle:
-            cosg = dx[:, None] * nr[0] + dy[:, None] * nr[1] + dz[:, None] * nr[2]
-            s = (1.0 + g * g) - (2.0 * g) * cosg
-            f = (1.0 - g * g) / (s * np.sqrt(s))
-            st.cosg = cosg
-        else:
-            f = np.ones((P, G))
-            st.cosg = None
-        a0 = f * la[0]
-        a1 = f * la[1]
-        a2 = f * la[2]
-        st.f = f
-        c0 = li[0] + a0
-        c1 = li[1] + a1
-        c2 = li[2] + a2
+    v0, v1, v2, cg, _ = _origin_terms(scene, cam.position)
+    sub = np.arange(scene.alpha.size)
+    out = _composite(scene, rcfg, cam.near,
+                     _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
+                     sub, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
+    if mlp is None:
+        colors, cache = out[0], None
     else:
-        st.f = None
-        st.cosg = None
-        a0 = a1 = a2 = None
-        c0, c1, c2 = li
-
-    order = np.argsort(ts, axis=1, kind="stable")
-    w_s = np.take_along_axis(w, order, 1)
-    C = np.cumprod(1.0 - w_s, axis=1)
-    eps = rcfg.termination_epsilon
-    terminated = C < eps
-    anyterm = terminated.any(axis=1)
-    first = np.argmax(terminated, axis=1)
-    final_T = np.where(anyterm, C[np.arange(P), first], C[:, -1])
-    Tb = np.empty((P, G))
-    Tb[:, 0] = 1.0
-    Tb[:, 1:] = C[:, :G - 1]
-    tw = np.where(Tb >= eps, Tb * w_s, 0.0)
-    st.order, st.w_s, st.Tb, st.tw, st.final_T = order, w_s, Tb, tw, final_T
-
-    def srt(values):
-        if values.ndim == 1:
-            values = np.broadcast_to(values, (P, G))
-        return np.take_along_axis(values, order, 1)
-
-    cs = (srt(c0), srt(c1), srt(c2))
-    st.c_sorted = cs
-    bg = scene.background
-    color = np.empty((P, 3))
-    for ch in range(3):
-        color[:, ch] = np.cumsum(tw * cs[ch], axis=1)[:, -1] + final_T * bg[ch]
-    st.color = color
-    st.iso_sorted = st.aniso_sorted = None
-    st.iso = st.aniso = None
-    st.mlp_cache = None
-    if mlp is not None:
-        iso_s = (srt(li[0]), srt(li[1]), srt(li[2]))
-        if a0 is not None:
-            an_s = (srt(a0), srt(a1), srt(a2))
-        else:
-            an_s = None
-        st.iso_sorted, st.aniso_sorted = iso_s, an_s
-        iso = np.empty((P, 3))
-        aniso = np.zeros((P, 3))
-        for ch in range(3):
-            iso[:, ch] = np.cumsum(tw * iso_s[ch], axis=1)[:, -1]
-            if an_s is not None:
-                aniso[:, ch] = np.cumsum(tw * an_s[ch], axis=1)[:, -1]
-        st.iso, st.aniso = iso, aniso
-        X = np.concatenate([iso, aniso,
-                            np.broadcast_to(e_vec, (P, e_vec.size)),
-                            np.stack([dx, dy, dz], axis=1)], axis=1)
-        out, cache = fuse_forward_batch(X, mlp, want_cache=True)
-        st.mlp_cache = cache
-        return out, st
-    return color, st
+        colors, cache = _fuse(mlp, e_vec, out[3], out[4], dx, dy, dz, want_cache=True)
+    return colors, ((scene, out[-1], cache) if tape else None)
 
 
-def _patch_backward(st: _PatchWork, rcfg: RenderConfig, gpix: np.ndarray,
+def _dot3(g: np.ndarray, vals) -> np.ndarray:
+    """Per-slot sum over channels of g[:, ch] * vals[ch]."""
+    return g[:, 0, None] * vals[0] + g[:, 1, None] * vals[1] + g[:, 2, None] * vals[2]
+
+
+def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
                     mlp: MlpParams | None):
     """Gradients of the patch loss w.r.t. constrained appearance (and MLP).
 
+    Each per-slot product is scattered onto one [P, G] zero grid and summed
+    over rays, the reduction a dense pass over every splat would run, so the
+    gradients do not depend on which splats the kernel culled.
     Returns (dalpha [G], dl_iso [G,3], dl_aniso [G,3], dg [G], mlp_grads).
     """
-    scene, P, G = st.scene, st.P, st.G
-    order, tw, Tb, w_s = st.order, st.tw, st.Tb, st.w_s
+    scene, tp, cache = work
+    P, G = gpix.shape[0], scene.alpha.size
     mlp_grads = None
     if mlp is not None:
-        mlp_grads, dX = fuse_backward_batch(st.mlp_cache, mlp, gpix)
+        mlp_grads, dX = fuse_backward_batch(cache, mlp, gpix)
         gi = dX[:, 0:3]
         ga = dX[:, 3:6]
-        iso_s, an_s = st.iso_sorted, st.aniso_sorted
-        dotc = (gi[:, 0, None] * iso_s[0] + gi[:, 1, None] * iso_s[1]
-                + gi[:, 2, None] * iso_s[2])
-        if an_s is not None:
-            dotc = dotc + (ga[:, 0, None] * an_s[0] + ga[:, 1, None] * an_s[1]
-                           + ga[:, 2, None] * an_s[2])
+        dotc = _dot3(gi, tp.iso)
+        if rcfg.anisotropy_enabled:
+            dotc = dotc + _dot3(ga, tp.aniso)
         tail_bg = np.zeros(P)
     else:
-        cs = st.c_sorted
-        gi = gpix
-        ga = gpix
-        dotc = (gpix[:, 0, None] * cs[0] + gpix[:, 1, None] * cs[1]
-                + gpix[:, 2, None] * cs[2])
+        gi = ga = gpix
+        dotc = _dot3(gpix, tp.color)
         bg = scene.background
         tail_bg = ((gpix[:, 0] * bg[0] + gpix[:, 1] * bg[1]
-                    + gpix[:, 2] * bg[2]) * st.final_T)
+                    + gpix[:, 2] * bg[2]) * tp.final_T)
 
-    contrib = dotc * tw                       # per sorted slot
+    contrib = dotc * tp.tw                    # per sorted slot
     pref = np.cumsum(contrib, axis=1)
-    total = pref[:, -1:]
-    tail = total - pref + tail_bg[:, None]    # strictly-later terms + background
-    included = tw > 0.0
-    dw_s = np.where(included,
-                    dotc * Tb - tail / np.maximum(1.0 - w_s, 1e-300), 0.0)
+    tail = pref[:, -1:] - pref + tail_bg[:, None]  # strictly-later terms + background
+    dw_s = np.where(tp.tw > 0.0,
+                    dotc * tp.Tb - tail / np.maximum(1.0 - tp.w, 1e-300), 0.0)
 
-    # scatter sorted-slot grads back to the [P, G] gaussian grid
-    dw = np.empty((P, G))
-    np.put_along_axis(dw, order, dw_s, 1)
-    twg = np.empty((P, G))
-    np.put_along_axis(twg, order, tw, 1)
+    # every scatter writes the same slots, so the rest of the grid stays zero
+    grid = np.zeros((P, G))
 
-    dalpha = (dw * st.k_grid * st.live).sum(axis=0)
+    def ray_sum(slot_values):
+        np.put_along_axis(grid, tp.idx, slot_values, 1)
+        return grid.sum(axis=0)
+
+    dalpha = ray_sum(dw_s * tp.k)
     # color slot grads: d c / d l_iso = 1; d c / d l_aniso = f; d c / d g via f
     dli = np.empty((G, 3))
     dla = np.zeros((G, 3))
     for ch in range(3):
-        dli[:, ch] = (twg * gi[:, ch, None]).sum(axis=0)
+        dli[:, ch] = ray_sum(tp.tw * gi[:, ch, None])
     if rcfg.anisotropy_enabled:
-        fgrid = st.f
         for ch in range(3):
-            dla[:, ch] = (twg * ga[:, ch, None] * fgrid).sum(axis=0)
+            twa = tp.tw * ga[:, ch, None]
+            dla[:, ch] = ray_sum(twa if tp.f is None else twa * tp.f)
     dg = np.zeros(G)
     if rcfg.anisotropy_enabled and rcfg.disentangle:
-        la = st.la
-        la_dot = (ga[:, 0, None] * la[0] + ga[:, 1, None] * la[1]
-                  + ga[:, 2, None] * la[2])
-        cosg = st.cosg
-        gk = scene.g
+        la_dot = _dot3(ga, [scene.l_aniso[tp.idx, ch] for ch in range(3)])
+        cosg = tp.cos
+        gk = scene.g[tp.idx]
         s = (1.0 + gk * gk) - (2.0 * gk) * cosg
         sq = np.sqrt(s)
         dfdg = (-2.0 * gk) / (s * sq) - 3.0 * (1.0 - gk * gk) * (gk - cosg) / (s * s * sq)
-        dg = (twg * la_dot * dfdg).sum(axis=0)
+        dg = ray_sum(tp.tw * la_dot * dfdg)
     return dalpha, dli, dla, dg, mlp_grads
 
 
@@ -436,17 +351,17 @@ def render_fused(scene: Scene, cam: Camera, rcfg: RenderConfig,
     H, W = cam.height, cam.width
     out = np.empty((H * W, 3))
     idx = np.arange(H * W)
-    ot = _origin_terms(scene, cam.position)
+    v0, v1, v2, cg, _ = _origin_terms(scene, cam.position)
+    sub = np.arange(scene.alpha.size)
     for lo in range(0, H * W, chunk):
         hi = min(lo + chunk, H * W)
         rr, cc = np.divmod(idx[lo:hi].astype(np.float64), float(W))
         dx, dy, dz = cam.pixel_dirs(rr, cc)
-        _, _, _, iso, aniso = _composite(scene, rcfg, cam.near, ot, dx, dy, dz,
-                                         fused_streams=True)
-        X = np.concatenate([iso, aniso,
-                            np.broadcast_to(e_vec, (hi - lo, e_vec.size)),
-                            np.stack([dx, dy, dz], axis=1)], axis=1)
-        out[lo:hi] = fuse_forward_batch(X, mlp)
+        _, _, _, iso, aniso = _composite(
+            scene, rcfg, cam.near,
+            _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
+            sub, dx, dy, dz, fused_streams=True)
+        out[lo:hi] = _fuse(mlp, e_vec, iso, aniso, dx, dy, dz)
     return ImageBuffer(out.reshape(H, W, 3), ImageKind.RADIANCE)
 
 
@@ -571,7 +486,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         else:
             e_vec = e_vecs[view]
         colors, work = _patch_forward(cur_scene, cam, rcfg, rows, cols,
-                                      live_mlp, e_vec)
+                                      live_mlp, e_vec, tape=True)
         pred = _pred_for_loss(colors.reshape(ph, pw, 3), cfg)
         tgt = targets_arr[view][r0:r0 + ph, c0:c0 + pw]
         loss, gimg = composite_loss(pred, tgt, cfg.lambda_mse, cfg.lambda_ssim)
@@ -631,11 +546,9 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         cmp_img = _pred_for_loss(img.data, cfg)
         loss, _ = composite_loss(cmp_img, tgt, cfg.lambda_mse, cfg.lambda_ssim)
         final_losses.append(loss)
-        win = min(11, cam.height, cam.width)
-        if win % 2 == 0:
-            win -= 1
         per_view.append({"view": i, "psnr": psnr(cmp_img, tgt),
-                         "ssim": ssim(cmp_img, tgt, SsimConfig(window_size=win))})
+                         "ssim": ssim(cmp_img, tgt,
+                                      SsimConfig.for_image(cam.height, cam.width))})
     report = make_report(final_loss=float(np.mean(final_losses)),
                          per_view=per_view)
     return cur_scene, live_mlp, report

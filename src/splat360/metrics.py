@@ -46,6 +46,13 @@ class SsimConfig:
     def taps(self) -> np.ndarray:
         return _gauss_taps(self.window_size, self.sigma)
 
+    @classmethod
+    def for_image(cls, height: int, width: int) -> "SsimConfig":
+        """Default config with the window shrunk to the largest odd size
+        <= min(11, height, width), so small images and patches stay valid."""
+        win = min(11, height, width)
+        return cls(window_size=win - 1 if win % 2 == 0 else win)
+
 
 @dataclass
 class RuntimeReport:

@@ -8,11 +8,12 @@ with T_{i+1} = T_i (1 - w_i) and c_i = l_iso + f_i * l_aniso. The factor
 f = (1 - g^2) / (s * sqrt(s)), s = 1 + g^2 - 2 g (dir . normal), is the
 Henyey-Greenstein lobe normalized so f = 1 when g = 0.
 
-Bit-determinism: every color-producing path (tiles, single rays, the fitting
-forward pass) runs the same arithmetic expressions in the same order; per-pixel
-reductions use sequential scans (np.cumsum / np.cumprod), so results are
-independent of tile size, worker count, and of zero-weight entries that
-per-tile culling may or may not include. Matrix products and pairwise sums are
+Bit-determinism: every color-producing path (tiles, ray batches, single rays
+and their sample lists, the fused render, the fit's patch forward pass) runs
+the one kernel `_composite` itself, not a copy of it. Per-pixel reductions
+use sequential scans (np.cumsum / np.cumprod), so results are independent of
+tile size, worker count, and of zero-weight entries that per-tile culling may
+or may not include. Matrix products and pairwise sums are
 deliberately avoided in per-pixel math.
 """
 from __future__ import annotations
@@ -144,10 +145,11 @@ def _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub):
     return ts, tn
 
 
-def _phase_factor(scene, dx, dy, dz, sub):
+def _phase_factor(scene, dx, dy, dz, sub, keep_cos=False):
     """Normalized anisotropy factor f = 4*pi*phase, elementwise over [P, sub].
 
     Grouping matches s = (1 + g^2) - (2 g) cos, f = (1 - g^2) / (s sqrt(s)).
+    Returns (f, cos), cos being None unless keep_cos (it is reused in place).
     """
     cos = dx[:, None] * scene.normal[sub, 0]
     tmp = dy[:, None] * scene.normal[sub, 1]
@@ -156,33 +158,56 @@ def _phase_factor(scene, dx, dy, dz, sub):
     cos += tmp
     gk = scene.g[sub]
     g2 = gk * gk
-    np.multiply(2.0 * gk, cos, out=cos)
-    np.subtract(1.0 + g2, cos, out=cos)
-    s = cos
+    s = np.multiply(2.0 * gk, cos, out=None if keep_cos else cos)
+    np.subtract(1.0 + g2, s, out=s)
     np.sqrt(s, out=tmp)
     np.multiply(s, tmp, out=tmp)
     np.divide(1.0 - g2, tmp, out=tmp)
-    return tmp
+    return tmp, (cos if keep_cos else None)
 
 
-def _composite(scene, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
-               sub=None, fused_streams=False):
+@dataclass
+class _Tape:
+    """What one `_composite` call leaves for a backward pass or a sample list.
+
+    Every [P, K] array is indexed by t-sorted slot, cut after the last slot
+    any ray's termination lets contribute. `color`, `iso` and `aniso` are
+    per-channel triples. `f`/`cos` are None unless disentangled, `iso`/`aniso`
+    None without fused streams (`aniso` also without anisotropy). When no
+    splat reaches any ray, every field but `final_T` is empty (K = 0).
+    """
+
+    idx: np.ndarray        # splat index of each slot
+    ts: np.ndarray         # t of peak weight
+    color: tuple           # l_iso + f * l_aniso
+    k: np.ndarray          # exp(-q/2)
+    w: np.ndarray          # live * alpha * k
+    Tb: np.ndarray         # transmittance before the slot, before masking
+    tw: np.ndarray         # (Tb >= eps) * Tb * w
+    final_T: np.ndarray    # [P]
+    f: np.ndarray | None
+    cos: np.ndarray | None
+    iso: tuple | None
+    aniso: tuple | None
+
+
+def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
+               fused_streams=False, tape=False):
     """Shared compositing kernel over P rays with one origin.
 
-    Returns (color [P,3], depth [P], final_T [P]) plus, when fused_streams,
-    the separately accumulated isotropic / anisotropic sums [P,3] each.
+    `geometry` is the (ts, q) pair of the caller's `_ray_geometry` call for
+    the gaussians `sub` along dx/dy/dz; q is overwritten. Returns (color
+    [P,3], depth [P], final_T [P]), then, when fused_streams, the separately
+    accumulated isotropic / anisotropic sums [P,3] each, then, when tape, a
+    `_Tape`.
     """
-    v0, v1, v2, cg, _ = origin_terms
+    # callers pass the pair as a temporary, so this is its only reference and
+    # compaction frees the full-width arrays (a star-unpacked call would keep
+    # them alive in its argument tuple)
+    ts, q = geometry
+    del geometry
     P = dx.shape[0]
-    if sub is None:
-        sub = np.arange(scene.alpha.size)
     bg = scene.background
-    empty_extra = (np.zeros((P, 3)), np.zeros((P, 3))) if fused_streams else ()
-    if sub.size == 0:
-        color = np.broadcast_to(bg, (P, 3)).copy()
-        return (color, np.zeros(P), np.ones(P)) + empty_extra
-
-    ts, q = _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub)
     cutoff2 = cfg.cutoff_sigma * cfg.cutoff_sigma
     live = q <= cutoff2
     live &= ts >= near
@@ -190,7 +215,15 @@ def _composite(scene, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
     k2 = sub[colmask]
     if k2.size == 0:
         color = np.broadcast_to(bg, (P, 3)).copy()
-        return (color, np.zeros(P), np.ones(P)) + empty_extra
+        out = (color, np.zeros(P), np.ones(P))
+        if fused_streams:
+            out += (np.zeros((P, 3)), np.zeros((P, 3)))
+        if tape:
+            e = np.zeros((P, 0))
+            out += (_Tape(idx=np.zeros((P, 0), dtype=np.intp), ts=e,
+                          color=(e, e, e), k=e, w=e, Tb=e, tw=e, final_T=out[2],
+                          f=e, cos=e, iso=(e, e, e), aniso=(e, e, e)),)
+        return out
     if k2.size < sub.size:
         ts = np.ascontiguousarray(ts[:, colmask])
         q = np.ascontiguousarray(q[:, colmask])
@@ -200,13 +233,15 @@ def _composite(scene, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
     # multiplied to an exact +0.0, same bits as masking with where)
     np.multiply(q, -0.5, out=q)
     np.exp(q, out=q)
+    k = q.copy() if tape else None
     np.multiply(scene.alpha[k2], q, out=q)
     np.multiply(q, live, out=q)
-    w = q
+    del live
 
+    f = cos = None
     if cfg.anisotropy_enabled:
         if cfg.disentangle:
-            f = _phase_factor(scene, dx, dy, dz, k2)
+            f, cos = _phase_factor(scene, dx, dy, dz, k2, keep_cos=tape)
             a0 = f * scene.l_aniso[k2, 0]
             a1 = f * scene.l_aniso[k2, 1]
             a2 = f * scene.l_aniso[k2, 2]
@@ -222,7 +257,10 @@ def _composite(scene, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
     order = np.argsort(ts, axis=1, kind="stable")
     prow = np.arange(P)[:, None]
     flat = order + prow * Gc
-    w_s = np.take(w, flat)
+    w_s = np.take(q, flat)
+    # unsorted per-pair arrays are dropped as soon as they are dead, so they
+    # do not add to the peak that `stack` sets below
+    del q
     C = np.cumprod(1.0 - w_s, axis=1)
     eps = cfg.termination_epsilon
     terminated = C < eps
@@ -235,51 +273,55 @@ def _composite(scene, cfg: RenderConfig, near: float, origin_terms, dx, dy, dz,
     Tb = np.empty((P, kmax))
     Tb[:, 0] = 1.0
     Tb[:, 1:] = C[:, :kmax - 1]
-    # tw = (Tb >= eps) * Tb * w_s, built in place in Tb (exact +0.0 masking)
+    del C, terminated
+    # tw = (Tb >= eps) * Tb * w_s, built in place in Tb unless the tape keeps
+    # Tb (exact +0.0 masking)
     keep = Tb >= eps
-    np.multiply(Tb, w_s, out=Tb)
-    np.multiply(Tb, keep, out=Tb)
-    tw = Tb
+    tw = np.multiply(Tb, w_s, out=None if tape else Tb)
+    np.multiply(tw, keep, out=tw)
     order = order[:, :kmax]
     flat = flat[:, :kmax]
 
     def _sorted(values):
         return np.take(values, flat if values.ndim == 2 else order)
 
-    # each row of `stack` holds tw * (per-sample value, t-sorted); the column
-    # loop below runs the same front-to-back sequential sum as a per-quantity
-    # cumsum would, leaving the accumulated totals in `tot`
-    nq = 11 if fused_streams else 5
-    stack = np.empty((nq, P, kmax))
-    np.multiply(tw, _sorted(c0), out=stack[0])
-    np.multiply(tw, _sorted(c1), out=stack[1])
-    np.multiply(tw, _sorted(c2), out=stack[2])
-    np.multiply(tw, _sorted(ts), out=stack[3])
-    stack[4] = tw
+    if tape:
+        k, f, cos = (v if v is None else _sorted(v) for v in (k, f, cos))
+
+    # row 0 of `stack` is tw, each later row tw * (per-sample value,
+    # t-sorted); the column loop below runs the same front-to-back sequential
+    # sum as a per-quantity cumsum would, leaving the totals in `tot`
+    values = [c0, c1, c2, ts]
     if fused_streams:
-        np.multiply(tw, np.take(scene.l_iso[k2, 0], order), out=stack[5])
-        np.multiply(tw, np.take(scene.l_iso[k2, 1], order), out=stack[6])
-        np.multiply(tw, np.take(scene.l_iso[k2, 2], order), out=stack[7])
-        if a0 is not None:
-            np.multiply(tw, _sorted(a0), out=stack[8])
-            np.multiply(tw, _sorted(a1), out=stack[9])
-            np.multiply(tw, _sorted(a2), out=stack[10])
-        else:
-            stack[8:] = 0.0
+        values += [scene.l_iso[k2, i] for i in range(3)]
+        values += [a0, a1, a2] if a0 is not None else []
+    stack = np.empty((11 if fused_streams else 5, P, kmax))
+    stack[0] = tw
+    kept = []
+    for row, v in enumerate(values, 1):
+        v = _sorted(v)
+        np.multiply(tw, v, out=stack[row])
+        if tape:
+            kept.append(v)
+    stack[len(values) + 1:] = 0.0
     tot = stack[:, :, 0].copy()
     for j in range(1, kmax):
         np.add(tot, stack[:, :, j], out=tot)
     color = np.empty((P, 3))
-    color[:, 0] = tot[0] + final_T * bg[0]
-    color[:, 1] = tot[1] + final_T * bg[1]
-    color[:, 2] = tot[2] + final_T * bg[2]
+    color[:, 0] = tot[1] + final_T * bg[0]
+    color[:, 1] = tot[2] + final_T * bg[1]
+    color[:, 2] = tot[3] + final_T * bg[2]
     depth = np.zeros(P)
-    np.divide(tot[3], tot[4], out=depth, where=tot[4] > 0)
-    if not fused_streams:
-        return color, depth, final_T
-    iso = np.ascontiguousarray(tot[5:8].T)
-    aniso = np.ascontiguousarray(tot[8:11].T)
-    return color, depth, final_T, iso, aniso
+    np.divide(tot[4], tot[0], out=depth, where=tot[0] > 0)
+    out = (color, depth, final_T)
+    if fused_streams:
+        out += (np.ascontiguousarray(tot[5:8].T), np.ascontiguousarray(tot[8:11].T))
+    if tape:
+        out += (_Tape(idx=np.take(k2, order), ts=kept[3], color=tuple(kept[:3]),
+                      k=k, w=w_s, Tb=Tb, tw=tw, final_T=final_T, f=f, cos=cos,
+                      iso=tuple(kept[4:7]) or None,
+                      aniso=tuple(kept[7:]) or None),)
+    return out
 
 
 def ray_gaussian_weight(p, r: Ray, near: float = 0.0,
@@ -326,28 +368,17 @@ def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
     back with the transmittance seen by each.
     """
     cfg = cfg if cfg is not None else RenderConfig()
-    ot = _origin_terms(scene, r.origin)
+    v0, v1, v2, cg, _ = _origin_terms(scene, r.origin)
     dx = np.array([r.dir[0]])
     dy = np.array([r.dir[1]])
     dz = np.array([r.dir[2]])
-    color, depth, final_T = _composite(scene, cfg, near, ot, dx, dy, dz)
-    samples: list[RaySample] = []
-    if scene.alpha.size:
-        v0, v1, v2, cg, _ = ot
-        sub = np.arange(scene.alpha.size)
-        ts, q = _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub)
-        cutoff2 = cfg.cutoff_sigma * cfg.cutoff_sigma
-        live = (q <= cutoff2) & (ts >= near)
-        w = np.where(live, scene.alpha * np.exp(-0.5 * q), 0.0)[0]
-        tsr = ts[0]
-        hit = np.where(live[0])[0]
-        hit = hit[np.argsort(tsr[hit], kind="stable")]
-        T = 1.0
-        for idx in hit:
-            if T < cfg.termination_epsilon:
-                break
-            samples.append(RaySample(int(idx), float(tsr[idx]), float(w[idx]), T))
-            T = T * (1.0 - w[idx])
+    sub = np.arange(scene.alpha.size)
+    color, depth, final_T, tape = _composite(
+        scene, cfg, near, _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
+        sub, dx, dy, dz, tape=True)
+    # one ray: every slot is live and sees transmittance >= epsilon
+    samples = [RaySample(int(i), float(t), float(w), float(T))
+               for i, t, w, T in zip(tape.idx[0], tape.ts[0], tape.w[0], tape.Tb[0])]
     return color[0], float(depth[0]), float(final_T[0]), samples
 
 
@@ -412,9 +443,10 @@ def _render_coarse_block(scene, cam, cfg, ot, r0, r1, c0, c1):
             else:
                 sub2 = sub1
             sh = dxt.shape
-            col, dep, fT = _composite(scene, cfg, cam.near, ot,
-                                      dxt.ravel(), dyt.ravel(), dzt.ravel(),
-                                      sub=sub2)
+            dx, dy, dz = dxt.ravel(), dyt.ravel(), dzt.ravel()
+            col, dep, fT = _composite(
+                scene, cfg, cam.near,
+                _ray_geometry(scene, *ot[:4], dx, dy, dz, sub2), sub2, dx, dy, dz)
             color[fr:fr1, fc:fc1] = col.reshape(sh + (3,))
             depth[fr:fr1, fc:fc1, 0] = dep.reshape(sh)
             trans[fr:fr1, fc:fc1, 0] = fT.reshape(sh)
@@ -503,9 +535,9 @@ def render_rays(scene: Scene, origin, dirs, cfg: RenderConfig | None = None,
     dirs = np.asarray(dirs, dtype=np.float64)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError("dirs must be [P,3]")
-    ot = _origin_terms(scene, origin)
-    return _composite(scene, cfg, near, ot,
-                      np.ascontiguousarray(dirs[:, 0]),
-                      np.ascontiguousarray(dirs[:, 1]),
-                      np.ascontiguousarray(dirs[:, 2]),
-                      fused_streams=fused_streams)
+    v0, v1, v2, cg, _ = _origin_terms(scene, origin)
+    dx, dy, dz = (np.ascontiguousarray(dirs[:, i]) for i in range(3))
+    sub = np.arange(scene.alpha.size)
+    return _composite(scene, cfg, near,
+                      _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
+                      sub, dx, dy, dz, fused_streams=fused_streams)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from splat360 import load_pfm, make_random_scene, save_scene
+from splat360 import cli, load_pfm, make_random_scene, save_scene
 from splat360.cli import main
 
 
@@ -174,6 +174,17 @@ def test_gradcheck_impossible_tolerance_exits_5():
     with np.errstate(all="ignore"):
         rc = main(["gradcheck", "--draws", "2", "--tol", "1e-18"])
     assert rc == 5
+
+
+def test_gradcheck_catches_a_wrong_g_gradient(monkeypatch):
+    real = cli._patch_backward
+
+    def zero_dg(*args):
+        dalpha, dli, dla, dg, mlp_grads = real(*args)
+        return dalpha, dli, dla, np.zeros_like(dg), mlp_grads
+
+    monkeypatch.setattr(cli, "_patch_backward", zero_dg)
+    assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
 
 
 def test_bench_reports_fps(tmp_path, scene_file, capsys):

@@ -4,11 +4,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splat360 import (AnchorPoint, AnchorSet, FitConfig, NumericFailure,
-                      RenderConfig, adam_step, composite_loss, fit_scene,
-                      init_mlp, make_orbit_cameras, render, render_fused,
-                      scene_to_json, validate_scene)
-from splat360.fitting import _patch_origin
+from splat360 import (AnchorPoint, AnchorSet, Camera, FitConfig, NumericFailure,
+                      RenderConfig, adam_step, composite_loss, embed_camera,
+                      fit_scene, init_mlp, make_orbit_cameras, render,
+                      render_fused, scene_to_json, validate_scene)
+from splat360.fitting import _patch_backward, _patch_forward, _patch_origin
 
 
 def _views(scene, n=2, res=16):
@@ -257,6 +257,32 @@ def test_fit_joint_mlp_training_moves_loss(small_random_scene):
     assert mlp_out is not None
     assert not np.array_equal(mlp_out.to_flat(), mlp.to_flat())
     assert min(report.trace[-5:]) < report.trace[0]
+
+
+@pytest.mark.parametrize("with_mlp", [False, True])
+def test_patch_no_splat_reaches(small_random_scene, with_mlp):
+    # the camera looks away from the scene, so every splat is culled
+    s = small_random_scene
+    pos = s.center - np.array([0.0, 0.0, 3.0 * s.radius])
+    cam = Camera.look_at(pos, pos - np.array([0.0, 0.0, 1.0]), 0.9, 8, 8)
+    mlp = init_mlp(d=16, seed=2) if with_mlp else None
+    e_vec = embed_camera(cam, s.center, s.radius, 16).vec if with_mlp else None
+    rcfg = RenderConfig()
+    rows = cols = np.arange(8, dtype=np.float64)
+    colors, work = _patch_forward(s, cam, rcfg, rows, cols, mlp, e_vec, tape=True)
+    if not with_mlp:
+        assert np.array_equal(colors, np.broadcast_to(s.background, (64, 3)))
+    gpix = np.random.default_rng(0).standard_normal((64, 3))
+    *app, mlp_g = _patch_backward(work, rcfg, gpix, mlp)
+    assert all(np.all(g == 0.0) for g in app)
+    if with_mlp:
+        assert np.isfinite(mlp_g.to_flat()).all()
+    tgt = np.random.default_rng(1).random((8, 8, 3))
+    fitted, _, report = fit_scene(s, [(cam, tgt)],
+                                  FitConfig(iters=2, rays_per_step=64, seed=0),
+                                  rcfg, mlp=mlp)
+    assert len(report.trace) == 2
+    assert scene_to_json(fitted) == scene_to_json(s)
 
 
 def test_fit_geometry_optimization_smoke(small_random_scene):

@@ -70,6 +70,12 @@ def test_ssim_window_guard():
         ssim(small, small)
 
 
+@pytest.mark.parametrize("hw,win", [((64, 48), 11), ((16, 10), 9), ((8, 8), 7),
+                                    ((3, 30), 3), ((2, 2), 1)])
+def test_ssim_window_for_image(hw, win):
+    assert SsimConfig.for_image(*hw) == SsimConfig(window_size=win)
+
+
 def test_ssim_config_validation():
     with pytest.raises(ValueError):
         SsimConfig(window_size=10)

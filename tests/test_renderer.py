@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from splat360 import (GaussianPrimitive, Ray, RenderConfig, Scene,
                       composite_ray, make_orbit_cameras, make_random_scene,
@@ -289,3 +290,55 @@ def test_termination_epsilon_caps_contributions():
                                      cfg)
     assert all(sm.transmittance_before >= 1e-2 for sm in samples)
     assert len(samples) < 30
+
+
+@st.composite
+def _scene_and_rays(draw):
+    """Up to 5 splats near the origin, 1-6 rays from z = -2 toward them."""
+    G = draw(st.integers(0, 5))
+
+    def arr(shape, lo, hi):
+        return draw(hnp.arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+    a = arr((G, 3, 3), -1.0, 1.0)
+    scale = arr((G, 1, 1), 0.02, 0.5)
+    cov = scale * scale * (np.einsum("gij,gkj->gik", a, a) + 0.1 * np.eye(3))
+    theta, phi = arr((G,), 0.0, math.pi), arr((G,), -math.pi, math.pi)
+    normal = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                       np.cos(theta)], axis=1)
+    scene = Scene(mu=arr((G, 3), -0.5, 0.5),
+                  cov=0.5 * (cov + np.transpose(cov, (0, 2, 1))),
+                  alpha=arr((G,), 1e-3, 1.0), l_iso=arr((G, 3), 0.0, 1.0),
+                  l_aniso=arr((G, 3), 0.0, 2.0), normal=normal,
+                  g=arr((G,), -0.95, 0.95), background=arr((3,), 0.0, 2.0))
+    xy = arr((draw(st.integers(1, 6)), 2), -0.4, 0.4)
+    dirs = np.concatenate([xy, np.ones((xy.shape[0], 1))], axis=1)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    cfg = RenderConfig(termination_epsilon=draw(st.sampled_from([1e-3, 0.1, 0.5])),
+                       cutoff_sigma=draw(st.floats(0.5, 4.0)))
+    return scene, np.array([0.0, 0.0, -2.0]), dirs, cfg
+
+
+@given(_scene_and_rays())
+@settings(max_examples=150, deadline=None)
+def test_kernel_invariants_on_random_scenes(case):
+    scene, origin, dirs, cfg = case
+    _, _, final_t, *_ = render_rays(scene, origin, dirs, cfg)
+    assert ((final_t >= 0.0) & (final_t <= 1.0)).all()
+    for d in dirs:
+        color, _, ft, samples = composite_ray(scene, Ray(origin, d), cfg)
+        assert 0.0 <= ft <= 1.0
+        # color is a convex mix of the background and the contributing splats'
+        # colors l_iso + f * l_aniso, so no channel exceeds the largest of them
+        bound = scene.background.copy()
+        for sm in samples:
+            f = 4.0 * math.pi * phase(d, scene.normal[sm.index], scene.g[sm.index])
+            bound = np.maximum(bound, scene.l_iso[sm.index] + f * scene.l_aniso[sm.index])
+        assert (color <= bound * (1.0 + 1e-12)).all()
+        if samples:
+            assert samples[0].transmittance_before == 1.0
+        for prev, sm in zip(samples, samples[1:]):
+            assert sm.transmittance_before <= prev.transmittance_before
+            assert sm.t >= prev.t
+        assert all(sm.transmittance_before >= cfg.termination_epsilon
+                   for sm in samples)
