@@ -39,7 +39,7 @@ class AnchorSet:
         self.k = int(self.k)
         probs = np.array([a.prob for a in self.anchors])
         if probs.size:
-            if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > 1e-9:
+            if not ((probs >= 0).all() and abs(float(probs.sum()) - 1.0) <= 1e-9):
                 raise ValueError("anchor probs must be nonnegative and sum to 1")
 
     @property
@@ -120,8 +120,12 @@ def select_anchors(grad, k: int = DEFAULT_K,
     return AnchorSet(anchors, float(beta), len(anchors))
 
 
-def sample_anchor_indices(aset: AnchorSet, n: int, seed: int) -> np.ndarray:
-    """n anchor indices drawn i.i.d. by inverse CDF over the stored order."""
+def sample_anchor_indices(aset: AnchorSet, n: int,
+                          seed: int | np.random.Generator) -> np.ndarray:
+    """n anchor indices drawn i.i.d. by inverse CDF over the stored order.
+
+    `seed` may be a Generator, which is drawn from in place.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not aset.anchors:
@@ -160,6 +164,6 @@ def anchor_set_from_json(text: str) -> AnchorSet:
                                     float(a["grad"]), float(a["prob"]))
                         for a in doc["anchors"])
         beta = float(doc["beta"])
-    except (KeyError, TypeError, ValueError) as e:
+        return AnchorSet(anchors, beta, len(anchors))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad anchor JSON structure: {e}") from e
-    return AnchorSet(anchors, beta, len(anchors))

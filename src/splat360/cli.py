@@ -129,7 +129,7 @@ def load_camera_json(path: str) -> Camera:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read camera file: {e}") from e
     except json.JSONDecodeError as e:
         raise FormatError(f"camera file is not valid JSON: {e}") from e
@@ -479,7 +479,8 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
     _, grad = composite_loss(pred, tgt)
     coords = [np.ravel_multi_index((rng.integers(8), rng.integers(8), rng.integers(3)),
                                    pred.shape) for _ in range(40)]
-    worst_loss = _fd_check("composite_loss", lambda p: composite_loss(p, tgt)[0],
+    worst_loss = _fd_check("composite_loss",
+                           lambda p: composite_loss(p, tgt, want_grad=False)[0],
                            pred, grad.data, coords, tol)
 
     worst_app = _appearance_gradcheck(seed, tol=max(tol, 1e-3))
@@ -505,7 +506,8 @@ def _appearance_gradcheck(seed: int, tol: float) -> float:
 
         def loss_of(sc):
             colors, _ = _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec)
-            return composite_loss(colors.reshape(16, 16, 3), tgt)[0]
+            return composite_loss(colors.reshape(16, 16, 3), tgt,
+                                  want_grad=False)[0]
 
         colors, work = _patch_forward(scene, cam, rcfg, rows, cols, mlp, e_vec,
                                       tape=True)

@@ -323,7 +323,7 @@ def load_volume(header_path: str) -> VoxelVolume:
     try:
         with open(header_path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise VolumeFormatError(f"cannot read header {header_path}: {e}") from e
     kv: dict[str, str] = {}
     for ln in lines:
@@ -356,7 +356,7 @@ def load_volume(header_path: str) -> VoxelVolume:
     try:
         with open(raw_path, "rb") as f:
             raw = f.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: NUL byte in the name
         raise VolumeFormatError(f"cannot read raw file {raw_path}: {e}") from e
     expected = 2 * dims[0] * dims[1] * dims[2]
     if len(raw) != expected:

@@ -5,10 +5,12 @@ round-robin target view, computes the composite loss (MSE + SSIM with an
 adaptive window), and backpropagates analytically through the compositing
 kernel to the appearance parameters: alpha via logit, l_iso via logit,
 l_aniso via inverse softplus, g via atanh, so constraints hold by
-construction. Geometry (mu, covariance log-eigenvalues; rotation fixed) moves
-only under optimize_geometry, by central finite differences. Patch centers
-are drawn from depth-gradient anchors mixed 50/50 with uniform positions
-unless the no_anchoring ablation is set.
+construction. The backward pass reads the kernel's tape and scatter-adds
+each per-slot product into its splat's gradient. Geometry (mu, covariance
+log-eigenvalues; rotation fixed) moves only under optimize_geometry, by
+central finite differences of the loss alone (no pixel gradient). Patch
+centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
+uniform positions unless the no_anchoring ablation is set.
 
 The patch forward pass runs the renderer's kernel, so a fit initialized at
 the scene that produced its targets measures a loss of exactly zero and no
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
-                      AnchorSet, depth_gradient, select_anchors)
+from .anchors import (AnchorSet, depth_gradient, sample_anchor_indices,
+                      select_anchors)
 from .errors import NumericFailure
 from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch)
@@ -36,14 +38,17 @@ ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy"
 BOUNDARY_NUDGE = 1e-7
 APPEARANCE_PER_GAUSSIAN = 8  # logit(alpha), logit(l_iso) x3, softplus^-1(l_aniso) x3, atanh(g)
 GEOMETRY_PER_GAUSSIAN = 6    # mu x3, covariance log-eigenvalues x3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+GEOMETRY_FD_STEP = 1e-5      # central-difference step for geometry gradients
+ANCHOR_MIX = 0.5             # share of patches centered on an anchor
+FUSED_PIXEL_CHUNK = 4096     # pixels per kernel call in render_fused
 
 
 @dataclass
 class FitConfig:
     lr: float = 0.0002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_adam: float = 1e-8
     lr_halve_every: int = 50000
     iters: int = 100
     lambda_mse: float = 1.0
@@ -53,19 +58,12 @@ class FitConfig:
     seed: int = 0
     rays_per_step: int = 4096
     full_eval_every: int = 100
-    anchor_k: int = DEFAULT_K
-    anchor_suppression: float = DEFAULT_SUPPRESSION_RADIUS
-    anchor_beta: float = DEFAULT_BETA
-    anchor_mix: float = 0.5
-    geometry_fd_step: float = 1e-5
     target_dtype: str = "float64"
 
     def __post_init__(self):
         self.ablation = frozenset(self.ablation)
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must be in (0,1)")
         if self.lambda_mse < 0 or self.lambda_ssim < 0:
             raise ValueError("loss weights must be >= 0")
         if self.iters < 1:
@@ -78,8 +76,6 @@ class FitConfig:
         if bad:
             raise ValueError(f"unknown ablation flags {sorted(bad)}; "
                              f"known: {list(ABLATIONS)}")
-        if not 0.0 <= self.anchor_mix <= 1.0:
-            raise ValueError("anchor_mix must be in [0,1]")
         if self.target_dtype not in ("float64", "float32"):
             raise ValueError("target_dtype must be 'float64' or 'float32'")
 
@@ -108,11 +104,12 @@ def _pred_for_loss(arr: np.ndarray, cfg: FitConfig) -> np.ndarray:
 
 
 def composite_loss(pred, target, lambda_mse: float = 1.0,
-                   lambda_ssim: float = 0.2):
-    """lambda_mse * MSE + lambda_ssim * (1 - SSIM); analytic pixel gradient.
+                   lambda_ssim: float = 0.2, want_grad: bool = True):
+    """(lambda_mse * MSE + lambda_ssim * (1 - SSIM), analytic pixel gradient).
 
-    The SSIM window shrinks to fit small images (`SsimConfig.for_image`) so
-    patch losses stay well defined.
+    The gradient is None when want_grad is False; the loss bits are the same
+    either way. The SSIM window shrinks to fit small images
+    (`SsimConfig.for_image`) so patch losses stay well defined.
     """
     p = pred.data if isinstance(pred, ImageBuffer) else np.asarray(pred, dtype=np.float64)
     t = target.data if isinstance(target, ImageBuffer) else np.asarray(target, dtype=np.float64)
@@ -126,12 +123,14 @@ def composite_loss(pred, target, lambda_mse: float = 1.0,
         raise ValueError("loss inputs must be finite")
     diff = p - t
     loss = lambda_mse * float(np.mean(diff * diff))
-    grad = (2.0 * lambda_mse / diff.size) * diff
+    grad = (2.0 * lambda_mse / diff.size) * diff if want_grad else None
     if lambda_ssim != 0.0:
-        s, ds = ssim_with_grad(p, t, SsimConfig.for_image(p.shape[0], p.shape[1]))
+        s, ds = ssim_with_grad(p, t, SsimConfig.for_image(p.shape[0], p.shape[1]),
+                               want_grad)
         loss += lambda_ssim * (1.0 - s)
-        grad = grad - lambda_ssim * ds
-    return loss, ImageBuffer(grad, ImageKind.RADIANCE)
+        if want_grad:
+            grad = grad - lambda_ssim * ds
+    return loss, (ImageBuffer(grad, ImageKind.RADIANCE) if want_grad else None)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state, cfg: FitConfig):
@@ -146,11 +145,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state, cfg: FitConfig):
         v = np.zeros_like(params)
     t2 = t + 1
     lr_eff = cfg.lr * 0.5 ** ((t2 - 1) // cfg.lr_halve_every)
-    m2 = cfg.beta1 * m + (1.0 - cfg.beta1) * grads
-    v2 = cfg.beta2 * v + (1.0 - cfg.beta2) * grads * grads
-    mhat = m2 / (1.0 - cfg.beta1 ** t2)
-    vhat = v2 / (1.0 - cfg.beta2 ** t2)
-    new = params - lr_eff * mhat / (np.sqrt(vhat) + cfg.epsilon_adam)
+    m2 = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+    v2 = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
+    mhat = m2 / (1.0 - ADAM_BETA1 ** t2)
+    vhat = v2 / (1.0 - ADAM_BETA2 ** t2)
+    new = params - lr_eff * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
     return new, (m2, v2, t2)
 
 
@@ -282,13 +281,16 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
                     mlp: MlpParams | None):
     """Gradients of the patch loss w.r.t. constrained appearance (and MLP).
 
-    Each per-slot product is scattered onto one [P, G] zero grid and summed
-    over rays, the reduction a dense pass over every splat would run, so the
-    gradients do not depend on which splats the kernel culled.
+    Each per-slot product is added into its splat's entry (a scatter-add
+    over the tape's splat indices, rays in order). A splat fills at most one
+    slot per ray, so each sum runs over the same terms in the same ray order
+    as a dense pass over every splat, less that pass's exact +0.0 terms for
+    splats the kernel culled; the gradients do not depend on the culling.
     Returns (dalpha [G], dl_iso [G,3], dl_aniso [G,3], dg [G], mlp_grads).
     """
     scene, tp, cache = work
     P, G = gpix.shape[0], scene.alpha.size
+    idx = tp.idx.ravel()
     mlp_grads = None
     if mlp is not None:
         mlp_grads, dX = fuse_backward_batch(cache, mlp, gpix)
@@ -311,12 +313,8 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     dw_s = np.where(tp.tw > 0.0,
                     dotc * tp.Tb - tail / np.maximum(1.0 - tp.w, 1e-300), 0.0)
 
-    # every scatter writes the same slots, so the rest of the grid stays zero
-    grid = np.zeros((P, G))
-
     def ray_sum(slot_values):
-        np.put_along_axis(grid, tp.idx, slot_values, 1)
-        return grid.sum(axis=0)
+        return np.bincount(idx, slot_values.ravel(), minlength=G)
 
     dalpha = ray_sum(dw_s * tp.k)
     # color slot grads: d c / d l_iso = 1; d c / d l_aniso = f; d c / d g via f
@@ -341,7 +339,7 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
 
 
 def render_fused(scene: Scene, cam: Camera, rcfg: RenderConfig,
-                 mlp: MlpParams, chunk: int = 4096) -> ImageBuffer:
+                 mlp: MlpParams) -> ImageBuffer:
     """Full-image fused-mode render: the MLP output replaces physical color.
 
     Pixels are processed in fixed row-major chunks so results do not depend
@@ -353,8 +351,8 @@ def render_fused(scene: Scene, cam: Camera, rcfg: RenderConfig,
     idx = np.arange(H * W)
     v0, v1, v2, cg, _ = _origin_terms(scene, cam.position)
     sub = np.arange(scene.alpha.size)
-    for lo in range(0, H * W, chunk):
-        hi = min(lo + chunk, H * W)
+    for lo in range(0, H * W, FUSED_PIXEL_CHUNK):
+        hi = min(lo + FUSED_PIXEL_CHUNK, H * W)
         rr, cc = np.divmod(idx[lo:hi].astype(np.float64), float(W))
         dx, dy, dz = cam.pixel_dirs(rr, cc)
         _, _, _, iso, aniso = _composite(
@@ -369,11 +367,8 @@ def _patch_origin(rng: np.random.Generator, H: int, W: int, ph: int, pw: int,
                   anchors: AnchorSet | None, mix: float):
     """Top-left corner of the next training patch."""
     if anchors is not None and anchors.anchors and rng.random() < mix:
-        cum = np.cumsum(anchors.probs)
-        cum[-1] = 1.0
-        j = min(int(np.searchsorted(cum, rng.random(), side="right")),
-                len(anchors.anchors) - 1)
-        crow, ccol = anchors.anchors[j].row, anchors.anchors[j].col
+        a = anchors.anchors[sample_anchor_indices(anchors, 1, rng)[0]]
+        crow, ccol = a.row, a.col
     else:
         crow = int(rng.integers(0, H))
         ccol = int(rng.integers(0, W))
@@ -391,7 +386,7 @@ def _full_eval(scene, cams, targets_arr, rcfg, cfg, mlp):
         else:
             img, _, _ = render(scene, cam, rcfg, workers=1)
         loss, _ = composite_loss(_pred_for_loss(img.data, cfg), tgt,
-                                 cfg.lambda_mse, cfg.lambda_ssim)
+                                 cfg.lambda_mse, cfg.lambda_ssim, want_grad=False)
         total += loss
     return total / len(cams)
 
@@ -437,11 +432,6 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     n_app, n_geo = theta_app.size, theta_geo.size
     theta = np.concatenate([theta_app, theta_geo, theta_mlp])
 
-    e_vecs = None
-    if live_mlp is not None:
-        e_vecs = [embed_camera(c, scene.center, scene.radius, live_mlp.d).vec
-                  for c in cams]
-
     anchor_sets: list[AnchorSet | None]
     if "no_anchoring" in cfg.ablation:
         anchor_sets = [None] * len(cams)
@@ -449,10 +439,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         anchor_sets = []
         for cam in cams:
             _, depth, _ = render(scene, cam, rcfg, workers=1)
-            grad = depth_gradient(depth)
-            anchor_sets.append(select_anchors(grad, cfg.anchor_k,
-                                              cfg.anchor_suppression,
-                                              cfg.anchor_beta))
+            anchor_sets.append(select_anchors(depth_gradient(depth)))
 
     side = int(math.isqrt(cfg.rays_per_step))
     rng = np.random.default_rng(cfg.seed)
@@ -474,17 +461,14 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         H, W = cam.height, cam.width
         ph, pw = min(side, H), min(side, W)
         r0, c0 = _patch_origin(rng, H, W, ph, pw, anchor_sets[view],
-                               cfg.anchor_mix)
+                               ANCHOR_MIX)
         rows = np.arange(r0, r0 + ph, dtype=np.float64)
         cols = np.arange(c0, c0 + pw, dtype=np.float64)
-        if e_vecs is None:
-            e_vec = None
-        elif geo is not None:
-            # moving geometry shifts the scene bounds the embedding normalizes by
-            e_vec = embed_camera(cam, cur_scene.center, cur_scene.radius,
-                                 live_mlp.d).vec
-        else:
-            e_vec = e_vecs[view]
+        # the embedding normalizes by the current scene's bounds, which move
+        # with the geometry
+        e_vec = (None if live_mlp is None else
+                 embed_camera(cam, cur_scene.center, cur_scene.radius,
+                              live_mlp.d).vec)
         colors, work = _patch_forward(cur_scene, cam, rcfg, rows, cols,
                                       live_mlp, e_vec, tape=True)
         pred = _pred_for_loss(colors.reshape(ph, pw, 3), cfg)
@@ -544,7 +528,8 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         else:
             img, _, _ = render(cur_scene, cam, rcfg, workers=1)
         cmp_img = _pred_for_loss(img.data, cfg)
-        loss, _ = composite_loss(cmp_img, tgt, cfg.lambda_mse, cfg.lambda_ssim)
+        loss, _ = composite_loss(cmp_img, tgt, cfg.lambda_mse, cfg.lambda_ssim,
+                                 want_grad=False)
         final_losses.append(loss)
         per_view.append({"view": i, "psnr": psnr(cmp_img, tgt),
                          "ssim": ssim(cmp_img, tgt,
@@ -558,7 +543,7 @@ def _geometry_fd(theta, n_app, n_geo, geo, scene, cam, rcfg,
                  rows, cols, tgt, cfg, mlp, e_vec):
     """Central-difference patch-loss gradients for the geometry block."""
     base = theta.copy()
-    h = cfg.geometry_fd_step
+    h = GEOMETRY_FD_STEP
     out = np.zeros(n_geo)
     a, li, la, g = _appearance_of(base[:n_app])
 
@@ -568,7 +553,8 @@ def _geometry_fd(theta, n_app, n_geo, geo, scene, cam, rcfg,
                    normal=scene.normal, g=g, background=scene.background)
         colors, _ = _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec)
         pred = _pred_for_loss(colors.reshape(rows.size, cols.size, 3), cfg)
-        loss, _ = composite_loss(pred, tgt, cfg.lambda_mse, cfg.lambda_ssim)
+        loss, _ = composite_loss(pred, tgt, cfg.lambda_mse, cfg.lambda_ssim,
+                                 want_grad=False)
         return loss
 
     for i in range(n_geo):

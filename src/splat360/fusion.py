@@ -240,12 +240,12 @@ def load_mlp(path: str) -> MlpParams:
     if layers != [9 + d, HIDDEN, HIDDEN, 3]:
         raise ParamsFormatError(f"unsupported layer sizes {layers}")
     body = buf[pos:]
-    if len(body) % 8:
+    need = 8 * sum(n * m + n for m, n in zip(layers, layers[1:]))
+    if len(body) != need:
         raise ParamsFormatError(
-            f"params payload has {len(body)} bytes, not a multiple of 8")
-    flat = np.frombuffer(body, dtype="<f8")
-    proto = init_mlp(d=d, seed=seed)
+            f"params payload has {len(body)} bytes, layers {layers} need {need}")
     try:
-        return proto.with_flat(flat.astype(np.float64))
+        return init_mlp(d=d, seed=seed).with_flat(
+            np.frombuffer(body, dtype="<f8").astype(np.float64))
     except ValueError as e:
         raise ParamsFormatError(str(e)) from e

@@ -8,6 +8,7 @@ round-trip byte-identically.
 """
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -137,8 +138,8 @@ def load_pfm(path: str) -> np.ndarray:
         raise ImageFormatError(f"bad PFM header in {path}: {e}") from e
     if w < 1 or h < 1:
         raise ImageFormatError(f"bad PFM dimensions {w}x{h}")
-    if scale == 0.0:
-        raise ImageFormatError("PFM scale must be nonzero")
+    if scale == 0.0 or not math.isfinite(scale):
+        raise ImageFormatError(f"PFM scale must be finite and nonzero, got {scale}")
     pos += 1
     need = w * h * c * 4
     body = buf[pos:pos + need]
@@ -147,8 +148,11 @@ def load_pfm(path: str) -> np.ndarray:
             f"PFM payload short: expected {need} bytes, got {len(body)}")
     dt = "<f4" if scale < 0 else ">f4"
     img = np.frombuffer(body, dtype=dt).reshape(h, w, c)[::-1]
-    out = img.astype(np.float64)
     mag = abs(scale)
+    if not (np.isfinite(img).all()
+            and math.isfinite(float(np.abs(img).max()) * mag)):
+        raise ImageFormatError("PFM pixels must be finite after scaling")
+    out = img.astype(np.float64)
     if mag != 1.0:
         out = out * mag
     return out

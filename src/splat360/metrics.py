@@ -8,7 +8,7 @@ gradient with respect to the first image, which the fitting loss consumes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,10 @@ from .renderer import RenderConfig, render
 from .scene import Camera, ImageBuffer, Scene
 
 PSNR_CAP_DB = 99.0
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
+SSIM_DYNAMIC_RANGE = 1.0
 
 
 def _gauss_taps(size: int, sigma: float) -> np.ndarray:
@@ -28,23 +32,13 @@ def _gauss_taps(size: int, sigma: float) -> np.ndarray:
 @dataclass
 class SsimConfig:
     window_size: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 1.0
 
     def __post_init__(self):
         if self.window_size < 1 or self.window_size % 2 == 0:
             raise ValueError("window_size must be a positive odd integer")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be > 0")
-        if self.k1 <= 0.0 or self.k2 <= 0.0:
-            raise ValueError("k1 and k2 must be > 0")
-        if self.dynamic_range <= 0.0:
-            raise ValueError("dynamic_range must be > 0")
 
     def taps(self) -> np.ndarray:
-        return _gauss_taps(self.window_size, self.sigma)
+        return _gauss_taps(self.window_size, SSIM_SIGMA)
 
     @classmethod
     def for_image(cls, height: int, width: int) -> "SsimConfig":
@@ -116,8 +110,8 @@ def _ssim_channel(x: np.ndarray, y: np.ndarray, cfg: SsimConfig,
                   want_grad: bool):
     """Mean SSIM over valid windows of one channel; optional d/dx gradient."""
     taps = cfg.taps()
-    c1 = (cfg.k1 * cfg.dynamic_range) ** 2
-    c2 = (cfg.k2 * cfg.dynamic_range) ** 2
+    c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
+    c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
     mx = _sep_valid(x, taps)
     my = _sep_valid(y, taps)
     mxx = _sep_valid(x * x, taps)

@@ -334,23 +334,12 @@ def ray_gaussian_weight(p, r: Ray, near: float = 0.0,
     if not isinstance(p, GaussianPrimitive):
         raise TypeError("expected a GaussianPrimitive")
     scene = Scene.from_gaussians([p], np.zeros(3))
-    ot = _origin_terms(scene, r.origin)
-    v0, v1, v2, cg, _ = ot
+    v0, v1, v2, cg, _ = _origin_terms(scene, r.origin)
     dx = np.array([r.dir[0]])
     dy = np.array([r.dir[1]])
     dz = np.array([r.dir[2]])
     sub = np.arange(1)
     ts, q = _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub)
-    inv = scene.cov_inv
-    dxc = dx[:, None]
-    dyc = dy[:, None]
-    dzc = dz[:, None]
-    den = (inv[sub, 0, 0] * (dxc * dxc) + inv[sub, 1, 1] * (dyc * dyc)
-           + inv[sub, 2, 2] * (dzc * dzc)
-           + 2.0 * (inv[sub, 0, 1] * (dxc * dyc) + inv[sub, 0, 2] * (dxc * dzc)
-                    + inv[sub, 1, 2] * (dyc * dzc)))
-    if not den[0, 0] > 0.0:
-        raise InvalidPrimitiveError("direction quadratic form not positive")
     t_star = float(ts[0, 0])
     qv = float(q[0, 0])
     if qv > cutoff_sigma * cutoff_sigma or t_star < near:

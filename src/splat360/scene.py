@@ -450,7 +450,7 @@ def load_scene(path) -> Scene:
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f, parse_constant=_reject_constant)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SceneFormatError(f"cannot read scene file: {e}") from e
     except json.JSONDecodeError as e:
         raise SceneFormatError(f"scene file is not valid JSON: {e}") from e

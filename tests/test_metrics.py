@@ -79,10 +79,6 @@ def test_ssim_window_for_image(hw, win):
 def test_ssim_config_validation():
     with pytest.raises(ValueError):
         SsimConfig(window_size=10)
-    with pytest.raises(ValueError):
-        SsimConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        SsimConfig(k1=-0.01)
 
 
 def test_ssim_grad_zero_at_identity():
