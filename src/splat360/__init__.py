@@ -21,7 +21,7 @@ from .renderer import (
 from .imgfile import (
     encode_gamma, decode_gamma, save_ppm, load_ppm, save_pfm, load_pfm,
 )
-from .metrics import SsimConfig, RuntimeReport, psnr, ssim, ssim_with_grad, measure_runtime
+from .metrics import RuntimeReport, psnr, ssim, ssim_with_grad, measure_runtime
 from .ct import (
     VoxelVolume, DrrConfig, ProjectionGeometry, hu_to_mu, sample_hu,
     beer_lambert_ray, render_drr, save_volume, load_volume,
@@ -37,7 +37,7 @@ from .fusion import (
     fuse_forward_batch, fuse_backward_batch, save_mlp, load_mlp,
 )
 from .fitting import (
-    FitConfig, FitReport, composite_loss, adam_step, fit_scene, render_fused,
+    FitConfig, FitReport, composite_loss, adam_step, fit_scene,
 )
 
 __version__ = "0.1.0"

@@ -23,14 +23,15 @@ import numpy as np
 from . import __version__
 from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
                       anchor_set_to_json, depth_gradient, select_anchors)
-from .ct import DrrConfig, ProjectionGeometry, load_volume, render_drr
+from .ct import (DrrConfig, ProjectionGeometry, load_volume, read_volume_header,
+                 render_drr)
 from .errors import CheckFailure, FormatError, NumericFailure
 from .fitting import (FitConfig, _patch_backward, _patch_forward,
                       composite_loss, fit_scene)
 from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
                      init_mlp, load_mlp, save_mlp)
 from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
-from .metrics import SsimConfig, measure_runtime, psnr, ssim
+from .metrics import measure_runtime, psnr, ssim
 from .renderer import RenderConfig, render
 from .scene import (Camera, Scene, load_scene, make_orbit_cameras,
                     make_random_scene, save_scene)
@@ -85,6 +86,9 @@ class _Run:
         self.written.append(p)
         return p
 
+    def write_text(self, name: str, text: str) -> None:
+        atomic_write(self.path(name), text.encode("utf-8"))
+
     def cleanup(self):
         for p in self.written:
             try:
@@ -102,8 +106,8 @@ class _Run:
             "seed": seed,
             "version": __version__,
         }
-        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-        atomic_write(self.path("manifest.json"), text.encode("utf-8"))
+        self.write_text("manifest.json",
+                        json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +174,8 @@ def cmd_render(args) -> int:
         for i, cam in enumerate(cams):
             color, depth, trans = render(scene, cam, rcfg, workers=workers)
             save_ppm(run.path(f"frame_{i:03d}.ppm"), color.data)
-            with open(run.path(f"frame_{i:03d}.camera.json"), "w",
-                      encoding="utf-8") as f:
-                json.dump(camera_to_doc(cam), f, indent=1)
-                f.write("\n")
+            run.write_text(f"frame_{i:03d}.camera.json",
+                           json.dumps(camera_to_doc(cam), indent=1) + "\n")
             if args.float_color:
                 save_pfm(run.path(f"frame_{i:03d}.pfm"), color.data)
             if args.depth:
@@ -244,22 +246,12 @@ def cmd_drr(args) -> int:
             "detector_v": list(geom.detector_v),
             "det_width": geom.det_width, "det_height": geom.det_height,
             "workers": workers,
-        }, [args.volume, _raw_path_of(args.volume)], args.seed)
+        }, [args.volume, read_volume_header(args.volume)[1]], args.seed)
     except BaseException:
         run.cleanup()
         raise
     print(f"wrote drr to {args.out}")
     return EXIT_OK
-
-
-def _raw_path_of(header_path: str) -> str:
-    # the header's data= key names the raw payload next to it
-    with open(header_path, "r", encoding="utf-8") as f:
-        for line in f:
-            if line.startswith("data="):
-                return os.path.join(os.path.dirname(header_path),
-                                    line[len("data="):].strip())
-    return header_path
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +315,21 @@ def cmd_fit(args) -> int:
         fitted, mlp_out, report = fit_scene(scene, targets, cfg, mlp=mlp)
     except NumericFailure as e:
         # keep the trace collected so far, drop nothing else (nothing written yet)
-        with open(run.path("fit_report.json"), "w", encoding="utf-8") as f:
-            doc = e.report.to_dict() if getattr(e, "report", None) else {}
-            doc["error"] = str(e)
-            json.dump(doc, f, indent=1)
-            f.write("\n")
+        doc = e.report.to_dict() if getattr(e, "report", None) else {}
+        doc["error"] = str(e)
+        run.write_text("fit_report.json", json.dumps(doc, indent=1) + "\n")
         print(f"fit aborted: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     try:
         save_scene(run.path("fitted_scene.json"), fitted)
         if mlp_out is not None:
             save_mlp(run.path("mlp.params"), mlp_out)
-        with open(run.path("fit_report.json"), "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=1)
-            f.write("\n")
+        run.write_text("fit_report.json",
+                       json.dumps(report.to_dict(), indent=1) + "\n")
         lines = ["view  psnr_db  ssim"]
         for row in report.per_view:
             lines.append(f"{row['view']:4d}  {row['psnr']:7.3f}  {row['ssim']:.6f}")
-        with open(run.path("per_view.txt"), "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+        run.write_text("per_view.txt", "\n".join(lines) + "\n")
         inputs = [args.scene] + [p[2] for p in pairs]
         inputs += [os.path.join(args.targets, n) for n in
                    sorted(os.listdir(args.targets)) if n.endswith(".camera.json")]
@@ -372,8 +360,7 @@ def cmd_anchors(args) -> int:
         grad = depth_gradient(depth)
         aset = select_anchors(grad, k=args.k, suppression_radius=args.radius_px,
                               beta=args.beta)
-        with open(run.path("anchors.json"), "w", encoding="utf-8") as f:
-            f.write(anchor_set_to_json(aset, seed=args.seed))
+        run.write_text("anchors.json", anchor_set_to_json(aset, seed=args.seed))
         save_pfm(run.path("grad_mag.pfm"), grad.data)
         run.manifest("anchors", {
             "scene": args.scene, "camera": args.camera, "orbit": args.orbit,
@@ -403,15 +390,14 @@ def cmd_metrics(args) -> int:
     a = _load_image_any(args.image_a)
     b = _load_image_any(args.image_b)
     result = {"psnr_db": psnr(a, b),
-              "ssim": ssim(a, b, SsimConfig.for_image(a.shape[0], a.shape[1])),
+              "ssim": ssim(a, b),
               "image_a": args.image_a, "image_b": args.image_b}
     text = json.dumps(result, indent=1) + "\n"
     sys.stdout.write(text)
     if args.out:
         run = _Run(args.out)
         try:
-            with open(run.path("metrics.json"), "w", encoding="utf-8") as f:
-                f.write(text)
+            run.write_text("metrics.json", text)
             run.manifest("metrics", {"image_a": args.image_a,
                                      "image_b": args.image_b},
                          [args.image_a, args.image_b], args.seed)
@@ -548,8 +534,7 @@ def cmd_bench(args) -> int:
     if args.out:
         run = _Run(args.out)
         try:
-            with open(run.path("bench.json"), "w", encoding="utf-8") as f:
-                f.write(text)
+            run.write_text("bench.json", text)
             run.manifest("bench", {"scene": args.scene, "res": args.res,
                                    "frames": args.frames, "workers": workers,
                                    "gaussians": scene.alpha.size},
@@ -571,7 +556,6 @@ def cmd_info(args) -> int:
             "render": vars(RenderConfig()),
             "drr": {"mu_water": DrrConfig().mu_water, "i0": DrrConfig().i0,
                     "step_mm": DrrConfig().step_mm, "output": DrrConfig().output},
-            "ssim": vars(SsimConfig()),
             "fit": {k: (sorted(v) if isinstance(v, frozenset) else v)
                     for k, v in vars(FitConfig(iters=1)).items()},
         },

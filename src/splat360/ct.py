@@ -319,7 +319,13 @@ def save_volume(header_path: str, vol: VoxelVolume, raw_name: str | None = None)
         f.write(text)
 
 
-def load_volume(header_path: str) -> VoxelVolume:
+def read_volume_header(header_path: str) -> tuple[dict[str, str], str]:
+    """(key -> value text of every header field, path of the raw payload).
+
+    Keys and values are stripped of surrounding spaces; `#` lines and blank
+    lines are skipped. Raises VolumeFormatError on an unreadable header, an
+    unknown, duplicate or missing key.
+    """
     try:
         with open(header_path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -342,6 +348,11 @@ def load_volume(header_path: str) -> VoxelVolume:
     for k in _HEADER_KEYS:
         if k not in kv:
             raise VolumeFormatError(f"missing header key {k!r}")
+    return kv, os.path.join(os.path.dirname(os.path.abspath(header_path)), kv["data"])
+
+
+def load_volume(header_path: str) -> VoxelVolume:
+    kv, raw_path = read_volume_header(header_path)
     if kv["dtype"] != "int16le":
         raise VolumeFormatError(f"unsupported dtype {kv['dtype']!r} (expected int16le)")
     try:
@@ -352,7 +363,6 @@ def load_volume(header_path: str) -> VoxelVolume:
         raise VolumeFormatError(f"bad header value: {e}") from e
     if len(dims) != 3 or spacing.size != 3 or origin.size != 3:
         raise VolumeFormatError("dims/spacing/origin must each have 3 entries")
-    raw_path = os.path.join(os.path.dirname(os.path.abspath(header_path)), kv["data"])
     try:
         with open(raw_path, "rb") as f:
             raw = f.read()

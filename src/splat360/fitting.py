@@ -12,9 +12,11 @@ central finite differences of the loss alone (no pixel gradient). Patch
 centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
 uniform positions unless the no_anchoring ablation is set.
 
-The patch forward pass runs the renderer's kernel, so a fit initialized at
-the scene that produced its targets measures a loss of exactly zero and no
-parameter moves.
+The patch forward pass runs the renderer's kernel, and the full-image
+evaluations (every full_eval_every iterations and the final per-view report)
+call `render`, with the fusion head when an MLP is fitted. So a fit
+initialized at the scene that produced its targets measures a loss of
+exactly zero and no parameter moves.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from .anchors import (AnchorSet, depth_gradient, sample_anchor_indices,
                       select_anchors)
 from .errors import NumericFailure
 from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
-                     fuse_forward_batch)
-from .metrics import SsimConfig, psnr, ssim, ssim_with_grad
+                     fuse_forward_batch, fusion_input)
+from .metrics import psnr, ssim, ssim_with_grad
 from .renderer import (RenderConfig, _composite, _origin_terms, _ray_geometry,
                        render)
 from .scene import Camera, ImageBuffer, ImageKind, Scene
@@ -43,7 +45,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 GEOMETRY_FD_STEP = 1e-5      # central-difference step for geometry gradients
 ANCHOR_MIX = 0.5             # share of patches centered on an anchor
-FUSED_PIXEL_CHUNK = 4096     # pixels per kernel call in render_fused
 
 
 @dataclass
@@ -108,8 +109,8 @@ def composite_loss(pred, target, lambda_mse: float = 1.0,
     """(lambda_mse * MSE + lambda_ssim * (1 - SSIM), analytic pixel gradient).
 
     The gradient is None when want_grad is False; the loss bits are the same
-    either way. The SSIM window shrinks to fit small images
-    (`SsimConfig.for_image`) so patch losses stay well defined.
+    either way. The SSIM window shrinks to fit small images, so patch losses
+    stay well defined.
     """
     p = pred.data if isinstance(pred, ImageBuffer) else np.asarray(pred, dtype=np.float64)
     t = target.data if isinstance(target, ImageBuffer) else np.asarray(target, dtype=np.float64)
@@ -125,8 +126,7 @@ def composite_loss(pred, target, lambda_mse: float = 1.0,
     loss = lambda_mse * float(np.mean(diff * diff))
     grad = (2.0 * lambda_mse / diff.size) * diff if want_grad else None
     if lambda_ssim != 0.0:
-        s, ds = ssim_with_grad(p, t, SsimConfig.for_image(p.shape[0], p.shape[1]),
-                               want_grad)
+        s, ds = ssim_with_grad(p, t, want_grad)
         loss += lambda_ssim * (1.0 - s)
         if want_grad:
             grad = grad - lambda_ssim * ds
@@ -241,13 +241,6 @@ class _Geometry:
 # ---------------------------------------------------------------------------
 # patch forward/backward through the compositing kernel
 
-def _fuse(mlp, e_vec, iso, aniso, dx, dy, dz, want_cache=False):
-    """Fusion-head output for the kernel's iso/aniso streams of P rays."""
-    X = np.concatenate([iso, aniso, np.broadcast_to(e_vec, (dx.size, e_vec.size)),
-                        np.stack([dx, dy, dz], axis=1)], axis=1)
-    return fuse_forward_batch(X, mlp, want_cache=want_cache)
-
-
 def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
                    rows: np.ndarray, cols: np.ndarray,
                    mlp: MlpParams | None, e_vec: np.ndarray | None,
@@ -268,7 +261,9 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
     if mlp is None:
         colors, cache = out[0], None
     else:
-        colors, cache = _fuse(mlp, e_vec, out[3], out[4], dx, dy, dz, want_cache=True)
+        colors, cache = fuse_forward_batch(
+            fusion_input(out[3], out[4], e_vec, np.stack([dx, dy, dz], axis=1)),
+            mlp, want_cache=True)
     return colors, ((scene, out[-1], cache) if tape else None)
 
 
@@ -338,31 +333,6 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     return dalpha, dli, dla, dg, mlp_grads
 
 
-def render_fused(scene: Scene, cam: Camera, rcfg: RenderConfig,
-                 mlp: MlpParams) -> ImageBuffer:
-    """Full-image fused-mode render: the MLP output replaces physical color.
-
-    Pixels are processed in fixed row-major chunks so results do not depend
-    on image tiling.
-    """
-    e_vec = embed_camera(cam, scene.center, scene.radius, mlp.d).vec
-    H, W = cam.height, cam.width
-    out = np.empty((H * W, 3))
-    idx = np.arange(H * W)
-    v0, v1, v2, cg, _ = _origin_terms(scene, cam.position)
-    sub = np.arange(scene.alpha.size)
-    for lo in range(0, H * W, FUSED_PIXEL_CHUNK):
-        hi = min(lo + FUSED_PIXEL_CHUNK, H * W)
-        rr, cc = np.divmod(idx[lo:hi].astype(np.float64), float(W))
-        dx, dy, dz = cam.pixel_dirs(rr, cc)
-        _, _, _, iso, aniso = _composite(
-            scene, rcfg, cam.near,
-            _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
-            sub, dx, dy, dz, fused_streams=True)
-        out[lo:hi] = _fuse(mlp, e_vec, iso, aniso, dx, dy, dz)
-    return ImageBuffer(out.reshape(H, W, 3), ImageKind.RADIANCE)
-
-
 def _patch_origin(rng: np.random.Generator, H: int, W: int, ph: int, pw: int,
                   anchors: AnchorSet | None, mix: float):
     """Top-left corner of the next training patch."""
@@ -377,18 +347,16 @@ def _patch_origin(rng: np.random.Generator, H: int, W: int, ph: int, pw: int,
     return r0, c0
 
 
-def _full_eval(scene, cams, targets_arr, rcfg, cfg, mlp):
-    """Mean composite loss over all target views (full images)."""
-    total = 0.0
+def _view_losses(scene, cams, targets_arr, rcfg, cfg, mlp):
+    """(composite loss, compared image) of each view's full render."""
+    out = []
     for cam, tgt in zip(cams, targets_arr):
-        if mlp is not None:
-            img = render_fused(scene, cam, rcfg, mlp)
-        else:
-            img, _, _ = render(scene, cam, rcfg, workers=1)
-        loss, _ = composite_loss(_pred_for_loss(img.data, cfg), tgt,
-                                 cfg.lambda_mse, cfg.lambda_ssim, want_grad=False)
-        total += loss
-    return total / len(cams)
+        img, _, _ = render(scene, cam, rcfg, workers=1, mlp=mlp)
+        pred = _pred_for_loss(img.data, cfg)
+        loss, _ = composite_loss(pred, tgt, cfg.lambda_mse, cfg.lambda_ssim,
+                                 want_grad=False)
+        out.append((loss, pred))
+    return out
 
 
 def fit_scene(scene: Scene, targets, cfg: FitConfig,
@@ -517,24 +485,14 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
                           background=scene.background)
 
         if cfg.full_eval_every and (it % cfg.full_eval_every == 0):
-            full_evals.append([it, _full_eval(cur_scene, cams, targets_arr,
-                                              rcfg, cfg, live_mlp)])
+            losses = _view_losses(cur_scene, cams, targets_arr, rcfg, cfg,
+                                  live_mlp)
+            full_evals.append([it, sum(loss for loss, _ in losses) / len(cams)])
 
-    per_view = []
-    final_losses = []
-    for i, (cam, tgt) in enumerate(zip(cams, targets_arr)):
-        if live_mlp is not None:
-            img = render_fused(cur_scene, cam, rcfg, live_mlp)
-        else:
-            img, _, _ = render(cur_scene, cam, rcfg, workers=1)
-        cmp_img = _pred_for_loss(img.data, cfg)
-        loss, _ = composite_loss(cmp_img, tgt, cfg.lambda_mse, cfg.lambda_ssim,
-                                 want_grad=False)
-        final_losses.append(loss)
-        per_view.append({"view": i, "psnr": psnr(cmp_img, tgt),
-                         "ssim": ssim(cmp_img, tgt,
-                                      SsimConfig.for_image(cam.height, cam.width))})
-    report = make_report(final_loss=float(np.mean(final_losses)),
+    views = _view_losses(cur_scene, cams, targets_arr, rcfg, cfg, live_mlp)
+    per_view = [{"view": i, "psnr": psnr(pred, tgt), "ssim": ssim(pred, tgt)}
+                for i, ((_, pred), tgt) in enumerate(zip(views, targets_arr))]
+    report = make_report(final_loss=float(np.mean([loss for loss, _ in views])),
                          per_view=per_view)
     return cur_scene, live_mlp, report
 

@@ -1,10 +1,10 @@
 """Camera embedding and the small fusion MLP with exact analytic gradients.
 
-The MLP maps concat(iso_sum, aniso_sum, camera_embedding, ray_dir), a
-(9+d)-vector, through two ReLU layers of width 32 to a sigmoid RGB output.
-Forward affine layers accumulate sequentially over input features, so a ray's
-output never depends on how rays are batched (same bit-determinism contract
-as the compositing kernel).
+The MLP maps one row of `fusion_input`, concat(iso_sum, aniso_sum,
+camera_embedding, ray_dir), a (9+d)-vector, through two ReLU layers of width
+32 to a sigmoid RGB output. Forward affine layers accumulate sequentially
+over input features, so a ray's output never depends on how rays are batched
+(same bit-determinism contract as the compositing kernel).
 """
 from __future__ import annotations
 
@@ -179,26 +179,29 @@ def fuse_backward_batch(cache, params: MlpParams, upstream: np.ndarray):
     return grads, dX
 
 
-def _concat_input(l_iso, l_aniso, e_c: CameraEmbedding, direction) -> np.ndarray:
-    l_iso = np.asarray(l_iso, dtype=np.float64).reshape(3)
-    l_aniso = np.asarray(l_aniso, dtype=np.float64).reshape(3)
-    direction = np.asarray(direction, dtype=np.float64).reshape(3)
-    return np.concatenate([l_iso, l_aniso, e_c.vec, direction])
+def fusion_input(iso, aniso, e_vec: np.ndarray, dirs) -> np.ndarray:
+    """MLP input rows [N, 9+d]: isotropic sum, anisotropic sum, camera
+    embedding, ray direction. iso, aniso and dirs hold 3 values per ray."""
+    iso = np.asarray(iso, dtype=np.float64).reshape(-1, 3)
+    aniso = np.asarray(aniso, dtype=np.float64).reshape(-1, 3)
+    dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
+    e_rows = np.broadcast_to(e_vec, (dirs.shape[0], e_vec.size))
+    return np.concatenate([iso, aniso, e_rows, dirs], axis=1)
 
 
 def fuse(l_iso, l_aniso, e_c: CameraEmbedding, direction,
          params: MlpParams) -> np.ndarray:
     """Fused RGB for one ray; strictly inside (0,1)^3."""
-    x = _concat_input(l_iso, l_aniso, e_c, direction)
-    return fuse_forward_batch(x[None, :], params)[0]
+    x = fusion_input(l_iso, l_aniso, e_c.vec, direction)
+    return fuse_forward_batch(x, params)[0]
 
 
 def fuse_backward(l_iso, l_aniso, e_c: CameraEmbedding, direction,
                   params: MlpParams, upstream_grad):
     """(param_grads, input_grad) of fuse dotted with upstream_grad."""
-    x = _concat_input(l_iso, l_aniso, e_c, direction)
+    x = fusion_input(l_iso, l_aniso, e_c.vec, direction)
     up = np.asarray(upstream_grad, dtype=np.float64).reshape(1, 3)
-    _, cache = fuse_forward_batch(x[None, :], params, want_cache=True)
+    _, cache = fuse_forward_batch(x, params, want_cache=True)
     grads, dX = fuse_backward_batch(cache, params, up)
     return grads, dX[0]
 

@@ -1,9 +1,10 @@
 """Image quality metrics (PSNR, SSIM) and frame-rate measurement.
 
-SSIM follows the Wang et al. convention: 11x11 Gaussian window, sigma 1.5,
-K1 = 0.01, K2 = 0.03, dynamic range 1.0, averaged over valid window positions
-(no padding) and over channels. The private core also returns the analytic
-gradient with respect to the first image, which the fitting loss consumes.
+SSIM follows the Wang et al. convention: 11x11 Gaussian window (shrunk to the
+largest odd size that fits a smaller image), sigma 1.5, K1 = 0.01, K2 = 0.03,
+dynamic range 1.0, averaged over valid window positions (no padding) and over
+channels. The private core also returns the analytic gradient with respect
+to the first image, which the fitting loss consumes.
 """
 from __future__ import annotations
 
@@ -29,23 +30,13 @@ def _gauss_taps(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-@dataclass
-class SsimConfig:
-    window_size: int = 11
-
-    def __post_init__(self):
-        if self.window_size < 1 or self.window_size % 2 == 0:
-            raise ValueError("window_size must be a positive odd integer")
-
-    def taps(self) -> np.ndarray:
-        return _gauss_taps(self.window_size, SSIM_SIGMA)
-
-    @classmethod
-    def for_image(cls, height: int, width: int) -> "SsimConfig":
-        """Default config with the window shrunk to the largest odd size
-        <= min(11, height, width), so small images and patches stay valid."""
-        win = min(11, height, width)
-        return cls(window_size=win - 1 if win % 2 == 0 else win)
+def _ssim_window(height: int, width: int) -> int:
+    """Largest odd window size <= min(11, height, width), so small images and
+    patches stay valid."""
+    if height < 1 or width < 1:
+        raise ValueError(f"SSIM needs a non-empty image, got {height}x{width}")
+    win = min(11, height, width)
+    return win - 1 if win % 2 == 0 else win
 
 
 @dataclass
@@ -106,10 +97,9 @@ def _sep_adjoint(zmap: np.ndarray, taps: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _ssim_channel(x: np.ndarray, y: np.ndarray, cfg: SsimConfig,
+def _ssim_channel(x: np.ndarray, y: np.ndarray, taps: np.ndarray,
                   want_grad: bool):
     """Mean SSIM over valid windows of one channel; optional d/dx gradient."""
-    taps = cfg.taps()
     c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
     c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
     mx = _sep_valid(x, taps)
@@ -141,28 +131,27 @@ def _ssim_channel(x: np.ndarray, y: np.ndarray, cfg: SsimConfig,
     return value, grad
 
 
-def ssim(a, b, cfg: SsimConfig | None = None) -> float:
+def ssim(a, b) -> float:
     """Mean SSIM over valid window positions, averaged across channels."""
-    value, _ = ssim_with_grad(a, b, cfg, want_grad=False)
+    value, _ = ssim_with_grad(a, b, want_grad=False)
     return value
 
 
-def ssim_with_grad(a, b, cfg: SsimConfig | None = None, want_grad: bool = True):
-    """(ssim, gradient w.r.t. a) — gradient is None when want_grad is False."""
-    cfg = cfg if cfg is not None else SsimConfig()
+def ssim_with_grad(a, b, want_grad: bool = True):
+    """(ssim, gradient w.r.t. a) — gradient is None when want_grad is False.
+
+    The window is 11x11, shrunk to the largest odd size that fits the image.
+    """
     x = _image_array(a)
     y = _image_array(b)
     if x.shape != y.shape:
         raise ValueError(f"image shape mismatch: {x.shape} vs {y.shape}")
-    K = cfg.window_size
-    if x.shape[0] < K or x.shape[1] < K:
-        raise ValueError(
-            f"image {x.shape[0]}x{x.shape[1]} smaller than {K}x{K} SSIM window")
+    taps = _gauss_taps(_ssim_window(x.shape[0], x.shape[1]), SSIM_SIGMA)
     C = x.shape[2]
     total = 0.0
     grad = np.zeros_like(x) if want_grad else None
     for ch in range(C):
-        v, g = _ssim_channel(x[:, :, ch], y[:, :, ch], cfg, want_grad)
+        v, g = _ssim_channel(x[:, :, ch], y[:, :, ch], taps, want_grad)
         total += v
         if want_grad:
             grad[:, :, ch] = g

@@ -8,13 +8,14 @@ with T_{i+1} = T_i (1 - w_i) and c_i = l_iso + f_i * l_aniso. The factor
 f = (1 - g^2) / (s * sqrt(s)), s = 1 + g^2 - 2 g (dir . normal), is the
 Henyey-Greenstein lobe normalized so f = 1 when g = 0.
 
-Bit-determinism: every color-producing path (tiles, ray batches, single rays
-and their sample lists, the fused render, the fit's patch forward pass) runs
-the one kernel `_composite` itself, not a copy of it. Per-pixel reductions
-use sequential scans (np.cumsum / np.cumprod), so results are independent of
-tile size, worker count, and of zero-weight entries that per-tile culling may
-or may not include. Matrix products and pairwise sums are
-deliberately avoided in per-pixel math.
+Bit-determinism: every color-producing path (image tiles, with or without
+the fusion head; ray batches; single rays and their sample lists; the fit's
+patch forward pass) runs the one kernel `_composite` itself, not a copy of
+it. A full image, physical or fused, comes only from `render`'s tile loop.
+Per-pixel reductions use sequential scans (np.cumsum / np.cumprod), so
+results are independent of tile size, worker count, and of zero-weight
+entries that per-tile culling may or may not include. Matrix products and
+pairwise sums are deliberately avoided in per-pixel math.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPrimitiveError
+from .fusion import MlpParams, embed_camera, fuse_forward_batch, fusion_input
 from .scene import (Camera, GaussianPrimitive, ImageBuffer, ImageKind, Ray,
                     Scene)
 
@@ -404,8 +406,12 @@ def _cone_of(dxb, dyb, dzb):
     return np.array([ax, ay, az]), math.acos(min(max(cosg, -1.0), 1.0))
 
 
-def _render_coarse_block(scene, cam, cfg, ot, r0, r1, c0, c1):
-    """Render one coarse block; two-level cone culling, fine-tile kernel calls."""
+def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
+    """Render one coarse block; two-level cone culling, fine-tile kernel calls.
+
+    `head` is None for physical color, else (MlpParams, embedding vector): the
+    fusion head's output then replaces each tile's color.
+    """
     rows = np.arange(r0, r1, dtype=np.float64)
     cols = np.arange(c0, c1, dtype=np.float64)
     dxb, dyb, dzb = cam.pixel_dirs(rows[:, None], cols[None, :])
@@ -433,9 +439,14 @@ def _render_coarse_block(scene, cam, cfg, ot, r0, r1, c0, c1):
                 sub2 = sub1
             sh = dxt.shape
             dx, dy, dz = dxt.ravel(), dyt.ravel(), dzt.ravel()
-            col, dep, fT = _composite(
+            col, dep, fT, *streams = _composite(
                 scene, cfg, cam.near,
-                _ray_geometry(scene, *ot[:4], dx, dy, dz, sub2), sub2, dx, dy, dz)
+                _ray_geometry(scene, *ot[:4], dx, dy, dz, sub2), sub2, dx, dy, dz,
+                fused_streams=head is not None)
+            if head is not None:
+                mlp, e_vec = head
+                dirs = np.stack([dx, dy, dz], axis=1)
+                col = fuse_forward_batch(fusion_input(*streams, e_vec, dirs), mlp)
             color[fr:fr1, fc:fc1] = col.reshape(sh + (3,))
             depth[fr:fr1, fc:fc1, 0] = dep.reshape(sh)
             trans[fr:fr1, fc:fc1, 0] = fT.reshape(sh)
@@ -449,8 +460,9 @@ def _coarse_blocks(height: int, width: int):
 
 
 def _worker_render(payload):
-    scene, cam, cfg, ot, blocks = payload
-    return [_render_coarse_block(scene, cam, cfg, ot, *block) for block in blocks]
+    scene, cam, cfg, ot, head, blocks = payload
+    return [_render_coarse_block(scene, cam, cfg, ot, head, *block)
+            for block in blocks]
 
 
 _POOLS: dict[int, "multiprocessing.pool.Pool"] = {}
@@ -476,12 +488,15 @@ atexit.register(_shutdown_pools)
 
 
 def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
-           workers: int = 1):
+           workers: int = 1, mlp: MlpParams | None = None):
     """Render color, depth, and transmittance images through pixel centers.
 
-    Output is bitwise independent of `workers`; workers > 1 forks a process
-    pool (reused across calls), splits the image by coarse tile blocks and
-    pickles the scene into each block list's payload.
+    With `mlp`, color is the fusion head's output for each pixel's isotropic
+    and anisotropic sums, ray direction and the frame's camera embedding;
+    depth and transmittance stay physical. Output is bitwise independent of
+    `workers`; workers > 1 forks a process pool (reused across calls), splits
+    the image by coarse tile blocks and pickles the scene into each block
+    list's payload.
     """
     cfg = cfg if cfg is not None else RenderConfig()
     if workers < 1:
@@ -489,13 +504,16 @@ def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
     H, W = cam.height, cam.width
     blocks = _coarse_blocks(H, W)
     ot = _origin_terms(scene, cam.position)
+    head = (None if mlp is None else
+            (mlp, embed_camera(cam, scene.center, scene.radius, mlp.d).vec))
     use_pool = (workers > 1 and len(blocks) > 1
                 and "fork" in multiprocessing.get_all_start_methods())
     if not use_pool:
-        results = [_render_coarse_block(scene, cam, cfg, ot, *b) for b in blocks]
+        results = [_render_coarse_block(scene, cam, cfg, ot, head, *b)
+                   for b in blocks]
     else:
         splits = np.array_split(np.arange(len(blocks)), min(workers, len(blocks)))
-        payloads = [(scene, cam, cfg, ot, [blocks[i] for i in chunk])
+        payloads = [(scene, cam, cfg, ot, head, [blocks[i] for i in chunk])
                     for chunk in splits if chunk.size]
         outs = _pool_for(workers).map(_worker_render, payloads)
         results = [blk for out in outs for blk in out]

@@ -199,6 +199,7 @@ def test_info_prints_versions(capsys):
     assert main(["info"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] and "numpy" in doc
+    assert "ssim" not in doc["defaults"]
 
 
 def test_drr_verb_and_manifest(tmp_path):
@@ -219,3 +220,15 @@ def test_drr_verb_and_manifest(tmp_path):
     assert man["command"] == "drr"
     assert man["config"]["step_mm"] > 0.0
     assert len(man["inputs"]) == 2  # header and raw payload both hashed
+
+
+def test_drr_manifest_hashes_raw_named_with_spaces(tmp_path):
+    from splat360 import make_sphere_phantom, save_volume
+    vpath = tmp_path / "v.vol"
+    save_volume(str(vpath), make_sphere_phantom(8, 2.0, 5.0))
+    vpath.write_text(vpath.read_text().replace("data=v.raw", "data = v.raw"))
+    out = str(tmp_path / "drr")
+    assert main(["drr", "--volume", str(vpath), "--out", out,
+                 "--det-width", "9", "--det-height", "9"]) == 0
+    inputs = _read_manifest(out)["inputs"]
+    assert sorted(os.path.basename(p) for p in inputs) == ["v.raw", "v.vol"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from splat360 import (AnchorPoint, AnchorSet, Camera, FitConfig, NumericFailure,
                       RenderConfig, Scene, adam_step, composite_loss,
                       embed_camera, fit_scene, init_mlp, make_orbit_cameras,
-                      make_random_scene, render, render_fused, scene_to_json,
+                      make_random_scene, render, scene_to_json,
                       validate_scene)
 from splat360.fitting import _patch_backward, _patch_forward, _patch_origin
 
@@ -247,7 +247,7 @@ def test_fit_joint_mlp_self_targets_zero(small_random_scene):
     rcfg = RenderConfig()
     cams = _views(small_random_scene)
     mlp = init_mlp(d=16, seed=4)
-    targets = [(cam, render_fused(small_random_scene, cam, rcfg, mlp))
+    targets = [(cam, render(small_random_scene, cam, rcfg, mlp=mlp)[0])
                for cam in cams]
     cfg = FitConfig(iters=3, lr=0.05, seed=0)
     fitted, mlp_out, report = fit_scene(small_random_scene, targets, cfg,

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from splat360 import (RenderConfig, SsimConfig, make_orbit_cameras,
-                      measure_runtime, psnr, ssim, ssim_with_grad)
+from splat360 import (RenderConfig, make_orbit_cameras, measure_runtime, psnr,
+                      ssim, ssim_with_grad)
+from splat360.metrics import _ssim_window
 
 
 def _img(seed, h=16, w=16, c=3):
@@ -64,21 +65,18 @@ def test_ssim_noise_monotone():
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_ssim_window_guard():
-    small = np.zeros((8, 8, 3))
-    with pytest.raises(ValueError):
-        ssim(small, small)
-
-
 @pytest.mark.parametrize("hw,win", [((64, 48), 11), ((16, 10), 9), ((8, 8), 7),
                                     ((3, 30), 3), ((2, 2), 1)])
 def test_ssim_window_for_image(hw, win):
-    assert SsimConfig.for_image(*hw) == SsimConfig(window_size=win)
+    assert _ssim_window(*hw) == win
+    a = _img(10, *hw)
+    assert ssim(a, a) == 1.0
 
 
-def test_ssim_config_validation():
+@pytest.mark.parametrize("hw", [(0, 5), (5, 0)])
+def test_ssim_empty_image_raises(hw):
     with pytest.raises(ValueError):
-        SsimConfig(window_size=10)
+        ssim(np.zeros(hw + (3,)), np.zeros(hw + (3,)))
 
 
 def test_ssim_grad_zero_at_identity():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from splat360 import (GaussianPrimitive, Ray, RenderConfig, Scene,
-                      composite_ray, make_orbit_cameras, make_random_scene,
-                      phase, ray_gaussian_weight, render, render_rays)
+                      composite_ray, embed_camera, fuse, init_mlp,
+                      make_orbit_cameras, make_random_scene, phase,
+                      ray_gaussian_weight, render, render_rays)
 from conftest import make_primitive
 
 BLACK = np.zeros(3)
@@ -342,3 +343,28 @@ def test_kernel_invariants_on_random_scenes(case):
             assert sm.t >= prev.t
         assert all(sm.transmittance_before >= cfg.termination_epsilon
                    for sm in samples)
+
+
+@pytest.mark.parametrize("cfg", [RenderConfig(), RenderConfig(disentangle=False),
+                                 RenderConfig(anisotropy_enabled=False)],
+                         ids=["default", "no_disentangle", "no_anisotropy"])
+def test_render_with_mlp_fuses_each_pixels_streams(cfg):
+    scene = make_random_scene(30, seed=5, spread=0.3, sigma_range=(0.08, 0.16),
+                              aniso_max=0.5)
+    # 70 rows span two coarse blocks, so workers=2 goes through the pool
+    cam = make_orbit_cameras(scene.center, 2.0 * scene.radius, 1, 0.3, "ring",
+                             20, 70, 0.5)[0]
+    mlp = init_mlp(d=16, seed=4)
+    rows, cols = np.divmod(np.arange(70 * 20, dtype=np.float64), 20.0)
+    dirs = np.stack(cam.pixel_dirs(rows, cols), axis=1)
+    _, depth, final_t, iso, aniso = render_rays(scene, cam.position, dirs, cfg,
+                                                near=cam.near, fused_streams=True)
+    assert (iso > 0.0).any()
+    e_c = embed_camera(cam, scene.center, scene.radius, mlp.d)
+    expect = np.array([fuse(i, a, e_c, d, mlp) for i, a, d in zip(iso, aniso, dirs)])
+    for workers in (1, 2):
+        color, dimg, timg = render(scene, cam, cfg, workers=workers, mlp=mlp)
+        assert np.array_equal(color.data.reshape(-1, 3), expect)
+        # depth and transmittance stay physical
+        assert np.array_equal(dimg.data.ravel(), depth)
+        assert np.array_equal(timg.data.ravel(), final_t)
