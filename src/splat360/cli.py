@@ -26,7 +26,7 @@ from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
 from .ct import (DrrConfig, ProjectionGeometry, load_volume, read_volume_header,
                  render_drr)
 from .errors import CheckFailure, FormatError, NumericFailure
-from .fitting import (FitConfig, _patch_backward, _patch_forward,
+from .fitting import (FitConfig, _Geometry, _patch_backward, _patch_forward,
                       composite_loss, fit_scene)
 from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
                      init_mlp, load_mlp, save_mlp)
@@ -41,6 +41,7 @@ EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_NUMERIC = 4
 EXIT_CHECK = 5
+FD_STEP = 1e-5  # central-difference step of every gradient check
 
 
 def _sha256(path: str) -> str:
@@ -417,7 +418,7 @@ def _relerr(analytic: float, fd: float, abs_floor: float = 1e-8) -> float:
 
 
 def _fd_check(label: str, loss, x: np.ndarray, grad: np.ndarray, coords,
-              tol: float, h: float = 1e-5) -> float:
+              tol: float, h: float = FD_STEP) -> float:
     """Worst relative error of grad against central differences of loss at x.
 
     Perturbs one coordinate of x.flat at a time; raises CheckFailure on the
@@ -469,15 +470,28 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
                            lambda p: composite_loss(p, tgt, want_grad=False)[0],
                            pred, grad.data, coords, tol)
 
-    worst_app = _appearance_gradcheck(seed, tol=max(tol, 1e-3))
-    return {"mlp": worst_mlp, "composite_loss": worst_loss,
-            "appearance": worst_app, "tol": tol, "draws": draws}
+    patch = _patch_gradcheck(seed, tol=max(tol, 1e-3))
+    return {"mlp": worst_mlp, "composite_loss": worst_loss, **patch,
+            "tol": tol, "draws": draws}
 
 
-def _appearance_gradcheck(seed: int, tol: float) -> float:
-    """Patch gradients of alpha, l_iso, l_aniso and g vs finite differences.
+def _tape_key(work) -> tuple:
+    """Each ray's t-ordered contributing splats: the patch loss is smooth in
+    geometry only while this stays the same."""
+    tp = work[1]
+    return tp.idx.tobytes(), (tp.tw > 0.0).tobytes()
 
-    3 splats, one 16x16 patch, physical color and then a fused MLP.
+
+def _patch_gradcheck(seed: int, tol: float) -> dict:
+    """Patch gradients of alpha, l_iso, l_aniso, g, mu and the covariance
+    log-eigenvalues vs finite differences.
+
+    3 splats, one 16x16 patch, physical color and then a fused MLP, whose
+    camera embedding is held fixed as the fit holds it. A geometry coordinate
+    is probed only where its +-FD_STEP stencil keeps `_tape_key`: across a
+    cutoff edge, a t-order swap or a moved ray termination the loss jumps,
+    and the difference quotient would measure the jump. Raises CheckFailure
+    when no nonzero geometry gradient was probed.
     """
     scene = make_random_scene(3, seed=seed + 1, spread=0.12,
                               sigma_range=(0.3, 0.6))
@@ -485,26 +499,53 @@ def _appearance_gradcheck(seed: int, tol: float) -> float:
     rcfg = RenderConfig()
     tgt = np.clip(np.random.default_rng(seed + 2).random((16, 16, 3)), 0, 1)
     rows = cols = np.arange(16, dtype=np.float64)
-    worst = 0.0
+    geo = _Geometry(scene)
+    th0 = geo.pack()
+
+    def scene_at(th):
+        mu, cov = geo.unpack(th)
+        return dataclasses.replace(scene, mu=mu, cov=cov)
+
+    worst_app = worst_geo = 0.0
+    checked = skipped = 0
     for mlp in (None, init_mlp(d=16, seed=seed + 3)):
+        kind = "fused" if mlp else "physical"
         e_vec = (None if mlp is None
                  else embed_camera(cam, scene.center, scene.radius, mlp.d).vec)
 
+        def forward(sc, tape=False):
+            return _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec, tape=tape)
+
         def loss_of(sc):
-            colors, _ = _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec)
-            return composite_loss(colors.reshape(16, 16, 3), tgt,
+            return composite_loss(forward(sc)[0].reshape(16, 16, 3), tgt,
                                   want_grad=False)[0]
 
-        colors, work = _patch_forward(scene, cam, rcfg, rows, cols, mlp, e_vec,
-                                      tape=True)
+        colors, work = forward(scene, tape=True)
         _, gimg = composite_loss(colors.reshape(16, 16, 3), tgt)
-        grads = _patch_backward(work, rcfg, gimg.data.reshape(-1, 3), mlp)
+        *grads, dgeo, _ = _patch_backward(work, rcfg, gimg.data.reshape(-1, 3),
+                                          mlp, (geo.rot, geo.log_eig))
         for name, grad in zip(("alpha", "l_iso", "l_aniso", "g"), grads):
-            worst = max(worst, _fd_check(
-                f"{name} ({'fused' if mlp else 'physical'})",
+            worst_app = max(worst_app, _fd_check(
+                f"{name} ({kind})",
                 lambda v: loss_of(dataclasses.replace(scene, **{name: v})),
                 getattr(scene, name), grad, range(grad.size), tol))
-    return worst
+        key = _tape_key(work)
+        smooth = []
+        for i in range(th0.size):
+            step = np.zeros(th0.size)
+            step[i] = FD_STEP
+            if all(_tape_key(forward(scene_at(th0 + sign * step), tape=True)[1]) == key
+                   for sign in (1.0, -1.0)):
+                smooth.append(i)
+        skipped += th0.size - len(smooth)
+        checked += int(np.count_nonzero(np.abs(dgeo.ravel()[smooth]) > 1e-8))
+        worst_geo = max(worst_geo, _fd_check(
+            f"geometry ({kind})", lambda th: loss_of(scene_at(th)), th0, dgeo,
+            smooth, tol))
+    if checked == 0:
+        raise CheckFailure("geometry check probed no nonzero gradient")
+    return {"appearance": worst_app, "geometry": worst_geo,
+            "geometry_checked": checked, "geometry_skipped": skipped}
 
 
 def cmd_gradcheck(args) -> int:

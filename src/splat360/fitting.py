@@ -7,8 +7,8 @@ kernel to the appearance parameters: alpha via logit, l_iso via logit,
 l_aniso via inverse softplus, g via atanh, so constraints hold by
 construction. The backward pass reads the kernel's tape and scatter-adds
 each per-slot product into its splat's gradient. Geometry (mu, covariance
-log-eigenvalues; rotation fixed) moves only under optimize_geometry, by
-central finite differences of the loss alone (no pixel gradient). Patch
+log-eigenvalues; rotation fixed) moves only under optimize_geometry, by the
+same backward pass, with the fusion head's camera embedding held fixed. Patch
 centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
 uniform positions unless the no_anchoring ablation is set.
 
@@ -43,7 +43,6 @@ GEOMETRY_PER_GAUSSIAN = 6    # mu x3, covariance log-eigenvalues x3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-GEOMETRY_FD_STEP = 1e-5      # central-difference step for geometry gradients
 ANCHOR_MIX = 0.5             # share of patches centered on an anchor
 
 
@@ -216,7 +215,8 @@ def _appearance_chain(theta: np.ndarray) -> np.ndarray:
 
 
 class _Geometry:
-    """mu and covariance log-eigenvalues; eigenvector frames held fixed."""
+    """mu and covariance log-eigenvalues s, cov = R diag(exp(2 s)) R^T; the
+    eigenvector frames R (`rot`) of the starting scene are held fixed."""
 
     def __init__(self, scene: Scene):
         self.mu = scene.mu
@@ -246,7 +246,8 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
                    mlp: MlpParams | None, e_vec: np.ndarray | None,
                    tape: bool = False):
     """Colors [P,3] for the pixel grid rows x cols, and with `tape` the work
-    `_patch_backward` reads (else None).
+    `_patch_backward` reads (else None): the kernel's tape, the fusion cache,
+    and the rays' origin and direction components.
 
     Runs the renderer's kernel over every splat; its culling only ever drops
     zero-weight entries, so the colors match a render bitwise.
@@ -264,7 +265,8 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
         colors, cache = fuse_forward_batch(
             fusion_input(out[3], out[4], e_vec, np.stack([dx, dy, dz], axis=1)),
             mlp, want_cache=True)
-    return colors, ((scene, out[-1], cache) if tape else None)
+    return colors, ((scene, out[-1], cache, cam.position, (dx, dy, dz))
+                    if tape else None)
 
 
 def _dot3(g: np.ndarray, vals) -> np.ndarray:
@@ -273,17 +275,25 @@ def _dot3(g: np.ndarray, vals) -> np.ndarray:
 
 
 def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
-                    mlp: MlpParams | None):
-    """Gradients of the patch loss w.r.t. constrained appearance (and MLP).
+                    mlp: MlpParams | None, geometry=None):
+    """Gradients of the patch loss w.r.t. constrained appearance, geometry
+    and the MLP.
 
     Each per-slot product is added into its splat's entry (a scatter-add
     over the tape's splat indices, rays in order). A splat fills at most one
     slot per ray, so each sum runs over the same terms in the same ray order
     as a dense pass over every splat, less that pass's exact +0.0 terms for
     splats the kernel culled; the gradients do not depend on the culling.
-    Returns (dalpha [G], dl_iso [G,3], dl_aniso [G,3], dg [G], mlp_grads).
+
+    `geometry` is None or `_Geometry`'s (rot [G,3,3], log_eig s [G,3]). The
+    loss sees geometry only through w = alpha exp(-q/2), as sort order and
+    culling are piecewise constant. q = min over t of r^T Sigma^-1 r, with
+    r = mu - o - t d, is reached at the tape's t, so dq/dmu = 2 Sigma^-1 r and
+    dq/ds_j = -2 exp(-2 s_j) (R_j . r)^2 (envelope theorem).
+    Returns (dalpha [G], dl_iso [G,3], dl_aniso [G,3], dg [G], mlp_grads),
+    with dgeo [G,6] (mu, then s) before mlp_grads when `geometry` is given.
     """
-    scene, tp, cache = work
+    scene, tp, cache, origin, dirs = work
     P, G = gpix.shape[0], scene.alpha.size
     idx = tp.idx.ravel()
     mlp_grads = None
@@ -330,7 +340,23 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
         sq = np.sqrt(s)
         dfdg = (-2.0 * gk) / (s * sq) - 3.0 * (1.0 - gk * gk) * (gk - cosg) / (s * s * sq)
         dg = ray_sum(tp.tw * la_dot * dfdg)
-    return dalpha, dli, dla, dg, mlp_grads
+    out = (dalpha, dli, dla, dg)
+    if geometry is not None:
+        rot, log_eig = geometry
+        gq = dw_s * (-0.5 * tp.w)            # dL/dq per slot
+        r = [(scene.mu[tp.idx, c] - origin[c]) - tp.ts * dirs[c][:, None]
+             for c in range(3)]
+        gr = [gq * rc for rc in r]
+        sr = [ray_sum(v) for v in gr]
+        m = {(a, b): ray_sum(gr[a] * r[b]) for a in range(3) for b in range(a, 3)}
+        inv = scene.cov_inv
+        dmu = [2.0 * (inv[:, c, 0] * sr[0] + inv[:, c, 1] * sr[1]
+                      + inv[:, c, 2] * sr[2]) for c in range(3)]
+        dlog = [-2.0 * np.exp(-2.0 * log_eig[:, j])
+                * sum(rot[:, a, j] * rot[:, b, j] * m[min(a, b), max(a, b)]
+                      for a in range(3) for b in range(3)) for j in range(3)]
+        out += (np.stack(dmu + dlog, axis=1),)
+    return out + (mlp_grads,)
 
 
 def _patch_origin(rng: np.random.Generator, H: int, W: int, ph: int, pw: int,
@@ -449,15 +475,14 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         trace.append(loss)
         gpix = gimg.data.reshape(ph * pw, 3)
 
-        dalpha, dli, dla, dg, mlp_g = _patch_backward(work, rcfg, gpix, live_mlp)
+        geometry = None if geo is None else (
+            geo.rot, theta[n_app:n_app + n_geo].reshape(-1, GEOMETRY_PER_GAUSSIAN)[:, 3:])
+        dalpha, dli, dla, dg, *dgeo, mlp_g = _patch_backward(
+            work, rcfg, gpix, live_mlp, geometry)
         gapp = np.concatenate([dalpha[:, None], dli, dla, dg[:, None]],
                               axis=1).ravel()
         gapp = gapp * _appearance_chain(theta[:n_app])
-        parts = [gapp]
-        if geo is not None:
-            parts.append(_geometry_fd(theta, n_app, n_geo, geo, scene,
-                                      cam, rcfg, rows, cols, tgt, cfg,
-                                      live_mlp, e_vec))
+        parts = [gapp] + [d.ravel() for d in dgeo]
         if live_mlp is not None:
             parts.append(mlp_g.to_flat())
         grad_flat = np.concatenate(parts) if len(parts) > 1 else parts[0]
@@ -495,30 +520,3 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     report = make_report(final_loss=float(np.mean([loss for loss, _ in views])),
                          per_view=per_view)
     return cur_scene, live_mlp, report
-
-
-def _geometry_fd(theta, n_app, n_geo, geo, scene, cam, rcfg,
-                 rows, cols, tgt, cfg, mlp, e_vec):
-    """Central-difference patch-loss gradients for the geometry block."""
-    base = theta.copy()
-    h = GEOMETRY_FD_STEP
-    out = np.zeros(n_geo)
-    a, li, la, g = _appearance_of(base[:n_app])
-
-    def loss_at(yg):
-        mu, cov = geo.unpack(yg)
-        sc = Scene(mu=mu, cov=cov, alpha=a, l_iso=li, l_aniso=la,
-                   normal=scene.normal, g=g, background=scene.background)
-        colors, _ = _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec)
-        pred = _pred_for_loss(colors.reshape(rows.size, cols.size, 3), cfg)
-        loss, _ = composite_loss(pred, tgt, cfg.lambda_mse, cfg.lambda_ssim,
-                                 want_grad=False)
-        return loss
-
-    for i in range(n_geo):
-        yp = base[n_app:n_app + n_geo].copy()
-        ym = yp.copy()
-        yp[i] += h
-        ym[i] -= h
-        out[i] = (loss_at(yp) - loss_at(ym)) / (2.0 * h)
-    return out

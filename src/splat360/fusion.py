@@ -121,11 +121,18 @@ def init_mlp(d: int = 16, seed: int = 0) -> MlpParams:
     return MlpParams(d, seed, tuple(ws), tuple(bs))
 
 
-def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b + X W^T accumulated sequentially over input features."""
-    out = np.broadcast_to(b, (X.shape[0], b.size)).copy()
+def _affine(XT: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(b + X W^T)^T from X^T, accumulated sequentially over input features.
+
+    Transposed, each step scales one contiguous input row by one weight per
+    output row.
+    """
+    out = np.empty((b.size, XT.shape[1]))
+    out[:] = b[:, None]
+    tmp = np.empty_like(out)
     for k in range(W.shape[1]):
-        out += X[:, k, None] * W[None, :, k]
+        np.multiply(W[:, k, None], XT[k], out=tmp)
+        out += tmp
     return out
 
 
@@ -145,14 +152,15 @@ def fuse_forward_batch(X: np.ndarray, params: MlpParams, want_cache: bool = Fals
         raise ValueError(f"input must be [N, {9 + params.d}]")
     w1, w2, w3 = params.weights
     b1, b2, b3 = params.biases
-    z1 = _affine(X, w1, b1)
+    # layers run on [features, N]; rows are rays again on the way out
+    z1 = _affine(np.ascontiguousarray(X.T), w1, b1)
     a1 = np.maximum(z1, 0.0)
     z2 = _affine(a1, w2, b2)
     a2 = np.maximum(z2, 0.0)
-    z3 = _affine(a2, w3, b3)
-    out = _sigmoid(z3)
+    out = np.ascontiguousarray(_sigmoid(_affine(a2, w3, b3)).T)
     if want_cache:
-        return out, (X, z1, a1, z2, a2, out)
+        rows = (np.ascontiguousarray(v.T) for v in (z1, a1, z2, a2))
+        return out, (X, *rows, out)
     return out
 
 

@@ -410,7 +410,8 @@ def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
     """Render one coarse block; two-level cone culling, fine-tile kernel calls.
 
     `head` is None for physical color, else (MlpParams, embedding vector): the
-    fusion head's output then replaces each tile's color.
+    fusion head then runs once over the block's per-pixel streams (its rows
+    are independent) and its output replaces the color.
     """
     rows = np.arange(r0, r1, dtype=np.float64)
     cols = np.arange(c0, c1, dtype=np.float64)
@@ -419,6 +420,8 @@ def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
     color = np.empty((Hb, Wb, 3))
     depth = np.empty((Hb, Wb, 1))
     trans = np.empty((Hb, Wb, 1))
+    if head is not None:
+        iso, aniso = np.empty((Hb, Wb, 3)), np.empty((Hb, Wb, 3))
     if scene.alpha.size:
         cd, gamma = _cone_of(dxb, dyb, dzb)
         sub1 = _cone_cull(scene, cam.position, ot[4], cd, gamma,
@@ -443,13 +446,18 @@ def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
                 scene, cfg, cam.near,
                 _ray_geometry(scene, *ot[:4], dx, dy, dz, sub2), sub2, dx, dy, dz,
                 fused_streams=head is not None)
-            if head is not None:
-                mlp, e_vec = head
-                dirs = np.stack([dx, dy, dz], axis=1)
-                col = fuse_forward_batch(fusion_input(*streams, e_vec, dirs), mlp)
-            color[fr:fr1, fc:fc1] = col.reshape(sh + (3,))
+            if head is None:
+                color[fr:fr1, fc:fc1] = col.reshape(sh + (3,))
+            else:
+                iso[fr:fr1, fc:fc1] = streams[0].reshape(sh + (3,))
+                aniso[fr:fr1, fc:fc1] = streams[1].reshape(sh + (3,))
             depth[fr:fr1, fc:fc1, 0] = dep.reshape(sh)
             trans[fr:fr1, fc:fc1, 0] = fT.reshape(sh)
+    if head is not None:
+        mlp, e_vec = head
+        dirs = np.stack([dxb, dyb, dzb], axis=-1)
+        color = fuse_forward_batch(fusion_input(iso, aniso, e_vec, dirs),
+                                   mlp).reshape(Hb, Wb, 3)
     return color, depth, trans
 
 

@@ -5,8 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from splat360 import cli, load_pfm, make_random_scene, save_scene
+from conftest import make_primitive
+from splat360 import (Camera, RenderConfig, Scene, cli, load_pfm,
+                      make_random_scene, save_scene)
 from splat360.cli import main
+from splat360.fitting import _patch_forward
 
 
 @pytest.fixture
@@ -168,6 +171,7 @@ def test_gradcheck_passes(capsys):
     doc = json.loads(capsys.readouterr().out)
     tol = doc["tol"]
     assert doc["mlp"] < tol and doc["composite_loss"] < tol
+    assert doc["geometry_checked"] > 0
 
 
 def test_gradcheck_impossible_tolerance_exits_5():
@@ -180,11 +184,46 @@ def test_gradcheck_catches_a_wrong_g_gradient(monkeypatch):
     real = cli._patch_backward
 
     def zero_dg(*args):
-        dalpha, dli, dla, dg, mlp_grads = real(*args)
-        return dalpha, dli, dla, np.zeros_like(dg), mlp_grads
+        dalpha, dli, dla, dg, *rest = real(*args)
+        return (dalpha, dli, dla, np.zeros_like(dg), *rest)
 
     monkeypatch.setattr(cli, "_patch_backward", zero_dg)
     assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
+
+
+@pytest.mark.parametrize("block", [slice(0, 3), slice(3, 6)], ids=["mu", "log_eig"])
+def test_gradcheck_catches_a_wrong_geometry_gradient(monkeypatch, block):
+    real = cli._patch_backward
+
+    def skew_dgeo(*args):
+        *app, dgeo, mlp_grads = real(*args)
+        dgeo = dgeo.copy()
+        dgeo[:, block] *= 1.01
+        return (*app, dgeo, mlp_grads)
+
+    monkeypatch.setattr(cli, "_patch_backward", skew_dgeo)
+    assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
+
+
+@pytest.mark.parametrize("depth1, flips", [(1.0, True), (1.2, False)])
+def test_tape_key_sees_a_t_order_swap(depth1, flips):
+    # the camera's one ray runs down its axis; two splats at depth 1.0 tie in
+    # t there, so moving one by +h along the axis swaps their order and the
+    # patch loss jumps, while splats at distinct depths keep theirs
+    cam = Camera.look_at(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.9, 1, 1)
+    rcfg = RenderConfig()
+    one = np.zeros(1)
+
+    def key_at(z0):
+        scene = Scene.from_gaussians(
+            [make_primitive(mu=(-0.05, 0.0, z0), alpha=0.5),
+             make_primitive(mu=(0.05, 0.0, depth1), alpha=0.5)],
+            background=np.zeros(3))
+        return cli._tape_key(_patch_forward(scene, cam, rcfg, one, one, None,
+                                            None, tape=True)[1])
+
+    assert key_at(1.0 - 1e-5) == key_at(1.0)
+    assert (key_at(1.0 + 1e-5) != key_at(1.0)) == flips
 
 
 def test_bench_reports_fps(tmp_path, scene_file, capsys):

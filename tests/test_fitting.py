@@ -11,7 +11,8 @@ from splat360 import (AnchorPoint, AnchorSet, Camera, FitConfig, NumericFailure,
                       embed_camera, fit_scene, init_mlp, make_orbit_cameras,
                       make_random_scene, render, scene_to_json,
                       validate_scene)
-from splat360.fitting import _patch_backward, _patch_forward, _patch_origin
+from splat360.fitting import (_Geometry, _patch_backward, _patch_forward,
+                              _patch_origin)
 
 
 def _views(scene, n=2, res=16):
@@ -300,8 +301,9 @@ def test_patch_no_splat_reaches(small_random_scene, with_mlp):
 @settings(max_examples=20, deadline=None)
 def test_splats_behind_the_camera_change_no_patch_bit(seed, extra, with_mlp):
     # an isotropic splat behind the camera peaks at t < 0 on every ray in
-    # view, so the kernel culls it: colors and the original splats' gradients
-    # keep their bytes and the new splats' gradients are exactly zero
+    # view, so the kernel culls it: colors and the original splats'
+    # appearance and geometry gradients keep their bytes and the new splats'
+    # gradients are exactly zero
     s = make_random_scene(6, seed=seed % 1000, spread=0.3, sigma_range=(0.05, 0.12))
     cam = _views(s, n=1, res=12)[0]
     rng = np.random.default_rng(seed)
@@ -326,10 +328,13 @@ def test_splats_behind_the_camera_change_no_patch_bit(seed, extra, with_mlp):
     outs = []
     for sc in (s, grown):
         colors, work = _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec, tape=True)
-        outs.append((colors, _patch_backward(work, rcfg, gpix, mlp)))
+        geo = _Geometry(sc)
+        outs.append((colors, _patch_backward(work, rcfg, gpix, mlp,
+                                             (geo.rot, geo.log_eig))))
     (c0, (*app0, m0)), (c1, (*app1, m1)) = outs
     G = s.alpha.size
     assert c1.tobytes() == c0.tobytes()
+    assert len(app0) == 5 and np.any(app0[4] != 0.0)
     for g0, g1 in zip(app0, app1):
         assert g1[:G].tobytes() == g0.tobytes()
         assert np.all(g1[G:] == 0.0)
@@ -337,16 +342,27 @@ def test_splats_behind_the_camera_change_no_patch_bit(seed, extra, with_mlp):
         assert m1.to_flat().tobytes() == m0.to_flat().tobytes()
 
 
-def test_fit_geometry_optimization_smoke(small_random_scene):
+def test_fit_geometry_recovers_jittered_centers():
+    # the geometry gradient points home: centers jittered off a ground-truth
+    # scene move back toward it when fitted to that scene's own renders
     rcfg = RenderConfig()
-    cams = _views(small_random_scene, n=1, res=12)
-    targets = _self_targets(small_random_scene, cams, rcfg)
-    start = _perturbed(small_random_scene, seed=9, scale=0.2)
-    cfg = FitConfig(iters=4, lr=0.02, seed=0, optimize_geometry=True,
-                    rays_per_step=36)
-    fitted, _, rep = fit_scene(start, targets, cfg, rcfg)
-    assert validate_scene(fitted) == []
-    assert len(rep.trace) == 4
+    gains = []
+    for seed in range(6):
+        gt = make_random_scene(12, seed=seed, spread=0.3, sigma_range=(0.05, 0.12))
+        cams = make_orbit_cameras(gt.center, 2.5 * gt.radius, 4, 0.3, "ring",
+                                  32, 32, 0.9)
+        jitter = np.random.default_rng(seed).normal(0.0, 0.01, gt.mu.shape)
+        start = dataclasses.replace(gt, mu=gt.mu + jitter)
+        cfg = FitConfig(lr=2e-3, iters=60, rays_per_step=256, seed=seed,
+                        optimize_geometry=True, ablation={"no_anchoring"},
+                        full_eval_every=0)
+        fitted, _, rep = fit_scene(start, _self_targets(gt, cams, rcfg), cfg, rcfg)
+        assert validate_scene(fitted) == []
+        assert len(rep.trace) == 60 and np.isfinite(rep.trace).all()
+        before = np.linalg.norm(start.mu - gt.mu, axis=1).mean()
+        after = np.linalg.norm(fitted.mu - gt.mu, axis=1).mean()
+        gains.append(before / after)
+    assert sum(g >= 2.0 for g in gains) >= 3, gains
 
 
 # ---------------------------------------------------------------------------
