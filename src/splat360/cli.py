@@ -63,15 +63,16 @@ def _vec3_arg(text: str) -> np.ndarray:
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
+    workers, source = args.workers, "--workers"
     env = os.environ.get("SPLAT360_WORKERS", "")
-    if env.strip():
+    if not workers and env.strip():
         try:
-            return max(1, int(env))
+            workers, source = int(env), "SPLAT360_WORKERS"
         except ValueError:
             raise ValueError(f"SPLAT360_WORKERS must be an integer, got {env!r}")
-    return 1
+    if workers < 0:
+        raise ValueError(f"{source} must be >= 0, got {workers}")
+    return max(1, workers)
 
 
 class _Run:
@@ -595,8 +596,7 @@ def cmd_info(args) -> int:
         "cpu_count": os.cpu_count(),
         "defaults": {
             "render": vars(RenderConfig()),
-            "drr": {"mu_water": DrrConfig().mu_water, "i0": DrrConfig().i0,
-                    "step_mm": DrrConfig().step_mm, "output": DrrConfig().output},
+            "drr": vars(DrrConfig()),
             "fit": {k: (sorted(v) if isinstance(v, frozenset) else v)
                     for k, v in vars(FitConfig(iters=1)).items()},
         },

@@ -240,26 +240,17 @@ def beer_lambert_ray(vol: VoxelVolume, r: Ray, cfg: DrrConfig | None = None):
 
 def render_drr(vol: VoxelVolume, geom: ProjectionGeometry,
                cfg: DrrConfig | None = None, workers: int = 1) -> ImageBuffer:
-    """Project the volume onto the detector, one ray per pixel center."""
+    """Project the volume onto the detector, one ray per pixel center.
+
+    Pixels split into payloads as `render`'s blocks do, a PIXEL_CHUNK a unit."""
+    from .renderer import _pool_for, _spans  # the one fork pool
     cfg = cfg if cfg is not None else DrrConfig()
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     H, W = geom.det_height, geom.det_width
-    out = np.empty(H * W)
-    import multiprocessing
-    use_pool = (workers > 1 and H * W > PIXEL_CHUNK
-                and "fork" in multiprocessing.get_all_start_methods())
-    if use_pool:
-        from .renderer import _pool_for  # shared fork pool
-        splits = np.linspace(0, H * W, min(workers, H * W) + 1).astype(np.int64)
-        payloads = [(vol, geom, cfg, int(splits[i]), int(splits[i + 1]))
-                    for i in range(len(splits) - 1) if splits[i] < splits[i + 1]]
-        parts = _pool_for(workers).map(_drr_chunk_worker, payloads)
-        for payload, part in zip(payloads, parts):
-            out[payload[-2]:payload[-1]] = part
-    else:
-        out[:] = _drr_span(vol, geom, cfg, 0, H * W)
-    data = out.reshape(H, W, 1)
+    payloads = [(vol, geom, cfg, lo, hi)
+                for lo, hi in _spans(H * W, workers, PIXEL_CHUNK)]
+    parts = (_pool_for(len(payloads)).map(_drr_span, payloads)
+             if len(payloads) > 1 else [_drr_span(payloads[0])])
+    data = np.concatenate(parts).reshape(H, W, 1)
     if cfg.output == "intensity":
         return ImageBuffer(data, ImageKind.TRANSMITTANCE)
     return ImageBuffer(data, ImageKind.LINE_INTEGRAL)
@@ -277,8 +268,10 @@ def _drr_pixels(vol, geom, cfg, rows, cols):
     return li
 
 
-def _drr_span(vol, geom, cfg, lo, hi):
+def _drr_span(payload):
     """Pixels [lo, hi) in flat row-major order, fixed-size chunks."""
+    # pickled dataclasses arrive as built, without re-running validation
+    vol, geom, cfg, lo, hi = payload
     out = np.empty(hi - lo)
     for a in range(lo, hi, PIXEL_CHUNK):
         b = min(a + PIXEL_CHUNK, hi)
@@ -286,11 +279,6 @@ def _drr_span(vol, geom, cfg, lo, hi):
         rows, cols = np.divmod(idx, float(geom.det_width))
         out[a - lo:b - lo] = _drr_pixels(vol, geom, cfg, rows, cols)
     return out
-
-
-def _drr_chunk_worker(payload):
-    # the pickled dataclasses arrive as built, without re-running validation
-    return _drr_span(*payload)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ pairwise sums are deliberately avoided in per-pixel math.
 """
 from __future__ import annotations
 
-import atexit
 import math
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -473,26 +474,55 @@ def _worker_render(payload):
             for block in blocks]
 
 
-_POOLS: dict[int, "multiprocessing.pool.Pool"] = {}
+def _spans(n: int, workers: int, unit: int = 1) -> list:
+    """[lo, hi) runs covering range(n), one per payload: at most one per
+    `unit` items and at most `workers`, and one where fork is unavailable."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    k = min(workers, -(-n // unit)) if fork else 1
+    edges = np.linspace(0, n, k + 1).astype(np.int64).tolist()
+    return list(zip(edges, edges[1:]))
 
 
-def _pool_for(workers: int):
-    pool = _POOLS.get(workers)
-    if pool is None:
-        ctx = multiprocessing.get_context("fork")
-        pool = ctx.Pool(processes=workers)
-        _POOLS[workers] = pool
-    return pool
+class _ForkPool:
+    """Forked workers behind a blocking `map` that returns a list."""
+
+    size, executor = 0, None
+
+    def map(self, fn, payloads) -> list:
+        for rerun in (False, True):
+            self.executor = self.executor or ProcessPoolExecutor(
+                self.size, mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(self.executor.map(fn, payloads))
+            except BrokenProcessPool:
+                self.executor.shutdown()
+                self.executor = None
+                if rerun:
+                    raise
 
 
-def _shutdown_pools():
-    for pool in _POOLS.values():
-        pool.terminate()
-        pool.join()
-    _POOLS.clear()
+_POOL = _ForkPool()
 
 
-atexit.register(_shutdown_pools)
+def _pool_for(size: int) -> _ForkPool:
+    """The one fork pool, with as many workers as the largest map so far had
+    payloads (`size`). A worker that dies breaks the map, which then reruns
+    once on fresh workers: every payload's output is deterministic. A second
+    death raises BrokenProcessPool. Workers fork on the first map and live
+    until `_shutdown_pools` or interpreter exit."""
+    if size > _POOL.size:
+        _shutdown_pools()
+        _POOL.size = size
+    return _POOL
+
+
+def _shutdown_pools() -> None:
+    """Stop and join the pool's workers; the next `_pool_for` starts afresh."""
+    if _POOL.executor is not None:
+        _POOL.executor.shutdown()
+    _POOL.size, _POOL.executor = 0, None
 
 
 def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
@@ -502,29 +532,21 @@ def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
     With `mlp`, color is the fusion head's output for each pixel's isotropic
     and anisotropic sums, ray direction and the frame's camera embedding;
     depth and transmittance stay physical. Output is bitwise independent of
-    `workers`; workers > 1 forks a process pool (reused across calls), splits
-    the image by coarse tile blocks and pickles the scene into each block
-    list's payload.
+    `workers`: the coarse tile blocks split into at most `workers` runs, one
+    payload each with the scene pickled in. One payload renders in this
+    process; more go to `_pool_for`'s fork pool, one worker per payload.
     """
     cfg = cfg if cfg is not None else RenderConfig()
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     H, W = cam.height, cam.width
     blocks = _coarse_blocks(H, W)
     ot = _origin_terms(scene, cam.position)
     head = (None if mlp is None else
             (mlp, embed_camera(cam, scene.center, scene.radius, mlp.d).vec))
-    use_pool = (workers > 1 and len(blocks) > 1
-                and "fork" in multiprocessing.get_all_start_methods())
-    if not use_pool:
-        results = [_render_coarse_block(scene, cam, cfg, ot, head, *b)
-                   for b in blocks]
-    else:
-        splits = np.array_split(np.arange(len(blocks)), min(workers, len(blocks)))
-        payloads = [(scene, cam, cfg, ot, head, [blocks[i] for i in chunk])
-                    for chunk in splits if chunk.size]
-        outs = _pool_for(workers).map(_worker_render, payloads)
-        results = [blk for out in outs for blk in out]
+    payloads = [(scene, cam, cfg, ot, head, blocks[lo:hi])
+                for lo, hi in _spans(len(blocks), workers)]
+    outs = (_pool_for(len(payloads)).map(_worker_render, payloads)
+            if len(payloads) > 1 else [_worker_render(payloads[0])])
+    results = [blk for out in outs for blk in out]
     color = np.empty((H, W, 3))
     depth = np.empty((H, W, 1))
     trans = np.empty((H, W, 1))

@@ -1,5 +1,6 @@
 """End-to-end contracts of the command-line entry points."""
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from splat360 import (Camera, RenderConfig, Scene, cli, load_pfm,
                       make_random_scene, save_scene)
 from splat360.cli import main
 from splat360.fitting import _patch_forward
+from splat360.renderer import _shutdown_pools
 
 
 @pytest.fixture
@@ -57,13 +59,32 @@ def test_render_rerun_byte_identical(tmp_path, scene_file):
 
 def test_render_worker_count_does_not_change_frames(tmp_path, scene_file):
     a, b = str(tmp_path / "w1"), str(tmp_path / "w3")
+    # 70 rows span two coarse blocks, so --workers 3 goes through the pool
     argv = ["render", "--scene", scene_file, "--orbit", "ring:2",
-            "--width", "16", "--height", "16"]
+            "--width", "16", "--height", "70"]
     assert main(argv + ["--out", a, "--workers", "1"]) == 0
+    _shutdown_pools()
     assert main(argv + ["--out", b, "--workers", "3"]) == 0
+    assert multiprocessing.active_children()
     ba, bb = _dir_bytes(a), _dir_bytes(b)
     del ba["manifest.json"], bb["manifest.json"]  # records the worker count
     assert ba == bb
+
+
+def test_negative_worker_flag_exits_2(tmp_path, scene_file, capsys):
+    out = str(tmp_path / "neg")
+    assert main(["render", "--scene", scene_file, "--out", out,
+                 "--workers", "-3"]) == 2
+    assert "--workers must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_negative_worker_env_exits_2(tmp_path, scene_file, capsys, monkeypatch):
+    out = str(tmp_path / "neg")
+    monkeypatch.setenv("SPLAT360_WORKERS", "-3")
+    assert main(["render", "--scene", scene_file, "--out", out]) == 2
+    assert "SPLAT360_WORKERS must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_render_camera_sidecar_reproduces_frame(tmp_path, scene_file):

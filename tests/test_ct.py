@@ -1,5 +1,6 @@
 """Attenuation branch: unit conversion, trilinear sampling, ray marching."""
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from splat360 import (DrrConfig, ProjectionGeometry, Ray, VolumeFormatError,
                       VoxelVolume, beer_lambert_ray, hu_to_mu, load_volume,
                       make_sphere_phantom, make_uniform_volume, render_drr,
                       sample_hu, save_volume)
+from splat360.renderer import _shutdown_pools
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -165,9 +167,11 @@ def test_drr_sphere_radial_symmetry():
 
 def test_drr_worker_bit_identity():
     vol = make_sphere_phantom(17, 1.0, 5.0, hu_inside=200.0)
-    geom = _sphere_geometry(vol, 40)  # above the pixel-chunk pool threshold
+    geom = _sphere_geometry(vol, 65)  # two pixel chunks, so a pool of two
     a = render_drr(vol, geom, workers=1)
+    _shutdown_pools()
     b = render_drr(vol, geom, workers=3)
+    assert multiprocessing.active_children()
     assert np.array_equal(a.data, b.data)
 
 

@@ -1,5 +1,6 @@
 """Splat compositing kernel: phase factor, per-ray weights, full renders."""
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from splat360 import (GaussianPrimitive, Ray, RenderConfig, Scene,
                       make_orbit_cameras, make_random_scene, phase,
                       ray_gaussian_weight, render, render_rays)
 from conftest import make_primitive
+from splat360.renderer import _shutdown_pools
 
 BLACK = np.zeros(3)
 
@@ -259,9 +261,15 @@ def test_render_matches_composite_ray(small_random_scene, ring_camera):
             assert trans.data[i, j, 0] == ft
 
 
-def test_render_worker_count_bit_identity(small_random_scene, ring_camera):
-    a, da, ta = render(small_random_scene, ring_camera, workers=1)
-    b, db, tb = render(small_random_scene, ring_camera, workers=3)
+def test_render_worker_count_bit_identity(small_random_scene):
+    s = small_random_scene
+    # 70 rows span two coarse blocks, so workers=3 goes through the pool
+    cam = make_orbit_cameras(s.center, 3.0 * s.radius, 1, 0.3, "ring",
+                             32, 70, 0.9)[0]
+    a, da, ta = render(s, cam, workers=1)
+    _shutdown_pools()
+    b, db, tb = render(s, cam, workers=3)
+    assert multiprocessing.active_children()
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(da.data, db.data)
     assert np.array_equal(ta.data, tb.data)
