@@ -10,13 +10,12 @@ from .errors import (
     NumericFailure, CheckFailure,
 )
 from .scene import (
-    GaussianPrimitive, Scene, Camera, Ray, ImageBuffer, ImageKind,
-    eval_gaussian, validate_scene, make_orbit_cameras,
-    scene_to_json, scene_from_json, load_scene, save_scene, make_random_scene,
+    Scene, Camera, Ray, ImageBuffer, ImageKind, validate_scene,
+    make_orbit_cameras, scene_to_json, scene_from_json, load_scene, save_scene,
+    make_random_scene,
 )
 from .renderer import (
-    RenderConfig, RaySample, phase, ray_gaussian_weight, composite_ray,
-    render, render_rays,
+    RenderConfig, RaySample, phase, composite_ray, render, render_rays,
 )
 from .imgfile import (
     encode_gamma, decode_gamma, save_ppm, load_ppm, save_pfm, load_pfm,

@@ -2,8 +2,9 @@
 
 Every command resolves its configuration up front, writes outputs through an
 atomic tracker (a failure removes whatever was already written), and finishes
-by writing a run manifest with sha256 hashes of the inputs. Worker count comes
-from --workers, else the SPLAT360_WORKERS environment variable, else 1.
+by writing a run manifest with sha256 hashes of the inputs. The commands that
+render (render, drr, anchors, bench) take their worker count from --workers,
+else the SPLAT360_WORKERS environment variable, else 1.
 
 Exit codes: 0 success, 2 argument error, 3 input-format error, 4 numeric
 failure, 5 check failure.
@@ -191,8 +192,6 @@ def cmd_render(args) -> int:
             "center": None if args.center is None else list(args.center),
             "disentangle": rcfg.disentangle,
             "anisotropy_enabled": rcfg.anisotropy_enabled,
-            "termination_epsilon": rcfg.termination_epsilon,
-            "cutoff_sigma": rcfg.cutoff_sigma,
             "depth": args.depth, "transmittance": args.transmittance,
             "float_color": args.float_color, "workers": workers,
         }, [args.scene], args.seed)
@@ -608,10 +607,11 @@ def cmd_info(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p, out_required=True):
+def _add_common(p, out_required=True, workers=False):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=0,
-                   help="process count; 0 = SPLAT360_WORKERS or 1")
+    if workers:
+        p.add_argument("--workers", type=int, default=0,
+                       help="process count; 0 = SPLAT360_WORKERS or 1")
     if out_required:
         p.add_argument("--out", required=True, help="output directory")
     else:
@@ -648,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transmittance", action="store_true")
     p.add_argument("--float-color", action="store_true",
                    help="also write linear color PFMs")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("drr", help="project a CT volume to a radiograph")
@@ -664,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None, help="step in mm")
     p.add_argument("--output", choices=("intensity", "line_integral"),
                    default="intensity")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.set_defaults(func=cmd_drr)
 
     p = sub.add_parser("fit", help="fit appearance parameters to target views")
@@ -693,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--radius-px", type=float, default=DEFAULT_SUPPRESSION_RADIUS)
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    _add_common(p)
+    _add_common(p, workers=True)
     p.set_defaults(func=cmd_anchors)
 
     p = sub.add_parser("metrics", help="PSNR/SSIM between two images")
@@ -713,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaussians", type=int, default=5000)
     p.add_argument("--res", type=int, default=512)
     p.add_argument("--frames", type=int, default=10)
-    _add_common(p, out_required=False)
+    _add_common(p, out_required=False, workers=True)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("info", help="build and configuration report")

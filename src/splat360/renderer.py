@@ -2,9 +2,11 @@
 
 Per-ray model: each primitive contributes at its closest approach along the
 ray (in the Mahalanobis metric), with weight w = alpha * exp(-q/2) where q is
-the squared Mahalanobis distance at that point. Contributions are t-sorted and
-alpha-composited front to back: color = sum_i T_i w_i c_i + T_final * background
-with T_{i+1} = T_i (1 - w_i) and c_i = l_iso + f_i * l_aniso. The factor
+the squared Mahalanobis distance at that point; it contributes nothing where
+q > CUTOFF_SIGMA^2 or that point lies before the near plane. Contributions are
+t-sorted and alpha-composited front to back: color = sum_i T_i w_i c_i +
+T_final * background with T_{i+1} = T_i (1 - w_i) and c_i = l_iso + f_i *
+l_aniso, and a ray stops once T falls below TERMINATION_EPSILON. The factor
 f = (1 - g^2) / (s * sqrt(s)), s = 1 + g^2 - 2 g (dir . normal), is the
 Henyey-Greenstein lobe normalized so f = 1 when g = 0.
 
@@ -29,33 +31,28 @@ import numpy as np
 
 from .errors import InvalidPrimitiveError
 from .fusion import MlpParams, embed_camera, fuse_forward_batch, fusion_input
-from .scene import (Camera, GaussianPrimitive, ImageBuffer, ImageKind, Ray,
-                    Scene)
+from .scene import CUTOFF_SIGMA, Camera, ImageBuffer, ImageKind, Ray, Scene
 
 FINE_TILE = 16
 COARSE_TILE = 64
+# a ray stops once its transmittance falls below this
+TERMINATION_EPSILON = 1e-3
 
 
 @dataclass
 class RenderConfig:
-    """Compositing controls and ablation toggles.
+    """The two ablation toggles of the radiance model.
 
     disentangle=False folds l_aniso into l_iso (f pinned to 1);
     anisotropy_enabled=False drops the anisotropic term entirely (f pinned
     to 0). When both are off, anisotropy_enabled wins: there is no
-    anisotropic radiance to fold.
+    anisotropic radiance to fold. The cutoff and the termination threshold
+    are constants (CUTOFF_SIGMA, TERMINATION_EPSILON), so the cone cull and
+    the kernel cannot disagree.
     """
 
-    termination_epsilon: float = 1e-3
-    cutoff_sigma: float = 3.0
     disentangle: bool = True
     anisotropy_enabled: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.termination_epsilon < 1.0:
-            raise ValueError("termination_epsilon must be in (0,1)")
-        if not self.cutoff_sigma > 0.0:
-            raise ValueError("cutoff_sigma must be > 0")
 
 
 @dataclass
@@ -211,8 +208,7 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
     del geometry
     P = dx.shape[0]
     bg = scene.background
-    cutoff2 = cfg.cutoff_sigma * cfg.cutoff_sigma
-    live = q <= cutoff2
+    live = q <= CUTOFF_SIGMA * CUTOFF_SIGMA
     live &= ts >= near
     colmask = live.any(axis=0)
     k2 = sub[colmask]
@@ -265,7 +261,7 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
     # do not add to the peak that `stack` sets below
     del q
     C = np.cumprod(1.0 - w_s, axis=1)
-    eps = cfg.termination_epsilon
+    eps = TERMINATION_EPSILON
     terminated = C < eps
     anyterm = terminated.any(axis=1)
     first = np.argmax(terminated, axis=1)
@@ -327,30 +323,6 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
     return out
 
 
-def ray_gaussian_weight(p, r: Ray, near: float = 0.0,
-                        cutoff_sigma: float = 3.0) -> tuple[float, float]:
-    """(t of peak weight, weight) for one primitive along one ray.
-
-    The weight is zero when the peak lies before `near` or farther than
-    `cutoff_sigma` Mahalanobis units from the center.
-    """
-    if not isinstance(p, GaussianPrimitive):
-        raise TypeError("expected a GaussianPrimitive")
-    scene = Scene.from_gaussians([p], np.zeros(3))
-    v0, v1, v2, cg, _ = _origin_terms(scene, r.origin)
-    dx = np.array([r.dir[0]])
-    dy = np.array([r.dir[1]])
-    dz = np.array([r.dir[2]])
-    sub = np.arange(1)
-    ts, q = _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub)
-    t_star = float(ts[0, 0])
-    qv = float(q[0, 0])
-    if qv > cutoff_sigma * cutoff_sigma or t_star < near:
-        return t_star, 0.0
-    w = p.alpha * math.exp(-0.5 * qv)
-    return t_star, min(max(w, 0.0), 1.0)
-
-
 def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
                   near: float = 0.0):
     """Composite one ray: (color 3-vector, depth, final transmittance, samples).
@@ -375,11 +347,12 @@ def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
 
 
 def _cone_cull(scene, origin, dist, cd, gamma, sub):
-    """Indices in `sub` whose 3-sigma bounding ball can meet a ray in the cone.
+    """Indices in `sub` whose cull-radius ball can meet a ray in the cone.
 
     Conservative: a primitive contributes weight only where the ray passes
-    within 3 sigma of its center, and every such ray lies within `gamma` of
-    the cone axis once the ball's angular radius is subtracted.
+    within CUTOFF_SIGMA standard deviations of its center, so inside that
+    ball, and every such ray lies within `gamma` of the cone axis once the
+    ball's angular radius is subtracted.
     """
     d0 = scene.mu[sub, 0] - origin[0]
     d1 = scene.mu[sub, 1] - origin[1]

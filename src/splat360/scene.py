@@ -9,10 +9,10 @@ Conventions fixed here and relied on everywhere else:
 
 A Scene of G splats is a set of read-only float64 arrays: mu [G,3],
 cov [G,3,3], alpha [G], l_iso [G,3], l_aniso [G,3], normal [G,3], g [G] and
-background [3]. Writing into any of them raises ValueError; a changed scene
-is a new Scene. GaussianPrimitive is a per-splat view for I/O and tests
-only: `Scene.from_gaussians` packs a list of them and `Scene.gaussians`
-hands out fresh copies.
+background [3]; it is the only form a splat takes. l_iso is the
+view-independent radiance, l_aniso the view-dependent one, and normal and g
+steer the angular redistribution of l_aniso. Writing into any array raises
+ValueError; a changed scene is a new Scene (`dataclasses.replace`).
 """
 from __future__ import annotations
 
@@ -23,13 +23,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidPrimitiveError, SceneFormatError
+from .errors import SceneFormatError
 from .imgfile import atomic_write
 
 # Covariance eigenvalues below this are treated as singular.
 MIN_EIGENVALUE = 1e-12
-# Extent multiplier used for scene bounds; matches the renderer's Mahalanobis cutoff.
-BOUND_SIGMA = 3.0
+# Mahalanobis cutoff: a splat reaches a ray only within this many sigma of
+# its center. The renderer's kernel, the cull radii and the scene bounds all
+# read it.
+CUTOFF_SIGMA = 3.0
 
 _WORLD_UP = np.array([0.0, 0.0, 1.0])
 _WORLD_ALT = np.array([1.0, 0.0, 0.0])
@@ -42,48 +44,7 @@ def _vec3(v, name: str) -> np.ndarray:
     return a.copy()
 
 
-@dataclass
-class GaussianPrimitive:
-    """One splat: center, covariance, opacity, two radiance terms, orientation.
-
-    l_iso is the view-independent radiance, l_aniso the view-dependent one;
-    `normal` and `g` steer the angular redistribution of l_aniso. This is a
-    per-splat input and view for I/O and tests only: a Scene stores its
-    splats as arrays, and `Scene.gaussians` hands out fresh copies.
-    """
-
-    mu: np.ndarray
-    cov: np.ndarray
-    alpha: float
-    l_iso: np.ndarray
-    l_aniso: np.ndarray
-    normal: np.ndarray
-    g: float
-
-    def __post_init__(self):
-        self.mu = _vec3(self.mu, "mu")
-        self.cov = np.asarray(self.cov, dtype=np.float64).copy()
-        if self.cov.shape != (3, 3):
-            raise ValueError(f"cov must be 3x3, got shape {self.cov.shape}")
-        self.alpha = float(self.alpha)
-        self.l_iso = _vec3(self.l_iso, "l_iso")
-        self.l_aniso = _vec3(self.l_aniso, "l_aniso")
-        self.normal = _vec3(self.normal, "normal")
-        self.g = float(self.g)
-
-
-def eval_gaussian(p: GaussianPrimitive, x) -> float:
-    """alpha * exp(-1/2 (x-mu)^T cov^-1 (x-mu)); exactly alpha at x = mu."""
-    x = _vec3(x, "x")
-    sym = 0.5 * (p.cov + p.cov.T)
-    if np.linalg.eigvalsh(sym)[0] < MIN_EIGENVALUE:
-        raise InvalidPrimitiveError("singular covariance (eigenvalue < 1e-12)")
-    delta = x - p.mu
-    quad = float(delta @ np.linalg.solve(sym, delta))
-    return p.alpha * math.exp(-0.5 * max(quad, 0.0))
-
-
-# per-splat shape of each Scene array, in GaussianPrimitive field order
+# per-splat shape of each Scene array, in scene-file JSON field order
 _SPLAT_SHAPES = {"mu": (3,), "cov": (3, 3), "alpha": (), "l_iso": (3,),
                  "l_aniso": (3,), "normal": (3,), "g": ()}
 
@@ -95,8 +56,9 @@ class Scene:
     The constructor copies its inputs, checks their shapes and computes
     everything derived exactly once, from one batched eigvalsh on the
     symmetrised covariance:
-      - bounds_min, bounds_max, center, radius: the 3-sigma scene bounds;
-      - cull_radius [G]: 3 sigma along each splat's widest axis;
+      - bounds_min, bounds_max, center, radius: the CUTOFF_SIGMA scene bounds;
+      - cull_radius [G]: CUTOFF_SIGMA standard deviations along each splat's
+        widest axis;
       - singular [G]: the covariance is singular (smallest eigenvalue below
         MIN_EIGENVALUE) or not finite; such a scene constructs,
         validate_scene reports it and the renderer refuses it;
@@ -140,7 +102,7 @@ class Scene:
             finite = np.isfinite(sym).all(axis=(1, 2))
             eig = np.linalg.eigvalsh(np.where(finite[:, None, None], sym, np.eye(3)))
             eig[~finite] = np.nan
-            ext = BOUND_SIGMA * np.sqrt(eig[:, 2])
+            ext = CUTOFF_SIGMA * np.sqrt(eig[:, 2])
             singular = ~(eig[:, 0] >= MIN_EIGENVALUE)
             inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(3), sym))
             inv = 0.5 * (inv + np.transpose(inv, (0, 2, 1)))
@@ -159,26 +121,6 @@ class Scene:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         object.__setattr__(self, "radius", radius)
-
-    @classmethod
-    def from_gaussians(cls, gaussians, background) -> "Scene":
-        """Pack a sequence of GaussianPrimitive into a Scene."""
-        gs = list(gaussians)
-        return cls(**{name: np.array([getattr(p, name) for p in gs],
-                                     dtype=np.float64).reshape((len(gs),) + shape)
-                      for name, shape in _SPLAT_SHAPES.items()},
-                   background=background)
-
-    @property
-    def gaussians(self) -> tuple[GaussianPrimitive, ...]:
-        """Fresh per-splat copies; changing them leaves the scene as it is."""
-        return tuple(GaussianPrimitive(self.mu[i], self.cov[i], self.alpha[i],
-                                       self.l_iso[i], self.l_aniso[i],
-                                       self.normal[i], self.g[i])
-                     for i in range(self.alpha.size))
-
-    def with_gaussians(self, gaussians) -> "Scene":
-        return Scene.from_gaussians(gaussians, self.background)
 
 
 def validate_scene(s: Scene) -> list[str]:

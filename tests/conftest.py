@@ -1,25 +1,30 @@
 import numpy as np
 import pytest
 
-from splat360 import (Camera, GaussianPrimitive, Scene, make_orbit_cameras,
-                      make_random_scene)
+from splat360 import Camera, Scene, make_orbit_cameras, make_random_scene
 
 
-def make_primitive(mu=(0.0, 0.0, 0.0), sigma=0.1, alpha=0.8,
-                   l_iso=(0.5, 0.5, 0.5), l_aniso=(0.0, 0.0, 0.0),
-                   normal=(0.0, 0.0, 1.0), g=0.0, cov=None):
-    if cov is None:
-        cov = np.eye(3) * sigma * sigma
-    return GaussianPrimitive(np.array(mu, dtype=float), np.asarray(cov, dtype=float),
-                             alpha, np.array(l_iso, dtype=float),
-                             np.array(l_aniso, dtype=float),
-                             np.array(normal, dtype=float), g)
+def make_scene(mu=(0.0, 0.0, 0.0), sigma=0.1, alpha=0.8, l_iso=(0.5, 0.5, 0.5),
+               l_aniso=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0), g=0.0,
+               cov=None, background=(0.0, 0.0, 0.0)):
+    """Scene of one splat per row of `mu`; every other per-splat argument is
+    one value for all splats or one per splat. cov defaults to sigma^2 I."""
+    mu = np.reshape(mu, (-1, 3))
+    G = len(mu)
+
+    def per_splat(v, shape):
+        return np.broadcast_to(np.asarray(v, dtype=float), (G,) + shape)
+
+    cov = np.eye(3) * sigma * sigma if cov is None else cov
+    return Scene(mu=mu, cov=per_splat(cov, (3, 3)), alpha=per_splat(alpha, ()),
+                 l_iso=per_splat(l_iso, (3,)), l_aniso=per_splat(l_aniso, (3,)),
+                 normal=per_splat(normal, (3,)), g=per_splat(g, ()),
+                 background=background)
 
 
 @pytest.fixture
 def simple_scene():
-    return Scene.from_gaussians([make_primitive()],
-                                background=np.array([0.1, 0.1, 0.1]))
+    return make_scene(background=(0.1, 0.1, 0.1))
 
 
 @pytest.fixture

@@ -2,13 +2,14 @@
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_primitive
-from splat360 import (Camera, RenderConfig, Scene, cli, load_pfm,
-                      make_random_scene, save_scene)
+from conftest import make_scene
+from splat360 import (Camera, RenderConfig, cli, load_pfm, make_random_scene,
+                      save_scene)
 from splat360.cli import main
 from splat360.fitting import _patch_forward
 from splat360.renderer import _shutdown_pools
@@ -29,8 +30,7 @@ def _read_manifest(outdir):
 
 
 def _dir_bytes(d):
-    return {name: open(os.path.join(d, name), "rb").read()
-            for name in sorted(os.listdir(d))}
+    return {name: Path(d, name).read_bytes() for name in sorted(os.listdir(d))}
 
 
 def test_render_writes_frames_and_manifest(tmp_path, scene_file):
@@ -77,6 +77,12 @@ def test_negative_worker_flag_exits_2(tmp_path, scene_file, capsys):
                  "--workers", "-3"]) == 2
     assert "--workers must be >= 0" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_workers_flag_only_on_commands_that_render():
+    with pytest.raises(SystemExit) as exit_info:
+        main(["info", "--workers", "1"])
+    assert exit_info.value.code == 2
 
 
 def test_negative_worker_env_exits_2(tmp_path, scene_file, capsys, monkeypatch):
@@ -127,12 +133,12 @@ def test_fit_self_targets_reports_zero(tmp_path, scene_file, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "final loss 0.000000e+00" in text
-    rep = json.load(open(os.path.join(fdir, "fit_report.json")))
+    rep = json.loads(Path(fdir, "fit_report.json").read_text())
     assert rep["final_loss"] == 0.0
     assert rep["trace"] == [0.0, 0.0]
-    fitted = open(os.path.join(fdir, "fitted_scene.json"), "rb").read()
-    assert fitted == open(scene_file, "rb").read()
-    per_view = open(os.path.join(fdir, "per_view.txt")).read()
+    fitted = Path(fdir, "fitted_scene.json").read_bytes()
+    assert fitted == Path(scene_file).read_bytes()
+    per_view = Path(fdir, "per_view.txt").read_text()
     assert "99.0" in per_view
 
 
@@ -146,7 +152,7 @@ def test_fit_numeric_failure_exits_4_keeps_report(tmp_path, scene_file):
                    "--out", fdir, "--iters", "3", "--lr", "1e200",
                    "--lambda-ssim", "0"])
     assert rc == 4
-    rep = json.load(open(os.path.join(fdir, "fit_report.json")))
+    rep = json.loads(Path(fdir, "fit_report.json").read_text())
     assert "error" in rep
     assert not os.path.exists(os.path.join(fdir, "fitted_scene.json"))
 
@@ -157,7 +163,7 @@ def test_anchors_outputs(tmp_path, scene_file):
                "--width", "24", "--height", "24", "--k", "6",
                "--beta", "0.0"])
     assert rc == 0
-    doc = json.load(open(os.path.join(out, "anchors.json")))
+    doc = json.loads(Path(out, "anchors.json").read_text())
     probs = [a["prob"] for a in doc["anchors"]]
     assert len(probs) <= 6
     assert all(abs(p - 1.0 / len(probs)) < 1e-12 for p in probs)
@@ -177,7 +183,7 @@ def test_metrics_verb(tmp_path, scene_file, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["psnr_db"] == 99.0 and doc["ssim"] == 1.0
-    saved = json.load(open(os.path.join(mdir, "metrics.json")))
+    saved = json.loads(Path(mdir, "metrics.json").read_text())
     assert saved["psnr_db"] == 99.0
 
 
@@ -236,10 +242,7 @@ def test_tape_key_sees_a_t_order_swap(depth1, flips):
     one = np.zeros(1)
 
     def key_at(z0):
-        scene = Scene.from_gaussians(
-            [make_primitive(mu=(-0.05, 0.0, z0), alpha=0.5),
-             make_primitive(mu=(0.05, 0.0, depth1), alpha=0.5)],
-            background=np.zeros(3))
+        scene = make_scene(mu=[(-0.05, 0.0, z0), (0.05, 0.0, depth1)], alpha=0.5)
         return cli._tape_key(_patch_forward(scene, cam, rcfg, one, one, None,
                                             None, tape=True)[1])
 

@@ -29,14 +29,10 @@ def _self_targets(scene, cams, rcfg):
 
 
 def _perturbed(scene, seed=3, scale=0.25):
-    rng = np.random.default_rng(seed)
-    prims = []
-    for p in scene.gaussians:
-        f = 1.0 + scale * rng.uniform(-1, 1, 3)
-        a = float(np.clip(p.alpha * (1.0 + scale * rng.uniform(-1, 1)),
-                          0.05, 0.95))
-        prims.append(dataclasses.replace(p, alpha=a, l_iso=p.l_iso * f))
-    return scene.with_gaussians(prims)
+    # each splat draws its l_iso factors, then its alpha factor
+    u = 1.0 + scale * np.random.default_rng(seed).uniform(-1, 1, (scene.alpha.size, 4))
+    return dataclasses.replace(scene, l_iso=scene.l_iso * u[:, :3],
+                               alpha=np.clip(scene.alpha * u[:, 3], 0.05, 0.95))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +189,8 @@ def test_fit_keeps_parameters_legal_under_large_steps(small_random_scene):
     cfg = FitConfig(iters=25, lr=0.5, seed=2)
     fitted, _, _ = fit_scene(start, targets, cfg, rcfg)
     assert validate_scene(fitted) == []
-    for p in fitted.gaussians:
-        assert 0.0 < p.alpha < 1.0
-        assert abs(p.g) < 1.0
+    assert ((fitted.alpha > 0.0) & (fitted.alpha < 1.0)).all()
+    assert (np.abs(fitted.g) < 1.0).all()
     color, _, _ = render(fitted, cams[0], rcfg, workers=1)
     assert np.isfinite(color.data).all()
 

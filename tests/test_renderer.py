@@ -1,4 +1,5 @@
 """Splat compositing kernel: phase factor, per-ray weights, full renders."""
+import dataclasses
 import math
 import multiprocessing
 
@@ -8,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from splat360 import (GaussianPrimitive, Ray, RenderConfig, Scene,
-                      composite_ray, embed_camera, fuse, init_mlp,
-                      make_orbit_cameras, make_random_scene, phase,
-                      ray_gaussian_weight, render, render_rays)
-from conftest import make_primitive
-from splat360.renderer import _shutdown_pools
+from splat360 import (Camera, Ray, RenderConfig, Scene, composite_ray,
+                      embed_camera, fuse, init_mlp, make_orbit_cameras,
+                      make_random_scene, phase, render, render_rays)
+from conftest import make_scene
+from splat360.renderer import TERMINATION_EPSILON, _shutdown_pools
 
-BLACK = np.zeros(3)
+Z_RAY = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
 
 def test_phase_isotropic_value():
@@ -52,52 +52,57 @@ def test_phase_positive(g, cos):
 
 
 def test_weight_through_center():
-    p = make_primitive(mu=(0.0, 0.0, 2.0), alpha=0.8)
-    r = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    t_star, w = ray_gaussian_weight(p, r)
-    assert t_star == pytest.approx(2.0, abs=1e-12)
-    assert w == pytest.approx(0.8, abs=1e-12)
+    (sm,) = composite_ray(make_scene(mu=(0.0, 0.0, 2.0), alpha=0.8), Z_RAY)[3]
+    assert sm.t == pytest.approx(2.0, abs=1e-12)
+    assert sm.weight == pytest.approx(0.8, abs=1e-12)
 
 
 def test_weight_one_sigma_closest_approach():
     sigma = 0.25
-    p = make_primitive(mu=(sigma, 0.0, 2.0), sigma=sigma, alpha=1.0)
-    r = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    t_star, w = ray_gaussian_weight(p, r)
-    assert w == pytest.approx(math.exp(-0.5), rel=1e-12)
-    assert t_star == pytest.approx(2.0, abs=1e-12)
+    s = make_scene(mu=(sigma, 0.0, 2.0), sigma=sigma, alpha=1.0)
+    (sm,) = composite_ray(s, Z_RAY)[3]
+    assert sm.weight == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert sm.t == pytest.approx(2.0, abs=1e-12)
 
 
 def test_weight_behind_origin_is_zero():
-    p = make_primitive(mu=(0.0, 0.0, -2.0))
-    r = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    _, w = ray_gaussian_weight(p, r)
-    assert w == 0.0
+    assert composite_ray(make_scene(mu=(0.0, 0.0, -2.0)), Z_RAY)[3] == []
 
 
 def test_weight_culled_past_cutoff():
     sigma = 0.1
-    p = make_primitive(mu=(3.5 * sigma, 0.0, 2.0), sigma=sigma, alpha=1.0)
-    r = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    _, w = ray_gaussian_weight(p, r, cutoff_sigma=3.0)
-    assert w == 0.0
-    _, w_wide = ray_gaussian_weight(p, r, cutoff_sigma=4.0)
-    assert w_wide > 0.0
+    far = make_scene(mu=(3.5 * sigma, 0.0, 2.0), sigma=sigma, alpha=1.0)
+    assert composite_ray(far, Z_RAY)[3] == []
+    near = make_scene(mu=(2.9 * sigma, 0.0, 2.0), sigma=sigma, alpha=1.0)
+    (sm,) = composite_ray(near, Z_RAY)[3]
+    assert sm.weight == pytest.approx(math.exp(-0.5 * 2.9 ** 2), rel=1e-12)
+
+
+def test_render_keeps_a_splat_just_inside_the_cutoff():
+    # the cone cull and the kernel read one cutoff, so a splat 2.99 sigma
+    # off the only ray of a 1x1 frame is rendered exactly as composite_ray
+    # composites it
+    sigma = 0.1
+    s = make_scene(mu=(2.99 * sigma, 0.0, 2.0), sigma=sigma, alpha=1.0,
+                   l_iso=(0.3, 0.6, 0.9))
+    cam = Camera.look_at(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.9, 1, 1)
+    color, depth, trans = render(s, cam)
+    c, dep, ft, samples = composite_ray(s, Z_RAY, near=cam.near)
+    assert len(samples) == 1
+    assert np.array_equal(color.data[0, 0], c)
+    assert depth.data[0, 0, 0] == dep and trans.data[0, 0, 0] == ft
 
 
 def test_composite_empty_scene():
-    s = Scene.from_gaussians([], background=np.array([0.2, 0.4, 0.6]))
-    color, depth, final_t, samples = composite_ray(
-        s, Ray(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+    s = make_scene(mu=np.zeros((0, 3)), background=(0.2, 0.4, 0.6))
+    color, depth, final_t, samples = composite_ray(s, Z_RAY)
     assert np.array_equal(color, [0.2, 0.4, 0.6])
     assert final_t == 1.0 and depth == 0.0 and samples == []
 
 
 def test_composite_single_opaque_splat():
-    p = make_primitive(mu=(0.0, 0.0, 2.0), alpha=1.0, l_iso=(0.3, 0.6, 0.9))
-    s = Scene.from_gaussians([p], background=BLACK)
-    color, depth, final_t, samples = composite_ray(
-        s, Ray(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+    s = make_scene(mu=(0.0, 0.0, 2.0), alpha=1.0, l_iso=(0.3, 0.6, 0.9))
+    color, depth, final_t, samples = composite_ray(s, Z_RAY)
     assert np.allclose(color, [0.3, 0.6, 0.9], atol=1e-15)
     assert final_t == 0.0
     assert depth == pytest.approx(2.0, abs=1e-12)
@@ -106,11 +111,9 @@ def test_composite_single_opaque_splat():
 
 def test_composite_two_half_weights_hand_oracle():
     # w1 = w2 = 0.5: contributions 0.5 and T2*w2 = 0.5*0.5, final T 0.25
-    p1 = make_primitive(mu=(0.0, 0.0, 1.0), alpha=0.5, l_iso=(1.0, 0.0, 0.0))
-    p2 = make_primitive(mu=(0.0, 0.0, 2.0), alpha=0.5, l_iso=(0.0, 1.0, 0.0))
-    s = Scene.from_gaussians([p1, p2], background=BLACK)
-    color, _, final_t, samples = composite_ray(
-        s, Ray(np.zeros(3), np.array([0.0, 0.0, 1.0])))
+    s = make_scene(mu=[(0.0, 0.0, 1.0), (0.0, 0.0, 2.0)], alpha=0.5,
+                   l_iso=[(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+    color, _, final_t, samples = composite_ray(s, Z_RAY)
     assert np.allclose(color, [0.5, 0.25, 0.0], atol=1e-12)
     assert final_t == pytest.approx(0.25, abs=1e-12)
     assert [sm.index for sm in samples] == [0, 1]
@@ -149,21 +152,14 @@ def test_order_invariance_bitwise():
     cam = make_orbit_cameras(scene.center, 3 * scene.radius, 1, 0.2, "ring",
                              24, 24, 0.9)[0]
     color_a, depth_a, trans_a = render(scene, cam)
-    perm = np.random.default_rng(0).permutation(len(scene.gaussians))
-    shuffled = scene.with_gaussians([scene.gaussians[i] for i in perm])
+    perm = np.random.default_rng(0).permutation(scene.alpha.size)
+    shuffled = dataclasses.replace(scene, **{
+        name: getattr(scene, name)[perm]
+        for name in ("mu", "cov", "alpha", "l_iso", "l_aniso", "normal", "g")})
     color_b, depth_b, trans_b = render(shuffled, cam)
     assert np.array_equal(color_a.data, color_b.data)
     assert np.array_equal(depth_a.data, depth_b.data)
     assert np.array_equal(trans_a.data, trans_b.data)
-
-
-def _fold_aniso(scene):
-    folded = []
-    for p in scene.gaussians:
-        folded.append(GaussianPrimitive(p.mu, p.cov, p.alpha,
-                                        np.clip(p.l_iso + p.l_aniso, 0, None),
-                                        np.zeros(3), p.normal, 0.0))
-    return scene.with_gaussians(folded)
 
 
 def test_g_zero_fold_in_equality():
@@ -171,13 +167,14 @@ def test_g_zero_fold_in_equality():
     # add; moving l_aniso into l_iso must not change the image
     base = make_random_scene(8, seed=21, spread=0.3, sigma_range=(0.05, 0.15),
                              aniso_max=0.4)
-    zero_g = base.with_gaussians([
-        GaussianPrimitive(p.mu, p.cov, p.alpha, p.l_iso, p.l_aniso, p.normal, 0.0)
-        for p in base.gaussians])
+    zero_g = dataclasses.replace(base, g=np.zeros(base.alpha.size))
+    folded = dataclasses.replace(
+        zero_g, l_iso=np.clip(zero_g.l_iso + zero_g.l_aniso, 0, None),
+        l_aniso=np.zeros_like(zero_g.l_aniso))
     cam = make_orbit_cameras(base.center, 3 * base.radius, 1, 0.1, "ring",
                              24, 24, 0.9)[0]
     a, _, _ = render(zero_g, cam)
-    b, _, _ = render(_fold_aniso(zero_g), cam)
+    b, _, _ = render(folded, cam)
     assert np.max(np.abs(a.data - b.data)) < 1e-9
 
 
@@ -188,18 +185,14 @@ def test_anisotropy_off_equals_zeroed_l_aniso():
                              24, 24, 0.9)[0]
     off = RenderConfig(anisotropy_enabled=False)
     a, _, _ = render(scene, cam, off)
-    zeroed = scene.with_gaussians([
-        GaussianPrimitive(p.mu, p.cov, p.alpha, p.l_iso, np.zeros(3),
-                          p.normal, p.g) for p in scene.gaussians])
+    zeroed = dataclasses.replace(scene, l_aniso=np.zeros_like(scene.l_aniso))
     b, _, _ = render(zeroed, cam)
     assert np.max(np.abs(a.data - b.data)) < 1e-9
 
 
 def test_view_dependence_requires_anisotropy():
-    p = make_primitive(mu=(0.0, 0.0, 0.0), sigma=0.15, alpha=0.9,
-                       l_iso=(0.2, 0.2, 0.2), l_aniso=(0.5, 0.5, 0.5),
-                       normal=(0.0, 0.0, 1.0), g=0.6)
-    s = Scene.from_gaussians([p], background=BLACK)
+    s = make_scene(sigma=0.15, alpha=0.9, l_iso=(0.2, 0.2, 0.2),
+                   l_aniso=(0.5, 0.5, 0.5), g=0.6)
     along = Ray(np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0]))
     opposite = Ray(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
     ca, *_ = composite_ray(s, along)
@@ -213,20 +206,17 @@ def test_view_dependence_requires_anisotropy():
 
 def test_final_t_monotone_in_scene_size():
     rng = np.random.default_rng(31)
-    prims = [make_primitive(mu=(rng.normal(scale=0.05), rng.normal(scale=0.05),
-                                1.0 + 0.3 * i),
-                            sigma=0.1, alpha=0.5) for i in range(6)]
-    r = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    mu = [(rng.normal(scale=0.05), rng.normal(scale=0.05), 1.0 + 0.3 * i)
+          for i in range(6)]
     prev = 1.0
     for k in range(1, 7):
-        s = Scene.from_gaussians(prims[:k], background=BLACK)
-        _, _, final_t, _ = composite_ray(s, r)
+        _, _, final_t, _ = composite_ray(make_scene(mu=mu[:k], alpha=0.5), Z_RAY)
         assert final_t <= prev + 1e-15
         prev = final_t
 
 
 def test_render_empty_scene_images(front_camera):
-    s = Scene.from_gaussians([], background=np.array([0.25, 0.5, 0.75]))
+    s = make_scene(mu=np.zeros((0, 3)), background=(0.25, 0.5, 0.75))
     color, depth, trans = render(s, front_camera)
     assert np.all(color.data == np.array([0.25, 0.5, 0.75]))
     assert np.all(depth.data == 0.0)
@@ -234,12 +224,9 @@ def test_render_empty_scene_images(front_camera):
 
 
 def test_render_depth_at_center_pixel():
-    mu = np.array([0.0, 0.0, 0.0])
-    p = make_primitive(mu=mu, sigma=0.05, alpha=1.0)
-    s = Scene.from_gaussians([p], background=BLACK)
+    s = make_scene(sigma=0.05, alpha=1.0)
     # odd image size puts a pixel center exactly on the optical axis
-    from splat360 import Camera
-    cam = Camera.look_at(np.array([0.0, 0.0, -2.0]), mu, 0.8, 33, 33)
+    cam = Camera.look_at(np.array([0.0, 0.0, -2.0]), np.zeros(3), 0.8, 33, 33)
     _, depth, _ = render(s, cam)
     assert depth.data[16, 16, 0] == pytest.approx(2.0, abs=1e-6)
 
@@ -289,15 +276,11 @@ def test_render_rays_fused_streams_split():
 
 def test_termination_epsilon_caps_contributions():
     # a long chain of half-opaque splats: once transmittance drops below
-    # epsilon nothing farther contributes
-    prims = [make_primitive(mu=(0.0, 0.0, 1.0 + 0.2 * i), sigma=0.05,
-                            alpha=0.5, l_iso=(1.0, 1.0, 1.0))
-             for i in range(30)]
-    s = Scene.from_gaussians(prims, background=BLACK)
-    cfg = RenderConfig(termination_epsilon=1e-2)
-    _, _, _, samples = composite_ray(s, Ray(np.zeros(3), np.array([0., 0., 1.])),
-                                     cfg)
-    assert all(sm.transmittance_before >= 1e-2 for sm in samples)
+    # epsilon (0.5^10 < 1e-3) nothing farther contributes
+    s = make_scene(mu=[(0.0, 0.0, 1.0 + 0.2 * i) for i in range(30)],
+                   sigma=0.05, alpha=0.5, l_iso=(1.0, 1.0, 1.0))
+    _, _, _, samples = composite_ray(s, Z_RAY)
+    assert all(sm.transmittance_before >= TERMINATION_EPSILON for sm in samples)
     assert len(samples) < 30
 
 
@@ -323,8 +306,8 @@ def _scene_and_rays(draw):
     xy = arr((draw(st.integers(1, 6)), 2), -0.4, 0.4)
     dirs = np.concatenate([xy, np.ones((xy.shape[0], 1))], axis=1)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    cfg = RenderConfig(termination_epsilon=draw(st.sampled_from([1e-3, 0.1, 0.5])),
-                       cutoff_sigma=draw(st.floats(0.5, 4.0)))
+    cfg = RenderConfig(disentangle=draw(st.booleans()),
+                       anisotropy_enabled=draw(st.booleans()))
     return scene, np.array([0.0, 0.0, -2.0]), dirs, cfg
 
 
@@ -341,7 +324,9 @@ def test_kernel_invariants_on_random_scenes(case):
         # colors l_iso + f * l_aniso, so no channel exceeds the largest of them
         bound = scene.background.copy()
         for sm in samples:
-            f = 4.0 * math.pi * phase(d, scene.normal[sm.index], scene.g[sm.index])
+            f = float(cfg.anisotropy_enabled)
+            if cfg.anisotropy_enabled and cfg.disentangle:
+                f = 4.0 * math.pi * phase(d, scene.normal[sm.index], scene.g[sm.index])
             bound = np.maximum(bound, scene.l_iso[sm.index] + f * scene.l_aniso[sm.index])
         assert (color <= bound * (1.0 + 1e-12)).all()
         if samples:
@@ -349,7 +334,7 @@ def test_kernel_invariants_on_random_scenes(case):
         for prev, sm in zip(samples, samples[1:]):
             assert sm.transmittance_before <= prev.transmittance_before
             assert sm.t >= prev.t
-        assert all(sm.transmittance_before >= cfg.termination_epsilon
+        assert all(sm.transmittance_before >= TERMINATION_EPSILON
                    for sm in samples)
 
 

@@ -1,4 +1,4 @@
-"""Domain types: primitive evaluation, scene validation, cameras, JSON I/O."""
+"""Domain types: scene arrays and validation, cameras, JSON I/O."""
 import dataclasses
 import json
 import math
@@ -9,106 +9,70 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from splat360 import (Camera, GaussianPrimitive, InvalidPrimitiveError, Ray,
-                      Scene, SceneFormatError, eval_gaussian, load_scene,
+from splat360 import (Camera, InvalidPrimitiveError, Ray, Scene,
+                      SceneFormatError, composite_ray, load_scene,
                       make_orbit_cameras, make_random_scene, render,
                       save_scene, scene_from_json, scene_to_json,
                       validate_scene)
 from splat360 import scene as scene_module
-from conftest import make_primitive
-
-
-def test_eval_at_mean_is_alpha():
-    p = make_primitive(alpha=0.8)
-    assert eval_gaussian(p, p.mu) == 0.8
-
-
-def test_eval_alpha_scales_peak():
-    p = make_primitive(alpha=0.5)
-    assert eval_gaussian(p, p.mu) == 0.5
-
-
-def test_eval_one_sigma_offset():
-    # isotropic cov sigma^2 I, point one sigma off the mean along an axis:
-    # quadratic form is exactly 1, value alpha * exp(-1/2)
-    sigma = 0.3
-    p = make_primitive(sigma=sigma, alpha=1.0)
-    for axis in range(3):
-        x = p.mu.copy()
-        x[axis] += sigma
-        assert eval_gaussian(p, x) == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-
-def test_eval_singular_covariance_rejected():
-    p = make_primitive()
-    p.cov = np.diag([1.0, 1.0, 0.0])
-    with pytest.raises(InvalidPrimitiveError):
-        eval_gaussian(p, np.zeros(3))
-
-
-def test_eval_bounded_by_alpha():
-    rng = np.random.default_rng(5)
-    p = make_primitive(sigma=0.2, alpha=0.7)
-    for _ in range(50):
-        x = rng.normal(size=3)
-        assert eval_gaussian(p, x) <= 0.7 + 1e-15
+from conftest import make_scene
 
 
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_eval_rotation_invariant(seed):
-    # rotating x, mu, cov, normal together leaves the density unchanged
+    # rotating the splat (mu, cov, normal) and the ray together leaves the
+    # kernel's weight and t unchanged; the ray passes within half a sigma of
+    # the center, 10 units past its origin
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((3, 3))
-    q, _ = np.linalg.qr(a + 3 * np.eye(3))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 3 * np.eye(3))
     mu = rng.normal(size=3)
     w = rng.standard_normal((3, 3))
     cov = w @ w.T + 0.05 * np.eye(3)
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
-    p = GaussianPrimitive(mu, cov, 0.9, np.full(3, 0.5), np.zeros(3), n, 0.0)
-    x = rng.normal(size=3)
-    pr = GaussianPrimitive(q @ mu, q @ cov @ q.T, 0.9, np.full(3, 0.5),
-                           np.zeros(3), q @ n / np.linalg.norm(q @ n), 0.0)
-    v0 = eval_gaussian(p, x)
-    v1 = eval_gaussian(pr, q @ x)
-    assert v1 == pytest.approx(v0, rel=1e-9)
+    z = rng.normal(size=3)
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    origin = mu + np.linalg.cholesky(cov) @ (0.5 * z / np.linalg.norm(z)) - 10 * d
+    samples = []
+    for r in (np.eye(3), q):
+        s = make_scene(mu=r @ mu, cov=r @ cov @ r.T, alpha=0.9,
+                       normal=r @ n / np.linalg.norm(r @ n))
+        samples += composite_ray(s, Ray(r @ origin, r @ d))[3]
+    a, b = samples
+    assert b.weight == pytest.approx(a.weight, rel=1e-12)
+    assert b.t == pytest.approx(a.t, rel=1e-12)
 
 
 def test_validate_clean_scene_empty():
-    s = Scene.from_gaussians([make_primitive()], background=np.zeros(3))
+    s = make_scene()
     assert validate_scene(s) == []
 
 
 def test_validate_flags_g_out_of_range():
-    p = make_primitive()
-    p.g = 1.5
-    s = Scene.from_gaussians([p], background=np.zeros(3))
-    out = validate_scene(s)
+    out = validate_scene(make_scene(g=1.5))
     assert len(out) == 1 and "g" in out[0]
 
 
 def test_validate_flags_asymmetric_cov():
-    p = make_primitive()
-    p.cov = np.array([[0.01, 0.002, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]])
-    s = Scene.from_gaussians([p], background=np.zeros(3))
-    out = validate_scene(s)
+    cov = np.array([[0.01, 0.002, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]])
+    out = validate_scene(make_scene(cov=cov))
     assert any("symmetric" in v for v in out)
 
 
 def test_scene_bounds_cover_three_sigma():
-    p = make_primitive(mu=(1.0, -2.0, 0.5), sigma=0.2)
-    s = Scene.from_gaussians([p], background=np.zeros(3))
-    assert np.all(s.bounds_min <= p.mu - 3 * 0.2 + 1e-12)
-    assert np.all(s.bounds_max >= p.mu + 3 * 0.2 - 1e-12)
-    r = np.linalg.norm(p.mu - s.center) + 3 * 0.2
+    mu = np.array([1.0, -2.0, 0.5])
+    s = make_scene(mu=mu, sigma=0.2)
+    assert np.all(s.bounds_min <= mu - 3 * 0.2 + 1e-12)
+    assert np.all(s.bounds_max >= mu + 3 * 0.2 - 1e-12)
+    r = np.linalg.norm(mu - s.center) + 3 * 0.2
     assert s.radius >= r - 1e-9
 
 
 def test_scene_bounds_recomputed_on_rebuild():
-    s = Scene.from_gaussians([make_primitive(mu=(0, 0, 0))], background=np.zeros(3))
-    far = make_primitive(mu=(5.0, 0.0, 0.0))
-    s2 = s.with_gaussians(list(s.gaussians) + [far])
+    s = make_scene()
+    s2 = dataclasses.replace(s, mu=[(5.0, 0.0, 0.0)])
     assert s2.bounds_max[0] > 4.0
     assert s.bounds_max[0] < 1.0  # original untouched
 
@@ -182,37 +146,31 @@ def test_scene_json_round_trip(small_random_scene, tmp_path):
     path = tmp_path / "s.json"
     save_scene(str(path), small_random_scene)
     back = load_scene(str(path))
-    assert len(back.gaussians) == len(small_random_scene.gaussians)
-    for a, b in zip(small_random_scene.gaussians, back.gaussians):
-        assert np.array_equal(a.mu, b.mu)
-        assert np.array_equal(a.cov, b.cov)
-        assert a.alpha == b.alpha and a.g == b.g
-        assert np.array_equal(a.l_iso, b.l_iso)
-        assert np.array_equal(a.l_aniso, b.l_aniso)
-        assert np.array_equal(a.normal, b.normal)
-    assert np.array_equal(small_random_scene.background, back.background)
+    for name in ("mu", "cov", "alpha", "l_iso", "l_aniso", "normal", "g",
+                 "background"):
+        assert np.array_equal(getattr(small_random_scene, name),
+                              getattr(back, name)), name
 
 
 def test_scene_json_cov_upper_triangular_order():
     cov = np.array([[1.0, 0.1, 0.2], [0.1, 2.0, 0.3], [0.2, 0.3, 3.0]]) * 1e-2
-    s = Scene.from_gaussians([make_primitive(cov=cov)], background=np.zeros(3))
-    doc = scene_to_json(s)
+    doc = scene_to_json(make_scene(cov=cov))
     assert doc["gaussians"][0]["cov"] == [0.01, 0.001, 0.002, 0.02, 0.003, 0.03]
 
 
 def test_scene_json_rejects_unknown_keys():
-    doc = scene_to_json(Scene.from_gaussians([make_primitive()], background=np.zeros(3)))
+    doc = scene_to_json(make_scene())
     doc["gaussians"][0]["extra"] = 1
     with pytest.raises(SceneFormatError):
         scene_from_json(doc)
-    doc2 = scene_to_json(Scene.from_gaussians([make_primitive()], background=np.zeros(3)))
+    doc2 = scene_to_json(make_scene())
     doc2["bogus"] = True
     with pytest.raises(SceneFormatError):
         scene_from_json(doc2)
 
 
 def test_scene_json_rejects_missing_field():
-    doc = scene_to_json(Scene.from_gaussians([make_primitive()], background=np.zeros(3)))
+    doc = scene_to_json(make_scene())
     del doc["gaussians"][0]["alpha"]
     with pytest.raises(SceneFormatError):
         scene_from_json(doc)
@@ -230,8 +188,7 @@ def test_load_scene_bad_file(tmp_path):
 def test_make_random_scene_deterministic_and_valid():
     a = make_random_scene(10, seed=3)
     b = make_random_scene(10, seed=3)
-    for pa, pb in zip(a.gaussians, b.gaussians):
-        assert np.array_equal(pa.mu, pb.mu) and pa.alpha == pb.alpha
+    assert np.array_equal(a.mu, b.mu) and np.array_equal(a.alpha, b.alpha)
     assert validate_scene(a) == []
 
 
@@ -241,16 +198,6 @@ def test_make_random_scene_deterministic_and_valid():
 def _scene_arrays(s):
     return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)
             if isinstance(getattr(s, f.name), np.ndarray)}
-
-
-def test_render_ignores_mutated_gaussian_view(small_random_scene, ring_camera):
-    s = small_random_scene
-    render(s, ring_camera)
-    s.gaussians[0].alpha = 0.01
-    a = render(s, ring_camera)
-    b = render(scene_from_json(scene_to_json(s)), ring_camera)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.data, y.data)
 
 
 def test_scene_arrays_are_read_only(small_random_scene):
@@ -273,9 +220,8 @@ def test_scene_rejects_mismatched_shapes():
 
 
 def test_singular_covariance_constructs_but_does_not_render(front_camera):
-    p = make_primitive()
-    p.cov = np.diag([0.01, 0.01, 0.0])
-    s = Scene.from_gaussians([make_primitive(), p], background=np.zeros(3))
+    s = make_scene(mu=np.zeros((2, 3)),
+                   cov=[np.eye(3) * 0.01, np.diag([0.01, 0.01, 0.0])])
     assert validate_scene(s) == ["gaussian 1: cov not positive-definite"]
     with pytest.raises(InvalidPrimitiveError, match="gaussian 1"):
         render(s, front_camera)
