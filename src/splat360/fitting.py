@@ -280,10 +280,13 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     and the MLP.
 
     Each per-slot product is added into its splat's entry (a scatter-add
-    over the tape's splat indices, rays in order). A splat fills at most one
-    slot per ray, so each sum runs over the same terms in the same ray order
-    as a dense pass over every splat, less that pass's exact +0.0 terms for
-    splats the kernel culled; the gradients do not depend on the culling.
+    over the tape's splat indices, rays in order). A ray's slots are its live
+    entries, then zero-weight padding, a splat in at most one slot, so each
+    sum runs over the same terms in the same ray order as a dense pass over
+    every splat, less that pass's exact zeros for the splats not live on the
+    ray (culled, past the cutoff or before the near plane) and plus the
+    padding's exact zeros. A zero term leaves a sum's bits unchanged, so the
+    gradients depend neither on the culling nor on the tape's width.
 
     `geometry` is None or `_Geometry`'s (rot [G,3,3], log_eig s [G,3]). The
     loss sees geometry only through w = alpha exp(-q/2), as sort order and

@@ -14,10 +14,14 @@ Bit-determinism: every color-producing path (image tiles, with or without
 the fusion head; ray batches; single rays and their sample lists; the fit's
 patch forward pass) runs the one kernel `_composite` itself, not a copy of
 it. A full image, physical or fused, comes only from `render`'s tile loop.
-Per-pixel reductions use sequential scans (np.cumsum / np.cumprod), so
-results are independent of tile size, worker count, and of zero-weight
-entries that per-tile culling may or may not include. Matrix products and
-pairwise sums are deliberately avoided in per-pixel math.
+Each ray composites only its own live splats, kept in splat order and then
+stably t-sorted, so ties break by splat index and a ray's result does not
+depend on which other rays, or which culled or dead splats, share its call:
+a dead entry could only have added a factor of 1.0 to the transmittance
+product and an exact zero to the sums. Per-pixel reductions use sequential scans
+(np.cumsum / np.cumprod), so results are independent of tile size, worker
+count and batching. Matrix products and pairwise sums are deliberately
+avoided in per-pixel math.
 """
 from __future__ import annotations
 
@@ -148,8 +152,10 @@ def _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub):
 def _phase_factor(scene, dx, dy, dz, sub, keep_cos=False):
     """Normalized anisotropy factor f = 4*pi*phase, elementwise over [P, sub].
 
-    Grouping matches s = (1 + g^2) - (2 g) cos, f = (1 - g^2) / (s sqrt(s)).
-    Returns (f, cos), cos being None unless keep_cos (it is reused in place).
+    `sub` indexes the gaussians: [K] shared by every ray, or [P, K], one
+    row per ray. Grouping matches s = (1 + g^2) - (2 g) cos,
+    f = (1 - g^2) / (s sqrt(s)). Returns (f, cos), cos being None unless
+    keep_cos (it is reused in place).
     """
     cos = dx[:, None] * scene.normal[sub, 0]
     tmp = dy[:, None] * scene.normal[sub, 1]
@@ -170,18 +176,21 @@ def _phase_factor(scene, dx, dy, dz, sub, keep_cos=False):
 class _Tape:
     """What one `_composite` call leaves for a backward pass or a sample list.
 
-    Every [P, K] array is indexed by t-sorted slot, cut after the last slot
-    any ray's termination lets contribute. `color`, `iso` and `aniso` are
-    per-channel triples. `f`/`cos` are None unless disentangled, `iso`/`aniso`
-    None without fused streams (`aniso` also without anisotropy). When no
-    splat reaches any ray, every field but `final_T` is empty (K = 0).
+    Every [P, K] array is indexed by slot: row p holds ray p's live entries
+    in t order, a splat in at most one slot. K is the largest live count of
+    any ray, cut after the last slot any ray's termination lets contribute;
+    the slots past a ray's own count are padding with w = tw = 0. `color`,
+    `iso` and `aniso` are per-channel triples. `f`/`cos` are None unless
+    disentangled, `iso`/`aniso` None without fused streams (`aniso` also
+    without anisotropy). When no splat reaches any ray, every field but
+    `final_T` is empty (K = 0).
     """
 
     idx: np.ndarray        # splat index of each slot
     ts: np.ndarray         # t of peak weight
     color: tuple           # l_iso + f * l_aniso
     k: np.ndarray          # exp(-q/2)
-    w: np.ndarray          # live * alpha * k
+    w: np.ndarray          # alpha * k, 0 on padding
     Tb: np.ndarray         # transmittance before the slot, before masking
     tw: np.ndarray         # (Tb >= eps) * Tb * w
     final_T: np.ndarray    # [P]
@@ -196,23 +205,26 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
     """Shared compositing kernel over P rays with one origin.
 
     `geometry` is the (ts, q) pair of the caller's `_ray_geometry` call for
-    the gaussians `sub` along dx/dy/dz; q is overwritten. Returns (color
-    [P,3], depth [P], final_T [P]), then, when fused_streams, the separately
-    accumulated isotropic / anisotropic sums [P,3] each, then, when tape, a
-    `_Tape`.
+    the gaussians `sub` along dx/dy/dz. Each ray keeps only its live entries
+    (within the cutoff, past `near`), in splat order, then t-sorts them;
+    every later step runs on [P, L], L being the largest live count of any
+    ray, with the ranks past a ray's own count as padding of weight 0.
+    Returns (color [P,3], depth [P], final_T [P]), then, when
+    fused_streams, the separately accumulated isotropic / anisotropic sums
+    [P,3] each, then, when tape, a `_Tape`.
     """
     # callers pass the pair as a temporary, so this is its only reference and
-    # compaction frees the full-width arrays (a star-unpacked call would keep
-    # them alive in its argument tuple)
+    # the full-width arrays are freed once the live entries are gathered (a
+    # star-unpacked call would keep them alive in its argument tuple)
     ts, q = geometry
     del geometry
     P = dx.shape[0]
     bg = scene.background
     live = q <= CUTOFF_SIGMA * CUTOFF_SIGMA
     live &= ts >= near
-    colmask = live.any(axis=0)
-    k2 = sub[colmask]
-    if k2.size == 0:
+    count = np.count_nonzero(live, axis=1)
+    L = int(count.max(initial=0))
+    if L == 0:
         color = np.broadcast_to(bg, (P, 3)).copy()
         out = (color, np.zeros(P), np.ones(P))
         if fused_streams:
@@ -223,85 +235,73 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
                           color=(e, e, e), k=e, w=e, Tb=e, tw=e, final_T=out[2],
                           f=e, cos=e, iso=(e, e, e), aniso=(e, e, e)),)
         return out
-    if k2.size < sub.size:
-        ts = np.ascontiguousarray(ts[:, colmask])
-        q = np.ascontiguousarray(q[:, colmask])
-        live = live[:, colmask]
-    Gc = k2.size
-    # w = live * alpha * exp(-q/2), built in place in q (dead entries are
-    # multiplied to an exact +0.0, same bits as masking with where)
+    # each ray's live columns first, in splat order, then t-sorted with the
+    # padding (key +inf) last: a stable sort keeps splat order among ties,
+    # and dropping dead entries drops only factors of 1.0 from the cumprod
+    # and exact zeros from every sum, so no output bit depends on it
+    pos = np.argsort(~live, axis=1, kind="stable")[:, :L]
+    del live
+    pad = np.arange(L) >= count[:, None]
+    key = np.take_along_axis(ts, pos, axis=1)
+    key[pad] = np.inf
+    order = np.take_along_axis(pos, np.argsort(key, axis=1, kind="stable"), axis=1)
+    del pos, key
+    ts = np.take_along_axis(ts, order, axis=1)
+    q = np.take_along_axis(q, order, axis=1)
+    idx = sub[order]
+    del order
+    # w = alpha * exp(-q/2), built in place in q
     np.multiply(q, -0.5, out=q)
     np.exp(q, out=q)
     k = q.copy() if tape else None
-    np.multiply(scene.alpha[k2], q, out=q)
-    np.multiply(q, live, out=q)
-    del live
-
-    f = cos = None
-    if cfg.anisotropy_enabled:
-        if cfg.disentangle:
-            f, cos = _phase_factor(scene, dx, dy, dz, k2, keep_cos=tape)
-            a0 = f * scene.l_aniso[k2, 0]
-            a1 = f * scene.l_aniso[k2, 1]
-            a2 = f * scene.l_aniso[k2, 2]
-        else:
-            a0, a1, a2 = (scene.l_aniso[k2, i] for i in range(3))
-        c0 = scene.l_iso[k2, 0] + a0
-        c1 = scene.l_iso[k2, 1] + a1
-        c2 = scene.l_iso[k2, 2] + a2
-    else:
-        a0 = a1 = a2 = None
-        c0, c1, c2 = (scene.l_iso[k2, i] for i in range(3))
-
-    order = np.argsort(ts, axis=1, kind="stable")
-    prow = np.arange(P)[:, None]
-    flat = order + prow * Gc
-    w_s = np.take(q, flat)
-    # unsorted per-pair arrays are dropped as soon as they are dead, so they
-    # do not add to the peak that `stack` sets below
-    del q
-    C = np.cumprod(1.0 - w_s, axis=1)
+    w = np.multiply(scene.alpha[idx], q, out=q)
+    w[pad] = 0.0
+    C = np.cumprod(1.0 - w, axis=1)
     eps = TERMINATION_EPSILON
     terminated = C < eps
     anyterm = terminated.any(axis=1)
     first = np.argmax(terminated, axis=1)
-    final_T = np.where(anyterm, C[prow[:, 0], first], C[:, -1])
-    # columns past every ray's termination point contribute exactly nothing
-    kmax = int(np.max(np.where(anyterm, first, Gc - 1))) + 1
-    w_s = w_s[:, :kmax]
+    final_T = np.where(anyterm, C[np.arange(P), first], C[:, -1])
+    # ranks past every ray's termination or live count contribute nothing
+    kmax = int(np.max(np.where(anyterm, first + 1, count)))
+    w, ts, idx = w[:, :kmax], ts[:, :kmax], idx[:, :kmax]
     Tb = np.empty((P, kmax))
     Tb[:, 0] = 1.0
     Tb[:, 1:] = C[:, :kmax - 1]
     del C, terminated
-    # tw = (Tb >= eps) * Tb * w_s, built in place in Tb unless the tape keeps
+    # tw = (Tb >= eps) * Tb * w, built in place in Tb unless the tape keeps
     # Tb (exact +0.0 masking)
     keep = Tb >= eps
-    tw = np.multiply(Tb, w_s, out=None if tape else Tb)
+    tw = np.multiply(Tb, w, out=None if tape else Tb)
     np.multiply(tw, keep, out=tw)
-    order = order[:, :kmax]
-    flat = flat[:, :kmax]
 
-    def _sorted(values):
-        return np.take(values, flat if values.ndim == 2 else order)
+    f = cos = None
+    if cfg.anisotropy_enabled:
+        if cfg.disentangle:
+            f, cos = _phase_factor(scene, dx, dy, dz, idx, keep_cos=tape)
+            a0 = f * scene.l_aniso[idx, 0]
+            a1 = f * scene.l_aniso[idx, 1]
+            a2 = f * scene.l_aniso[idx, 2]
+        else:
+            a0, a1, a2 = (scene.l_aniso[idx, i] for i in range(3))
+        c0 = scene.l_iso[idx, 0] + a0
+        c1 = scene.l_iso[idx, 1] + a1
+        c2 = scene.l_iso[idx, 2] + a2
+    else:
+        a0 = a1 = a2 = None
+        c0, c1, c2 = (scene.l_iso[idx, i] for i in range(3))
 
-    if tape:
-        k, f, cos = (v if v is None else _sorted(v) for v in (k, f, cos))
-
-    # row 0 of `stack` is tw, each later row tw * (per-sample value,
-    # t-sorted); the column loop below runs the same front-to-back sequential
-    # sum as a per-quantity cumsum would, leaving the totals in `tot`
+    # row 0 of `stack` is tw, each later row tw * (per-sample value); the
+    # column loop below runs the same front-to-back sequential sum as a
+    # per-quantity cumsum would, leaving the totals in `tot`
     values = [c0, c1, c2, ts]
     if fused_streams:
-        values += [scene.l_iso[k2, i] for i in range(3)]
+        values += [scene.l_iso[idx, i] for i in range(3)]
         values += [a0, a1, a2] if a0 is not None else []
     stack = np.empty((11 if fused_streams else 5, P, kmax))
     stack[0] = tw
-    kept = []
     for row, v in enumerate(values, 1):
-        v = _sorted(v)
         np.multiply(tw, v, out=stack[row])
-        if tape:
-            kept.append(v)
     stack[len(values) + 1:] = 0.0
     tot = stack[:, :, 0].copy()
     for j in range(1, kmax):
@@ -316,10 +316,10 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
     if fused_streams:
         out += (np.ascontiguousarray(tot[5:8].T), np.ascontiguousarray(tot[8:11].T))
     if tape:
-        out += (_Tape(idx=np.take(k2, order), ts=kept[3], color=tuple(kept[:3]),
-                      k=k, w=w_s, Tb=Tb, tw=tw, final_T=final_T, f=f, cos=cos,
-                      iso=tuple(kept[4:7]) or None,
-                      aniso=tuple(kept[7:]) or None),)
+        out += (_Tape(idx=idx, ts=ts, color=(c0, c1, c2), k=k[:, :kmax], w=w,
+                      Tb=Tb, tw=tw, final_T=final_T, f=f, cos=cos,
+                      iso=tuple(values[4:7]) or None,
+                      aniso=tuple(values[7:]) or None),)
     return out
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from splat360 import (Camera, anchor_set_from_json, anchor_set_to_json,
                       depth_gradient, sample_anchor_indices,
@@ -102,6 +103,32 @@ def test_all_zero_gradient_uniform():
 def test_k_zero_rejected():
     with pytest.raises(ValueError):
         select_anchors(np.zeros((4, 4)), k=0)
+
+
+def _brute_force_anchors(g, k, radius):
+    """The docstring's rule, pixel by pixel: visit by (magnitude desc, row,
+    col) and keep a pixel at distance >= radius from every kept one."""
+    H, W = g.shape
+    kept = []
+    for _, r, c in sorted((-g[r, c], r, c) for r in range(H) for c in range(W)):
+        if all((r - kr) ** 2 + (c - kc) ** 2 >= radius * radius
+               for kr, kc in kept):
+            kept.append((r, c))
+            if len(kept) == k:
+                break
+    return kept
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                  elements=st.sampled_from([0.0, 0.25, 1.0, 3.5])),
+       st.integers(1, 40),
+       st.one_of(st.sampled_from([0.0, 1.0, math.sqrt(2.0), 2.0, 1e9, math.inf]),
+                 st.floats(0.0, 20.0)))
+@settings(max_examples=200, deadline=None)
+def test_suppression_matches_brute_force(g, k, radius):
+    aset = select_anchors(g, k=k, suppression_radius=radius, beta=1.0)
+    assert [(a.row, a.col) for a in aset.anchors] == _brute_force_anchors(g, k, radius)
+    assert [a.grad_mag for a in aset.anchors] == [g[a.row, a.col] for a in aset.anchors]
 
 
 @given(st.integers(0, 10 ** 6), st.floats(-2.0, 2.0))

@@ -13,7 +13,8 @@ from splat360 import (Camera, Ray, RenderConfig, Scene, composite_ray,
                       embed_camera, fuse, init_mlp, make_orbit_cameras,
                       make_random_scene, phase, render, render_rays)
 from conftest import make_scene
-from splat360.renderer import TERMINATION_EPSILON, _shutdown_pools
+from splat360.renderer import (TERMINATION_EPSILON, _composite, _origin_terms,
+                               _ray_geometry, _shutdown_pools)
 
 Z_RAY = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
@@ -336,6 +337,72 @@ def test_kernel_invariants_on_random_scenes(case):
             assert sm.t >= prev.t
         assert all(sm.transmittance_before >= TERMINATION_EPSILON
                    for sm in samples)
+
+
+def _batch_tape(scene, origin, dirs, cfg, near):
+    """The tape of one kernel call over a batch of rays, as `render_rays`
+    composites them."""
+    v0, v1, v2, cg, _ = _origin_terms(scene, origin)
+    dx, dy, dz = (np.ascontiguousarray(dirs[:, i]) for i in range(3))
+    sub = np.arange(scene.alpha.size)
+    return _composite(scene, cfg, near,
+                      _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
+                      sub, dx, dy, dz, tape=True)[-1]
+
+
+@given(_scene_and_rays(), st.sampled_from([0.0, 1.8, 2.0]))
+@settings(max_examples=150, deadline=None)
+def test_batch_ray_equals_the_ray_alone(case, near):
+    scene, origin, dirs, cfg = case
+    batch = render_rays(scene, origin, dirs, cfg, near=near, fused_streams=True)
+    tape = _batch_tape(scene, origin, dirs, cfg, near)
+    for p, d in enumerate(dirs):
+        alone = render_rays(scene, origin, d[None], cfg, near=near,
+                            fused_streams=True)
+        for b, a in zip(batch, alone):
+            assert np.array_equal(b[p], a[0])
+        samples = composite_ray(scene, Ray(origin, d), cfg, near=near)[3]
+        slot = tape.tw[p] > 0.0
+        assert [(s.index, s.t, s.weight, s.transmittance_before) for s in samples] == \
+            list(zip(tape.idx[p][slot], tape.ts[p][slot], tape.w[p][slot],
+                     tape.Tb[p][slot]))
+
+
+def test_tape_holds_only_each_rays_live_splats():
+    # 40 small splats on a line, one ray through each: every splat is live on
+    # some ray of the batch, but each ray sees one; a 41st ray runs down a
+    # chain of 30 half-opaque splats and terminates at the 10th
+    # (0.5^10 < TERMINATION_EPSILON)
+    xs = np.linspace(-0.8, 0.8, 40)
+    line = np.stack([xs, np.zeros(40), np.full(40, 2.0)], axis=1)
+    up = np.array([0.0, 0.6, 0.8])
+    chain = np.array([(1.0 + 0.2 * i) * up for i in range(30)])
+    scene = make_scene(mu=np.concatenate([line, chain]), sigma=0.01, alpha=0.5)
+    dirs = np.concatenate([line / np.linalg.norm(line, axis=1, keepdims=True),
+                           up[None]])
+    tape = _batch_tape(scene, np.zeros(3), dirs, RenderConfig(), 0.0)
+    counts = [len(composite_ray(scene, Ray(np.zeros(3), d))[3]) for d in dirs]
+    assert counts == [1] * 40 + [10]
+    assert tape.tw.shape == (41, 10)
+    pad = np.arange(10) >= np.array(counts)[:, None]
+    assert (tape.w[pad] == 0.0).all() and (tape.tw[pad] == 0.0).all()
+    assert (tape.tw[~pad] > 0.0).all()
+
+
+def test_coincident_splats_composite_in_index_order():
+    # splats 1 and 2 share center and covariance, so their t ties exactly;
+    # splat 0 is live on the batch's second ray only
+    red, green = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+    scene = make_scene(mu=[(0.5, 0.0, 2.0), (0.0, 0.0, 2.0), (0.0, 0.0, 2.0)],
+                       sigma=0.05, alpha=0.5, l_iso=[(0.0, 0.0, 1.0), red, green])
+    dirs = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 2.0]])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    color, *_ = render_rays(scene, np.zeros(3), dirs)
+    assert color[0].tolist() == [0.5, 0.25, 0.0]
+    swapped = dataclasses.replace(scene, l_iso=scene.l_iso[[0, 2, 1]])
+    color_b, *_ = render_rays(swapped, np.zeros(3), dirs)
+    assert color_b[0].tolist() == [0.25, 0.5, 0.0]
+    assert [s.index for s in composite_ray(scene, Z_RAY)[3]] == [1, 2]
 
 
 @pytest.mark.parametrize("cfg", [RenderConfig(), RenderConfig(disentangle=False),
