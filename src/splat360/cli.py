@@ -486,7 +486,8 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
     """Patch gradients of alpha, l_iso, l_aniso, g, mu and the covariance
     log-eigenvalues vs finite differences.
 
-    3 splats, one 16x16 patch, physical color and then a fused MLP, whose
+    3 splats, one 16x32 patch (two fine tiles, so `_patch_forward` stitches
+    their tapes), physical color and then a fused MLP, whose
     camera embedding is held fixed as the fit holds it. A geometry coordinate
     is probed only where its +-FD_STEP stencil keeps `_tape_key`: across a
     cutoff edge, a t-order swap or a moved ray termination the loss jumps,
@@ -495,10 +496,11 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
     """
     scene = make_random_scene(3, seed=seed + 1, spread=0.12,
                               sigma_range=(0.3, 0.6))
-    cam = make_orbit_cameras(scene.center, 0.8, 1, 0.2, "ring", 16, 16, 1.1)[0]
+    cam = make_orbit_cameras(scene.center, 0.8, 1, 0.2, "ring", 32, 16, 1.1)[0]
     rcfg = RenderConfig()
-    tgt = np.clip(np.random.default_rng(seed + 2).random((16, 16, 3)), 0, 1)
-    rows = cols = np.arange(16, dtype=np.float64)
+    tgt = np.clip(np.random.default_rng(seed + 2).random((16, 32, 3)), 0, 1)
+    rows = np.arange(16, dtype=np.float64)
+    cols = np.arange(32, dtype=np.float64)
     geo = _Geometry(scene)
     th0 = geo.pack()
 
@@ -517,11 +519,11 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
             return _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec, tape=tape)
 
         def loss_of(sc):
-            return composite_loss(forward(sc)[0].reshape(16, 16, 3), tgt,
+            return composite_loss(forward(sc)[0].reshape(tgt.shape), tgt,
                                   want_grad=False)[0]
 
         colors, work = forward(scene, tape=True)
-        _, gimg = composite_loss(colors.reshape(16, 16, 3), tgt)
+        _, gimg = composite_loss(colors.reshape(tgt.shape), tgt)
         *grads, dgeo, _ = _patch_backward(work, rcfg, gimg.data.reshape(-1, 3),
                                           mlp, (geo.rot, geo.log_eig))
         for name, grad in zip(("alpha", "l_iso", "l_aniso", "g"), grads):

@@ -12,11 +12,12 @@ same backward pass, with the fusion head's camera embedding held fixed. Patch
 centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
 uniform positions unless the no_anchoring ablation is set.
 
-The patch forward pass runs the renderer's kernel, and the full-image
-evaluations (every full_eval_every iterations and the final per-view report)
-call `render`, with the fusion head when an MLP is fitted. So a fit
-initialized at the scene that produced its targets measures a loss of
-exactly zero and no parameter moves.
+The patch forward pass cone-culls the patch by fine tile with the
+renderer's `_fine_tiles` and runs its kernel per tile, as `render` does;
+the full-image evaluations (every full_eval_every iterations and the final
+per-view report) call `render`, with the fusion head when an MLP is fitted.
+So a fit initialized at the scene that produced its targets measures a loss
+of exactly zero and no parameter moves.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from .errors import NumericFailure
 from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch, fusion_input)
 from .metrics import psnr, ssim, ssim_with_grad
-from .renderer import (RenderConfig, _composite, _origin_terms, _ray_geometry,
-                       render)
+from .renderer import (RenderConfig, _composite, _fine_tiles, _origin_terms,
+                       _ray_geometry, _Tape, render)
 from .scene import Camera, ImageBuffer, ImageKind, Scene
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
@@ -245,28 +246,45 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
                    rows: np.ndarray, cols: np.ndarray,
                    mlp: MlpParams | None, e_vec: np.ndarray | None,
                    tape: bool = False):
-    """Colors [P,3] for the pixel grid rows x cols, and with `tape` the work
-    `_patch_backward` reads (else None): the kernel's tape, the fusion cache,
-    and the rays' origin and direction components.
+    """Colors [P,3] for the pixel grid rows x cols, rays in row-major order,
+    and with `tape` the work `_patch_backward` reads (else None): the
+    kernel's tape, the fusion cache, and the rays' origin and direction
+    components.
 
-    Runs the renderer's kernel over every splat; its culling only ever drops
-    zero-weight entries, so the colors match a render bitwise.
+    Runs the renderer's kernel once per fine tile over the splats
+    `_fine_tiles` leaves it, as `render` does, then the fusion head once over
+    the whole patch. The cone cull only ever drops splats no ray of the tile
+    has live, so the colors match a render bitwise; the tiles' tapes are
+    stitched into one in ray order.
     """
     dxb, dyb, dzb = cam.pixel_dirs(rows[:, None], cols[None, :])
+    H, W = dxb.shape
+    ot = _origin_terms(scene, cam.position)
+    colors = np.empty((H, W, 3)) if mlp is None else None
+    streams = None if mlp is None else np.empty((2, H, W, 3))
+    tiles = []
+    for tile, sub, dx, dy, dz in _fine_tiles(scene, cam, ot, dxb, dyb, dzb):
+        col, _, _, *out = _composite(
+            scene, rcfg, cam.near, _ray_geometry(scene, *ot[:4], dx, dy, dz, sub),
+            sub, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
+        sh = dxb[tile].shape + (3,)
+        if mlp is None:
+            colors[tile] = col.reshape(sh)
+        else:
+            streams[(0,) + tile] = out[0].reshape(sh)
+            streams[(1,) + tile] = out[1].reshape(sh)
+        if tape:
+            tiles.append((tile, out[-1]))
     dx, dy, dz = dxb.ravel(), dyb.ravel(), dzb.ravel()
-    v0, v1, v2, cg, _ = _origin_terms(scene, cam.position)
-    sub = np.arange(scene.alpha.size)
-    out = _composite(scene, rcfg, cam.near,
-                     _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
-                     sub, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
     if mlp is None:
-        colors, cache = out[0], None
+        colors, cache = colors.reshape(H * W, 3), None
     else:
         colors, cache = fuse_forward_batch(
-            fusion_input(out[3], out[4], e_vec, np.stack([dx, dy, dz], axis=1)),
+            fusion_input(streams[0], streams[1], e_vec,
+                         np.stack([dx, dy, dz], axis=1)),
             mlp, want_cache=True)
-    return colors, ((scene, out[-1], cache, cam.position, (dx, dy, dz))
-                    if tape else None)
+    return colors, ((scene, _Tape.stitch(tiles, H, W), cache, cam.position,
+                     (dx, dy, dz)) if tape else None)
 
 
 def _dot3(g: np.ndarray, vals) -> np.ndarray:

@@ -14,6 +14,11 @@ Bit-determinism: every color-producing path (image tiles, with or without
 the fusion head; ray batches; single rays and their sample lists; the fit's
 patch forward pass) runs the one kernel `_composite` itself, not a copy of
 it. A full image, physical or fused, comes only from `render`'s tile loop.
+Both it and the fit's pixel patch are cone-culled by `_fine_tiles`, one
+kernel call per fine tile whatever the patch's offset, and the patch's tile
+tapes are stitched in ray order (`_Tape.stitch`): a patch pixel matches the
+full image's bit for bit, and its gradients those of one call over every
+splat.
 Each ray composites only its own live splats, kept in splat order and then
 stably t-sorted, so ties break by splat index and a ray's result does not
 depend on which other rays, or which culled or dead splats, share its call:
@@ -29,7 +34,7 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -181,9 +186,14 @@ class _Tape:
     any ray, cut after the last slot any ray's termination lets contribute;
     the slots past a ray's own count are padding with w = tw = 0. `color`,
     `iso` and `aniso` are per-channel triples. `f`/`cos` are None unless
-    disentangled, `iso`/`aniso` None without fused streams (`aniso` also
-    without anisotropy). When no splat reaches any ray, every field but
-    `final_T` is empty (K = 0).
+    disentangled with anisotropy, `iso`/`aniso` None without fused streams
+    (`aniso` also without anisotropy), whether or not any splat reaches a
+    ray. When none does, every array but `final_T` is empty (K = 0).
+
+    `stitch` joins the tapes of a patch's tiles; there, the slots a tile's
+    rays have past that tile's own K are zero padding: w = tw = 0, every
+    other value 0.0 and `idx` 0. Like a tile's own padding, such a slot is
+    finite and adds only exact zeros to the backward pass's scans and sums.
     """
 
     idx: np.ndarray        # splat index of each slot
@@ -198,6 +208,39 @@ class _Tape:
     cos: np.ndarray | None
     iso: tuple | None
     aniso: tuple | None
+
+    @classmethod
+    def stitch(cls, tiles, H: int, W: int) -> "_Tape":
+        """One tape over an H x W ray grid, rays in row-major order, from
+        (tile, tape) pairs: a tile is a (rows, cols) pair of slices, and the
+        tiles cover the grid. K is the widest tile's; one tile's tape comes
+        back as it is.
+        """
+        if len(tiles) == 1:
+            return tiles[0][1]
+        K = max(tp.w.shape[1] for _, tp in tiles)
+
+        def grid(parts):
+            out = np.zeros((H, W, K), dtype=parts[0].dtype)
+            for (tile, _), a in zip(tiles, parts):
+                dst = out[tile]
+                dst[:, :, :a.shape[1]] = a.reshape(dst.shape[:2] + a.shape[1:])
+            return out.reshape(H * W, K)
+
+        def field(name):
+            parts = [getattr(tp, name) for _, tp in tiles]
+            if parts[0] is None:
+                return None
+            if isinstance(parts[0], tuple):
+                return tuple(grid(ch) for ch in zip(*parts))
+            return grid(parts)
+
+        final_T = np.empty((H, W))
+        for tile, tp in tiles:
+            final_T[tile] = tp.final_T.reshape(final_T[tile].shape)
+        return cls(final_T=final_T.ravel(),
+                   **{f.name: field(f.name) for f in fields(cls)
+                      if f.name != "final_T"})
 
 
 def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
@@ -231,9 +274,13 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
             out += (np.zeros((P, 3)), np.zeros((P, 3)))
         if tape:
             e = np.zeros((P, 0))
+            aniso = cfg.anisotropy_enabled
             out += (_Tape(idx=np.zeros((P, 0), dtype=np.intp), ts=e,
                           color=(e, e, e), k=e, w=e, Tb=e, tw=e, final_T=out[2],
-                          f=e, cos=e, iso=(e, e, e), aniso=(e, e, e)),)
+                          f=e if aniso and cfg.disentangle else None,
+                          cos=e if aniso and cfg.disentangle else None,
+                          iso=(e, e, e) if fused_streams else None,
+                          aniso=(e, e, e) if fused_streams and aniso else None),)
         return out
     # each ray's live columns first, in splat order, then t-sorted with the
     # padding (key +inf) last: a stable sort keeps splat order among ties,
@@ -380,8 +427,37 @@ def _cone_of(dxb, dyb, dzb):
     return np.array([ax, ay, az]), math.acos(min(max(cosg, -1.0), 1.0))
 
 
+def _fine_tiles(scene, cam, ot, dxb, dyb, dzb):
+    """Two-level cone cull of a block of pixel directions [Hb, Wb].
+
+    Culls the whole block once, then yields, for each FINE_TILE square in
+    row-major order, (tile, sub, dx, dy, dz): the tile's (rows, cols) slices
+    into the block, the splats its cone can reach and its raveled ray
+    direction components. `ot` is `_origin_terms` at cam.position.
+    """
+    if scene.alpha.size:
+        cd, gamma = _cone_of(dxb, dyb, dzb)
+        sub1 = _cone_cull(scene, cam.position, ot[4], cd, gamma,
+                          np.arange(scene.alpha.size))
+    else:
+        sub1 = np.arange(0)
+    Hb, Wb = dxb.shape
+    for fr in range(0, Hb, FINE_TILE):
+        for fc in range(0, Wb, FINE_TILE):
+            tile = (slice(fr, min(fr + FINE_TILE, Hb)),
+                    slice(fc, min(fc + FINE_TILE, Wb)))
+            dxt, dyt, dzt = dxb[tile], dyb[tile], dzb[tile]
+            if sub1.size:
+                cd, gamma = _cone_of(dxt, dyt, dzt)
+                sub2 = _cone_cull(scene, cam.position, ot[4], cd, gamma, sub1)
+            else:
+                sub2 = sub1
+            yield tile, sub2, dxt.ravel(), dyt.ravel(), dzt.ravel()
+
+
 def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
-    """Render one coarse block; two-level cone culling, fine-tile kernel calls.
+    """Render one coarse block; `_fine_tiles` culls it, one kernel call per
+    fine tile.
 
     `head` is None for physical color, else (MlpParams, embedding vector): the
     fusion head then runs once over the block's per-pixel streams (its rows
@@ -396,37 +472,18 @@ def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
     trans = np.empty((Hb, Wb, 1))
     if head is not None:
         iso, aniso = np.empty((Hb, Wb, 3)), np.empty((Hb, Wb, 3))
-    if scene.alpha.size:
-        cd, gamma = _cone_of(dxb, dyb, dzb)
-        sub1 = _cone_cull(scene, cam.position, ot[4], cd, gamma,
-                          np.arange(scene.alpha.size))
-    else:
-        sub1 = np.arange(0)
-    for fr in range(0, Hb, FINE_TILE):
-        fr1 = min(fr + FINE_TILE, Hb)
-        for fc in range(0, Wb, FINE_TILE):
-            fc1 = min(fc + FINE_TILE, Wb)
-            dxt = dxb[fr:fr1, fc:fc1]
-            dyt = dyb[fr:fr1, fc:fc1]
-            dzt = dzb[fr:fr1, fc:fc1]
-            if sub1.size:
-                cd, gamma = _cone_of(dxt, dyt, dzt)
-                sub2 = _cone_cull(scene, cam.position, ot[4], cd, gamma, sub1)
-            else:
-                sub2 = sub1
-            sh = dxt.shape
-            dx, dy, dz = dxt.ravel(), dyt.ravel(), dzt.ravel()
-            col, dep, fT, *streams = _composite(
-                scene, cfg, cam.near,
-                _ray_geometry(scene, *ot[:4], dx, dy, dz, sub2), sub2, dx, dy, dz,
-                fused_streams=head is not None)
-            if head is None:
-                color[fr:fr1, fc:fc1] = col.reshape(sh + (3,))
-            else:
-                iso[fr:fr1, fc:fc1] = streams[0].reshape(sh + (3,))
-                aniso[fr:fr1, fc:fc1] = streams[1].reshape(sh + (3,))
-            depth[fr:fr1, fc:fc1, 0] = dep.reshape(sh)
-            trans[fr:fr1, fc:fc1, 0] = fT.reshape(sh)
+    for tile, sub, dx, dy, dz in _fine_tiles(scene, cam, ot, dxb, dyb, dzb):
+        col, dep, fT, *streams = _composite(
+            scene, cfg, cam.near, _ray_geometry(scene, *ot[:4], dx, dy, dz, sub),
+            sub, dx, dy, dz, fused_streams=head is not None)
+        sh = dxb[tile].shape
+        if head is None:
+            color[tile] = col.reshape(sh + (3,))
+        else:
+            iso[tile] = streams[0].reshape(sh + (3,))
+            aniso[tile] = streams[1].reshape(sh + (3,))
+        depth[tile + (0,)] = dep.reshape(sh)
+        trans[tile + (0,)] = fT.reshape(sh)
     if head is not None:
         mlp, e_vec = head
         dirs = np.stack([dxb, dyb, dzb], axis=-1)

@@ -11,8 +11,11 @@ from splat360 import (AnchorPoint, AnchorSet, Camera, FitConfig, NumericFailure,
                       embed_camera, fit_scene, init_mlp, make_orbit_cameras,
                       make_random_scene, render, scene_to_json,
                       validate_scene)
+from splat360 import fitting
 from splat360.fitting import (_Geometry, _patch_backward, _patch_forward,
                               _patch_origin)
+from splat360.fusion import fuse_forward_batch, fusion_input
+from splat360.renderer import _composite, _origin_terms, _ray_geometry
 
 
 def _views(scene, n=2, res=16):
@@ -335,6 +338,88 @@ def test_splats_behind_the_camera_change_no_patch_bit(seed, extra, with_mlp):
         assert np.all(g1[G:] == 0.0)
     if with_mlp:
         assert m1.to_flat().tobytes() == m0.to_flat().tobytes()
+
+
+def _dense_patch(scene, cam, rcfg, rows, cols, mlp, e_vec):
+    """`_patch_forward`'s colors and work from one kernel call over every
+    splat, with no cull and one tape."""
+    dxb, dyb, dzb = cam.pixel_dirs(rows[:, None], cols[None, :])
+    dx, dy, dz = dxb.ravel(), dyb.ravel(), dzb.ravel()
+    v0, v1, v2, cg, _ = _origin_terms(scene, cam.position)
+    sub = np.arange(scene.alpha.size)
+    out = _composite(scene, rcfg, cam.near,
+                     _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
+                     sub, dx, dy, dz, fused_streams=mlp is not None, tape=True)
+    colors, cache = out[0], None
+    if mlp is not None:
+        colors, cache = fuse_forward_batch(
+            fusion_input(out[3], out[4], e_vec, np.stack([dx, dy, dz], axis=1)),
+            mlp, want_cache=True)
+    return colors, (scene, out[-1], cache, cam.position, (dx, dy, dz))
+
+
+@st.composite
+def _patch_case(draw):
+    # up to 40x40 patches anywhere in a 48x48 view: several fine tiles, of
+    # any size, and on the far ring some tiles that no splat reaches
+    s = make_random_scene(draw(st.integers(1, 24)), seed=draw(st.integers(0, 999)),
+                          spread=0.3, sigma_range=(0.03, 0.1))
+    cam = make_orbit_cameras(s.center, draw(st.sampled_from([2.5, 6.0])) * max(s.radius, 0.1),
+                             1, 0.3, "ring", 48, 48, 0.9)[0]
+    ph, pw = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    r0, c0 = draw(st.integers(0, 48 - ph)), draw(st.integers(0, 48 - pw))
+    mode = draw(st.sampled_from(["physical", "fused", "no_disentangle",
+                                 "no_anisotropy"]))
+    return s, cam, (r0, c0, ph, pw), mode, draw(st.booleans())
+
+
+@given(_patch_case())
+@settings(max_examples=60, deadline=None)
+def test_tiled_patch_matches_render_and_a_dense_tape(case):
+    s, cam, (r0, c0, ph, pw), mode, with_geometry = case
+    rcfg = RenderConfig(disentangle=mode != "no_disentangle",
+                        anisotropy_enabled=mode != "no_anisotropy")
+    mlp = init_mlp(d=16, seed=1) if mode == "fused" else None
+    e_vec = None if mlp is None else embed_camera(cam, s.center, s.radius, 16).vec
+    rows = np.arange(r0, r0 + ph, dtype=np.float64)
+    cols = np.arange(c0, c0 + pw, dtype=np.float64)
+    colors, work = _patch_forward(s, cam, rcfg, rows, cols, mlp, e_vec, tape=True)
+    image = render(s, cam, rcfg, mlp=mlp)[0].data[r0:r0 + ph, c0:c0 + pw]
+    assert colors.tobytes() == image.reshape(-1, 3).tobytes()
+    dense_colors, dense_work = _dense_patch(s, cam, rcfg, rows, cols, mlp, e_vec)
+    assert dense_colors.tobytes() == colors.tobytes()
+    geo = _Geometry(s)
+    geometry = (geo.rot, geo.log_eig) if with_geometry else None
+    gpix = np.random.default_rng(ph * 41 + pw).standard_normal((ph * pw, 3))
+    *grads, mlp_g = _patch_backward(work, rcfg, gpix, mlp, geometry)
+    *dense, dense_mlp_g = _patch_backward(dense_work, rcfg, gpix, mlp, geometry)
+    assert len(grads) == (5 if with_geometry else 4)
+    for g, d in zip(grads, dense):
+        assert g.tobytes() == d.tobytes()
+    if mlp is not None:
+        assert mlp_g.to_flat().tobytes() == dense_mlp_g.to_flat().tobytes()
+
+
+def test_patch_forward_culls_ray_splat_pairs(monkeypatch):
+    # the `fit` benchmark's recipe, shortened: 200 splats, 4 ring views at
+    # 64^2, a 32x32 patch per iteration. Without the cone cull every patch
+    # ray would meet every splat; the full-image renders go through the
+    # renderer's own `_ray_geometry` and are not counted
+    s = make_random_scene(200, seed=0, spread=0.3, sigma_range=(0.05, 0.12))
+    cams = make_orbit_cameras(s.center, 2.5 * s.radius, 4, 0.3, "ring", 64, 64, 0.9)
+    targets = _self_targets(s, cams, RenderConfig())
+    pairs = []
+    ray_geometry = fitting._ray_geometry
+
+    def counted(*args):
+        out = ray_geometry(*args)
+        pairs.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(fitting, "_ray_geometry", counted)
+    cfg = FitConfig(iters=8, rays_per_step=32 * 32, full_eval_every=0, seed=0)
+    fit_scene(_perturbed(s), targets, cfg)
+    assert 0 < sum(pairs) < 0.5 * cfg.iters * cfg.rays_per_step * s.alpha.size
 
 
 def test_fit_geometry_recovers_jittered_centers():

@@ -339,7 +339,7 @@ def test_kernel_invariants_on_random_scenes(case):
                    for sm in samples)
 
 
-def _batch_tape(scene, origin, dirs, cfg, near):
+def _batch_tape(scene, origin, dirs, cfg, near, fused_streams=False):
     """The tape of one kernel call over a batch of rays, as `render_rays`
     composites them."""
     v0, v1, v2, cg, _ = _origin_terms(scene, origin)
@@ -347,7 +347,7 @@ def _batch_tape(scene, origin, dirs, cfg, near):
     sub = np.arange(scene.alpha.size)
     return _composite(scene, cfg, near,
                       _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
-                      sub, dx, dy, dz, tape=True)[-1]
+                      sub, dx, dy, dz, fused_streams=fused_streams, tape=True)[-1]
 
 
 @given(_scene_and_rays(), st.sampled_from([0.0, 1.8, 2.0]))
@@ -387,6 +387,24 @@ def test_tape_holds_only_each_rays_live_splats():
     pad = np.arange(10) >= np.array(counts)[:, None]
     assert (tape.w[pad] == 0.0).all() and (tape.tw[pad] == 0.0).all()
     assert (tape.tw[~pad] > 0.0).all()
+
+
+@pytest.mark.parametrize("fused_streams", [False, True])
+@pytest.mark.parametrize("cfg", [RenderConfig(), RenderConfig(disentangle=False),
+                                 RenderConfig(anisotropy_enabled=False),
+                                 RenderConfig(False, False)],
+                         ids=["default", "no_disentangle", "no_anisotropy", "neither"])
+def test_empty_tape_leaves_the_same_fields_none(cfg, fused_streams):
+    # a patch's tiles can mix tapes where no splat reaches any ray (K = 0)
+    # with tapes where one does, and `_Tape.stitch` joins them field by field
+    scene = make_scene(mu=(0.0, 0.0, 2.0))
+    full, empty = (_batch_tape(scene, np.zeros(3), np.array([d]), cfg, 0.0,
+                               fused_streams)
+                   for d in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]))
+    assert full.w.shape == (1, 1) and empty.w.shape == (1, 0)
+    for field in dataclasses.fields(full):
+        assert ((getattr(empty, field.name) is None)
+                == (getattr(full, field.name) is None)), field.name
 
 
 def test_coincident_splats_composite_in_index_order():
