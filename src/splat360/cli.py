@@ -486,8 +486,7 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
     """Patch gradients of alpha, l_iso, l_aniso, g, mu and the covariance
     log-eigenvalues vs finite differences.
 
-    3 splats, one 16x32 patch (two fine tiles, so `_patch_forward` stitches
-    their tapes), physical color and then a fused MLP, whose
+    3 splats, one 16x32 patch, physical color and then a fused MLP, whose
     camera embedding is held fixed as the fit holds it. A geometry coordinate
     is probed only where its +-FD_STEP stencil keeps `_tape_key`: across a
     cutoff edge, a t-order swap or a moved ray termination the loss jumps,

@@ -12,10 +12,11 @@ same backward pass, with the fusion head's camera embedding held fixed. Patch
 centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
 uniform positions unless the no_anchoring ablation is set.
 
-The patch forward pass cone-culls the patch by fine tile with the
-renderer's `_fine_tiles` and runs its kernel per tile, as `render` does;
-the full-image evaluations (every full_eval_every iterations and the final
-per-view report) call `render`, with the fusion head when an MLP is fitted.
+The patch forward pass runs the renderer's kernel once over the ray x
+splat pairs the renderer's `_pairs` enumerates for the patch, as `render`
+does per tile; the full-image evaluations (every full_eval_every iterations
+and the final per-view report) call `render`, with the fusion head when an
+MLP is fitted.
 So a fit initialized at the scene that produced its targets measures a loss
 of exactly zero and no parameter moves.
 """
@@ -33,8 +34,8 @@ from .errors import NumericFailure
 from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch, fusion_input)
 from .metrics import psnr, ssim, ssim_with_grad
-from .renderer import (RenderConfig, _composite, _fine_tiles, _origin_terms,
-                       _ray_geometry, _Tape, render)
+from .renderer import (RenderConfig, _composite, _origin_terms, _pairs,
+                       _ray_geometry, render)
 from .scene import Camera, ImageBuffer, ImageKind, Scene
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
@@ -251,40 +252,25 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
     kernel's tape, the fusion cache, and the rays' origin and direction
     components.
 
-    Runs the renderer's kernel once per fine tile over the splats
-    `_fine_tiles` leaves it, as `render` does, then the fusion head once over
-    the whole patch. The cone cull only ever drops splats no ray of the tile
-    has live, so the colors match a render bitwise; the tiles' tapes are
-    stitched into one in ray order.
+    Runs the renderer's kernel once over the pairs `_pairs` enumerates for
+    the patch, then the fusion head once over the whole patch. The
+    enumeration only ever leaves out pairs that are not live, so the colors
+    match a render bitwise.
     """
-    dxb, dyb, dzb = cam.pixel_dirs(rows[:, None], cols[None, :])
-    H, W = dxb.shape
+    dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
     ot = _origin_terms(scene, cam.position)
-    colors = np.empty((H, W, 3)) if mlp is None else None
-    streams = None if mlp is None else np.empty((2, H, W, 3))
-    tiles = []
-    for tile, sub, dx, dy, dz in _fine_tiles(scene, cam, ot, dxb, dyb, dzb):
-        col, _, _, *out = _composite(
-            scene, rcfg, cam.near, _ray_geometry(scene, *ot[:4], dx, dy, dz, sub),
-            sub, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
-        sh = dxb[tile].shape + (3,)
-        if mlp is None:
-            colors[tile] = col.reshape(sh)
-        else:
-            streams[(0,) + tile] = out[0].reshape(sh)
-            streams[(1,) + tile] = out[1].reshape(sh)
-        if tape:
-            tiles.append((tile, out[-1]))
-    dx, dy, dz = dxb.ravel(), dyb.ravel(), dzb.ravel()
-    if mlp is None:
-        colors, cache = colors.reshape(H * W, 3), None
-    else:
+    ray, sub = _pairs(scene, cam, ot, rows, cols)
+    colors, _, _, *out = _composite(
+        scene, rcfg, cam.near,
+        _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
+        ray, sub, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
+    cache = None
+    if mlp is not None:
         colors, cache = fuse_forward_batch(
-            fusion_input(streams[0], streams[1], e_vec,
-                         np.stack([dx, dy, dz], axis=1)),
+            fusion_input(out[0], out[1], e_vec, np.stack([dx, dy, dz], axis=1)),
             mlp, want_cache=True)
-    return colors, ((scene, _Tape.stitch(tiles, H, W), cache, cam.position,
-                     (dx, dy, dz)) if tape else None)
+    return colors, ((scene, out[-1], cache, cam.position, (dx, dy, dz))
+                    if tape else None)
 
 
 def _dot3(g: np.ndarray, vals) -> np.ndarray:
@@ -302,13 +288,13 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     entries, then zero-weight padding, a splat in at most one slot, so each
     sum runs over the same terms in the same ray order as a dense pass over
     every splat, less that pass's exact zeros for the splats not live on the
-    ray (culled, past the cutoff or before the near plane) and plus the
-    padding's exact zeros. A zero term leaves a sum's bits unchanged, so the
-    gradients depend neither on the culling nor on the tape's width.
+    ray (not enumerated, past the cutoff or before the near plane) and plus
+    the padding's exact zeros. A zero term leaves a sum's bits unchanged, so
+    the gradients depend neither on the enumeration nor on the tape's width.
 
     `geometry` is None or `_Geometry`'s (rot [G,3,3], log_eig s [G,3]). The
     loss sees geometry only through w = alpha exp(-q/2), as sort order and
-    culling are piecewise constant. q = min over t of r^T Sigma^-1 r, with
+    liveness are piecewise constant. q = min over t of r^T Sigma^-1 r, with
     r = mu - o - t d, is reached at the tape's t, so dq/dmu = 2 Sigma^-1 r and
     dq/ds_j = -2 exp(-2 s_j) (R_j . r)^2 (envelope theorem).
     Returns (dalpha [G], dl_iso [G,3], dl_aniso [G,3], dg [G], mlp_grads),

@@ -14,19 +14,17 @@ Bit-determinism: every color-producing path (image tiles, with or without
 the fusion head; ray batches; single rays and their sample lists; the fit's
 patch forward pass) runs the one kernel `_composite` itself, not a copy of
 it. A full image, physical or fused, comes only from `render`'s tile loop.
-Both it and the fit's pixel patch are cone-culled by `_fine_tiles`, one
-kernel call per fine tile whatever the patch's offset, and the patch's tile
-tapes are stitched in ray order (`_Tape.stitch`): a patch pixel matches the
-full image's bit for bit, and its gradients those of one call over every
-splat.
-Each ray composites only its own live splats, kept in splat order and then
-stably t-sorted, so ties break by splat index and a ray's result does not
-depend on which other rays, or which culled or dead splats, share its call:
-a dead entry could only have added a factor of 1.0 to the transmittance
-product and an exact zero to the sums. Per-pixel reductions use sequential scans
-(np.cumsum / np.cumprod), so results are independent of tile size, worker
-count and batching. Matrix products and pairwise sums are deliberately
-avoided in per-pixel math.
+Both it and the fit's pixel patch composite the ray x splat pairs `_pairs`
+enumerates from each splat's screen-space cutoff conic, a superset of the
+live pairs: a patch pixel matches the full image's bit for bit, and its
+gradients those of one call over every pair.
+Each ray composites only its own live splats, ordered by t and then by
+splat index, so a ray's result does not depend on which other rays, or
+which dead pairs, share its call: a dead entry could only have added a
+factor of 1.0 to the transmittance product and an exact zero to the sums.
+Per-pixel reductions use sequential scans (np.cumsum / np.cumprod), so
+results are independent of tile size, worker count and batching. Matrix
+products and pairwise sums are deliberately avoided in per-pixel math.
 """
 from __future__ import annotations
 
@@ -34,7 +32,7 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +54,8 @@ class RenderConfig:
     anisotropy_enabled=False drops the anisotropic term entirely (f pinned
     to 0). When both are off, anisotropy_enabled wins: there is no
     anisotropic radiance to fold. The cutoff and the termination threshold
-    are constants (CUTOFF_SIGMA, TERMINATION_EPSILON), so the cone cull and
-    the kernel cannot disagree.
+    are constants (CUTOFF_SIGMA, TERMINATION_EPSILON), so the pair
+    enumeration and the kernel cannot disagree.
     """
 
     disentangle: bool = True
@@ -104,15 +102,14 @@ def _origin_terms(scene: Scene, origin: np.ndarray):
     v1 = inv[:, 0, 1] * d0 + inv[:, 1, 1] * d1 + inv[:, 1, 2] * d2
     v2 = inv[:, 0, 2] * d0 + inv[:, 1, 2] * d1 + inv[:, 2, 2] * d2
     cg = np.maximum(d0 * v0 + d1 * v1 + d2 * v2, 0.0)
-    dist = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-    return v0, v1, v2, cg, dist
+    return v0, v1, v2, cg
 
 
 def _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub):
-    """t of peak weight and squared Mahalanobis distance there.
+    """t of peak weight and squared Mahalanobis distance there, per pair.
 
-    dx/dy/dz are [P] ray direction components (one shared origin), sub indexes
-    the gaussians under consideration. Returns [P, len(sub)] arrays. Buffers
+    Pair n is gaussian sub[n] along the ray direction (dx[n], dy[n], dz[n]),
+    all rays sharing one origin; returns two arrays shaped like sub. Buffers
     are reused aggressively; the expression grouping (and therefore every bit
     of the result) matches the reference forms
         tn  = dx*v0 + dy*v1 + dz*v2
@@ -120,28 +117,25 @@ def _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub):
         ts  = tn / den,  q = max(cg - tn*ts, 0)
     """
     inv = scene.cov_inv
-    dxc = dx[:, None]
-    dyc = dy[:, None]
-    dzc = dz[:, None]
-    tn = dxc * v0[sub]
-    tmp = dyc * v1[sub]
+    tn = dx * v0[sub]
+    tmp = dy * v1[sub]
     tn += tmp
-    np.multiply(dzc, v2[sub], out=tmp)
+    np.multiply(dz, v2[sub], out=tmp)
     tn += tmp
-    pair = dxc * dxc
+    pair = dx * dx
     den = inv[sub, 0, 0] * pair
-    np.multiply(dyc, dyc, out=pair)
+    np.multiply(dy, dy, out=pair)
     np.multiply(inv[sub, 1, 1], pair, out=tmp)
     den += tmp
-    np.multiply(dzc, dzc, out=pair)
+    np.multiply(dz, dz, out=pair)
     np.multiply(inv[sub, 2, 2], pair, out=tmp)
     den += tmp
-    np.multiply(dxc, dyc, out=pair)
+    np.multiply(dx, dy, out=pair)
     cross = inv[sub, 0, 1] * pair
-    np.multiply(dxc, dzc, out=pair)
+    np.multiply(dx, dz, out=pair)
     np.multiply(inv[sub, 0, 2], pair, out=tmp)
     cross += tmp
-    np.multiply(dyc, dzc, out=pair)
+    np.multiply(dy, dz, out=pair)
     np.multiply(inv[sub, 1, 2], pair, out=tmp)
     cross += tmp
     cross *= 2.0
@@ -184,16 +178,13 @@ class _Tape:
     Every [P, K] array is indexed by slot: row p holds ray p's live entries
     in t order, a splat in at most one slot. K is the largest live count of
     any ray, cut after the last slot any ray's termination lets contribute;
-    the slots past a ray's own count are padding with w = tw = 0. `color`,
-    `iso` and `aniso` are per-channel triples. `f`/`cos` are None unless
-    disentangled with anisotropy, `iso`/`aniso` None without fused streams
-    (`aniso` also without anisotropy), whether or not any splat reaches a
-    ray. When none does, every array but `final_T` is empty (K = 0).
-
-    `stitch` joins the tapes of a patch's tiles; there, the slots a tile's
-    rays have past that tile's own K are zero padding: w = tw = 0, every
-    other value 0.0 and `idx` 0. Like a tile's own padding, such a slot is
-    finite and adds only exact zeros to the backward pass's scans and sums.
+    the slots past a ray's own count are padding: idx 0, t 0, k = w = tw = 0,
+    every value finite, so it adds only exact zeros to the backward pass's
+    scans and sums. `color`, `iso` and `aniso` are per-channel triples.
+    `f`/`cos` are None unless disentangled with anisotropy, `iso`/`aniso`
+    None without fused streams (`aniso` also without anisotropy), whether or
+    not any splat reaches a ray. When none does, every array but `final_T`
+    is empty (K = 0).
     """
 
     idx: np.ndarray        # splat index of each slot
@@ -209,55 +200,23 @@ class _Tape:
     iso: tuple | None
     aniso: tuple | None
 
-    @classmethod
-    def stitch(cls, tiles, H: int, W: int) -> "_Tape":
-        """One tape over an H x W ray grid, rays in row-major order, from
-        (tile, tape) pairs: a tile is a (rows, cols) pair of slices, and the
-        tiles cover the grid. K is the widest tile's; one tile's tape comes
-        back as it is.
-        """
-        if len(tiles) == 1:
-            return tiles[0][1]
-        K = max(tp.w.shape[1] for _, tp in tiles)
 
-        def grid(parts):
-            out = np.zeros((H, W, K), dtype=parts[0].dtype)
-            for (tile, _), a in zip(tiles, parts):
-                dst = out[tile]
-                dst[:, :, :a.shape[1]] = a.reshape(dst.shape[:2] + a.shape[1:])
-            return out.reshape(H * W, K)
-
-        def field(name):
-            parts = [getattr(tp, name) for _, tp in tiles]
-            if parts[0] is None:
-                return None
-            if isinstance(parts[0], tuple):
-                return tuple(grid(ch) for ch in zip(*parts))
-            return grid(parts)
-
-        final_T = np.empty((H, W))
-        for tile, tp in tiles:
-            final_T[tile] = tp.final_T.reshape(final_T[tile].shape)
-        return cls(final_T=final_T.ravel(),
-                   **{f.name: field(f.name) for f in fields(cls)
-                      if f.name != "final_T"})
-
-
-def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
-               fused_streams=False, tape=False):
+def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
+               dx, dy, dz, fused_streams=False, tape=False):
     """Shared compositing kernel over P rays with one origin.
 
-    `geometry` is the (ts, q) pair of the caller's `_ray_geometry` call for
-    the gaussians `sub` along dx/dy/dz. Each ray keeps only its live entries
-    (within the cutoff, past `near`), in splat order, then t-sorts them;
-    every later step runs on [P, L], L being the largest live count of any
-    ray, with the ranks past a ray's own count as padding of weight 0.
-    Returns (color [P,3], depth [P], final_T [P]), then, when
+    Pair n is gaussian sub[n] on ray ray[n] (an index into dx/dy/dz), a ray
+    meeting a gaussian at most once, and `geometry` is the (ts, q) pair of
+    the caller's `_ray_geometry` call for the pairs. Each ray keeps only its
+    live pairs (within the cutoff, past `near`), ordered by t and then by
+    splat index; every later step runs on [P, L], L being the largest live
+    count of any ray, with the ranks past a ray's own count as padding of
+    weight 0. Returns (color [P,3], depth [P], final_T [P]), then, when
     fused_streams, the separately accumulated isotropic / anisotropic sums
     [P,3] each, then, when tape, a `_Tape`.
     """
     # callers pass the pair as a temporary, so this is its only reference and
-    # the full-width arrays are freed once the live entries are gathered (a
+    # the arrays over every pair are freed once the live ones are gathered (a
     # star-unpacked call would keep them alive in its argument tuple)
     ts, q = geometry
     del geometry
@@ -265,7 +224,9 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
     bg = scene.background
     live = q <= CUTOFF_SIGMA * CUTOFF_SIGMA
     live &= ts >= near
-    count = np.count_nonzero(live, axis=1)
+    ray, sub, ts, q = ray[live], sub[live], ts[live], q[live]
+    del live
+    count = np.bincount(ray, minlength=P)
     L = int(count.max(initial=0))
     if L == 0:
         color = np.broadcast_to(bg, (P, 3)).copy()
@@ -282,27 +243,26 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
                           iso=(e, e, e) if fused_streams else None,
                           aniso=(e, e, e) if fused_streams and aniso else None),)
         return out
-    # each ray's live columns first, in splat order, then t-sorted with the
-    # padding (key +inf) last: a stable sort keeps splat order among ties,
-    # and dropping dead entries drops only factors of 1.0 from the cumprod
-    # and exact zeros from every sum, so no output bit depends on it
-    pos = np.argsort(~live, axis=1, kind="stable")[:, :L]
-    del live
-    pad = np.arange(L) >= count[:, None]
-    key = np.take_along_axis(ts, pos, axis=1)
-    key[pad] = np.inf
-    order = np.take_along_axis(pos, np.argsort(key, axis=1, kind="stable"), axis=1)
-    del pos, key
-    ts = np.take_along_axis(ts, order, axis=1)
-    q = np.take_along_axis(q, order, axis=1)
-    idx = sub[order]
-    del order
+    # each ray's live pairs by t, ties by splat index, into ranks 0..count-1
+    # of its row; padding has q = +inf, so its weight exp(-q/2) is 0. Dropping
+    # dead pairs drops only factors of 1.0 from the cumprod and exact zeros
+    # from every sum, so no output bit depends on which pairs came in
+    order = np.lexsort((sub, ts, ray))
+    ray = ray[order]
+    slot = ray * L + (np.arange(ray.size) - (np.cumsum(count) - count)[ray])
+
+    def slots(values, pad):
+        out = np.full(P * L, pad, dtype=values.dtype)
+        out[slot] = values[order]
+        return out.reshape(P, L)
+
+    idx, ts, q = slots(sub, 0), slots(ts, 0.0), slots(q, np.inf)
+    del ray, order, slot
     # w = alpha * exp(-q/2), built in place in q
     np.multiply(q, -0.5, out=q)
     np.exp(q, out=q)
     k = q.copy() if tape else None
     w = np.multiply(scene.alpha[idx], q, out=q)
-    w[pad] = 0.0
     C = np.cumprod(1.0 - w, axis=1)
     eps = TERMINATION_EPSILON
     terminated = C < eps
@@ -370,6 +330,11 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, sub, dx, dy, dz,
     return out
 
 
+def _all_pairs(P: int, G: int):
+    """(ray, sub) of every ray x splat pair, splat-major."""
+    return np.tile(np.arange(P), G), np.repeat(np.arange(G), P)
+
+
 def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
                   near: float = 0.0):
     """Composite one ray: (color 3-vector, depth, final transmittance, samples).
@@ -379,85 +344,104 @@ def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
     back with the transmittance seen by each.
     """
     cfg = cfg if cfg is not None else RenderConfig()
-    v0, v1, v2, cg, _ = _origin_terms(scene, r.origin)
+    ot = _origin_terms(scene, r.origin)
     dx = np.array([r.dir[0]])
     dy = np.array([r.dir[1]])
     dz = np.array([r.dir[2]])
-    sub = np.arange(scene.alpha.size)
+    ray, sub = _all_pairs(1, scene.alpha.size)
     color, depth, final_T, tape = _composite(
-        scene, cfg, near, _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
-        sub, dx, dy, dz, tape=True)
+        scene, cfg, near, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
+        ray, sub, dx, dy, dz, tape=True)
     # one ray: every slot is live and sees transmittance >= epsilon
     samples = [RaySample(int(i), float(t), float(w), float(T))
                for i, t, w, T in zip(tape.idx[0], tape.ts[0], tape.w[0], tape.Tb[0])]
     return color[0], float(depth[0]), float(final_T[0]), samples
 
 
-def _cone_cull(scene, origin, dist, cd, gamma, sub):
-    """Indices in `sub` whose cull-radius ball can meet a ray in the cone.
+def _pairs(scene, cam, ot, rows, cols):
+    """(ray, sub): the ray x splat pairs of the pixel grid rows x cols (runs
+    of consecutive pixel indices) that can be live, splat-major, each
+    splat's rays ascending, ray = i * cols.size + j for rows[i], cols[j].
 
-    Conservative: a primitive contributes weight only where the ray passes
-    within CUTOFF_SIGMA standard deviations of its center, so inside that
-    ball, and every such ray lies within `gamma` of the cone axis once the
-    ball's angular radius is subtracted.
+    `ot` is `_origin_terms` at cam.position. The kernel's test
+    q <= CUTOFF_SIGMA^2 does not change when the ray direction is scaled, so
+    for `Camera.pixel_dirs`' direction before it normalises,
+    d = F + u p + v U (F forward, p = a right, U = t up), a pair can be live
+    only where d^T M d <= 0, M = (cg - CUTOFF_SIGMA^2) Sigma^-1 - b b^T with
+    b = (v0, v1, v2): a conic in (u, v). On row v it is the quadratic
+    pp u^2 + 2 B u + C <= 0, pp = p^T M p, B = p^T M (F + v U),
+    C = (F + v U)^T M (F + v U), whose discriminant B^2 - pp C is itself a
+    quadratic in v; their roots bound each splat's rows and each of its
+    rows' columns. The enumeration only has to be conservative, as the
+    kernel's q and near-plane test still decide what is live: the cutoff is
+    inflated by a relative 1e-9 and every interval widened by one pixel. A
+    conic that is not a bounded ellipse (pp <= 0, a row discriminant whose
+    v^2 term is >= 0, or an origin inside the ellipsoid) gets every pixel; a
+    bounded one on the nappe behind the camera (b . d < 0 at its centre,
+    i.e. the ellipsoid lies wholly behind the camera plane) gets none.
     """
-    d0 = scene.mu[sub, 0] - origin[0]
-    d1 = scene.mu[sub, 1] - origin[1]
-    d2 = scene.mu[sub, 2] - origin[2]
-    ds = dist[sub]
-    rad = scene.cull_radius[sub]
-    inside = ds <= rad
-    cos = np.ones(sub.size)
-    np.divide(d0 * cd[0] + d1 * cd[1] + d2 * cd[2], ds, out=cos, where=ds > 0)
-    ang = np.arccos(np.clip(cos, -1.0, 1.0))
-    halfap = np.arcsin(np.clip(np.divide(rad, np.maximum(ds, 1e-300)), 0.0, 1.0))
-    return sub[(ang - halfap <= gamma) | inside]
+    v0, v1, v2, cg = ot
+    t = math.tan(0.5 * cam.fov_y)
+    axes = np.stack([(cam.width / cam.height * t) * cam.right, cam.forward,
+                     t * cam.up])
+    bd = np.stack([v0, v1, v2], axis=1) @ axes.T     # b . p, b . F, b . U
+    k = cg - CUTOFF_SIGMA * CUTOFF_SIGMA * (1.0 + 1e-9)
+    m = (k[:, None, None] * (axes @ scene.cov_inv @ axes.T)
+         - bd[:, :, None] * bd[:, None, :])
+    pp, pf, pu = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
+    ff, fu, uu = m[:, 1, 1], m[:, 1, 2], m[:, 2, 2]
+    # the row discriminant B^2 - pp C = a2 v^2 + 2 b2 v + (pf^2 - pp ff)
+    a2 = pu * pu - pp * uu
+    b2 = pf * pu - pp * fu
+    bounded = (k > 0.0) & (pp > 0.0) & (a2 < 0.0)
+    a2 = np.where(bounded, a2, -1.0)
+    pp = np.where(bounded, pp, 1.0)
+    d2 = b2 * b2 - a2 * (pf * pf - pp * ff)
+    vc = b2 / -a2                                  # the ellipse's centre
+    vh = np.sqrt(np.maximum(d2, 0.0)) / -a2
+    uc = (pf + vc * pu) / -pp
+    front = bd[:, 1] + uc * bd[:, 0] + vc * bd[:, 2] >= 0.0
+    H, W, R, C = cam.height, cam.width, rows.size, cols.size
 
+    def first_last(lo, hi, n):
+        # grid indices [first, last] of the pixels whose centres lie in the
+        # fractional index range [lo, hi], widened by one pixel each side
+        first = np.ceil(np.clip(lo, -2.0, n + 1.0)) - 1.0
+        last = np.floor(np.clip(hi, -2.0, n + 1.0)) + 1.0
+        return (np.maximum(first, 0.0).astype(np.intp),
+                np.minimum(last, n - 1.0).astype(np.intp))
 
-def _cone_of(dxb, dyb, dzb):
-    """Axis (unit 3-vector) and half-angle of the cone containing given dirs."""
-    ax = float(np.mean(dxb))
-    ay = float(np.mean(dyb))
-    az = float(np.mean(dzb))
-    n = math.sqrt(ax * ax + ay * ay + az * az)
-    if n == 0.0:
-        return np.array([0.0, 0.0, 1.0]), math.pi
-    ax, ay, az = ax / n, ay / n, az / n
-    cosg = float(np.min(dxb * ax + dyb * ay + dzb * az))
-    return np.array([ax, ay, az]), math.acos(min(max(cosg, -1.0), 1.0))
-
-
-def _fine_tiles(scene, cam, ot, dxb, dyb, dzb):
-    """Two-level cone cull of a block of pixel directions [Hb, Wb].
-
-    Culls the whole block once, then yields, for each FINE_TILE square in
-    row-major order, (tile, sub, dx, dy, dz): the tile's (rows, cols) slices
-    into the block, the splats its cone can reach and its raveled ray
-    direction components. `ot` is `_origin_terms` at cam.position.
-    """
-    if scene.alpha.size:
-        cd, gamma = _cone_of(dxb, dyb, dzb)
-        sub1 = _cone_cull(scene, cam.position, ot[4], cd, gamma,
-                          np.arange(scene.alpha.size))
-    else:
-        sub1 = np.arange(0)
-    Hb, Wb = dxb.shape
-    for fr in range(0, Hb, FINE_TILE):
-        for fc in range(0, Wb, FINE_TILE):
-            tile = (slice(fr, min(fr + FINE_TILE, Hb)),
-                    slice(fc, min(fc + FINE_TILE, Wb)))
-            dxt, dyt, dzt = dxb[tile], dyb[tile], dzb[tile]
-            if sub1.size:
-                cd, gamma = _cone_of(dxt, dyt, dzt)
-                sub2 = _cone_cull(scene, cam.position, ot[4], cd, gamma, sub1)
-            else:
-                sub2 = sub1
-            yield tile, sub2, dxt.ravel(), dyt.ravel(), dzt.ravel()
+    # v = 1 - (row + 0.5) / H * 2, so the row index falls as v rises
+    r_lo, r_hi = first_last((1.0 - (vc + vh)) * (H / 2.0) - 0.5 - rows[0],
+                            (1.0 - (vc - vh)) * (H / 2.0) - 0.5 - rows[0], R)
+    r_lo[~bounded] = 0
+    r_hi[~bounded] = R - 1
+    r_hi[bounded & ((d2 < 0.0) | ~front)] = -1
+    nrow = np.maximum(r_hi - r_lo + 1, 0)
+    # one segment per (splat, row)
+    g = np.repeat(np.arange(cg.size), nrow)
+    i = np.arange(g.size) - np.repeat(np.cumsum(nrow) - nrow - r_lo, nrow)
+    v = 1.0 - (rows[i] + 0.5) / H * 2.0
+    bv = pf[g] + v * pu[g]
+    disc = bv * bv - pp[g] * (ff[g] + v * (2.0 * fu[g] + v * uu[g]))
+    uc = bv / -pp[g]
+    uh = np.sqrt(np.maximum(disc, 0.0)) / pp[g]
+    # u = (col + 0.5) / W * 2 - 1
+    c_lo, c_hi = first_last((uc - uh + 1.0) * (W / 2.0) - 0.5 - cols[0],
+                            (uc + uh + 1.0) * (W / 2.0) - 0.5 - cols[0], C)
+    full = ~bounded[g]
+    c_lo[full] = 0
+    c_hi[full] = C - 1
+    c_hi[~full & (disc < 0.0)] = -1
+    n = np.maximum(c_hi - c_lo + 1, 0)
+    sub = np.repeat(g, n)
+    ray = np.arange(sub.size) - np.repeat(np.cumsum(n) - n - (i * C + c_lo), n)
+    return ray, sub
 
 
 def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
-    """Render one coarse block; `_fine_tiles` culls it, one kernel call per
-    fine tile.
+    """Render one coarse block: `_pairs` enumerates it once, then one kernel
+    call per FINE_TILE square composites that tile's pairs.
 
     `head` is None for physical color, else (MlpParams, embedding vector): the
     fusion head then runs once over the block's per-pixel streams (its rows
@@ -472,10 +456,32 @@ def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
     trans = np.empty((Hb, Wb, 1))
     if head is not None:
         iso, aniso = np.empty((Hb, Wb, 3)), np.empty((Hb, Wb, 3))
-    for tile, sub, dx, dy, dz in _fine_tiles(scene, cam, ot, dxb, dyb, dzb):
+    ray, sub = _pairs(scene, cam, ot, rows, cols)
+    # each block pixel's fine tile and its row-major index inside the tile
+    r, c = np.divmod(np.arange(Hb * Wb), Wb)
+    ntj = -(-Wb // FINE_TILE)
+    tile_of = r // FINE_TILE * ntj + c // FINE_TILE
+    local_of = (r % FINE_TILE * np.minimum(FINE_TILE, Wb - c // FINE_TILE * FINE_TILE)
+                + c % FINE_TILE)
+    # the pairs bucketed by fine tile, in the order they came within a tile
+    # (a stable sort of 16-bit keys is a radix sort)
+    tile = tile_of[ray]
+    order = np.argsort(tile.astype(np.int16), kind="stable")
+    ends = np.cumsum(np.bincount(tile, minlength=tile_of[-1] + 1))
+    ray, sub = ray[order], sub[order]
+    local = local_of[ray]
+    del tile, order
+    ts, q = _ray_geometry(scene, *ot, dxb.ravel()[ray], dyb.ravel()[ray],
+                          dzb.ravel()[ray], sub)
+    del ray
+    for n, (lo, hi) in enumerate(zip((0, *ends[:-1]), ends)):
+        fr, fc = divmod(n, ntj)
+        tile = (slice(fr * FINE_TILE, min((fr + 1) * FINE_TILE, Hb)),
+                slice(fc * FINE_TILE, min((fc + 1) * FINE_TILE, Wb)))
         col, dep, fT, *streams = _composite(
-            scene, cfg, cam.near, _ray_geometry(scene, *ot[:4], dx, dy, dz, sub),
-            sub, dx, dy, dz, fused_streams=head is not None)
+            scene, cfg, cam.near, (ts[lo:hi], q[lo:hi]), local[lo:hi],
+            sub[lo:hi], dxb[tile].ravel(), dyb[tile].ravel(), dzb[tile].ravel(),
+            fused_streams=head is not None)
         sh = dxb[tile].shape
         if head is None:
             color[tile] = col.reshape(sh + (3,))
@@ -602,9 +608,9 @@ def render_rays(scene: Scene, origin, dirs, cfg: RenderConfig | None = None,
     dirs = np.asarray(dirs, dtype=np.float64)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError("dirs must be [P,3]")
-    v0, v1, v2, cg, _ = _origin_terms(scene, origin)
+    ot = _origin_terms(scene, origin)
     dx, dy, dz = (np.ascontiguousarray(dirs[:, i]) for i in range(3))
-    sub = np.arange(scene.alpha.size)
+    ray, sub = _all_pairs(dx.size, scene.alpha.size)
     return _composite(scene, cfg, near,
-                      _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
-                      sub, dx, dy, dz, fused_streams=fused_streams)
+                      _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
+                      ray, sub, dx, dy, dz, fused_streams=fused_streams)

@@ -29,8 +29,8 @@ from .imgfile import atomic_write
 # Covariance eigenvalues below this are treated as singular.
 MIN_EIGENVALUE = 1e-12
 # Mahalanobis cutoff: a splat reaches a ray only within this many sigma of
-# its center. The renderer's kernel, the cull radii and the scene bounds all
-# read it.
+# its center. The renderer's kernel, its pair enumeration and the scene
+# bounds all read it.
 CUTOFF_SIGMA = 3.0
 
 _WORLD_UP = np.array([0.0, 0.0, 1.0])
@@ -57,8 +57,6 @@ class Scene:
     everything derived exactly once, from one batched eigvalsh on the
     symmetrised covariance:
       - bounds_min, bounds_max, center, radius: the CUTOFF_SIGMA scene bounds;
-      - cull_radius [G]: CUTOFF_SIGMA standard deviations along each splat's
-        widest axis;
       - singular [G]: the covariance is singular (smallest eigenvalue below
         MIN_EIGENVALUE) or not finite; such a scene constructs,
         validate_scene reports it and the renderer refuses it;
@@ -78,7 +76,6 @@ class Scene:
     bounds_max: np.ndarray = field(init=False, repr=False)
     center: np.ndarray = field(init=False, repr=False)
     radius: float = field(init=False, repr=False)
-    cull_radius: np.ndarray = field(init=False, repr=False)
     singular: np.ndarray = field(init=False, repr=False)
     cov_inv: np.ndarray = field(init=False, repr=False)
 
@@ -116,7 +113,7 @@ class Scene:
                 center = 0.5 * (lo + hi)
                 radius = float(np.max(np.linalg.norm(mu - center, axis=1) + ext))
         arrays.update(bounds_min=lo, bounds_max=hi, center=center,
-                      cull_radius=ext, singular=singular, cov_inv=inv)
+                      singular=singular, cov_inv=inv)
         for name, a in arrays.items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)

@@ -13,8 +13,9 @@ from splat360 import (Camera, Ray, RenderConfig, Scene, composite_ray,
                       embed_camera, fuse, init_mlp, make_orbit_cameras,
                       make_random_scene, phase, render, render_rays)
 from conftest import make_scene
-from splat360.renderer import (TERMINATION_EPSILON, _composite, _origin_terms,
-                               _ray_geometry, _shutdown_pools)
+from splat360.renderer import (TERMINATION_EPSILON, _all_pairs, _composite,
+                               _origin_terms, _pairs, _ray_geometry,
+                               _shutdown_pools)
 
 Z_RAY = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
@@ -80,9 +81,9 @@ def test_weight_culled_past_cutoff():
 
 
 def test_render_keeps_a_splat_just_inside_the_cutoff():
-    # the cone cull and the kernel read one cutoff, so a splat 2.99 sigma
-    # off the only ray of a 1x1 frame is rendered exactly as composite_ray
-    # composites it
+    # the pair enumeration and the kernel read one cutoff, so a splat
+    # 2.99 sigma off the only ray of a 1x1 frame is rendered exactly as
+    # composite_ray composites it
     sigma = 0.1
     s = make_scene(mu=(2.99 * sigma, 0.0, 2.0), sigma=sigma, alpha=1.0,
                    l_iso=(0.3, 0.6, 0.9))
@@ -342,12 +343,14 @@ def test_kernel_invariants_on_random_scenes(case):
 def _batch_tape(scene, origin, dirs, cfg, near, fused_streams=False):
     """The tape of one kernel call over a batch of rays, as `render_rays`
     composites them."""
-    v0, v1, v2, cg, _ = _origin_terms(scene, origin)
+    v0, v1, v2, cg = _origin_terms(scene, origin)
     dx, dy, dz = (np.ascontiguousarray(dirs[:, i]) for i in range(3))
-    sub = np.arange(scene.alpha.size)
+    ray, sub = _all_pairs(dx.size, scene.alpha.size)
     return _composite(scene, cfg, near,
-                      _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub),
-                      sub, dx, dy, dz, fused_streams=fused_streams, tape=True)[-1]
+                      _ray_geometry(scene, v0, v1, v2, cg, dx[ray], dy[ray],
+                                    dz[ray], sub),
+                      ray, sub, dx, dy, dz, fused_streams=fused_streams,
+                      tape=True)[-1]
 
 
 @given(_scene_and_rays(), st.sampled_from([0.0, 1.8, 2.0]))
@@ -366,6 +369,79 @@ def test_batch_ray_equals_the_ray_alone(case, near):
         assert [(s.index, s.t, s.weight, s.transmittance_before) for s in samples] == \
             list(zip(tape.idx[p][slot], tape.ts[p][slot], tape.w[p][slot],
                      tape.Tb[p][slot]))
+
+
+_SPLAT_KINDS = ("random", "needle", "large", "inside", "behind", "straddle",
+                "edge")
+
+
+@st.composite
+def _pairs_case(draw):
+    """A camera, a grid of its pixels (any offset, any aspect) and splats of
+    the drawn kinds: anywhere around the camera, needle-thin, very large,
+    containing the camera, behind it, across its plane, or 3 - 1e-9 or exactly
+    3 sigma off one pixel's ray, so that the pair sits on the cutoff edge of
+    a bounded conic (at 3 sigma it is live or not by rounding alone)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(_SPLAT_KINDS), min_size=1, max_size=8))
+    H, W = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    r0, c0 = draw(st.integers(0, H - 1)), draw(st.integers(0, W - 1))
+    rows = np.arange(r0, draw(st.integers(r0 + 1, H)), dtype=np.float64)
+    cols = np.arange(c0, draw(st.integers(c0 + 1, W)), dtype=np.float64)
+    pos = rng.normal(0.0, 2.0, 3)
+    cam = Camera.look_at(pos, pos + rng.normal(0.0, 1.0, 3),
+                         rng.uniform(0.2, 2.5), W, H,
+                         near=draw(st.sampled_from([1e-3, 0.5])))
+    mus, covs, edges = [], [], []
+    for n, kind in enumerate(kinds):
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        sigma = np.exp(rng.uniform(np.log(1e-3), np.log(2.0), 3))
+        lateral = (rng.uniform(-3.0, 3.0) * cam.right
+                   + rng.uniform(-3.0, 3.0) * cam.up)
+        mu = pos + rng.uniform(-2.0, 4.0) * cam.forward + lateral
+        if kind == "needle":
+            sigma = np.array([rng.uniform(0.5, 3.0), 1e-3, 2e-3])
+        elif kind == "large":
+            sigma = np.exp(rng.uniform(0.0, np.log(10.0), 3))
+        elif kind == "inside":
+            sigma = rng.uniform(0.5, 3.0, 3)
+            mu = pos + rng.normal(0.0, 0.1, 3) * sigma.min()
+        elif kind == "behind":
+            mu = pos - rng.uniform(0.2, 3.0) * cam.forward + lateral
+        elif kind == "straddle":
+            sigma = rng.uniform(0.3, 2.0, 3)
+            mu = pos + rng.uniform(-0.3, 0.3) * sigma.min() * cam.forward + lateral
+        elif kind == "edge":
+            i, j = rng.integers(0, rows.size), rng.integers(0, cols.size)
+            d = np.array(cam.pixel_dirs(rows[i], cols[j]), dtype=np.float64)
+            t = rng.uniform(0.5, 5.0)
+            sigma = np.full(3, rng.uniform(0.01, 0.1) * t * float(d @ cam.forward))
+            off = np.cross(d, rng.normal(size=3))
+            reach = draw(st.sampled_from([3.0 - 1e-9, 3.0]))
+            mu = pos + t * d + reach * sigma[0] * off / np.linalg.norm(off)
+            edges.append((i * cols.size + j, n, reach < 3.0))
+        mus.append(mu)
+        covs.append(rot @ np.diag(sigma * sigma) @ rot.T)
+    return make_scene(mu=np.array(mus), cov=np.array(covs)), cam, rows, cols, edges
+
+
+@given(_pairs_case())
+@settings(max_examples=400, deadline=None)
+def test_pairs_holds_every_live_pair_once(case):
+    scene, cam, rows, cols, edges = case
+    ot = _origin_terms(scene, cam.position)
+    ray, sub = _pairs(scene, cam, ot, rows, cols)
+    P, G = rows.size * cols.size, scene.alpha.size
+    assert ((ray >= 0) & (ray < P)).all() and ((sub >= 0) & (sub < G)).all()
+    key = sub * P + ray
+    assert np.unique(key).size == key.size
+    # brute force over every ray x splat pair of the grid
+    dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
+    all_ray, all_sub = _all_pairs(P, G)
+    ts, q = _ray_geometry(scene, *ot, dx[all_ray], dy[all_ray], dz[all_ray], all_sub)
+    live = (q <= 9.0) & (ts >= cam.near)
+    assert all(live[n * P + r] for r, n, inside in edges if inside)
+    assert np.isin(all_sub[live] * P + all_ray[live], key).all()
 
 
 def test_tape_holds_only_each_rays_live_splats():
@@ -395,8 +471,8 @@ def test_tape_holds_only_each_rays_live_splats():
                                  RenderConfig(False, False)],
                          ids=["default", "no_disentangle", "no_anisotropy", "neither"])
 def test_empty_tape_leaves_the_same_fields_none(cfg, fused_streams):
-    # a patch's tiles can mix tapes where no splat reaches any ray (K = 0)
-    # with tapes where one does, and `_Tape.stitch` joins them field by field
+    # a backward pass reads the same fields whether or not any splat reaches
+    # the patch (K = 0)
     scene = make_scene(mu=(0.0, 0.0, 2.0))
     full, empty = (_batch_tape(scene, np.zeros(3), np.array([d]), cfg, 0.0,
                                fused_streams)
