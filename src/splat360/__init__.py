@@ -20,7 +20,7 @@ from .renderer import (
 from .imgfile import (
     encode_gamma, decode_gamma, save_ppm, load_ppm, save_pfm, load_pfm,
 )
-from .metrics import RuntimeReport, psnr, ssim, ssim_with_grad, measure_runtime
+from .metrics import psnr, ssim, ssim_with_grad
 from .ct import (
     VoxelVolume, DrrConfig, ProjectionGeometry, hu_to_mu, sample_hu,
     beer_lambert_ray, render_drr, save_volume, load_volume,
@@ -28,11 +28,11 @@ from .ct import (
 )
 from .anchors import (
     AnchorPoint, AnchorSet, depth_gradient, select_anchors,
-    sample_anchor_indices, sample_anchor_rays,
+    sample_anchor_indices,
     anchor_set_to_json, anchor_set_from_json,
 )
 from .fusion import (
-    CameraEmbedding, MlpParams, embed_camera, init_mlp, fuse, fuse_backward,
+    MlpParams, embed_camera, init_mlp,
     fuse_forward_batch, fuse_backward_batch, save_mlp, load_mlp,
 )
 from .fitting import (

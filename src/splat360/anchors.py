@@ -1,4 +1,4 @@
-"""Depth-gradient anchor extraction and probability-weighted ray sampling.
+"""Depth-gradient anchor extraction and probability-weighted anchor sampling.
 
 Anchors are greedy local maxima of the depth-gradient magnitude with
 non-maximum suppression. Each anchor j carries probability
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .scene import Camera, ImageBuffer, ImageKind, Ray
+from .scene import ImageBuffer, ImageKind
 
 DEFAULT_K = 64
 DEFAULT_SUPPRESSION_RADIUS = 5.0
@@ -33,11 +33,9 @@ class AnchorPoint:
 class AnchorSet:
     anchors: tuple[AnchorPoint, ...]
     beta: float
-    k: int
 
     def __post_init__(self):
         self.anchors = tuple(self.anchors)
-        self.k = int(self.k)
         probs = np.array([a.prob for a in self.anchors])
         if probs.size:
             if not ((probs >= 0).all() and abs(float(probs.sum()) - 1.0) <= 1e-9):
@@ -120,7 +118,7 @@ def select_anchors(grad, k: int = DEFAULT_K,
     probs = e / e.sum()
     anchors = tuple(AnchorPoint(r, c, gm, float(p))
                     for r, c, gm, p in zip(sel_r, sel_c, gv, probs))
-    return AnchorSet(anchors, float(beta), len(anchors))
+    return AnchorSet(anchors, float(beta))
 
 
 def sample_anchor_indices(aset: AnchorSet, n: int,
@@ -138,12 +136,6 @@ def sample_anchor_indices(aset: AnchorSet, n: int,
     u = np.random.default_rng(seed).random(n)
     return np.minimum(np.searchsorted(cum, u, side="right"),
                       len(aset.anchors) - 1)
-
-
-def sample_anchor_rays(aset: AnchorSet, cam: Camera, n: int, seed: int) -> list[Ray]:
-    idx = sample_anchor_indices(aset, n, seed)
-    return [cam.ray_through_pixel(aset.anchors[i].row, aset.anchors[i].col)
-            for i in idx]
 
 
 def anchor_set_to_json(aset: AnchorSet, seed: int | None = None) -> str:
@@ -167,6 +159,6 @@ def anchor_set_from_json(text: str) -> AnchorSet:
                                     float(a["grad"]), float(a["prob"]))
                         for a in doc["anchors"])
         beta = float(doc["beta"])
-        return AnchorSet(anchors, beta, len(anchors))
+        return AnchorSet(anchors, beta)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad anchor JSON structure: {e}") from e

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .fitting import (FitConfig, _Geometry, _patch_backward, _patch_forward,
 from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
                      init_mlp, load_mlp, save_mlp)
 from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
-from .metrics import measure_runtime, psnr, ssim
+from .metrics import psnr, ssim
 from .renderer import RenderConfig, render
 from .scene import (Camera, Scene, load_scene, make_orbit_cameras,
                     make_random_scene, save_scene)
@@ -77,12 +78,25 @@ def _resolve_workers(args) -> int:
 
 
 class _Run:
-    """Tracks files a command writes so a failure can remove them all."""
+    """Tracks files a command writes; an exception leaving its `with` block
+    removes them all."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.written: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
+
+    def __enter__(self) -> "_Run":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            return
+        for p in self.written:
+            try:
+                os.unlink(p)
+            except OSError:
+                pass
 
     def path(self, name: str) -> str:
         p = os.path.join(self.out_dir, name)
@@ -91,13 +105,6 @@ class _Run:
 
     def write_text(self, name: str, text: str) -> None:
         atomic_write(self.path(name), text.encode("utf-8"))
-
-    def cleanup(self):
-        for p in self.written:
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
 
     def manifest(self, command: str, config: dict, inputs: list[str],
                  seed) -> None:
@@ -124,11 +131,15 @@ def camera_to_doc(cam: Camera) -> dict:
 
 def camera_from_doc(doc: dict) -> Camera:
     try:
+        for key in ("width", "height"):
+            # Camera would read 3.5 as 3 and true as 1
+            if type(doc[key]) is not int:
+                raise TypeError(f"{key} must be an integer, got {doc[key]!r}")
         return Camera(np.array(doc["position"]), np.array(doc["forward"]),
                       np.array(doc["up"]), np.array(doc["right"]),
                       doc["fov_y"], doc["width"], doc["height"],
                       doc.get("near", 1e-3))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad camera JSON: {e}") from e
 
 
@@ -172,8 +183,7 @@ def cmd_render(args) -> int:
     cams = _cameras_for(args, scene)
     rcfg = _render_config(args)
     workers = _resolve_workers(args)
-    run = _Run(args.out)
-    try:
+    with _Run(args.out) as run:
         for i, cam in enumerate(cams):
             color, depth, trans = render(scene, cam, rcfg, workers=workers)
             save_ppm(run.path(f"frame_{i:03d}.ppm"), color.data)
@@ -195,9 +205,6 @@ def cmd_render(args) -> int:
             "depth": args.depth, "transmittance": args.transmittance,
             "float_color": args.float_color, "workers": workers,
         }, [args.scene], args.seed)
-    except BaseException:
-        run.cleanup()
-        raise
     print(f"wrote {len(cams)} frame(s) to {args.out}")
     return EXIT_OK
 
@@ -231,8 +238,7 @@ def cmd_drr(args) -> int:
     cfg = DrrConfig(mu_water=args.mu_water, i0=args.i0, step_mm=args.step,
                     output=args.output)
     workers = _resolve_workers(args)
-    run = _Run(args.out)
-    try:
+    with _Run(args.out) as run:
         img = render_drr(vol, geom, cfg, workers=workers)
         if args.output == "intensity":
             save_ppm(run.path("drr.ppm"), np.repeat(img.data, 3, axis=2))
@@ -248,9 +254,6 @@ def cmd_drr(args) -> int:
             "det_width": geom.det_width, "det_height": geom.det_height,
             "workers": workers,
         }, [args.volume, read_volume_header(args.volume)[1]], args.seed)
-    except BaseException:
-        run.cleanup()
-        raise
     print(f"wrote drr to {args.out}")
     return EXIT_OK
 
@@ -302,7 +305,6 @@ def cmd_fit(args) -> int:
     elif args.mlp_init is not None:
         mlp = init_mlp(d=args.mlp_init, seed=args.seed)
     targets = [(cam, img) for cam, img, _ in pairs]
-    run = _Run(args.out)
     config_doc = {
         "scene": args.scene, "targets": [p[2] for p in pairs],
         "lr": cfg.lr, "iters": cfg.iters, "lambda_mse": cfg.lambda_mse,
@@ -312,16 +314,16 @@ def cmd_fit(args) -> int:
         "target_dtype": cfg.target_dtype, "mlp": args.mlp,
         "mlp_init": args.mlp_init,
     }
-    try:
-        fitted, mlp_out, report = fit_scene(scene, targets, cfg, mlp=mlp)
-    except NumericFailure as e:
-        # keep the trace collected so far, drop nothing else (nothing written yet)
-        doc = e.report.to_dict() if getattr(e, "report", None) else {}
-        doc["error"] = str(e)
-        run.write_text("fit_report.json", json.dumps(doc, indent=1) + "\n")
-        print(f"fit aborted: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    try:
+    with _Run(args.out) as run:
+        try:
+            fitted, mlp_out, report = fit_scene(scene, targets, cfg, mlp=mlp)
+        except NumericFailure as e:
+            # keep the trace collected so far (nothing else is written yet)
+            doc = e.report.to_dict() if getattr(e, "report", None) else {}
+            doc["error"] = str(e)
+            run.write_text("fit_report.json", json.dumps(doc, indent=1) + "\n")
+            print(f"fit aborted: {e}", file=sys.stderr)
+            return EXIT_NUMERIC
         save_scene(run.path("fitted_scene.json"), fitted)
         if mlp_out is not None:
             save_mlp(run.path("mlp.params"), mlp_out)
@@ -337,9 +339,6 @@ def cmd_fit(args) -> int:
         if args.mlp:
             inputs.append(args.mlp)
         run.manifest("fit", config_doc, inputs, args.seed)
-    except BaseException:
-        run.cleanup()
-        raise
     print("\n".join(lines))
     print(f"final loss {report.final_loss:.6e} after {report.iterations} iterations "
           f"({report.seconds:.1f}s)")
@@ -355,8 +354,7 @@ def cmd_anchors(args) -> int:
     cam = cams[0]
     rcfg = _render_config(args)
     workers = _resolve_workers(args)
-    run = _Run(args.out)
-    try:
+    with _Run(args.out) as run:
         _, depth, _ = render(scene, cam, rcfg, workers=workers)
         grad = depth_gradient(depth)
         aset = select_anchors(grad, k=args.k, suppression_radius=args.radius_px,
@@ -369,9 +367,6 @@ def cmd_anchors(args) -> int:
             "k": args.k, "suppression_radius": args.radius_px,
             "beta": args.beta, "workers": workers,
         }, [args.scene], args.seed)
-    except BaseException:
-        run.cleanup()
-        raise
     print(f"wrote {len(aset.anchors)} anchors to {args.out}")
     return EXIT_OK
 
@@ -396,15 +391,11 @@ def cmd_metrics(args) -> int:
     text = json.dumps(result, indent=1) + "\n"
     sys.stdout.write(text)
     if args.out:
-        run = _Run(args.out)
-        try:
+        with _Run(args.out) as run:
             run.write_text("metrics.json", text)
             run.manifest("metrics", {"image_a": args.image_a,
                                      "image_b": args.image_b},
                          [args.image_a, args.image_b], args.seed)
-        except BaseException:
-            run.cleanup()
-            raise
     return EXIT_OK
 
 
@@ -512,7 +503,7 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
     for mlp in (None, init_mlp(d=16, seed=seed + 3)):
         kind = "fused" if mlp else "physical"
         e_vec = (None if mlp is None
-                 else embed_camera(cam, scene.center, scene.radius, mlp.d).vec)
+                 else embed_camera(cam, scene.center, scene.radius, mlp.d))
 
         def forward(sc, tape=False):
             return _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec, tape=tape)
@@ -567,23 +558,27 @@ def cmd_bench(args) -> int:
     cams = make_orbit_cameras(scene.center, 2.5 * max(scene.radius, 0.1),
                               args.frames, 0.3, "ring", args.res, args.res, 0.9)
     workers = _resolve_workers(args)
-    report = measure_runtime(scene, cams, RenderConfig(), workers=workers)
-    doc = report.to_dict()
-    doc["cpu_count"] = os.cpu_count()
-    doc["gaussians"] = scene.alpha.size
-    text = json.dumps(doc, indent=1) + "\n"
+    # the warm-up frame (first camera) is not timed, so pool spawn and cache
+    # effects do not pollute the per-frame numbers
+    render(scene, cams[0], workers=workers)
+    t0 = time.perf_counter()
+    for cam in cams:
+        render(scene, cam, workers=workers)
+    seconds = max(time.perf_counter() - t0, 1e-9)
+    n = len(cams)
+    text = json.dumps({
+        "width": args.res, "height": args.res, "frames": n, "seconds": seconds,
+        "fps": n / seconds, "ms_per_frame": seconds / n * 1000.0,
+        "workers": workers, "cpu_count": os.cpu_count(),
+        "gaussians": scene.alpha.size}, indent=1) + "\n"
     sys.stdout.write(text)
     if args.out:
-        run = _Run(args.out)
-        try:
+        with _Run(args.out) as run:
             run.write_text("bench.json", text)
             run.manifest("bench", {"scene": args.scene, "res": args.res,
                                    "frames": args.frames, "workers": workers,
                                    "gaussians": scene.alpha.size},
                          [args.scene] if args.scene else [], args.seed)
-        except BaseException:
-            run.cleanup()
-            raise
     return EXIT_OK
 
 

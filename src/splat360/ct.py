@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import VolumeFormatError
+from .imgfile import atomic_write
 from .scene import ImageBuffer, ImageKind, Ray
 
 PIXEL_CHUNK = 4096
@@ -294,8 +295,7 @@ def save_volume(header_path: str, vol: VoxelVolume, raw_name: str | None = None)
     nx, ny, nz = vol.dims
     hu = np.rint(vol.hu).astype("<i2")
     raw_path = os.path.join(os.path.dirname(os.path.abspath(header_path)), raw_name)
-    with open(raw_path, "wb") as f:
-        f.write(hu.tobytes())  # [z,y,x] C-order == x fastest
+    atomic_write(raw_path, hu.tobytes())  # [z,y,x] C-order == x fastest
     sp = vol.spacing
     og = vol.origin
     text = (f"dims={nx} {ny} {nz}\n"
@@ -303,8 +303,7 @@ def save_volume(header_path: str, vol: VoxelVolume, raw_name: str | None = None)
             f"origin={og[0]:.17g} {og[1]:.17g} {og[2]:.17g}\n"
             f"data={raw_name}\n"
             f"dtype=int16le\n")
-    with open(header_path, "w", encoding="utf-8") as f:
-        f.write(text)
+    atomic_write(header_path, text.encode("utf-8"))
 
 
 def read_volume_header(header_path: str) -> tuple[dict[str, str], str]:

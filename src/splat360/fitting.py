@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -393,7 +393,6 @@ def _view_losses(scene, cams, targets_arr, rcfg, cfg, mlp):
 
 
 def fit_scene(scene: Scene, targets, cfg: FitConfig,
-              render_cfg: RenderConfig | None = None,
               mlp: MlpParams | None = None):
     """Fit appearance (and optionally geometry / MLP) to target images.
 
@@ -403,11 +402,8 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     """
     if not targets:
         raise ValueError("need at least one target view")
-    rcfg = render_cfg if render_cfg is not None else RenderConfig()
-    if "no_disentangle" in cfg.ablation and rcfg.disentangle:
-        rcfg = replace(rcfg, disentangle=False)
-    if "no_anisotropy" in cfg.ablation and rcfg.anisotropy_enabled:
-        rcfg = replace(rcfg, anisotropy_enabled=False)
+    rcfg = RenderConfig(disentangle="no_disentangle" not in cfg.ablation,
+                        anisotropy_enabled="no_anisotropy" not in cfg.ablation)
     use_mlp = mlp is not None and "no_dual_branch" not in cfg.ablation
     live_mlp = mlp if use_mlp else None
 
@@ -469,7 +465,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         # with the geometry
         e_vec = (None if live_mlp is None else
                  embed_camera(cam, cur_scene.center, cur_scene.radius,
-                              live_mlp.d).vec)
+                              live_mlp.d))
         colors, work = _patch_forward(cur_scene, cam, rcfg, rows, cols,
                                       live_mlp, e_vec, tape=True)
         pred = _pred_for_loss(colors.reshape(ph, pw, 3), cfg)

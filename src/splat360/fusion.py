@@ -21,23 +21,9 @@ EMBED_USED = 13
 HIDDEN = 32
 
 
-@dataclass
-class CameraEmbedding:
-    vec: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        self.vec = np.asarray(self.vec, dtype=np.float64).reshape(-1)
-        self.d = int(self.d)
-        if self.vec.size != self.d:
-            raise ValueError("embedding length must equal d")
-        if (np.abs(self.vec) > 1.0 + 1e-12).any():
-            raise ValueError("embedding components must lie in [-1, 1]")
-
-
 def embed_camera(cam: Camera, scene_center, scene_radius: float,
-                 d: int = 16) -> CameraEmbedding:
-    """Normalized pose vector: position (radius units, clamped), frame, fov.
+                 d: int = 16) -> np.ndarray:
+    """Normalized pose vector [d]: position (radius units, clamped), frame, fov.
 
     Layout: [(position-center)/radius clamped to [-1,1] (3), forward (3),
     up (3), right (3), fov_y/pi (1), zero padding to d].
@@ -54,7 +40,7 @@ def embed_camera(cam: Camera, scene_center, scene_radius: float,
     vec[6:9] = cam.up
     vec[9:12] = cam.right
     vec[12] = cam.fov_y / math.pi
-    return CameraEmbedding(vec, d)
+    return vec
 
 
 @dataclass
@@ -195,23 +181,6 @@ def fusion_input(iso, aniso, e_vec: np.ndarray, dirs) -> np.ndarray:
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     e_rows = np.broadcast_to(e_vec, (dirs.shape[0], e_vec.size))
     return np.concatenate([iso, aniso, e_rows, dirs], axis=1)
-
-
-def fuse(l_iso, l_aniso, e_c: CameraEmbedding, direction,
-         params: MlpParams) -> np.ndarray:
-    """Fused RGB for one ray; strictly inside (0,1)^3."""
-    x = fusion_input(l_iso, l_aniso, e_c.vec, direction)
-    return fuse_forward_batch(x, params)[0]
-
-
-def fuse_backward(l_iso, l_aniso, e_c: CameraEmbedding, direction,
-                  params: MlpParams, upstream_grad):
-    """(param_grads, input_grad) of fuse dotted with upstream_grad."""
-    x = fusion_input(l_iso, l_aniso, e_c.vec, direction)
-    up = np.asarray(upstream_grad, dtype=np.float64).reshape(1, 3)
-    _, cache = fuse_forward_batch(x, params, want_cache=True)
-    grads, dX = fuse_backward_batch(cache, params, up)
-    return grads, dX[0]
 
 
 def save_mlp(path: str, params: MlpParams) -> None:

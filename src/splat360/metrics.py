@@ -1,4 +1,4 @@
-"""Image quality metrics (PSNR, SSIM) and frame-rate measurement.
+"""Image quality metrics (PSNR, SSIM).
 
 SSIM follows the Wang et al. convention: 11x11 Gaussian window (shrunk to the
 largest odd size that fits a smaller image), sigma 1.5, K1 = 0.01, K2 = 0.03,
@@ -8,13 +8,9 @@ to the first image, which the fitting loss consumes.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
-from .renderer import RenderConfig, render
-from .scene import Camera, ImageBuffer, Scene
+from .scene import ImageBuffer
 
 PSNR_CAP_DB = 99.0
 SSIM_SIGMA = 1.5
@@ -37,23 +33,6 @@ def _ssim_window(height: int, width: int) -> int:
         raise ValueError(f"SSIM needs a non-empty image, got {height}x{width}")
     win = min(11, height, width)
     return win - 1 if win % 2 == 0 else win
-
-
-@dataclass
-class RuntimeReport:
-    width: int
-    height: int
-    frames: int
-    seconds: float
-    fps: float
-    ms_per_frame: float
-    workers: int
-
-    def to_dict(self) -> dict:
-        return {"width": self.width, "height": self.height,
-                "frames": self.frames, "seconds": self.seconds,
-                "fps": self.fps, "ms_per_frame": self.ms_per_frame,
-                "workers": self.workers}
 
 
 def _image_array(a) -> np.ndarray:
@@ -158,25 +137,3 @@ def ssim_with_grad(a, b, want_grad: bool = True):
     if want_grad:
         grad /= C
     return total / C, grad
-
-
-def measure_runtime(scene: Scene, cams: list[Camera],
-                    cfg: RenderConfig | None = None,
-                    workers: int = 1) -> RuntimeReport:
-    """Render every camera once, timing after a warm-up frame.
-
-    The warm-up render (first camera) is excluded so pool spawn and cache
-    effects do not pollute per-frame numbers.
-    """
-    if not cams:
-        raise ValueError("need at least one camera")
-    cfg = cfg if cfg is not None else RenderConfig()
-    render(scene, cams[0], cfg, workers=workers)
-    t0 = time.perf_counter()
-    for cam in cams:
-        render(scene, cam, cfg, workers=workers)
-    seconds = max(time.perf_counter() - t0, 1e-9)
-    n = len(cams)
-    return RuntimeReport(width=cams[0].width, height=cams[0].height,
-                         frames=n, seconds=seconds, fps=n / seconds,
-                         ms_per_frame=seconds / n * 1000.0, workers=workers)

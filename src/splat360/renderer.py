@@ -40,6 +40,10 @@ from .errors import InvalidPrimitiveError
 from .fusion import MlpParams, embed_camera, fuse_forward_batch, fusion_input
 from .scene import CUTOFF_SIGMA, Camera, ImageBuffer, ImageKind, Ray, Scene
 
+# Pairs are enumerated per COARSE_TILE block and composited per FINE_TILE
+# tile. On the benchmark's `render` workload (2000 splats, 128x128, one
+# worker, a 2-vCPU VM) this took 78-85 ms/frame; one kernel call per 64^2
+# block took 149-153 ms, and enumerating per 16^2 block took 163-185 ms.
 FINE_TILE = 16
 COARSE_TILE = 64
 # a ray stops once its transmittance falls below this
@@ -577,7 +581,7 @@ def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
     blocks = _coarse_blocks(H, W)
     ot = _origin_terms(scene, cam.position)
     head = (None if mlp is None else
-            (mlp, embed_camera(cam, scene.center, scene.radius, mlp.d).vec))
+            (mlp, embed_camera(cam, scene.center, scene.radius, mlp.d)))
     payloads = [(scene, cam, cfg, ot, head, blocks[lo:hi])
                 for lo, hi in _spans(len(blocks), workers)]
     outs = (_pool_for(len(payloads)).map(_worker_render, payloads)

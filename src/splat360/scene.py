@@ -216,10 +216,6 @@ class Camera:
         n = np.sqrt(dx * dx + dy * dy + dz * dz)
         return dx / n, dy / n, dz / n
 
-    def ray_through_pixel(self, row: int, col: int) -> "Ray":
-        dx, dy, dz = self.pixel_dirs(np.array([float(row)]), np.array([float(col)]))
-        return Ray(self.position, np.array([dx[0], dy[0], dz[0]]))
-
 
 @dataclass
 class Ray:

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from splat360 import (Camera, anchor_set_from_json, anchor_set_to_json,
-                      depth_gradient, sample_anchor_indices,
-                      sample_anchor_rays, select_anchors)
+from splat360 import (anchor_set_from_json, anchor_set_to_json, depth_gradient,
+                      sample_anchor_indices, select_anchors)
 
 
 def test_gradient_constant_depth_zero():
@@ -151,14 +150,9 @@ def test_beta_monotone_on_strongest():
         prev = p_top
 
 
-def test_single_anchor_rays_identical():
+def test_single_anchor_always_drawn():
     aset = select_anchors(np.zeros((4, 4)), k=1, suppression_radius=0.0, beta=0.0)
-    cam = Camera.look_at(np.array([0.0, 0.0, -1.0]), np.zeros(3), 0.9, 4, 4)
-    rays = sample_anchor_rays(aset, cam, 5, seed=1)
-    assert len(rays) == 5
-    for r in rays[1:]:
-        assert np.array_equal(r.dir, rays[0].dir)
-        assert np.array_equal(r.origin, rays[0].origin)
+    assert sample_anchor_indices(aset, 5, seed=1).tolist() == [0] * 5
 
 
 def test_two_anchor_binomial_counts():

@@ -116,6 +116,27 @@ def test_render_bad_scene_exits_3_no_outputs(tmp_path):
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+def test_render_failing_midway_removes_what_it_wrote(tmp_path, scene_file,
+                                                     monkeypatch):
+    frames = []
+    render = cli.render
+
+    def fail_on_second_frame(*args, **kwargs):
+        frames.append(None)
+        if len(frames) == 2:
+            raise RuntimeError("second frame failed")
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "render", fail_on_second_frame)
+    out = tmp_path / "r"
+    with pytest.raises(RuntimeError, match="second frame"):
+        main(["render", "--scene", scene_file, "--out", str(out), "--orbit",
+              "ring:3", "--width", "12", "--height", "10", "--depth",
+              "--transmittance", "--float-color"])
+    assert len(frames) == 2
+    assert os.listdir(out) == []
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["render"])  # --scene and --out are required
@@ -255,7 +276,12 @@ def test_bench_reports_fps(tmp_path, scene_file, capsys):
                "--frames", "2", "--gaussians", "5"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["fps"] > 0.0 and doc["frames"] == 2
+    assert list(doc) == ["width", "height", "frames", "seconds", "fps",
+                         "ms_per_frame", "workers", "cpu_count", "gaussians"]
+    assert doc["frames"] == 2 and doc["width"] == doc["height"] == 24
+    assert doc["workers"] == 1 and doc["gaussians"] == 5
+    assert doc["fps"] > 0.0
+    assert abs(doc["fps"] * doc["ms_per_frame"] / 1000.0 - 1.0) < 1e-9
 
 
 def test_info_prints_versions(capsys):

@@ -1,6 +1,7 @@
 """Attenuation branch: unit conversion, trilinear sampling, ray marching."""
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ def test_volume_round_trip(tmp_path):
     assert np.array_equal(back.spacing, vol.spacing)
     assert np.array_equal(back.origin, vol.origin)
     assert np.array_equal(back.hu, np.rint(vol.hu))
+
+
+def test_failed_volume_save_leaves_the_old_volume(tmp_path, monkeypatch):
+    path = str(tmp_path / "v.vol")
+    save_volume(path, make_sphere_phantom(6, 1.0, 2.0))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def disk_full(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        save_volume(path, make_sphere_phantom(8, 1.0, 3.0, hu_inside=500.0))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_volume_length_mismatch_names_counts(tmp_path):

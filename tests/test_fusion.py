@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from splat360 import (Camera, CameraEmbedding, MlpParams, ParamsFormatError,
-                      embed_camera, fuse, fuse_backward, fuse_backward_batch,
-                      fuse_forward_batch, init_mlp, load_mlp, save_mlp)
+from splat360 import (Camera, MlpParams, ParamsFormatError, embed_camera,
+                      fuse_backward_batch, fuse_forward_batch, init_mlp,
+                      load_mlp, save_mlp)
+from splat360.fusion import fusion_input
 
 
 def _cam_at(position, target=(0.0, 0.0, 0.0), fov=0.9):
@@ -17,27 +18,27 @@ def _cam_at(position, target=(0.0, 0.0, 0.0), fov=0.9):
 def test_embed_at_center_zeroes_position():
     cam = _cam_at((0.0, 0.0, 1e-12), target=(0.0, 1.0, 0.0))
     e = embed_camera(cam, np.zeros(3), 2.0)
-    assert np.allclose(e.vec[:3], 0.0, atol=1e-12)
+    assert np.allclose(e[:3], 0.0, atol=1e-12)
 
 
 def test_embed_unit_offset_along_x():
     cam = _cam_at((3.0, 0.0, 0.0))
     e = embed_camera(cam, np.zeros(3), 3.0)
-    assert e.vec[0] == 1.0 and e.vec[1] == 0.0 and e.vec[2] == 0.0
+    assert e[0] == 1.0 and e[1] == 0.0 and e[2] == 0.0
 
 
 def test_embed_fov_slot():
     cam = _cam_at((0.0, -2.0, 0.0), fov=math.pi / 2)
     e = embed_camera(cam, np.zeros(3), 1.0)
-    assert e.vec[12] == 0.5
+    assert e[12] == 0.5
 
 
 def test_embed_zero_padding_and_bounds():
     cam = _cam_at((9.0, -5.0, 2.0))
     e = embed_camera(cam, np.zeros(3), 0.5, d=20)
-    assert e.d == 20 and e.vec.size == 20
-    assert np.all(e.vec[13:] == 0.0)
-    assert np.all(np.abs(e.vec) <= 1.0)
+    assert e.shape == (20,)
+    assert np.all(e[13:] == 0.0)
+    assert np.all(np.abs(e) <= 1.0)
 
 
 def test_embed_small_d_rejected():
@@ -53,7 +54,7 @@ def test_embed_translation_invariant():
                     target=np.array([0.1, 0.2, 0.3]) + shift)
     ea = embed_camera(cam_a, np.array([0.1, 0.2, 0.3]), 1.7)
     eb = embed_camera(cam_b, np.array([0.1, 0.2, 0.3]) + shift, 1.7)
-    assert np.allclose(ea.vec, eb.vec, atol=1e-12)
+    assert np.allclose(ea, eb, atol=1e-12)
 
 
 def _zero_params(d=16):
@@ -63,14 +64,19 @@ def _zero_params(d=16):
 
 
 def _embedding(d=16, seed=1):
-    rng = np.random.default_rng(seed)
-    return CameraEmbedding(rng.uniform(-1, 1, d), d)
+    return np.random.default_rng(seed).uniform(-1, 1, d)
+
+
+def _fuse_one(l_iso, l_aniso, e_vec, direction, params):
+    """The fused RGB of one ray: one row through the batch forward pass."""
+    return fuse_forward_batch(fusion_input(l_iso, l_aniso, e_vec, direction),
+                              params)[0]
 
 
 def test_fuse_zero_params_is_half():
     e = _embedding()
-    out = fuse(np.full(3, 0.3), np.full(3, 0.1), e,
-               np.array([0.0, 0.0, 1.0]), _zero_params())
+    out = _fuse_one(np.full(3, 0.3), np.full(3, 0.1), e,
+                    np.array([0.0, 0.0, 1.0]), _zero_params())
     assert np.array_equal(out, [0.5, 0.5, 0.5])
 
 
@@ -78,8 +84,8 @@ def test_fuse_bias_only_path():
     p = _zero_params()
     b3 = np.array([1.0, -2.0, 0.0])
     p2 = MlpParams(p.d, 0, p.weights, (p.biases[0], p.biases[1], b3))
-    out = fuse(np.zeros(3), np.zeros(3), _embedding(),
-               np.array([0.0, 0.0, 1.0]), p2)
+    out = _fuse_one(np.zeros(3), np.zeros(3), _embedding(),
+                    np.array([0.0, 0.0, 1.0]), p2)
     expect = 1.0 / (1.0 + np.exp(-b3))
     assert np.allclose(out, expect, atol=1e-15)
 
@@ -89,8 +95,8 @@ def test_fuse_deterministic_and_open_interval():
     e = _embedding(seed=2)
     args = (np.array([0.9, 0.1, 0.4]), np.array([2.0, 0.0, 0.5]), e,
             np.array([0.0, 1.0, 0.0]))
-    a = fuse(*args, p)
-    b = fuse(*args, p)
+    a = _fuse_one(*args, p)
+    b = _fuse_one(*args, p)
     assert np.array_equal(a, b)
     assert np.all(a > 0.0) and np.all(a < 1.0)
 
@@ -103,8 +109,10 @@ def test_fuse_shape_mismatch_rejected():
 
 def test_backward_zero_upstream():
     p = init_mlp(seed=3)
-    grads, dx = fuse_backward(np.full(3, 0.2), np.full(3, 0.4), _embedding(),
-                              np.array([1.0, 0.0, 0.0]), p, np.zeros(3))
+    x = fusion_input(np.full(3, 0.2), np.full(3, 0.4), _embedding(),
+                     np.array([1.0, 0.0, 0.0]))
+    _, cache = fuse_forward_batch(x, p, want_cache=True)
+    grads, dx = fuse_backward_batch(cache, p, np.zeros((1, 3)))
     assert np.all(grads.to_flat() == 0.0)
     assert np.all(dx == 0.0)
 

@@ -59,6 +59,28 @@ def test_camera_file_not_utf8_exits_with_format_code(tmp_path):
     assert code == EXIT_FORMAT
 
 
+def _camera_doc():
+    scene = make_random_scene(2, seed=0)
+    return camera_to_doc(make_orbit_cameras(scene.center, 2.0, 1, 0.3, "ring",
+                                            8, 8, 0.9)[0])
+
+
+@pytest.mark.parametrize("key,text", [
+    ("width", "1e400"), ("width", "true"), ("width", "3.5"), ("height", "true"),
+    ("position", "[1" + "0" * 400 + ", 0, 0]")],
+    ids=["overflow", "bool", "fraction", "height_bool", "position_overflow"])
+def test_camera_json_rejects_bad_sizes_with_format_code(tmp_path, key, text):
+    doc = _camera_doc()
+    doc[key] = "@"
+    path = _write(tmp_path / "c.json", json.dumps(doc).replace('"@"', text).encode())
+    with pytest.raises(FormatError):
+        load_camera_json(path)
+    save_scene(str(tmp_path / "s.json"), make_random_scene(2, seed=0))
+    code = main(["render", "--scene", str(tmp_path / "s.json"), "--camera", path,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_FORMAT
+
+
 @pytest.mark.parametrize("d,seed", [(5, 0), (16, -1)])
 def test_params_header_values_init_mlp_rejects(tmp_path, d, seed):
     layers = [9 + d, 32, 32, 3]
@@ -221,3 +243,30 @@ def test_fuzzed_anchor_json_raises_only_format_error(data):
     except FormatError:
         return
     assert abs(float(np.sum(aset.probs)) - 1.0) <= 1e-9 or not aset.anchors
+
+
+_json_value = st.one_of(_number, st.booleans(), st.integers(2 ** 62, 2 ** 70),
+                        st.just(float("inf")))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_camera_json_raises_only_format_error(tmp_path_factory, data):
+    doc = _camera_doc()
+    for key in data.draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
+        if data.draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = data.draw(st.one_of(_json_value,
+                                           st.lists(_json_value, max_size=4)))
+    text = json.dumps(doc).encode()
+    if data.draw(st.booleans()):
+        text = _mutated(data, text)
+    path = _write(tmp_path_factory.mktemp("cam") / "c.json", text)
+    try:
+        cam = load_camera_json(path)
+    except FormatError:
+        return
+    assert type(cam.width) is int and type(cam.height) is int
+    assert cam.width >= 1 and cam.height >= 1
+    assert 0.0 < cam.fov_y < np.pi

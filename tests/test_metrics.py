@@ -1,9 +1,8 @@
-"""PSNR, SSIM (value and analytic gradient), runtime measurement."""
+"""PSNR, SSIM (value and analytic gradient)."""
 import numpy as np
 import pytest
 
-from splat360 import (RenderConfig, make_orbit_cameras, measure_runtime, psnr,
-                      ssim, ssim_with_grad)
+from splat360 import psnr, ssim, ssim_with_grad
 from splat360.metrics import _ssim_window
 
 
@@ -99,20 +98,3 @@ def test_ssim_grad_finite_difference():
         fd = (ssim(ap, b) - ssim(am, b)) / (2 * h)
         denom = max(abs(fd), abs(g[i, j, 0]), 1e-8)
         assert abs(fd - g[i, j, 0]) / denom < 1e-5
-
-
-def test_runtime_report_consistency(small_random_scene):
-    cams = make_orbit_cameras(small_random_scene.center,
-                              3.0 * small_random_scene.radius, 2, 0.3,
-                              "ring", 16, 16, 0.9)
-    rep = measure_runtime(small_random_scene, cams, RenderConfig(), workers=1)
-    assert rep.frames == 2 and rep.width == 16 and rep.workers == 1
-    assert rep.fps > 0.0
-    assert abs(rep.fps * rep.ms_per_frame / 1000.0 - 1.0) < 1e-9
-    d = rep.to_dict()
-    assert d["fps"] == rep.fps and d["frames"] == 2
-
-
-def test_runtime_requires_cameras(small_random_scene):
-    with pytest.raises(ValueError):
-        measure_runtime(small_random_scene, [], RenderConfig(), 1)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from splat360 import (Camera, Ray, RenderConfig, Scene, composite_ray,
-                      embed_camera, fuse, init_mlp, make_orbit_cameras,
-                      make_random_scene, phase, render, render_rays)
+                      embed_camera, fuse_forward_batch, init_mlp,
+                      make_orbit_cameras, make_random_scene, phase, render,
+                      render_rays)
+from splat360.fusion import fusion_input
 from conftest import make_scene
 from splat360.renderer import (TERMINATION_EPSILON, _all_pairs, _composite,
                                _origin_terms, _pairs, _ray_geometry,
@@ -514,8 +516,9 @@ def test_render_with_mlp_fuses_each_pixels_streams(cfg):
     _, depth, final_t, iso, aniso = render_rays(scene, cam.position, dirs, cfg,
                                                 near=cam.near, fused_streams=True)
     assert (iso > 0.0).any()
-    e_c = embed_camera(cam, scene.center, scene.radius, mlp.d)
-    expect = np.array([fuse(i, a, e_c, d, mlp) for i, a, d in zip(iso, aniso, dirs)])
+    e_vec = embed_camera(cam, scene.center, scene.radius, mlp.d)
+    expect = np.array([fuse_forward_batch(fusion_input(i, a, e_vec, d), mlp)[0]
+                       for i, a, d in zip(iso, aniso, dirs)])
     for workers in (1, 2):
         color, dimg, timg = render(scene, cam, cfg, workers=workers, mlp=mlp)
         assert np.array_equal(color.data.reshape(-1, 3), expect)
