@@ -138,14 +138,12 @@ def sample_anchor_indices(aset: AnchorSet, n: int,
                       len(aset.anchors) - 1)
 
 
-def anchor_set_to_json(aset: AnchorSet, seed: int | None = None) -> str:
+def anchor_set_to_json(aset: AnchorSet) -> str:
     doc = {
         "anchors": [{"row": a.row, "col": a.col, "grad": a.grad_mag,
                      "prob": a.prob} for a in aset.anchors],
         "beta": aset.beta,
     }
-    if seed is not None:
-        doc["seed"] = seed
     return json.dumps(doc, indent=1) + "\n"
 
 

@@ -2,9 +2,10 @@
 
 Every command resolves its configuration up front, writes outputs through an
 atomic tracker (a failure removes whatever was already written), and finishes
-by writing a run manifest with sha256 hashes of the inputs. The commands that
-render (render, drr, anchors, bench) take their worker count from --workers,
-else the SPLAT360_WORKERS environment variable, else 1.
+by writing a run manifest: every parsed option, the values resolved from
+them, and sha256 hashes of the inputs. The commands that render (render, drr,
+anchors, bench) take their worker count from --workers, else the
+SPLAT360_WORKERS environment variable, else 1.
 
 Exit codes: 0 success, 2 argument error, 3 input-format error, 4 numeric
 failure, 5 check failure.
@@ -54,14 +55,22 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _jsonable(doc: dict) -> dict:
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in doc.items()}
+
+
 def _vec3_arg(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected x,y,z - got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        v = np.array([float(p) for p in parts])
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from e
+    if not np.isfinite(v).all():
+        raise argparse.ArgumentTypeError(f"expected finite x,y,z - got {text!r}")
+    return v
 
 
 def _resolve_workers(args) -> int:
@@ -106,14 +115,18 @@ class _Run:
     def write_text(self, name: str, text: str) -> None:
         atomic_write(self.path(name), text.encode("utf-8"))
 
-    def manifest(self, command: str, config: dict, inputs: list[str],
-                 seed) -> None:
+    def manifest(self, args, inputs: list[str], **resolved) -> None:
+        """manifest.json: `config` holds every option `args` parsed except
+        the output directory, overlaid with the values the command resolved
+        from them (worker count, defaulted geometry, ...)."""
+        config = _jsonable({k: v for k, v in vars(args).items()
+                            if k not in ("func", "command", "out")})
+        config.update(resolved)
         doc = {
-            "command": command,
+            "command": args.command,
             "config": config,
             "inputs": {p: _sha256(p) for p in inputs},
             "outputs": sorted(os.path.basename(p) for p in self.written),
-            "seed": seed,
             "version": __version__,
         }
         self.write_text("manifest.json",
@@ -124,9 +137,7 @@ class _Run:
 # camera JSON sidecars
 
 def camera_to_doc(cam: Camera) -> dict:
-    return {"position": list(cam.position), "forward": list(cam.forward),
-            "up": list(cam.up), "right": list(cam.right), "fov_y": cam.fov_y,
-            "width": cam.width, "height": cam.height, "near": cam.near}
+    return _jsonable(vars(cam))
 
 
 def camera_from_doc(doc: dict) -> Camera:
@@ -195,16 +206,7 @@ def cmd_render(args) -> int:
                 save_pfm(run.path(f"frame_{i:03d}.depth.pfm"), depth.data)
             if args.transmittance:
                 save_pfm(run.path(f"frame_{i:03d}.trans.pfm"), trans.data)
-        run.manifest("render", {
-            "scene": args.scene, "orbit": args.orbit, "camera": args.camera,
-            "width": args.width, "height": args.height, "fov": args.fov,
-            "radius": args.radius, "elevation": args.elevation,
-            "center": None if args.center is None else list(args.center),
-            "disentangle": rcfg.disentangle,
-            "anisotropy_enabled": rcfg.anisotropy_enabled,
-            "depth": args.depth, "transmittance": args.transmittance,
-            "float_color": args.float_color, "workers": workers,
-        }, [args.scene], args.seed)
+        run.manifest(args, [args.scene], workers=workers)
     print(f"wrote {len(cams)} frame(s) to {args.out}")
     return EXIT_OK
 
@@ -244,16 +246,9 @@ def cmd_drr(args) -> int:
             save_ppm(run.path("drr.ppm"), np.repeat(img.data, 3, axis=2))
         else:
             save_pfm(run.path("drr.pfm"), img.data)
-        run.manifest("drr", {
-            "volume": args.volume, "mu_water": cfg.mu_water, "i0": cfg.i0,
-            "step_mm": cfg.resolved_step(vol), "output": cfg.output,
-            "source": list(geom.source),
-            "detector_center": list(geom.detector_center),
-            "detector_u": list(geom.detector_u),
-            "detector_v": list(geom.detector_v),
-            "det_width": geom.det_width, "det_height": geom.det_height,
-            "workers": workers,
-        }, [args.volume, read_volume_header(args.volume)[1]], args.seed)
+        run.manifest(args, [args.volume, read_volume_header(args.volume)[1]],
+                     workers=workers, step_mm=cfg.resolved_step(vol),
+                     **_jsonable(vars(geom)))
     print(f"wrote drr to {args.out}")
     return EXIT_OK
 
@@ -305,21 +300,13 @@ def cmd_fit(args) -> int:
     elif args.mlp_init is not None:
         mlp = init_mlp(d=args.mlp_init, seed=args.seed)
     targets = [(cam, img) for cam, img, _ in pairs]
-    config_doc = {
-        "scene": args.scene, "targets": [p[2] for p in pairs],
-        "lr": cfg.lr, "iters": cfg.iters, "lambda_mse": cfg.lambda_mse,
-        "lambda_ssim": cfg.lambda_ssim, "ablation": sorted(cfg.ablation),
-        "optimize_geometry": cfg.optimize_geometry,
-        "lr_halve_every": cfg.lr_halve_every, "rays_per_step": cfg.rays_per_step,
-        "target_dtype": cfg.target_dtype, "mlp": args.mlp,
-        "mlp_init": args.mlp_init,
-    }
     with _Run(args.out) as run:
         try:
             fitted, mlp_out, report = fit_scene(scene, targets, cfg, mlp=mlp)
         except NumericFailure as e:
             # keep the trace collected so far (nothing else is written yet)
-            doc = e.report.to_dict() if getattr(e, "report", None) else {}
+            partial = getattr(e, "report", None)
+            doc = dataclasses.asdict(partial) if partial else {}
             doc["error"] = str(e)
             run.write_text("fit_report.json", json.dumps(doc, indent=1) + "\n")
             print(f"fit aborted: {e}", file=sys.stderr)
@@ -328,17 +315,20 @@ def cmd_fit(args) -> int:
         if mlp_out is not None:
             save_mlp(run.path("mlp.params"), mlp_out)
         run.write_text("fit_report.json",
-                       json.dumps(report.to_dict(), indent=1) + "\n")
+                       json.dumps(dataclasses.asdict(report), indent=1) + "\n")
         lines = ["view  psnr_db  ssim"]
         for row in report.per_view:
             lines.append(f"{row['view']:4d}  {row['psnr']:7.3f}  {row['ssim']:.6f}")
         run.write_text("per_view.txt", "\n".join(lines) + "\n")
-        inputs = [args.scene] + [p[2] for p in pairs]
+        target_files = [p[2] for p in pairs]
+        inputs = [args.scene] + target_files
         inputs += [os.path.join(args.targets, n) for n in
                    sorted(os.listdir(args.targets)) if n.endswith(".camera.json")]
         if args.mlp:
             inputs.append(args.mlp)
-        run.manifest("fit", config_doc, inputs, args.seed)
+        run.manifest(args, inputs, target_files=target_files,
+                     rays_per_step=cfg.rays_per_step,
+                     target_dtype=cfg.target_dtype)
     print("\n".join(lines))
     print(f"final loss {report.final_loss:.6e} after {report.iterations} iterations "
           f"({report.seconds:.1f}s)")
@@ -359,14 +349,9 @@ def cmd_anchors(args) -> int:
         grad = depth_gradient(depth)
         aset = select_anchors(grad, k=args.k, suppression_radius=args.radius_px,
                               beta=args.beta)
-        run.write_text("anchors.json", anchor_set_to_json(aset, seed=args.seed))
+        run.write_text("anchors.json", anchor_set_to_json(aset))
         save_pfm(run.path("grad_mag.pfm"), grad.data)
-        run.manifest("anchors", {
-            "scene": args.scene, "camera": args.camera, "orbit": args.orbit,
-            "width": args.width, "height": args.height, "fov": args.fov,
-            "k": args.k, "suppression_radius": args.radius_px,
-            "beta": args.beta, "workers": workers,
-        }, [args.scene], args.seed)
+        run.manifest(args, [args.scene], workers=workers)
     print(f"wrote {len(aset.anchors)} anchors to {args.out}")
     return EXIT_OK
 
@@ -393,9 +378,7 @@ def cmd_metrics(args) -> int:
     if args.out:
         with _Run(args.out) as run:
             run.write_text("metrics.json", text)
-            run.manifest("metrics", {"image_a": args.image_a,
-                                     "image_b": args.image_b},
-                         [args.image_a, args.image_b], args.seed)
+            run.manifest(args, [args.image_a, args.image_b])
     return EXIT_OK
 
 
@@ -575,19 +558,15 @@ def cmd_bench(args) -> int:
     if args.out:
         with _Run(args.out) as run:
             run.write_text("bench.json", text)
-            run.manifest("bench", {"scene": args.scene, "res": args.res,
-                                   "frames": args.frames, "workers": workers,
-                                   "gaussians": scene.alpha.size},
-                         [args.scene] if args.scene else [], args.seed)
+            run.manifest(args, [args.scene] if args.scene else [],
+                         workers=workers, gaussians=scene.alpha.size)
     return EXIT_OK
 
 
 def cmd_info(args) -> int:
-    import scipy
     doc = {
         "version": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         "defaults": {
             "render": vars(RenderConfig()),
@@ -604,14 +583,10 @@ def cmd_info(args) -> int:
 # parser
 
 def _add_common(p, out_required=True, workers=False):
-    p.add_argument("--seed", type=int, default=0)
     if workers:
         p.add_argument("--workers", type=int, default=0,
                        help="process count; 0 = SPLAT360_WORKERS or 1")
-    if out_required:
-        p.add_argument("--out", required=True, help="output directory")
-    else:
-        p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", required=out_required, help="output directory")
 
 
 def _add_camera_flags(p):
@@ -679,6 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mlp", default=None, help="initial MLP params file")
     p.add_argument("--mlp-init", type=int, default=None,
                    help="initialize a fresh MLP with this embedding dim")
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_fit)
 
@@ -701,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--draws", type=int, default=100)
-    _add_common(p, out_required=False)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="frame-rate measurement")
@@ -709,11 +685,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaussians", type=int, default=5000)
     p.add_argument("--res", type=int, default=512)
     p.add_argument("--frames", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p, out_required=False, workers=True)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("info", help="build and configuration report")
-    _add_common(p, out_required=False)
     p.set_defaults(func=cmd_info)
     return ap
 

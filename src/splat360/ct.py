@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import VolumeFormatError
 from .imgfile import atomic_write
-from .scene import ImageBuffer, ImageKind, Ray
+from .scene import ImageBuffer, ImageKind, Ray, _finite_vec3
 
 PIXEL_CHUNK = 4096
 AIR_HU = -1000.0
@@ -112,19 +112,19 @@ class ProjectionGeometry:
 
     def __post_init__(self):
         for name in ("source", "detector_center", "detector_u", "detector_v"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64).reshape(3))
+            setattr(self, name, _finite_vec3(getattr(self, name), name))
         self.det_width = int(self.det_width)
         self.det_height = int(self.det_height)
         if self.det_width < 1 or self.det_height < 1:
             raise ValueError("detector dimensions must be >= 1")
         u, v = self.detector_u, self.detector_v
-        if abs(float(u @ v)) > 1e-9:
+        if not abs(float(u @ v)) <= 1e-9:
             raise ValueError("detector_u and detector_v must be orthogonal")
         if np.linalg.norm(u) == 0 or np.linalg.norm(v) == 0:
             raise ValueError("detector axes must be nonzero")
         n = np.cross(u, v)
         n = n / np.linalg.norm(n)
-        if abs(float((self.source - self.detector_center) @ n)) < 1e-9:
+        if not abs(float((self.source - self.detector_center) @ n)) >= 1e-9:
             raise ValueError("source lies on the detector plane")
 
     def pixel_positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -91,11 +91,6 @@ class FitReport:
     per_view: list
     final_loss: float
 
-    def to_dict(self) -> dict:
-        return {"iterations": self.iterations, "seconds": self.seconds,
-                "trace": self.trace, "full_evals": self.full_evals,
-                "per_view": self.per_view, "final_loss": self.final_loss}
-
 
 def _pred_for_loss(arr: np.ndarray, cfg: FitConfig) -> np.ndarray:
     # targets decoded from 32-bit image files are compared in that precision,
@@ -194,11 +189,11 @@ def _appearance_theta(scene: Scene) -> np.ndarray:
     return np.concatenate(cols, axis=1).ravel()
 
 
-def _appearance_of(theta: np.ndarray):
-    """(alpha, l_iso, l_aniso, g) in constrained space."""
+def _appearance_of(theta: np.ndarray) -> np.ndarray:
+    """[G, 8] constrained appearance: alpha, l_iso x3, l_aniso x3, g."""
     th = theta.reshape(-1, APPEARANCE_PER_GAUSSIAN)
-    return (_sigmoid_open(th[:, 0]), _sigmoid(th[:, 1:4]),
-            _softplus(th[:, 4:7]), _tanh_open(th[:, 7]))
+    return np.concatenate([_sigmoid_open(th[:, :1]), _sigmoid(th[:, 1:4]),
+                           _softplus(th[:, 4:7]), _tanh_open(th[:, 7:])], axis=1)
 
 
 def _appearance_chain(theta: np.ndarray) -> np.ndarray:
@@ -419,8 +414,8 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         targets_arr.append(arr)
 
     theta_app = _appearance_theta(scene)
-    cur_alpha, cur_liso, cur_laniso, cur_g = (scene.alpha, scene.l_iso,
-                                              scene.l_aniso, scene.g)
+    cur_app = np.concatenate([scene.alpha[:, None], scene.l_iso, scene.l_aniso,
+                              scene.g[:, None]], axis=1)
     geo = _Geometry(scene) if cfg.optimize_geometry else None
     theta_geo = geo.pack() if geo is not None else np.zeros(0)
     cur_mu = scene.mu
@@ -491,12 +486,8 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         grad_flat = np.concatenate(parts) if len(parts) > 1 else parts[0]
         theta_new, state = adam_step(theta, grad_flat, state, cfg)
         moved = theta_new[:n_app] != theta[:n_app]
-        na, nl, ns, ng = _appearance_of(theta_new[:n_app])
-        movedm = moved.reshape(-1, APPEARANCE_PER_GAUSSIAN)
-        cur_alpha = np.where(movedm[:, 0], na, cur_alpha)
-        cur_liso = np.where(movedm[:, 1:4], nl, cur_liso)
-        cur_laniso = np.where(movedm[:, 4:7], ns, cur_laniso)
-        cur_g = np.where(movedm[:, 7], ng, cur_g)
+        cur_app = np.where(moved.reshape(cur_app.shape),
+                           _appearance_of(theta_new[:n_app]), cur_app)
         if geo is not None:
             gmoved = (theta_new[n_app:n_app + n_geo]
                       != theta[n_app:n_app + n_geo]).reshape(-1, GEOMETRY_PER_GAUSSIAN)
@@ -507,9 +498,9 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         if live_mlp is not None:
             live_mlp = live_mlp.with_flat(theta_new[n_app + n_geo:])
         theta = theta_new
-        cur_scene = Scene(mu=cur_mu, cov=cur_cov, alpha=cur_alpha,
-                          l_iso=cur_liso, l_aniso=cur_laniso,
-                          normal=scene.normal, g=cur_g,
+        cur_scene = Scene(mu=cur_mu, cov=cur_cov, alpha=cur_app[:, 0],
+                          l_iso=cur_app[:, 1:4], l_aniso=cur_app[:, 4:7],
+                          normal=scene.normal, g=cur_app[:, 7],
                           background=scene.background)
 
         if cfg.full_eval_every and (it % cfg.full_eval_every == 0):

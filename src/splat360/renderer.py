@@ -304,7 +304,12 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
 
     # row 0 of `stack` is tw, each later row tw * (per-sample value); the
     # column loop below runs the same front-to-back sequential sum as a
-    # per-quantity cumsum would, leaving the totals in `tot`
+    # per-quantity cumsum would, leaving the totals in `tot`. Both cumsum forms
+    # keep every bit but are slower (2-vCPU VM): np.cumsum(tw * v, axis=1)[:, -1]
+    # per quantity took 53/100/927 us against the loop's 14/56/735 us on 256
+    # rays at kmax 2/11/150, and np.cumsum(stack, axis=2) ~19% more kernel
+    # time on recorded render tiles. Folding the L == 0 branch into a
+    # [P, L+1] transmittance array cost ~6%.
     values = [c0, c1, c2, ts]
     if fused_streams:
         values += [scene.l_iso[idx, i] for i in range(3)]

@@ -44,6 +44,13 @@ def _vec3(v, name: str) -> np.ndarray:
     return a.copy()
 
 
+def _finite_vec3(v, name: str) -> np.ndarray:
+    a = _vec3(v, name)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got {a}")
+    return a
+
+
 # per-splat shape of each Scene array, in scene-file JSON field order
 _SPLAT_SHAPES = {"mu": (3,), "cov": (3, 3), "alpha": (), "l_iso": (3,),
                  "l_aniso": (3,), "normal": (3,), "g": ()}
@@ -166,10 +173,10 @@ class Camera:
     near: float = 1e-3
 
     def __post_init__(self):
-        self.position = _vec3(self.position, "position")
-        self.forward = _vec3(self.forward, "forward")
-        self.up = _vec3(self.up, "up")
-        self.right = _vec3(self.right, "right")
+        self.position = _finite_vec3(self.position, "position")
+        self.forward = _finite_vec3(self.forward, "forward")
+        self.up = _finite_vec3(self.up, "up")
+        self.right = _finite_vec3(self.right, "right")
         self.fov_y = float(self.fov_y)
         self.width = int(self.width)
         self.height = int(self.height)
@@ -178,13 +185,14 @@ class Camera:
             raise ValueError("fov_y must be in (0, pi)")
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be >= 1")
-        if not self.near > 0.0:
-            raise ValueError("near must be > 0")
+        if not 0.0 < self.near < math.inf:
+            raise ValueError("near must be > 0 and finite")
+        # written so that a NaN fails each check
         for name, v in (("forward", self.forward), ("up", self.up), ("right", self.right)):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
                 raise ValueError(f"{name} must be unit length")
-        if (abs(self.forward @ self.up) > 1e-9
-                or np.max(np.abs(np.cross(self.forward, self.up) - self.right)) > 1e-9):
+        if not (abs(self.forward @ self.up) <= 1e-9
+                and np.max(np.abs(np.cross(self.forward, self.up) - self.right)) <= 1e-9):
             raise ValueError("camera frame must be orthonormal with right = forward x up")
 
     @classmethod
@@ -223,9 +231,9 @@ class Ray:
     dir: np.ndarray
 
     def __post_init__(self):
-        self.origin = _vec3(self.origin, "origin")
-        self.dir = _vec3(self.dir, "dir")
-        if abs(np.linalg.norm(self.dir) - 1.0) > 1e-9:
+        self.origin = _finite_vec3(self.origin, "origin")
+        self.dir = _finite_vec3(self.dir, "dir")
+        if not abs(np.linalg.norm(self.dir) - 1.0) <= 1e-9:
             raise ValueError("ray dir must be unit length")
 
 

@@ -1,15 +1,19 @@
 """End-to-end contracts of the command-line entry points."""
+import argparse
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_scene
+import splat360
 from splat360 import (Camera, RenderConfig, cli, load_pfm, make_random_scene,
-                      save_scene)
+                      make_sphere_phantom, save_scene, save_volume)
 from splat360.cli import main
 from splat360.fitting import _patch_forward
 from splat360.renderer import _shutdown_pools
@@ -137,6 +141,87 @@ def test_render_failing_midway_removes_what_it_wrote(tmp_path, scene_file,
     assert os.listdir(out) == []
 
 
+def _dests(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
+# what each command resolves from its options and records beside them
+_RESOLVED = {
+    "render": {"workers"}, "anchors": {"workers"}, "metrics": set(),
+    "drr": {"workers", "step_mm", "source", "detector_center", "detector_u",
+            "detector_v", "det_width", "det_height"},
+    "fit": {"target_files", "rays_per_step", "target_dtype"},
+    "bench": {"workers", "gaussians"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RESOLVED))
+def test_manifest_config_records_every_option(tmp_path, scene_file, command):
+    frames = str(tmp_path / "frames")
+    view = ["--orbit", "ring:1", "--width", "12", "--height", "12"]
+    assert main(["render", "--scene", scene_file, "--out", frames,
+                 "--float-color", *view]) == 0
+    vol = str(tmp_path / "v.vol")
+    save_volume(vol, make_sphere_phantom(8, 2.0, 5.0))
+    img = os.path.join(frames, "frame_000.pfm")
+    argv = {"render": ["--scene", scene_file, *view],
+            "anchors": ["--scene", scene_file, *view],
+            "drr": ["--volume", vol, "--det-width", "9", "--det-height", "9"],
+            "fit": ["--scene", scene_file, "--targets", frames, "--iters", "1"],
+            "metrics": [img, img],
+            "bench": ["--scene", scene_file, "--res", "12", "--frames", "1"]}
+    out = str(tmp_path / "out")
+    assert main([command, *argv[command], "--out", out]) == 0
+    man = _read_manifest(out)
+    assert sorted(man) == ["command", "config", "inputs", "outputs", "version"]
+    assert set(man["config"]) == (_dests(command) - {"out"}) | _RESOLVED[command]
+
+
+def test_anchors_manifest_tells_apart_runs_that_differ(tmp_path, scene_file):
+    argv = ["anchors", "--scene", scene_file, "--width", "24", "--height", "24"]
+    changed = ["--elevation", "0.9", "--radius", "2", "--center", "0.1,0,0",
+               "--no-disentangle"]
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(argv + ["--out", a]) == 0
+    assert main(argv + changed + ["--out", b]) == 0
+    assert Path(a, "anchors.json").read_bytes() != Path(b, "anchors.json").read_bytes()
+    ca, cb = (_read_manifest(d)["config"] for d in (a, b))
+    assert {k for k in ca if ca[k] != cb[k]} == {"elevation", "radius", "center",
+                                                 "no_disentangle"}
+    assert cb["center"] == [0.1, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("command,option,parses", [
+    ("render", "--seed", False), ("drr", "--seed", False),
+    ("anchors", "--seed", False), ("metrics", "--seed", False),
+    ("info", "--seed", False), ("gradcheck", "--out", False),
+    ("info", "--out", False), ("fit", "--seed", True),
+    ("gradcheck", "--seed", True), ("bench", "--seed", True)])
+def test_only_options_a_command_uses_parse(command, option, parses):
+    required = {"render": ["--scene", "s", "--out", "o"],
+                "anchors": ["--scene", "s", "--out", "o"],
+                "drr": ["--volume", "v", "--out", "o"], "metrics": ["a", "b"],
+                "fit": ["--scene", "s", "--targets", "t", "--out", "o"]}
+    argv = [command, *required.get(command, []), option, "7"]
+    if parses:
+        assert cli.build_parser().parse_args(argv).seed == 7
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["drr", "--volume", "v.vol", "--source", "nan,0,0"],
+    ["render", "--scene", "s.json", "--center", "0,inf,0"]], ids=["drr", "render"])
+def test_non_finite_vector_option_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["render"])  # --scene and --out are required
@@ -185,6 +270,7 @@ def test_anchors_outputs(tmp_path, scene_file):
                "--beta", "0.0"])
     assert rc == 0
     doc = json.loads(Path(out, "anchors.json").read_text())
+    assert sorted(doc) == ["anchors", "beta"]
     probs = [a["prob"] for a in doc["anchors"]]
     assert len(probs) <= 6
     assert all(abs(p - 1.0 / len(probs)) < 1e-12 for p in probs)
@@ -291,8 +377,18 @@ def test_info_prints_versions(capsys):
     assert "ssim" not in doc["defaults"]
 
 
+def test_info_does_not_import_scipy():
+    src = str(Path(splat360.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from splat360.cli import main; main(['info']); "
+            "print('scipy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_drr_verb_and_manifest(tmp_path):
-    from splat360 import make_sphere_phantom, save_volume
     vol = make_sphere_phantom(24, 1.0, 8.0)
     vpath = str(tmp_path / "sphere.vol")
     save_volume(vpath, vol)
@@ -312,7 +408,6 @@ def test_drr_verb_and_manifest(tmp_path):
 
 
 def test_drr_manifest_hashes_raw_named_with_spaces(tmp_path):
-    from splat360 import make_sphere_phantom, save_volume
     vpath = tmp_path / "v.vol"
     save_volume(str(vpath), make_sphere_phantom(8, 2.0, 5.0))
     vpath.write_text(vpath.read_text().replace("data=v.raw", "data = v.raw"))

@@ -183,6 +183,19 @@ def test_geometry_validation():
                            np.array([1.0, 0.1, 0.0]), 8, 8)  # u not perp v
 
 
+@pytest.mark.parametrize("field", ["source", "detector_center", "detector_u",
+                                   "detector_v"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_geometry_rejects_non_finite(field, bad):
+    geom = {"source": np.zeros(3), "detector_center": np.array([0.0, 10.0, 0.0]),
+            "detector_u": np.array([1.0, 0.0, 0.0]),
+            "detector_v": np.array([0.0, 0.0, 1.0])}
+    ProjectionGeometry(**geom, det_width=8, det_height=8)
+    geom[field] = np.array([bad, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        ProjectionGeometry(**geom, det_width=8, det_height=8)
+
+
 def test_volume_round_trip(tmp_path):
     vol = make_sphere_phantom(9, 2.0, 6.0, hu_inside=300.0)
     path = tmp_path / "phantom.vol"

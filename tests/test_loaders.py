@@ -67,8 +67,10 @@ def _camera_doc():
 
 @pytest.mark.parametrize("key,text", [
     ("width", "1e400"), ("width", "true"), ("width", "3.5"), ("height", "true"),
-    ("position", "[1" + "0" * 400 + ", 0, 0]")],
-    ids=["overflow", "bool", "fraction", "height_bool", "position_overflow"])
+    ("position", "[1" + "0" * 400 + ", 0, 0]"), ("forward", "[NaN, NaN, NaN]"),
+    ("position", "[Infinity, 0, 0]")],
+    ids=["overflow", "bool", "fraction", "height_bool", "position_overflow",
+         "forward_nan", "position_inf"])
 def test_camera_json_rejects_bad_sizes_with_format_code(tmp_path, key, text):
     doc = _camera_doc()
     doc[key] = "@"

@@ -142,6 +142,27 @@ def test_ray_requires_unit_dir():
         Ray(np.zeros(3), np.array([1.0, 1.0, 0.0]))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("position", [np.inf, 0.0, 0.0]), ("forward", [np.nan] * 3),
+    ("up", [0.0, 0.0, np.nan]), ("right", [np.inf, 0.0, 0.0]),
+    ("near", np.inf)],
+    ids=["position_inf", "forward_nan", "up_nan", "right_inf", "near_inf"])
+def test_camera_rejects_non_finite(field, value):
+    frame = {"position": np.zeros(3), "forward": np.array([0.0, 1.0, 0.0]),
+             "up": np.array([0.0, 0.0, 1.0]), "right": np.array([1.0, 0.0, 0.0])}
+    Camera(**frame, fov_y=0.9, width=8, height=8)
+    with pytest.raises(ValueError):
+        Camera(**{**frame, field: value}, fov_y=0.9, width=8, height=8)
+
+
+@pytest.mark.parametrize("origin,direction", [
+    ([np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]), ([0.0, 0.0, 0.0], [np.nan, 0.0, 0.0])],
+    ids=["origin_inf", "dir_nan"])
+def test_ray_rejects_non_finite(origin, direction):
+    with pytest.raises(ValueError):
+        Ray(np.array(origin), np.array(direction))
+
+
 def test_scene_json_round_trip(small_random_scene, tmp_path):
     path = tmp_path / "s.json"
     save_scene(str(path), small_random_scene)
