@@ -237,8 +237,7 @@ def _default_geometry(vol, args) -> ProjectionGeometry:
 def cmd_drr(args) -> int:
     vol = load_volume(args.volume)
     geom = _default_geometry(vol, args)
-    cfg = DrrConfig(mu_water=args.mu_water, i0=args.i0, step_mm=args.step,
-                    output=args.output)
+    cfg = DrrConfig(mu_water=args.mu_water, i0=args.i0, output=args.output)
     workers = _resolve_workers(args)
     with _Run(args.out) as run:
         img = render_drr(vol, geom, cfg, workers=workers)
@@ -247,7 +246,7 @@ def cmd_drr(args) -> int:
         else:
             save_pfm(run.path("drr.pfm"), img.data)
         run.manifest(args, [args.volume, read_volume_header(args.volume)[1]],
-                     workers=workers, step_mm=cfg.resolved_step(vol),
+                     workers=workers,
                      **_jsonable(vars(geom)))
     print(f"wrote drr to {args.out}")
     return EXIT_OK
@@ -632,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det-height", type=int, default=129)
     p.add_argument("--mu-water", type=float, default=0.02)
     p.add_argument("--i0", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=None, help="step in mm")
     p.add_argument("--output", choices=("intensity", "line_integral"),
                    default="intensity")
     _add_common(p, workers=True)

@@ -64,10 +64,10 @@ class FitConfig:
 
     def __post_init__(self):
         self.ablation = frozenset(self.ablation)
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
-        if self.lambda_mse < 0 or self.lambda_ssim < 0:
-            raise ValueError("loss weights must be >= 0")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be > 0 and finite")
+        if not (0 <= self.lambda_mse < math.inf and 0 <= self.lambda_ssim < math.inf):
+            raise ValueError("loss weights must be >= 0 and finite")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.lr_halve_every < 1:

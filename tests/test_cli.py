@@ -150,7 +150,7 @@ def _dests(command):
 # what each command resolves from its options and records beside them
 _RESOLVED = {
     "render": {"workers"}, "anchors": {"workers"}, "metrics": set(),
-    "drr": {"workers", "step_mm", "source", "detector_center", "detector_u",
+    "drr": {"workers", "source", "detector_center", "detector_u",
             "detector_v", "det_width", "det_height"},
     "fit": {"target_files", "rays_per_step", "target_dtype"},
     "bench": {"workers", "gaussians"},
@@ -198,7 +198,8 @@ def test_anchors_manifest_tells_apart_runs_that_differ(tmp_path, scene_file):
     ("anchors", "--seed", False), ("metrics", "--seed", False),
     ("info", "--seed", False), ("gradcheck", "--out", False),
     ("info", "--out", False), ("fit", "--seed", True),
-    ("gradcheck", "--seed", True), ("bench", "--seed", True)])
+    ("gradcheck", "--seed", True), ("bench", "--seed", True),
+    ("drr", "--step", False)])
 def test_only_options_a_command_uses_parse(command, option, parses):
     required = {"render": ["--scene", "s", "--out", "o"],
                 "anchors": ["--scene", "s", "--out", "o"],
@@ -261,6 +262,18 @@ def test_fit_numeric_failure_exits_4_keeps_report(tmp_path, scene_file):
     rep = json.loads(Path(fdir, "fit_report.json").read_text())
     assert "error" in rep
     assert not os.path.exists(os.path.join(fdir, "fitted_scene.json"))
+
+
+def test_fit_non_finite_lr_exits_2_before_any_work(tmp_path, scene_file,
+                                                  capsys):
+    tdir = str(tmp_path / "targets")
+    assert main(["render", "--scene", scene_file, "--out", tdir,
+                 "--orbit", "ring:1", "--width", "12", "--height", "12"]) == 0
+    fdir = tmp_path / "fit"
+    assert main(["fit", "--scene", scene_file, "--targets", tdir,
+                 "--out", str(fdir), "--iters", "2", "--lr", "inf"]) == 2
+    assert "lr must be > 0 and finite" in capsys.readouterr().err
+    assert not fdir.exists()
 
 
 def test_anchors_outputs(tmp_path, scene_file):
@@ -403,7 +416,7 @@ def test_drr_verb_and_manifest(tmp_path):
     assert abs(img[16, 16, 0] - 0.02 * 16.0) / (0.02 * 16.0) < 0.01
     man = _read_manifest(out)
     assert man["command"] == "drr"
-    assert man["config"]["step_mm"] > 0.0
+    assert man["config"]["det_width"] == 33
     assert len(man["inputs"]) == 2  # header and raw payload both hashed
 
 

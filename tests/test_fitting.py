@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -153,6 +154,13 @@ def test_config_validation():
         FitConfig(target_dtype="float16")
     cfg = FitConfig(ablation=["no_anchoring", "no_anisotropy"])
     assert cfg.ablation == frozenset({"no_anchoring", "no_anisotropy"})
+
+
+@pytest.mark.parametrize("field", ["lr", "lambda_mse", "lambda_ssim"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+def test_config_rejects_non_finite_values(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        FitConfig(**{field: bad})
 
 
 # ---------------------------------------------------------------------------
