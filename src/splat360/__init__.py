@@ -10,7 +10,7 @@ from .errors import (
     NumericFailure, CheckFailure,
 )
 from .scene import (
-    Scene, Camera, Ray, ImageBuffer, ImageKind, validate_scene,
+    Scene, Camera, Ray, ImageBuffer, validate_scene,
     make_orbit_cameras, scene_to_json, scene_from_json, load_scene, save_scene,
     make_random_scene,
 )

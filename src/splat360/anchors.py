@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .scene import ImageBuffer, ImageKind
+from .scene import ImageBuffer, image_array
 
 DEFAULT_K = 64
 DEFAULT_SUPPRESSION_RADIUS = 5.0
@@ -52,13 +52,8 @@ def depth_gradient(depth) -> ImageBuffer:
     Central differences in the interior, one-sided at the borders (unit pixel
     spacing), magnitude sqrt(Dx^2 + Dy^2).
     """
-    if isinstance(depth, ImageBuffer):
-        d = depth.data
-    else:
-        d = np.asarray(depth, dtype=np.float64)
-        if d.ndim == 2:
-            d = d[:, :, None]
-    if d.ndim != 3 or d.shape[2] != 1:
+    d = image_array(depth)
+    if d.shape[2] != 1:
         raise ValueError("depth_gradient expects a single-channel image")
     if d.shape[0] < 3 or d.shape[1] < 3:
         raise ValueError("depth image must be at least 3x3")
@@ -66,7 +61,7 @@ def depth_gradient(depth) -> ImageBuffer:
     dy = np.gradient(plane, axis=0)
     dx = np.gradient(plane, axis=1)
     mag = np.hypot(dx, dy)
-    return ImageBuffer(mag[:, :, None], ImageKind.DEPTH)
+    return ImageBuffer(mag[:, :, None])
 
 
 def select_anchors(grad, k: int = DEFAULT_K,
@@ -82,9 +77,10 @@ def select_anchors(grad, k: int = DEFAULT_K,
         raise ValueError("k must be >= 1")
     if suppression_radius < 0:
         raise ValueError("suppression_radius must be >= 0")
-    g = grad.data[:, :, 0] if isinstance(grad, ImageBuffer) else np.asarray(grad, dtype=np.float64)
-    if g.ndim == 3:
-        g = g[:, :, 0]
+    g = image_array(grad)
+    if g.shape[2] != 1:
+        raise ValueError("select_anchors expects a single-channel image")
+    g = g[:, :, 0]
     H, W = g.shape
     flat = g.ravel()
     rows, cols = np.divmod(np.arange(flat.size), W)

@@ -25,9 +25,12 @@ import numpy as np
 
 from .errors import VolumeFormatError
 from .imgfile import atomic_write
-from .scene import ImageBuffer, ImageKind, Ray, _finite_vec3
+from .scene import ImageBuffer, Ray, _finite_vec3
 
-PIXEL_CHUNK = 4096  # pixels per pool payload, at most
+# one pool payload per started PIXEL_CHUNK pixels, but at most `workers`
+# payloads, so a payload can hold more: a 129^2 DRR on 2 workers sends two,
+# of 8320 and 8321 pixels
+PIXEL_CHUNK = 4096
 RAY_CHUNK = 256  # rays integrated at once: small passes reuse heap memory, not fresh pages
 AIR_HU = -1000.0
 GAUSS_NODE = 0.5 / math.sqrt(3.0)  # 2-point Gauss-Legendre: midpoint +- this x length
@@ -332,10 +335,7 @@ def render_drr(vol: VoxelVolume, geom: ProjectionGeometry,
                 for lo, hi in _spans(H * W, workers, PIXEL_CHUNK)]
     parts = (_pool_for(len(payloads)).map(_drr_span, payloads)
              if len(payloads) > 1 else [_drr_span(payloads[0])])
-    data = np.concatenate(parts).reshape(H, W, 1)
-    if cfg.output == "intensity":
-        return ImageBuffer(data, ImageKind.TRANSMITTANCE)
-    return ImageBuffer(data, ImageKind.LINE_INTEGRAL)
+    return ImageBuffer(np.concatenate(parts).reshape(H, W, 1))
 
 
 def _drr_pixels(vol, geom, cfg, field, rows, cols):

@@ -36,7 +36,7 @@ from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
 from .metrics import psnr, ssim, ssim_with_grad
 from .renderer import (RenderConfig, _composite, _origin_terms, _pairs,
                        _ray_geometry, render)
-from .scene import Camera, ImageBuffer, ImageKind, Scene
+from .scene import Camera, ImageBuffer, Scene, image_array
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
 BOUNDARY_NUDGE = 1e-7
@@ -108,16 +108,10 @@ def composite_loss(pred, target, lambda_mse: float = 1.0,
     either way. The SSIM window shrinks to fit small images, so patch losses
     stay well defined.
     """
-    p = pred.data if isinstance(pred, ImageBuffer) else np.asarray(pred, dtype=np.float64)
-    t = target.data if isinstance(target, ImageBuffer) else np.asarray(target, dtype=np.float64)
-    if p.ndim == 2:
-        p = p[:, :, None]
-    if t.ndim == 2:
-        t = t[:, :, None]
+    p = image_array(pred)
+    t = image_array(target)
     if p.shape != t.shape:
         raise ValueError(f"image shape mismatch: {p.shape} vs {t.shape}")
-    if not (np.isfinite(p).all() and np.isfinite(t).all()):
-        raise ValueError("loss inputs must be finite")
     diff = p - t
     loss = lambda_mse * float(np.mean(diff * diff))
     grad = (2.0 * lambda_mse / diff.size) * diff if want_grad else None
@@ -126,7 +120,7 @@ def composite_loss(pred, target, lambda_mse: float = 1.0,
         loss += lambda_ssim * (1.0 - s)
         if want_grad:
             grad = grad - lambda_ssim * ds
-    return loss, (ImageBuffer(grad, ImageKind.RADIANCE) if want_grad else None)
+    return loss, (ImageBuffer(grad) if want_grad else None)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state, cfg: FitConfig):
@@ -375,25 +369,14 @@ def _patch_origin(rng: np.random.Generator, H: int, W: int, ph: int, pw: int,
     return r0, c0
 
 
-def _view_losses(scene, cams, targets_arr, rcfg, cfg, mlp):
-    """(composite loss, compared image) of each view's full render."""
-    out = []
-    for cam, tgt in zip(cams, targets_arr):
-        img, _, _ = render(scene, cam, rcfg, workers=1, mlp=mlp)
-        pred = _pred_for_loss(img.data, cfg)
-        loss, _ = composite_loss(pred, tgt, cfg.lambda_mse, cfg.lambda_ssim,
-                                 want_grad=False)
-        out.append((loss, pred))
-    return out
-
-
 def fit_scene(scene: Scene, targets, cfg: FitConfig,
               mlp: MlpParams | None = None):
     """Fit appearance (and optionally geometry / MLP) to target images.
 
     targets: list of (Camera, ImageBuffer or HxWx3 array). Returns
     (fitted scene, fitted MlpParams or None, FitReport). Raises NumericFailure
-    (with .report carrying progress so far) if the loss turns non-finite.
+    (with .report carrying progress so far) if a patch prediction, a loss or
+    a full-view render turns non-finite, or a covariance turns singular.
     """
     if not targets:
         raise ValueError("need at least one target view")
@@ -405,7 +388,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     cams: list[Camera] = []
     targets_arr: list[np.ndarray] = []
     for cam, img in targets:
-        arr = img.data if isinstance(img, ImageBuffer) else np.asarray(img, dtype=np.float64)
+        arr = image_array(img)
         if arr.shape != (cam.height, cam.width, 3):
             raise ValueError(
                 f"target shape {arr.shape} does not match camera "
@@ -447,6 +430,26 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
                          trace=list(trace), full_evals=list(full_evals),
                          per_view=per_view or [], final_loss=final_loss)
 
+    def failure(msg):
+        err = NumericFailure(msg)
+        err.report = make_report()
+        return err
+
+    def view_losses(scene, mlp):
+        """(composite loss, compared image) of each view's full render."""
+        out = []
+        for cam, tgt in zip(cams, targets_arr):
+            try:
+                img, _, _ = render(scene, cam, rcfg, workers=1, mlp=mlp)
+                pred = _pred_for_loss(img.data, cfg)
+                loss, _ = composite_loss(pred, tgt, cfg.lambda_mse,
+                                         cfg.lambda_ssim, want_grad=False)
+            except ValueError as e:  # the render or its compared image is not finite
+                raise failure(f"full-view render after iteration "
+                              f"{len(trace)}: {e}") from e
+            out.append((loss, pred))
+        return out
+
     for it in range(1, cfg.iters + 1):
         view = (it - 1) % len(cams)
         cam = cams[view]
@@ -464,12 +467,12 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         colors, work = _patch_forward(cur_scene, cam, rcfg, rows, cols,
                                       live_mlp, e_vec, tape=True)
         pred = _pred_for_loss(colors.reshape(ph, pw, 3), cfg)
+        if not np.isfinite(pred).all():
+            raise failure(f"non-finite prediction at iteration {it}")
         tgt = targets_arr[view][r0:r0 + ph, c0:c0 + pw]
         loss, gimg = composite_loss(pred, tgt, cfg.lambda_mse, cfg.lambda_ssim)
         if not math.isfinite(loss):
-            err = NumericFailure(f"non-finite loss at iteration {it}")
-            err.report = make_report()
-            raise err
+            raise failure(f"non-finite loss at iteration {it}")
         trace.append(loss)
         gpix = gimg.data.reshape(ph * pw, 3)
 
@@ -502,13 +505,14 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
                           l_iso=cur_app[:, 1:4], l_aniso=cur_app[:, 4:7],
                           normal=scene.normal, g=cur_app[:, 7],
                           background=scene.background)
+        if cur_scene.singular.any():  # a geometry step collapsed a splat
+            raise failure(f"singular covariance after iteration {it}")
 
         if cfg.full_eval_every and (it % cfg.full_eval_every == 0):
-            losses = _view_losses(cur_scene, cams, targets_arr, rcfg, cfg,
-                                  live_mlp)
+            losses = view_losses(cur_scene, live_mlp)
             full_evals.append([it, sum(loss for loss, _ in losses) / len(cams)])
 
-    views = _view_losses(cur_scene, cams, targets_arr, rcfg, cfg, live_mlp)
+    views = view_losses(cur_scene, live_mlp)
     per_view = [{"view": i, "psnr": psnr(pred, tgt), "ssim": ssim(pred, tgt)}
                 for i, ((_, pred), tgt) in enumerate(zip(views, targets_arr))]
     report = make_report(final_loss=float(np.mean([loss for loss, _ in views])),

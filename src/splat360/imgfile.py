@@ -116,7 +116,11 @@ def save_pfm(path: str, data: np.ndarray) -> None:
 
 
 def load_pfm(path: str) -> np.ndarray:
-    """Read PFM to HxWxC float64 (row 0 on top, matching ImageBuffer)."""
+    """Read PFM to HxWxC float64, C 1 or 3, row 0 on top.
+
+    Pixels that are not finite after scaling raise ImageFormatError, so the
+    result always passes `scene.image_array`.
+    """
     try:
         with open(path, "rb") as f:
             buf = f.read()

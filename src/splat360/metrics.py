@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scene import ImageBuffer
+from .scene import image_array
 
 PSNR_CAP_DB = 99.0
 SSIM_SIGMA = 1.5
@@ -35,21 +35,10 @@ def _ssim_window(height: int, width: int) -> int:
     return win - 1 if win % 2 == 0 else win
 
 
-def _image_array(a) -> np.ndarray:
-    if isinstance(a, ImageBuffer):
-        return a.data
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.ndim != 3 or arr.shape[2] not in (1, 3):
-        raise ValueError("image must be HxWx1 or HxWx3")
-    return arr
-
-
 def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB for [0,1] images; capped at 99 dB."""
-    x = _image_array(a)
-    y = _image_array(b)
+    x = image_array(a)
+    y = image_array(b)
     if x.shape != y.shape:
         raise ValueError(f"image shape mismatch: {x.shape} vs {y.shape}")
     mse = float(np.mean((x - y) ** 2))
@@ -121,8 +110,8 @@ def ssim_with_grad(a, b, want_grad: bool = True):
 
     The window is 11x11, shrunk to the largest odd size that fits the image.
     """
-    x = _image_array(a)
-    y = _image_array(b)
+    x = image_array(a)
+    y = image_array(b)
     if x.shape != y.shape:
         raise ValueError(f"image shape mismatch: {x.shape} vs {y.shape}")
     taps = _gauss_taps(_ssim_window(x.shape[0], x.shape[1]), SSIM_SIGMA)

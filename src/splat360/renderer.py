@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidPrimitiveError
 from .fusion import MlpParams, embed_camera, fuse_forward_batch, fusion_input
-from .scene import CUTOFF_SIGMA, Camera, ImageBuffer, ImageKind, Ray, Scene
+from .scene import CUTOFF_SIGMA, Camera, ImageBuffer, Ray, Scene
 
 # Pairs are enumerated per COARSE_TILE block and composited per FINE_TILE
 # tile. On the benchmark's `render` workload (2000 splats, 128x128, one
@@ -153,12 +153,13 @@ def _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub):
 
 
 def _phase_factor(scene, dx, dy, dz, sub, keep_cos=False):
-    """Normalized anisotropy factor f = 4*pi*phase, elementwise over [P, sub].
+    """Normalized anisotropy factor f = 4*pi*phase, elementwise over [P, K].
 
-    `sub` indexes the gaussians: [K] shared by every ray, or [P, K], one
-    row per ray. Grouping matches s = (1 + g^2) - (2 g) cos,
-    f = (1 - g^2) / (s sqrt(s)). Returns (f, cos), cos being None unless
-    keep_cos (it is reused in place).
+    Row p of `sub` [P, K] holds the gaussians of ray p. Grouping matches
+    s = (1 + g^2) - (2 g) cos, f = (1 - g^2) / (s sqrt(s)). Returns (f, cos),
+    cos being None unless keep_cos; without it s is built in cos's buffer.
+    The same math as plain expressions, or keeping cos on every call, made a
+    `fit` benchmark op 6-8% slower (2-vCPU VM).
     """
     cos = dx[:, None] * scene.normal[sub, 0]
     tmp = dy[:, None] * scene.normal[sub, 1]
@@ -599,9 +600,7 @@ def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
         color[r0:r1, c0:c1] = cb
         depth[r0:r1, c0:c1] = db
         trans[r0:r1, c0:c1] = tb
-    return (ImageBuffer(color, ImageKind.RADIANCE),
-            ImageBuffer(depth, ImageKind.DEPTH),
-            ImageBuffer(trans, ImageKind.TRANSMITTANCE))
+    return ImageBuffer(color), ImageBuffer(depth), ImageBuffer(trans)
 
 
 def render_rays(scene: Scene, origin, dirs, cfg: RenderConfig | None = None,

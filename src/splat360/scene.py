@@ -13,10 +13,14 @@ background [3]; it is the only form a splat takes. l_iso is the
 view-independent radiance, l_aniso the view-dependent one, and normal and g
 steer the angular redistribution of l_aniso. Writing into any array raises
 ValueError; a changed scene is a new Scene (`dataclasses.replace`).
+
+Every image, whatever it holds (radiance, depth, transmittance, DRR output,
+a loss gradient), is an H x W x C float64 array with C 1 or 3 and every value
+finite. `image_array` is the one check of that convention; a function that
+takes an image calls it, and an ImageBuffer holds an array that passed it.
 """
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -237,29 +241,33 @@ class Ray:
             raise ValueError("ray dir must be unit length")
 
 
-class ImageKind(str, enum.Enum):
-    RADIANCE = "radiance"
-    DEPTH = "depth"
-    LINE_INTEGRAL = "line_integral"
-    TRANSMITTANCE = "transmittance"
+def image_array(a) -> np.ndarray:
+    """The H x W x C float64 array of an ImageBuffer or an array-like.
+
+    A 2-D array reads as one channel. Raises ValueError unless C is 1 or 3
+    and every value is finite.
+    """
+    if isinstance(a, ImageBuffer):
+        return a.data
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim == 2:
+        arr = arr[:, :, None]
+    if arr.ndim != 3 or arr.shape[2] not in (1, 3):
+        raise ValueError(f"image must be HxWx1 or HxWx3, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("image values must be finite")
+    return arr
 
 
 @dataclass
 class ImageBuffer:
-    """H x W x C float64 image; kind records channel semantics."""
+    """An image that passed `image_array`: H x W x C float64, C 1 or 3,
+    every value finite. What it holds is up to the function that made it."""
 
     data: np.ndarray
-    kind: ImageKind
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim == 2:
-            self.data = self.data[:, :, None]
-        if self.data.ndim != 3 or self.data.shape[2] not in (1, 3):
-            raise ValueError(f"image data must be HxWx1 or HxWx3, got {self.data.shape}")
-        self.kind = ImageKind(self.kind)
-        if self.kind is ImageKind.RADIANCE and not np.all(np.isfinite(self.data)):
-            raise ValueError("radiance images must be finite")
+        self.data = image_array(self.data)
 
     @property
     def height(self) -> int:
@@ -268,10 +276,6 @@ class ImageBuffer:
     @property
     def width(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
 
 
 def make_orbit_cameras(center, radius: float, n: int, elevation: float, mode: str,

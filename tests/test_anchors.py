@@ -104,6 +104,14 @@ def test_k_zero_rejected():
         select_anchors(np.zeros((4, 4)), k=0)
 
 
+def test_multi_channel_gradient_rejected():
+    g = np.random.default_rng(0).random((8, 8, 3))
+    with pytest.raises(ValueError, match="single-channel"):
+        select_anchors(g, k=3)
+    with pytest.raises(ValueError, match="single-channel"):
+        depth_gradient(g)
+
+
 def _brute_force_anchors(g, k, radius):
     """The docstring's rule, pixel by pixel: visit by (magnitude desc, row,
     col) and keep a pixel at distance >= radius from every kept one."""

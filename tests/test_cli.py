@@ -1,5 +1,6 @@
 """End-to-end contracts of the command-line entry points."""
 import argparse
+import hashlib
 import json
 import multiprocessing
 import os
@@ -12,8 +13,9 @@ import pytest
 
 from conftest import make_scene
 import splat360
-from splat360 import (Camera, RenderConfig, cli, load_pfm, make_random_scene,
-                      make_sphere_phantom, save_scene, save_volume)
+from splat360 import (Camera, RenderConfig, cli, init_mlp, load_mlp, load_pfm,
+                      make_random_scene, make_sphere_phantom, save_pfm,
+                      save_scene, save_volume)
 from splat360.cli import main
 from splat360.fitting import _patch_forward
 from splat360.renderer import _shutdown_pools
@@ -262,6 +264,45 @@ def test_fit_numeric_failure_exits_4_keeps_report(tmp_path, scene_file):
     rep = json.loads(Path(fdir, "fit_report.json").read_text())
     assert "error" in rep
     assert not os.path.exists(os.path.join(fdir, "fitted_scene.json"))
+
+
+def test_fit_diverging_mlp_exits_4_keeps_report(tmp_path, scene_file):
+    tdir = str(tmp_path / "targets")
+    assert main(["render", "--scene", scene_file, "--out", tdir,
+                 "--orbit", "ring:1", "--width", "12", "--height", "12"]) == 0
+    fdir = tmp_path / "boom"
+    with np.errstate(all="ignore"):
+        rc = main(["fit", "--scene", scene_file, "--targets", tdir,
+                   "--out", str(fdir), "--iters", "3", "--lr", "1e300",
+                   "--mlp-init", "16"])
+    assert rc == 4
+    rep = json.loads((fdir / "fit_report.json").read_text())
+    assert "non-finite" in rep["error"] and rep["iterations"] >= 1
+    assert not (fdir / "mlp.params").exists()
+
+
+def test_fit_mlp_chain_with_one_channel_target(tmp_path, scene_file):
+    tdir = tmp_path / "targets"
+    assert main(["render", "--scene", scene_file, "--out", str(tdir),
+                 "--orbit", "ring:2", "--width", "12", "--height", "12",
+                 "--float-color"]) == 0
+    gray = tdir / "frame_001.pfm"
+    save_pfm(str(gray), load_pfm(str(gray)).mean(axis=2, keepdims=True))
+    assert load_pfm(str(gray)).shape == (12, 12, 1)
+    argv = ["fit", "--scene", scene_file, "--targets", str(tdir),
+            "--iters", "2", "--lr", "0.01"]
+    first = tmp_path / "first"
+    assert main(argv + ["--out", str(first), "--mlp-init", "16"]) == 0
+    params = first / "mlp.params"
+    fitted = load_mlp(str(params))
+    assert fitted.d == 16
+    assert not np.array_equal(fitted.to_flat(), init_mlp(d=16, seed=0).to_flat())
+    second = tmp_path / "second"
+    assert main(argv + ["--out", str(second), "--mlp", str(params)]) == 0
+    man = _read_manifest(second)
+    assert man["inputs"][str(params)] == hashlib.sha256(params.read_bytes()).hexdigest()
+    assert str(gray) in man["inputs"]
+    assert load_mlp(str(second / "mlp.params")).d == 16
 
 
 def test_fit_non_finite_lr_exits_2_before_any_work(tmp_path, scene_file,

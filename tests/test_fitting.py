@@ -219,6 +219,34 @@ def test_fit_numeric_failure_carries_report(simple_scene):
     assert np.isfinite(exc.value.report.trace[0])
 
 
+@pytest.mark.parametrize("iters, where", [
+    (3, "non-finite prediction at iteration 2"),
+    (1, "full-view render after iteration 1")], ids=["patch", "full_view"])
+def test_diverging_mlp_fit_raises_numeric_failure_with_report(
+        small_random_scene, iters, where):
+    cams = _views(small_random_scene)
+    targets = _self_targets(small_random_scene, cams, RenderConfig())
+    cfg = FitConfig(iters=iters, lr=1e300, seed=0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericFailure, match=where) as exc:
+            fit_scene(small_random_scene, targets, cfg, mlp=init_mlp(16))
+    assert exc.value.report.iterations == 1
+    assert np.isfinite(exc.value.report.trace).all()
+
+
+def test_collapsing_geometry_fit_raises_numeric_failure_with_report(
+        small_random_scene):
+    cams = _views(small_random_scene)
+    targets = _self_targets(small_random_scene, cams, RenderConfig())
+    start = _perturbed(small_random_scene)
+    cfg = FitConfig(iters=3, lr=30.0, optimize_geometry=True, seed=0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericFailure, match="singular covariance") as exc:
+            fit_scene(start, targets, cfg)
+    assert exc.value.report.iterations >= 1
+    assert np.isfinite(exc.value.report.trace).all()
+
+
 def test_fit_requires_targets(simple_scene):
     with pytest.raises(ValueError):
         fit_scene(simple_scene, [], FitConfig(iters=1))

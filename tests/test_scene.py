@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from splat360 import (Camera, InvalidPrimitiveError, Ray, Scene,
-                      SceneFormatError, composite_ray, load_scene,
-                      make_orbit_cameras, make_random_scene, render,
-                      save_scene, scene_from_json, scene_to_json,
+from splat360 import (Camera, ImageBuffer, InvalidPrimitiveError, Ray, Scene,
+                      SceneFormatError, composite_loss, composite_ray,
+                      depth_gradient, load_scene, make_orbit_cameras,
+                      make_random_scene, psnr, render, save_scene,
+                      scene_from_json, scene_to_json, select_anchors, ssim,
                       validate_scene)
 from splat360 import scene as scene_module
+from splat360.scene import image_array, perturb_appearance
 from conftest import make_scene
 
 
@@ -351,3 +353,66 @@ def test_failed_save_leaves_existing_scene_file(tmp_path, monkeypatch,
         save_scene(str(path), make_random_scene(3, seed=2))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def test_image_array_reads_2d_as_one_channel_and_passes_buffers_through():
+    arr = image_array(np.arange(6).reshape(2, 3))
+    assert arr.shape == (2, 3, 1) and arr.dtype == np.float64
+    buf = ImageBuffer(arr)
+    assert image_array(buf) is buf.data
+    assert (buf.height, buf.width) == (2, 3)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 2), (2, 3, 4), (1, 2, 3, 1)])
+def test_image_array_rejects_channel_counts_other_than_1_and_3(shape):
+    with pytest.raises(ValueError, match="HxWx1 or HxWx3"):
+        image_array(np.zeros(shape))
+
+
+# public functions that take an image, each handed the bad one
+_IMAGE_TAKERS = {
+    "ImageBuffer": ImageBuffer,
+    "psnr": lambda img: psnr(img, np.zeros_like(img)),
+    "ssim": lambda img: ssim(np.zeros_like(img), img),
+    "composite_loss": lambda img: composite_loss(img, np.zeros_like(img)),
+    "depth_gradient": depth_gradient,
+    "select_anchors": lambda img: select_anchors(img, k=3),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("take", list(_IMAGE_TAKERS.values()),
+                         ids=list(_IMAGE_TAKERS))
+def test_every_image_taker_rejects_non_finite_values(take, bad):
+    img = np.ones((8, 8))
+    img[3, 4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        take(img)
+
+
+def test_perturb_appearance_repeats_keeps_geometry_and_clips(small_random_scene):
+    # values on the clip bounds, so that roughly half of the draws cross them
+    G = small_random_scene.alpha.size
+    base = dataclasses.replace(
+        small_random_scene, alpha=np.full(G, 1.0), l_iso=np.full((G, 3), 1.0),
+        g=np.where(np.arange(G) % 2 == 0, 0.999, -0.999))
+    first = perturb_appearance(base, seed=4, rel=0.5)
+    again = perturb_appearance(base, seed=4, rel=0.5)
+    names = ("alpha", "l_iso", "l_aniso", "g")
+    for name in names:
+        assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
+    other = perturb_appearance(base, seed=5, rel=0.5)
+    assert any(not np.array_equal(getattr(first, n), getattr(other, n))
+               for n in names)
+    for seed in range(20):
+        s = perturb_appearance(base, seed=seed, rel=0.5)
+        assert s.mu.tobytes() == base.mu.tobytes()
+        assert s.cov.tobytes() == base.cov.tobytes()
+        assert ((s.alpha >= 1e-4) & (s.alpha <= 1.0)).all()
+        assert ((s.l_iso >= 0.0) & (s.l_iso <= 1.0)).all()
+        assert (s.l_aniso >= 0.0).all()
+        assert ((s.g >= -0.999) & (s.g <= 0.999)).all()
+    # alpha's lower clip
+    tiny = perturb_appearance(dataclasses.replace(base, alpha=np.full(G, 1e-4)),
+                              seed=4, rel=0.5)
+    assert tiny.alpha.min() == 1e-4
