@@ -15,7 +15,7 @@ from .scene import (
     make_random_scene,
 )
 from .renderer import (
-    RenderConfig, RaySample, phase, composite_ray, render, render_rays,
+    RenderConfig, RaySample, composite_ray, render,
 )
 from .imgfile import (
     encode_gamma, decode_gamma, save_ppm, load_ppm, save_pfm, load_pfm,

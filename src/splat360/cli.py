@@ -449,10 +449,12 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
 
 
 def _tape_key(work) -> tuple:
-    """Each ray's t-ordered contributing splats: the patch loss is smooth in
-    geometry only while this stays the same."""
+    """Each ray's t-ordered contributing splats, ray after ray with each
+    ray's count: the patch loss is smooth in geometry only while this stays
+    the same."""
     tp = work[1]
-    return tp.idx.tobytes(), (tp.tw > 0.0).tobytes()
+    return (np.bincount(tp.ray, minlength=tp.final_T.size).tobytes(),
+            tp.idx[tp.by_ray].tobytes())
 
 
 def _patch_gradcheck(seed: int, tol: float) -> dict:

@@ -14,7 +14,7 @@ uniform positions unless the no_anchoring ablation is set.
 
 The patch forward pass runs the renderer's kernel once over the ray x
 splat pairs the renderer's `_pairs` enumerates for the patch, as `render`
-does per tile; the full-image evaluations (every full_eval_every iterations
+does per block; the full-image evaluations (every full_eval_every iterations
 and the final per-view report) call `render`, with the fusion head when an
 MLP is fitted.
 So a fit initialized at the scene that produced its targets measures a loss
@@ -34,8 +34,8 @@ from .errors import NumericFailure
 from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch, fusion_input)
 from .metrics import psnr, ssim, ssim_with_grad
-from .renderer import (RenderConfig, _composite, _origin_terms, _pairs,
-                       _ray_geometry, render)
+from .renderer import (RenderConfig, _composite, _last_slots, _origin_terms,
+                       _pairs, _ray_geometry, _scan_ranks, render)
 from .scene import Camera, ImageBuffer, Scene, image_array
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
@@ -262,9 +262,9 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
                     if tape else None)
 
 
-def _dot3(g: np.ndarray, vals) -> np.ndarray:
-    """Per-slot sum over channels of g[:, ch] * vals[ch]."""
-    return g[:, 0, None] * vals[0] + g[:, 1, None] * vals[1] + g[:, 2, None] * vals[2]
+def _dot3(g: np.ndarray, ray: np.ndarray, vals) -> np.ndarray:
+    """Per-slot sum over channels of g[ray, ch] * vals[ch]."""
+    return g[ray, 0] * vals[0] + g[ray, 1] * vals[1] + g[ray, 2] * vals[2]
 
 
 def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
@@ -273,13 +273,16 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     and the MLP.
 
     Each per-slot product is added into its splat's entry (a scatter-add
-    over the tape's splat indices, rays in order). A ray's slots are its live
-    entries, then zero-weight padding, a splat in at most one slot, so each
-    sum runs over the same terms in the same ray order as a dense pass over
-    every splat, less that pass's exact zeros for the splats not live on the
-    ray (not enumerated, past the cutoff or before the near plane) and plus
-    the padding's exact zeros. A zero term leaves a sum's bits unchanged, so
-    the gradients depend neither on the enumeration nor on the tape's width.
+    over the tape's splat indices). The tape's slots are each ray's
+    contributing entries, a splat in at most one slot of a ray; they are put
+    in ray-major order before every sum, so each sum runs over the same terms
+    in the same ray order as a dense pass over every splat, less that pass's
+    exact zeros for the splats that do not contribute to the ray (not
+    enumerated, past the cutoff, before the near plane or past the ray's
+    termination). A zero term leaves a sum's bits unchanged, so the gradients
+    depend neither on the enumeration nor on the tape's layout. The running
+    sum along each ray runs rank by rank over the tape's layout, as the
+    kernel's own do.
 
     `geometry` is None or `_Geometry`'s (rot [G,3,3], log_eig s [G,3]). The
     loss sees geometry only through w = alpha exp(-q/2), as sort order and
@@ -291,45 +294,47 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     """
     scene, tp, cache, origin, dirs = work
     P, G = gpix.shape[0], scene.alpha.size
-    idx = tp.idx.ravel()
+    ray = tp.ray
     mlp_grads = None
     if mlp is not None:
         mlp_grads, dX = fuse_backward_batch(cache, mlp, gpix)
         gi = dX[:, 0:3]
         ga = dX[:, 3:6]
-        dotc = _dot3(gi, tp.iso)
+        dotc = _dot3(gi, ray, tp.iso)
         if rcfg.anisotropy_enabled:
-            dotc = dotc + _dot3(ga, tp.aniso)
+            dotc = dotc + _dot3(ga, ray, tp.aniso)
         tail_bg = np.zeros(P)
     else:
         gi = ga = gpix
-        dotc = _dot3(gpix, tp.color)
+        dotc = _dot3(gpix, ray, tp.color)
         bg = scene.background
         tail_bg = ((gpix[:, 0] * bg[0] + gpix[:, 1] * bg[1]
                     + gpix[:, 2] * bg[2]) * tp.final_T)
 
-    contrib = dotc * tp.tw                    # per sorted slot
-    pref = np.cumsum(contrib, axis=1)
-    tail = pref[:, -1:] - pref + tail_bg[:, None]  # strictly-later terms + background
+    pref = dotc * tp.tw                       # per slot, then its running sum
+    _scan_ranks(np.add, pref, tp.offsets)
+    total = _last_slots(pref, tp.by_ray, np.bincount(ray, minlength=P))
+    tail = total[ray] - pref + tail_bg[ray]   # strictly-later terms + background
     dw_s = np.where(tp.tw > 0.0,
                     dotc * tp.Tb - tail / np.maximum(1.0 - tp.w, 1e-300), 0.0)
+    idx = tp.idx[tp.by_ray]
 
     def ray_sum(slot_values):
-        return np.bincount(idx, slot_values.ravel(), minlength=G)
+        return np.bincount(idx, slot_values[tp.by_ray], minlength=G)
 
     dalpha = ray_sum(dw_s * tp.k)
     # color slot grads: d c / d l_iso = 1; d c / d l_aniso = f; d c / d g via f
     dli = np.empty((G, 3))
     dla = np.zeros((G, 3))
     for ch in range(3):
-        dli[:, ch] = ray_sum(tp.tw * gi[:, ch, None])
+        dli[:, ch] = ray_sum(tp.tw * gi[ray, ch])
     if rcfg.anisotropy_enabled:
         for ch in range(3):
-            twa = tp.tw * ga[:, ch, None]
+            twa = tp.tw * ga[ray, ch]
             dla[:, ch] = ray_sum(twa if tp.f is None else twa * tp.f)
     dg = np.zeros(G)
     if rcfg.anisotropy_enabled and rcfg.disentangle:
-        la_dot = _dot3(ga, [scene.l_aniso[tp.idx, ch] for ch in range(3)])
+        la_dot = _dot3(ga, ray, [scene.l_aniso[tp.idx, ch] for ch in range(3)])
         cosg = tp.cos
         gk = scene.g[tp.idx]
         s = (1.0 + gk * gk) - (2.0 * gk) * cosg
@@ -340,7 +345,7 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     if geometry is not None:
         rot, log_eig = geometry
         gq = dw_s * (-0.5 * tp.w)            # dL/dq per slot
-        r = [(scene.mu[tp.idx, c] - origin[c]) - tp.ts * dirs[c][:, None]
+        r = [(scene.mu[tp.idx, c] - origin[c]) - tp.ts * dirs[c][ray]
              for c in range(3)]
         gr = [gq * rc for rc in r]
         sr = [ray_sum(v) for v in gr]

@@ -10,10 +10,10 @@ l_aniso, and a ray stops once T falls below TERMINATION_EPSILON. The factor
 f = (1 - g^2) / (s * sqrt(s)), s = 1 + g^2 - 2 g (dir . normal), is the
 Henyey-Greenstein lobe normalized so f = 1 when g = 0.
 
-Bit-determinism: every color-producing path (image tiles, with or without
-the fusion head; ray batches; single rays and their sample lists; the fit's
-patch forward pass) runs the one kernel `_composite` itself, not a copy of
-it. A full image, physical or fused, comes only from `render`'s tile loop.
+Bit-determinism: every color-producing path (image blocks, with or without
+the fusion head; single rays and their sample lists; the fit's patch
+forward pass) runs the one kernel `_composite` itself, not a copy of it. A
+full image, physical or fused, comes only from `render`'s block loop.
 Both it and the fit's pixel patch composite the ray x splat pairs `_pairs`
 enumerates from each splat's screen-space cutoff conic, a superset of the
 live pairs: a patch pixel matches the full image's bit for bit, and its
@@ -22,9 +22,13 @@ Each ray composites only its own live splats, ordered by t and then by
 splat index, so a ray's result does not depend on which other rays, or
 which dead pairs, share its call: a dead entry could only have added a
 factor of 1.0 to the transmittance product and an exact zero to the sums.
-Per-pixel reductions use sequential scans (np.cumsum / np.cumprod), so
-results are independent of tile size, worker count and batching. Matrix
-products and pairwise sums are deliberately avoided in per-pixel math.
+The kernel lays each ray's slots out rank-major (`_Tape`): rank j of
+every ray that has one is one contiguous run, and a running product or sum
+along the rays is a loop over ranks that multiplies or adds each ray's
+terms in front-to-back order, exactly as a sequential np.cumprod /
+np.cumsum along the ray would, with no padding. So results are independent
+of block size, worker count and batching. Matrix products and pairwise sums
+are deliberately avoided in per-pixel math.
 """
 from __future__ import annotations
 
@@ -40,11 +44,8 @@ from .errors import InvalidPrimitiveError
 from .fusion import MlpParams, embed_camera, fuse_forward_batch, fusion_input
 from .scene import CUTOFF_SIGMA, Camera, ImageBuffer, Ray, Scene
 
-# Pairs are enumerated per COARSE_TILE block and composited per FINE_TILE
-# tile. On the benchmark's `render` workload (2000 splats, 128x128, one
-# worker, a 2-vCPU VM) this took 78-85 ms/frame; one kernel call per 64^2
-# block took 149-153 ms, and enumerating per 16^2 block took 163-185 ms.
-FINE_TILE = 16
+# Pairs are enumerated and composited per COARSE_TILE block, one kernel
+# call each; the blocks are also the unit of work split among workers.
 COARSE_TILE = 64
 # a ray stops once its transmittance falls below this
 TERMINATION_EPSILON = 1e-3
@@ -72,20 +73,6 @@ class RaySample:
     t: float
     weight: float
     transmittance_before: float
-
-
-def phase(dir, normal, g: float) -> float:
-    """Henyey-Greenstein phase value for cos(theta) = dir . normal.
-
-    Positive everywhere and integrates to 1 over the unit sphere.
-    """
-    if not -1.0 < g < 1.0:
-        raise ValueError("g must be in (-1, 1)")
-    d = np.asarray(dir, dtype=np.float64)
-    n = np.asarray(normal, dtype=np.float64)
-    cos = d[0] * n[0] + d[1] * n[1] + d[2] * n[2]
-    s = (1.0 + g * g) - (2.0 * g) * cos
-    return (1.0 - g * g) / (4.0 * math.pi * (s * math.sqrt(s)))
 
 
 def _origin_terms(scene: Scene, origin: np.ndarray):
@@ -153,18 +140,18 @@ def _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub):
 
 
 def _phase_factor(scene, dx, dy, dz, sub, keep_cos=False):
-    """Normalized anisotropy factor f = 4*pi*phase, elementwise over [P, K].
+    """Normalized anisotropy factor f = 4*pi*phase, elementwise over slots.
 
-    Row p of `sub` [P, K] holds the gaussians of ray p. Grouping matches
-    s = (1 + g^2) - (2 g) cos, f = (1 - g^2) / (s sqrt(s)). Returns (f, cos),
-    cos being None unless keep_cos; without it s is built in cos's buffer.
-    The same math as plain expressions, or keeping cos on every call, made a
-    `fit` benchmark op 6-8% slower (2-vCPU VM).
+    Slot n is gaussian sub[n] seen along direction (dx[n], dy[n], dz[n]).
+    Grouping matches s = (1 + g^2) - (2 g) cos, f = (1 - g^2) / (s sqrt(s)).
+    Returns (f, cos), cos being None unless keep_cos; without it s is built
+    in cos's buffer. The same math as plain expressions, or keeping cos on
+    every call, made a `fit` benchmark op 6-8% slower (2-vCPU VM).
     """
-    cos = dx[:, None] * scene.normal[sub, 0]
-    tmp = dy[:, None] * scene.normal[sub, 1]
+    cos = dx * scene.normal[sub, 0]
+    tmp = dy * scene.normal[sub, 1]
     cos += tmp
-    np.multiply(dz[:, None], scene.normal[sub, 2], out=tmp)
+    np.multiply(dz, scene.normal[sub, 2], out=tmp)
     cos += tmp
     gk = scene.g[sub]
     g2 = gk * gk
@@ -180,30 +167,88 @@ def _phase_factor(scene, dx, dy, dz, sub, keep_cos=False):
 class _Tape:
     """What one `_composite` call leaves for a backward pass or a sample list.
 
-    Every [P, K] array is indexed by slot: row p holds ray p's live entries
-    in t order, a splat in at most one slot. K is the largest live count of
-    any ray, cut after the last slot any ray's termination lets contribute;
-    the slots past a ray's own count are padding: idx 0, t 0, k = w = tw = 0,
-    every value finite, so it adds only exact zeros to the backward pass's
-    scans and sums. `color`, `iso` and `aniso` are per-channel triples.
-    `f`/`cos` are None unless disentangled with anisotropy, `iso`/`aniso`
-    None without fused streams (`aniso` also without anisotropy), whether or
-    not any splat reaches a ray. When none does, every array but `final_T`
-    is empty (K = 0).
+    Every [N] array is indexed by slot, one slot per contributing pair: each
+    ray's live pairs in t order, up to and including the one where its
+    transmittance falls below TERMINATION_EPSILON, a splat in at most one
+    slot of a ray. The layout is rank-major: rank j (each ray's (j+1)-th
+    slot) is the run offsets[j]:offsets[j+1], its rays ordered by slot count,
+    largest first and stably, so the rays holding a rank j slot are a prefix
+    of the rays holding a rank j-1 one. `ray` is each slot's ray and
+    `by_ray` lists the slots ray after ray, each ray's in rank order.
+    `color`, `iso` and `aniso` are per-channel triples. `f`/`cos` are None
+    unless disentangled with anisotropy, `iso`/`aniso` None without fused
+    streams (`aniso` also without anisotropy), whether or not any splat
+    reaches a ray. When none does, every slot array is empty (N = 0).
     """
 
     idx: np.ndarray        # splat index of each slot
     ts: np.ndarray         # t of peak weight
     color: tuple           # l_iso + f * l_aniso
     k: np.ndarray          # exp(-q/2)
-    w: np.ndarray          # alpha * k, 0 on padding
-    Tb: np.ndarray         # transmittance before the slot, before masking
-    tw: np.ndarray         # (Tb >= eps) * Tb * w
+    w: np.ndarray          # alpha * k
+    Tb: np.ndarray         # transmittance before the slot
+    tw: np.ndarray         # Tb * w
     final_T: np.ndarray    # [P]
     f: np.ndarray | None
     cos: np.ndarray | None
     iso: tuple | None
     aniso: tuple | None
+    ray: np.ndarray        # ray of each slot
+    offsets: list          # rank j is slots offsets[j]:offsets[j+1]
+    by_ray: np.ndarray     # the slots in ray-major order
+
+
+def _ray_major(ray, sub, ts, P: int):
+    """The order that puts pairs ray after ray, each ray's by t and then by
+    splat index, as np.lexsort((sub, ts, ray)) does.
+
+    An unstable sort by t, then a stable sort by ray (a radix sort while ray
+    indices fit 16 bits), leaves open only the order of two pairs of one ray
+    with equal t; just then lexsort itself runs. On the `fit` workload's
+    kernel calls (about 10k live pairs, 2-vCPU VM, numpy 2.4 on AVX-512) the
+    two sorts took 0.46 ms against lexsort's 1.56 ms.
+    """
+    order = np.argsort(ts)
+    order = order[np.argsort(ray[order].astype(np.min_scalar_type(P)),
+                             kind="stable")]
+    r, t = ray[order], ts[order]
+    if ((r[1:] == r[:-1]) & (t[1:] == t[:-1])).any():
+        order = np.lexsort((sub, ts, ray))
+    return order
+
+
+def _rank_major(ray, rank, n):
+    """(slot of each pair, rank offsets) in the rank-major layout of rays
+    holding n[r] pairs each, pair i being rank rank[i] of ray ray[i]."""
+    L = int(n.max(initial=0))
+    by_n = np.argsort((L - n).astype(np.min_scalar_type(L)), kind="stable")
+    pos = np.empty_like(by_n)
+    pos[by_n] = np.arange(n.size)
+    # rank j is held by the rays with more than j pairs
+    width = n.size - np.cumsum(np.bincount(n, minlength=L + 1))[:L]
+    offsets = np.zeros(L + 1, dtype=np.intp)
+    np.cumsum(width, out=offsets[1:])
+    return offsets[rank] + pos[ray], offsets.tolist()
+
+
+def _scan_ranks(op, a, offsets) -> None:
+    """In place along the last axis of a rank-major `a`, each slot becomes
+    op(its ray's previous slot, itself): np.multiply gives the running
+    product along each ray, np.add the running sum, the same operations in
+    the same order as np.cumprod / np.cumsum along a row."""
+    for j in range(1, len(offsets) - 1):
+        prev, lo, hi = offsets[j - 1], offsets[j], offsets[j + 1]
+        op(a[..., prev:prev + hi - lo], a[..., lo:hi], out=a[..., lo:hi])
+
+
+def _last_slots(a, by_ray, n):
+    """Each ray's value in its last slot of a rank-major `a` (along its last
+    axis), +0.0 for a ray with no slot; ray r holds n[r] slots and `by_ray`
+    lists the slots ray after ray."""
+    hit = np.flatnonzero(n)
+    out = np.zeros(a.shape[:-1] + (n.size,))
+    out[..., hit] = a[..., by_ray[np.cumsum(n)[hit] - 1]]
+    return out
 
 
 def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
@@ -214,11 +259,13 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
     meeting a gaussian at most once, and `geometry` is the (ts, q) pair of
     the caller's `_ray_geometry` call for the pairs. Each ray keeps only its
     live pairs (within the cutoff, past `near`), ordered by t and then by
-    splat index; every later step runs on [P, L], L being the largest live
-    count of any ray, with the ranks past a ray's own count as padding of
-    weight 0. Returns (color [P,3], depth [P], final_T [P]), then, when
-    fused_streams, the separately accumulated isotropic / anisotropic sums
-    [P,3] each, then, when tape, a `_Tape`.
+    splat index, and stops at the first whose transmittance falls below
+    TERMINATION_EPSILON. The running products and sums along each ray run
+    rank by rank over the rank-major layout `_Tape` describes, so no ray
+    carries padding and each adds exactly its own terms. Returns
+    (color [P,3], depth [P], final_T [P]), then, when fused_streams, the
+    separately accumulated isotropic / anisotropic sums [P,3] each, then,
+    when tape, a `_Tape`.
     """
     # callers pass the pair as a temporary, so this is its only reference and
     # the arrays over every pair are freed once the live ones are gathered (a
@@ -231,66 +278,48 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
     live &= ts >= near
     ray, sub, ts, q = ray[live], sub[live], ts[live], q[live]
     del live
+    order = _ray_major(ray, sub, ts, P)
+    ray, sub, ts, q = ray[order], sub[order], ts[order], q[order]
+    del order
     count = np.bincount(ray, minlength=P)
-    L = int(count.max(initial=0))
-    if L == 0:
-        color = np.broadcast_to(bg, (P, 3)).copy()
-        out = (color, np.zeros(P), np.ones(P))
-        if fused_streams:
-            out += (np.zeros((P, 3)), np.zeros((P, 3)))
-        if tape:
-            e = np.zeros((P, 0))
-            aniso = cfg.anisotropy_enabled
-            out += (_Tape(idx=np.zeros((P, 0), dtype=np.intp), ts=e,
-                          color=(e, e, e), k=e, w=e, Tb=e, tw=e, final_T=out[2],
-                          f=e if aniso and cfg.disentangle else None,
-                          cos=e if aniso and cfg.disentangle else None,
-                          iso=(e, e, e) if fused_streams else None,
-                          aniso=(e, e, e) if fused_streams and aniso else None),)
-        return out
-    # each ray's live pairs by t, ties by splat index, into ranks 0..count-1
-    # of its row; padding has q = +inf, so its weight exp(-q/2) is 0. Dropping
-    # dead pairs drops only factors of 1.0 from the cumprod and exact zeros
-    # from every sum, so no output bit depends on which pairs came in
-    order = np.lexsort((sub, ts, ray))
-    ray = ray[order]
-    slot = ray * L + (np.arange(ray.size) - (np.cumsum(count) - count)[ray])
-
-    def slots(values, pad):
-        out = np.full(P * L, pad, dtype=values.dtype)
-        out[slot] = values[order]
-        return out.reshape(P, L)
-
-    idx, ts, q = slots(sub, 0), slots(ts, 0.0), slots(q, np.inf)
-    del ray, order, slot
+    start = np.cumsum(count) - count
+    rank = np.arange(ray.size) - start[ray]
     # w = alpha * exp(-q/2), built in place in q
     np.multiply(q, -0.5, out=q)
     np.exp(q, out=q)
     k = q.copy() if tape else None
-    w = np.multiply(scene.alpha[idx], q, out=q)
-    C = np.cumprod(1.0 - w, axis=1)
-    eps = TERMINATION_EPSILON
-    terminated = C < eps
-    anyterm = terminated.any(axis=1)
-    first = np.argmax(terminated, axis=1)
-    final_T = np.where(anyterm, C[np.arange(P), first], C[:, -1])
-    # ranks past every ray's termination or live count contribute nothing
-    kmax = int(np.max(np.where(anyterm, first + 1, count)))
-    w, ts, idx = w[:, :kmax], ts[:, :kmax], idx[:, :kmax]
-    Tb = np.empty((P, kmax))
-    Tb[:, 0] = 1.0
-    Tb[:, 1:] = C[:, :kmax - 1]
-    del C, terminated
-    # tw = (Tb >= eps) * Tb * w, built in place in Tb unless the tape keeps
-    # Tb (exact +0.0 masking)
-    keep = Tb >= eps
-    tw = np.multiply(Tb, w, out=None if tape else Tb)
-    np.multiply(tw, keep, out=tw)
+    w = np.multiply(scene.alpha[sub], q, out=q)
+    # transmittance after each pair, the running product of 1 - w
+    slot, offsets = _rank_major(ray, rank, count)
+    C = np.empty(ray.size)
+    C[slot] = 1.0 - w
+    _scan_ranks(np.multiply, C, offsets)
+    C = C[slot]
+    # C never rises along a ray, so the pairs past its first C < eps are the
+    # ones a ray that stops there does not reach
+    stopped = np.bincount(ray[C < TERMINATION_EPSILON], minlength=P)
+    n = count - stopped + (stopped > 0)
+    hit = np.flatnonzero(n)
+    final_T = np.ones(P)
+    final_T[hit] = C[start[hit] + n[hit] - 1]
+    Tb = np.empty_like(C)
+    Tb[1:] = C[:-1]
+    Tb[start[hit]] = 1.0
+    del C
+    keep = rank < n[ray]
+    slot, offsets = _rank_major(ray[keep], rank[keep], n)
+    del rank
+    src = np.empty(slot.size, dtype=np.intp)
+    src[slot] = np.flatnonzero(keep)
+    del keep
+    ray, idx, ts, w, Tb = ray[src], sub[src], ts[src], w[src], Tb[src]
+    tw = Tb * w
 
     f = cos = None
     if cfg.anisotropy_enabled:
         if cfg.disentangle:
-            f, cos = _phase_factor(scene, dx, dy, dz, idx, keep_cos=tape)
+            f, cos = _phase_factor(scene, dx[ray], dy[ray], dz[ray], idx,
+                                   keep_cos=tape)
             a0 = f * scene.l_aniso[idx, 0]
             a1 = f * scene.l_aniso[idx, 1]
             a2 = f * scene.l_aniso[idx, 2]
@@ -304,25 +333,20 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
         c0, c1, c2 = (scene.l_iso[idx, i] for i in range(3))
 
     # row 0 of `stack` is tw, each later row tw * (per-sample value); the
-    # column loop below runs the same front-to-back sequential sum as a
-    # per-quantity cumsum would, leaving the totals in `tot`. Both cumsum forms
-    # keep every bit but are slower (2-vCPU VM): np.cumsum(tw * v, axis=1)[:, -1]
-    # per quantity took 53/100/927 us against the loop's 14/56/735 us on 256
-    # rays at kmax 2/11/150, and np.cumsum(stack, axis=2) ~19% more kernel
-    # time on recorded render tiles. Folding the L == 0 branch into a
-    # [P, L+1] transmittance array cost ~6%.
+    # running sum along each ray leaves each ray's front-to-back totals in its
+    # last slot
     values = [c0, c1, c2, ts]
     if fused_streams:
         values += [scene.l_iso[idx, i] for i in range(3)]
         values += [a0, a1, a2] if a0 is not None else []
-    stack = np.empty((11 if fused_streams else 5, P, kmax))
+    stack = np.empty((11 if fused_streams else 5, idx.size))
     stack[0] = tw
     for row, v in enumerate(values, 1):
         np.multiply(tw, v, out=stack[row])
     stack[len(values) + 1:] = 0.0
-    tot = stack[:, :, 0].copy()
-    for j in range(1, kmax):
-        np.add(tot, stack[:, :, j], out=tot)
+    _scan_ranks(np.add, stack, offsets)
+    tot = _last_slots(stack, slot, n)
+    del stack
     color = np.empty((P, 3))
     color[:, 0] = tot[1] + final_T * bg[0]
     color[:, 1] = tot[2] + final_T * bg[1]
@@ -333,10 +357,11 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
     if fused_streams:
         out += (np.ascontiguousarray(tot[5:8].T), np.ascontiguousarray(tot[8:11].T))
     if tape:
-        out += (_Tape(idx=idx, ts=ts, color=(c0, c1, c2), k=k[:, :kmax], w=w,
+        out += (_Tape(idx=idx, ts=ts, color=(c0, c1, c2), k=k[src], w=w,
                       Tb=Tb, tw=tw, final_T=final_T, f=f, cos=cos,
                       iso=tuple(values[4:7]) or None,
-                      aniso=tuple(values[7:]) or None),)
+                      aniso=tuple(values[7:]) or None, ray=ray,
+                      offsets=offsets, by_ray=slot),)
     return out
 
 
@@ -362,9 +387,9 @@ def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
     color, depth, final_T, tape = _composite(
         scene, cfg, near, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
         ray, sub, dx, dy, dz, tape=True)
-    # one ray: every slot is live and sees transmittance >= epsilon
+    # one ray: its slots in order, each seeing transmittance >= epsilon
     samples = [RaySample(int(i), float(t), float(w), float(T))
-               for i, t, w, T in zip(tape.idx[0], tape.ts[0], tape.w[0], tape.Tb[0])]
+               for i, t, w, T in zip(tape.idx, tape.ts, tape.w, tape.Tb)]
     return color[0], float(depth[0]), float(final_T[0]), samples
 
 
@@ -450,8 +475,8 @@ def _pairs(scene, cam, ot, rows, cols):
 
 
 def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
-    """Render one coarse block: `_pairs` enumerates it once, then one kernel
-    call per FINE_TILE square composites that tile's pairs.
+    """Render one coarse block: `_pairs` enumerates it, then one kernel call
+    composites every pixel of it.
 
     `head` is None for physical color, else (MlpParams, embedding vector): the
     fusion head then runs once over the block's per-pixel streams (its rows
@@ -459,53 +484,19 @@ def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
     """
     rows = np.arange(r0, r1, dtype=np.float64)
     cols = np.arange(c0, c1, dtype=np.float64)
-    dxb, dyb, dzb = cam.pixel_dirs(rows[:, None], cols[None, :])
-    Hb, Wb = dxb.shape
-    color = np.empty((Hb, Wb, 3))
-    depth = np.empty((Hb, Wb, 1))
-    trans = np.empty((Hb, Wb, 1))
-    if head is not None:
-        iso, aniso = np.empty((Hb, Wb, 3)), np.empty((Hb, Wb, 3))
+    dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
     ray, sub = _pairs(scene, cam, ot, rows, cols)
-    # each block pixel's fine tile and its row-major index inside the tile
-    r, c = np.divmod(np.arange(Hb * Wb), Wb)
-    ntj = -(-Wb // FINE_TILE)
-    tile_of = r // FINE_TILE * ntj + c // FINE_TILE
-    local_of = (r % FINE_TILE * np.minimum(FINE_TILE, Wb - c // FINE_TILE * FINE_TILE)
-                + c % FINE_TILE)
-    # the pairs bucketed by fine tile, in the order they came within a tile
-    # (a stable sort of 16-bit keys is a radix sort)
-    tile = tile_of[ray]
-    order = np.argsort(tile.astype(np.int16), kind="stable")
-    ends = np.cumsum(np.bincount(tile, minlength=tile_of[-1] + 1))
-    ray, sub = ray[order], sub[order]
-    local = local_of[ray]
-    del tile, order
-    ts, q = _ray_geometry(scene, *ot, dxb.ravel()[ray], dyb.ravel()[ray],
-                          dzb.ravel()[ray], sub)
-    del ray
-    for n, (lo, hi) in enumerate(zip((0, *ends[:-1]), ends)):
-        fr, fc = divmod(n, ntj)
-        tile = (slice(fr * FINE_TILE, min((fr + 1) * FINE_TILE, Hb)),
-                slice(fc * FINE_TILE, min((fc + 1) * FINE_TILE, Wb)))
-        col, dep, fT, *streams = _composite(
-            scene, cfg, cam.near, (ts[lo:hi], q[lo:hi]), local[lo:hi],
-            sub[lo:hi], dxb[tile].ravel(), dyb[tile].ravel(), dzb[tile].ravel(),
-            fused_streams=head is not None)
-        sh = dxb[tile].shape
-        if head is None:
-            color[tile] = col.reshape(sh + (3,))
-        else:
-            iso[tile] = streams[0].reshape(sh + (3,))
-            aniso[tile] = streams[1].reshape(sh + (3,))
-        depth[tile + (0,)] = dep.reshape(sh)
-        trans[tile + (0,)] = fT.reshape(sh)
+    color, depth, trans, *streams = _composite(
+        scene, cfg, cam.near,
+        _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
+        ray, sub, dx, dy, dz, fused_streams=head is not None)
     if head is not None:
         mlp, e_vec = head
-        dirs = np.stack([dxb, dyb, dzb], axis=-1)
-        color = fuse_forward_batch(fusion_input(iso, aniso, e_vec, dirs),
-                                   mlp).reshape(Hb, Wb, 3)
-    return color, depth, trans
+        color = fuse_forward_batch(
+            fusion_input(*streams, e_vec, np.stack([dx, dy, dz], axis=1)), mlp)
+    shape = (rows.size, cols.size)
+    return (color.reshape(shape + (3,)), depth.reshape(shape + (1,)),
+            trans.reshape(shape + (1,)))
 
 
 def _coarse_blocks(height: int, width: int):
@@ -601,24 +592,3 @@ def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
         depth[r0:r1, c0:c1] = db
         trans[r0:r1, c0:c1] = tb
     return ImageBuffer(color), ImageBuffer(depth), ImageBuffer(trans)
-
-
-def render_rays(scene: Scene, origin, dirs, cfg: RenderConfig | None = None,
-                near: float = 0.0, fused_streams: bool = False):
-    """Composite a batch of rays sharing one origin.
-
-    dirs is [P,3] of unit vectors. Returns (color [P,3], depth [P], final_T [P])
-    and, when fused_streams, the isotropic and phase-weighted anisotropic sums
-    accumulated separately (the inputs the fusion head consumes).
-    """
-    cfg = cfg if cfg is not None else RenderConfig()
-    origin = np.asarray(origin, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
-    if dirs.ndim != 2 or dirs.shape[1] != 3:
-        raise ValueError("dirs must be [P,3]")
-    ot = _origin_terms(scene, origin)
-    dx, dy, dz = (np.ascontiguousarray(dirs[:, i]) for i in range(3))
-    ray, sub = _all_pairs(dx.size, scene.alpha.size)
-    return _composite(scene, cfg, near,
-                      _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
-                      ray, sub, dx, dy, dz, fused_streams=fused_streams)

@@ -411,6 +411,25 @@ def test_tape_key_sees_a_t_order_swap(depth1, flips):
     assert (key_at(1.0 + 1e-5) != key_at(1.0)) == flips
 
 
+def test_tape_key_sees_which_ray_holds_which_splats():
+    # a 2x1 frame: splats 0 and 1 on one pixel's ray, splat 2 on the other's,
+    # and then the other way round. The tape orders its rays by slot count,
+    # so both tapes hold the same splat indices in the same slots
+    cam = Camera.look_at(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.9, 2, 1)
+    rows, cols = np.zeros(1), np.arange(2.0)
+    d = np.stack(cam.pixel_dirs(rows[:, None], cols[None, :]), axis=-1)[0]
+
+    def work(first, second):
+        mu = [1.0 * d[first], 1.5 * d[first], 1.0 * d[second]]
+        scene = make_scene(mu=mu, sigma=0.01, alpha=0.5)
+        return _patch_forward(scene, cam, RenderConfig(), rows, cols, None,
+                              None, tape=True)[1]
+
+    a, b = work(0, 1), work(1, 0)
+    assert a[1].idx.tobytes() == b[1].idx.tobytes()
+    assert cli._tape_key(a) != cli._tape_key(b)
+
+
 def test_bench_reports_fps(tmp_path, scene_file, capsys):
     rc = main(["bench", "--scene", scene_file, "--res", "24",
                "--frames", "2", "--gaussians", "5"])

@@ -400,8 +400,9 @@ def _dense_patch(scene, cam, rcfg, rows, cols, mlp, e_vec):
 @st.composite
 def _patch_case(draw):
     # up to 40x40 patches anywhere in a 48x48 view: the render they must
-    # match spans several fine tiles, of any size, and on the far ring some
-    # tiles that no splat reaches
+    # match composites the whole view in one kernel call, whose rays hold
+    # other slot counts in another rank-major order, and on the far ring
+    # many pixels that no splat reaches
     s = make_random_scene(draw(st.integers(1, 24)), seed=draw(st.integers(0, 999)),
                           spread=0.3, sigma_range=(0.03, 0.1))
     cam = make_orbit_cameras(s.center, draw(st.sampled_from([2.5, 6.0])) * max(s.radius, 0.1),
