@@ -151,49 +151,6 @@ def hu_to_mu(h, mu_water: float):
     return np.maximum(mu_water * (1.0 + np.asarray(h, dtype=np.float64) / 1000.0), 0.0)
 
 
-def _sample_hu_grid(vol: VoxelVolume, pts: np.ndarray) -> np.ndarray:
-    """Trilinear HU sampling at [N,3] world points; outside the box -> air.
-
-    Inside the half-voxel margin beyond the outer node centers the nearest
-    node value extends constantly, so the field is continuous up to the box
-    boundary.
-    """
-    nx, ny, nz = vol.dims
-    u = (pts - vol.origin) / vol.spacing
-    dimv = np.array([nx, ny, nz], dtype=np.float64)
-    inside = ((u >= -0.5) & (u <= dimv - 0.5)).all(axis=1)
-    uc = np.clip(u, 0.0, dimv - 1.0)
-    i0 = np.minimum(np.floor(uc), dimv - 1.0).astype(np.int64)
-    hi = (np.array([nx, ny, nz]) - 1)
-    i1 = np.minimum(i0 + 1, hi)
-    f = uc - i0
-    x0, y0, z0 = i0[:, 0], i0[:, 1], i0[:, 2]
-    x1, y1, z1 = i1[:, 0], i1[:, 1], i1[:, 2]
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-    h = vol.hu
-    c000 = h[z0, y0, x0]
-    c100 = h[z0, y0, x1]
-    c010 = h[z0, y1, x0]
-    c110 = h[z0, y1, x1]
-    c001 = h[z1, y0, x0]
-    c101 = h[z1, y0, x1]
-    c011 = h[z1, y1, x0]
-    c111 = h[z1, y1, x1]
-    c00 = c000 + (c100 - c000) * fx
-    c10 = c010 + (c110 - c010) * fx
-    c01 = c001 + (c101 - c001) * fx
-    c11 = c011 + (c111 - c011) * fx
-    c0 = c00 + (c10 - c00) * fy
-    c1 = c01 + (c11 - c01) * fy
-    out = c0 + (c1 - c0) * fz
-    return np.where(inside, out, AIR_HU)
-
-
-def sample_hu(vol: VoxelVolume, x) -> float:
-    x = np.asarray(x, dtype=np.float64).reshape(1, 3)
-    return float(_sample_hu_grid(vol, x)[0])
-
-
 def _clip_to_box(vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray):
     """Slab-clip rays against the physical box; (t_enter, t_exit), miss -> t_exit <= t_enter."""
     lo = vol.box_lo
@@ -221,9 +178,9 @@ def _clip_to_box(vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray):
 def _mu_field(vol: VoxelVolume, mu_water: float):
     """(node attenuations mu [z, y, x], cells whose 8 corners all have mu 0).
 
-    Cell (z, y, x) spans nodes i..min(i + 1, n - 1) on each axis, as in
-    `_sample_hu_grid`; mu is clamped at the nodes, so the trilinear field
-    between them is exactly 0 in an all-air cell."""
+    Cell (z, y, x) spans nodes i..min(i + 1, n - 1) on each axis; mu is
+    clamped at the nodes, so the trilinear field between them is exactly 0
+    in an all-air cell."""
     mu = hu_to_mu(vol.hu, mu_water)
     air = mu == 0.0
     air[:-1] &= air[1:]

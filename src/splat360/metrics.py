@@ -5,6 +5,18 @@ largest odd size that fits a smaller image), sigma 1.5, K1 = 0.01, K2 = 0.03,
 dynamic range 1.0, averaged over valid window positions (no padding) and over
 channels. The private core also returns the analytic gradient with respect
 to the first image, which the fitting loss consumes.
+
+The window filter is separable and runs on a stack of maps [..., H, W] at
+once: per channel, one call for the five moment maps and one for the three
+maps of the gradient. Each of its two passes is one batched matmul of a
+fixed banded tap matrix [s, s + K - 1] (window K, s = min(valid length,
+_BLOCK)) against overlapping blocks of s + K - 1 rows, a strided view at
+stride s over a zero-padded copy. Every map of a stack goes through the
+same BLAS calls on blocks of the same shape, so a map's result does not
+depend on the other maps in its stack; its bits do depend on the BLAS
+build, which fixes the order of each matmul's sums. Bounding the block
+keeps the flops at about _BLOCK + K - 1 per output and tap; a dense band
+over the whole axis would grow them with the image.
 """
 from __future__ import annotations
 
@@ -17,6 +29,10 @@ SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 SSIM_DYNAMIC_RANGE = 1.0
+SSIM_WINDOW = 11
+
+# output rows per block of the banded filter matrix
+_BLOCK = 32
 
 
 def _gauss_taps(size: int, sigma: float) -> np.ndarray:
@@ -26,12 +42,27 @@ def _gauss_taps(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
+def _band(win: int) -> np.ndarray:
+    """[_BLOCK, _BLOCK + win - 1] matrix with row i holding the window's taps
+    at columns i..i + win - 1; its top-left [s, s + win - 1] corner is the
+    band for blocks of s rows."""
+    band = np.zeros((_BLOCK, _BLOCK + win - 1))
+    rows = np.arange(_BLOCK)[:, None]
+    band[rows, rows + np.arange(win)] = _gauss_taps(win, SSIM_SIGMA)
+    band.flags.writeable = False
+    return band
+
+
+# one band per window size _ssim_window can return
+_BANDS = {win: _band(win) for win in range(1, SSIM_WINDOW + 1, 2)}
+
+
 def _ssim_window(height: int, width: int) -> int:
-    """Largest odd window size <= min(11, height, width), so small images and
-    patches stay valid."""
+    """Largest odd window size <= min(SSIM_WINDOW, height, width), so small
+    images and patches stay valid."""
     if height < 1 or width < 1:
         raise ValueError(f"SSIM needs a non-empty image, got {height}x{width}")
-    win = min(11, height, width)
+    win = min(SSIM_WINDOW, height, width)
     return win - 1 if win % 2 == 0 else win
 
 
@@ -47,34 +78,44 @@ def psnr(a, b) -> float:
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
 
 
-def _sep_valid(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Separable valid-mode correlation of a 2-D image with a symmetric kernel."""
-    K = taps.size
-    a = np.lib.stride_tricks.sliding_window_view(img, K, axis=0) @ taps
-    return np.lib.stride_tricks.sliding_window_view(a, K, axis=1) @ taps
+def _band_pass(a: np.ndarray, win: int, lead: int) -> np.ndarray:
+    """Valid-mode correlation along axis -2 of a stack [..., n, c] with the
+    window's taps, after `lead` zeros on each side of that axis:
+    [..., n + 2 lead - win + 1, c]."""
+    n, c = a.shape[-2:]
+    m = n + 2 * lead - win + 1
+    s = min(m, _BLOCK)
+    nb = -(-m // s)
+    padded = np.zeros(a.shape[:-2] + (nb * s + win - 1, c))
+    padded[..., lead:lead + n, :] = a
+    st = padded.strides
+    blocks = np.lib.stride_tricks.as_strided(
+        padded, a.shape[:-2] + (nb, s + win - 1, c),
+        st[:-2] + (s * st[-2],) + st[-2:], writeable=False)
+    out = _BANDS[win][:s, :s + win - 1] @ blocks
+    return out.reshape(a.shape[:-2] + (nb * s, c))[..., :m, :]
 
 
-def _sep_adjoint(zmap: np.ndarray, taps: np.ndarray, shape) -> np.ndarray:
-    """Adjoint of _sep_valid: scatter a valid-position map back to image size."""
-    K = taps.size
-    pad = K - 1
-    zp = np.zeros((zmap.shape[0] + 2 * pad, zmap.shape[1] + 2 * pad))
-    zp[pad:pad + zmap.shape[0], pad:pad + zmap.shape[1]] = zmap
-    out = _sep_valid(zp, taps)
-    assert out.shape == tuple(shape)
-    return out
+def _sep_valid(stack: np.ndarray, win: int, lead: int = 0) -> np.ndarray:
+    """Separable valid-mode correlation of every map of a stack [..., H, W]
+    with the win x win Gaussian window: [..., H - win + 1, W - win + 1].
+    With `lead`, each map first gets that many zeros on every side."""
+    rows = _band_pass(stack, win, lead)
+    return _band_pass(rows.swapaxes(-1, -2), win, lead).swapaxes(-1, -2)
 
 
-def _ssim_channel(x: np.ndarray, y: np.ndarray, taps: np.ndarray,
-                  want_grad: bool):
+def _sep_adjoint(stack: np.ndarray, win: int) -> np.ndarray:
+    """Adjoint of _sep_valid: scatters each valid-position map [..., h, w]
+    back to image size [..., h + win - 1, w + win - 1]. The taps are
+    symmetric, so that is the full-mode correlation."""
+    return _sep_valid(stack, win, lead=win - 1)
+
+
+def _ssim_channel(x: np.ndarray, y: np.ndarray, win: int, want_grad: bool):
     """Mean SSIM over valid windows of one channel; optional d/dx gradient."""
     c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
     c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
-    mx = _sep_valid(x, taps)
-    my = _sep_valid(y, taps)
-    mxx = _sep_valid(x * x, taps)
-    myy = _sep_valid(y * y, taps)
-    mxy = _sep_valid(x * y, taps)
+    mx, my, mxx, myy, mxy = _sep_valid(np.stack([x, y, x * x, y * y, x * y]), win)
     vx = mxx - mx * mx
     vy = myy - my * my
     cxy = mxy - mx * my
@@ -88,15 +129,17 @@ def _ssim_channel(x: np.ndarray, y: np.ndarray, taps: np.ndarray,
     if not want_grad:
         return value, None
     # quotient rule through (mu_x, var_x, cov_xy), grouped per window as
-    # dS/dx_i = w_i c (P + a1 y_i - S b1 x_i) so that at x == y the three
-    # maps are exactly zero / exact negations and the gradient cancels to
-    # 0.0 bitwise (a1 == b1, a2 == b2, S == 1 hold bit-for-bit there)
+    # dS/dx_i = w_i c (P + a1 y_i - S b1 x_i) so that at x == y the gradient
+    # cancels to 0.0 bitwise. There every map of the moment stack that holds
+    # the same values as another gets the same BLAS calls on blocks of the
+    # same shape, so mx == my and mxx == myy == mxy bit for bit; then
+    # a1 == b1, a2 == b2 and S == 1 exactly, P is exactly zero, and the last
+    # two maps of the adjoint stack are exact negations, whose filtered
+    # images are exact negations too (rounding is symmetric about zero)
     c = 2.0 / ((b1 * b2) * npos)
     p_const = my * a2 - a1 * my - smap * (mx * b2 - b1 * mx)
-    grad = (_sep_adjoint(c * p_const, taps, x.shape)
-            + y * _sep_adjoint(c * a1, taps, x.shape)
-            + x * _sep_adjoint(c * (-(smap * b1)), taps, x.shape))
-    return value, grad
+    gp, gy, gx = _sep_adjoint(np.stack([c * p_const, c * a1, c * (-(smap * b1))]), win)
+    return value, gp + y * gy + x * gx
 
 
 def ssim(a, b) -> float:
@@ -114,12 +157,12 @@ def ssim_with_grad(a, b, want_grad: bool = True):
     y = image_array(b)
     if x.shape != y.shape:
         raise ValueError(f"image shape mismatch: {x.shape} vs {y.shape}")
-    taps = _gauss_taps(_ssim_window(x.shape[0], x.shape[1]), SSIM_SIGMA)
+    win = _ssim_window(x.shape[0], x.shape[1])
     C = x.shape[2]
     total = 0.0
     grad = np.zeros_like(x) if want_grad else None
     for ch in range(C):
-        v, g = _ssim_channel(x[:, :, ch], y[:, :, ch], taps, want_grad)
+        v, g = _ssim_channel(x[:, :, ch], y[:, :, ch], win, want_grad)
         total += v
         if want_grad:
             grad[:, :, ch] = g

@@ -12,7 +12,8 @@ cov [G,3,3], alpha [G], l_iso [G,3], l_aniso [G,3], normal [G,3], g [G] and
 background [3]; it is the only form a splat takes. l_iso is the
 view-independent radiance, l_aniso the view-dependent one, and normal and g
 steer the angular redistribution of l_aniso. Writing into any array raises
-ValueError; a changed scene is a new Scene (`dataclasses.replace`).
+ValueError; a changed scene is a new Scene (`dataclasses.replace`, or
+`Scene.with_appearance` when only alpha, l_iso, l_aniso and g change).
 
 Every image, whatever it holds (radiance, depth, transmittance, DRR output,
 a loss gradient), is an H x W x C float64 array with C 1 or 3 and every value
@@ -60,6 +61,20 @@ _SPLAT_SHAPES = {"mu": (3,), "cov": (3, 3), "alpha": (), "l_iso": (3,),
                  "l_aniso": (3,), "normal": (3,), "g": ()}
 
 
+def _splat_arrays(G: int, **values) -> dict:
+    """Read-only float64 copies of per-splat arrays, each checked to have
+    shape (G,) + its `_SPLAT_SHAPES` entry."""
+    arrays = {}
+    for name, v in values.items():
+        a = np.array(v, dtype=np.float64)
+        if a.shape != (G,) + _SPLAT_SHAPES[name]:
+            raise ValueError(f"{name} must have shape {(G,) + _SPLAT_SHAPES[name]}, "
+                             f"got {a.shape}")
+        a.flags.writeable = False
+        arrays[name] = a
+    return arrays
+
+
 @dataclass(frozen=True, eq=False)
 class Scene:
     """G splats as read-only float64 arrays (layout in the module docstring).
@@ -94,12 +109,8 @@ class Scene:
         if np.ndim(self.alpha) != 1:
             raise ValueError(f"alpha must be 1-D, got shape {np.shape(self.alpha)}")
         G = len(self.alpha)
-        arrays = {}
-        for name, shape in _SPLAT_SHAPES.items():
-            arrays[name] = np.array(getattr(self, name), dtype=np.float64)
-            if arrays[name].shape != (G,) + shape:
-                raise ValueError(f"{name} must have shape {(G,) + shape}, "
-                                 f"got {arrays[name].shape}")
+        arrays = _splat_arrays(G, **{name: getattr(self, name)
+                                     for name in _SPLAT_SHAPES})
         arrays["background"] = _vec3(self.background, "background")
         mu, cov = arrays["mu"], arrays["cov"]
         # extreme (even non-finite) values still construct; validate_scene
@@ -129,6 +140,18 @@ class Scene:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         object.__setattr__(self, "radius", radius)
+
+    def with_appearance(self, alpha, l_iso, l_aniso, g) -> "Scene":
+        """This scene with new alpha, l_iso, l_aniso and g, checked and copied
+        as the constructor does. Every other array, and everything derived
+        from the geometry (bounds, singular, cov_inv), is this scene's own:
+        the result equals `Scene` of the same arrays bit for bit without
+        factorising a covariance again."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.__dict__.update(_splat_arrays(self.alpha.size, alpha=alpha, l_iso=l_iso,
+                                          l_aniso=l_aniso, g=g))
+        return new
 
 
 def validate_scene(s: Scene) -> list[str]:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from splat360 import (DrrConfig, ProjectionGeometry, Ray, VolumeFormatError,
                       VoxelVolume, beer_lambert_ray, hu_to_mu, load_volume,
                       make_sphere_phantom, make_uniform_volume, render_drr,
-                      sample_hu, save_volume)
-from splat360.ct import _line_integrals, _mu_field, _sample_hu_grid
+                      save_volume)
+from splat360.ct import AIR_HU, _line_integrals, _mu_field
 from splat360.renderer import _shutdown_pools
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -48,6 +48,32 @@ def test_hu_affine_above_clamp(h, w):
     assert hu_to_mu(h, w) == pytest.approx(w * (1.0 + h / 1000.0), rel=1e-12)
 
 
+def _sample_hu(vol, pts):
+    """Trilinear HU at [N,3] world points (or one 3-vector). Inside the
+    half-voxel margin beyond the outer node centers the nearest node value
+    extends constantly; outside the box is air. Where no node is below
+    -1000 HU, mu of it is the field the line integrals integrate."""
+    pts = np.reshape(np.asarray(pts, dtype=np.float64), (-1, 3))
+    dimv = np.array(vol.dims, dtype=np.float64)
+    u = (pts - vol.origin) / vol.spacing
+    inside = ((u >= -0.5) & (u <= dimv - 0.5)).all(axis=1)
+    uc = np.clip(u, 0.0, dimv - 1.0)
+    i0 = np.minimum(np.floor(uc), dimv - 1.0).astype(np.int64)
+    i1 = np.minimum(i0 + 1, np.array(vol.dims) - 1)
+    f = uc - i0
+    x0, y0, z0 = i0.T
+    x1, y1, z1 = i1.T
+    fx, fy, fz = f.T
+    h = vol.hu
+    c00 = h[z0, y0, x0] + (h[z0, y0, x1] - h[z0, y0, x0]) * fx
+    c10 = h[z0, y1, x0] + (h[z0, y1, x1] - h[z0, y1, x0]) * fx
+    c01 = h[z1, y0, x0] + (h[z1, y0, x1] - h[z1, y0, x0]) * fx
+    c11 = h[z1, y1, x0] + (h[z1, y1, x1] - h[z1, y1, x0]) * fx
+    c0 = c00 + (c10 - c00) * fy
+    c1 = c01 + (c11 - c01) * fy
+    return np.where(inside, c0 + (c1 - c0) * fz, AIR_HU)
+
+
 def _checker_volume():
     hu = np.arange(27, dtype=np.float64).reshape(3, 3, 3) * 100.0
     return VoxelVolume((3, 3, 3), np.ones(3), np.zeros(3), hu.ravel())
@@ -56,21 +82,21 @@ def _checker_volume():
 def test_sample_at_node_exact():
     vol = _checker_volume()
     # hu is laid out z-major, x-fastest: value at (ix, iy, iz)
-    assert sample_hu(vol, [1.0, 2.0, 0.0]) == 100.0 * (0 * 9 + 2 * 3 + 1)
-    assert sample_hu(vol, [0.0, 0.0, 2.0]) == 100.0 * 18
+    assert _sample_hu(vol, [1.0, 2.0, 0.0])[0] == 100.0 * (0 * 9 + 2 * 3 + 1)
+    assert _sample_hu(vol, [0.0, 0.0, 2.0])[0] == 100.0 * 18
 
 
 def test_sample_midpoint_averages():
     hu = np.full((1, 1, 2), 0.0)
     hu[0, 0, 1] = 100.0
     vol = VoxelVolume((2, 1, 1), np.ones(3), np.zeros(3), hu.ravel())
-    assert sample_hu(vol, [0.5, 0.0, 0.0]) == 50.0
+    assert _sample_hu(vol, [0.5, 0.0, 0.0])[0] == 50.0
 
 
 def test_sample_outside_returns_air():
     vol = _checker_volume()
-    assert sample_hu(vol, [10.0, 0.0, 0.0]) == -1000.0
-    assert sample_hu(vol, [0.0, 0.0, -5.0]) == -1000.0
+    assert _sample_hu(vol, [10.0, 0.0, 0.0])[0] == -1000.0
+    assert _sample_hu(vol, [0.0, 0.0, -5.0])[0] == -1000.0
 
 
 def _water_slab(n=100, cross=5):
@@ -195,7 +221,7 @@ def test_random_volume_matches_a_fine_midpoint_reference():
         t1 = np.maximum((vol.box_lo - o) / d, (vol.box_hi - o) / d).min()
         steps = 200_000
         t = t0 + (np.arange(steps) + 0.5) * (t1 - t0) / steps
-        mu = hu_to_mu(_sample_hu_grid(vol, o + t[:, None] * d), cfg.mu_water)
+        mu = hu_to_mu(_sample_hu(vol, o + t[:, None] * d), cfg.mu_water)
         assert li == pytest.approx(mu.sum() * (t1 - t0) / steps, rel=1e-8)
 
 

@@ -194,6 +194,27 @@ def test_fit_reduces_loss_and_is_deterministic(small_random_scene):
     assert validate_scene(fitted_a) == []
 
 
+def test_appearance_fit_builds_scenes_equal_to_fresh_ones(small_random_scene):
+    # each iteration swaps the appearance arrays into the previous scene
+    # instead of factorising every covariance again
+    targets = _self_targets(small_random_scene, _views(small_random_scene),
+                            RenderConfig())
+    start = _perturbed(small_random_scene)
+    fitted, _, _ = fit_scene(start, targets, FitConfig(iters=3, lr=0.05, seed=1))
+    assert not np.array_equal(fitted.alpha, start.alpha)
+    assert fitted.cov_inv is start.cov_inv
+    fresh = Scene(**{f.name: getattr(fitted, f.name)
+                     for f in dataclasses.fields(Scene) if f.init})
+    for f in dataclasses.fields(Scene):
+        got, want = getattr(fitted, f.name), getattr(fresh, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.tobytes() == want.tobytes(), f.name
+            assert not got.flags.writeable, f.name
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), f.name
+
+
 def test_fit_keeps_parameters_legal_under_large_steps(small_random_scene):
     rcfg = RenderConfig()
     cams = _views(small_random_scene)

@@ -1,9 +1,12 @@
-"""PSNR, SSIM (value and analytic gradient)."""
+"""PSNR, SSIM (value and analytic gradient) and its window filter."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splat360 import psnr, ssim, ssim_with_grad
-from splat360.metrics import _ssim_window
+from splat360.metrics import (SSIM_SIGMA, _gauss_taps, _sep_adjoint, _sep_valid,
+                              _ssim_window)
 
 
 def _img(seed, h=16, w=16, c=3):
@@ -79,22 +82,80 @@ def test_ssim_empty_image_raises(hw):
 
 
 def test_ssim_grad_zero_at_identity():
-    a = _img(8, 13, 13)
-    val, g = ssim_with_grad(a, a)
-    assert val == 1.0
-    assert np.all(g == 0.0)
+    # 75 x 75 takes three filter blocks per axis, 32 x 32 one
+    for side in (13, 32, 75):
+        a = _img(8, side, side)
+        val, g = ssim_with_grad(a, a)
+        assert val == 1.0
+        assert np.all(g == 0.0)
 
 
 def test_ssim_grad_finite_difference():
+    # 9 x 14 shrinks the window to 9 x 9 and is not square
     rng = np.random.default_rng(9)
-    a = rng.random((13, 13, 1))
-    b = rng.random((13, 13, 1))
-    _, g = ssim_with_grad(a, b)
-    h = 1e-6
-    for _ in range(12):
-        i, j = rng.integers(0, 13, 2)
-        ap = a.copy(); ap[i, j, 0] += h
-        am = a.copy(); am[i, j, 0] -= h
-        fd = (ssim(ap, b) - ssim(am, b)) / (2 * h)
-        denom = max(abs(fd), abs(g[i, j, 0]), 1e-8)
-        assert abs(fd - g[i, j, 0]) / denom < 1e-5
+    for shape in ((13, 13, 1), (9, 14, 3)):
+        a = rng.random(shape)
+        b = rng.random(shape)
+        _, g = ssim_with_grad(a, b)
+        h = 1e-6
+        for _ in range(12):
+            i, j, ch = (rng.integers(0, n) for n in shape)
+            ap = a.copy(); ap[i, j, ch] += h
+            am = a.copy(); am[i, j, ch] -= h
+            fd = (ssim(ap, b) - ssim(am, b)) / (2 * h)
+            denom = max(abs(fd), abs(g[i, j, ch]), 1e-8)
+            assert abs(fd - g[i, j, ch]) / denom < 1e-5
+
+
+def _case(k, H, W, win, seed=0):
+    """(stack [k, H, W], window, valid-position stack [k, h, w])."""
+    rng = np.random.default_rng(seed)
+    return (rng.random((k, H, W)), win,
+            rng.standard_normal((k, H - win + 1, W - win + 1)))
+
+
+@st.composite
+def _filter_case(draw):
+    H = draw(st.integers(1, 70))
+    W = draw(st.integers(1, 70))
+    return _case(draw(st.integers(1, 8)), H, W,
+                 draw(st.sampled_from(range(1, min(H, W, 11) + 1, 2))),
+                 draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _filter_reference(img, win):
+    """Valid-mode correlation by a sum over the window's tap pairs."""
+    taps = _gauss_taps(win, SSIM_SIGMA)
+    h, w = img.shape[-2] - win + 1, img.shape[-1] - win + 1
+    return sum(taps[i] * taps[j] * img[..., i:i + h, j:j + w]
+               for i in range(win) for j in range(win))
+
+
+# blocks hold 32 output rows: 64 rows fill two exactly (the filter at 70
+# rows and window 7, the adjoint at 64 rows), 54 or 70 leave a part block
+@example(_case(3, 70, 42, 7))
+@example(_case(2, 64, 32, 11))
+@example(_case(5, 60, 11, 11))
+@example(_case(1, 1, 70, 1))
+@given(_filter_case())
+@settings(max_examples=150, deadline=None)
+def test_filter_maps_do_not_depend_on_their_stack(case):
+    stack, win, z = case
+    fx = _sep_valid(stack, win)
+    fz = _sep_adjoint(z, win)
+    assert fx.shape == z.shape and fz.shape == stack.shape
+    np.testing.assert_allclose(fx, _filter_reference(stack, win), rtol=0, atol=1e-13)
+    for i in range(stack.shape[0]):
+        assert np.array_equal(fx[i], _sep_valid(stack[i], win))
+        assert np.array_equal(fz[i], _sep_adjoint(z[i], win))
+
+
+@given(_filter_case())
+@settings(max_examples=100, deadline=None)
+def test_filter_adjoint_is_its_transpose(case):
+    stack, win, z = case
+    fx = _sep_valid(stack, win)
+    lhs = float(np.sum(fx * z))
+    rhs = float(np.sum(stack * _sep_adjoint(z, win)))
+    # relative to the size of the terms, as the sum itself may cancel
+    assert abs(lhs - rhs) <= 1e-12 * float(np.sum(np.abs(fx * z)))

@@ -240,6 +240,10 @@ def test_scene_rejects_mismatched_shapes():
         bad = dict(fields, **{name: fields[name][..., :1]})
         with pytest.raises(ValueError):
             Scene(**bad)
+    appearance = {k: fields[k] for k in ("alpha", "l_iso", "l_aniso", "g")}
+    for name in appearance:
+        with pytest.raises(ValueError, match=name):
+            s.with_appearance(**dict(appearance, **{name: fields[name][:2]}))
 
 
 def test_singular_covariance_constructs_but_does_not_render(front_camera):
