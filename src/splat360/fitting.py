@@ -506,15 +506,12 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         if live_mlp is not None:
             live_mlp = live_mlp.with_flat(theta_new[n_app + n_geo:])
         theta = theta_new
-        appearance = dict(alpha=cur_app[:, 0], l_iso=cur_app[:, 1:4],
-                          l_aniso=cur_app[:, 4:7], g=cur_app[:, 7])
-        if geo is None:
-            cur_scene = cur_scene.with_appearance(**appearance)
-        else:
-            cur_scene = Scene(mu=cur_mu, cov=cur_cov, normal=scene.normal,
-                              background=scene.background, **appearance)
-            if cur_scene.singular.any():  # a geometry step collapsed a splat
-                raise failure(f"singular covariance after iteration {it}")
+        cur_scene = Scene(mu=cur_mu, cov=cur_cov, alpha=cur_app[:, 0],
+                          l_iso=cur_app[:, 1:4], l_aniso=cur_app[:, 4:7],
+                          normal=scene.normal, g=cur_app[:, 7],
+                          background=scene.background)
+        if cur_scene.singular.any():  # a geometry step collapsed a splat
+            raise failure(f"singular covariance after iteration {it}")
 
         if cfg.full_eval_every and (it % cfg.full_eval_every == 0):
             losses = view_losses(cur_scene, live_mlp)

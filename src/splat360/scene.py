@@ -12,8 +12,7 @@ cov [G,3,3], alpha [G], l_iso [G,3], l_aniso [G,3], normal [G,3], g [G] and
 background [3]; it is the only form a splat takes. l_iso is the
 view-independent radiance, l_aniso the view-dependent one, and normal and g
 steer the angular redistribution of l_aniso. Writing into any array raises
-ValueError; a changed scene is a new Scene (`dataclasses.replace`, or
-`Scene.with_appearance` when only alpha, l_iso, l_aniso and g change).
+ValueError; a changed scene is a new Scene (`dataclasses.replace`).
 
 Every image, whatever it holds (radiance, depth, transmittance, DRR output,
 a loss gradient), is an H x W x C float64 array with C 1 or 3 and every value
@@ -22,6 +21,7 @@ takes an image calls it, and an ImageBuffer holds an array that passed it.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -61,18 +61,33 @@ _SPLAT_SHAPES = {"mu": (3,), "cov": (3, 3), "alpha": (), "l_iso": (3,),
                  "l_aniso": (3,), "normal": (3,), "g": ()}
 
 
-def _splat_arrays(G: int, **values) -> dict:
-    """Read-only float64 copies of per-splat arrays, each checked to have
-    shape (G,) + its `_SPLAT_SHAPES` entry."""
-    arrays = {}
-    for name, v in values.items():
-        a = np.array(v, dtype=np.float64)
-        if a.shape != (G,) + _SPLAT_SHAPES[name]:
-            raise ValueError(f"{name} must have shape {(G,) + _SPLAT_SHAPES[name]}, "
-                             f"got {a.shape}")
+@functools.lru_cache(maxsize=1)
+def _covariance_terms(cov_bytes: bytes) -> tuple:
+    """(ext [G], singular [G], cov_inv [G,3,3]) of the float64 covariance
+    stack [G,3,3] held in `cov_bytes`, all read-only: ext is the CUTOFF_SIGMA
+    extent along the largest axis.
+
+    The last stack is remembered because an appearance-only fit builds a
+    Scene every iteration from the same covariances; those builds then run
+    no eigvalsh or inv, and their scenes share these arrays.
+    """
+    cov = np.frombuffer(cov_bytes).reshape(-1, 3, 3)
+    # extreme (even non-finite) values still construct; validate_scene
+    # reports them and the renderer refuses singular covariances
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+        # LAPACK may fail to converge on non-finite input
+        finite = np.isfinite(sym).all(axis=(1, 2))
+        eig = np.linalg.eigvalsh(np.where(finite[:, None, None], sym, np.eye(3)))
+        eig[~finite] = np.nan
+        ext = CUTOFF_SIGMA * np.sqrt(eig[:, 2])
+        singular = ~(eig[:, 0] >= MIN_EIGENVALUE)
+        inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(3), sym))
+        inv = 0.5 * (inv + np.transpose(inv, (0, 2, 1)))
+        inv[singular] = np.nan
+    for a in (ext, singular, inv):
         a.flags.writeable = False
-        arrays[name] = a
-    return arrays
+    return ext, singular, inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +95,9 @@ class Scene:
     """G splats as read-only float64 arrays (layout in the module docstring).
 
     The constructor copies its inputs, checks their shapes and computes
-    everything derived exactly once, from one batched eigvalsh on the
-    symmetrised covariance:
+    everything derived from one batched eigvalsh on the symmetrised
+    covariance, which a scene of the same covariances built right after
+    reuses (`_covariance_terms`):
       - bounds_min, bounds_max, center, radius: the CUTOFF_SIGMA scene bounds;
       - singular [G]: the covariance is singular (smallest eigenvalue below
         MIN_EIGENVALUE) or not finite; such a scene constructs,
@@ -109,23 +125,16 @@ class Scene:
         if np.ndim(self.alpha) != 1:
             raise ValueError(f"alpha must be 1-D, got shape {np.shape(self.alpha)}")
         G = len(self.alpha)
-        arrays = _splat_arrays(G, **{name: getattr(self, name)
-                                     for name in _SPLAT_SHAPES})
+        arrays = {}
+        for name, shape in _SPLAT_SHAPES.items():
+            arrays[name] = np.array(getattr(self, name), dtype=np.float64)
+            if arrays[name].shape != (G,) + shape:
+                raise ValueError(f"{name} must have shape {(G,) + shape}, "
+                                 f"got {arrays[name].shape}")
         arrays["background"] = _vec3(self.background, "background")
-        mu, cov = arrays["mu"], arrays["cov"]
-        # extreme (even non-finite) values still construct; validate_scene
-        # reports them and the renderer refuses singular covariances
+        mu = arrays["mu"]
+        ext, singular, inv = _covariance_terms(arrays["cov"].tobytes())
         with np.errstate(over="ignore", invalid="ignore"):
-            sym = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
-            # LAPACK may fail to converge on non-finite input
-            finite = np.isfinite(sym).all(axis=(1, 2))
-            eig = np.linalg.eigvalsh(np.where(finite[:, None, None], sym, np.eye(3)))
-            eig[~finite] = np.nan
-            ext = CUTOFF_SIGMA * np.sqrt(eig[:, 2])
-            singular = ~(eig[:, 0] >= MIN_EIGENVALUE)
-            inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(3), sym))
-            inv = 0.5 * (inv + np.transpose(inv, (0, 2, 1)))
-            inv[singular] = np.nan
             if G == 0:
                 lo = hi = center = np.zeros(3)
                 radius = 0.0
@@ -140,18 +149,6 @@ class Scene:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         object.__setattr__(self, "radius", radius)
-
-    def with_appearance(self, alpha, l_iso, l_aniso, g) -> "Scene":
-        """This scene with new alpha, l_iso, l_aniso and g, checked and copied
-        as the constructor does. Every other array, and everything derived
-        from the geometry (bounds, singular, cov_inv), is this scene's own:
-        the result equals `Scene` of the same arrays bit for bit without
-        factorising a covariance again."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        new.__dict__.update(_splat_arrays(self.alpha.size, alpha=alpha, l_iso=l_iso,
-                                          l_aniso=l_aniso, g=g))
-        return new
 
 
 def validate_scene(s: Scene) -> list[str]:

@@ -15,6 +15,7 @@ from splat360 import (AnchorPoint, AnchorSet, Camera, FitConfig, NumericFailure,
                       make_random_scene, render, scene_to_json,
                       validate_scene)
 from splat360 import fitting
+from splat360 import scene as scene_module
 from splat360.fitting import (_Geometry, _patch_backward, _patch_forward,
                               _patch_origin)
 from splat360.fusion import fuse_forward_batch, fusion_input
@@ -195,16 +196,18 @@ def test_fit_reduces_loss_and_is_deterministic(small_random_scene):
 
 
 def test_appearance_fit_builds_scenes_equal_to_fresh_ones(small_random_scene):
-    # each iteration swaps the appearance arrays into the previous scene
-    # instead of factorising every covariance again
+    # each iteration builds a Scene from unchanged covariances, which reuses
+    # the start scene's factorisation instead of running eigvalsh again
     targets = _self_targets(small_random_scene, _views(small_random_scene),
                             RenderConfig())
     start = _perturbed(small_random_scene)
     fitted, _, _ = fit_scene(start, targets, FitConfig(iters=3, lr=0.05, seed=1))
     assert not np.array_equal(fitted.alpha, start.alpha)
     assert fitted.cov_inv is start.cov_inv
+    scene_module._covariance_terms.cache_clear()
     fresh = Scene(**{f.name: getattr(fitted, f.name)
                      for f in dataclasses.fields(Scene) if f.init})
+    assert fresh.cov_inv is not fitted.cov_inv
     for f in dataclasses.fields(Scene):
         got, want = getattr(fitted, f.name), getattr(fresh, f.name)
         if isinstance(want, np.ndarray):

@@ -240,10 +240,21 @@ def test_scene_rejects_mismatched_shapes():
         bad = dict(fields, **{name: fields[name][..., :1]})
         with pytest.raises(ValueError):
             Scene(**bad)
-    appearance = {k: fields[k] for k in ("alpha", "l_iso", "l_aniso", "g")}
-    for name in appearance:
-        with pytest.raises(ValueError, match=name):
-            s.with_appearance(**dict(appearance, **{name: fields[name][:2]}))
+
+
+def test_scenes_share_only_the_last_covariance_factorisation():
+    a = make_random_scene(5, seed=2)
+    b = dataclasses.replace(a, alpha=a.alpha * 0.5, mu=a.mu + 1.0)
+    assert b.cov_inv is a.cov_inv and b.singular is a.singular
+    assert np.allclose(b.bounds_min, a.bounds_min + 1.0)
+    c = dataclasses.replace(a, cov=a.cov * 2.0)
+    assert c.cov_inv is not a.cov_inv
+    assert np.array_equal(c.cov_inv, a.cov_inv / 2.0)
+    d = dataclasses.replace(a, alpha=a.alpha * 0.5)  # factorised again
+    assert d.cov_inv is not a.cov_inv
+    for name in ("cov_inv", "singular", "bounds_min", "bounds_max", "center"):
+        assert getattr(d, name).tobytes() == getattr(a, name).tobytes(), name
+    assert d.radius == a.radius
 
 
 def test_singular_covariance_constructs_but_does_not_render(front_camera):
