@@ -1,4 +1,5 @@
 """Attenuation branch: unit conversion, trilinear sampling, exact line integrals."""
+import hashlib
 import math
 import multiprocessing
 import os
@@ -339,6 +340,63 @@ def test_drr_worker_bit_identity():
     b = render_drr(vol, geom, workers=3)
     assert multiprocessing.active_children()
     assert np.array_equal(a.data, b.data)
+
+
+def _pinned_volume(kind):
+    rng = np.random.default_rng(11)
+    if kind == "sphere":  # a sphere off the grid centre
+        hu = np.pad(make_sphere_phantom(15, 1.0, 5.0, hu_inside=300.0).hu,
+                    ((2, 7), (6, 1), (3, 4)), constant_values=AIR_HU)
+    elif kind == "shelled":  # air shells of a different width on each face
+        hu = np.full((17, 19, 16), AIR_HU)
+        hu[4:15, 1:12, 3:14] = rng.uniform(-1024.0, 1500.0, (11, 11, 11))
+    elif kind == "dense":  # no air node at all
+        hu = rng.uniform(-900.0, 1500.0, (13, 17, 15))
+    else:  # all air, partly from the clamp below -1000 HU
+        hu = rng.uniform(-1024.0, -1000.0, (12, 14, 13))
+    return VoxelVolume(hu.shape[::-1], (0.9, 1.1, 1.3), (-3.0, 2.0, 0.5), hu)
+
+
+def _oblique_geometry(vol, size=65):
+    # 65^2 pixels make two pool payloads; the tilted axis takes no ray
+    # along a grid axis
+    ext = float(np.max(vol.box_hi - vol.box_lo))
+    d = np.array([0.6, -0.7, 0.3])
+    d /= np.linalg.norm(d)
+    u = np.cross(d, Z)
+    u /= np.linalg.norm(u)
+    v = np.cross(d, u)
+    return ProjectionGeometry(vol.center - 3.0 * ext * d, vol.center + 3.0 * ext * d,
+                              3.0 * ext / size * u, 3.0 * ext / size * v, size, size)
+
+
+@pytest.mark.parametrize("kind,output,expected", [
+    ("sphere", "intensity",
+     "0fbf113f041e9ece506a50b3ff5f99a3894d27f470850a940ca818ac701b4a7f"),
+    ("sphere", "line_integral",
+     "0799f2b9be180a8073bbc73aed980617c13eaada04efc389fec123c6a1d2acf8"),
+    ("shelled", "intensity",
+     "721dfb195f0c02e04ab2407844596dd2b759dc6d50b24fa0d92b61b8dd5a2ce4"),
+    ("shelled", "line_integral",
+     "bca6d249a6d3bd46d3308542f3b1bd2de364261c3b6135251eaed38de4a407bd"),
+    ("dense", "intensity",
+     "e913cbc079489a90d6c2d0940061fbb0584a1c03d6efbbcb890a5ce6c7e75868"),
+    ("dense", "line_integral",
+     "8535882d1fc217f9ba33f6e0d80bc90b701c2649f67956c7d68329d924232f7e"),
+    ("air", "intensity",
+     "2d426dab884c318a0f4e8d58dfdfd80692dad918313eb9e35b76fe909cd73a54"),
+    ("air", "line_integral",
+     "60c21324bf08f401cd2f53aea873ea10db9b7863cefd2515c720338a75139de4"),
+])
+def test_drr_output_bits_are_pinned(kind, output, expected):
+    # sha256 of the projection's bits on one worker and on two. The line
+    # integrals are elementwise numpy, np.sort and np.bincount, with no BLAS
+    # call; the intensities also read numpy's exp
+    vol = _pinned_volume(kind)
+    cfg = DrrConfig(mu_water=0.021, i0=1.5, output=output)
+    for workers in (1, 2):
+        img = render_drr(vol, _oblique_geometry(vol), cfg, workers=workers)
+        assert hashlib.sha256(img.data.tobytes()).hexdigest() == expected, workers
 
 
 def test_geometry_validation():
