@@ -23,7 +23,7 @@ from .imgfile import (
 from .metrics import psnr, ssim, ssim_with_grad
 from .ct import (
     VoxelVolume, DrrConfig, ProjectionGeometry, hu_to_mu,
-    beer_lambert_ray, render_drr, save_volume, load_volume,
+    render_drr, save_volume, load_volume,
     make_uniform_volume, make_sphere_phantom,
 )
 from .anchors import (

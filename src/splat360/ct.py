@@ -8,9 +8,13 @@ a cell's 8 corners are all >= -1000 HU this equals interpolating HU first,
 since mu is affine in HU there. Outside the box the medium is air (zero
 attenuation).
 
-Rays are clipped to the physical voxel box and split at every node plane
-they cross. Along each piece mu is a cubic in t, which 2-point Gauss-Legendre
-integrates exactly; the intensity is I_0 * exp(-integral). Per-pixel results
+Rays are clipped to the physical voxel box, then to the box of non-air cells
+(empty-space skipping), and split at every node plane they cross. The
+non-air box is bounded by node planes, and a ray is clipped at the very t of
+its cut at that plane, so the clip drops only pieces in all-air cells, which
+add exactly 0, and leaves the others bit for bit; rays that miss the non-air
+box do no piece work. Along each piece mu is a cubic in t, which 2-point
+Gauss-Legendre integrates exactly; the intensity is I_0 * exp(-integral). Per-pixel results
 depend only on that pixel's ray: each ray's pieces are summed in increasing
 t, with elementwise math across rays, so chunking and worker count never
 change the output.
@@ -25,13 +29,15 @@ import numpy as np
 
 from .errors import VolumeFormatError
 from .imgfile import atomic_write
-from .scene import ImageBuffer, Ray, _finite_vec3
+from .scene import ImageBuffer, _finite_vec3
 
 # one pool payload per started PIXEL_CHUNK pixels, but at most `workers`
 # payloads, so a payload can hold more: a 129^2 DRR on 2 workers sends two,
 # of 8320 and 8321 pixels
 PIXEL_CHUNK = 4096
-RAY_CHUNK = 256  # rays integrated at once: small passes reuse heap memory, not fresh pages
+# rays that reach the non-air box, integrated at once: small passes reuse
+# heap memory, not fresh pages
+RAY_CHUNK = 256
 AIR_HU = -1000.0
 GAUSS_NODE = 0.5 / math.sqrt(3.0)  # 2-point Gauss-Legendre: midpoint +- this x length
 
@@ -99,7 +105,7 @@ class DrrConfig:
 
     def resolved_step(self, vol: VoxelVolume) -> float:
         # Read only by the benchmark's `ct.samples` counter; the benchmark
-        # change of ROADMAP item 3 deletes both.
+        # change of ROADMAP item 1 deletes both.
         return float(vol.spacing.min()) / 4.0
 
 
@@ -176,46 +182,101 @@ def _clip_to_box(vol: VoxelVolume, origins: np.ndarray, dirs: np.ndarray):
 
 
 def _mu_field(vol: VoxelVolume, mu_water: float):
-    """(node attenuations mu [z, y, x], cells whose 8 corners all have mu 0).
+    """(node attenuations mu [z, y, x], cells whose 8 corners all have mu 0,
+    per axis x, y, z the span [L, U) of node coordinates outside which every
+    cell is air).
 
     Cell (z, y, x) spans nodes i..min(i + 1, n - 1) on each axis; mu is
     clamped at the nodes, so the trilinear field between them is exactly 0
-    in an all-air cell."""
+    in an all-air cell. Along an axis cell i holds node coordinates [i, i + 1),
+    except that cell 0 also holds the half-voxel margin below node 0 and cell
+    n - 1 only the margin above node n - 1; so L is -inf when cell 0 is
+    occupied and U is +inf when cell n - 1 is. An all-air volume has the
+    empty span [+inf, -inf) on every axis."""
     mu = hu_to_mu(vol.hu, mu_water)
     air = mu == 0.0
     air[:-1] &= air[1:]
     air[:, :-1] &= air[:, 1:]
     air[:, :, :-1] &= air[:, :, 1:]
-    return mu, air
+    span = []
+    for ax in range(3):  # x, y, z are array axes 2, 1, 0
+        n = air.shape[2 - ax]
+        others = tuple(k for k in range(3) if k != 2 - ax)
+        cells = np.flatnonzero(~air.all(axis=others))
+        if cells.size == 0:
+            span.append((np.inf, -np.inf))
+        else:
+            span.append((float(cells[0]) if cells[0] > 0 else -np.inf,
+                         float(cells[-1] + 1) if cells[-1] < n - 1 else np.inf))
+    return mu, air, span
 
 
 def _line_integrals(vol: VoxelVolume, field, origins: np.ndarray,
                     dirs: np.ndarray) -> np.ndarray:
     """Exact line integrals of the node-clamped trilinear mu for [N,3] rays.
 
-    Each ray's slab-clipped interval splits where it crosses a node plane
-    u_a = k; inside one piece mu is a product of three affine factors, a
-    cubic in t, which 2-point Gauss-Legendre integrates exactly. Pieces in
-    all-air cells add exactly 0 and are skipped. `np.bincount` then sums
-    each ray's pieces in increasing t, so a ray's value never depends on
-    the other rays passed with it. `field` is `_mu_field(vol, mu_water)`.
+    Every ray is clipped to the physical box, then to the span [L, U) of
+    non-air cells on each axis (`_mu_field`), in node coordinates
+    u = a + t * b. A finite bound k is a node plane. Where the box chord's
+    end coordinates lie on both sides of it, the unclipped ray cuts there,
+    and the clip uses that cut's expression, t = (k - a) / b, so the new end
+    equals the cut bit for bit; the planes cut between the new ends stay
+    those of the box chord (`planes`), so every piece inside the span keeps
+    its bits, and the pieces beyond it lie in all-air cells, which add
+    exactly 0. A chord wholly on the air side of a bound misses, and reads
+    +0.0, as it did with no live piece. (Only a piece a few ulps long just
+    beyond a bound, on a ray along a node plane, can have its midpoint round
+    into the span; mu there is within rounding of 0.) The rays that remain
+    are integrated RAY_CHUNK at a time.
     """
-    mu, air = field
+    mu, air, span = field
     li = np.zeros(origins.shape[0])
     t0, t1 = _clip_to_box(vol, origins, dirs)
-    hit = np.flatnonzero(t1 > t0)
-    if hit.size == 0:
-        return li
-    ta, tb = t0[hit, None], t1[hit, None]
-    # node coordinates u = a + t * b, one [R, 1] column per axis
-    a = ((origins[hit] - vol.origin) / vol.spacing).T[:, :, None]
-    b = (dirs[hit] / vol.spacing).T[:, :, None]
+    a = ((origins - vol.origin) / vol.spacing).T
+    b = (dirs / vol.spacing).T
+    with np.errstate(invalid="ignore"):  # rays that miss the box
+        ua, ub = a + t0 * b, a + t1 * b
+    umin, umax = np.minimum(ua, ub), np.maximum(ua, ub)
+    top = np.array(vol.dims, dtype=np.float64)[:, None] - 1.0
+    # the node planes each box chord crosses
+    planes = np.stack([np.maximum(np.floor(umin) + 1.0, 0.0),
+                       np.minimum(np.ceil(umax) - 1.0, top)])
+    miss = np.zeros(li.shape, dtype=bool)
+    for ax, (lo, hi) in enumerate(span):
+        miss |= (umax[ax] < lo) | (umin[ax] >= hi)
+        # a bound the chord does not cross clips nothing
+        lo = np.where((umin[ax] < lo) & (lo < umax[ax]), lo, -np.inf)
+        hi = np.where((umin[ax] < hi) & (hi < umax[ax]), hi, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta, tb = (lo - a[ax]) / b[ax], (hi - a[ax]) / b[ax]
+        t0 = np.maximum(t0, np.minimum(ta, tb))
+        t1 = np.minimum(t1, np.maximum(ta, tb))
+    hit = np.flatnonzero((t1 > t0) & ~miss)
+    for c in range(0, hit.size, RAY_CHUNK):
+        rays = hit[c:c + RAY_CHUNK]
+        li[rays] = _piece_sums(vol, mu, air, a[:, rays, None], b[:, rays, None],
+                               t0[rays, None], t1[rays, None], planes[:, :, rays, None])
+    return li
+
+
+def _piece_sums(vol, mu, air, a, b, ta, tb, planes):
+    """Integrals over [ta, tb] of R rays u = a + t * b (a, b: [3, R, 1]).
+
+    Each interval splits where it crosses a node plane u_a = k of those in
+    `planes` ([first, last] per axis and ray); inside one piece mu is a
+    product of three affine factors, a cubic in t, which 2-point
+    Gauss-Legendre integrates exactly. Pieces in all-air cells add exactly 0
+    and are skipped. `np.bincount` then sums each ray's pieces in increasing
+    t, so a ray's value never depends on the other rays passed with it."""
+    R = ta.shape[0]
     top = np.array(vol.dims, dtype=np.float64) - 1.0
     cuts = [ta, tb]
     for ax in range(3):
+        # planes between the ends, with one of slack at each for u rounded
+        # at a clipped end, and none the box chord does not cross
         ua, ub = a[ax] + ta * b[ax], a[ax] + tb * b[ax]
-        lo = np.maximum(np.floor(np.minimum(ua, ub)) + 1.0, 0.0)
-        count = np.minimum(np.ceil(np.maximum(ua, ub)) - 1.0, top[ax]) - lo + 1.0
+        lo = np.maximum(np.floor(np.minimum(ua, ub)), planes[0, ax])
+        count = np.minimum(np.ceil(np.maximum(ua, ub)), planes[1, ax]) - lo + 1.0
         j = np.arange(max(int(count.max()), 0), dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (lo + j - a[ax]) / b[ax]
@@ -224,25 +285,25 @@ def _line_integrals(vol: VoxelVolume, field, origins: np.ndarray,
     cuts = np.sort(np.concatenate(cuts, axis=1), axis=1)
     length = cuts[:, 1:] - cuts[:, :-1]
     tm = cuts[:, :-1] + 0.5 * length
-    # each piece's cell from its midpoint; a margin piece (u_mid outside
-    # (0, n - 1) on an axis) takes i1 = i0 there, so its fraction is unused
+    # each piece's cell from its midpoint; clipped u >= 0, so the int cast
+    # is floor
     nx, ny, _ = vol.dims
     strides = (1, nx, nx * ny)
     cell = np.zeros(length.shape, dtype=np.int64)
-    mid, corner = [], []
     for ax in range(3):
-        u = a[ax] + tm * b[ax]
-        i = np.floor(np.clip(u, 0.0, top[ax]))
-        cell += i.astype(np.int64) * strides[ax]
-        mid.append(u)
-        corner.append(i)
+        cell += np.clip(a[ax] + tm * b[ax], 0.0, top[ax]).astype(np.int64) * strides[ax]
     piece = (length > 0.0) & ~air.ravel()[cell]
-    ray = np.repeat(np.arange(hit.size), np.count_nonzero(piece, axis=1))
-    length, cell = length[piece], cell[piece]
-    frac, step = [], []  # per axis: fractions at both Gauss nodes, i1 - i0 stride
+    per_ray = np.count_nonzero(piece, axis=1)
+    ray = np.repeat(np.arange(R), per_ray)
+    length, cell, tm = length[piece], cell[piece], tm[piece]
+    ap, bp = np.repeat(a[:, :, 0], per_ray, axis=1), np.repeat(b[:, :, 0], per_ray, axis=1)
+    # per axis: fractions at both Gauss nodes, i1 - i0 stride; a margin
+    # piece (u_mid outside (0, n - 1) on an axis) takes i1 = i0 there, so
+    # its fraction is unused
+    frac, step = [], []
     for ax in range(3):
-        u, i = mid[ax][piece], corner[ax][piece]
-        f, half = u - i, GAUSS_NODE * length * b[ax, ray, 0]
+        u = ap[ax] + tm * bp[ax]
+        f, half = u - np.floor(np.clip(u, 0.0, top[ax])), GAUSS_NODE * length * bp[ax]
         frac.append((f - half, f + half))
         step.append(np.where((u > 0.0) & (u < top[ax]), strides[ax], 0))
     m = mu.ravel()
@@ -268,16 +329,7 @@ def _line_integrals(vol: VoxelVolume, field, origins: np.ndarray,
     # a Gauss node that rounding puts a hair outside its cell can read mu
     # just below 0 (seen on rays along node lines)
     np.maximum(seg, 0.0, out=seg)
-    li[hit] = np.bincount(ray, 0.5 * length * seg, minlength=hit.size)
-    return li
-
-
-def beer_lambert_ray(vol: VoxelVolume, r: Ray, cfg: DrrConfig | None = None):
-    """(intensity, line_integral) for one ray; a miss returns (I_0, 0)."""
-    cfg = cfg if cfg is not None else DrrConfig()
-    li = float(_line_integrals(vol, _mu_field(vol, cfg.mu_water),
-                               r.origin.reshape(1, 3), r.dir.reshape(1, 3))[0])
-    return cfg.i0 * math.exp(-li), li
+    return np.bincount(ray, 0.5 * length * seg, minlength=R)
 
 
 def render_drr(vol: VoxelVolume, geom: ProjectionGeometry,
@@ -295,30 +347,19 @@ def render_drr(vol: VoxelVolume, geom: ProjectionGeometry,
     return ImageBuffer(np.concatenate(parts).reshape(H, W, 1))
 
 
-def _drr_pixels(vol, geom, cfg, field, rows, cols):
-    pix = geom.pixel_positions(rows, cols)
-    d = pix - geom.source
+def _drr_span(payload):
+    """Pixels [lo, hi) in flat row-major order."""
+    # pickled dataclasses arrive as built, without re-running validation
+    vol, geom, cfg, lo, hi = payload
+    rows, cols = np.divmod(np.arange(lo, hi, dtype=np.float64), float(geom.det_width))
+    d = geom.pixel_positions(rows, cols) - geom.source
     n = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2)
     d = d / n[:, None]
-    origins = np.broadcast_to(geom.source, d.shape)
-    li = _line_integrals(vol, field, origins, d)
+    li = _line_integrals(vol, _mu_field(vol, cfg.mu_water),
+                         np.broadcast_to(geom.source, d.shape), d)
     if cfg.output == "intensity":
         return cfg.i0 * np.exp(-li)
     return li
-
-
-def _drr_span(payload):
-    """Pixels [lo, hi) in flat row-major order, fixed-size chunks."""
-    # pickled dataclasses arrive as built, without re-running validation
-    vol, geom, cfg, lo, hi = payload
-    field = _mu_field(vol, cfg.mu_water)
-    out = np.empty(hi - lo)
-    for a in range(lo, hi, RAY_CHUNK):
-        b = min(a + RAY_CHUNK, hi)
-        idx = np.arange(a, b, dtype=np.float64)
-        rows, cols = np.divmod(idx, float(geom.det_width))
-        out[a - lo:b - lo] = _drr_pixels(vol, geom, cfg, field, rows, cols)
-    return out
 
 
 # ---------------------------------------------------------------------------

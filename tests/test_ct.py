@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splat360 import (DrrConfig, ProjectionGeometry, Ray, VolumeFormatError,
-                      VoxelVolume, beer_lambert_ray, hu_to_mu, load_volume,
+                      VoxelVolume, hu_to_mu, load_volume,
                       make_sphere_phantom, make_uniform_volume, render_drr,
                       save_volume)
 from splat360.ct import AIR_HU, _line_integrals, _mu_field
@@ -75,6 +75,12 @@ def _sample_hu(vol, pts):
     return np.where(inside, c0 + (c1 - c0) * fz, AIR_HU)
 
 
+def _ray_integral(vol, r, mu_water=0.02):
+    """Line integral of mu along one Ray."""
+    return float(_line_integrals(vol, _mu_field(vol, mu_water), r.origin.reshape(1, 3),
+                                 r.dir.reshape(1, 3))[0])
+
+
 def _checker_volume():
     hu = np.arange(27, dtype=np.float64).reshape(3, 3, 3) * 100.0
     return VoxelVolume((3, 3, 3), np.ones(3), np.zeros(3), hu.ravel())
@@ -108,30 +114,26 @@ def _water_slab(n=100, cross=5):
 
 def test_slab_attenuation_oracle():
     vol = _water_slab(100)
-    cfg = DrrConfig(mu_water=0.01)
     r = Ray(np.array([20.0, 20.0, -40.0]), Z)
-    intensity, li = beer_lambert_ray(vol, r, cfg)
-    assert li == pytest.approx(1.0, rel=1e-12)
-    assert intensity == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert _ray_integral(vol, r, 0.01) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_ray_missing_box():
     vol = _water_slab(10)
     r = Ray(np.array([1000.0, 1000.0, -5.0]), Z)
-    intensity, li = beer_lambert_ray(vol, r, DrrConfig(i0=2.0))
-    assert intensity == 2.0 and li == 0.0
+    assert _ray_integral(vol, r) == 0.0
 
 
-def test_intensity_monotone_in_density():
+def test_line_integral_monotone_in_density():
     base = make_uniform_volume((3, 3, 8), np.ones(3), np.zeros(3), 0.0)
     r = Ray(np.array([1.0, 1.0, -3.0]), Z)
-    prev, _ = beer_lambert_ray(base, r)
+    prev = _ray_integral(base, r)
     for bump in (200.0, 500.0, 900.0):
         hu = base.hu.copy()
         hu[4, 1, 1] = bump  # voxel on the ray
         vol = VoxelVolume(base.dims, base.spacing, base.origin, hu.ravel())
-        cur, _ = beer_lambert_ray(vol, r)
-        assert cur < prev
+        cur = _ray_integral(vol, r)
+        assert cur > prev
         prev = cur
 
 
@@ -144,15 +146,13 @@ def test_two_slab_composability():
     upper = make_uniform_volume((5, 5, n), np.ones(3), (0.0, 0.0, float(n)), 500.0)
     both_hu = np.concatenate([np.zeros(n * 25), np.full(n * 25, 500.0)])
     both = VoxelVolume((5, 5, 2 * n), np.ones(3), np.zeros(3), both_hu)
-    cfg = DrrConfig()
     r = Ray(np.array([2.0, 2.0, -7.0]), Z)
-    _, li_lower = beer_lambert_ray(lower, r, cfg)
-    _, li_upper = beer_lambert_ray(upper, r, cfg)
-    _, li_both = beer_lambert_ray(both, r, cfg)
+    li_lower = _ray_integral(lower, r)
+    li_upper = _ray_integral(upper, r)
+    li_both = _ray_integral(both, r)
     assert li_lower + li_upper == pytest.approx(li_both, rel=1e-12)
     # and the union chord matches the closed form for this profile
-    mu_w = cfg.mu_water
-    expect = mu_w * (2 * n + 0.5 * n)
+    expect = 0.02 * (2 * n + 0.5 * n)
     assert li_both == pytest.approx(expect, rel=1e-12)
 
 
@@ -200,8 +200,7 @@ def test_one_cell_matches_its_closed_form_cubic(seed):
     target = origin + rng.uniform(0.2, 0.8, 3) * spacing  # inside the cell
     o = target - 10.0 * rng.normal(size=3)
     d = (target - o) / np.linalg.norm(target - o)
-    cfg = DrrConfig(mu_water=0.02)
-    _, li = beer_lambert_ray(vol, Ray(o, d), cfg)
+    li = _ray_integral(vol, Ray(o, d))
     assert li == pytest.approx(_exact_one_cell(hu, spacing, origin, o, d, 0.02),
                                rel=1e-12)
 
@@ -211,18 +210,17 @@ def test_random_volume_matches_a_fine_midpoint_reference():
     hu = rng.uniform(-1000.0, 1500.0, (5, 5, 5))
     hu[rng.random(hu.shape) < 0.8] = -1000.0  # all-air cells, which are skipped
     vol = VoxelVolume((5, 5, 5), (1.0, 0.7, 1.3), (0.2, -0.3, 0.1), hu)
-    cfg = DrrConfig()
     for _ in range(4):
         target = vol.center + rng.uniform(-1.0, 1.0, 3)
         o = target - 12.0 * rng.normal(size=3)
         d = (target - o) / np.linalg.norm(target - o)
-        _, li = beer_lambert_ray(vol, Ray(o, d), cfg)
+        li = _ray_integral(vol, Ray(o, d))
         # 2e5-step midpoint rule over the chord, from the sampler and mu(HU)
         t0 = max(0.0, np.minimum((vol.box_lo - o) / d, (vol.box_hi - o) / d).max())
         t1 = np.maximum((vol.box_lo - o) / d, (vol.box_hi - o) / d).min()
         steps = 200_000
         t = t0 + (np.arange(steps) + 0.5) * (t1 - t0) / steps
-        mu = hu_to_mu(_sample_hu(vol, o + t[:, None] * d), cfg.mu_water)
+        mu = hu_to_mu(_sample_hu(vol, o + t[:, None] * d), 0.02)
         assert li == pytest.approx(mu.sum() * (t1 - t0) / steps, rel=1e-8)
 
 
@@ -233,7 +231,7 @@ def test_clamp_acts_on_node_values():
     # clamping after would give 0.5 * 1.024 * (1 - 0.024)**2 mu_water on the ramp.
     vol = VoxelVolume((2, 1, 1), np.ones(3), np.zeros(3), [-1024.0, 0.0])
     r = Ray(np.array([-3.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-    _, li = beer_lambert_ray(vol, r, DrrConfig(mu_water=0.02))
+    li = _ray_integral(vol, r)
     assert li == pytest.approx(0.02 * (0.5 + 0.5), rel=1e-12)
 
 
@@ -245,7 +243,7 @@ def test_ray_along_node_lines_beside_water_reads_exactly_zero():
     hu[2, 1, 1] = 0.0
     vol = VoxelVolume((3, 3, 3), (0.7, 1.1, 0.1), np.zeros(3), hu)
     d = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
-    _, li = beer_lambert_ray(vol, Ray(np.array([0.0, 1.1, 0.1]) - 5.0 * d, d))
+    li = _ray_integral(vol, Ray(np.array([0.0, 1.1, 0.1]) - 5.0 * d, d))
     assert li == 0.0
 
 
@@ -291,6 +289,63 @@ def test_line_integrals_do_not_depend_on_the_other_rays(case):
                                np.abs(dirs)).any()
     air = VoxelVolume(vol.dims, vol.spacing, vol.origin, np.full(vol.hu.shape, -1000.0))
     assert not _line_integrals(air, _mu_field(air, 0.02), origins, dirs).any()
+
+
+@st.composite
+def _occupied_box_and_rays(draw):
+    """A volume whose non-air nodes fill one box, its expected `_mu_field`
+    span, and rays: from afar, from inside the box, axis-parallel, and in
+    the node planes u = L and u = U."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = np.array([draw(st.integers(1, 6)) for _ in range(3)])
+    if draw(st.booleans()):  # one non-air node, at a corner of the grid
+        lo = hi = rng.integers(0, 2, 3) * (dims - 1)
+    else:  # touching the first or the last node on an axis or not
+        lo = rng.integers(0, dims)
+        hi = rng.integers(lo, dims)
+    hu = rng.uniform(-1024.0, -1000.0, dims[::-1])  # air, partly by the clamp
+    box = tuple(slice(i, j + 1) for i, j in zip(lo[::-1], hi[::-1]))
+    hu[box] = rng.uniform(-990.0, 1500.0, hu[box].shape)
+    # dyadic spacing and origin put a node plane's rays exactly on u = k
+    vol = VoxelVolume(tuple(dims), rng.choice([0.5, 0.75, 1.0, 2.0], 3),
+                      rng.integers(-8, 8, 3) * 0.25, hu)
+    # non-air cells run from node lo - 1 to node hi + 1; cell 0 and cell
+    # n - 1 hold the margins
+    span = [(float(i - 1) if i > 1 else -np.inf, float(j + 1) if j < n - 1 else np.inf)
+            for i, j, n in zip(lo, hi, dims)]
+    n = draw(st.integers(1, 32))
+    size = vol.box_hi - vol.box_lo
+    target = vol.box_lo + rng.uniform(-0.2, 1.2, (n, 3)) * size
+    dirs = rng.normal(size=(n, 3))
+    kind = rng.integers(0, 4, n)
+    for r in np.flatnonzero(kind == 1):  # axis-parallel
+        dirs[r] = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0])
+    for r in np.flatnonzero(kind == 2):  # in the plane u = L or u = U
+        ax = rng.integers(3)
+        ends = [k for k in span[ax] if np.isfinite(k)] or [float(rng.integers(dims[ax]))]
+        target[r, ax] = vol.origin[ax] + rng.choice(ends) * vol.spacing[ax]
+        dirs[r, ax] = 0.0
+        if rng.random() < 0.3:
+            dirs[r, (ax + 1) % 3] = 0.0
+        if not dirs[r].any():
+            dirs[r, (ax + 2) % 3] = 1.0
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    inside = kind == 3  # the ray starts inside the box
+    target[inside] = vol.box_lo + rng.uniform(0.0, 1.0, (inside.sum(), 3)) * size
+    origins = np.where(inside[:, None], target, target - 3.0 * size.max() * dirs)
+    return vol, origins, dirs, span
+
+
+@given(_occupied_box_and_rays())
+@settings(max_examples=100, deadline=None)
+def test_empty_space_clip_keeps_every_bit(case):
+    vol, origins, dirs, span = case
+    mu, air, computed = _mu_field(vol, 0.02)
+    assert computed == span
+    whole = [(-np.inf, np.inf)] * 3
+    clipped = _line_integrals(vol, (mu, air, computed), origins, dirs)
+    assert clipped.tobytes() == _line_integrals(vol, (mu, air, whole), origins,
+                                                dirs).tobytes()
 
 
 def _sphere_geometry(vol, size=33):
