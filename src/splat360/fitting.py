@@ -441,18 +441,24 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         return err
 
     def view_losses(scene, mlp):
-        """(composite loss, compared image) of each view's full render."""
+        """(composite loss, compared image, SSIM) of each view's full render;
+        the SSIM is None where the loss has no SSIM term."""
         out = []
         for cam, tgt in zip(cams, targets_arr):
             try:
                 img, _, _ = render(scene, cam, rcfg, workers=1, mlp=mlp)
                 pred = _pred_for_loss(img.data, cfg)
-                loss, _ = composite_loss(pred, tgt, cfg.lambda_mse,
-                                         cfg.lambda_ssim, want_grad=False)
+                # composite_loss's terms, keeping the SSIM for the report
+                loss, _ = composite_loss(pred, tgt, cfg.lambda_mse, 0.0,
+                                         want_grad=False)
+                s = None
+                if cfg.lambda_ssim != 0.0:
+                    s = ssim(pred, tgt)
+                    loss += cfg.lambda_ssim * (1.0 - s)
             except ValueError as e:  # the render or its compared image is not finite
                 raise failure(f"full-view render after iteration "
                               f"{len(trace)}: {e}") from e
-            out.append((loss, pred))
+            out.append((loss, pred, s))
         return out
 
     for it in range(1, cfg.iters + 1):
@@ -515,11 +521,12 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
 
         if cfg.full_eval_every and (it % cfg.full_eval_every == 0):
             losses = view_losses(cur_scene, live_mlp)
-            full_evals.append([it, sum(loss for loss, _ in losses) / len(cams)])
+            full_evals.append([it, sum(loss for loss, _, _ in losses) / len(cams)])
 
     views = view_losses(cur_scene, live_mlp)
-    per_view = [{"view": i, "psnr": psnr(pred, tgt), "ssim": ssim(pred, tgt)}
-                for i, ((_, pred), tgt) in enumerate(zip(views, targets_arr))]
-    report = make_report(final_loss=float(np.mean([loss for loss, _ in views])),
+    per_view = [{"view": i, "psnr": psnr(pred, tgt),
+                 "ssim": ssim(pred, tgt) if s is None else s}
+                for i, ((_, pred, s), tgt) in enumerate(zip(views, targets_arr))]
+    report = make_report(final_loss=float(np.mean([loss for loss, _, _ in views])),
                          per_view=per_view)
     return cur_scene, live_mlp, report

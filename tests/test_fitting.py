@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from splat360 import (AnchorPoint, AnchorSet, Camera, FitConfig, NumericFailure,
                       RenderConfig, Scene, adam_step, composite_loss,
                       embed_camera, fit_scene, init_mlp, make_orbit_cameras,
-                      make_random_scene, render, scene_to_json,
+                      make_random_scene, render, scene_to_json, ssim,
                       validate_scene)
-from splat360 import fitting
+from splat360 import fitting, metrics
 from splat360 import scene as scene_module
 from splat360.fitting import (_Geometry, _patch_backward, _patch_forward,
                               _patch_origin)
@@ -193,6 +193,33 @@ def test_fit_reduces_loss_and_is_deterministic(small_random_scene):
     assert rep_a.final_loss < rep_a.trace[0]
     assert [it for it, _ in rep_a.full_evals] == [20, 40]
     assert validate_scene(fitted_a) == []
+
+
+@pytest.mark.parametrize("lambda_ssim", [0.0, 0.2])
+def test_fit_report_computes_each_view_ssim_once(small_random_scene, monkeypatch,
+                                                 lambda_ssim):
+    # one SSIM per patch loss that has the term, one per view for the report;
+    # the report holds the bits composite_loss and ssim give on the renders
+    calls = []
+    for module in (fitting, metrics):
+        def counted(*args, f=module.ssim_with_grad, **kwargs):
+            calls.append(f)
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, "ssim_with_grad", counted)
+    targets = _self_targets(small_random_scene, _views(small_random_scene),
+                            RenderConfig())
+    cfg = FitConfig(iters=3, lr=0.05, lambda_ssim=lambda_ssim, seed=1,
+                    full_eval_every=0)
+    fitted, _, report = fit_scene(_perturbed(small_random_scene), targets, cfg)
+    assert len(calls) == (cfg.iters if lambda_ssim else 0) + len(targets)
+    monkeypatch.undo()
+    losses = []
+    for view, (cam, tgt) in zip(report.per_view, targets):
+        pred, _, _ = render(fitted, cam, RenderConfig(), workers=1)
+        assert view["ssim"] == ssim(pred, tgt)
+        losses.append(composite_loss(pred, tgt, cfg.lambda_mse, lambda_ssim,
+                                     want_grad=False)[0])
+    assert report.final_loss == float(np.mean(losses))
 
 
 def test_appearance_fit_builds_scenes_equal_to_fresh_ones(small_random_scene):
