@@ -12,12 +12,13 @@ Rays are clipped to the physical voxel box, then to the box of non-air cells
 (empty-space skipping), and split at every node plane they cross. The
 non-air box is bounded by node planes, and a ray is clipped at the very t of
 its cut at that plane, so the clip drops only pieces in all-air cells, which
-add exactly 0, and leaves the others bit for bit; rays that miss the non-air
+add exactly 0, and leaves the others bit for bit (`_line_integrals` names
+the one exception, on rays along node planes); rays that miss the non-air
 box do no piece work. Along each piece mu is a cubic in t, which 2-point
-Gauss-Legendre integrates exactly; the intensity is I_0 * exp(-integral). Per-pixel results
-depend only on that pixel's ray: each ray's pieces are summed in increasing
-t, with elementwise math across rays, so chunking and worker count never
-change the output.
+Gauss-Legendre integrates exactly; the intensity is I_0 * exp(-integral).
+Per-pixel results depend only on that pixel's ray: each ray's pieces are
+summed in increasing t, with elementwise math across rays, so chunking and
+worker count never change the output.
 """
 from __future__ import annotations
 
@@ -255,7 +256,8 @@ def _line_integrals(vol: VoxelVolume, field, origins: np.ndarray,
     for c in range(0, hit.size, RAY_CHUNK):
         rays = hit[c:c + RAY_CHUNK]
         li[rays] = _piece_sums(vol, mu, air, a[:, rays, None], b[:, rays, None],
-                               t0[rays, None], t1[rays, None], planes[:, :, rays, None])
+                               t0[rays, None], t1[rays, None],
+                               planes[:, :, rays, None])
     return li
 
 
@@ -296,7 +298,8 @@ def _piece_sums(vol, mu, air, a, b, ta, tb, planes):
     per_ray = np.count_nonzero(piece, axis=1)
     ray = np.repeat(np.arange(R), per_ray)
     length, cell, tm = length[piece], cell[piece], tm[piece]
-    ap, bp = np.repeat(a[:, :, 0], per_ray, axis=1), np.repeat(b[:, :, 0], per_ray, axis=1)
+    ap = np.repeat(a[:, :, 0], per_ray, axis=1)  # the ray terms of each piece
+    bp = np.repeat(b[:, :, 0], per_ray, axis=1)
     # per axis: fractions at both Gauss nodes, i1 - i0 stride; a margin
     # piece (u_mid outside (0, n - 1) on an axis) takes i1 = i0 there, so
     # its fraction is unused
