@@ -13,6 +13,7 @@ from splat360 import (DrrConfig, ProjectionGeometry, Ray, VolumeFormatError,
                       VoxelVolume, hu_to_mu, load_volume,
                       make_sphere_phantom, make_uniform_volume, render_drr,
                       save_volume)
+from splat360 import ct
 from splat360.ct import AIR_HU, _line_integrals, _mu_field
 from splat360.renderer import _shutdown_pools
 
@@ -348,6 +349,37 @@ def test_empty_space_clip_keeps_every_bit(case):
                                                 dirs).tobytes()
 
 
+@pytest.mark.parametrize("dims,hu_value,spacing,origin,o,d", [
+    # 1.7e-13 off the node line x = 1, the ray leaves the span y < 1 at a
+    # node; u_x at the clipped end rounds onto the plane x = 1, which the
+    # unclipped ray still cuts just before that end
+    ((2, 2, 2), -615.6934306211695,
+     (1.269097879033188, 0.5029071774561973, 0.8034046481296102),
+     (-1.8686155629908443, -1.4994673301267274, -0.5049351073834747),
+     (-0.5995176839559786, -8.067627964527006, -6.772598271128339),
+     (-1.6777137211499384e-13, 0.70710678118564763, 0.70710678118744741)),
+    # 5e-16 off the plane x = U = 2, the ray crosses it mathematically, but
+    # u_x rounds to 2 at both ends of its box chord, so the unclipped ray
+    # makes no cut there and neither may the clip
+    ((3, 1, 3), 1030.690850937102,
+     (0.9042739050136683, 0.996074077202107, 1.5976997873366123),
+     (1.894731360541964, -0.3967650423814719, -0.17473090876167463),
+     (3.7032791705693056, -7.46783285424695, 6.896336903103798),
+     (-5.033400464183907e-16, 0.7071067811865478, -0.7071067811865472)),
+], ids=["cut_range", "uncrossed_bound"])
+def test_clip_keeps_the_bits_of_rays_along_node_planes(dims, hu_value, spacing,
+                                                        origin, o, d):
+    hu = np.full(dims[::-1], AIR_HU)
+    hu[1, 0, 1] = hu_value  # the one non-air node
+    vol = VoxelVolume(dims, spacing, origin, hu)
+    mu, air, span = _mu_field(vol, 0.02)
+    whole = [(-np.inf, np.inf)] * 3
+    assert span != whole
+    o, d = np.array([o]), np.array([d])
+    assert (_line_integrals(vol, (mu, air, span), o, d).tobytes()
+            == _line_integrals(vol, (mu, air, whole), o, d).tobytes())
+
+
 def _sphere_geometry(vol, size=33):
     ext = float(np.max(vol.box_hi - vol.box_lo))
     return ProjectionGeometry(vol.center + np.array([0.0, -3.0 * ext, 0.0]),
@@ -357,9 +389,14 @@ def _sphere_geometry(vol, size=33):
                               size, size)
 
 
-def test_drr_all_air_uniform():
+def test_drr_all_air_uniform(monkeypatch):
     vol = make_uniform_volume((9, 9, 9), np.ones(3), np.zeros(3), -1000.0)
     geom = _sphere_geometry(vol, 9)
+
+    def no_piece_work(*args):
+        raise AssertionError("an all-air volume reached the piece stage")
+
+    monkeypatch.setattr(ct, "_piece_sums", no_piece_work)
     img = render_drr(vol, geom, DrrConfig(i0=1.5))
     assert np.all(img.data == 1.5)
     li = render_drr(vol, geom, DrrConfig(output="line_integral"))
