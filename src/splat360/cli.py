@@ -35,7 +35,7 @@ from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
                      init_mlp, load_mlp, save_mlp)
 from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
 from .metrics import psnr, ssim
-from .renderer import RenderConfig, render
+from .renderer import TERMINATION_EPSILON, RenderConfig, render
 from .scene import (Camera, Scene, load_scene, make_orbit_cameras,
                     make_random_scene, save_scene)
 
@@ -449,12 +449,13 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
 
 
 def _tape_key(work) -> tuple:
-    """Each ray's t-ordered contributing splats, ray after ray with each
-    ray's count: the patch loss is smooth in geometry only while this stays
-    the same."""
+    """Each ray's t-ordered composited splats, ray after ray with each ray's
+    count `n`: the patch loss is smooth in geometry only while this stays
+    the same. The tape's slots past a ray's stop are the ones whose Tb is
+    below TERMINATION_EPSILON."""
     tp = work[1]
-    return (np.bincount(tp.ray, minlength=tp.final_T.size).tobytes(),
-            tp.idx[tp.by_ray].tobytes())
+    kept = tp.by_ray[tp.Tb[tp.by_ray] >= TERMINATION_EPSILON]
+    return tp.n.tobytes(), tp.idx[kept].tobytes()
 
 
 def _patch_gradcheck(seed: int, tol: float) -> dict:

@@ -13,10 +13,10 @@ centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
 uniform positions unless the no_anchoring ablation is set.
 
 The patch forward pass runs the renderer's kernel once over the ray x
-splat pairs the renderer's `_pairs` enumerates for the patch, as `render`
-does per block; the full-image evaluations (every full_eval_every iterations
-and the final per-view report) call `render`, with the fusion head when an
-MLP is fitted.
+splat pairs the renderer's `_pairs` enumerates for the patch from the
+camera's `_conics`, as `render` does per block; the full-image evaluations
+(every full_eval_every iterations and the final per-view report) call
+`render`, with the fusion head when an MLP is fitted.
 So a fit initialized at the scene that produced its targets measures a loss
 of exactly zero and no parameter moves.
 """
@@ -34,8 +34,9 @@ from .errors import NumericFailure
 from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch, fusion_input)
 from .metrics import psnr, ssim, ssim_with_grad
-from .renderer import (RenderConfig, _composite, _last_slots, _origin_terms,
-                       _pairs, _ray_geometry, _scan_ranks, render)
+from .renderer import (RenderConfig, _composite, _conics, _last_slots,
+                       _origin_terms, _pairs, _ray_geometry, _scan_ranks,
+                       render)
 from .scene import Camera, ImageBuffer, Scene, image_array
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
@@ -248,7 +249,7 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
     """
     dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
     ot = _origin_terms(scene, cam.position)
-    ray, sub = _pairs(scene, cam, ot, rows, cols)
+    ray, sub = _pairs(_conics(scene, cam, ot), cam, rows, cols)
     colors, _, _, *out = _composite(
         scene, rcfg, cam.near,
         _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
@@ -264,7 +265,8 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
 
 def _dot3(g: np.ndarray, ray: np.ndarray, vals) -> np.ndarray:
     """Per-slot sum over channels of g[ray, ch] * vals[ch]."""
-    return g[ray, 0] * vals[0] + g[ray, 1] * vals[1] + g[ray, 2] * vals[2]
+    return (g[:, 0][ray] * vals[0] + g[:, 1][ray] * vals[1]
+            + g[:, 2][ray] * vals[2])
 
 
 def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
@@ -273,16 +275,18 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     and the MLP.
 
     Each per-slot product is added into its splat's entry (a scatter-add
-    over the tape's splat indices). The tape's slots are each ray's
-    contributing entries, a splat in at most one slot of a ray; they are put
+    over the tape's splat indices). The tape's slots are each ray's live
+    entries, a splat in at most one slot of a ray, the ones past the ray's
+    termination with weight 0, so every product there is zero. They are put
     in ray-major order before every sum, so each sum runs over the same terms
     in the same ray order as a dense pass over every splat, less that pass's
-    exact zeros for the splats that do not contribute to the ray (not
-    enumerated, past the cutoff, before the near plane or past the ray's
-    termination). A zero term leaves a sum's bits unchanged, so the gradients
-    depend neither on the enumeration nor on the tape's layout. The running
-    sum along each ray runs rank by rank over the tape's layout, as the
-    kernel's own do.
+    exact zeros for the splats not live on the ray (not enumerated, past the
+    cutoff or before the near plane). np.bincount's sums start at +0.0,
+    which a zero term never changes, so the gradients depend neither on the
+    enumeration nor on the tape's layout. The running sum along each ray
+    runs rank by rank over the tape's layout, as the kernel's own do; a zero
+    past a ray's stop can turn its total from -0.0 to +0.0, but only where
+    every term is zero, and the tail is +0.0 either way.
 
     `geometry` is None or `_Geometry`'s (rot [G,3,3], log_eig s [G,3]). The
     loss sees geometry only through w = alpha exp(-q/2), as sort order and
@@ -327,14 +331,14 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     dli = np.empty((G, 3))
     dla = np.zeros((G, 3))
     for ch in range(3):
-        dli[:, ch] = ray_sum(tp.tw * gi[ray, ch])
+        dli[:, ch] = ray_sum(tp.tw * gi[:, ch][ray])
     if rcfg.anisotropy_enabled:
         for ch in range(3):
-            twa = tp.tw * ga[ray, ch]
+            twa = tp.tw * ga[:, ch][ray]
             dla[:, ch] = ray_sum(twa if tp.f is None else twa * tp.f)
     dg = np.zeros(G)
     if rcfg.anisotropy_enabled and rcfg.disentangle:
-        la_dot = _dot3(ga, ray, [scene.l_aniso[tp.idx, ch] for ch in range(3)])
+        la_dot = _dot3(ga, ray, [scene.l_aniso[:, ch][tp.idx] for ch in range(3)])
         cosg = tp.cos
         gk = scene.g[tp.idx]
         s = (1.0 + gk * gk) - (2.0 * gk) * cosg
@@ -345,7 +349,7 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     if geometry is not None:
         rot, log_eig = geometry
         gq = dw_s * (-0.5 * tp.w)            # dL/dq per slot
-        r = [(scene.mu[tp.idx, c] - origin[c]) - tp.ts * dirs[c][ray]
+        r = [(scene.mu[:, c][tp.idx] - origin[c]) - tp.ts * dirs[c][ray]
              for c in range(3)]
         gr = [gq * rc for rc in r]
         sr = [ray_sum(v) for v in gr]

@@ -15,19 +15,22 @@ the fusion head; single rays and their sample lists; the fit's patch
 forward pass) runs the one kernel `_composite` itself, not a copy of it. A
 full image, physical or fused, comes only from `render`'s block loop.
 Both it and the fit's pixel patch composite the ray x splat pairs `_pairs`
-enumerates from each splat's screen-space cutoff conic, a superset of the
-live pairs: a patch pixel matches the full image's bit for bit, and its
-gradients those of one call over every pair.
+enumerates from each splat's screen-space cutoff conic (`_conics`, built
+once per camera), a superset of the live pairs: a patch pixel matches the
+full image's bit for bit, and its gradients those of one call over every
+pair.
 Each ray composites only its own live splats, ordered by t and then by
 splat index, so a ray's result does not depend on which other rays, or
 which dead pairs, share its call: a dead entry could only have added a
 factor of 1.0 to the transmittance product and an exact zero to the sums.
-The kernel lays each ray's slots out rank-major (`_Tape`): rank j of
-every ray that has one is one contiguous run, and a running product or sum
-along the rays is a loop over ranks that multiplies or adds each ray's
-terms in front-to-back order, exactly as a sequential np.cumprod /
-np.cumsum along the ray would, with no padding. So results are independent
-of block size, worker count and batching. Matrix products and pairwise sums
+The kernel lays each ray's live slots out once, rank-major (`_Tape`):
+rank j of every ray that has one is one contiguous run, and a running
+product or sum along the rays is a loop over ranks that multiplies or adds
+each ray's terms in front-to-back order, exactly as a sequential
+np.cumprod / np.cumsum along the ray would, with no padding. The slots
+past a ray's stop stay in the layout with weight 0 and add -0.0, which
+leaves any sum as it is. So results are independent of block size, worker
+count and batching. Matrix products and pairwise sums
 are deliberately avoided in per-pixel math.
 """
 from __future__ import annotations
@@ -114,20 +117,20 @@ def _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub):
     np.multiply(dz, v2[sub], out=tmp)
     tn += tmp
     pair = dx * dx
-    den = inv[sub, 0, 0] * pair
+    den = inv[:, 0, 0][sub] * pair
     np.multiply(dy, dy, out=pair)
-    np.multiply(inv[sub, 1, 1], pair, out=tmp)
+    np.multiply(inv[:, 1, 1][sub], pair, out=tmp)
     den += tmp
     np.multiply(dz, dz, out=pair)
-    np.multiply(inv[sub, 2, 2], pair, out=tmp)
+    np.multiply(inv[:, 2, 2][sub], pair, out=tmp)
     den += tmp
     np.multiply(dx, dy, out=pair)
-    cross = inv[sub, 0, 1] * pair
+    cross = inv[:, 0, 1][sub] * pair
     np.multiply(dx, dz, out=pair)
-    np.multiply(inv[sub, 0, 2], pair, out=tmp)
+    np.multiply(inv[:, 0, 2][sub], pair, out=tmp)
     cross += tmp
     np.multiply(dy, dz, out=pair)
-    np.multiply(inv[sub, 1, 2], pair, out=tmp)
+    np.multiply(inv[:, 1, 2][sub], pair, out=tmp)
     cross += tmp
     cross *= 2.0
     den += cross
@@ -148,10 +151,10 @@ def _phase_factor(scene, dx, dy, dz, sub, keep_cos=False):
     in cos's buffer. The same math as plain expressions, or keeping cos on
     every call, made a `fit` benchmark op 6-8% slower (2-vCPU VM).
     """
-    cos = dx * scene.normal[sub, 0]
-    tmp = dy * scene.normal[sub, 1]
+    cos = dx * scene.normal[:, 0][sub]
+    tmp = dy * scene.normal[:, 1][sub]
     cos += tmp
-    np.multiply(dz, scene.normal[sub, 2], out=tmp)
+    np.multiply(dz, scene.normal[:, 2][sub], out=tmp)
     cos += tmp
     gk = scene.g[sub]
     g2 = gk * gk
@@ -167,14 +170,16 @@ def _phase_factor(scene, dx, dy, dz, sub, keep_cos=False):
 class _Tape:
     """What one `_composite` call leaves for a backward pass or a sample list.
 
-    Every [N] array is indexed by slot, one slot per contributing pair: each
-    ray's live pairs in t order, up to and including the one where its
-    transmittance falls below TERMINATION_EPSILON, a splat in at most one
-    slot of a ray. The layout is rank-major: rank j (each ray's (j+1)-th
-    slot) is the run offsets[j]:offsets[j+1], its rays ordered by slot count,
-    largest first and stably, so the rays holding a rank j slot are a prefix
-    of the rays holding a rank j-1 one. `ray` is each slot's ray and
-    `by_ray` lists the slots ray after ray, each ray's in rank order.
+    Every [N] array is indexed by slot, one slot per live pair: each ray's
+    live pairs in t order, a splat in at most one slot of a ray. Ray r's
+    first n[r] slots are the ones it composites, up to and including the one
+    where its transmittance falls below TERMINATION_EPSILON; the slots past
+    that stop have w = tw = 0.0 (their Tb < TERMINATION_EPSILON), so they
+    add nothing to any sum. The layout is rank-major: rank j (each ray's
+    (j+1)-th slot) is the run offsets[j]:offsets[j+1], its rays ordered by
+    live count, largest first and stably, so the rays holding a rank j slot
+    are a prefix of the rays holding a rank j-1 one. `ray` is each slot's ray
+    and `by_ray` lists the slots ray after ray, each ray's in rank order.
     `color`, `iso` and `aniso` are per-channel triples. `f`/`cos` are None
     unless disentangled with anisotropy, `iso`/`aniso` None without fused
     streams (`aniso` also without anisotropy), whether or not any splat
@@ -185,7 +190,7 @@ class _Tape:
     ts: np.ndarray         # t of peak weight
     color: tuple           # l_iso + f * l_aniso
     k: np.ndarray          # exp(-q/2)
-    w: np.ndarray          # alpha * k
+    w: np.ndarray          # alpha * k, 0 past the ray's stop
     Tb: np.ndarray         # transmittance before the slot
     tw: np.ndarray         # Tb * w
     final_T: np.ndarray    # [P]
@@ -196,6 +201,7 @@ class _Tape:
     ray: np.ndarray        # ray of each slot
     offsets: list          # rank j is slots offsets[j]:offsets[j+1]
     by_ray: np.ndarray     # the slots in ray-major order
+    n: np.ndarray          # [P] slots each ray composites
 
 
 def _ray_major(ray, sub, ts, P: int):
@@ -218,8 +224,10 @@ def _ray_major(ray, sub, ts, P: int):
 
 
 def _rank_major(ray, rank, n):
-    """(slot of each pair, rank offsets) in the rank-major layout of rays
-    holding n[r] pairs each, pair i being rank rank[i] of ray ray[i]."""
+    """(slot of each pair, rank offsets, ray order) in the rank-major layout
+    of rays holding n[r] pairs each, pair i being rank rank[i] of ray ray[i].
+    The ray order lists the rays by count, largest first and stably: rank j
+    holds its first offsets[j+1] - offsets[j]."""
     L = int(n.max(initial=0))
     by_n = np.argsort((L - n).astype(np.min_scalar_type(L)), kind="stable")
     pos = np.empty_like(by_n)
@@ -228,7 +236,7 @@ def _rank_major(ray, rank, n):
     width = n.size - np.cumsum(np.bincount(n, minlength=L + 1))[:L]
     offsets = np.zeros(L + 1, dtype=np.intp)
     np.cumsum(width, out=offsets[1:])
-    return offsets[rank] + pos[ray], offsets.tolist()
+    return offsets[rank] + pos[ray], offsets.tolist(), by_n
 
 
 def _scan_ranks(op, a, offsets) -> None:
@@ -251,6 +259,24 @@ def _last_slots(a, by_ray, n):
     return out
 
 
+def _ray_totals(a, offsets, rays):
+    """Each ray's sum over its slots of a rank-major `a` (along its last
+    axis), +0.0 for a ray with no slot; `rays` is `_rank_major`'s ray order.
+
+    Rank j's run is added into the running sums of rank 0's run, rank after
+    rank: the additions `_scan_ranks(np.add, ...)` makes, in the same order,
+    so the bits of its value at each ray's last slot (`_last_slots`).
+    """
+    width = offsets[1] if len(offsets) > 1 else 0
+    acc = a[..., :width].copy()
+    for j in range(1, len(offsets) - 1):
+        lo, hi = offsets[j], offsets[j + 1]
+        acc[..., :hi - lo] += a[..., lo:hi]
+    out = np.zeros(a.shape[:-1] + (rays.size,))
+    out[..., rays[:width]] = acc
+    return out
+
+
 def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
                dx, dy, dz, fused_streams=False, tape=False):
     """Shared compositing kernel over P rays with one origin.
@@ -260,9 +286,11 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
     the caller's `_ray_geometry` call for the pairs. Each ray keeps only its
     live pairs (within the cutoff, past `near`), ordered by t and then by
     splat index, and stops at the first whose transmittance falls below
-    TERMINATION_EPSILON. The running products and sums along each ray run
-    rank by rank over the rank-major layout `_Tape` describes, so no ray
-    carries padding and each adds exactly its own terms. Returns
+    TERMINATION_EPSILON. The live pairs are laid out once, rank-major as
+    `_Tape` describes, so no ray carries padding: the transmittance is a
+    running product over ranks, the slots past each ray's stop get w = 0,
+    and each ray's front-to-back totals are sums over ranks (`_ray_totals`)
+    in which those slots add -0.0, which leaves every sum as it is. Returns
     (color [P,3], depth [P], final_T [P]), then, when fused_streams, the
     separately accumulated isotropic / anisotropic sums [P,3] each, then,
     when tape, a `_Tape`.
@@ -279,40 +307,39 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
     ray, sub, ts, q = ray[live], sub[live], ts[live], q[live]
     del live
     order = _ray_major(ray, sub, ts, P)
-    ray, sub, ts, q = ray[order], sub[order], ts[order], q[order]
-    del order
-    count = np.bincount(ray, minlength=P)
+    by_t = ray[order]
+    count = np.bincount(by_t, minlength=P)
     start = np.cumsum(count) - count
-    rank = np.arange(ray.size) - start[ray]
+    slot, offsets, rays = _rank_major(
+        by_t, np.arange(by_t.size) - start[by_t], count)
+    src = np.empty_like(order)
+    src[slot] = order
+    del order, by_t
+    ray, idx, ts, q = ray[src], sub[src], ts[src], q[src]
+    del src
     # w = alpha * exp(-q/2), built in place in q
     np.multiply(q, -0.5, out=q)
     np.exp(q, out=q)
     k = q.copy() if tape else None
-    w = np.multiply(scene.alpha[sub], q, out=q)
-    # transmittance after each pair, the running product of 1 - w
-    slot, offsets = _rank_major(ray, rank, count)
-    C = np.empty(ray.size)
-    C[slot] = 1.0 - w
-    _scan_ranks(np.multiply, C, offsets)
-    C = C[slot]
-    # C never rises along a ray, so the pairs past its first C < eps are the
-    # ones a ray that stops there does not reach
-    stopped = np.bincount(ray[C < TERMINATION_EPSILON], minlength=P)
-    n = count - stopped + (stopped > 0)
+    w = np.multiply(scene.alpha[idx], q, out=q)
+    # transmittance before each slot, the running product of 1 - w over the
+    # ray's earlier slots: the multiplications of np.cumprod along the ray
+    omw = 1.0 - w
+    Tb = np.ones(w.size)
+    for j in range(1, len(offsets) - 1):
+        prev, lo, hi = offsets[j - 1], offsets[j], offsets[j + 1]
+        np.multiply(Tb[prev:prev + hi - lo], omw[prev:prev + hi - lo],
+                    out=Tb[lo:hi])
+    # the transmittance never rises along a ray, so the slots whose Tb is
+    # below eps are the ones past the first pair that took it there
+    dead = np.flatnonzero(Tb < TERMINATION_EPSILON)
+    n = count - np.bincount(ray[dead], minlength=P)
     hit = np.flatnonzero(n)
+    last = slot[start[hit] + n[hit] - 1]
     final_T = np.ones(P)
-    final_T[hit] = C[start[hit] + n[hit] - 1]
-    Tb = np.empty_like(C)
-    Tb[1:] = C[:-1]
-    Tb[start[hit]] = 1.0
-    del C
-    keep = rank < n[ray]
-    slot, offsets = _rank_major(ray[keep], rank[keep], n)
-    del rank
-    src = np.empty(slot.size, dtype=np.intp)
-    src[slot] = np.flatnonzero(keep)
-    del keep
-    ray, idx, ts, w, Tb = ray[src], sub[src], ts[src], w[src], Tb[src]
+    final_T[hit] = Tb[last] * omw[last]
+    del omw
+    w[dead] = 0.0
     tw = Tb * w
 
     f = cos = None
@@ -320,32 +347,32 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
         if cfg.disentangle:
             f, cos = _phase_factor(scene, dx[ray], dy[ray], dz[ray], idx,
                                    keep_cos=tape)
-            a0 = f * scene.l_aniso[idx, 0]
-            a1 = f * scene.l_aniso[idx, 1]
-            a2 = f * scene.l_aniso[idx, 2]
+            a0 = f * scene.l_aniso[:, 0][idx]
+            a1 = f * scene.l_aniso[:, 1][idx]
+            a2 = f * scene.l_aniso[:, 2][idx]
         else:
-            a0, a1, a2 = (scene.l_aniso[idx, i] for i in range(3))
-        c0 = scene.l_iso[idx, 0] + a0
-        c1 = scene.l_iso[idx, 1] + a1
-        c2 = scene.l_iso[idx, 2] + a2
+            a0, a1, a2 = (scene.l_aniso[:, i][idx] for i in range(3))
+        c0 = scene.l_iso[:, 0][idx] + a0
+        c1 = scene.l_iso[:, 1][idx] + a1
+        c2 = scene.l_iso[:, 2][idx] + a2
     else:
         a0 = a1 = a2 = None
-        c0, c1, c2 = (scene.l_iso[idx, i] for i in range(3))
+        c0, c1, c2 = (scene.l_iso[:, i][idx] for i in range(3))
 
-    # row 0 of `stack` is tw, each later row tw * (per-sample value); the
-    # running sum along each ray leaves each ray's front-to-back totals in its
-    # last slot
+    # row 0 of `stack` is tw, each later row tw * (per-slot value), -0.0
+    # past each ray's stop (0 * value is +0.0 or -0.0, and only -0.0 leaves a
+    # sum of -0.0 terms as it is)
     values = [c0, c1, c2, ts]
     if fused_streams:
-        values += [scene.l_iso[idx, i] for i in range(3)]
+        values += [scene.l_iso[:, i][idx] for i in range(3)]
         values += [a0, a1, a2] if a0 is not None else []
     stack = np.empty((11 if fused_streams else 5, idx.size))
     stack[0] = tw
     for row, v in enumerate(values, 1):
         np.multiply(tw, v, out=stack[row])
     stack[len(values) + 1:] = 0.0
-    _scan_ranks(np.add, stack, offsets)
-    tot = _last_slots(stack, slot, n)
+    stack[:, dead] = -0.0
+    tot = _ray_totals(stack, offsets, rays)
     del stack
     color = np.empty((P, 3))
     color[:, 0] = tot[1] + final_T * bg[0]
@@ -357,11 +384,11 @@ def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
     if fused_streams:
         out += (np.ascontiguousarray(tot[5:8].T), np.ascontiguousarray(tot[8:11].T))
     if tape:
-        out += (_Tape(idx=idx, ts=ts, color=(c0, c1, c2), k=k[src], w=w,
-                      Tb=Tb, tw=tw, final_T=final_T, f=f, cos=cos,
+        out += (_Tape(idx=idx, ts=ts, color=(c0, c1, c2), k=k, w=w, Tb=Tb,
+                      tw=tw, final_T=final_T, f=f, cos=cos,
                       iso=tuple(values[4:7]) or None,
                       aniso=tuple(values[7:]) or None, ray=ray,
-                      offsets=offsets, by_ray=slot),)
+                      offsets=offsets, by_ray=slot, n=n),)
     return out
 
 
@@ -387,33 +414,35 @@ def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
     color, depth, final_T, tape = _composite(
         scene, cfg, near, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
         ray, sub, dx, dy, dz, tape=True)
-    # one ray: its slots in order, each seeing transmittance >= epsilon
+    # one ray: its slots in order, the first n up to and including its stop
+    keep = slice(int(tape.n[0]))
     samples = [RaySample(int(i), float(t), float(w), float(T))
-               for i, t, w, T in zip(tape.idx, tape.ts, tape.w, tape.Tb)]
+               for i, t, w, T in zip(tape.idx[keep], tape.ts[keep],
+                                     tape.w[keep], tape.Tb[keep])]
     return color[0], float(depth[0]), float(final_T[0]), samples
 
 
-def _pairs(scene, cam, ot, rows, cols):
-    """(ray, sub): the ray x splat pairs of the pixel grid rows x cols (runs
-    of consecutive pixel indices) that can be live, splat-major, each
-    splat's rays ascending, ray = i * cols.size + j for rows[i], cols[j].
+def _conics(scene, cam, ot):
+    """The per-splat terms of `_pairs`' cutoff conics in cam's pixel plane:
+    ((pp, pf, pu, ff, fu, uu), bounded, d2, vc, vh, front), computed once
+    per camera and shared by every pixel grid `_pairs` enumerates for it.
 
     `ot` is `_origin_terms` at cam.position. The kernel's test
     q <= CUTOFF_SIGMA^2 does not change when the ray direction is scaled, so
     for `Camera.pixel_dirs`' direction before it normalises,
     d = F + u p + v U (F forward, p = a right, U = t up), a pair can be live
     only where d^T M d <= 0, M = (cg - CUTOFF_SIGMA^2) Sigma^-1 - b b^T with
-    b = (v0, v1, v2): a conic in (u, v). On row v it is the quadratic
-    pp u^2 + 2 B u + C <= 0, pp = p^T M p, B = p^T M (F + v U),
+    b = (v0, v1, v2): a conic in (u, v), whose six coefficients pp = p^T M p,
+    pf = p^T M F, ... are the first term. On row v it is the quadratic
+    pp u^2 + 2 B u + C <= 0, B = p^T M (F + v U),
     C = (F + v U)^T M (F + v U), whose discriminant B^2 - pp C is itself a
-    quadratic in v; their roots bound each splat's rows and each of its
-    rows' columns. The enumeration only has to be conservative, as the
-    kernel's q and near-plane test still decide what is live: the cutoff is
-    inflated by a relative 1e-9 and every interval widened by one pixel. A
-    conic that is not a bounded ellipse (pp <= 0, a row discriminant whose
-    v^2 term is >= 0, or an origin inside the ellipsoid) gets every pixel; a
-    bounded one on the nappe behind the camera (b . d < 0 at its centre,
-    i.e. the ellipsoid lies wholly behind the camera plane) gets none.
+    quadratic in v, d2 being its discriminant and vc +- vh its roots. The
+    cutoff is inflated by a relative 1e-9. A conic that is not a bounded
+    ellipse (pp <= 0, a row discriminant whose v^2 term is >= 0, or an
+    origin inside the ellipsoid) is not `bounded`; a bounded one on the
+    nappe behind the camera (b . d < 0 at its centre, i.e. the ellipsoid
+    lies wholly behind the camera plane) is not `front`; pp is 1.0 where a
+    conic is not bounded.
     """
     v0, v1, v2, cg = ot
     t = math.tan(0.5 * cam.fov_y)
@@ -436,6 +465,22 @@ def _pairs(scene, cam, ot, rows, cols):
     vh = np.sqrt(np.maximum(d2, 0.0)) / -a2
     uc = (pf + vc * pu) / -pp
     front = bd[:, 1] + uc * bd[:, 0] + vc * bd[:, 2] >= 0.0
+    return (pp, pf, pu, ff, fu, uu), bounded, d2, vc, vh, front
+
+
+def _pairs(conics, cam, rows, cols):
+    """(ray, sub): the ray x splat pairs of the pixel grid rows x cols (runs
+    of consecutive pixel indices) that can be live, splat-major, each
+    splat's rays ascending, ray = i * cols.size + j for rows[i], cols[j].
+
+    `conics` is `_conics` for cam. The roots of each splat's conic bound
+    its rows and each of its rows' columns. The enumeration only has to be
+    conservative, as the kernel's q and near-plane test still decide what is
+    live: every interval is widened by one pixel. A splat whose conic is not
+    bounded gets every pixel; a bounded one behind the camera, or with no
+    real row (d2 < 0), gets none.
+    """
+    (pp, pf, pu, ff, fu, uu), bounded, d2, vc, vh, front = conics
     H, W, R, C = cam.height, cam.width, rows.size, cols.size
 
     def first_last(lo, hi, n):
@@ -454,7 +499,7 @@ def _pairs(scene, cam, ot, rows, cols):
     r_hi[bounded & ((d2 < 0.0) | ~front)] = -1
     nrow = np.maximum(r_hi - r_lo + 1, 0)
     # one segment per (splat, row)
-    g = np.repeat(np.arange(cg.size), nrow)
+    g = np.repeat(np.arange(bounded.size), nrow)
     i = np.arange(g.size) - np.repeat(np.cumsum(nrow) - nrow - r_lo, nrow)
     v = 1.0 - (rows[i] + 0.5) / H * 2.0
     bv = pf[g] + v * pu[g]
@@ -474,9 +519,9 @@ def _pairs(scene, cam, ot, rows, cols):
     return ray, sub
 
 
-def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
-    """Render one coarse block: `_pairs` enumerates it, then one kernel call
-    composites every pixel of it.
+def _render_coarse_block(scene, cam, cfg, ot, conics, head, r0, r1, c0, c1):
+    """Render one coarse block: `_pairs` enumerates it from the camera's
+    `conics`, then one kernel call composites every pixel of it.
 
     `head` is None for physical color, else (MlpParams, embedding vector): the
     fusion head then runs once over the block's per-pixel streams (its rows
@@ -485,7 +530,7 @@ def _render_coarse_block(scene, cam, cfg, ot, head, r0, r1, c0, c1):
     rows = np.arange(r0, r1, dtype=np.float64)
     cols = np.arange(c0, c1, dtype=np.float64)
     dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
-    ray, sub = _pairs(scene, cam, ot, rows, cols)
+    ray, sub = _pairs(conics, cam, rows, cols)
     color, depth, trans, *streams = _composite(
         scene, cfg, cam.near,
         _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
@@ -507,7 +552,8 @@ def _coarse_blocks(height: int, width: int):
 
 def _worker_render(payload):
     scene, cam, cfg, ot, head, blocks = payload
-    return [_render_coarse_block(scene, cam, cfg, ot, head, *block)
+    conics = _conics(scene, cam, ot)
+    return [_render_coarse_block(scene, cam, cfg, ot, conics, head, *block)
             for block in blocks]
 
 

@@ -430,6 +430,26 @@ def test_tape_key_sees_which_ray_holds_which_splats():
     assert cli._tape_key(a) != cli._tape_key(b)
 
 
+def test_tape_key_sees_a_moved_termination():
+    # the camera's one ray runs down a chain of 12 splats. At alpha 0.5 each
+    # the ray stops at the 10th (0.5^10 < TERMINATION_EPSILON); at 0.4 for the
+    # first it stops at the 11th. Every splat is live on the ray either way,
+    # so the tape holds the same slots, in the same order, both times
+    cam = Camera.look_at(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.9, 1, 1)
+    one = np.zeros(1)
+    mu = [(0.0, 0.0, 1.0 + 0.1 * i) for i in range(12)]
+
+    def work(alpha0):
+        scene = make_scene(mu=mu, sigma=0.01, alpha=[alpha0] + [0.5] * 11)
+        return _patch_forward(scene, cam, RenderConfig(), one, one, None,
+                              None, tape=True)[1]
+
+    a, b = work(0.5), work(0.4)
+    assert [len(splat360.composite_ray(w[0], splat360.Ray(np.zeros(3), cam.forward))[3])
+            for w in (a, b)] == [10, 11]
+    assert cli._tape_key(a) != cli._tape_key(b)
+
+
 def test_bench_reports_fps(tmp_path, scene_file, capsys):
     rc = main(["bench", "--scene", scene_file, "--res", "24",
                "--frames", "2", "--gaussians", "5"])

@@ -16,8 +16,9 @@ from splat360 import (Camera, Ray, RenderConfig, Scene, composite_ray,
 from splat360.fusion import fusion_input
 from conftest import make_scene
 from splat360.renderer import (TERMINATION_EPSILON, _all_pairs, _composite,
-                               _origin_terms, _pairs, _phase_factor,
-                               _ray_geometry, _shutdown_pools)
+                               _conics, _last_slots, _origin_terms, _pairs,
+                               _phase_factor, _rank_major, _ray_geometry,
+                               _ray_totals, _scan_ranks, _shutdown_pools)
 
 Z_RAY = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
@@ -375,8 +376,10 @@ def test_batch_ray_equals_the_ray_alone(case, near):
             assert np.array_equal(b[p], a[0])
         samples = composite_ray(scene, Ray(origin, d), cfg, near=near)[3]
         slot = _ray_slots(tape, p)
+        kept, past = slot[:tape.n[p]], slot[tape.n[p]:]
         assert [(s.index, s.t, s.weight, s.transmittance_before) for s in samples] == \
-            list(zip(tape.idx[slot], tape.ts[slot], tape.w[slot], tape.Tb[slot]))
+            list(zip(tape.idx[kept], tape.ts[kept], tape.w[kept], tape.Tb[kept]))
+        assert (tape.w[past] == 0.0).all() and (tape.tw[past] == 0.0).all()
 
 
 @given(_scene_and_rays(), st.sampled_from([0.0, 1.8]), st.data())
@@ -466,7 +469,7 @@ def _pairs_case(draw):
 def test_pairs_holds_every_live_pair_once(case):
     scene, cam, rows, cols, edges = case
     ot = _origin_terms(scene, cam.position)
-    ray, sub = _pairs(scene, cam, ot, rows, cols)
+    ray, sub = _pairs(_conics(scene, cam, ot), cam, rows, cols)
     P, G = rows.size * cols.size, scene.alpha.size
     assert ((ray >= 0) & (ray < P)).all() and ((sub >= 0) & (sub < G)).all()
     key = sub * P + ray
@@ -478,6 +481,43 @@ def test_pairs_holds_every_live_pair_once(case):
     live = (q <= 9.0) & (ts >= cam.near)
     assert all(live[n * P + r] for r, n, inside in edges if inside)
     assert np.isin(all_sub[live] * P + all_ray[live], key).all()
+
+
+@given(st.lists(st.integers(0, 12), max_size=9), st.sampled_from([5, 11]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_ray_totals_equal_the_running_sum_at_each_last_slot(n, rows, data):
+    # n[r] slots for ray r: rays with none, a single ray, no ray at all; the
+    # values include signed zeros, whose sums show the order of additions
+    n = np.array(n, dtype=np.intp)
+    ray = np.repeat(np.arange(n.size), n)
+    rank = np.arange(ray.size) - np.repeat(np.cumsum(n) - n, n)
+    slot, offsets, rays = _rank_major(ray, rank, n)
+    values = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-1e3, 1e3, allow_subnormal=True))
+    a = data.draw(hnp.arrays(np.float64, (rows, ray.size), elements=values))
+    scanned = a.copy()
+    _scan_ranks(np.add, scanned, offsets)
+    expect = _last_slots(scanned, slot, n)
+    assert _ray_totals(a, offsets, rays).tobytes() == expect.tobytes()
+
+
+def test_conics_run_once_per_payload(monkeypatch):
+    # a 128^2 frame is four 64^2 blocks, and one worker renders them all
+    scene = make_random_scene(30, seed=3, spread=0.3, sigma_range=(0.04, 0.1))
+    cam = make_orbit_cameras(scene.center, 2.5 * scene.radius, 1, 0.3, "ring",
+                             128, 128, 0.9)[0]
+    calls = []
+    conics = splat360.renderer._conics
+
+    def counted(*args):
+        calls.append(args)
+        return conics(*args)
+
+    monkeypatch.setattr(splat360.renderer, "_conics", counted)
+    render(scene, cam, workers=1)
+    assert len(splat360.renderer._coarse_blocks(128, 128)) == 4
+    assert len(calls) == 1
 
 
 def test_tape_holds_only_each_rays_live_splats():
@@ -495,12 +535,22 @@ def test_tape_holds_only_each_rays_live_splats():
     tape = _batch(scene, np.zeros(3), dirs, tape=True)[-1]
     counts = [len(composite_ray(scene, Ray(np.zeros(3), d))[3]) for d in dirs]
     assert counts == [1] * 40 + [10]
-    assert tape.tw.shape == (50,)
-    assert np.bincount(tape.ray, minlength=41).tolist() == counts
-    # every slot lies before its ray's termination, or is the terminating one
-    assert (tape.tw > 0.0).all() and (tape.Tb >= TERMINATION_EPSILON).all()
-    # rank 0 holds all 41 rays, the chain's ray first; ranks 1-9 only it
-    assert tape.offsets == [0, 41, *range(42, 51)]
+    assert tape.n.tolist() == counts
+    # the chain's ray holds all 30 of its live splats, in t order
+    assert tape.tw.shape == (70,)
+    assert np.bincount(tape.ray, minlength=41).tolist() == [1] * 40 + [30]
+    chain_slots = _ray_slots(tape, 40)
+    assert tape.idx[chain_slots].tolist() == list(range(40, 70))
+    # every slot up to and including its ray's stop contributes; the 20
+    # slots past the chain's stop have weight exactly zero
+    kept, past = chain_slots[:10], chain_slots[10:]
+    others = tape.by_ray[tape.ray[tape.by_ray] != 40]
+    for s in (kept, others):
+        assert (tape.tw[s] > 0.0).all() and (tape.Tb[s] >= TERMINATION_EPSILON).all()
+    assert (tape.w[past] == 0.0).all() and (tape.tw[past] == 0.0).all()
+    assert (tape.Tb[past] < TERMINATION_EPSILON).all()
+    # rank 0 holds all 41 rays, the chain's ray first; ranks 1-29 only it
+    assert tape.offsets == [0, 41, *range(42, 71)]
     assert tape.ray[0] == 40 and (tape.ray[41:] == 40).all()
     assert tape.ray[1:41].tolist() == list(range(40))
 
