@@ -436,8 +436,20 @@ def _conics(scene, cam, ot):
     pf = p^T M F, ... are the first term. On row v it is the quadratic
     pp u^2 + 2 B u + C <= 0, B = p^T M (F + v U),
     C = (F + v U)^T M (F + v U), whose discriminant B^2 - pp C is itself a
-    quadratic in v, d2 being its discriminant and vc +- vh its roots. The
-    cutoff is inflated by a relative 1e-9. A conic that is not a bounded
+    quadratic in v, d2 being its discriminant and vc +- vh its roots.
+
+    The conic is grown by a margin, so that it holds every pair whose q the
+    kernel rounds to within the cutoff: M's cg - CUTOFF_SIGMA^2 is lowered
+    to k = cg - CUTOFF_SIGMA^2 (1 + 1e-6) - 64 eps |Sigma^-1|_1 |mu - o|^2,
+    eps the float64 machine epsilon and o the camera position. The
+    kernel's q = max(cg - tn ts, 0) is the difference of two terms of about
+    cg, and its tn and den sum products of Sigma^-1's entries that cancel,
+    so its absolute error grows with cg times the splat's anisotropy; the
+    conic's own coefficients cancel the same way. |Sigma^-1|_1 |mu - o|^2
+    (the sum of the entries' magnitudes times the squared distance) bounds
+    that scale: it is at least cg and, for a thin splat, about the squared
+    distance in its thinnest sigma. The relative 1e-6 leaves room for the
+    rounding of the roots and of the pixel coordinates. A conic that is not a bounded
     ellipse (pp <= 0, a row discriminant whose v^2 term is >= 0, or an
     origin inside the ellipsoid) is not `bounded`; a bounded one on the
     nappe behind the camera (b . d < 0 at its centre, i.e. the ellipsoid
@@ -449,7 +461,10 @@ def _conics(scene, cam, ot):
     axes = np.stack([(cam.width / cam.height * t) * cam.right, cam.forward,
                      t * cam.up])
     bd = np.stack([v0, v1, v2], axis=1) @ axes.T     # b . p, b . F, b . U
-    k = cg - CUTOFF_SIGMA * CUTOFF_SIGMA * (1.0 + 1e-9)
+    off = scene.mu - cam.position
+    scale = np.abs(scene.cov_inv).sum(axis=(1, 2)) * (off * off).sum(axis=1)
+    k = (cg - CUTOFF_SIGMA * CUTOFF_SIGMA * (1.0 + 1e-6)
+         - 64.0 * np.finfo(np.float64).eps * scale)
     m = (k[:, None, None] * (axes @ scene.cov_inv @ axes.T)
          - bd[:, :, None] * bd[:, None, :])
     pp, pf, pu = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
@@ -474,9 +489,11 @@ def _pairs(conics, cam, rows, cols):
     splat's rays ascending, ray = i * cols.size + j for rows[i], cols[j].
 
     `conics` is `_conics` for cam. The roots of each splat's conic bound
-    its rows and each of its rows' columns. The enumeration only has to be
-    conservative, as the kernel's q and near-plane test still decide what is
-    live: every interval is widened by one pixel. A splat whose conic is not
+    its rows and each of its rows' columns, and a pixel is enumerated when
+    its centre lies within both. The kernel's q and near-plane test still
+    decide what is live, so the enumeration only has to hold every live
+    pair; the margin by which `_conics` grows each conic sees to that, and
+    the intervals are not widened. A splat whose conic is not
     bounded gets every pixel; a bounded one behind the camera, or with no
     real row (d2 < 0), gets none.
     """
@@ -485,9 +502,9 @@ def _pairs(conics, cam, rows, cols):
 
     def first_last(lo, hi, n):
         # grid indices [first, last] of the pixels whose centres lie in the
-        # fractional index range [lo, hi], widened by one pixel each side
-        first = np.ceil(np.clip(lo, -2.0, n + 1.0)) - 1.0
-        last = np.floor(np.clip(hi, -2.0, n + 1.0)) + 1.0
+        # fractional index range [lo, hi]
+        first = np.ceil(np.clip(lo, -1.0, n))
+        last = np.floor(np.clip(hi, -1.0, n))
         return (np.maximum(first, 0.0).astype(np.intp),
                 np.minimum(last, n - 1.0).astype(np.intp))
 

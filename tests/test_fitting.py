@@ -494,24 +494,27 @@ def test_tiled_patch_matches_render_and_a_dense_tape(case):
 
 def test_patch_forward_culls_ray_splat_pairs(monkeypatch):
     # the `fit` benchmark's recipe, shortened: 200 splats, 4 ring views at
-    # 64^2, a 32x32 patch per iteration. Without the pair enumeration every
-    # patch ray would meet every splat; the full-image renders go through
-    # the renderer's own `_ray_geometry` and are not counted
+    # 64^2, a 32x32 patch per iteration. The patch composites the pairs
+    # `_pairs` enumerates, and nearly all of them are live (q within the
+    # cutoff, past the near plane); the full-image renders go through the
+    # renderer's own `_ray_geometry` and are not counted
     s = make_random_scene(200, seed=0, spread=0.3, sigma_range=(0.05, 0.12))
     cams = make_orbit_cameras(s.center, 2.5 * s.radius, 4, 0.3, "ring", 64, 64, 0.9)
     targets = _self_targets(s, cams, RenderConfig())
-    pairs = []
+    counts = []
     ray_geometry = fitting._ray_geometry
 
     def counted(*args):
-        out = ray_geometry(*args)
-        pairs.append(out[0].size)
-        return out
+        ts, q = ray_geometry(*args)
+        counts.append((ts.size,
+                       np.count_nonzero((q <= 9.0) & (ts >= cams[0].near))))
+        return ts, q
 
     monkeypatch.setattr(fitting, "_ray_geometry", counted)
     cfg = FitConfig(iters=8, rays_per_step=32 * 32, full_eval_every=0, seed=0)
     fit_scene(_perturbed(s), targets, cfg)
-    assert 0 < sum(pairs) < 0.1 * cfg.iters * cfg.rays_per_step * s.alpha.size
+    pairs, live = np.sum(counts, axis=0)
+    assert 0 < live <= pairs <= 1.001 * live
 
 
 def test_fit_geometry_recovers_jittered_centers():

@@ -411,7 +411,7 @@ def test_ray_bits_do_not_depend_on_a_longer_ray_in_the_call():
 
 
 _SPLAT_KINDS = ("random", "needle", "large", "inside", "behind", "straddle",
-                "edge")
+                "edge", "far")
 
 
 @st.composite
@@ -420,7 +420,12 @@ def _pairs_case(draw):
     the drawn kinds: anywhere around the camera, needle-thin, very large,
     containing the camera, behind it, across its plane, or 3 - 1e-9 or exactly
     3 sigma off one pixel's ray, so that the pair sits on the cutoff edge of
-    a bounded conic (at 3 sigma it is live or not by rounding alone)."""
+    a bounded conic (at 3 sigma it is live or not by rounding alone). A far
+    splat is thin, anisotropic and 300 to 1e6 of its thinnest sigma from
+    the camera, 3 - 1e-9 sigma off one pixel's ray: the kernel's q then
+    rounds by several ulps of cg (up to ~1e12), far more than the 6e-9 by
+    which the pair sits inside the cutoff, so whether it is live is left to
+    the brute force."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(_SPLAT_KINDS), min_size=1, max_size=8))
     H, W = draw(st.integers(1, 16)), draw(st.integers(1, 16))
@@ -459,6 +464,18 @@ def _pairs_case(draw):
             reach = draw(st.sampled_from([3.0 - 1e-9, 3.0]))
             mu = pos + t * d + reach * sigma[0] * off / np.linalg.norm(off)
             edges.append((i * cols.size + j, n, reach < 3.0))
+        elif kind == "far":
+            i, j = rng.integers(0, rows.size), rng.integers(0, cols.size)
+            d = np.array(cam.pixel_dirs(rows[i], cols[j]), dtype=np.float64)
+            sigma = (np.exp(rng.uniform(np.log(1e-5), np.log(1e-2)))
+                     * np.exp(rng.uniform(0.0, np.log(100.0), 3)))
+            t = sigma.min() * np.exp(rng.uniform(np.log(300.0), np.log(1e6)))
+            # an offset whose Mahalanobis closest approach to the ray is
+            # itself: Sigma^-1-orthogonal to d, scaled to 3 - 1e-9 sigma
+            inv = rot @ np.diag(1.0 / (sigma * sigma)) @ rot.T
+            off = rng.normal(size=3)
+            off -= (off @ inv @ d) / (d @ inv @ d) * d
+            mu = pos + t * d + (3.0 - 1e-9) / math.sqrt(off @ inv @ off) * off
         mus.append(mu)
         covs.append(rot @ np.diag(sigma * sigma) @ rot.T)
     return make_scene(mu=np.array(mus), cov=np.array(covs)), cam, rows, cols, edges
@@ -481,6 +498,30 @@ def test_pairs_holds_every_live_pair_once(case):
     live = (q <= 9.0) & (ts >= cam.near)
     assert all(live[n * P + r] for r, n, inside in edges if inside)
     assert np.isin(all_sub[live] * P + all_ray[live], key).all()
+
+
+def test_pairs_enumerates_almost_only_live_pairs(monkeypatch):
+    # the `render` benchmark's recipe on a few frames: 2000 splats a few
+    # pixels across at 128^2. A conic grown by a pixel's width instead of a
+    # rounding-sized margin enumerated a third more pairs than were live
+    scene = make_random_scene(2000, seed=123, spread=0.5,
+                              sigma_range=(0.01, 0.04))
+    cams = make_orbit_cameras(scene.center, 2.5 * scene.radius, 4, 0.0,
+                              "fibonacci_sphere", 128, 128, 0.9)
+    counts = []
+    ray_geometry = splat360.renderer._ray_geometry
+
+    def counted(*args):
+        ts, q = ray_geometry(*args)
+        counts.append((ts.size, np.count_nonzero((q <= 9.0) & (ts >= near))))
+        return ts, q
+
+    monkeypatch.setattr(splat360.renderer, "_ray_geometry", counted)
+    for cam in cams:
+        near = cam.near
+        render(scene, cam)
+    pairs, live = np.sum(counts, axis=0)
+    assert 0 < live <= pairs <= 1.001 * live
 
 
 @given(st.lists(st.integers(0, 12), max_size=9), st.sampled_from([5, 11]),
