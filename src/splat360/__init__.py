@@ -24,7 +24,7 @@ from .metrics import psnr, ssim, ssim_with_grad
 from .ct import (
     VoxelVolume, DrrConfig, ProjectionGeometry, hu_to_mu,
     render_drr, save_volume, load_volume,
-    make_uniform_volume, make_sphere_phantom,
+    make_sphere_phantom,
 )
 from .anchors import (
     AnchorPoint, AnchorSet, depth_gradient, select_anchors,

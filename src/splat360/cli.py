@@ -29,8 +29,8 @@ from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
 from .ct import (DrrConfig, ProjectionGeometry, load_volume, read_volume_header,
                  render_drr)
 from .errors import CheckFailure, FormatError, NumericFailure
-from .fitting import (FitConfig, _Geometry, _patch_backward, _patch_forward,
-                      composite_loss, fit_scene)
+from .fitting import (FitConfig, _Geometry, _grid_pairs, _patch_backward,
+                      _patch_forward, composite_loss, fit_scene)
 from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
                      init_mlp, load_mlp, save_mlp)
 from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
@@ -491,7 +491,8 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
                  else embed_camera(cam, scene.center, scene.radius, mlp.d))
 
         def forward(sc, tape=False):
-            return _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec, tape=tape)
+            return _patch_forward(sc, cam, rcfg, _grid_pairs(sc, cam, rows, cols),
+                                  rows, cols, mlp, e_vec, tape=tape)
 
         def loss_of(sc):
             return composite_loss(forward(sc)[0].reshape(tgt.shape), tgt,

@@ -449,12 +449,6 @@ def load_volume(header_path: str) -> VoxelVolume:
 # ---------------------------------------------------------------------------
 # analytic phantoms used by tests and bundled assets
 
-def make_uniform_volume(dims, spacing, origin, hu_value: float) -> VoxelVolume:
-    nx, ny, nz = dims
-    return VoxelVolume(dims, spacing, origin,
-                       np.full((nz, ny, nx), float(hu_value)))
-
-
 def make_sphere_phantom(n: int, spacing_mm: float, radius_mm: float,
                         hu_inside: float = 0.0) -> VoxelVolume:
     """Sphere of `hu_inside` in air, centered in an n^3 grid.

@@ -12,11 +12,15 @@ same backward pass, with the fusion head's camera embedding held fixed. Patch
 centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
 uniform positions unless the no_anchoring ablation is set.
 
-The patch forward pass runs the renderer's kernel once over the ray x
-splat pairs the renderer's `_pairs` enumerates for the patch from the
-camera's `_conics`, as `render` does per block; the full-image evaluations
-(every full_eval_every iterations and the final per-view report) call
-`render`, with the fusion head when an MLP is fitted.
+The patch forward pass runs the renderer's kernel once over the patch's
+slice of a `_PairSet`: the live ray x splat pairs of a pixel grid, which
+the renderer's `_pairs` enumerates from the camera's `_conics` as `render`
+does per block, in the kernel's ray-major order. An appearance-only fit
+never moves a splat, so each target view's set is built once, whole, on the
+view's first patch, and kept until the fit returns; a geometry fit builds
+each iteration's patch's own. The full-image evaluations (every
+full_eval_every iterations and the final per-view report) call `render`,
+with the fusion head when an MLP is fitted.
 So a fit initialized at the scene that produced its targets measures a loss
 of exactly zero and no parameter moves.
 """
@@ -35,8 +39,8 @@ from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch, fusion_input)
 from .metrics import psnr, ssim, ssim_with_grad
 from .renderer import (RenderConfig, _composite, _conics, _last_slots,
-                       _origin_terms, _pairs, _ray_geometry, _scan_ranks,
-                       render)
+                       _live_ray_major, _origin_terms, _pairs, _ray_geometry,
+                       _scan_ranks, render)
 from .scene import Camera, ImageBuffer, Scene, image_array
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
@@ -233,8 +237,44 @@ class _Geometry:
 # ---------------------------------------------------------------------------
 # patch forward/backward through the compositing kernel
 
+@dataclass
+class _PairSet:
+    """The live ray x splat pairs of a pixel grid, ray-major: the pixels row
+    after row, each pixel's pairs one run in t order and then by splat
+    index. It holds what the kernel reads of a pair (splat index, t of peak
+    weight, squared Mahalanobis distance q there) and where each pixel's
+    run starts and how many pairs it holds."""
+
+    idx: np.ndarray     # int32 splat of each pair
+    ts: np.ndarray
+    q: np.ndarray
+    start: np.ndarray   # [R, C] each pixel's first pair
+    count: np.ndarray   # [R, C] each pixel's live pairs
+    r0: int             # the grid's first row and column
+    c0: int
+
+
+def _grid_pairs(scene: Scene, cam: Camera, rows: np.ndarray,
+                cols: np.ndarray) -> _PairSet:
+    """The `_PairSet` of the pixel grid rows x cols (runs of consecutive
+    pixel indices): the pairs `_pairs` enumerates for it from the camera's
+    `_conics`, kept where live and put in order by the kernel's own front
+    end (`_live_ray_major`)."""
+    dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
+    ot = _origin_terms(scene, cam.position)
+    ray, sub = _pairs(_conics(scene, cam, ot), cam, rows, cols)
+    sub, ts, q, order, count = _live_ray_major(
+        ray, sub, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
+        cam.near, dx.size)
+    shape = (rows.size, cols.size)
+    return _PairSet(idx=sub.astype(np.int32)[order], ts=ts[order], q=q[order],
+                    start=(np.cumsum(count) - count).reshape(shape),
+                    count=count.reshape(shape), r0=int(rows[0]),
+                    c0=int(cols[0]))
+
+
 def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
-                   rows: np.ndarray, cols: np.ndarray,
+                   pairs: _PairSet, rows: np.ndarray, cols: np.ndarray,
                    mlp: MlpParams | None, e_vec: np.ndarray | None,
                    tape: bool = False):
     """Colors [P,3] for the pixel grid rows x cols, rays in row-major order,
@@ -242,18 +282,25 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
     kernel's tape, the fusion cache, and the rays' origin and direction
     components.
 
-    Runs the renderer's kernel once over the pairs `_pairs` enumerates for
-    the patch, then the fusion head once over the whole patch. The
-    enumeration only ever leaves out pairs that are not live, so the colors
-    match a render bitwise.
+    `pairs` is the `_PairSet` of a grid that holds the patch, built for
+    this scene's geometry: a whole view's, or the patch's own. The patch
+    takes its pixels' runs, contiguous along each of its rows, and runs the
+    renderer's kernel once over them, then the fusion head once over the
+    whole patch. Each ray composites only its own live pairs in their
+    order, so the colors match a render bitwise whatever grid the pairs
+    came from.
     """
     dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
-    ot = _origin_terms(scene, cam.position)
-    ray, sub = _pairs(_conics(scene, cam, ot), cam, rows, cols)
+    i0, j0 = int(rows[0]) - pairs.r0, int(cols[0]) - pairs.c0
+    count = pairs.count[i0:i0 + rows.size, j0:j0 + cols.size]
+    # patch row i's pairs are the run first[i]:first[i] + row_n[i]
+    row_n = count.sum(axis=1)
+    first = pairs.start[i0:i0 + rows.size, j0]
+    order = np.arange(row_n.sum()) + np.repeat(first - (np.cumsum(row_n) - row_n),
+                                               row_n)
     colors, _, _, *out = _composite(
-        scene, rcfg, cam.near,
-        _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
-        ray, sub, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
+        scene, rcfg, (pairs.idx, pairs.ts, pairs.q, order, count.ravel()),
+        dx, dy, dz, fused_streams=mlp is not None, tape=tape)
     cache = None
     if mlp is not None:
         colors, cache = fuse_forward_batch(
@@ -425,6 +472,10 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
             _, depth, _ = render(scene, cam, rcfg, workers=1)
             anchor_sets.append(select_anchors(depth_gradient(depth)))
 
+    # an appearance-only fit moves no splat, so each view's live pairs, their
+    # t and q and their order hold for the whole fit: built on the view's
+    # first patch, sliced by every later one
+    view_pairs: list[_PairSet | None] = [None] * len(cams)
     side = int(math.isqrt(cfg.rays_per_step))
     rng = np.random.default_rng(cfg.seed)
     state = (None, None, 0)
@@ -479,7 +530,15 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         e_vec = (None if live_mlp is None else
                  embed_camera(cam, cur_scene.center, cur_scene.radius,
                               live_mlp.d))
-        colors, work = _patch_forward(cur_scene, cam, rcfg, rows, cols,
+        if geo is not None:
+            pairs = _grid_pairs(cur_scene, cam, rows, cols)
+        elif view_pairs[view] is None:
+            pairs = view_pairs[view] = _grid_pairs(
+                cur_scene, cam, np.arange(H, dtype=np.float64),
+                np.arange(W, dtype=np.float64))
+        else:
+            pairs = view_pairs[view]
+        colors, work = _patch_forward(cur_scene, cam, rcfg, pairs, rows, cols,
                                       live_mlp, e_vec, tape=True)
         pred = _pred_for_loss(colors.reshape(ph, pw, 3), cfg)
         if not np.isfinite(pred).all():

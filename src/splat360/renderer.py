@@ -14,11 +14,15 @@ Bit-determinism: every color-producing path (image blocks, with or without
 the fusion head; single rays and their sample lists; the fit's patch
 forward pass) runs the one kernel `_composite` itself, not a copy of it. A
 full image, physical or fused, comes only from `render`'s block loop.
-Both it and the fit's pixel patch composite the ray x splat pairs `_pairs`
-enumerates from each splat's screen-space cutoff conic (`_conics`, built
-once per camera), a superset of the live pairs: a patch pixel matches the
-full image's bit for bit, and its gradients those of one call over every
-pair.
+The ray x splat pairs come from `_pairs`, which enumerates a pixel grid's
+from each splat's screen-space cutoff conic (`_conics`, built once per
+camera), a superset of the live pairs; `_live_ray_major` keeps the live
+ones and orders them, and `_composite` lays them out and composites them.
+`render` runs the three per block. The fit runs the first two once per
+grid, a whole view in an appearance-only fit, whose splats do not move, or
+each patch in a geometry fit, and composites each patch's slice of the
+result: a patch pixel matches the full image's bit for bit, and its
+gradients those of one call over every pair.
 Each ray composites only its own live splats, ordered by t and then by
 splat index, so a ray's result does not depend on which other rays, or
 which dead pairs, share its call: a dead entry could only have added a
@@ -277,46 +281,64 @@ def _ray_totals(a, offsets, rays):
     return out
 
 
-def _composite(scene, cfg: RenderConfig, near: float, geometry, ray, sub,
-               dx, dy, dz, fused_streams=False, tape=False):
-    """Shared compositing kernel over P rays with one origin.
+def _live_ray_major(ray, sub, geometry, near: float, P: int):
+    """The live pairs among (ray, sub) and their ray-major order: the front
+    end of every kernel call over P rays.
 
-    Pair n is gaussian sub[n] on ray ray[n] (an index into dx/dy/dz), a ray
-    meeting a gaussian at most once, and `geometry` is the (ts, q) pair of
-    the caller's `_ray_geometry` call for the pairs. Each ray keeps only its
-    live pairs (within the cutoff, past `near`), ordered by t and then by
-    splat index, and stops at the first whose transmittance falls below
-    TERMINATION_EPSILON. The live pairs are laid out once, rank-major as
-    `_Tape` describes, so no ray carries padding: the transmittance is a
-    running product over ranks, the slots past each ray's stop get w = 0,
-    and each ray's front-to-back totals are sums over ranks (`_ray_totals`)
-    in which those slots add -0.0, which leaves every sum as it is. Returns
-    (color [P,3], depth [P], final_T [P]), then, when fused_streams, the
-    separately accumulated isotropic / anisotropic sums [P,3] each, then,
-    when tape, a `_Tape`.
+    Pair n is gaussian sub[n] on ray ray[n], a ray meeting a gaussian at
+    most once, and `geometry` is the (ts, q) pair of the caller's
+    `_ray_geometry` call for the pairs. A pair is live within the cutoff and
+    past `near`. Returns (sub, ts, q, order, count) over the live pairs, in
+    their enumeration order: `order` lists them ray after ray, each ray's by
+    t and then by splat index (`_ray_major`), and count[r] is ray r's live
+    count. `_composite` takes the tuple as it is.
     """
     # callers pass the pair as a temporary, so this is its only reference and
     # the arrays over every pair are freed once the live ones are gathered (a
     # star-unpacked call would keep them alive in its argument tuple)
     ts, q = geometry
     del geometry
-    P = dx.shape[0]
-    bg = scene.background
     live = q <= CUTOFF_SIGMA * CUTOFF_SIGMA
     live &= ts >= near
     ray, sub, ts, q = ray[live], sub[live], ts[live], q[live]
     del live
-    order = _ray_major(ray, sub, ts, P)
-    by_t = ray[order]
-    count = np.bincount(by_t, minlength=P)
+    return (sub, ts, q, _ray_major(ray, sub, ts, P),
+            np.bincount(ray, minlength=P))
+
+
+def _composite(scene, cfg: RenderConfig, live, dx, dy, dz,
+               fused_streams=False, tape=False):
+    """Shared compositing kernel over P rays with one origin, the direction
+    of ray r being (dx[r], dy[r], dz[r]).
+
+    `live` is (sub, ts, q, order, count) as `_live_ray_major` returns it:
+    live pairs of splat sub[i] at ts[i] and squared Mahalanobis distance
+    q[i], of which order[count[:r].sum():][:count[r]] are ray r's in front
+    to back order. Each ray stops at the first pair whose transmittance
+    falls below TERMINATION_EPSILON. The live pairs are laid out once,
+    rank-major as `_Tape` describes, in one gather through `order`, so no
+    ray carries padding: the transmittance is a running product over ranks,
+    the slots past each ray's stop get w = 0, and each ray's front-to-back
+    totals are sums over ranks (`_ray_totals`) in which those slots add
+    -0.0, which leaves every sum as it is. Returns (color [P,3], depth [P],
+    final_T [P]), then, when fused_streams, the separately accumulated
+    isotropic / anisotropic sums [P,3] each, then, when tape, a `_Tape`.
+    """
+    sub, ts, q, order, count = live
+    del live
+    P = dx.shape[0]
+    bg = scene.background
+    by_t = np.repeat(np.arange(P), count)
     start = np.cumsum(count) - count
     slot, offsets, rays = _rank_major(
         by_t, np.arange(by_t.size) - start[by_t], count)
     src = np.empty_like(order)
     src[slot] = order
+    ray = np.empty_like(by_t)
+    ray[slot] = by_t
     del order, by_t
-    ray, idx, ts, q = ray[src], sub[src], ts[src], q[src]
-    del src
+    idx, ts, q = sub[src], ts[src], q[src]
+    del src, sub
     # w = alpha * exp(-q/2), built in place in q
     np.multiply(q, -0.5, out=q)
     np.exp(q, out=q)
@@ -412,8 +434,10 @@ def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
     dz = np.array([r.dir[2]])
     ray, sub = _all_pairs(1, scene.alpha.size)
     color, depth, final_T, tape = _composite(
-        scene, cfg, near, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
-        ray, sub, dx, dy, dz, tape=True)
+        scene, cfg, _live_ray_major(
+            ray, sub, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
+            near, 1),
+        dx, dy, dz, tape=True)
     # one ray: its slots in order, the first n up to and including its stop
     keep = slice(int(tape.n[0]))
     samples = [RaySample(int(i), float(t), float(w), float(T))
@@ -549,9 +573,10 @@ def _render_coarse_block(scene, cam, cfg, ot, conics, head, r0, r1, c0, c1):
     dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
     ray, sub = _pairs(conics, cam, rows, cols)
     color, depth, trans, *streams = _composite(
-        scene, cfg, cam.near,
-        _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
-        ray, sub, dx, dy, dz, fused_streams=head is not None)
+        scene, cfg, _live_ray_major(
+            ray, sub, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
+            cam.near, dx.size),
+        dx, dy, dz, fused_streams=head is not None)
     if head is not None:
         mlp, e_vec = head
         color = fuse_forward_batch(

@@ -17,7 +17,7 @@ from splat360 import (Camera, RenderConfig, cli, init_mlp, load_mlp, load_pfm,
                       make_random_scene, make_sphere_phantom, save_pfm,
                       save_scene, save_volume)
 from splat360.cli import main
-from splat360.fitting import _patch_forward
+from splat360.fitting import _grid_pairs, _patch_forward
 from splat360.renderer import _shutdown_pools
 
 
@@ -404,8 +404,9 @@ def test_tape_key_sees_a_t_order_swap(depth1, flips):
 
     def key_at(z0):
         scene = make_scene(mu=[(-0.05, 0.0, z0), (0.05, 0.0, depth1)], alpha=0.5)
-        return cli._tape_key(_patch_forward(scene, cam, rcfg, one, one, None,
-                                            None, tape=True)[1])
+        return cli._tape_key(_patch_forward(
+            scene, cam, rcfg, _grid_pairs(scene, cam, one, one), one, one,
+            None, None, tape=True)[1])
 
     assert key_at(1.0 - 1e-5) == key_at(1.0)
     assert (key_at(1.0 + 1e-5) != key_at(1.0)) == flips
@@ -422,8 +423,9 @@ def test_tape_key_sees_which_ray_holds_which_splats():
     def work(first, second):
         mu = [1.0 * d[first], 1.5 * d[first], 1.0 * d[second]]
         scene = make_scene(mu=mu, sigma=0.01, alpha=0.5)
-        return _patch_forward(scene, cam, RenderConfig(), rows, cols, None,
-                              None, tape=True)[1]
+        return _patch_forward(scene, cam, RenderConfig(),
+                              _grid_pairs(scene, cam, rows, cols), rows, cols,
+                              None, None, tape=True)[1]
 
     a, b = work(0, 1), work(1, 0)
     assert a[1].idx.tobytes() == b[1].idx.tobytes()
@@ -441,8 +443,9 @@ def test_tape_key_sees_a_moved_termination():
 
     def work(alpha0):
         scene = make_scene(mu=mu, sigma=0.01, alpha=[alpha0] + [0.5] * 11)
-        return _patch_forward(scene, cam, RenderConfig(), one, one, None,
-                              None, tape=True)[1]
+        return _patch_forward(scene, cam, RenderConfig(),
+                              _grid_pairs(scene, cam, one, one), one, one,
+                              None, None, tape=True)[1]
 
     a, b = work(0.5), work(0.4)
     assert [len(splat360.composite_ray(w[0], splat360.Ray(np.zeros(3), cam.forward))[3])

@@ -11,13 +11,18 @@ from hypothesis import strategies as st
 
 from splat360 import (DrrConfig, ProjectionGeometry, Ray, VolumeFormatError,
                       VoxelVolume, hu_to_mu, load_volume,
-                      make_sphere_phantom, make_uniform_volume, render_drr,
-                      save_volume)
+                      make_sphere_phantom, render_drr, save_volume)
 from splat360 import ct
 from splat360.ct import AIR_HU, _line_integrals, _mu_field
 from splat360.renderer import _shutdown_pools
 
 Z = np.array([0.0, 0.0, 1.0])
+
+
+def make_uniform_volume(dims, spacing, origin, hu_value: float) -> VoxelVolume:
+    nx, ny, nz = dims
+    return VoxelVolume(dims, spacing, origin,
+                       np.full((nz, ny, nx), float(hu_value)))
 
 
 def test_hu_water_is_mu_water():

@@ -16,10 +16,11 @@ from splat360 import (AnchorPoint, AnchorSet, Camera, FitConfig, NumericFailure,
                       validate_scene)
 from splat360 import fitting, metrics
 from splat360 import scene as scene_module
-from splat360.fitting import (_Geometry, _patch_backward, _patch_forward,
-                              _patch_origin)
+from splat360.fitting import (_Geometry, _grid_pairs, _patch_backward,
+                              _patch_forward, _patch_origin)
 from splat360.fusion import fuse_forward_batch, fusion_input
-from splat360.renderer import _all_pairs, _composite, _origin_terms, _ray_geometry
+from splat360.renderer import (_all_pairs, _composite, _live_ray_major,
+                               _origin_terms, _ray_geometry)
 
 
 def _views(scene, n=2, res=16):
@@ -367,7 +368,8 @@ def test_patch_no_splat_reaches(small_random_scene, with_mlp):
     e_vec = embed_camera(cam, s.center, s.radius, 16) if with_mlp else None
     rcfg = RenderConfig()
     rows = cols = np.arange(8, dtype=np.float64)
-    colors, work = _patch_forward(s, cam, rcfg, rows, cols, mlp, e_vec, tape=True)
+    colors, work = _patch_forward(s, cam, rcfg, _grid_pairs(s, cam, rows, cols),
+                                  rows, cols, mlp, e_vec, tape=True)
     if not with_mlp:
         assert np.array_equal(colors, np.broadcast_to(s.background, (64, 3)))
     gpix = np.random.default_rng(0).standard_normal((64, 3))
@@ -413,7 +415,8 @@ def test_splats_behind_the_camera_change_no_patch_bit(seed, extra, with_mlp):
     gpix = rng.standard_normal((144, 3))
     outs = []
     for sc in (s, grown):
-        colors, work = _patch_forward(sc, cam, rcfg, rows, cols, mlp, e_vec, tape=True)
+        colors, work = _patch_forward(sc, cam, rcfg, _grid_pairs(sc, cam, rows, cols),
+                                      rows, cols, mlp, e_vec, tape=True)
         geo = _Geometry(sc)
         outs.append((colors, _patch_backward(work, rcfg, gpix, mlp,
                                              (geo.rot, geo.log_eig))))
@@ -435,11 +438,11 @@ def _dense_patch(scene, cam, rcfg, rows, cols, mlp, e_vec):
     dx, dy, dz = dxb.ravel(), dyb.ravel(), dzb.ravel()
     v0, v1, v2, cg = _origin_terms(scene, cam.position)
     ray, sub = _all_pairs(dx.size, scene.alpha.size)
-    out = _composite(scene, rcfg, cam.near,
-                     _ray_geometry(scene, v0, v1, v2, cg, dx[ray], dy[ray],
-                                   dz[ray], sub),
-                     ray, sub, dx, dy, dz, fused_streams=mlp is not None,
-                     tape=True)
+    live = _live_ray_major(
+        ray, sub, _ray_geometry(scene, v0, v1, v2, cg, dx[ray], dy[ray], dz[ray], sub),
+        cam.near, dx.size)
+    out = _composite(scene, rcfg, live, dx, dy, dz,
+                     fused_streams=mlp is not None, tape=True)
     colors, cache = out[0], None
     if mlp is not None:
         colors, cache = fuse_forward_batch(
@@ -448,18 +451,41 @@ def _dense_patch(scene, cam, rcfg, rows, cols, mlp, e_vec):
     return colors, (scene, out[-1], cache, cam.position, (dx, dy, dz))
 
 
+def _assert_same_tape(tape, dense):
+    # the same live pairs per ray give the same rank-major layout, so every
+    # slot array matches; the splat indices only in value, not in dtype
+    for field in dataclasses.fields(tape):
+        a, b = getattr(tape, field.name), getattr(dense, field.name)
+        if a is None or b is None or isinstance(a, list):
+            assert a == b, field.name
+            continue
+        for x, y in zip(*((a, b) if isinstance(a, tuple) else ((a,), (b,)))):
+            if x.dtype.kind == "f":
+                assert x.tobytes() == y.tobytes(), field.name
+            else:
+                assert np.array_equal(x, y), field.name
+
+
 @st.composite
 def _patch_case(draw):
-    # up to 40x40 patches anywhere in a 48x48 view: the render they must
-    # match composites the whole view in one kernel call, whose rays hold
-    # other slot counts in another rank-major order, and on the far ring
-    # many pixels that no splat reaches
+    # patches anywhere in a 48x48 view, among them single pixels, the whole
+    # view and patches on its border: the render they must match composites
+    # the whole view in one kernel call, whose rays hold other slot counts
+    # in another rank-major order, and on the far ring many pixels that no
+    # splat reaches
     s = make_random_scene(draw(st.integers(1, 24)), seed=draw(st.integers(0, 999)),
                           spread=0.3, sigma_range=(0.03, 0.1))
     cam = make_orbit_cameras(s.center, draw(st.sampled_from([2.5, 6.0])) * max(s.radius, 0.1),
                              1, 0.3, "ring", 48, 48, 0.9)[0]
-    ph, pw = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    r0, c0 = draw(st.integers(0, 48 - ph)), draw(st.integers(0, 48 - pw))
+    kind = draw(st.sampled_from(["any", "pixel", "view", "border"]))
+    if kind == "view":
+        ph = pw = 48
+    elif kind == "pixel":
+        ph = pw = 1
+    else:
+        ph, pw = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    edge = st.sampled_from([0, 48 - ph]) if kind == "border" else st.integers(0, 48 - ph)
+    r0, c0 = draw(edge), draw(st.integers(0, 48 - pw))
     mode = draw(st.sampled_from(["physical", "fused", "no_disentangle",
                                  "no_anisotropy"]))
     return s, cam, (r0, c0, ph, pw), mode, draw(st.booleans())
@@ -468,6 +494,9 @@ def _patch_case(draw):
 @given(_patch_case())
 @settings(max_examples=60, deadline=None)
 def test_tiled_patch_matches_render_and_a_dense_tape(case):
+    # the patch composites the pairs of its own grid, as a geometry fit
+    # enumerates them, or its slice of the whole view's, as an
+    # appearance-only fit reuses them
     s, cam, (r0, c0, ph, pw), mode, with_geometry = case
     rcfg = RenderConfig(disentangle=mode != "no_disentangle",
                         anisotropy_enabled=mode != "no_anisotropy")
@@ -475,29 +504,34 @@ def test_tiled_patch_matches_render_and_a_dense_tape(case):
     e_vec = None if mlp is None else embed_camera(cam, s.center, s.radius, 16)
     rows = np.arange(r0, r0 + ph, dtype=np.float64)
     cols = np.arange(c0, c0 + pw, dtype=np.float64)
-    colors, work = _patch_forward(s, cam, rcfg, rows, cols, mlp, e_vec, tape=True)
     image = render(s, cam, rcfg, mlp=mlp)[0].data[r0:r0 + ph, c0:c0 + pw]
-    assert colors.tobytes() == image.reshape(-1, 3).tobytes()
     dense_colors, dense_work = _dense_patch(s, cam, rcfg, rows, cols, mlp, e_vec)
-    assert dense_colors.tobytes() == colors.tobytes()
+    assert dense_colors.tobytes() == image.reshape(-1, 3).tobytes()
     geo = _Geometry(s)
     geometry = (geo.rot, geo.log_eig) if with_geometry else None
     gpix = np.random.default_rng(ph * 41 + pw).standard_normal((ph * pw, 3))
-    *grads, mlp_g = _patch_backward(work, rcfg, gpix, mlp, geometry)
     *dense, dense_mlp_g = _patch_backward(dense_work, rcfg, gpix, mlp, geometry)
-    assert len(grads) == (5 if with_geometry else 4)
-    for g, d in zip(grads, dense):
-        assert g.tobytes() == d.tobytes()
-    if mlp is not None:
-        assert mlp_g.to_flat().tobytes() == dense_mlp_g.to_flat().tobytes()
+    whole = np.arange(48, dtype=np.float64)
+    for pairs in (_grid_pairs(s, cam, rows, cols), _grid_pairs(s, cam, whole, whole)):
+        colors, work = _patch_forward(s, cam, rcfg, pairs, rows, cols, mlp,
+                                      e_vec, tape=True)
+        assert colors.tobytes() == dense_colors.tobytes()
+        _assert_same_tape(work[1], dense_work[1])
+        *grads, mlp_g = _patch_backward(work, rcfg, gpix, mlp, geometry)
+        assert len(grads) == (5 if with_geometry else 4)
+        for g, d in zip(grads, dense):
+            assert g.tobytes() == d.tobytes()
+        if mlp is not None:
+            assert mlp_g.to_flat().tobytes() == dense_mlp_g.to_flat().tobytes()
 
 
 def test_patch_forward_culls_ray_splat_pairs(monkeypatch):
     # the `fit` benchmark's recipe, shortened: 200 splats, 4 ring views at
-    # 64^2, a 32x32 patch per iteration. The patch composites the pairs
-    # `_pairs` enumerates, and nearly all of them are live (q within the
-    # cutoff, past the near plane); the full-image renders go through the
-    # renderer's own `_ray_geometry` and are not counted
+    # 64^2, a 32x32 patch per iteration. Each view's pair set holds the
+    # pairs `_pairs` enumerates for the whole view, built once, and nearly
+    # all of them are live (q within the cutoff, past the near plane); the
+    # full-image renders go through the renderer's own `_ray_geometry` and
+    # are not counted
     s = make_random_scene(200, seed=0, spread=0.3, sigma_range=(0.05, 0.12))
     cams = make_orbit_cameras(s.center, 2.5 * s.radius, 4, 0.3, "ring", 64, 64, 0.9)
     targets = _self_targets(s, cams, RenderConfig())
@@ -515,6 +549,34 @@ def test_patch_forward_culls_ray_splat_pairs(monkeypatch):
     fit_scene(_perturbed(s), targets, cfg)
     pairs, live = np.sum(counts, axis=0)
     assert 0 < live <= pairs <= 1.001 * live
+
+
+@pytest.mark.parametrize("with_mlp,ablation,geometry", [
+    (False, (), False), (True, (), False), (False, ("no_anchoring",), False),
+    (True, ("no_anchoring",), False), (False, (), True), (True, (), True)])
+def test_pair_sets_are_built_once_per_view_unless_geometry_moves(
+        monkeypatch, small_random_scene, with_mlp, ablation, geometry):
+    # 3 views of 16^2 and 8x8 patches over 7 iterations: an appearance-only
+    # fit builds each view's pair set once, whole, and slices every later
+    # patch of the view from it; a geometry fit moves the splats, so it
+    # enumerates each iteration's patch afresh and builds no view's set
+    s = small_random_scene
+    cams = _views(s, n=3, res=16)
+    targets = _self_targets(s, cams, RenderConfig())
+    grids = []
+    grid_pairs = fitting._grid_pairs
+
+    def counted(scene, cam, rows, cols):
+        grids.append((rows.size, cols.size))
+        return grid_pairs(scene, cam, rows, cols)
+
+    monkeypatch.setattr(fitting, "_grid_pairs", counted)
+    cfg = FitConfig(lr=1e-3, iters=7, rays_per_step=64, full_eval_every=0,
+                    seed=0, optimize_geometry=geometry, ablation=ablation)
+    mlp = init_mlp(d=16, seed=4) if with_mlp else None
+    _, _, report = fit_scene(_perturbed(s), targets, cfg, mlp=mlp)
+    assert len(report.trace) == 7
+    assert grids == ([(8, 8)] * 7 if geometry else [(16, 16)] * 3)
 
 
 def test_fit_geometry_recovers_jittered_centers():

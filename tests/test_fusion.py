@@ -7,7 +7,7 @@ import pytest
 from splat360 import (Camera, MlpParams, ParamsFormatError, embed_camera,
                       fuse_backward_batch, fuse_forward_batch, init_mlp,
                       load_mlp, save_mlp)
-from splat360.fusion import fusion_input
+from splat360.fusion import _sigmoid, fusion_input
 
 
 def _cam_at(position, target=(0.0, 0.0, 0.0), fov=0.9):
@@ -71,6 +71,25 @@ def _fuse_one(l_iso, l_aniso, e_vec, direction, params):
     """The fused RGB of one ray: one row through the batch forward pass."""
     return fuse_forward_batch(fusion_input(l_iso, l_aniso, e_vec, direction),
                               params)[0]
+
+
+def test_sigmoid_bits_equal_the_masked_two_branch_form():
+    # 1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere, each
+    # over its own masked subset: signed zeros, infinities, the saturation
+    # points of either branch, subnormals and normal draws at four scales
+    edges = [0.0, 5e-324, 2.2e-308, 37.0, 709.8, 745.2, np.inf]
+    x = np.concatenate([edges, np.negative(edges)] + [
+        np.random.default_rng(seed).standard_normal(100_000) * 10.0 ** seed
+        for seed in range(4)])
+    pos = x >= 0
+    expect = np.empty_like(x)
+    expect[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expect[~pos] = ex / (1.0 + ex)
+    assert np.signbit(x[len(edges)])
+    assert _sigmoid(x).tobytes() == expect.tobytes()
+    assert _sigmoid(x.reshape(2, -1)).tobytes() == expect.tobytes()
+    assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 def test_fuse_zero_params_is_half():

@@ -16,7 +16,8 @@ from splat360 import (Camera, Ray, RenderConfig, Scene, composite_ray,
 from splat360.fusion import fusion_input
 from conftest import make_scene
 from splat360.renderer import (TERMINATION_EPSILON, _all_pairs, _composite,
-                               _conics, _last_slots, _origin_terms, _pairs,
+                               _conics, _last_slots, _live_ray_major,
+                               _origin_terms, _pairs,
                                _phase_factor, _rank_major, _ray_geometry,
                                _ray_totals, _scan_ranks, _shutdown_pools)
 
@@ -39,11 +40,11 @@ def _batch(scene, origin, dirs, cfg=None, near=0.0, fused_streams=False,
     v0, v1, v2, cg = _origin_terms(scene, np.asarray(origin, dtype=float))
     dx, dy, dz = (np.ascontiguousarray(dirs[:, i]) for i in range(3))
     ray, sub = _all_pairs(dx.size, scene.alpha.size)
-    return _composite(scene, cfg or RenderConfig(), near,
-                      _ray_geometry(scene, v0, v1, v2, cg, dx[ray], dy[ray],
-                                    dz[ray], sub),
-                      ray, sub, dx, dy, dz, fused_streams=fused_streams,
-                      tape=tape)
+    live = _live_ray_major(
+        ray, sub, _ray_geometry(scene, v0, v1, v2, cg, dx[ray], dy[ray], dz[ray], sub),
+        near, dx.size)
+    return _composite(scene, cfg or RenderConfig(), live, dx, dy, dz,
+                      fused_streams=fused_streams, tape=tape)
 
 
 def _ray_slots(tape, p):
