@@ -491,7 +491,7 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
                  else embed_camera(cam, scene.center, scene.radius, mlp.d))
 
         def forward(sc, tape=False):
-            return _patch_forward(sc, cam, rcfg, _grid_pairs(sc, cam, rows, cols),
+            return _patch_forward(sc, cam, rcfg, _grid_pairs(sc, cam, [(rows, cols)]),
                                   rows, cols, mlp, e_vec, tape=tape)
 
         def loss_of(sc):

@@ -13,14 +13,16 @@ centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
 uniform positions unless the no_anchoring ablation is set.
 
 The patch forward pass runs the renderer's kernel once over the patch's
-slice of a `_PairSet`: the live ray x splat pairs of a pixel grid, which
-the renderer's `_pairs` enumerates from the camera's `_conics` as `render`
-does per block, in the kernel's ray-major order. An appearance-only fit
-never moves a splat, so each target view's set is built once, whole, on the
-view's first patch, and kept until the fit returns; a geometry fit builds
-each iteration's patch's own. The full-image evaluations (every
-full_eval_every iterations and the final per-view report) call `render`,
-with the fusion head when an MLP is fitted.
+slice of one or more `_PairSet`s: the live ray x splat pairs of a pixel
+grid, which the renderer's `_pairs` enumerates from the camera's `_conics`
+as `render` does per block, with their ray-major order. An appearance-only
+fit never moves a splat, so where a target view's patches over the fit hold
+at least as many pixels as the view, the set of each of its COARSE_TILE
+blocks is built once, on the first patch that meets the block, and kept
+until the fit returns; a geometry fit, or a view visited less, builds each
+iteration's patch's own. The full-image evaluations (every full_eval_every
+iterations and the final per-view report) call `render`, with the fusion
+head when an MLP is fitted.
 So a fit initialized at the scene that produced its targets measures a loss
 of exactly zero and no parameter moves.
 """
@@ -38,9 +40,9 @@ from .errors import NumericFailure
 from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch, fusion_input)
 from .metrics import psnr, ssim, ssim_with_grad
-from .renderer import (RenderConfig, _composite, _conics, _last_slots,
-                       _live_ray_major, _origin_terms, _pairs, _ray_geometry,
-                       _scan_ranks, render)
+from .renderer import (COARSE_TILE, RenderConfig, _composite, _conics,
+                       _last_slots, _live_ray_major, _origin_terms, _pairs,
+                       _ray_geometry, _scan_ranks, render)
 from .scene import Camera, ImageBuffer, Scene, image_array
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
@@ -239,42 +241,121 @@ class _Geometry:
 
 @dataclass
 class _PairSet:
-    """The live ray x splat pairs of a pixel grid, ray-major: the pixels row
-    after row, each pixel's pairs one run in t order and then by splat
-    index. It holds what the kernel reads of a pair (splat index, t of peak
-    weight, squared Mahalanobis distance q there) and where each pixel's
-    run starts and how many pairs it holds."""
+    """The live ray x splat pairs of a pixel grid: what the kernel reads of
+    each pair (splat index, t of peak weight, squared Mahalanobis distance q
+    there), and `order`, which lists them ray-major: the pixels row after
+    row, each pixel's pairs one run in t order and then by splat index.
+    `order` is None where the arrays are in that order themselves. start
+    and count give each pixel's run in the ray-major listing."""
 
-    idx: np.ndarray     # int32 splat of each pair
+    sub: np.ndarray     # splat of each pair
     ts: np.ndarray
     q: np.ndarray
-    start: np.ndarray   # [R, C] each pixel's first pair
-    count: np.ndarray   # [R, C] each pixel's live pairs
+    order: np.ndarray | None
+    start: np.ndarray   # [R, C]
+    count: np.ndarray   # [R, C]
     r0: int             # the grid's first row and column
     c0: int
 
 
-def _grid_pairs(scene: Scene, cam: Camera, rows: np.ndarray,
-                cols: np.ndarray) -> _PairSet:
-    """The `_PairSet` of the pixel grid rows x cols (runs of consecutive
-    pixel indices): the pairs `_pairs` enumerates for it from the camera's
-    `_conics`, kept where live and put in order by the kernel's own front
-    end (`_live_ray_major`)."""
-    dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
+def _grid_pairs(scene: Scene, cam: Camera, grids,
+                ray_major: bool = False) -> list[_PairSet]:
+    """The `_PairSet` of each pixel grid (rows, cols) in `grids`, both runs
+    of consecutive pixel indices: the pairs `_pairs` enumerates for it from
+    the camera's `_conics`, built once for all the grids, kept where live
+    and put in order by the kernel's own front end (`_live_ray_major`).
+
+    With `ray_major` the pairs are gathered into their order once, for a
+    set that many patches slice: it holds no `order`, each slice indexes
+    its arrays directly, and its integers are int32 to keep it small.
+    Without, a set sliced once is not gathered twice.
+    """
     ot = _origin_terms(scene, cam.position)
-    ray, sub = _pairs(_conics(scene, cam, ot), cam, rows, cols)
-    sub, ts, q, order, count = _live_ray_major(
-        ray, sub, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
-        cam.near, dx.size)
-    shape = (rows.size, cols.size)
-    return _PairSet(idx=sub.astype(np.int32)[order], ts=ts[order], q=q[order],
-                    start=(np.cumsum(count) - count).reshape(shape),
-                    count=count.reshape(shape), r0=int(rows[0]),
-                    c0=int(cols[0]))
+    conics = _conics(scene, cam, ot)
+    sets = []
+    for rows, cols in grids:
+        dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
+        ray, sub = _pairs(conics, cam, rows, cols)
+        sub, ts, q, order, count = _live_ray_major(
+            ray, sub, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
+            cam.near, dx.size)
+        start = np.cumsum(count) - count
+        if ray_major:
+            sub, ts, q = sub.astype(np.int32)[order], ts[order], q[order]
+            order = None
+            start, count = start.astype(np.int32), count.astype(np.int32)
+        shape = (rows.size, cols.size)
+        sets.append(_PairSet(sub=sub, ts=ts, q=q, order=order,
+                             start=start.reshape(shape),
+                             count=count.reshape(shape), r0=int(rows[0]),
+                             c0=int(cols[0])))
+    return sets
+
+
+def _block_sets(scene: Scene, cam: Camera, built: dict, r0: int, c0: int,
+                ph: int, pw: int) -> list[_PairSet]:
+    """The `_PairSet`s of the COARSE_TILE blocks of cam's view that the
+    ph x pw patch at (r0, c0) meets. `built` holds the view's sets by their
+    block's first pixel; the ones missing are built, in one `_grid_pairs`
+    call, and added."""
+    T = COARSE_TILE
+    keys = [(r, c) for r in range(r0 - r0 % T, r0 + ph, T)
+            for c in range(c0 - c0 % T, c0 + pw, T)]
+    new = [k for k in keys if k not in built]
+    if new:
+        grids = [(np.arange(r, min(r + T, cam.height), dtype=np.float64),
+                  np.arange(c, min(c + T, cam.width), dtype=np.float64))
+                 for r, c in new]
+        built.update(zip(new, _grid_pairs(scene, cam, grids, ray_major=True)))
+    return [built[k] for k in keys]
+
+
+def _runs(first: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The indices first[k]:first[k] + n[k], run after run."""
+    return np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)
+
+
+def _patch_pairs(sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray):
+    """`_composite`'s live tuple for the pixel grid rows x cols, from the
+    `_PairSet`s whose grids tile a region holding it, each meeting it.
+
+    A set's pairs of the grid are runs of its ray-major listing, one along
+    each row of their overlap. From one set, the tuple indexes that set's
+    arrays, so the kernel gathers each pair once. From several, each set's
+    pairs are gathered, set after set, and the tuple's order indexes that
+    concatenation.
+    """
+    R, C = rows.size, cols.size
+    r0, c0 = int(rows[0]), int(cols[0])
+    count = np.empty((R, C), dtype=np.intp)
+    pieces = []
+    for ps in sets:
+        gr, gc = ps.count.shape
+        i0, i1 = max(r0, ps.r0), min(r0 + R, ps.r0 + gr)
+        j0, j1 = max(c0, ps.c0), min(c0 + C, ps.c0 + gc)
+        win = np.s_[i0 - ps.r0:i1 - ps.r0, j0 - ps.c0:j1 - ps.c0]
+        at = np.s_[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
+        count[at] = ps.count[win]
+        runs = _runs(ps.start[win][:, 0], count[at].sum(axis=1))
+        pieces.append((ps, runs if ps.order is None else ps.order[runs], at))
+    if len(pieces) == 1:
+        ps, order, _ = pieces[0]
+        return ps.sub, ps.ts, ps.q, order, count.ravel()
+    # a pixel's run starts at its piece's offset in the concatenation plus
+    # the run's place in the piece, which is ray-major over the overlap
+    first = np.empty((R, C), dtype=np.intp)
+    n = 0
+    for _, ix, at in pieces:
+        cnt = count[at]
+        first[at] = n + (np.cumsum(cnt) - cnt.ravel()).reshape(cnt.shape)
+        n += ix.size
+    sub, ts, q = (np.concatenate([getattr(ps, a)[ix] for ps, ix, _ in pieces])
+                  for a in ("sub", "ts", "q"))
+    return sub, ts, q, _runs(first.ravel(), count.ravel()), count.ravel()
 
 
 def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
-                   pairs: _PairSet, rows: np.ndarray, cols: np.ndarray,
+                   sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray,
                    mlp: MlpParams | None, e_vec: np.ndarray | None,
                    tape: bool = False):
     """Colors [P,3] for the pixel grid rows x cols, rays in row-major order,
@@ -282,25 +363,18 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
     kernel's tape, the fusion cache, and the rays' origin and direction
     components.
 
-    `pairs` is the `_PairSet` of a grid that holds the patch, built for
-    this scene's geometry: a whole view's, or the patch's own. The patch
-    takes its pixels' runs, contiguous along each of its rows, and runs the
-    renderer's kernel once over them, then the fusion head once over the
-    whole patch. Each ray composites only its own live pairs in their
-    order, so the colors match a render bitwise whatever grid the pairs
-    came from.
+    `sets` are `_PairSet`s built for this scene's geometry whose grids tile
+    a region holding the patch, each meeting it: the view's blocks that the
+    patch meets, or the patch's own. The patch takes its pixels' runs from
+    them (`_patch_pairs`) and runs the renderer's kernel once over them,
+    then the fusion head once over the whole patch. Each ray composites
+    only its own live pairs in their order, so the colors match a render
+    bitwise whatever grids the pairs came from.
     """
     dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
-    i0, j0 = int(rows[0]) - pairs.r0, int(cols[0]) - pairs.c0
-    count = pairs.count[i0:i0 + rows.size, j0:j0 + cols.size]
-    # patch row i's pairs are the run first[i]:first[i] + row_n[i]
-    row_n = count.sum(axis=1)
-    first = pairs.start[i0:i0 + rows.size, j0]
-    order = np.arange(row_n.sum()) + np.repeat(first - (np.cumsum(row_n) - row_n),
-                                               row_n)
     colors, _, _, *out = _composite(
-        scene, rcfg, (pairs.idx, pairs.ts, pairs.q, order, count.ravel()),
-        dx, dy, dz, fused_streams=mlp is not None, tape=tape)
+        scene, rcfg, _patch_pairs(sets, rows, cols), dx, dy, dz,
+        fused_streams=mlp is not None, tape=tape)
     cache = None
     if mlp is not None:
         colors, cache = fuse_forward_batch(
@@ -472,10 +546,13 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
             _, depth, _ = render(scene, cam, rcfg, workers=1)
             anchor_sets.append(select_anchors(depth_gradient(depth)))
 
-    # an appearance-only fit moves no splat, so each view's live pairs, their
-    # t and q and their order hold for the whole fit: built on the view's
-    # first patch, sliced by every later one
-    view_pairs: list[_PairSet | None] = [None] * len(cams)
+    # an appearance-only fit moves no splat, so the live pairs of each block
+    # of a view, their t and q and their order hold for the whole fit: built
+    # on the first patch that meets the block, sliced by every later one.
+    # That pays where a view's patches hold at least as many pixels as the
+    # view, as building every block then enumerates no more pixels than the
+    # patches would; a view visited less enumerates each patch afresh
+    view_sets: list[dict] = [{} for _ in cams]
     side = int(math.isqrt(cfg.rays_per_step))
     rng = np.random.default_rng(cfg.seed)
     state = (None, None, 0)
@@ -530,15 +607,11 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         e_vec = (None if live_mlp is None else
                  embed_camera(cam, cur_scene.center, cur_scene.radius,
                               live_mlp.d))
-        if geo is not None:
-            pairs = _grid_pairs(cur_scene, cam, rows, cols)
-        elif view_pairs[view] is None:
-            pairs = view_pairs[view] = _grid_pairs(
-                cur_scene, cam, np.arange(H, dtype=np.float64),
-                np.arange(W, dtype=np.float64))
-        else:
-            pairs = view_pairs[view]
-        colors, work = _patch_forward(cur_scene, cam, rcfg, pairs, rows, cols,
+        revisited = len(range(view, cfg.iters, len(cams))) * ph * pw >= H * W
+        sets = (_block_sets(cur_scene, cam, view_sets[view], r0, c0, ph, pw)
+                if geo is None and revisited
+                else _grid_pairs(cur_scene, cam, [(rows, cols)]))
+        colors, work = _patch_forward(cur_scene, cam, rcfg, sets, rows, cols,
                                       live_mlp, e_vec, tape=True)
         pred = _pred_for_loss(colors.reshape(ph, pw, 3), cfg)
         if not np.isfinite(pred).all():

@@ -19,10 +19,10 @@ from each splat's screen-space cutoff conic (`_conics`, built once per
 camera), a superset of the live pairs; `_live_ray_major` keeps the live
 ones and orders them, and `_composite` lays them out and composites them.
 `render` runs the three per block. The fit runs the first two once per
-grid, a whole view in an appearance-only fit, whose splats do not move, or
-each patch in a geometry fit, and composites each patch's slice of the
-result: a patch pixel matches the full image's bit for bit, and its
-gradients those of one call over every pair.
+grid, each block of a view in an appearance-only fit, whose splats do not
+move, or each patch in a geometry fit, and composites each patch's slices
+of the results: a patch pixel matches the full image's bit for bit, and
+its gradients those of one call over every pair.
 Each ray composites only its own live splats, ordered by t and then by
 splat index, so a ray's result does not depend on which other rays, or
 which dead pairs, share its call: a dead entry could only have added a

@@ -405,7 +405,7 @@ def test_tape_key_sees_a_t_order_swap(depth1, flips):
     def key_at(z0):
         scene = make_scene(mu=[(-0.05, 0.0, z0), (0.05, 0.0, depth1)], alpha=0.5)
         return cli._tape_key(_patch_forward(
-            scene, cam, rcfg, _grid_pairs(scene, cam, one, one), one, one,
+            scene, cam, rcfg, _grid_pairs(scene, cam, [(one, one)]), one, one,
             None, None, tape=True)[1])
 
     assert key_at(1.0 - 1e-5) == key_at(1.0)
@@ -424,7 +424,7 @@ def test_tape_key_sees_which_ray_holds_which_splats():
         mu = [1.0 * d[first], 1.5 * d[first], 1.0 * d[second]]
         scene = make_scene(mu=mu, sigma=0.01, alpha=0.5)
         return _patch_forward(scene, cam, RenderConfig(),
-                              _grid_pairs(scene, cam, rows, cols), rows, cols,
+                              _grid_pairs(scene, cam, [(rows, cols)]), rows, cols,
                               None, None, tape=True)[1]
 
     a, b = work(0, 1), work(1, 0)
@@ -444,7 +444,7 @@ def test_tape_key_sees_a_moved_termination():
     def work(alpha0):
         scene = make_scene(mu=mu, sigma=0.01, alpha=[alpha0] + [0.5] * 11)
         return _patch_forward(scene, cam, RenderConfig(),
-                              _grid_pairs(scene, cam, one, one), one, one,
+                              _grid_pairs(scene, cam, [(one, one)]), one, one,
                               None, None, tape=True)[1]
 
     a, b = work(0.5), work(0.4)

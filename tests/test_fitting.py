@@ -368,7 +368,7 @@ def test_patch_no_splat_reaches(small_random_scene, with_mlp):
     e_vec = embed_camera(cam, s.center, s.radius, 16) if with_mlp else None
     rcfg = RenderConfig()
     rows = cols = np.arange(8, dtype=np.float64)
-    colors, work = _patch_forward(s, cam, rcfg, _grid_pairs(s, cam, rows, cols),
+    colors, work = _patch_forward(s, cam, rcfg, _grid_pairs(s, cam, [(rows, cols)]),
                                   rows, cols, mlp, e_vec, tape=True)
     if not with_mlp:
         assert np.array_equal(colors, np.broadcast_to(s.background, (64, 3)))
@@ -415,7 +415,7 @@ def test_splats_behind_the_camera_change_no_patch_bit(seed, extra, with_mlp):
     gpix = rng.standard_normal((144, 3))
     outs = []
     for sc in (s, grown):
-        colors, work = _patch_forward(sc, cam, rcfg, _grid_pairs(sc, cam, rows, cols),
+        colors, work = _patch_forward(sc, cam, rcfg, _grid_pairs(sc, cam, [(rows, cols)]),
                                       rows, cols, mlp, e_vec, tape=True)
         geo = _Geometry(sc)
         outs.append((colors, _patch_backward(work, rcfg, gpix, mlp,
@@ -488,16 +488,18 @@ def _patch_case(draw):
     r0, c0 = draw(edge), draw(st.integers(0, 48 - pw))
     mode = draw(st.sampled_from(["physical", "fused", "no_disentangle",
                                  "no_anisotropy"]))
-    return s, cam, (r0, c0, ph, pw), mode, draw(st.booleans())
+    tile = draw(st.integers(4, 48))
+    return s, cam, (r0, c0, ph, pw), mode, draw(st.booleans()), tile
 
 
 @given(_patch_case())
 @settings(max_examples=60, deadline=None)
 def test_tiled_patch_matches_render_and_a_dense_tape(case):
     # the patch composites the pairs of its own grid, as a geometry fit
-    # enumerates them, or its slice of the whole view's, as an
-    # appearance-only fit reuses them
-    s, cam, (r0, c0, ph, pw), mode, with_geometry = case
+    # enumerates them, or its slices of the sets of the view's tile x tile
+    # blocks it meets, stored ray-major as an appearance-only fit keeps them
+    # or not (a tile of 48 is the whole view)
+    s, cam, (r0, c0, ph, pw), mode, with_geometry, tile = case
     rcfg = RenderConfig(disentangle=mode != "no_disentangle",
                         anisotropy_enabled=mode != "no_anisotropy")
     mlp = init_mlp(d=16, seed=1) if mode == "fused" else None
@@ -511,9 +513,13 @@ def test_tiled_patch_matches_render_and_a_dense_tape(case):
     geometry = (geo.rot, geo.log_eig) if with_geometry else None
     gpix = np.random.default_rng(ph * 41 + pw).standard_normal((ph * pw, 3))
     *dense, dense_mlp_g = _patch_backward(dense_work, rcfg, gpix, mlp, geometry)
-    whole = np.arange(48, dtype=np.float64)
-    for pairs in (_grid_pairs(s, cam, rows, cols), _grid_pairs(s, cam, whole, whole)):
-        colors, work = _patch_forward(s, cam, rcfg, pairs, rows, cols, mlp,
+    blocks = [(np.arange(r, min(r + tile, 48), dtype=np.float64),
+               np.arange(c, min(c + tile, 48), dtype=np.float64))
+              for r in range(r0 - r0 % tile, r0 + ph, tile)
+              for c in range(c0 - c0 % tile, c0 + pw, tile)]
+    for grids, ray_major in (([(rows, cols)], False), (blocks, True), (blocks, False)):
+        sets = _grid_pairs(s, cam, grids, ray_major)
+        colors, work = _patch_forward(s, cam, rcfg, sets, rows, cols, mlp,
                                       e_vec, tape=True)
         assert colors.tobytes() == dense_colors.tobytes()
         _assert_same_tape(work[1], dense_work[1])
@@ -526,12 +532,14 @@ def test_tiled_patch_matches_render_and_a_dense_tape(case):
 
 
 def test_patch_forward_culls_ray_splat_pairs(monkeypatch):
-    # the `fit` benchmark's recipe, shortened: 200 splats, 4 ring views at
-    # 64^2, a 32x32 patch per iteration. Each view's pair set holds the
-    # pairs `_pairs` enumerates for the whole view, built once, and nearly
-    # all of them are live (q within the cutoff, past the near plane); the
-    # full-image renders go through the renderer's own `_ray_geometry` and
-    # are not counted
+    # the `fit` benchmark's recipe: 200 splats, 4 ring views at 64^2, a
+    # 32x32 patch per iteration. Over 8 iterations each view's two patches
+    # hold half its pixels, so each patch enumerates its own pairs; over the
+    # benchmark's 40 each view is one COARSE_TILE block whose set holds the
+    # pairs `_pairs` enumerates for the whole view, built once. Either way
+    # nearly all of them are live (q within the cutoff, past the near
+    # plane); the full-image renders go through the renderer's own
+    # `_ray_geometry` and are not counted
     s = make_random_scene(200, seed=0, spread=0.3, sigma_range=(0.05, 0.12))
     cams = make_orbit_cameras(s.center, 2.5 * s.radius, 4, 0.3, "ring", 64, 64, 0.9)
     targets = _self_targets(s, cams, RenderConfig())
@@ -545,38 +553,64 @@ def test_patch_forward_culls_ray_splat_pairs(monkeypatch):
         return ts, q
 
     monkeypatch.setattr(fitting, "_ray_geometry", counted)
-    cfg = FitConfig(iters=8, rays_per_step=32 * 32, full_eval_every=0, seed=0)
-    fit_scene(_perturbed(s), targets, cfg)
-    pairs, live = np.sum(counts, axis=0)
-    assert 0 < live <= pairs <= 1.001 * live
+    for iters, calls in ((8, 8), (40, 4)):
+        counts.clear()
+        cfg = FitConfig(iters=iters, rays_per_step=32 * 32, full_eval_every=0,
+                        seed=0)
+        fit_scene(_perturbed(s), targets, cfg)
+        assert len(counts) == calls
+        pairs, live = np.sum(counts, axis=0)
+        assert 0 < live <= pairs <= 1.001 * live
 
 
 @pytest.mark.parametrize("with_mlp,ablation,geometry", [
     (False, (), False), (True, (), False), (False, ("no_anchoring",), False),
     (True, ("no_anchoring",), False), (False, (), True), (True, (), True)])
-def test_pair_sets_are_built_once_per_view_unless_geometry_moves(
-        monkeypatch, small_random_scene, with_mlp, ablation, geometry):
-    # 3 views of 16^2 and 8x8 patches over 7 iterations: an appearance-only
-    # fit builds each view's pair set once, whole, and slices every later
-    # patch of the view from it; a geometry fit moves the splats, so it
-    # enumerates each iteration's patch afresh and builds no view's set
+@pytest.mark.parametrize("iters", [9, 11, 24])
+def test_pair_sets_are_built_once_per_block_where_views_are_revisited(
+        monkeypatch, small_random_scene, with_mlp, ablation, geometry, iters):
+    # 3 views of 16^2 in 8x8 blocks, 8x8 patches round-robin. A view whose
+    # patches hold at least its 256 pixels (4 visits; 11 iterations give
+    # views 0 and 1 four and view 2 three) builds, in an appearance-only
+    # fit, the set of each of its blocks a patch meets once, on the first
+    # such patch, and slices every later patch from the sets. A view visited
+    # less, or any view of a geometry fit, which moves the splats,
+    # enumerates each iteration's patch afresh
+    monkeypatch.setattr(fitting, "COARSE_TILE", 8)
     s = small_random_scene
     cams = _views(s, n=3, res=16)
     targets = _self_targets(s, cams, RenderConfig())
-    grids = []
-    grid_pairs = fitting._grid_pairs
+    view_of = {id(cam): i for i, cam in enumerate(cams)}
+    built, met = [], set()
+    grid_pairs, patch_forward = fitting._grid_pairs, fitting._patch_forward
 
-    def counted(scene, cam, rows, cols):
-        grids.append((rows.size, cols.size))
-        return grid_pairs(scene, cam, rows, cols)
+    def counted_grids(scene, cam, grids, ray_major=False):
+        built.extend((view_of[id(cam)], int(r[0]), int(c[0]), r.size, c.size,
+                      ray_major) for r, c in grids)
+        return grid_pairs(scene, cam, grids, ray_major)
 
-    monkeypatch.setattr(fitting, "_grid_pairs", counted)
-    cfg = FitConfig(lr=1e-3, iters=7, rays_per_step=64, full_eval_every=0,
+    def counted_patches(scene, cam, rcfg, sets, rows, cols, *args, **kw):
+        view, r0, c0 = view_of[id(cam)], int(rows[0]), int(cols[0])
+        assert (rows.size, cols.size) == (8, 8)
+        met.update((view, r - r % 8, c - c % 8)
+                   for r in (r0, r0 + 7) for c in (c0, c0 + 7))
+        return patch_forward(scene, cam, rcfg, sets, rows, cols, *args, **kw)
+
+    monkeypatch.setattr(fitting, "_grid_pairs", counted_grids)
+    monkeypatch.setattr(fitting, "_patch_forward", counted_patches)
+    cfg = FitConfig(lr=1e-3, iters=iters, rays_per_step=64, full_eval_every=0,
                     seed=0, optimize_geometry=geometry, ablation=ablation)
     mlp = init_mlp(d=16, seed=4) if with_mlp else None
     _, _, report = fit_scene(_perturbed(s), targets, cfg, mlp=mlp)
-    assert len(report.trace) == 7
-    assert grids == ([(8, 8)] * 7 if geometry else [(16, 16)] * 3)
+    assert len(report.trace) == iters
+    visits = [len(range(v, iters, 3)) for v in range(3)]
+    keeps = [not geometry and n * 64 >= 256 for n in visits]
+    kept = [b for b in built if b[5]]
+    assert len(set(kept)) == len(kept)
+    assert {b[:3] for b in kept} == {m for m in met if keeps[m[0]]}
+    fresh = [b for b in built if not b[5]]
+    assert len(fresh) == sum(n for n, keep in zip(visits, keeps) if not keep)
+    assert all(b[3:5] == (8, 8) for b in built)
 
 
 def test_fit_geometry_recovers_jittered_centers():
