@@ -86,28 +86,28 @@ def select_anchors(grad, k: int = DEFAULT_K,
     rows, cols = np.divmod(np.arange(flat.size), W)
     order = np.lexsort((cols, rows, -flat))
     r2 = suppression_radius * suppression_radius
-    # each kept anchor stamps the pixels within the radius (the same integer
-    # test dr^2 + dc^2 < r2) into `blocked`, so a candidate costs one lookup;
-    # no offset larger than `reach` passes that test
+    # each kept anchor ORs the disc of offsets within the radius (the integer
+    # test dr^2 + dc^2 < r2) into `blocked`, padded by `reach` on every side
+    # so the disc never needs clipping, and a candidate costs one lookup; no
+    # offset larger than `reach` passes that test
     side = max(H, W)
     reach = math.ceil(suppression_radius) if suppression_radius < side else side
-    blocked = np.zeros((H, W), dtype=bool)
+    d = np.arange(-reach, reach + 1)
+    disc = d[:, None] * d[:, None] + d * d < r2
+    span = d.size
+    blocked = np.zeros((H + 2 * reach, W + 2 * reach), dtype=bool)
     sel_r: list[int] = []
     sel_c: list[int] = []
     sel_g: list[float] = []
     for rr, cc in zip(rows[order].tolist(), cols[order].tolist()):
-        if blocked[rr, cc]:
+        if blocked[rr + reach, cc + reach]:
             continue
         sel_r.append(rr)
         sel_c.append(cc)
         sel_g.append(float(g[rr, cc]))
         if len(sel_r) == k:
             break
-        r0, r1 = max(rr - reach, 0), min(rr + reach + 1, H)
-        c0, c1 = max(cc - reach, 0), min(cc + reach + 1, W)
-        dr = np.arange(r0 - rr, r1 - rr)[:, None]
-        dc = np.arange(c0 - cc, c1 - cc)
-        blocked[r0:r1, c0:c1] |= dr * dr + dc * dc < r2
+        blocked[rr:rr + span, cc:cc + span] |= disc
     gv = np.array(sel_g)
     x = -beta * gv
     e = np.exp(x - x.max())

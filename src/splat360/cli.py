@@ -29,13 +29,13 @@ from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
 from .ct import (DrrConfig, ProjectionGeometry, load_volume, read_volume_header,
                  render_drr)
 from .errors import CheckFailure, FormatError, NumericFailure
-from .fitting import (FitConfig, _Geometry, _grid_pairs, _patch_backward,
-                      _patch_forward, composite_loss, fit_scene)
+from .fitting import (FitConfig, _Geometry, _patch_backward, _patch_forward,
+                      composite_loss, fit_scene)
 from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
                      init_mlp, load_mlp, save_mlp)
 from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
 from .metrics import psnr, ssim
-from .renderer import TERMINATION_EPSILON, RenderConfig, render
+from .renderer import TERMINATION_EPSILON, RenderConfig, _grid_pairs, render
 from .scene import (Camera, Scene, load_scene, make_orbit_cameras,
                     make_random_scene, save_scene)
 

@@ -14,15 +14,18 @@ uniform positions unless the no_anchoring ablation is set.
 
 The patch forward pass runs the renderer's kernel once over the patch's
 slice of one or more `_PairSet`s: the live ray x splat pairs of a pixel
-grid, which the renderer's `_pairs` enumerates from the camera's `_conics`
-as `render` does per block, with their ray-major order. An appearance-only
-fit never moves a splat, so where a target view's patches over the fit hold
-at least as many pixels as the view, the set of each of its COARSE_TILE
-blocks is built once, on the first patch that meets the block, and kept
-until the fit returns; a geometry fit, or a view visited less, builds each
-iteration's patch's own. The full-image evaluations (every full_eval_every
-iterations and the final per-view report) call `render`, with the fusion
-head when an MLP is fitted.
+grid, which the renderer's `_grid_pairs` enumerates from the camera's
+`_conics` as `render` does per block, with their ray-major order and their
+rays' directions. An appearance-only fit never moves a splat, so where a
+target view's patches over the fit hold at least as many pixels as the
+view, the set of each of its COARSE_TILE blocks is built once, on the first
+full view or patch that meets the block, and kept until the fit returns;
+every later patch is sliced from the sets, and every full view (the
+anchor depth, each full_eval_every evaluation and the final per-view
+report) composites them through `_render_sets`, which runs `render`'s own
+block function and image assembly, with the fusion head when an MLP is
+fitted. A geometry fit, or a view visited less, builds each iteration's
+patch's own set and calls `render` for its full views.
 So a fit initialized at the scene that produced its targets measures a loss
 of exactly zero and no parameter moves.
 """
@@ -40,9 +43,9 @@ from .errors import NumericFailure
 from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch, fusion_input)
 from .metrics import psnr, ssim, ssim_with_grad
-from .renderer import (COARSE_TILE, RenderConfig, _composite, _conics,
-                       _last_slots, _live_ray_major, _origin_terms, _pairs,
-                       _ray_geometry, _scan_ranks, render)
+from .renderer import (RenderConfig, _PairSet, _block_grids, _coarse_blocks,
+                       _composite, _grid_pairs, _last_slots, _ray_geometry,
+                       _render_sets, _scan_ranks, render)
 from .scene import Camera, ImageBuffer, Scene, image_array
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
@@ -239,75 +242,20 @@ class _Geometry:
 # ---------------------------------------------------------------------------
 # patch forward/backward through the compositing kernel
 
-@dataclass
-class _PairSet:
-    """The live ray x splat pairs of a pixel grid: what the kernel reads of
-    each pair (splat index, t of peak weight, squared Mahalanobis distance q
-    there), and `order`, which lists them ray-major: the pixels row after
-    row, each pixel's pairs one run in t order and then by splat index.
-    `order` is None where the arrays are in that order themselves. start
-    and count give each pixel's run in the ray-major listing."""
-
-    sub: np.ndarray     # splat of each pair
-    ts: np.ndarray
-    q: np.ndarray
-    order: np.ndarray | None
-    start: np.ndarray   # [R, C]
-    count: np.ndarray   # [R, C]
-    r0: int             # the grid's first row and column
-    c0: int
-
-
-def _grid_pairs(scene: Scene, cam: Camera, grids,
-                ray_major: bool = False) -> list[_PairSet]:
-    """The `_PairSet` of each pixel grid (rows, cols) in `grids`, both runs
-    of consecutive pixel indices: the pairs `_pairs` enumerates for it from
-    the camera's `_conics`, built once for all the grids, kept where live
-    and put in order by the kernel's own front end (`_live_ray_major`).
-
-    With `ray_major` the pairs are gathered into their order once, for a
-    set that many patches slice: it holds no `order`, each slice indexes
-    its arrays directly, and its integers are int32 to keep it small.
-    Without, a set sliced once is not gathered twice.
-    """
-    ot = _origin_terms(scene, cam.position)
-    conics = _conics(scene, cam, ot)
-    sets = []
-    for rows, cols in grids:
-        dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
-        ray, sub = _pairs(conics, cam, rows, cols)
-        sub, ts, q, order, count = _live_ray_major(
-            ray, sub, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
-            cam.near, dx.size)
-        start = np.cumsum(count) - count
-        if ray_major:
-            sub, ts, q = sub.astype(np.int32)[order], ts[order], q[order]
-            order = None
-            start, count = start.astype(np.int32), count.astype(np.int32)
-        shape = (rows.size, cols.size)
-        sets.append(_PairSet(sub=sub, ts=ts, q=q, order=order,
-                             start=start.reshape(shape),
-                             count=count.reshape(shape), r0=int(rows[0]),
-                             c0=int(cols[0])))
-    return sets
-
-
 def _block_sets(scene: Scene, cam: Camera, built: dict, r0: int, c0: int,
                 ph: int, pw: int) -> list[_PairSet]:
-    """The `_PairSet`s of the COARSE_TILE blocks of cam's view that the
-    ph x pw patch at (r0, c0) meets. `built` holds the view's sets by their
-    block's first pixel; the ones missing are built, in one `_grid_pairs`
-    call, and added."""
-    T = COARSE_TILE
-    keys = [(r, c) for r in range(r0 - r0 % T, r0 + ph, T)
-            for c in range(c0 - c0 % T, c0 + pw, T)]
-    new = [k for k in keys if k not in built]
+    """The `_PairSet`s of the `_coarse_blocks` of cam's view that the ph x pw
+    patch at (r0, c0) meets, in that order: with the whole view, every
+    block's set, as `_render_sets` takes them. `built` holds the view's sets
+    by block; the ones missing are built, in one `_grid_pairs` call, and
+    added."""
+    blocks = [b for b in _coarse_blocks(cam.height, cam.width)
+              if b[0] < r0 + ph and r0 < b[1] and b[2] < c0 + pw and c0 < b[3]]
+    new = [b for b in blocks if b not in built]
     if new:
-        grids = [(np.arange(r, min(r + T, cam.height), dtype=np.float64),
-                  np.arange(c, min(c + T, cam.width), dtype=np.float64))
-                 for r, c in new]
-        built.update(zip(new, _grid_pairs(scene, cam, grids, ray_major=True)))
-    return [built[k] for k in keys]
+        built.update(zip(new, _grid_pairs(scene, cam, _block_grids(new),
+                                          ray_major=True, geometry=_ray_geometry)))
+    return [built[b] for b in blocks]
 
 
 def _runs(first: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -316,18 +264,20 @@ def _runs(first: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _patch_pairs(sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray):
-    """`_composite`'s live tuple for the pixel grid rows x cols, from the
-    `_PairSet`s whose grids tile a region holding it, each meeting it.
+    """`_composite`'s live tuple for the pixel grid rows x cols, and its
+    rays' directions (dx, dy, dz), from the `_PairSet`s whose grids tile a
+    region holding it, each meeting it.
 
     A set's pairs of the grid are runs of its ray-major listing, one along
-    each row of their overlap. From one set, the tuple indexes that set's
-    arrays, so the kernel gathers each pair once. From several, each set's
-    pairs are gathered, set after set, and the tuple's order indexes that
-    concatenation.
+    each row of their overlap, and its directions there are a window of its
+    `dirs`. From one set, the tuple indexes that set's arrays, so the kernel
+    gathers each pair once. From several, each set's pairs are gathered,
+    set after set, and the tuple's order indexes that concatenation.
     """
     R, C = rows.size, cols.size
     r0, c0 = int(rows[0]), int(cols[0])
     count = np.empty((R, C), dtype=np.intp)
+    dirs = np.empty((3, R, C))
     pieces = []
     for ps in sets:
         gr, gc = ps.count.shape
@@ -336,11 +286,14 @@ def _patch_pairs(sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray):
         win = np.s_[i0 - ps.r0:i1 - ps.r0, j0 - ps.c0:j1 - ps.c0]
         at = np.s_[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
         count[at] = ps.count[win]
+        for d, grid_d in zip(dirs, ps.dirs):
+            d[at] = grid_d[win]
         runs = _runs(ps.start[win][:, 0], count[at].sum(axis=1))
         pieces.append((ps, runs if ps.order is None else ps.order[runs], at))
+    dirs = tuple(dirs.reshape(3, -1))
     if len(pieces) == 1:
         ps, order, _ = pieces[0]
-        return ps.sub, ps.ts, ps.q, order, count.ravel()
+        return (ps.sub, ps.ts, ps.q, order, count.ravel()), dirs
     # a pixel's run starts at its piece's offset in the concatenation plus
     # the run's place in the piece, which is ray-major over the overlap
     first = np.empty((R, C), dtype=np.intp)
@@ -351,7 +304,7 @@ def _patch_pairs(sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray):
         n += ix.size
     sub, ts, q = (np.concatenate([getattr(ps, a)[ix] for ps, ix, _ in pieces])
                   for a in ("sub", "ts", "q"))
-    return sub, ts, q, _runs(first.ravel(), count.ravel()), count.ravel()
+    return (sub, ts, q, _runs(first.ravel(), count.ravel()), count.ravel()), dirs
 
 
 def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
@@ -365,16 +318,15 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
 
     `sets` are `_PairSet`s built for this scene's geometry whose grids tile
     a region holding the patch, each meeting it: the view's blocks that the
-    patch meets, or the patch's own. The patch takes its pixels' runs from
-    them (`_patch_pairs`) and runs the renderer's kernel once over them,
-    then the fusion head once over the whole patch. Each ray composites
-    only its own live pairs in their order, so the colors match a render
-    bitwise whatever grids the pairs came from.
+    patch meets, or the patch's own. The patch takes its pixels' runs and
+    ray directions from them (`_patch_pairs`) and runs the renderer's
+    kernel once over them, then the fusion head once over the whole patch.
+    Each ray composites only its own live pairs in their order, so the
+    colors match a render bitwise whatever grids the pairs came from.
     """
-    dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
+    live, (dx, dy, dz) = _patch_pairs(sets, rows, cols)
     colors, _, _, *out = _composite(
-        scene, rcfg, _patch_pairs(sets, rows, cols), dx, dy, dz,
-        fused_streams=mlp is not None, tape=tape)
+        scene, rcfg, live, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
     cache = None
     if mlp is not None:
         colors, cache = fuse_forward_batch(
@@ -537,23 +489,34 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     n_app, n_geo = theta_app.size, theta_geo.size
     theta = np.concatenate([theta_app, theta_geo, theta_mlp])
 
+    # an appearance-only fit moves no splat, so the live pairs of each block
+    # of a view, their t and q, their order and their rays hold for the whole
+    # fit. Where a view's patches over the fit hold at least as many pixels
+    # as the view, every block's set is built once, on the first full view
+    # or patch that meets the block, and every later patch and full view of
+    # the view is sliced or composited from the sets; a view visited less
+    # enumerates each patch afresh and renders each full view
+    side = int(math.isqrt(cfg.rays_per_step))
+    keeps = [geo is None and len(range(v, cfg.iters, len(cams)))
+             * min(side, cam.height) * min(side, cam.width) >= cam.height * cam.width
+             for v, cam in enumerate(cams)]
+    view_sets: list[dict] = [{} for _ in cams]
+
+    def full_view(view, scene, mlp):
+        """`render(scene, cams[view], rcfg, mlp=mlp)`'s images."""
+        cam = cams[view]
+        if not keeps[view]:
+            return render(scene, cam, rcfg, workers=1, mlp=mlp)
+        return _render_sets(scene, cam, rcfg, mlp, _block_sets(
+            scene, cam, view_sets[view], 0, 0, cam.height, cam.width))
+
     anchor_sets: list[AnchorSet | None]
     if "no_anchoring" in cfg.ablation:
         anchor_sets = [None] * len(cams)
     else:
-        anchor_sets = []
-        for cam in cams:
-            _, depth, _ = render(scene, cam, rcfg, workers=1)
-            anchor_sets.append(select_anchors(depth_gradient(depth)))
+        anchor_sets = [select_anchors(depth_gradient(full_view(v, scene, None)[1]))
+                       for v in range(len(cams))]
 
-    # an appearance-only fit moves no splat, so the live pairs of each block
-    # of a view, their t and q and their order hold for the whole fit: built
-    # on the first patch that meets the block, sliced by every later one.
-    # That pays where a view's patches hold at least as many pixels as the
-    # view, as building every block then enumerates no more pixels than the
-    # patches would; a view visited less enumerates each patch afresh
-    view_sets: list[dict] = [{} for _ in cams]
-    side = int(math.isqrt(cfg.rays_per_step))
     rng = np.random.default_rng(cfg.seed)
     state = (None, None, 0)
     trace: list[float] = []
@@ -576,9 +539,9 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         """(composite loss, compared image, SSIM) of each view's full render;
         the SSIM is None where the loss has no SSIM term."""
         out = []
-        for cam, tgt in zip(cams, targets_arr):
+        for view, tgt in enumerate(targets_arr):
             try:
-                img, _, _ = render(scene, cam, rcfg, workers=1, mlp=mlp)
+                img, _, _ = full_view(view, scene, mlp)
                 pred = _pred_for_loss(img.data, cfg)
                 # composite_loss's terms, keeping the SSIM for the report
                 loss, _ = composite_loss(pred, tgt, cfg.lambda_mse, 0.0,
@@ -607,10 +570,9 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         e_vec = (None if live_mlp is None else
                  embed_camera(cam, cur_scene.center, cur_scene.radius,
                               live_mlp.d))
-        revisited = len(range(view, cfg.iters, len(cams))) * ph * pw >= H * W
         sets = (_block_sets(cur_scene, cam, view_sets[view], r0, c0, ph, pw)
-                if geo is None and revisited
-                else _grid_pairs(cur_scene, cam, [(rows, cols)]))
+                if keeps[view] else
+                _grid_pairs(cur_scene, cam, [(rows, cols)], geometry=_ray_geometry))
         colors, work = _patch_forward(cur_scene, cam, rcfg, sets, rows, cols,
                                       live_mlp, e_vec, tape=True)
         pred = _pred_for_loss(colors.reshape(ph, pw, 3), cfg)

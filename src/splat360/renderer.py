@@ -13,16 +13,20 @@ Henyey-Greenstein lobe normalized so f = 1 when g = 0.
 Bit-determinism: every color-producing path (image blocks, with or without
 the fusion head; single rays and their sample lists; the fit's patch
 forward pass) runs the one kernel `_composite` itself, not a copy of it. A
-full image, physical or fused, comes only from `render`'s block loop.
+full image, physical or fused, comes only from `_render_blocks`, one kernel
+call per COARSE_TILE block, and `_view_images`, which assembles the blocks.
 The ray x splat pairs come from `_pairs`, which enumerates a pixel grid's
 from each splat's screen-space cutoff conic (`_conics`, built once per
 camera), a superset of the live pairs; `_live_ray_major` keeps the live
 ones and orders them, and `_composite` lays them out and composites them.
-`render` runs the three per block. The fit runs the first two once per
-grid, each block of a view in an appearance-only fit, whose splats do not
-move, or each patch in a geometry fit, and composites each patch's slices
-of the results: a patch pixel matches the full image's bit for bit, and
-its gradients those of one call over every pair.
+`_pair_sets` runs the first two for each grid and keeps the result, with
+the grid's ray directions, as a `_PairSet`. `render` builds one per block
+and composites it at once. An appearance-only fit, whose splats do not
+move, keeps each block's set of a view it revisits and composites each of
+its full views from them (`_render_sets`) and each patch from its slices
+of them; a geometry fit builds each patch's own. A patch pixel matches the
+full image's bit for bit, and its gradients those of one call over every
+pair.
 Each ray composites only its own live splats, ordered by t and then by
 splat index, so a ray's result does not depend on which other rays, or
 which dead pairs, share its call: a dead entry could only have added a
@@ -560,30 +564,115 @@ def _pairs(conics, cam, rows, cols):
     return ray, sub
 
 
-def _render_coarse_block(scene, cam, cfg, ot, conics, head, r0, r1, c0, c1):
-    """Render one coarse block: `_pairs` enumerates it from the camera's
-    `conics`, then one kernel call composites every pixel of it.
+@dataclass
+class _PairSet:
+    """The live ray x splat pairs of a pixel grid of one camera, for one
+    scene geometry: what the kernel reads of each pair (splat index, t of
+    peak weight, squared Mahalanobis distance q there), and `order`, which
+    lists them ray-major: the pixels row after row, each pixel's pairs one
+    run in t order and then by splat index. `order` is None where the
+    arrays are in that order themselves. start and count give each pixel's
+    run in the ray-major listing, and `dirs` the unit direction of each
+    pixel's ray (`Camera.pixel_dirs`, elementwise, so any window of it has
+    the bits of the window's own call). A set depends on the scene's
+    geometry only, so one built for a scene composites any appearance of
+    it: `_render_blocks` composites a set's whole grid, the fit's
+    `_patch_pairs` any window of one or more sets."""
 
-    `head` is None for physical color, else (MlpParams, embedding vector): the
-    fusion head then runs once over the block's per-pixel streams (its rows
-    are independent) and its output replaces the color.
+    sub: np.ndarray     # splat of each pair
+    ts: np.ndarray
+    q: np.ndarray
+    order: np.ndarray | None
+    start: np.ndarray   # [R, C]
+    count: np.ndarray   # [R, C]
+    dirs: tuple         # (dx, dy, dz), each [R, C]
+    r0: int             # the grid's first row and column
+    c0: int
+
+
+def _pair_sets(scene, cam, grids, ray_major: bool = False, geometry=None):
+    """An iterator over the `_PairSet` of each pixel grid (rows, cols) in
+    `grids`, both runs of consecutive pixel indices: the pairs `_pairs`
+    enumerates for it from the camera's `_conics`, built here once for all
+    the grids, kept where live and put in order by the kernel's own front
+    end (`_live_ray_major`). Each set is built when it is asked for, so a
+    caller that composites each before the next holds one at a time.
+
+    With `ray_major` the pairs are gathered into their order once, for a
+    set that is kept and composited many times: it holds no `order`, each
+    slice indexes its arrays directly, and its integers are int32 to keep
+    it small. Without, a set composited once is not gathered twice.
+    `geometry`, by default this module's `_ray_geometry`, is the one the
+    caller looks up, so a fit's pair work shows at the fit's own import.
     """
-    rows = np.arange(r0, r1, dtype=np.float64)
-    cols = np.arange(c0, c1, dtype=np.float64)
-    dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
-    ray, sub = _pairs(conics, cam, rows, cols)
-    color, depth, trans, *streams = _composite(
-        scene, cfg, _live_ray_major(
-            ray, sub, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
-            cam.near, dx.size),
-        dx, dy, dz, fused_streams=head is not None)
-    if head is not None:
-        mlp, e_vec = head
-        color = fuse_forward_batch(
-            fusion_input(*streams, e_vec, np.stack([dx, dy, dz], axis=1)), mlp)
-    shape = (rows.size, cols.size)
-    return (color.reshape(shape + (3,)), depth.reshape(shape + (1,)),
-            trans.reshape(shape + (1,)))
+    geometry = _ray_geometry if geometry is None else geometry
+    ot = _origin_terms(scene, cam.position)
+    conics = _conics(scene, cam, ot)
+
+    def build(rows, cols):
+        dirs = cam.pixel_dirs(rows[:, None], cols[None, :])
+        dx, dy, dz = (a.ravel() for a in dirs)
+        ray, sub = _pairs(conics, cam, rows, cols)
+        sub, ts, q, order, count = _live_ray_major(
+            ray, sub, geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
+            cam.near, dx.size)
+        start = np.cumsum(count) - count
+        if ray_major:
+            sub, ts, q = sub.astype(np.int32)[order], ts[order], q[order]
+            order = None
+            start, count = start.astype(np.int32), count.astype(np.int32)
+        shape = (rows.size, cols.size)
+        return _PairSet(sub=sub, ts=ts, q=q, order=order,
+                        start=start.reshape(shape), count=count.reshape(shape),
+                        dirs=dirs, r0=int(rows[0]), c0=int(cols[0]))
+
+    return (build(rows, cols) for rows, cols in grids)
+
+
+def _grid_pairs(scene, cam, grids, ray_major: bool = False,
+                geometry=None) -> list[_PairSet]:
+    """`_pair_sets` as a list: every set is built within this call, which
+    is where a traced fit then counts the building."""
+    return list(_pair_sets(scene, cam, grids, ray_major, geometry))
+
+
+def _fusion_head(scene, cam, mlp):
+    """`_render_blocks`' head for cam's frame: None for physical color, else
+    (mlp, the frame's camera embedding)."""
+    return (None if mlp is None else
+            (mlp, embed_camera(cam, scene.center, scene.radius, mlp.d)))
+
+
+def _render_blocks(scene, cfg, head, sets) -> list:
+    """(color, depth, transmittance) images of each `_PairSet`'s whole grid,
+    in turn, from one kernel call over its pairs.
+
+    `head` is None for physical color, else (MlpParams, embedding vector):
+    the fusion head then runs once over each grid's per-pixel streams (its
+    rows are independent) and its output replaces the color. The kernel
+    gets a set's pairs as their only reference, unless the caller keeps the
+    set, so it frees those of a set built as it is asked for (`render`'s)
+    as it goes: held through the call, they made a `render` frame about 4%
+    slower.
+    """
+    out = []
+    for ps in sets:
+        dx, dy, dz = (a.ravel() for a in ps.dirs)
+        shape = ps.count.shape
+        # popped into the call, so no name here holds the pairs meanwhile
+        live = [(ps.sub, ps.ts, ps.q,
+                 np.arange(ps.sub.size) if ps.order is None else ps.order,
+                 ps.count.ravel())]
+        del ps
+        color, depth, trans, *streams = _composite(
+            scene, cfg, live.pop(), dx, dy, dz, fused_streams=head is not None)
+        if head is not None:
+            mlp, e_vec = head
+            color = fuse_forward_batch(
+                fusion_input(*streams, e_vec, np.stack([dx, dy, dz], axis=1)), mlp)
+        out.append((color.reshape(shape + (3,)), depth.reshape(shape + (1,)),
+                    trans.reshape(shape + (1,))))
+    return out
 
 
 def _coarse_blocks(height: int, width: int):
@@ -592,11 +681,30 @@ def _coarse_blocks(height: int, width: int):
             for c in range(0, width, COARSE_TILE)]
 
 
+def _block_grids(blocks) -> list:
+    """The (rows, cols) pixel grid of each (r0, r1, c0, c1) block."""
+    return [(np.arange(r0, r1, dtype=np.float64), np.arange(c0, c1, dtype=np.float64))
+            for r0, r1, c0, c1 in blocks]
+
+
 def _worker_render(payload):
-    scene, cam, cfg, ot, head, blocks = payload
-    conics = _conics(scene, cam, ot)
-    return [_render_coarse_block(scene, cam, cfg, ot, conics, head, *block)
-            for block in blocks]
+    scene, cam, cfg, head, blocks = payload
+    return _render_blocks(scene, cfg, head,
+                          _pair_sets(scene, cam, _block_grids(blocks)))
+
+
+def _view_images(cam, blocks, results):
+    """The color, depth and transmittance images of cam's view from its
+    `_coarse_blocks` and their `_render_blocks` results."""
+    H, W = cam.height, cam.width
+    color = np.empty((H, W, 3))
+    depth = np.empty((H, W, 1))
+    trans = np.empty((H, W, 1))
+    for (r0, r1, c0, c1), (cb, db, tb) in zip(blocks, results):
+        color[r0:r1, c0:c1] = cb
+        depth[r0:r1, c0:c1] = db
+        trans[r0:r1, c0:c1] = tb
+    return ImageBuffer(color), ImageBuffer(depth), ImageBuffer(trans)
 
 
 def _spans(n: int, workers: int, unit: int = 1) -> list:
@@ -662,21 +770,19 @@ def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
     process; more go to `_pool_for`'s fork pool, one worker per payload.
     """
     cfg = cfg if cfg is not None else RenderConfig()
-    H, W = cam.height, cam.width
-    blocks = _coarse_blocks(H, W)
-    ot = _origin_terms(scene, cam.position)
-    head = (None if mlp is None else
-            (mlp, embed_camera(cam, scene.center, scene.radius, mlp.d)))
-    payloads = [(scene, cam, cfg, ot, head, blocks[lo:hi])
+    blocks = _coarse_blocks(cam.height, cam.width)
+    head = _fusion_head(scene, cam, mlp)
+    payloads = [(scene, cam, cfg, head, blocks[lo:hi])
                 for lo, hi in _spans(len(blocks), workers)]
     outs = (_pool_for(len(payloads)).map(_worker_render, payloads)
             if len(payloads) > 1 else [_worker_render(payloads[0])])
-    results = [blk for out in outs for blk in out]
-    color = np.empty((H, W, 3))
-    depth = np.empty((H, W, 1))
-    trans = np.empty((H, W, 1))
-    for (r0, r1, c0, c1), (cb, db, tb) in zip(blocks, results):
-        color[r0:r1, c0:c1] = cb
-        depth[r0:r1, c0:c1] = db
-        trans[r0:r1, c0:c1] = tb
-    return ImageBuffer(color), ImageBuffer(depth), ImageBuffer(trans)
+    return _view_images(cam, blocks, [blk for out in outs for blk in out])
+
+
+def _render_sets(scene: Scene, cam: Camera, cfg: RenderConfig, mlp, sets):
+    """`render(scene, cam, cfg, mlp=mlp)`'s images, bit for bit, composited
+    from `sets`: the `_PairSet`s of cam's `_coarse_blocks`, in that order,
+    built for scene's geometry (an appearance-only fit's kept sets)."""
+    return _view_images(cam, _coarse_blocks(cam.height, cam.width),
+                        _render_blocks(scene, cfg, _fusion_head(scene, cam, mlp),
+                                       sets))

@@ -138,6 +138,30 @@ def test_suppression_matches_brute_force(g, k, radius):
     assert [a.grad_mag for a in aset.anchors] == [g[a.row, a.col] for a in aset.anchors]
 
 
+@st.composite
+def _tied_maps(draw):
+    # up to 24x24, magnitudes from a few levels so most pixels tie, radii
+    # from none through the suppression default to past the image side
+    H, W = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    levels = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
+    g = draw(hnp.arrays(np.float64, (H, W), elements=st.sampled_from(levels)))
+    side = max(H, W)
+    radius = draw(st.sampled_from([0.0, 0.5, 5.0, float(side), side + 0.5,
+                                   2.0 * side, math.inf]))
+    return g, draw(st.integers(1, 80)), radius
+
+
+@given(_tied_maps())
+@settings(max_examples=150, deadline=None)
+def test_select_anchors_equals_a_plain_loop(case):
+    # the padded map ORs one disc per kept anchor; the plain loop measures
+    # every candidate's distance to every kept anchor
+    g, k, radius = case
+    aset = select_anchors(g, k=k, suppression_radius=radius, beta=1.0)
+    assert [(a.row, a.col) for a in aset.anchors] == _brute_force_anchors(g, k, radius)
+    assert [a.grad_mag for a in aset.anchors] == [g[a.row, a.col] for a in aset.anchors]
+
+
 @given(st.integers(0, 10 ** 6), st.floats(-2.0, 2.0))
 @settings(max_examples=60, deadline=None)
 def test_probs_normalized(seed, beta):

@@ -17,8 +17,8 @@ from splat360 import (Camera, RenderConfig, cli, init_mlp, load_mlp, load_pfm,
                       make_random_scene, make_sphere_phantom, save_pfm,
                       save_scene, save_volume)
 from splat360.cli import main
-from splat360.fitting import _grid_pairs, _patch_forward
-from splat360.renderer import _shutdown_pools
+from splat360.fitting import _patch_forward
+from splat360.renderer import _grid_pairs, _shutdown_pools
 
 
 @pytest.fixture

@@ -13,14 +13,14 @@ from splat360 import (AnchorPoint, AnchorSet, Camera, FitConfig, NumericFailure,
                       RenderConfig, Scene, adam_step, composite_loss,
                       embed_camera, fit_scene, init_mlp, make_orbit_cameras,
                       make_random_scene, render, scene_to_json, ssim,
-                      validate_scene)
-from splat360 import fitting, metrics
+                      select_anchors, validate_scene)
+from splat360 import fitting, metrics, renderer
 from splat360 import scene as scene_module
-from splat360.fitting import (_Geometry, _grid_pairs, _patch_backward,
-                              _patch_forward, _patch_origin)
+from splat360.fitting import (_Geometry, _patch_backward, _patch_forward,
+                              _patch_origin)
 from splat360.fusion import fuse_forward_batch, fusion_input
-from splat360.renderer import (_all_pairs, _composite, _live_ray_major,
-                               _origin_terms, _ray_geometry)
+from splat360.renderer import (_all_pairs, _composite, _grid_pairs,
+                               _live_ray_major, _origin_terms, _ray_geometry)
 
 
 def _views(scene, n=2, res=16):
@@ -536,10 +536,11 @@ def test_patch_forward_culls_ray_splat_pairs(monkeypatch):
     # 32x32 patch per iteration. Over 8 iterations each view's two patches
     # hold half its pixels, so each patch enumerates its own pairs; over the
     # benchmark's 40 each view is one COARSE_TILE block whose set holds the
-    # pairs `_pairs` enumerates for the whole view, built once. Either way
-    # nearly all of them are live (q within the cutoff, past the near
-    # plane); the full-image renders go through the renderer's own
-    # `_ray_geometry` and are not counted
+    # pairs `_pairs` enumerates for the whole view, built once, on its
+    # anchor render. Either way nearly all of them are live (q within the
+    # cutoff, past the near plane); the fit's own pair sets go through its
+    # import of `_ray_geometry`, and the 8-iteration fit's full-image
+    # renders through the renderer's, which is not counted
     s = make_random_scene(200, seed=0, spread=0.3, sigma_range=(0.05, 0.12))
     cams = make_orbit_cameras(s.center, 2.5 * s.radius, 4, 0.3, "ring", 64, 64, 0.9)
     targets = _self_targets(s, cams, RenderConfig())
@@ -569,48 +570,124 @@ def test_patch_forward_culls_ray_splat_pairs(monkeypatch):
 @pytest.mark.parametrize("iters", [9, 11, 24])
 def test_pair_sets_are_built_once_per_block_where_views_are_revisited(
         monkeypatch, small_random_scene, with_mlp, ablation, geometry, iters):
-    # 3 views of 16^2 in 8x8 blocks, 8x8 patches round-robin. A view whose
-    # patches hold at least its 256 pixels (4 visits; 11 iterations give
-    # views 0 and 1 four and view 2 three) builds, in an appearance-only
-    # fit, the set of each of its blocks a patch meets once, on the first
-    # such patch, and slices every later patch from the sets. A view visited
+    # 3 views of 16^2 in 8x8 blocks, 8x8 patches round-robin, a full-view
+    # evaluation every 5 iterations. A view whose patches hold at least its
+    # 256 pixels (4 visits; 11 iterations give views 0 and 1 four and view
+    # 2 three) builds, in an appearance-only fit, the set of each of its
+    # blocks once, on the first full view or patch that meets the block, and
+    # composites every later patch and full view from the sets: `_pairs`
+    # enumerates each of its blocks once in the whole fit. A view visited
     # less, or any view of a geometry fit, which moves the splats,
-    # enumerates each iteration's patch afresh
-    monkeypatch.setattr(fitting, "COARSE_TILE", 8)
+    # enumerates each iteration's patch afresh and each full view in
+    # `render`'s blocks
+    monkeypatch.setattr(renderer, "COARSE_TILE", 8)
     s = small_random_scene
     cams = _views(s, n=3, res=16)
     targets = _self_targets(s, cams, RenderConfig())
     view_of = {id(cam): i for i, cam in enumerate(cams)}
-    built, met = [], set()
-    grid_pairs, patch_forward = fitting._grid_pairs, fitting._patch_forward
+    built, enumerated = [], []
+    grid_pairs, pairs = fitting._grid_pairs, renderer._pairs
 
-    def counted_grids(scene, cam, grids, ray_major=False):
+    def counted_grids(scene, cam, grids, ray_major=False, **kw):
         built.extend((view_of[id(cam)], int(r[0]), int(c[0]), r.size, c.size,
                       ray_major) for r, c in grids)
-        return grid_pairs(scene, cam, grids, ray_major)
+        return grid_pairs(scene, cam, grids, ray_major, **kw)
 
-    def counted_patches(scene, cam, rcfg, sets, rows, cols, *args, **kw):
-        view, r0, c0 = view_of[id(cam)], int(rows[0]), int(cols[0])
-        assert (rows.size, cols.size) == (8, 8)
-        met.update((view, r - r % 8, c - c % 8)
-                   for r in (r0, r0 + 7) for c in (c0, c0 + 7))
-        return patch_forward(scene, cam, rcfg, sets, rows, cols, *args, **kw)
+    def counted_pairs(conics, cam, rows, cols):
+        enumerated.append((view_of[id(cam)], int(rows[0]), int(cols[0])))
+        return pairs(conics, cam, rows, cols)
 
     monkeypatch.setattr(fitting, "_grid_pairs", counted_grids)
-    monkeypatch.setattr(fitting, "_patch_forward", counted_patches)
-    cfg = FitConfig(lr=1e-3, iters=iters, rays_per_step=64, full_eval_every=0,
+    monkeypatch.setattr(renderer, "_pairs", counted_pairs)
+    cfg = FitConfig(lr=1e-3, iters=iters, rays_per_step=64, full_eval_every=5,
                     seed=0, optimize_geometry=geometry, ablation=ablation)
     mlp = init_mlp(d=16, seed=4) if with_mlp else None
     _, _, report = fit_scene(_perturbed(s), targets, cfg, mlp=mlp)
     assert len(report.trace) == iters
     visits = [len(range(v, iters, 3)) for v in range(3)]
     keeps = [not geometry and n * 64 >= 256 for n in visits]
+    blocks = {(r, c) for r in (0, 8) for c in (0, 8)}
     kept = [b for b in built if b[5]]
     assert len(set(kept)) == len(kept)
-    assert {b[:3] for b in kept} == {m for m in met if keeps[m[0]]}
+    assert {b[:3] for b in kept} == {(v,) + rc for v in range(3) if keeps[v]
+                                     for rc in blocks}
     fresh = [b for b in built if not b[5]]
     assert len(fresh) == sum(n for n, keep in zip(visits, keeps) if not keep)
     assert all(b[3:5] == (8, 8) for b in built)
+    renders = (not ablation) + iters // 5 + 1
+    for v in range(3):
+        calls = [e for e in enumerated if e[0] == v]
+        if keeps[v]:
+            assert sorted(calls) == sorted((v,) + rc for rc in blocks)
+        else:
+            assert len(calls) == visits[v] + 4 * renders
+
+
+@st.composite
+def _full_view_case(draw):
+    s = make_random_scene(draw(st.integers(2, 16)), seed=draw(st.integers(0, 999)),
+                          spread=0.3, sigma_range=(0.04, 0.12))
+    side = draw(st.integers(3, 8))
+    # 2 views of 12x20: a view whose patches hold its 240 pixels keeps its
+    # block sets, and a few iterations fewer leave view 1, or both, without
+    iters = max(2 * -(-240 // (side * side)) - draw(st.integers(0, 3)), 1)
+    return s, side, iters, draw(st.integers(1, 6)), draw(st.integers(0, 99))
+
+
+@pytest.mark.parametrize("with_mlp", [False, True], ids=["physical", "fused"])
+@pytest.mark.parametrize("anchoring", [True, False], ids=["anchored", "uniform"])
+@given(_full_view_case())
+@settings(max_examples=4, deadline=None)
+def test_full_views_match_render(with_mlp, anchoring, case):
+    # in 8x8 blocks, so each 12x20 view has partial ones: the anchor sets,
+    # each full-view evaluation and the final report equal those of the
+    # same fit whose full views all come from `render`, and every kept
+    # view's full view equals `render`'s bit for bit
+    s, side, iters, every, seed = case
+    cams = make_orbit_cameras(s.center, 2.5 * max(s.radius, 0.1), 2, 0.3, "ring",
+                              20, 12, 0.9)
+    targets = _self_targets(s, cams, RenderConfig())
+    cfg = FitConfig(lr=0.01, iters=iters, rays_per_step=side * side,
+                    full_eval_every=every, seed=seed,
+                    ablation=() if anchoring else ("no_anchoring",))
+    mlp = init_mlp(d=16, seed=seed) if with_mlp else None
+    render_sets = fitting._render_sets
+    runs = []
+    for kept in (True, False):
+        anchor_sets, composited = [], []
+
+        def recorded_anchors(grad, *args):
+            anchor_sets.append(select_anchors(grad, *args))
+            return anchor_sets[-1]
+
+        def checked_sets(scene, cam, cfg, mlp, sets):
+            out = render_sets(scene, cam, cfg, mlp, sets)
+            expect = render(scene, cam, cfg, mlp=mlp)
+            assert all(a.data.tobytes() == b.data.tobytes()
+                       for a, b in zip(out, expect))
+            composited.append(cam)
+            return out
+
+        def rendered(scene, cam, cfg, mlp, sets):
+            return render(scene, cam, cfg, mlp=mlp)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(renderer, "COARSE_TILE", 8)
+            mp.setattr(fitting, "select_anchors", recorded_anchors)
+            mp.setattr(fitting, "_render_sets", checked_sets if kept else rendered)
+            _, _, report = fit_scene(_perturbed(s), targets, cfg, mlp=mlp)
+        runs.append((report, anchor_sets))
+        if kept:
+            keeps = [len(range(v, iters, 2)) * side * side >= 240 for v in range(2)]
+            assert len(composited) == sum(keeps) * (anchoring + iters // every + 1)
+    (report, anchor_sets), (expect, expect_anchors) = runs
+    assert len(anchor_sets) == (2 if anchoring else 0)
+    assert anchor_sets == expect_anchors
+    assert report.trace == expect.trace
+    assert report.per_view == expect.per_view
+    assert report.final_loss == expect.final_loss
+    assert report.full_evals == expect.full_evals
+    assert len(report.full_evals) == iters // every
 
 
 def test_fit_geometry_recovers_jittered_centers():
