@@ -10,13 +10,11 @@ from .errors import (
     NumericFailure, CheckFailure,
 )
 from .scene import (
-    Scene, Camera, Ray, ImageBuffer, validate_scene,
+    Scene, Camera, ImageBuffer, validate_scene,
     make_orbit_cameras, scene_to_json, scene_from_json, load_scene, save_scene,
     make_random_scene,
 )
-from .renderer import (
-    RenderConfig, RaySample, composite_ray, render,
-)
+from .renderer import RenderConfig, render
 from .imgfile import (
     encode_gamma, decode_gamma, save_ppm, load_ppm, save_pfm, load_pfm,
 )

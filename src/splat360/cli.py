@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -640,7 +639,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, workers=True)
     p.set_defaults(func=cmd_drr)
 
-    p = sub.add_parser("fit", help="fit appearance parameters to target views")
+    p = sub.add_parser(
+        "fit", help="fit appearance parameters, and optionally geometry and "
+                    "the fusion head, to target views",
+        description="Fit the splats' appearance (alpha, l_iso, l_aniso, g) to "
+                    "target views; --optimize-geometry also fits their centres "
+                    "and covariance scales, and --mlp or --mlp-init the fusion "
+                    "head. The report scores only the training views: to score "
+                    "held-out views, render the fitted scene at their cameras "
+                    "with `splat360 render --camera`, then compare with "
+                    "`splat360 metrics`; `render` draws the physical color, "
+                    "without the fusion head.")
     p.add_argument("--scene", required=True, help="starting scene JSON")
     p.add_argument("--targets", required=True,
                    help="directory of frame_*.camera.json + frame_*.pfm/.ppm")
@@ -652,10 +661,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", default="",
                    help="comma list: no_anchoring,no_disentangle,"
                         "no_dual_branch,no_anisotropy")
-    p.add_argument("--optimize-geometry", action="store_true")
-    p.add_argument("--mlp", default=None, help="initial MLP params file")
-    p.add_argument("--mlp-init", type=int, default=None,
-                   help="initialize a fresh MLP with this embedding dim")
+    p.add_argument("--optimize-geometry", action="store_true",
+                   help="also fit splat centres and covariance scales "
+                        "(rotations stay fixed)")
+    head = p.add_mutually_exclusive_group()
+    head.add_argument("--mlp", default=None,
+                      help="fit the fusion head from this params file")
+    head.add_argument("--mlp-init", type=int, default=None,
+                      help="fit a fresh fusion head with this embedding dim")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_fit)

@@ -11,14 +11,14 @@ f = (1 - g^2) / (s * sqrt(s)), s = 1 + g^2 - 2 g (dir . normal), is the
 Henyey-Greenstein lobe normalized so f = 1 when g = 0.
 
 Bit-determinism: every color-producing path (image blocks, with or without
-the fusion head; single rays and their sample lists; the fit's patch
-forward pass) runs the one kernel `_composite` itself, not a copy of it. A
-full image, physical or fused, comes only from `_render_blocks`, one kernel
-call per COARSE_TILE block, and `_view_images`, which assembles the blocks.
-The ray x splat pairs come from `_pairs`, which enumerates a pixel grid's
-from each splat's screen-space cutoff conic (`_conics`, built once per
-camera), a superset of the live pairs; `_live_ray_major` keeps the live
-ones and orders them, and `_composite` lays them out and composites them.
+the fusion head, and the fit's patch forward pass) runs the one kernel
+`_composite` itself, not a copy of it. A full image, physical or fused,
+comes only from `_render_blocks`, one kernel call per COARSE_TILE block,
+and `_view_images`, which assembles the blocks. The ray x splat pairs come
+from `_pairs`, which enumerates a pixel grid's pairs from each splat's
+screen-space cutoff conic (`_conics`, built once per camera), a superset of
+the live pairs; `_live_ray_major` keeps the live ones and orders them, and
+`_composite` lays them out and composites them.
 `_pair_sets` runs the first two for each grid and keeps the result, with
 the grid's ray directions, as a `_PairSet`. `render` builds one per block
 and composites it at once. An appearance-only fit, whose splats do not
@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import InvalidPrimitiveError
 from .fusion import MlpParams, embed_camera, fuse_forward_batch, fusion_input
-from .scene import CUTOFF_SIGMA, Camera, ImageBuffer, Ray, Scene
+from .scene import CUTOFF_SIGMA, Camera, ImageBuffer, Scene
 
 # Pairs are enumerated and composited per COARSE_TILE block, one kernel
 # call each; the blocks are also the unit of work split among workers.
@@ -76,14 +76,6 @@ class RenderConfig:
 
     disentangle: bool = True
     anisotropy_enabled: bool = True
-
-
-@dataclass
-class RaySample:
-    index: int
-    t: float
-    weight: float
-    transmittance_before: float
 
 
 def _origin_terms(scene: Scene, origin: np.ndarray):
@@ -176,7 +168,7 @@ def _phase_factor(scene, dx, dy, dz, sub, keep_cos=False):
 
 @dataclass
 class _Tape:
-    """What one `_composite` call leaves for a backward pass or a sample list.
+    """What one `_composite` call leaves for a backward pass.
 
     Every [N] array is indexed by slot, one slot per live pair: each ray's
     live pairs in t order, a splat in at most one slot of a ray. Ray r's
@@ -416,38 +408,6 @@ def _composite(scene, cfg: RenderConfig, live, dx, dy, dz,
                       aniso=tuple(values[7:]) or None, ray=ray,
                       offsets=offsets, by_ray=slot, n=n),)
     return out
-
-
-def _all_pairs(P: int, G: int):
-    """(ray, sub) of every ray x splat pair, splat-major."""
-    return np.tile(np.arange(P), G), np.repeat(np.arange(G), P)
-
-
-def composite_ray(scene: Scene, r: Ray, cfg: RenderConfig | None = None,
-                  near: float = 0.0):
-    """Composite one ray: (color 3-vector, depth, final transmittance, samples).
-
-    Runs the same kernel as `render`, so a pixel rendered through its center
-    matches this bitwise. `samples` lists the contributing primitives front to
-    back with the transmittance seen by each.
-    """
-    cfg = cfg if cfg is not None else RenderConfig()
-    ot = _origin_terms(scene, r.origin)
-    dx = np.array([r.dir[0]])
-    dy = np.array([r.dir[1]])
-    dz = np.array([r.dir[2]])
-    ray, sub = _all_pairs(1, scene.alpha.size)
-    color, depth, final_T, tape = _composite(
-        scene, cfg, _live_ray_major(
-            ray, sub, _ray_geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
-            near, 1),
-        dx, dy, dz, tape=True)
-    # one ray: its slots in order, the first n up to and including its stop
-    keep = slice(int(tape.n[0]))
-    samples = [RaySample(int(i), float(t), float(w), float(T))
-               for i, t, w, T in zip(tape.idx[keep], tape.ts[keep],
-                                     tape.w[keep], tape.Tb[keep])]
-    return color[0], float(depth[0]), float(final_T[0]), samples
 
 
 def _conics(scene, cam, ot):

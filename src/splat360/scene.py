@@ -249,18 +249,6 @@ class Camera:
         return dx / n, dy / n, dz / n
 
 
-@dataclass
-class Ray:
-    origin: np.ndarray
-    dir: np.ndarray
-
-    def __post_init__(self):
-        self.origin = _finite_vec3(self.origin, "origin")
-        self.dir = _finite_vec3(self.dir, "dir")
-        if not abs(np.linalg.norm(self.dir) - 1.0) <= 1e-9:
-            raise ValueError("ray dir must be unit length")
-
-
 def image_array(a) -> np.ndarray:
     """The H x W x C float64 array of an ImageBuffer or an array-like.
 

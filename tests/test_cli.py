@@ -14,7 +14,7 @@ import pytest
 from conftest import make_scene
 import splat360
 from splat360 import (Camera, RenderConfig, cli, init_mlp, load_mlp, load_pfm,
-                      make_random_scene, make_sphere_phantom, save_pfm,
+                      make_random_scene, make_sphere_phantom, save_mlp, save_pfm,
                       save_scene, save_volume)
 from splat360.cli import main
 from splat360.fitting import _patch_forward
@@ -305,6 +305,22 @@ def test_fit_mlp_chain_with_one_channel_target(tmp_path, scene_file):
     assert load_mlp(str(second / "mlp.params")).d == 16
 
 
+def test_fit_takes_one_fusion_head_source(tmp_path, scene_file, capsys):
+    # with both, the fit used to start from --mlp and drop --mlp-init unread
+    tdir = str(tmp_path / "targets")
+    assert main(["render", "--scene", scene_file, "--out", tdir,
+                 "--orbit", "ring:1", "--width", "12", "--height", "12"]) == 0
+    params = str(tmp_path / "head.params")
+    save_mlp(params, init_mlp(d=16, seed=0))
+    fdir = tmp_path / "fit"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", "--scene", scene_file, "--targets", tdir, "--out", str(fdir),
+              "--iters", "1", "--mlp", params, "--mlp-init", "8"])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not fdir.exists()
+
+
 def test_fit_non_finite_lr_exits_2_before_any_work(tmp_path, scene_file,
                                                   capsys):
     tdir = str(tmp_path / "targets")
@@ -448,8 +464,7 @@ def test_tape_key_sees_a_moved_termination():
                               None, None, tape=True)[1]
 
     a, b = work(0.5), work(0.4)
-    assert [len(splat360.composite_ray(w[0], splat360.Ray(np.zeros(3), cam.forward))[3])
-            for w in (a, b)] == [10, 11]
+    assert [w[1].n.tolist() for w in (a, b)] == [[10], [11]]
     assert cli._tape_key(a) != cli._tape_key(b)
 
 

@@ -19,8 +19,8 @@ from splat360 import scene as scene_module
 from splat360.fitting import (_Geometry, _patch_backward, _patch_forward,
                               _patch_origin)
 from splat360.fusion import fuse_forward_batch, fusion_input
-from splat360.renderer import (_all_pairs, _composite, _grid_pairs,
-                               _live_ray_major, _origin_terms, _ray_geometry)
+from splat360.renderer import _grid_pairs
+from conftest import dense_composite
 
 
 def _views(scene, n=2, res=16):
@@ -434,15 +434,9 @@ def test_splats_behind_the_camera_change_no_patch_bit(seed, extra, with_mlp):
 def _dense_patch(scene, cam, rcfg, rows, cols, mlp, e_vec):
     """`_patch_forward`'s colors and work from one kernel call over every
     ray x splat pair of the patch."""
-    dxb, dyb, dzb = cam.pixel_dirs(rows[:, None], cols[None, :])
-    dx, dy, dz = dxb.ravel(), dyb.ravel(), dzb.ravel()
-    v0, v1, v2, cg = _origin_terms(scene, cam.position)
-    ray, sub = _all_pairs(dx.size, scene.alpha.size)
-    live = _live_ray_major(
-        ray, sub, _ray_geometry(scene, v0, v1, v2, cg, dx[ray], dy[ray], dz[ray], sub),
-        cam.near, dx.size)
-    out = _composite(scene, rcfg, live, dx, dy, dz,
-                     fused_streams=mlp is not None, tape=True)
+    dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
+    out = dense_composite(scene, cam.position, np.stack([dx, dy, dz], axis=1), rcfg,
+                          cam.near, fused_streams=mlp is not None, tape=True)
     colors, cache = out[0], None
     if mlp is not None:
         colors, cache = fuse_forward_batch(

@@ -10,18 +10,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import splat360.renderer
-from splat360 import (Camera, Ray, RenderConfig, Scene, composite_ray,
-                      embed_camera, fuse_forward_batch, init_mlp,
-                      make_orbit_cameras, make_random_scene, render)
+from splat360 import (Camera, RenderConfig, Scene, embed_camera,
+                      fuse_forward_batch, init_mlp, make_orbit_cameras,
+                      make_random_scene, render)
 from splat360.fusion import fusion_input
-from conftest import make_scene
-from splat360.renderer import (TERMINATION_EPSILON, _all_pairs, _composite,
-                               _conics, _last_slots, _live_ray_major,
-                               _origin_terms, _pairs,
-                               _phase_factor, _rank_major, _ray_geometry,
-                               _ray_totals, _scan_ranks, _shutdown_pools)
+from conftest import (dense_composite, every_pair, kernel_samples, make_scene,
+                      ray_slots)
+from splat360.renderer import (TERMINATION_EPSILON, _conics, _last_slots,
+                               _origin_terms, _pairs, _phase_factor,
+                               _rank_major, _ray_totals, _scan_ranks,
+                               _shutdown_pools)
+from splat_reference import SplatReference, pixel_dir
 
-Z_RAY = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+Z = np.array([0.0, 0.0, 1.0])
 
 
 def phase(d, normal, g: float) -> float:
@@ -33,23 +34,12 @@ def phase(d, normal, g: float) -> float:
     return f[0] / (4.0 * math.pi)
 
 
-def _batch(scene, origin, dirs, cfg=None, near=0.0, fused_streams=False,
-           tape=False):
-    """One kernel call over every ray x splat pair of a batch of rays with
-    one origin."""
-    v0, v1, v2, cg = _origin_terms(scene, np.asarray(origin, dtype=float))
-    dx, dy, dz = (np.ascontiguousarray(dirs[:, i]) for i in range(3))
-    ray, sub = _all_pairs(dx.size, scene.alpha.size)
-    live = _live_ray_major(
-        ray, sub, _ray_geometry(scene, v0, v1, v2, cg, dx[ray], dy[ray], dz[ray], sub),
-        near, dx.size)
-    return _composite(scene, cfg or RenderConfig(), live, dx, dy, dz,
-                      fused_streams=fused_streams, tape=tape)
-
-
-def _ray_slots(tape, p):
-    """The tape slots of ray p, front to back."""
-    return tape.by_ray[tape.ray[tape.by_ray] == p]
+def _kernel_ray(scene, d=Z, origin=(0.0, 0.0, 0.0), cfg=None, near=0.0):
+    """(color [3], depth, final transmittance, samples) of one ray: a dense
+    kernel call over its pairs, and its `Sample`s read from the call's tape."""
+    color, depth, final_t, tape = dense_composite(
+        scene, origin, np.array([d], dtype=float), cfg, near, tape=True)
+    return color[0], depth[0], final_t[0], kernel_samples(tape, 0)
 
 
 def test_phase_isotropic_value():
@@ -79,7 +69,7 @@ def test_phase_positive(g, cos):
 
 
 def test_weight_through_center():
-    (sm,) = composite_ray(make_scene(mu=(0.0, 0.0, 2.0), alpha=0.8), Z_RAY)[3]
+    (sm,) = _kernel_ray(make_scene(mu=(0.0, 0.0, 2.0), alpha=0.8))[3]
     assert sm.t == pytest.approx(2.0, abs=1e-12)
     assert sm.weight == pytest.approx(0.8, abs=1e-12)
 
@@ -87,34 +77,34 @@ def test_weight_through_center():
 def test_weight_one_sigma_closest_approach():
     sigma = 0.25
     s = make_scene(mu=(sigma, 0.0, 2.0), sigma=sigma, alpha=1.0)
-    (sm,) = composite_ray(s, Z_RAY)[3]
+    (sm,) = _kernel_ray(s)[3]
     assert sm.weight == pytest.approx(math.exp(-0.5), rel=1e-12)
     assert sm.t == pytest.approx(2.0, abs=1e-12)
 
 
 def test_weight_behind_origin_is_zero():
-    assert composite_ray(make_scene(mu=(0.0, 0.0, -2.0)), Z_RAY)[3] == []
+    assert _kernel_ray(make_scene(mu=(0.0, 0.0, -2.0)))[3] == []
 
 
 def test_weight_culled_past_cutoff():
     sigma = 0.1
     far = make_scene(mu=(3.5 * sigma, 0.0, 2.0), sigma=sigma, alpha=1.0)
-    assert composite_ray(far, Z_RAY)[3] == []
+    assert _kernel_ray(far)[3] == []
     near = make_scene(mu=(2.9 * sigma, 0.0, 2.0), sigma=sigma, alpha=1.0)
-    (sm,) = composite_ray(near, Z_RAY)[3]
+    (sm,) = _kernel_ray(near)[3]
     assert sm.weight == pytest.approx(math.exp(-0.5 * 2.9 ** 2), rel=1e-12)
 
 
 def test_render_keeps_a_splat_just_inside_the_cutoff():
     # the pair enumeration and the kernel read one cutoff, so a splat
-    # 2.99 sigma off the only ray of a 1x1 frame is rendered exactly as
-    # composite_ray composites it
+    # 2.99 sigma off the only ray of a 1x1 frame is rendered exactly as a
+    # dense kernel call over the ray composites it
     sigma = 0.1
     s = make_scene(mu=(2.99 * sigma, 0.0, 2.0), sigma=sigma, alpha=1.0,
                    l_iso=(0.3, 0.6, 0.9))
     cam = Camera.look_at(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.9, 1, 1)
     color, depth, trans = render(s, cam)
-    c, dep, ft, samples = composite_ray(s, Z_RAY, near=cam.near)
+    c, dep, ft, samples = _kernel_ray(s, near=cam.near)
     assert len(samples) == 1
     assert np.array_equal(color.data[0, 0], c)
     assert depth.data[0, 0, 0] == dep and trans.data[0, 0, 0] == ft
@@ -122,14 +112,14 @@ def test_render_keeps_a_splat_just_inside_the_cutoff():
 
 def test_composite_empty_scene():
     s = make_scene(mu=np.zeros((0, 3)), background=(0.2, 0.4, 0.6))
-    color, depth, final_t, samples = composite_ray(s, Z_RAY)
+    color, depth, final_t, samples = _kernel_ray(s)
     assert np.array_equal(color, [0.2, 0.4, 0.6])
     assert final_t == 1.0 and depth == 0.0 and samples == []
 
 
 def test_composite_single_opaque_splat():
     s = make_scene(mu=(0.0, 0.0, 2.0), alpha=1.0, l_iso=(0.3, 0.6, 0.9))
-    color, depth, final_t, samples = composite_ray(s, Z_RAY)
+    color, depth, final_t, samples = _kernel_ray(s)
     assert np.allclose(color, [0.3, 0.6, 0.9], atol=1e-15)
     assert final_t == 0.0
     assert depth == pytest.approx(2.0, abs=1e-12)
@@ -140,7 +130,7 @@ def test_composite_two_half_weights_hand_oracle():
     # w1 = w2 = 0.5: contributions 0.5 and T2*w2 = 0.5*0.5, final T 0.25
     s = make_scene(mu=[(0.0, 0.0, 1.0), (0.0, 0.0, 2.0)], alpha=0.5,
                    l_iso=[(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
-    color, _, final_t, samples = composite_ray(s, Z_RAY)
+    color, _, final_t, samples = _kernel_ray(s)
     assert np.allclose(color, [0.5, 0.25, 0.0], atol=1e-12)
     assert final_t == pytest.approx(0.25, abs=1e-12)
     assert [sm.index for sm in samples] == [0, 1]
@@ -152,7 +142,7 @@ def test_samples_sorted_with_consistent_transmittance():
     origin = scene.center + np.array([0.0, 0.0, -1.0])
     d = scene.center - origin
     d /= np.linalg.norm(d)
-    _, _, final_t, samples = composite_ray(scene, Ray(origin, d))
+    _, _, final_t, samples = _kernel_ray(scene, d, origin)
     t_prev = -np.inf
     T = 1.0
     for sm in samples:
@@ -169,7 +159,7 @@ def test_conservation_along_random_rays():
         origin = scene.center + rng.normal(scale=1.0, size=3)
         d = scene.center + rng.normal(scale=0.2, size=3) - origin
         d /= np.linalg.norm(d)
-        _, _, final_t, samples = composite_ray(scene, Ray(origin, d))
+        _, _, final_t, samples = _kernel_ray(scene, d, origin)
         total = sum(sm.transmittance_before * sm.weight for sm in samples)
         assert total + final_t == pytest.approx(1.0, abs=1e-9)
 
@@ -220,14 +210,13 @@ def test_anisotropy_off_equals_zeroed_l_aniso():
 def test_view_dependence_requires_anisotropy():
     s = make_scene(sigma=0.15, alpha=0.9, l_iso=(0.2, 0.2, 0.2),
                    l_aniso=(0.5, 0.5, 0.5), g=0.6)
-    along = Ray(np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0]))
-    opposite = Ray(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
-    ca, *_ = composite_ray(s, along)
-    cb, *_ = composite_ray(s, opposite)
+    along, opposite = (Z, (0.0, 0.0, -1.0)), (-Z, (0.0, 0.0, 1.0))
+    ca, *_ = _kernel_ray(s, *along)
+    cb, *_ = _kernel_ray(s, *opposite)
     assert not np.allclose(ca, cb)
     cfg = RenderConfig(anisotropy_enabled=False)
-    ca2, *_ = composite_ray(s, along, cfg)
-    cb2, *_ = composite_ray(s, opposite, cfg)
+    ca2, *_ = _kernel_ray(s, *along, cfg)
+    cb2, *_ = _kernel_ray(s, *opposite, cfg)
     assert np.array_equal(ca2, cb2)
 
 
@@ -237,7 +226,7 @@ def test_final_t_monotone_in_scene_size():
           for i in range(6)]
     prev = 1.0
     for k in range(1, 7):
-        _, _, final_t, _ = composite_ray(make_scene(mu=mu[:k], alpha=0.5), Z_RAY)
+        _, _, final_t, _ = _kernel_ray(make_scene(mu=mu[:k], alpha=0.5))
         assert final_t <= prev + 1e-15
         prev = final_t
 
@@ -258,21 +247,21 @@ def test_render_depth_at_center_pixel():
     assert depth.data[16, 16, 0] == pytest.approx(2.0, abs=1e-6)
 
 
-def test_render_matches_composite_ray(small_random_scene, ring_camera):
-    color, depth, trans = render(small_random_scene, ring_camera)
-    rows = np.array([3.0, 17.0])
-    cols = np.array([5.0, 29.0])
-    for rr in rows:
-        for cc in cols:
-            dx, dy, dz = ring_camera.pixel_dirs(np.array([rr]), np.array([cc]))
-            d = np.array([dx[0], dy[0], dz[0]])
-            c, dep, ft, _ = composite_ray(
-                small_random_scene, Ray(ring_camera.position, d),
-                near=ring_camera.near)
-            i, j = int(rr), int(cc)
-            assert np.array_equal(color.data[i, j], c)
-            assert depth.data[i, j, 0] == dep
-            assert trans.data[i, j, 0] == ft
+def test_render_matches_the_dense_kernel_and_the_reference(small_random_scene,
+                                                           ring_camera):
+    # the culled, tiled render has the bits of one kernel call over every
+    # pair of the frame's rays, and the reference's values
+    s, cam = small_random_scene, ring_camera
+    images = [img.data.reshape(cam.height * cam.width, -1).squeeze()
+              for img in render(s, cam)]
+    rows, cols = np.divmod(np.arange(cam.height * cam.width, dtype=np.float64), cam.width)
+    dense = dense_composite(s, cam.position, np.stack(cam.pixel_dirs(rows, cols), axis=1),
+                            near=cam.near)
+    ref = SplatReference(s).image(cam)
+    assert (ref[2] < 1.0).sum() > 50
+    for img, d, r in zip(images, dense, ref):
+        assert img.tobytes() == d.tobytes()
+        assert np.abs(img - r.reshape(img.shape)).max() < 1e-11
 
 
 def test_render_worker_count_bit_identity(small_random_scene):
@@ -295,8 +284,8 @@ def test_composite_fused_streams_split():
     origin = scene.center + np.array([0.0, 0.0, -0.8])
     dirs = np.array([[0.0, 0.0, 1.0], [0.05, 0.0, 1.0]])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    color, depth, final_t, iso, aniso = _batch(scene, origin, dirs,
-                                               fused_streams=True)
+    color, depth, final_t, iso, aniso = dense_composite(scene, origin, dirs,
+                                                        fused_streams=True)
     # physical color = iso + aniso + background survival (background is black)
     assert np.allclose(color, iso + aniso, atol=1e-12)
 
@@ -306,7 +295,7 @@ def test_termination_epsilon_caps_contributions():
     # epsilon (0.5^10 < 1e-3) nothing farther contributes
     s = make_scene(mu=[(0.0, 0.0, 1.0 + 0.2 * i) for i in range(30)],
                    sigma=0.05, alpha=0.5, l_iso=(1.0, 1.0, 1.0))
-    _, _, _, samples = composite_ray(s, Z_RAY)
+    _, _, _, samples = _kernel_ray(s)
     assert all(sm.transmittance_before >= TERMINATION_EPSILON for sm in samples)
     assert len(samples) < 30
 
@@ -342,11 +331,10 @@ def _scene_and_rays(draw):
 @settings(max_examples=150, deadline=None)
 def test_kernel_invariants_on_random_scenes(case):
     scene, origin, dirs, cfg = case
-    _, _, final_t = _batch(scene, origin, dirs, cfg)
+    colors, _, final_t, tape = dense_composite(scene, origin, dirs, cfg, tape=True)
     assert ((final_t >= 0.0) & (final_t <= 1.0)).all()
-    for d in dirs:
-        color, _, ft, samples = composite_ray(scene, Ray(origin, d), cfg)
-        assert 0.0 <= ft <= 1.0
+    for p, (d, color) in enumerate(zip(dirs, colors)):
+        samples = kernel_samples(tape, p)
         # color is a convex mix of the background and the contributing splats'
         # colors l_iso + f * l_aniso, so no channel exceeds the largest of them
         bound = scene.background.copy()
@@ -369,17 +357,16 @@ def test_kernel_invariants_on_random_scenes(case):
 @settings(max_examples=150, deadline=None)
 def test_batch_ray_equals_the_ray_alone(case, near):
     scene, origin, dirs, cfg = case
-    *batch, tape = _batch(scene, origin, dirs, cfg, near, fused_streams=True,
-                          tape=True)
+    *batch, tape = dense_composite(scene, origin, dirs, cfg, near,
+                                   fused_streams=True, tape=True)
     for p, d in enumerate(dirs):
-        alone = _batch(scene, origin, d[None], cfg, near, fused_streams=True)
+        *alone, alone_tape = dense_composite(scene, origin, d[None], cfg, near,
+                                             fused_streams=True, tape=True)
         for b, a in zip(batch, alone):
             assert np.array_equal(b[p], a[0])
-        samples = composite_ray(scene, Ray(origin, d), cfg, near=near)[3]
-        slot = _ray_slots(tape, p)
-        kept, past = slot[:tape.n[p]], slot[tape.n[p]:]
-        assert [(s.index, s.t, s.weight, s.transmittance_before) for s in samples] == \
-            list(zip(tape.idx[kept], tape.ts[kept], tape.w[kept], tape.Tb[kept]))
+        # the ray's samples, to the bit, whichever rays share its call
+        assert kernel_samples(tape, p) == kernel_samples(alone_tape, 0)
+        past = ray_slots(tape, p)[tape.n[p]:]
         assert (tape.w[past] == 0.0).all() and (tape.tw[past] == 0.0).all()
 
 
@@ -391,8 +378,8 @@ def test_ray_subset_composites_like_the_full_batch(case, near, data):
     scene, origin, dirs, cfg = case
     keep = data.draw(st.lists(st.integers(0, len(dirs) - 1), min_size=1,
                               unique=True))
-    full = _batch(scene, origin, dirs, cfg, near, fused_streams=True)
-    part = _batch(scene, origin, dirs[keep], cfg, near, fused_streams=True)
+    full = dense_composite(scene, origin, dirs, cfg, near, fused_streams=True)
+    part = dense_composite(scene, origin, dirs[keep], cfg, near, fused_streams=True)
     for f, p in zip(full, part):
         assert f[keep].tobytes() == p.tobytes()
 
@@ -404,11 +391,106 @@ def test_ray_bits_do_not_depend_on_a_longer_ray_in_the_call():
     scene = make_scene(mu=[(0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, -2.0)],
                        sigma=0.05, alpha=0.5)
     dirs = np.array([-np.ones(3) / math.sqrt(3.0), [0.0, 0.0, -1.0]])
-    both = _batch(scene, np.zeros(3), dirs)
-    alone = _batch(scene, np.zeros(3), dirs[:1])
+    both = dense_composite(scene, np.zeros(3), dirs)
+    alone = dense_composite(scene, np.zeros(3), dirs[:1])
     assert np.signbit(alone[1][0])
     for b, a in zip(both, alone):
         assert b[:1].tobytes() == a.tobytes()
+
+
+_REFERENCE_KINDS = ("random", "inside", "straddle", "chain", "edge", "twin")
+
+
+def _reference_scene(rng, kinds, cam, edge):
+    """Splats of `kinds` (`_reference_case`) for cam's frame."""
+    pos = cam.position
+    mus, covs, alphas = [], [], []
+    for kind in kinds:
+        d = pixel_dir(cam, rng.integers(0, cam.height), rng.integers(0, cam.width))
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        sigma = np.exp(rng.uniform(np.log(0.05), np.log(0.4), 3))
+        alpha = rng.uniform(0.05, 0.95)
+        if kind == "twin" and mus:
+            # the last splat's geometry: its t ties with it on every ray
+            mus.append(mus[-1])
+            covs.append(covs[-1])
+            alphas.append(alpha)
+            continue
+        if kind == "inside":
+            sigma = rng.uniform(0.5, 2.0, 3)
+            mu = pos + rng.normal(0.0, 0.1, 3) * sigma.min()
+        elif kind == "straddle":
+            sigma = rng.uniform(0.3, 1.0, 3)
+            mu = (pos + rng.uniform(-0.3, 0.3) * sigma.min() * cam.forward
+                  + rng.uniform(-1.0, 1.0) * cam.right + rng.uniform(-1.0, 1.0) * cam.up)
+        elif kind == "chain":
+            # 12 half-opaque splats on the ray, 4 sigma apart: it stops at
+            # the 10th (0.5^10 < TERMINATION_EPSILON)
+            sigma = np.full(3, rng.uniform(0.01, 0.05))
+            mu = pos + (rng.uniform(1.0, 2.0) + 4.0 * sigma[0] * np.arange(12))[:, None] * d
+            alpha = 0.5
+        elif kind == "edge":
+            t = rng.uniform(0.5, 4.0)
+            sigma = np.full(3, rng.uniform(0.01, 0.1) * t)
+            off = np.cross(d, rng.normal(size=3))
+            mu = pos + t * d + edge * sigma[0] * off / np.linalg.norm(off)
+        else:
+            mu = pos + rng.uniform(0.2, 4.0) * d + rng.normal(0.0, 0.3, 3)
+        mu = np.reshape(mu, (-1, 3))
+        mus += list(mu)
+        covs += [rot @ np.diag(sigma * sigma) @ rot.T] * len(mu)
+        alphas += [alpha] * len(mu)
+    G = len(mus)
+    normal = rng.normal(size=(G, 3))
+    return Scene(mu=np.array(mus), cov=np.array(covs), alpha=np.array(alphas),
+                 l_iso=rng.uniform(0.0, 1.0, (G, 3)),
+                 l_aniso=rng.uniform(0.0, 0.5, (G, 3)),
+                 normal=normal / np.linalg.norm(normal, axis=1, keepdims=True),
+                 g=rng.uniform(-0.8, 0.8, G), background=rng.uniform(0.0, 1.0, 3))
+
+
+@st.composite
+def _reference_case(draw):
+    """A camera's small frame, both `RenderConfig` toggles, and splats of
+    the drawn kinds: in front of the camera, containing it, across its
+    plane, a chain of half-opaque splats down one pixel's ray that runs
+    past TERMINATION_EPSILON, a splat 3 + or - 1e-6 sigma off one pixel's
+    ray, or a copy of the last splat's geometry, whose t ties with it
+    exactly. Not at exactly 3 sigma: there rounding alone decides whether
+    the pair is live (`_pairs_case`), and the reference rounds its own way."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(_REFERENCE_KINDS), min_size=1, max_size=6))
+    edge = draw(st.sampled_from([3.0 - 1e-6, 3.0 + 1e-6]))
+    pos = rng.normal(0.0, 1.0, 3)
+    cam = Camera.look_at(pos, pos + rng.normal(0.0, 1.0, 3), rng.uniform(0.3, 1.5),
+                         draw(st.integers(1, 8)), draw(st.integers(1, 8)),
+                         near=draw(st.sampled_from([1e-3, 0.5])))
+    cfg = RenderConfig(disentangle=draw(st.booleans()),
+                       anisotropy_enabled=draw(st.booleans()))
+    return _reference_scene(rng, kinds, cam, edge), cam, cfg
+
+
+@given(_reference_case())
+@settings(max_examples=150, deadline=None)
+def test_render_matches_the_reference(case):
+    # the full-image path against a model that shares no code with it; a
+    # dense kernel call over every pair of the frame's rays lists the same
+    # samples, in the same order, as the reference's plain loop
+    scene, cam, cfg = case
+    color, depth, trans = render(scene, cam, cfg)
+    ref_color, ref_depth, ref_trans, ref_samples = SplatReference(scene, cfg).image(cam)
+    assert np.abs(color.data - ref_color).max() <= 1e-11
+    assert np.abs(depth.data[..., 0] - ref_depth).max() <= 1e-11
+    assert np.abs(trans.data[..., 0] - ref_trans).max() <= 1e-11
+    rows, cols = np.divmod(np.arange(cam.height * cam.width, dtype=np.float64), cam.width)
+    tape = dense_composite(scene, cam.position, np.stack(cam.pixel_dirs(rows, cols), axis=1),
+                           cfg, cam.near, tape=True)[-1]
+    for p, expect in enumerate(ref_samples):
+        got = kernel_samples(tape, p)
+        assert [s.index for s in got] == [s.index for s in expect]
+        assert np.allclose(np.array(got, dtype=float).reshape(-1, 4),
+                           np.array(expect, dtype=float).reshape(-1, 4),
+                           rtol=0.0, atol=1e-11)
 
 
 _SPLAT_KINDS = ("random", "needle", "large", "inside", "behind", "straddle",
@@ -494,8 +576,7 @@ def test_pairs_holds_every_live_pair_once(case):
     assert np.unique(key).size == key.size
     # brute force over every ray x splat pair of the grid
     dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
-    all_ray, all_sub = _all_pairs(P, G)
-    ts, q = _ray_geometry(scene, *ot, dx[all_ray], dy[all_ray], dz[all_ray], all_sub)
+    all_ray, all_sub, (ts, q) = every_pair(scene, cam.position, dx, dy, dz)
     live = (q <= 9.0) & (ts >= cam.near)
     assert all(live[n * P + r] for r, n, inside in edges if inside)
     assert np.isin(all_sub[live] * P + all_ray[live], key).all()
@@ -574,14 +655,15 @@ def test_tape_holds_only_each_rays_live_splats():
     scene = make_scene(mu=np.concatenate([line, chain]), sigma=0.01, alpha=0.5)
     dirs = np.concatenate([line / np.linalg.norm(line, axis=1, keepdims=True),
                            up[None]])
-    tape = _batch(scene, np.zeros(3), dirs, tape=True)[-1]
-    counts = [len(composite_ray(scene, Ray(np.zeros(3), d))[3]) for d in dirs]
+    tape = dense_composite(scene, np.zeros(3), dirs, tape=True)[-1]
+    ref = SplatReference(scene)
+    counts = [len(ref.ray(np.zeros(3), d)[3]) for d in dirs]
     assert counts == [1] * 40 + [10]
     assert tape.n.tolist() == counts
     # the chain's ray holds all 30 of its live splats, in t order
     assert tape.tw.shape == (70,)
     assert np.bincount(tape.ray, minlength=41).tolist() == [1] * 40 + [30]
-    chain_slots = _ray_slots(tape, 40)
+    chain_slots = ray_slots(tape, 40)
     assert tape.idx[chain_slots].tolist() == list(range(40, 70))
     # every slot up to and including its ray's stop contributes; the 20
     # slots past the chain's stop have weight exactly zero
@@ -606,8 +688,8 @@ def test_empty_tape_leaves_the_same_fields_none(cfg, fused_streams):
     # a backward pass reads the same fields whether or not any splat reaches
     # the patch (K = 0)
     scene = make_scene(mu=(0.0, 0.0, 2.0))
-    full, empty = (_batch(scene, np.zeros(3), np.array([d]), cfg, 0.0,
-                          fused_streams, tape=True)[-1]
+    full, empty = (dense_composite(scene, np.zeros(3), np.array([d]), cfg, 0.0,
+                                   fused_streams, tape=True)[-1]
                    for d in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]))
     assert full.w.shape == (1,) and empty.w.shape == (0,)
     for field in dataclasses.fields(full):
@@ -623,17 +705,17 @@ def test_coincident_splats_composite_in_index_order():
                        sigma=0.05, alpha=0.5, l_iso=[(0.0, 0.0, 1.0), red, green])
     dirs = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 2.0]])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    color, *_ = _batch(scene, np.zeros(3), dirs)
+    color, *_ = dense_composite(scene, np.zeros(3), dirs)
     assert color[0].tolist() == [0.5, 0.25, 0.0]
     swapped = dataclasses.replace(scene, l_iso=scene.l_iso[[0, 2, 1]])
-    color_b, *_ = _batch(swapped, np.zeros(3), dirs)
+    color_b, *_ = dense_composite(swapped, np.zeros(3), dirs)
     assert color_b[0].tolist() == [0.25, 0.5, 0.0]
-    assert [s.index for s in composite_ray(scene, Z_RAY)[3]] == [1, 2]
+    assert [s.index for s in _kernel_ray(scene)[3]] == [1, 2]
     # four piles of 50 coincident splats, their indices interleaved: a sort
     # that leaves the order of equal t open scrambles runs like these
     piles = make_scene(mu=[(0.0, 0.0, 1.0 + 0.5 * (i % 4)) for i in range(200)],
                        sigma=0.05, alpha=0.01)
-    assert [s.index for s in composite_ray(piles, Z_RAY)[3]] == \
+    assert [s.index for s in _kernel_ray(piles)[3]] == \
         [i for pile in range(4) for i in range(pile, 200, 4)]
 
 
@@ -649,8 +731,8 @@ def test_render_with_mlp_fuses_each_pixels_streams(cfg):
     mlp = init_mlp(d=16, seed=4)
     rows, cols = np.divmod(np.arange(70 * 20, dtype=np.float64), 20.0)
     dirs = np.stack(cam.pixel_dirs(rows, cols), axis=1)
-    _, depth, final_t, iso, aniso = _batch(scene, cam.position, dirs, cfg,
-                                           cam.near, fused_streams=True)
+    _, depth, final_t, iso, aniso = dense_composite(scene, cam.position, dirs, cfg,
+                                                    cam.near, fused_streams=True)
     assert (iso > 0.0).any()
     e_vec = embed_camera(cam, scene.center, scene.radius, mlp.d)
     expect = np.array([fuse_forward_batch(fusion_input(i, a, e_vec, d), mlp)[0]
