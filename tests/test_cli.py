@@ -321,6 +321,19 @@ def test_fit_takes_one_fusion_head_source(tmp_path, scene_file, capsys):
     assert not fdir.exists()
 
 
+def test_fit_help_says_what_it_fits_and_how_to_score_held_out_views(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--optimize-geometry also fits their centres" in text
+    assert "fusion head" in text
+    assert "scores only the training views" in text
+    assert "`splat360 metrics`" in text
+    # and --optimize-geometry has a help line of its own
+    assert "--optimize-geometry also fit splat centres" in text
+
+
 def test_fit_non_finite_lr_exits_2_before_any_work(tmp_path, scene_file,
                                                   capsys):
     tdir = str(tmp_path / "targets")

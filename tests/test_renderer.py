@@ -493,6 +493,36 @@ def test_render_matches_the_reference(case):
                            rtol=0.0, atol=1e-11)
 
 
+def test_reference_matches_the_model_by_hand():
+    # the oracle itself against values worked out from the model: on the
+    # one pixel's ray, a splat dead on it at t = 2 (Henyey-Greenstein
+    # lobe (1 - g^2) / (1 + g)^3 = 2/9 at g = 0.5 facing the ray), one 2
+    # sigma off it at t = 3 (weight alpha e^-2), one 3 (1 + 1e-6) sigma
+    # off it (past the cutoff) and one behind the camera (before near)
+    scene = make_scene(mu=[[2.0, 0.0, 0.0], [3.0, 0.2, 0.0],
+                           [4.0, 0.3 * (1.0 + 1e-6), 0.0], [-1.0, 0.0, 0.0]],
+                       alpha=[0.6, 0.5, 0.9, 0.9],
+                       l_iso=[[0.2, 0.4, 0.6], [1.0, 0.0, 0.0], [1.0] * 3, [1.0] * 3],
+                       l_aniso=[[0.3] * 3, [0.0, 0.1, 0.0], [0.0] * 3, [0.0] * 3],
+                       normal=[-1.0, 0.0, 0.0], g=[0.5, 0.0, 0.0, 0.0],
+                       background=(0.1, 0.1, 0.1))
+    cam = Camera.look_at(np.zeros(3), [1.0, 0.0, 0.0], 0.5, 1, 1)
+    wb = 0.5 * math.exp(-2.0)
+    near = np.array([0.2, 0.4, 0.6]) + 2.0 / 9.0 * 0.3
+    far = np.array([1.0, 0.1, 0.0])
+    expect_color = 0.6 * near + 0.4 * wb * far + 0.4 * (1.0 - wb) * 0.1
+    expect_depth = (0.6 * 2.0 + 0.4 * wb * 3.0) / (0.6 + 0.4 * wb)
+    color, depth, trans, samples = SplatReference(scene).image(cam)
+    assert np.allclose(color[0, 0], expect_color, rtol=0.0, atol=1e-14)
+    assert depth[0, 0] == pytest.approx(expect_depth, rel=1e-14)
+    assert trans[0, 0] == pytest.approx(0.4 * (1.0 - wb), rel=1e-14)
+    assert np.allclose(np.array(samples[0], dtype=float),
+                       [[0, 2.0, 0.6, 1.0], [1, 3.0, wb, 0.4]], rtol=0.0, atol=1e-14)
+    got = render(scene, cam)
+    assert np.allclose(got[0].data[0, 0], expect_color, rtol=0.0, atol=1e-12)
+    assert got[1].data[0, 0, 0] == pytest.approx(expect_depth, rel=1e-12)
+
+
 _SPLAT_KINDS = ("random", "needle", "large", "inside", "behind", "straddle",
                 "edge", "far")
 
