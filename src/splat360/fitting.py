@@ -18,14 +18,15 @@ grid, which the renderer's `_grid_pairs` enumerates from the camera's
 `_conics` as `render` does per block, with their ray-major order and their
 rays' directions. An appearance-only fit never moves a splat, so where a
 target view's patches over the fit hold at least as many pixels as the
-view, the set of each of its COARSE_TILE blocks is built once, on the first
-full view or patch that meets the block, and kept until the fit returns;
-every later patch is sliced from the sets, and every full view (the
-anchor depth, each full_eval_every evaluation and the final per-view
-report) composites them through `_render_sets`, which runs `render`'s own
-block function and image assembly, with the fusion head when an MLP is
-fitted. A geometry fit, or a view visited less, builds each iteration's
-patch's own set and calls `render` for its full views.
+view, the sets of all its COARSE_TILE blocks are built before the first
+iteration and kept until the fit returns; every patch is sliced from
+them, and every full view (the anchor depth, each full_eval_every
+evaluation and the final per-view report) composites them through
+`_render_sets`, which runs `render`'s own block function and image
+assembly, with the fusion head when an MLP is fitted. A geometry fit, or
+a view visited less, builds each iteration's patch's own set and calls
+`render` for its full views: its full views enumerate every block
+anyway, so not keeping it saves no pair work, only memory.
 So a fit initialized at the scene that produced its targets measures a loss
 of exactly zero and no parameter moves.
 """
@@ -44,7 +45,7 @@ from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch, fusion_input)
 from .metrics import psnr, ssim, ssim_with_grad
 from .renderer import (RenderConfig, _PairSet, _block_grids, _coarse_blocks,
-                       _composite, _grid_pairs, _last_slots, _ray_geometry,
+                       _composite, _grid_pairs, _ray_geometry, _ray_totals,
                        _render_sets, _scan_ranks, render)
 from .scene import Camera, ImageBuffer, Scene, image_array
 
@@ -242,22 +243,6 @@ class _Geometry:
 # ---------------------------------------------------------------------------
 # patch forward/backward through the compositing kernel
 
-def _block_sets(scene: Scene, cam: Camera, built: dict, r0: int, c0: int,
-                ph: int, pw: int) -> list[_PairSet]:
-    """The `_PairSet`s of the `_coarse_blocks` of cam's view that the ph x pw
-    patch at (r0, c0) meets, in that order: with the whole view, every
-    block's set, as `_render_sets` takes them. `built` holds the view's sets
-    by block; the ones missing are built, in one `_grid_pairs` call, and
-    added."""
-    blocks = [b for b in _coarse_blocks(cam.height, cam.width)
-              if b[0] < r0 + ph and r0 < b[1] and b[2] < c0 + pw and c0 < b[3]]
-    new = [b for b in blocks if b not in built]
-    if new:
-        built.update(zip(new, _grid_pairs(scene, cam, _block_grids(new),
-                                          ray_major=True, geometry=_ray_geometry)))
-    return [built[b] for b in blocks]
-
-
 def _runs(first: np.ndarray, n: np.ndarray) -> np.ndarray:
     """The indices first[k]:first[k] + n[k], run after run."""
     return np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)
@@ -265,8 +250,8 @@ def _runs(first: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _patch_pairs(sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray):
     """`_composite`'s live tuple for the pixel grid rows x cols, and its
-    rays' directions (dx, dy, dz), from the `_PairSet`s whose grids tile a
-    region holding it, each meeting it.
+    rays' directions (dx, dy, dz), from `_PairSet`s whose grids tile a
+    region holding it; the sets that do not meet it are skipped.
 
     A set's pairs of the grid are runs of its ray-major listing, one along
     each row of their overlap, and its directions there are a window of its
@@ -283,13 +268,15 @@ def _patch_pairs(sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray):
         gr, gc = ps.count.shape
         i0, i1 = max(r0, ps.r0), min(r0 + R, ps.r0 + gr)
         j0, j1 = max(c0, ps.c0), min(c0 + C, ps.c0 + gc)
+        if i0 >= i1 or j0 >= j1:
+            continue
         win = np.s_[i0 - ps.r0:i1 - ps.r0, j0 - ps.c0:j1 - ps.c0]
         at = np.s_[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
         count[at] = ps.count[win]
         for d, grid_d in zip(dirs, ps.dirs):
             d[at] = grid_d[win]
         runs = _runs(ps.start[win][:, 0], count[at].sum(axis=1))
-        pieces.append((ps, runs if ps.order is None else ps.order[runs], at))
+        pieces.append((ps, ps.order[runs], at))
     dirs = tuple(dirs.reshape(3, -1))
     if len(pieces) == 1:
         ps, order, _ = pieces[0]
@@ -317,10 +304,10 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
     components.
 
     `sets` are `_PairSet`s built for this scene's geometry whose grids tile
-    a region holding the patch, each meeting it: the view's blocks that the
-    patch meets, or the patch's own. The patch takes its pixels' runs and
-    ray directions from them (`_patch_pairs`) and runs the renderer's
-    kernel once over them, then the fusion head once over the whole patch.
+    a region holding the patch: the view's blocks, or the patch's own. The
+    patch takes its pixels' runs and ray directions from them
+    (`_patch_pairs`) and runs the renderer's kernel once over them, then the
+    fusion head once over the whole patch.
     Each ray composites only its own live pairs in their order, so the
     colors match a render bitwise whatever grids the pairs came from.
     """
@@ -389,8 +376,8 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
                     + gpix[:, 2] * bg[2]) * tp.final_T)
 
     pref = dotc * tp.tw                       # per slot, then its running sum
+    total = _ray_totals(pref, tp.offsets, tp.rays)
     _scan_ranks(np.add, pref, tp.offsets)
-    total = _last_slots(pref, tp.by_ray, np.bincount(ray, minlength=P))
     tail = total[ray] - pref + tail_bg[ray]   # strictly-later terms + background
     dw_s = np.where(tp.tw > 0.0,
                     dotc * tp.Tb - tail / np.maximum(1.0 - tp.w, 1e-300), 0.0)
@@ -492,23 +479,28 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     # an appearance-only fit moves no splat, so the live pairs of each block
     # of a view, their t and q, their order and their rays hold for the whole
     # fit. Where a view's patches over the fit hold at least as many pixels
-    # as the view, every block's set is built once, on the first full view
-    # or patch that meets the block, and every later patch and full view of
-    # the view is sliced or composited from the sets; a view visited less
-    # enumerates each patch afresh and renders each full view
+    # as the view, view_sets[v] holds every block's set of view v, built here
+    # in one call, and every patch and full view of the view is sliced or
+    # composited from them; a view visited less has None, and enumerates
+    # each patch afresh and renders each full view. The final report renders
+    # every view in full, so keeping a view would cost no extra pair work:
+    # the rule only bounds memory, as kept sets hold about 32 B per live
+    # pair and 40 B per pixel for the whole fit
     side = int(math.isqrt(cfg.rays_per_step))
     keeps = [geo is None and len(range(v, cfg.iters, len(cams)))
              * min(side, cam.height) * min(side, cam.width) >= cam.height * cam.width
              for v, cam in enumerate(cams)]
-    view_sets: list[dict] = [{} for _ in cams]
+    view_sets: list[list[_PairSet] | None] = [
+        _grid_pairs(scene, cam, _block_grids(_coarse_blocks(cam.height, cam.width)),
+                    geometry=_ray_geometry) if keep else None
+        for cam, keep in zip(cams, keeps)]
 
     def full_view(view, scene, mlp):
         """`render(scene, cams[view], rcfg, mlp=mlp)`'s images."""
         cam = cams[view]
-        if not keeps[view]:
+        if view_sets[view] is None:
             return render(scene, cam, rcfg, workers=1, mlp=mlp)
-        return _render_sets(scene, cam, rcfg, mlp, _block_sets(
-            scene, cam, view_sets[view], 0, 0, cam.height, cam.width))
+        return _render_sets(scene, cam, rcfg, mlp, view_sets[view])
 
     anchor_sets: list[AnchorSet | None]
     if "no_anchoring" in cfg.ablation:
@@ -570,8 +562,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         e_vec = (None if live_mlp is None else
                  embed_camera(cam, cur_scene.center, cur_scene.radius,
                               live_mlp.d))
-        sets = (_block_sets(cur_scene, cam, view_sets[view], r0, c0, ph, pw)
-                if keeps[view] else
+        sets = (view_sets[view] if view_sets[view] is not None else
                 _grid_pairs(cur_scene, cam, [(rows, cols)], geometry=_ray_geometry))
         colors, work = _patch_forward(cur_scene, cam, rcfg, sets, rows, cols,
                                       live_mlp, e_vec, tape=True)

@@ -17,16 +17,17 @@ comes only from `_render_blocks`, one kernel call per COARSE_TILE block,
 and `_view_images`, which assembles the blocks. The ray x splat pairs come
 from `_pairs`, which enumerates a pixel grid's pairs from each splat's
 screen-space cutoff conic (`_conics`, built once per camera), a superset of
-the live pairs; `_live_ray_major` keeps the live ones and orders them, and
+the live pairs; `_live_pairs` keeps the live ones and orders them, and
 `_composite` lays them out and composites them.
 `_pair_sets` runs the first two for each grid and keeps the result, with
-the grid's ray directions, as a `_PairSet`. `render` builds one per block
-and composites it at once. An appearance-only fit, whose splats do not
-move, keeps each block's set of a view it revisits and composites each of
-its full views from them (`_render_sets`) and each patch from its slices
-of them; a geometry fit builds each patch's own. A patch pixel matches the
-full image's bit for bit, and its gradients those of one call over every
-pair.
+the grid's ray directions, as a `_PairSet`, in one layout whoever uses it.
+`render` builds one per block and composites it at once. An
+appearance-only fit, whose splats do not move, builds every block's set of
+each view it revisits before its first iteration, keeps them and
+composites each of that view's full views from them (`_render_sets`) and
+each patch from its slices of them; a geometry fit builds each patch's
+own. A patch pixel matches the full image's bit for bit, and its gradients
+those of one call over every pair.
 Each ray composites only its own live splats, ordered by t and then by
 splat index, so a ray's result does not depend on which other rays, or
 which dead pairs, share its call: a dead entry could only have added a
@@ -178,8 +179,9 @@ class _Tape:
     add nothing to any sum. The layout is rank-major: rank j (each ray's
     (j+1)-th slot) is the run offsets[j]:offsets[j+1], its rays ordered by
     live count, largest first and stably, so the rays holding a rank j slot
-    are a prefix of the rays holding a rank j-1 one. `ray` is each slot's ray
-    and `by_ray` lists the slots ray after ray, each ray's in rank order.
+    are a prefix of the rays holding a rank j-1 one; `rays` lists the rays in
+    that order. `ray` is each slot's ray and `by_ray` lists the slots ray
+    after ray, each ray's in rank order.
     `color`, `iso` and `aniso` are per-channel triples. `f`/`cos` are None
     unless disentangled with anisotropy, `iso`/`aniso` None without fused
     streams (`aniso` also without anisotropy), whether or not any splat
@@ -200,11 +202,12 @@ class _Tape:
     aniso: tuple | None
     ray: np.ndarray        # ray of each slot
     offsets: list          # rank j is slots offsets[j]:offsets[j+1]
+    rays: np.ndarray       # [P] the rays by slot count, largest first
     by_ray: np.ndarray     # the slots in ray-major order
     n: np.ndarray          # [P] slots each ray composites
 
 
-def _ray_major(ray, sub, ts, P: int):
+def _ray_order(ray, sub, ts, P: int):
     """The order that puts pairs ray after ray, each ray's by t and then by
     splat index, as np.lexsort((sub, ts, ray)) does.
 
@@ -249,23 +252,13 @@ def _scan_ranks(op, a, offsets) -> None:
         op(a[..., prev:prev + hi - lo], a[..., lo:hi], out=a[..., lo:hi])
 
 
-def _last_slots(a, by_ray, n):
-    """Each ray's value in its last slot of a rank-major `a` (along its last
-    axis), +0.0 for a ray with no slot; ray r holds n[r] slots and `by_ray`
-    lists the slots ray after ray."""
-    hit = np.flatnonzero(n)
-    out = np.zeros(a.shape[:-1] + (n.size,))
-    out[..., hit] = a[..., by_ray[np.cumsum(n)[hit] - 1]]
-    return out
-
-
 def _ray_totals(a, offsets, rays):
     """Each ray's sum over its slots of a rank-major `a` (along its last
     axis), +0.0 for a ray with no slot; `rays` is `_rank_major`'s ray order.
 
     Rank j's run is added into the running sums of rank 0's run, rank after
     rank: the additions `_scan_ranks(np.add, ...)` makes, in the same order,
-    so the bits of its value at each ray's last slot (`_last_slots`).
+    so the bits of its running sum at each ray's last slot.
     """
     width = offsets[1] if len(offsets) > 1 else 0
     acc = a[..., :width].copy()
@@ -277,7 +270,7 @@ def _ray_totals(a, offsets, rays):
     return out
 
 
-def _live_ray_major(ray, sub, geometry, near: float, P: int):
+def _live_pairs(ray, sub, geometry, near: float, P: int):
     """The live pairs among (ray, sub) and their ray-major order: the front
     end of every kernel call over P rays.
 
@@ -286,7 +279,7 @@ def _live_ray_major(ray, sub, geometry, near: float, P: int):
     `_ray_geometry` call for the pairs. A pair is live within the cutoff and
     past `near`. Returns (sub, ts, q, order, count) over the live pairs, in
     their enumeration order: `order` lists them ray after ray, each ray's by
-    t and then by splat index (`_ray_major`), and count[r] is ray r's live
+    t and then by splat index (`_ray_order`), and count[r] is ray r's live
     count. `_composite` takes the tuple as it is.
     """
     # callers pass the pair as a temporary, so this is its only reference and
@@ -298,7 +291,7 @@ def _live_ray_major(ray, sub, geometry, near: float, P: int):
     live &= ts >= near
     ray, sub, ts, q = ray[live], sub[live], ts[live], q[live]
     del live
-    return (sub, ts, q, _ray_major(ray, sub, ts, P),
+    return (sub, ts, q, _ray_order(ray, sub, ts, P),
             np.bincount(ray, minlength=P))
 
 
@@ -307,7 +300,7 @@ def _composite(scene, cfg: RenderConfig, live, dx, dy, dz,
     """Shared compositing kernel over P rays with one origin, the direction
     of ray r being (dx[r], dy[r], dz[r]).
 
-    `live` is (sub, ts, q, order, count) as `_live_ray_major` returns it:
+    `live` is (sub, ts, q, order, count) as `_live_pairs` returns it:
     live pairs of splat sub[i] at ts[i] and squared Mahalanobis distance
     q[i], of which order[count[:r].sum():][:count[r]] are ray r's in front
     to back order. Each ray stops at the first pair whose transmittance
@@ -406,7 +399,7 @@ def _composite(scene, cfg: RenderConfig, live, dx, dy, dz,
                       tw=tw, final_T=final_T, f=f, cos=cos,
                       iso=tuple(values[4:7]) or None,
                       aniso=tuple(values[7:]) or None, ray=ray,
-                      offsets=offsets, by_ray=slot, n=n),)
+                      offsets=offsets, rays=rays, by_ray=slot, n=n),)
     return out
 
 
@@ -528,21 +521,21 @@ def _pairs(conics, cam, rows, cols):
 class _PairSet:
     """The live ray x splat pairs of a pixel grid of one camera, for one
     scene geometry: what the kernel reads of each pair (splat index, t of
-    peak weight, squared Mahalanobis distance q there), and `order`, which
-    lists them ray-major: the pixels row after row, each pixel's pairs one
-    run in t order and then by splat index. `order` is None where the
-    arrays are in that order themselves. start and count give each pixel's
-    run in the ray-major listing, and `dirs` the unit direction of each
-    pixel's ray (`Camera.pixel_dirs`, elementwise, so any window of it has
-    the bits of the window's own call). A set depends on the scene's
-    geometry only, so one built for a scene composites any appearance of
-    it: `_render_blocks` composites a set's whole grid, the fit's
-    `_patch_pairs` any window of one or more sets."""
+    peak weight, squared Mahalanobis distance q there), in the order `_pairs`
+    enumerated them, and `order`, which lists them ray-major: the pixels row
+    after row, each pixel's pairs one run in t order and then by splat
+    index. This is `_live_pairs`'s tuple as the kernel takes it. start and
+    count give each pixel's run in the ray-major listing, and `dirs` the
+    unit direction of each pixel's ray (`Camera.pixel_dirs`, elementwise, so
+    any window of it has the bits of the window's own call). A set depends
+    on the scene's geometry only, so one built for a scene composites any
+    appearance of it: `_render_blocks` composites a set's whole grid, the
+    fit's `_patch_pairs` any window of one or more sets."""
 
     sub: np.ndarray     # splat of each pair
     ts: np.ndarray
     q: np.ndarray
-    order: np.ndarray | None
+    order: np.ndarray
     start: np.ndarray   # [R, C]
     count: np.ndarray   # [R, C]
     dirs: tuple         # (dx, dy, dz), each [R, C]
@@ -550,18 +543,14 @@ class _PairSet:
     c0: int
 
 
-def _pair_sets(scene, cam, grids, ray_major: bool = False, geometry=None):
+def _pair_sets(scene, cam, grids, geometry=None):
     """An iterator over the `_PairSet` of each pixel grid (rows, cols) in
     `grids`, both runs of consecutive pixel indices: the pairs `_pairs`
     enumerates for it from the camera's `_conics`, built here once for all
     the grids, kept where live and put in order by the kernel's own front
-    end (`_live_ray_major`). Each set is built when it is asked for, so a
-    caller that composites each before the next holds one at a time.
-
-    With `ray_major` the pairs are gathered into their order once, for a
-    set that is kept and composited many times: it holds no `order`, each
-    slice indexes its arrays directly, and its integers are int32 to keep
-    it small. Without, a set composited once is not gathered twice.
+    end (`_live_pairs`). Each set is built when it is asked for, so a
+    caller that composites each before the next holds one at a time. A
+    set holds about 32 bytes per live pair and 40 per pixel.
     `geometry`, by default this module's `_ray_geometry`, is the one the
     caller looks up, so a fit's pair work shows at the fit's own import.
     """
@@ -573,14 +562,10 @@ def _pair_sets(scene, cam, grids, ray_major: bool = False, geometry=None):
         dirs = cam.pixel_dirs(rows[:, None], cols[None, :])
         dx, dy, dz = (a.ravel() for a in dirs)
         ray, sub = _pairs(conics, cam, rows, cols)
-        sub, ts, q, order, count = _live_ray_major(
+        sub, ts, q, order, count = _live_pairs(
             ray, sub, geometry(scene, *ot, dx[ray], dy[ray], dz[ray], sub),
             cam.near, dx.size)
         start = np.cumsum(count) - count
-        if ray_major:
-            sub, ts, q = sub.astype(np.int32)[order], ts[order], q[order]
-            order = None
-            start, count = start.astype(np.int32), count.astype(np.int32)
         shape = (rows.size, cols.size)
         return _PairSet(sub=sub, ts=ts, q=q, order=order,
                         start=start.reshape(shape), count=count.reshape(shape),
@@ -589,11 +574,10 @@ def _pair_sets(scene, cam, grids, ray_major: bool = False, geometry=None):
     return (build(rows, cols) for rows, cols in grids)
 
 
-def _grid_pairs(scene, cam, grids, ray_major: bool = False,
-                geometry=None) -> list[_PairSet]:
+def _grid_pairs(scene, cam, grids, geometry=None) -> list[_PairSet]:
     """`_pair_sets` as a list: every set is built within this call, which
     is where a traced fit then counts the building."""
-    return list(_pair_sets(scene, cam, grids, ray_major, geometry))
+    return list(_pair_sets(scene, cam, grids, geometry))
 
 
 def _fusion_head(scene, cam, mlp):
@@ -620,9 +604,7 @@ def _render_blocks(scene, cfg, head, sets) -> list:
         dx, dy, dz = (a.ravel() for a in ps.dirs)
         shape = ps.count.shape
         # popped into the call, so no name here holds the pairs meanwhile
-        live = [(ps.sub, ps.ts, ps.q,
-                 np.arange(ps.sub.size) if ps.order is None else ps.order,
-                 ps.count.ravel())]
+        live = [(ps.sub, ps.ts, ps.q, ps.order, ps.count.ravel())]
         del ps
         color, depth, trans, *streams = _composite(
             scene, cfg, live.pop(), dx, dy, dz, fused_streams=head is not None)

@@ -3,7 +3,7 @@ import pytest
 
 from splat360 import (Camera, RenderConfig, Scene, make_orbit_cameras,
                       make_random_scene)
-from splat360.renderer import (_composite, _live_ray_major, _origin_terms,
+from splat360.renderer import (_composite, _live_pairs, _origin_terms,
                                _ray_geometry)
 from splat_reference import Sample
 
@@ -43,7 +43,7 @@ def dense_composite(scene, origin, dirs, cfg=None, near=0.0,
     dx, dy, dz = (np.ascontiguousarray(dirs[:, i]) for i in range(3))
     ray, sub, geometry = every_pair(scene, origin, dx, dy, dz)
     return _composite(scene, cfg or RenderConfig(),
-                      _live_ray_major(ray, sub, geometry, near, dx.size),
+                      _live_pairs(ray, sub, geometry, near, dx.size),
                       dx, dy, dz, fused_streams=fused_streams, tape=tape)
 
 

@@ -447,13 +447,14 @@ def _dense_patch(scene, cam, rcfg, rows, cols, mlp, e_vec):
 
 def _assert_same_tape(tape, dense):
     # the same live pairs per ray give the same rank-major layout, so every
-    # slot array matches; the splat indices only in value, not in dtype
+    # slot array matches, in dtype too
     for field in dataclasses.fields(tape):
         a, b = getattr(tape, field.name), getattr(dense, field.name)
         if a is None or b is None or isinstance(a, list):
             assert a == b, field.name
             continue
         for x, y in zip(*((a, b) if isinstance(a, tuple) else ((a,), (b,)))):
+            assert x.dtype == y.dtype, field.name
             if x.dtype.kind == "f":
                 assert x.tobytes() == y.tobytes(), field.name
             else:
@@ -491,8 +492,8 @@ def _patch_case(draw):
 def test_tiled_patch_matches_render_and_a_dense_tape(case):
     # the patch composites the pairs of its own grid, as a geometry fit
     # enumerates them, or its slices of the sets of the view's tile x tile
-    # blocks it meets, stored ray-major as an appearance-only fit keeps them
-    # or not (a tile of 48 is the whole view)
+    # blocks: those it meets, or every block of the view, as an
+    # appearance-only fit keeps them (a tile of 48 is the whole view)
     s, cam, (r0, c0, ph, pw), mode, with_geometry, tile = case
     rcfg = RenderConfig(disentangle=mode != "no_disentangle",
                         anisotropy_enabled=mode != "no_anisotropy")
@@ -511,11 +512,15 @@ def test_tiled_patch_matches_render_and_a_dense_tape(case):
                np.arange(c, min(c + tile, 48), dtype=np.float64))
               for r in range(r0 - r0 % tile, r0 + ph, tile)
               for c in range(c0 - c0 % tile, c0 + pw, tile)]
-    for grids, ray_major in (([(rows, cols)], False), (blocks, True), (blocks, False)):
-        sets = _grid_pairs(s, cam, grids, ray_major)
+    view = [(np.arange(r, min(r + tile, 48), dtype=np.float64),
+             np.arange(c, min(c + tile, 48), dtype=np.float64))
+            for r in range(0, 48, tile) for c in range(0, 48, tile)]
+    for grids in ([(rows, cols)], blocks, view):
+        sets = _grid_pairs(s, cam, grids)
         colors, work = _patch_forward(s, cam, rcfg, sets, rows, cols, mlp,
                                       e_vec, tape=True)
         assert colors.tobytes() == dense_colors.tobytes()
+        assert work[1].idx.dtype == np.intp
         _assert_same_tape(work[1], dense_work[1])
         *grads, mlp_g = _patch_backward(work, rcfg, gpix, mlp, geometry)
         assert len(grads) == (5 if with_geometry else 4)
@@ -530,8 +535,8 @@ def test_patch_forward_culls_ray_splat_pairs(monkeypatch):
     # 32x32 patch per iteration. Over 8 iterations each view's two patches
     # hold half its pixels, so each patch enumerates its own pairs; over the
     # benchmark's 40 each view is one COARSE_TILE block whose set holds the
-    # pairs `_pairs` enumerates for the whole view, built once, on its
-    # anchor render. Either way nearly all of them are live (q within the
+    # pairs `_pairs` enumerates for the whole view, built once, before the
+    # first iteration. Either way nearly all of them are live (q within the
     # cutoff, past the near plane); the fit's own pair sets go through its
     # import of `_ray_geometry`, and the 8-iteration fit's full-image
     # renders through the renderer's, which is not counted
@@ -567,32 +572,39 @@ def test_pair_sets_are_built_once_per_block_where_views_are_revisited(
     # 3 views of 16^2 in 8x8 blocks, 8x8 patches round-robin, a full-view
     # evaluation every 5 iterations. A view whose patches hold at least its
     # 256 pixels (4 visits; 11 iterations give views 0 and 1 four and view
-    # 2 three) builds, in an appearance-only fit, the set of each of its
-    # blocks once, on the first full view or patch that meets the block, and
-    # composites every later patch and full view from the sets: `_pairs`
-    # enumerates each of its blocks once in the whole fit. A view visited
-    # less, or any view of a geometry fit, which moves the splats,
-    # enumerates each iteration's patch afresh and each full view in
-    # `render`'s blocks
+    # 2 three) builds, in an appearance-only fit, the sets of all its blocks
+    # in one call before the first iteration, and composites every patch
+    # and full view from them: `_pairs` enumerates each of its blocks once
+    # in the whole fit. A view visited less, or any view of a geometry fit,
+    # which moves the splats, enumerates each iteration's patch afresh and
+    # each full view in `render`'s blocks
     monkeypatch.setattr(renderer, "COARSE_TILE", 8)
     s = small_random_scene
     cams = _views(s, n=3, res=16)
     targets = _self_targets(s, cams, RenderConfig())
     view_of = {id(cam): i for i, cam in enumerate(cams)}
-    built, enumerated = [], []
+    # ("sets", view, grids) per `_grid_pairs` call, ("iteration",) as each
+    # iteration draws its patch
+    events, enumerated = [], []
     grid_pairs, pairs = fitting._grid_pairs, renderer._pairs
+    patch_origin = fitting._patch_origin
 
-    def counted_grids(scene, cam, grids, ray_major=False, **kw):
-        built.extend((view_of[id(cam)], int(r[0]), int(c[0]), r.size, c.size,
-                      ray_major) for r, c in grids)
-        return grid_pairs(scene, cam, grids, ray_major, **kw)
+    def counted_grids(scene, cam, grids, **kw):
+        events.append(("sets", view_of[id(cam)],
+                       [(int(r[0]), int(c[0]), r.size, c.size) for r, c in grids]))
+        return grid_pairs(scene, cam, grids, **kw)
 
     def counted_pairs(conics, cam, rows, cols):
         enumerated.append((view_of[id(cam)], int(rows[0]), int(cols[0])))
         return pairs(conics, cam, rows, cols)
 
+    def counted_origin(*args):
+        events.append(("iteration",))
+        return patch_origin(*args)
+
     monkeypatch.setattr(fitting, "_grid_pairs", counted_grids)
     monkeypatch.setattr(renderer, "_pairs", counted_pairs)
+    monkeypatch.setattr(fitting, "_patch_origin", counted_origin)
     cfg = FitConfig(lr=1e-3, iters=iters, rays_per_step=64, full_eval_every=5,
                     seed=0, optimize_geometry=geometry, ablation=ablation)
     mlp = init_mlp(d=16, seed=4) if with_mlp else None
@@ -600,19 +612,19 @@ def test_pair_sets_are_built_once_per_block_where_views_are_revisited(
     assert len(report.trace) == iters
     visits = [len(range(v, iters, 3)) for v in range(3)]
     keeps = [not geometry and n * 64 >= 256 for n in visits]
-    blocks = {(r, c) for r in (0, 8) for c in (0, 8)}
-    kept = [b for b in built if b[5]]
-    assert len(set(kept)) == len(kept)
-    assert {b[:3] for b in kept} == {(v,) + rc for v in range(3) if keeps[v]
-                                     for rc in blocks}
-    fresh = [b for b in built if not b[5]]
-    assert len(fresh) == sum(n for n, keep in zip(visits, keeps) if not keep)
-    assert all(b[3:5] == (8, 8) for b in built)
+    blocks = [(r, c, 8, 8) for r in (0, 8) for c in (0, 8)]
+    first = events.index(("iteration",))
+    assert events[:first] == [("sets", v, blocks) for v in range(3) if keeps[v]]
+    assert events.count(("iteration",)) == iters
+    later = [e for e in events[first:] if e[0] == "sets"]
+    assert all(not keeps[v] and len(grids) == 1 and grids[0][2:] == (8, 8)
+               for _, v, grids in later)
+    assert len(later) == sum(n for n, keep in zip(visits, keeps) if not keep)
     renders = (not ablation) + iters // 5 + 1
     for v in range(3):
         calls = [e for e in enumerated if e[0] == v]
         if keeps[v]:
-            assert sorted(calls) == sorted((v,) + rc for rc in blocks)
+            assert sorted(calls) == sorted((v, r, c) for r, c, _, _ in blocks)
         else:
             assert len(calls) == visits[v] + 4 * renders
 

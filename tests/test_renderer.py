@@ -16,10 +16,9 @@ from splat360 import (Camera, RenderConfig, Scene, embed_camera,
 from splat360.fusion import fusion_input
 from conftest import (dense_composite, every_pair, kernel_samples, make_scene,
                       ray_slots)
-from splat360.renderer import (TERMINATION_EPSILON, _conics, _last_slots,
-                               _origin_terms, _pairs, _phase_factor,
-                               _rank_major, _ray_totals, _scan_ranks,
-                               _shutdown_pools)
+from splat360.renderer import (TERMINATION_EPSILON, _conics, _origin_terms,
+                               _pairs, _phase_factor, _rank_major, _ray_totals,
+                               _scan_ranks, _shutdown_pools)
 from splat_reference import SplatReference, pixel_dir
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -649,10 +648,16 @@ def test_ray_totals_equal_the_running_sum_at_each_last_slot(n, rows, data):
     values = st.one_of(st.sampled_from([0.0, -0.0]),
                        st.floats(-1e3, 1e3, allow_subnormal=True))
     a = data.draw(hnp.arrays(np.float64, (rows, ray.size), elements=values))
-    scanned = a.copy()
-    _scan_ranks(np.add, scanned, offsets)
-    expect = _last_slots(scanned, slot, n)
+    # a plain running sum along each ray, front to back from its first slot
+    expect = np.zeros((rows, n.size))
+    running = np.empty_like(a)
+    for r in range(n.size):
+        for k, s in enumerate(slot[ray == r]):
+            expect[:, r] = a[:, s] if k == 0 else expect[:, r] + a[:, s]
+            running[:, s] = expect[:, r]
     assert _ray_totals(a, offsets, rays).tobytes() == expect.tobytes()
+    _scan_ranks(np.add, a, offsets)
+    assert a.tobytes() == running.tobytes()
 
 
 def test_conics_run_once_per_payload(monkeypatch):
