@@ -28,15 +28,15 @@ from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
 from .ct import (DrrConfig, ProjectionGeometry, load_volume, read_volume_header,
                  render_drr)
 from .errors import CheckFailure, FormatError, NumericFailure
-from .fitting import (FitConfig, _Geometry, _patch_backward, _patch_forward,
-                      composite_loss, fit_scene)
+from .fitting import FitConfig, _Geometry, composite_loss, fit_scene
 from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
                      init_mlp, load_mlp, save_mlp)
 from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
 from .metrics import psnr, ssim
-from .renderer import TERMINATION_EPSILON, RenderConfig, _grid_pairs, render
-from .scene import (Camera, Scene, load_scene, make_orbit_cameras,
-                    make_random_scene, save_scene)
+from .renderer import (RenderConfig, _grid_pairs, _patch_backward,
+                       _patch_forward, _tape_key, render)
+from .scene import (Camera, Scene, _finite_number, load_scene,
+                    make_orbit_cameras, make_random_scene, save_scene)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -145,10 +145,13 @@ def camera_from_doc(doc: dict) -> Camera:
             # Camera would read 3.5 as 3 and true as 1
             if type(doc[key]) is not int:
                 raise TypeError(f"{key} must be an integer, got {doc[key]!r}")
-        return Camera(np.array(doc["position"]), np.array(doc["forward"]),
-                      np.array(doc["up"]), np.array(doc["right"]),
-                      doc["fov_y"], doc["width"], doc["height"],
-                      doc.get("near", 1e-3))
+        vals = {k: doc[k] for k in ("position", "forward", "up", "right", "fov_y")}
+        vals["near"] = doc.get("near", 1e-3)
+        # and "0.9" as 0.9 and true as 1.0, which a scene file may not hold
+        for key, v in vals.items():
+            if not all(map(_finite_number, v if isinstance(v, list) else [v])):
+                raise TypeError(f"{key} must hold finite numbers, got {v!r}")
+        return Camera(width=doc["width"], height=doc["height"], **vals)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad camera JSON: {e}") from e
 
@@ -255,7 +258,8 @@ def cmd_drr(args) -> int:
 # fit
 
 def _load_targets(targets_dir: str):
-    """(Camera, image) pairs from frame_XXX.camera.json + frame_XXX.pfm/.ppm."""
+    """(Camera, image, image file, camera file) of each frame_XXX.camera.json
+    + frame_XXX.pfm/.ppm, and whether any image is a .pfm."""
     names = sorted(n for n in os.listdir(targets_dir)
                    if n.endswith(".camera.json"))
     if not names:
@@ -264,7 +268,8 @@ def _load_targets(targets_dir: str):
     any_pfm = False
     for name in names:
         stem = name[:-len(".camera.json")]
-        cam = load_camera_json(os.path.join(targets_dir, name))
+        cam_file = os.path.join(targets_dir, name)
+        cam = load_camera_json(cam_file)
         pfm = os.path.join(targets_dir, stem + ".pfm")
         ppm = os.path.join(targets_dir, stem + ".ppm")
         if os.path.exists(pfm):
@@ -278,7 +283,7 @@ def _load_targets(targets_dir: str):
             raise FormatError(f"no image for {stem} (need .pfm or .ppm)")
         if img.shape[2] == 1:
             img = np.repeat(img, 3, axis=2)
-        pairs.append((cam, img, used))
+        pairs.append((cam, img, used, cam_file))
     return pairs, any_pfm
 
 
@@ -297,7 +302,7 @@ def cmd_fit(args) -> int:
         mlp = load_mlp(args.mlp)
     elif args.mlp_init is not None:
         mlp = init_mlp(d=args.mlp_init, seed=args.seed)
-    targets = [(cam, img) for cam, img, _ in pairs]
+    targets = [(cam, img) for cam, img, _, _ in pairs]
     with _Run(args.out) as run:
         try:
             fitted, mlp_out, report = fit_scene(scene, targets, cfg, mlp=mlp)
@@ -319,9 +324,7 @@ def cmd_fit(args) -> int:
             lines.append(f"{row['view']:4d}  {row['psnr']:7.3f}  {row['ssim']:.6f}")
         run.write_text("per_view.txt", "\n".join(lines) + "\n")
         target_files = [p[2] for p in pairs]
-        inputs = [args.scene] + target_files
-        inputs += [os.path.join(args.targets, n) for n in
-                   sorted(os.listdir(args.targets)) if n.endswith(".camera.json")]
+        inputs = [args.scene] + target_files + [p[3] for p in pairs]
         if args.mlp:
             inputs.append(args.mlp)
         run.manifest(args, inputs, target_files=target_files,
@@ -445,16 +448,6 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
     patch = _patch_gradcheck(seed, tol=max(tol, 1e-3))
     return {"mlp": worst_mlp, "composite_loss": worst_loss, **patch,
             "tol": tol, "draws": draws}
-
-
-def _tape_key(work) -> tuple:
-    """Each ray's t-ordered composited splats, ray after ray with each ray's
-    count `n`: the patch loss is smooth in geometry only while this stays
-    the same. The tape's slots past a ray's stop are the ones whose Tb is
-    below TERMINATION_EPSILON."""
-    tp = work[1]
-    kept = tp.by_ray[tp.Tb[tp.by_ray] >= TERMINATION_EPSILON]
-    return tp.n.tobytes(), tp.idx[kept].tobytes()
 
 
 def _patch_gradcheck(seed: int, tol: float) -> dict:

@@ -3,32 +3,24 @@
 Each iteration renders one square pixel patch (rays_per_step rays) of a
 round-robin target view, computes the composite loss (MSE + SSIM with an
 adaptive window), and backpropagates analytically through the compositing
-kernel to the appearance parameters: alpha via logit, l_iso via logit,
-l_aniso via inverse softplus, g via atanh, so constraints hold by
-construction. The backward pass reads the kernel's tape and scatter-adds
-each per-slot product into its splat's gradient. Geometry (mu, covariance
-log-eigenvalues; rotation fixed) moves only under optimize_geometry, by the
-same backward pass, with the fusion head's camera embedding held fixed. Patch
-centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
-uniform positions unless the no_anchoring ablation is set.
+kernel (the renderer's `_patch_forward` and `_patch_backward`) to the
+appearance parameters: alpha via logit, l_iso via logit, l_aniso via
+inverse softplus, g via atanh, so constraints hold by construction.
+Geometry (mu, covariance log-eigenvalues; rotation fixed) moves only under
+optimize_geometry, by the same backward pass, with the fusion head's camera
+embedding held fixed. Patch centers are drawn from depth-gradient anchors
+mixed 50/50 (ANCHOR_MIX) with uniform positions unless the no_anchoring
+ablation is set.
 
-The patch forward pass runs the renderer's kernel once over the patch's
-slice of one or more `_PairSet`s: the live ray x splat pairs of a pixel
-grid, which the renderer's `_grid_pairs` enumerates from the camera's
-`_conics` as `render` does per block, with their ray-major order and their
-rays' directions. An appearance-only fit never moves a splat, so where a
-target view's patches over the fit hold at least as many pixels as the
-view, the sets of all its COARSE_TILE blocks are built before the first
-iteration and kept until the fit returns; every patch is sliced from
-them, and every full view (the anchor depth, each full_eval_every
-evaluation and the final per-view report) composites them through
-`_render_sets`, which runs `render`'s own block function and image
-assembly, with the fusion head when an MLP is fitted. A geometry fit, or
-a view visited less, builds each iteration's patch's own set and calls
-`render` for its full views: its full views enumerate every block
-anyway, so not keeping it saves no pair work, only memory.
-So a fit initialized at the scene that produced its targets measures a loss
-of exactly zero and no parameter moves.
+An appearance-only fit never moves a splat, so where a target view's
+patches over the fit hold at least as many pixels as the view, the pair
+sets of all its blocks are built before the first iteration and kept until
+the fit returns: every patch and full view of it (the anchor depth, each
+full_eval_every evaluation and the final report) comes from them. A
+geometry fit, or a view visited less, builds each patch's own pairs and
+calls `render` for its full views. Either way patches and full views match
+`render` bit for bit, so a fit initialized at the scene that produced its
+targets measures a loss of exactly zero and no parameter moves.
 """
 from __future__ import annotations
 
@@ -41,12 +33,11 @@ import numpy as np
 from .anchors import (AnchorSet, depth_gradient, sample_anchor_indices,
                       select_anchors)
 from .errors import NumericFailure
-from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
-                     fuse_forward_batch, fusion_input)
+from .fusion import MlpParams, _sigmoid, embed_camera
 from .metrics import psnr, ssim, ssim_with_grad
-from .renderer import (RenderConfig, _PairSet, _block_grids, _coarse_blocks,
-                       _composite, _grid_pairs, _ray_geometry, _ray_totals,
-                       _render_sets, _scan_ranks, render)
+from .renderer import (RenderConfig, _grid_pairs, _patch_backward,
+                       _patch_forward, _ray_geometry, _render_sets, _view_grids,
+                       render)
 from .scene import Camera, ImageBuffer, Scene, image_array
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
@@ -85,6 +76,8 @@ class FitConfig:
             raise ValueError("lr_halve_every must be >= 1")
         if self.rays_per_step < 1:
             raise ValueError("rays_per_step must be >= 1")
+        if self.seed < 0 or self.full_eval_every < 0:
+            raise ValueError("seed and full_eval_every must be >= 0")
         bad = self.ablation - set(ABLATIONS)
         if bad:
             raise ValueError(f"unknown ablation flags {sorted(bad)}; "
@@ -240,190 +233,6 @@ class _Geometry:
         return mu, cov
 
 
-# ---------------------------------------------------------------------------
-# patch forward/backward through the compositing kernel
-
-def _runs(first: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The indices first[k]:first[k] + n[k], run after run."""
-    return np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)
-
-
-def _patch_pairs(sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray):
-    """`_composite`'s live tuple for the pixel grid rows x cols, and its
-    rays' directions (dx, dy, dz), from `_PairSet`s whose grids tile a
-    region holding it; the sets that do not meet it are skipped.
-
-    A set's pairs of the grid are runs of its ray-major listing, one along
-    each row of their overlap, and its directions there are a window of its
-    `dirs`. From one set, the tuple indexes that set's arrays, so the kernel
-    gathers each pair once. From several, each set's pairs are gathered,
-    set after set, and the tuple's order indexes that concatenation.
-    """
-    R, C = rows.size, cols.size
-    r0, c0 = int(rows[0]), int(cols[0])
-    count = np.empty((R, C), dtype=np.intp)
-    dirs = np.empty((3, R, C))
-    pieces = []
-    for ps in sets:
-        gr, gc = ps.count.shape
-        i0, i1 = max(r0, ps.r0), min(r0 + R, ps.r0 + gr)
-        j0, j1 = max(c0, ps.c0), min(c0 + C, ps.c0 + gc)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        win = np.s_[i0 - ps.r0:i1 - ps.r0, j0 - ps.c0:j1 - ps.c0]
-        at = np.s_[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
-        count[at] = ps.count[win]
-        for d, grid_d in zip(dirs, ps.dirs):
-            d[at] = grid_d[win]
-        runs = _runs(ps.start[win][:, 0], count[at].sum(axis=1))
-        pieces.append((ps, ps.order[runs], at))
-    dirs = tuple(dirs.reshape(3, -1))
-    if len(pieces) == 1:
-        ps, order, _ = pieces[0]
-        return (ps.sub, ps.ts, ps.q, order, count.ravel()), dirs
-    # a pixel's run starts at its piece's offset in the concatenation plus
-    # the run's place in the piece, which is ray-major over the overlap
-    first = np.empty((R, C), dtype=np.intp)
-    n = 0
-    for _, ix, at in pieces:
-        cnt = count[at]
-        first[at] = n + (np.cumsum(cnt) - cnt.ravel()).reshape(cnt.shape)
-        n += ix.size
-    sub, ts, q = (np.concatenate([getattr(ps, a)[ix] for ps, ix, _ in pieces])
-                  for a in ("sub", "ts", "q"))
-    return (sub, ts, q, _runs(first.ravel(), count.ravel()), count.ravel()), dirs
-
-
-def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
-                   sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray,
-                   mlp: MlpParams | None, e_vec: np.ndarray | None,
-                   tape: bool = False):
-    """Colors [P,3] for the pixel grid rows x cols, rays in row-major order,
-    and with `tape` the work `_patch_backward` reads (else None): the
-    kernel's tape, the fusion cache, and the rays' origin and direction
-    components.
-
-    `sets` are `_PairSet`s built for this scene's geometry whose grids tile
-    a region holding the patch: the view's blocks, or the patch's own. The
-    patch takes its pixels' runs and ray directions from them
-    (`_patch_pairs`) and runs the renderer's kernel once over them, then the
-    fusion head once over the whole patch.
-    Each ray composites only its own live pairs in their order, so the
-    colors match a render bitwise whatever grids the pairs came from.
-    """
-    live, (dx, dy, dz) = _patch_pairs(sets, rows, cols)
-    colors, _, _, *out = _composite(
-        scene, rcfg, live, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
-    cache = None
-    if mlp is not None:
-        colors, cache = fuse_forward_batch(
-            fusion_input(out[0], out[1], e_vec, np.stack([dx, dy, dz], axis=1)),
-            mlp, want_cache=True)
-    return colors, ((scene, out[-1], cache, cam.position, (dx, dy, dz))
-                    if tape else None)
-
-
-def _dot3(g: np.ndarray, ray: np.ndarray, vals) -> np.ndarray:
-    """Per-slot sum over channels of g[ray, ch] * vals[ch]."""
-    return (g[:, 0][ray] * vals[0] + g[:, 1][ray] * vals[1]
-            + g[:, 2][ray] * vals[2])
-
-
-def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
-                    mlp: MlpParams | None, geometry=None):
-    """Gradients of the patch loss w.r.t. constrained appearance, geometry
-    and the MLP.
-
-    Each per-slot product is added into its splat's entry (a scatter-add
-    over the tape's splat indices). The tape's slots are each ray's live
-    entries, a splat in at most one slot of a ray, the ones past the ray's
-    termination with weight 0, so every product there is zero. They are put
-    in ray-major order before every sum, so each sum runs over the same terms
-    in the same ray order as a dense pass over every splat, less that pass's
-    exact zeros for the splats not live on the ray (not enumerated, past the
-    cutoff or before the near plane). np.bincount's sums start at +0.0,
-    which a zero term never changes, so the gradients depend neither on the
-    enumeration nor on the tape's layout. The running sum along each ray
-    runs rank by rank over the tape's layout, as the kernel's own do; a zero
-    past a ray's stop can turn its total from -0.0 to +0.0, but only where
-    every term is zero, and the tail is +0.0 either way.
-
-    `geometry` is None or `_Geometry`'s (rot [G,3,3], log_eig s [G,3]). The
-    loss sees geometry only through w = alpha exp(-q/2), as sort order and
-    liveness are piecewise constant. q = min over t of r^T Sigma^-1 r, with
-    r = mu - o - t d, is reached at the tape's t, so dq/dmu = 2 Sigma^-1 r and
-    dq/ds_j = -2 exp(-2 s_j) (R_j . r)^2 (envelope theorem).
-    Returns (dalpha [G], dl_iso [G,3], dl_aniso [G,3], dg [G], mlp_grads),
-    with dgeo [G,6] (mu, then s) before mlp_grads when `geometry` is given.
-    """
-    scene, tp, cache, origin, dirs = work
-    P, G = gpix.shape[0], scene.alpha.size
-    ray = tp.ray
-    mlp_grads = None
-    if mlp is not None:
-        mlp_grads, dX = fuse_backward_batch(cache, mlp, gpix)
-        gi = dX[:, 0:3]
-        ga = dX[:, 3:6]
-        dotc = _dot3(gi, ray, tp.iso)
-        if rcfg.anisotropy_enabled:
-            dotc = dotc + _dot3(ga, ray, tp.aniso)
-        tail_bg = np.zeros(P)
-    else:
-        gi = ga = gpix
-        dotc = _dot3(gpix, ray, tp.color)
-        bg = scene.background
-        tail_bg = ((gpix[:, 0] * bg[0] + gpix[:, 1] * bg[1]
-                    + gpix[:, 2] * bg[2]) * tp.final_T)
-
-    pref = dotc * tp.tw                       # per slot, then its running sum
-    total = _ray_totals(pref, tp.offsets, tp.rays)
-    _scan_ranks(np.add, pref, tp.offsets)
-    tail = total[ray] - pref + tail_bg[ray]   # strictly-later terms + background
-    dw_s = np.where(tp.tw > 0.0,
-                    dotc * tp.Tb - tail / np.maximum(1.0 - tp.w, 1e-300), 0.0)
-    idx = tp.idx[tp.by_ray]
-
-    def ray_sum(slot_values):
-        return np.bincount(idx, slot_values[tp.by_ray], minlength=G)
-
-    dalpha = ray_sum(dw_s * tp.k)
-    # color slot grads: d c / d l_iso = 1; d c / d l_aniso = f; d c / d g via f
-    dli = np.empty((G, 3))
-    dla = np.zeros((G, 3))
-    for ch in range(3):
-        dli[:, ch] = ray_sum(tp.tw * gi[:, ch][ray])
-    if rcfg.anisotropy_enabled:
-        for ch in range(3):
-            twa = tp.tw * ga[:, ch][ray]
-            dla[:, ch] = ray_sum(twa if tp.f is None else twa * tp.f)
-    dg = np.zeros(G)
-    if rcfg.anisotropy_enabled and rcfg.disentangle:
-        la_dot = _dot3(ga, ray, [scene.l_aniso[:, ch][tp.idx] for ch in range(3)])
-        cosg = tp.cos
-        gk = scene.g[tp.idx]
-        s = (1.0 + gk * gk) - (2.0 * gk) * cosg
-        sq = np.sqrt(s)
-        dfdg = (-2.0 * gk) / (s * sq) - 3.0 * (1.0 - gk * gk) * (gk - cosg) / (s * s * sq)
-        dg = ray_sum(tp.tw * la_dot * dfdg)
-    out = (dalpha, dli, dla, dg)
-    if geometry is not None:
-        rot, log_eig = geometry
-        gq = dw_s * (-0.5 * tp.w)            # dL/dq per slot
-        r = [(scene.mu[:, c][tp.idx] - origin[c]) - tp.ts * dirs[c][ray]
-             for c in range(3)]
-        gr = [gq * rc for rc in r]
-        sr = [ray_sum(v) for v in gr]
-        m = {(a, b): ray_sum(gr[a] * r[b]) for a in range(3) for b in range(a, 3)}
-        inv = scene.cov_inv
-        dmu = [2.0 * (inv[:, c, 0] * sr[0] + inv[:, c, 1] * sr[1]
-                      + inv[:, c, 2] * sr[2]) for c in range(3)]
-        dlog = [-2.0 * np.exp(-2.0 * log_eig[:, j])
-                * sum(rot[:, a, j] * rot[:, b, j] * m[min(a, b), max(a, b)]
-                      for a in range(3) for b in range(3)) for j in range(3)]
-        out += (np.stack(dmu + dlog, axis=1),)
-    return out + (mlp_grads,)
-
-
 def _patch_origin(rng: np.random.Generator, H: int, W: int, ph: int, pw: int,
                   anchors: AnchorSet | None, mix: float):
     """Top-left corner of the next training patch."""
@@ -476,23 +285,18 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     n_app, n_geo = theta_app.size, theta_geo.size
     theta = np.concatenate([theta_app, theta_geo, theta_mlp])
 
-    # an appearance-only fit moves no splat, so the live pairs of each block
-    # of a view, their t and q, their order and their rays hold for the whole
-    # fit. Where a view's patches over the fit hold at least as many pixels
-    # as the view, view_sets[v] holds every block's set of view v, built here
-    # in one call, and every patch and full view of the view is sliced or
-    # composited from them; a view visited less has None, and enumerates
-    # each patch afresh and renders each full view. The final report renders
-    # every view in full, so keeping a view would cost no extra pair work:
-    # the rule only bounds memory, as kept sets hold about 32 B per live
-    # pair and 40 B per pixel for the whole fit
+    # view_sets[v] holds view v's block sets where the rule in the module
+    # docstring keeps them, else None. The final report renders every view in
+    # full, so keeping one costs no extra pair work: the rule only bounds
+    # memory, as kept sets hold about 32 B per live pair and 40 B per pixel
+    # for the whole fit
     side = int(math.isqrt(cfg.rays_per_step))
     keeps = [geo is None and len(range(v, cfg.iters, len(cams)))
              * min(side, cam.height) * min(side, cam.width) >= cam.height * cam.width
              for v, cam in enumerate(cams)]
-    view_sets: list[list[_PairSet] | None] = [
-        _grid_pairs(scene, cam, _block_grids(_coarse_blocks(cam.height, cam.width)),
-                    geometry=_ray_geometry) if keep else None
+    view_sets = [
+        _grid_pairs(scene, cam, _view_grids(cam), geometry=_ray_geometry)
+        if keep else None
         for cam, keep in zip(cams, keeps)]
 
     def full_view(view, scene, mlp):

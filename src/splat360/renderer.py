@@ -11,23 +11,27 @@ f = (1 - g^2) / (s * sqrt(s)), s = 1 + g^2 - 2 g (dir . normal), is the
 Henyey-Greenstein lobe normalized so f = 1 when g = 0.
 
 Bit-determinism: every color-producing path (image blocks, with or without
-the fusion head, and the fit's patch forward pass) runs the one kernel
-`_composite` itself, not a copy of it. A full image, physical or fused,
-comes only from `_render_blocks`, one kernel call per COARSE_TILE block,
-and `_view_images`, which assembles the blocks. The ray x splat pairs come
-from `_pairs`, which enumerates a pixel grid's pairs from each splat's
-screen-space cutoff conic (`_conics`, built once per camera), a superset of
-the live pairs; `_live_pairs` keeps the live ones and orders them, and
-`_composite` lays them out and composites them.
-`_pair_sets` runs the first two for each grid and keeps the result, with
-the grid's ray directions, as a `_PairSet`, in one layout whoever uses it.
-`render` builds one per block and composites it at once. An
-appearance-only fit, whose splats do not move, builds every block's set of
-each view it revisits before its first iteration, keeps them and
-composites each of that view's full views from them (`_render_sets`) and
-each patch from its slices of them; a geometry fit builds each patch's
-own. A patch pixel matches the full image's bit for bit, and its gradients
-those of one call over every pair.
+the fusion head, and the fit's patches) runs the one kernel `_composite`
+itself, not a copy of it. A full image, physical or fused, comes only from
+`_render_blocks`, one kernel call per COARSE_TILE block, and `_view_images`,
+which assembles the blocks. The ray x splat pairs come from `_pairs`, which
+enumerates a pixel grid's pairs from each splat's screen-space cutoff conic
+(`_conics`, built once per camera), a superset of the live pairs;
+`_live_pairs` keeps the live ones and orders them, and `_composite` lays
+them out and composites them. `_pair_sets` runs the first two for each grid
+and keeps the result, with the grid's ray directions, as a `_PairSet`, in
+one layout whoever uses it. `render` builds one per block and composites it
+at once; `_render_sets` composites a view from the sets of its blocks that
+a caller kept, and `_patch_forward` a patch from its slices of one or more
+sets (`_patch_pairs`). A patch pixel matches the full image's bit for bit,
+and its gradients those of one call over every pair.
+`_patch_forward` hands the backward pass, `_patch_backward`, one work tuple
+that callers pass on unread: the scene, the kernel's `_Tape`, the fusion
+cache and the rays' origin and directions. Of the tape it reads each slot's
+splat, t, k, w, Tb and tw, its color or fused streams, f and cos, each
+ray's final_T, `ray`, `offsets` and `rays` for the running sums along each
+ray, and `by_ray` to add each slot's products into its splat ray after ray;
+`_tape_key` reads n, Tb, by_ray and idx: each ray's composited splats.
 Each ray composites only its own live splats, ordered by t and then by
 splat index, so a ray's result does not depend on which other rays, or
 which dead pairs, share its call: a dead entry could only have added a
@@ -53,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPrimitiveError
-from .fusion import MlpParams, embed_camera, fuse_forward_batch, fusion_input
+from .fusion import (MlpParams, embed_camera, fuse_backward_batch,
+                     fuse_forward_batch, fusion_input)
 from .scene import CUTOFF_SIGMA, Camera, ImageBuffer, Scene
 
 # Pairs are enumerated and composited per COARSE_TILE block, one kernel
@@ -464,6 +469,11 @@ def _conics(scene, cam, ot):
     return (pp, pf, pu, ff, fu, uu), bounded, d2, vc, vh, front
 
 
+def _runs(first: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The indices first[k]:first[k] + n[k], run after run."""
+    return np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)
+
+
 def _pairs(conics, cam, rows, cols):
     """(ray, sub): the ray x splat pairs of the pixel grid rows x cols (runs
     of consecutive pixel indices) that can be live, splat-major, each
@@ -498,7 +508,7 @@ def _pairs(conics, cam, rows, cols):
     nrow = np.maximum(r_hi - r_lo + 1, 0)
     # one segment per (splat, row)
     g = np.repeat(np.arange(bounded.size), nrow)
-    i = np.arange(g.size) - np.repeat(np.cumsum(nrow) - nrow - r_lo, nrow)
+    i = _runs(r_lo, nrow)
     v = 1.0 - (rows[i] + 0.5) / H * 2.0
     bv = pf[g] + v * pu[g]
     disc = bv * bv - pp[g] * (ff[g] + v * (2.0 * fu[g] + v * uu[g]))
@@ -513,8 +523,7 @@ def _pairs(conics, cam, rows, cols):
     c_hi[~full & (disc < 0.0)] = -1
     n = np.maximum(c_hi - c_lo + 1, 0)
     sub = np.repeat(g, n)
-    ray = np.arange(sub.size) - np.repeat(np.cumsum(n) - n - (i * C + c_lo), n)
-    return ray, sub
+    return _runs(i * C + c_lo, n), sub
 
 
 @dataclass
@@ -529,8 +538,8 @@ class _PairSet:
     unit direction of each pixel's ray (`Camera.pixel_dirs`, elementwise, so
     any window of it has the bits of the window's own call). A set depends
     on the scene's geometry only, so one built for a scene composites any
-    appearance of it: `_render_blocks` composites a set's whole grid, the
-    fit's `_patch_pairs` any window of one or more sets."""
+    appearance of it: `_render_blocks` composites a set's whole grid,
+    `_patch_pairs` any window of one or more sets."""
 
     sub: np.ndarray     # splat of each pair
     ts: np.ndarray
@@ -580,6 +589,192 @@ def _grid_pairs(scene, cam, grids, geometry=None) -> list[_PairSet]:
     return list(_pair_sets(scene, cam, grids, geometry))
 
 
+def _patch_pairs(sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray):
+    """`_composite`'s live tuple for the pixel grid rows x cols, and its
+    rays' directions (dx, dy, dz), from `_PairSet`s whose grids tile a
+    region holding it; the sets that do not meet it are skipped.
+
+    A set's pairs of the grid are runs of its ray-major listing, one along
+    each row of their overlap, and its directions there are a window of its
+    `dirs`. From one set, the tuple indexes that set's arrays, so the kernel
+    gathers each pair once. From several, each set's pairs are gathered,
+    set after set, and the tuple's order indexes that concatenation.
+    """
+    R, C = rows.size, cols.size
+    r0, c0 = int(rows[0]), int(cols[0])
+    count = np.empty((R, C), dtype=np.intp)
+    dirs = np.empty((3, R, C))
+    pieces = []
+    for ps in sets:
+        gr, gc = ps.count.shape
+        i0, i1 = max(r0, ps.r0), min(r0 + R, ps.r0 + gr)
+        j0, j1 = max(c0, ps.c0), min(c0 + C, ps.c0 + gc)
+        if i0 >= i1 or j0 >= j1:
+            continue
+        win = np.s_[i0 - ps.r0:i1 - ps.r0, j0 - ps.c0:j1 - ps.c0]
+        at = np.s_[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
+        count[at] = ps.count[win]
+        for d, grid_d in zip(dirs, ps.dirs):
+            d[at] = grid_d[win]
+        runs = _runs(ps.start[win][:, 0], count[at].sum(axis=1))
+        pieces.append((ps, ps.order[runs], at))
+    dirs = tuple(dirs.reshape(3, -1))
+    if len(pieces) == 1:
+        ps, order, _ = pieces[0]
+        return (ps.sub, ps.ts, ps.q, order, count.ravel()), dirs
+    # a pixel's run starts at its piece's offset in the concatenation plus
+    # the run's place in the piece, which is ray-major over the overlap
+    first = np.empty((R, C), dtype=np.intp)
+    n = 0
+    for _, ix, at in pieces:
+        cnt = count[at]
+        first[at] = n + (np.cumsum(cnt) - cnt.ravel()).reshape(cnt.shape)
+        n += ix.size
+    sub, ts, q = (np.concatenate([getattr(ps, a)[ix] for ps, ix, _ in pieces])
+                  for a in ("sub", "ts", "q"))
+    return (sub, ts, q, _runs(first.ravel(), count.ravel()), count.ravel()), dirs
+
+
+def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
+                   sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray,
+                   mlp: MlpParams | None, e_vec: np.ndarray | None,
+                   tape: bool = False):
+    """Colors [P,3] for the pixel grid rows x cols, rays in row-major order,
+    and with `tape` the work `_patch_backward` reads (else None): the
+    kernel's tape, the fusion cache, and the rays' origin and direction
+    components.
+
+    `sets` are `_PairSet`s built for this scene's geometry whose grids tile
+    a region holding the patch: the view's blocks, or the patch's own. The
+    patch takes its pixels' runs and ray directions from them
+    (`_patch_pairs`) and runs the kernel once over them, then the
+    fusion head once over the whole patch.
+    Each ray composites only its own live pairs in their order, so the
+    colors match a render bitwise whatever grids the pairs came from.
+    """
+    live, (dx, dy, dz) = _patch_pairs(sets, rows, cols)
+    colors, _, _, *out = _composite(
+        scene, rcfg, live, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
+    cache = None
+    if mlp is not None:
+        colors, cache = fuse_forward_batch(
+            fusion_input(out[0], out[1], e_vec, np.stack([dx, dy, dz], axis=1)),
+            mlp, want_cache=True)
+    return colors, ((scene, out[-1], cache, cam.position, (dx, dy, dz))
+                    if tape else None)
+
+
+def _dot3(g: np.ndarray, ray: np.ndarray, vals) -> np.ndarray:
+    """Per-slot sum over channels of g[ray, ch] * vals[ch]."""
+    return (g[:, 0][ray] * vals[0] + g[:, 1][ray] * vals[1]
+            + g[:, 2][ray] * vals[2])
+
+
+def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
+                    mlp: MlpParams | None, geometry=None):
+    """Gradients of the patch loss w.r.t. constrained appearance, geometry
+    and the MLP.
+
+    Each per-slot product is added into its splat's entry (a scatter-add
+    over the tape's splat indices). The tape's slots are each ray's live
+    entries, a splat in at most one slot of a ray, the ones past the ray's
+    termination with weight 0, so every product there is zero. They are put
+    in ray-major order before every sum, so each sum runs over the same terms
+    in the same ray order as a dense pass over every splat, less that pass's
+    exact zeros for the splats not live on the ray (not enumerated, past the
+    cutoff or before the near plane). np.bincount's sums start at +0.0,
+    which a zero term never changes, so the gradients depend neither on the
+    enumeration nor on the tape's layout. The running sum along each ray
+    runs rank by rank over the tape's layout, as the kernel's own do; a zero
+    past a ray's stop can turn its total from -0.0 to +0.0, but only where
+    every term is zero, and the tail is +0.0 either way.
+
+    `geometry` is None or `_Geometry`'s (rot [G,3,3], log_eig s [G,3]). The
+    loss sees geometry only through w = alpha exp(-q/2), as sort order and
+    liveness are piecewise constant. q = min over t of r^T Sigma^-1 r, with
+    r = mu - o - t d, is reached at the tape's t, so dq/dmu = 2 Sigma^-1 r and
+    dq/ds_j = -2 exp(-2 s_j) (R_j . r)^2 (envelope theorem).
+    Returns (dalpha [G], dl_iso [G,3], dl_aniso [G,3], dg [G], mlp_grads),
+    with dgeo [G,6] (mu, then s) before mlp_grads when `geometry` is given.
+    """
+    scene, tp, cache, origin, dirs = work
+    P, G = gpix.shape[0], scene.alpha.size
+    ray = tp.ray
+    mlp_grads = None
+    if mlp is not None:
+        mlp_grads, dX = fuse_backward_batch(cache, mlp, gpix)
+        gi = dX[:, 0:3]
+        ga = dX[:, 3:6]
+        dotc = _dot3(gi, ray, tp.iso)
+        if rcfg.anisotropy_enabled:
+            dotc = dotc + _dot3(ga, ray, tp.aniso)
+        tail_bg = np.zeros(P)
+    else:
+        gi = ga = gpix
+        dotc = _dot3(gpix, ray, tp.color)
+        bg = scene.background
+        tail_bg = ((gpix[:, 0] * bg[0] + gpix[:, 1] * bg[1]
+                    + gpix[:, 2] * bg[2]) * tp.final_T)
+
+    pref = dotc * tp.tw                       # per slot, then its running sum
+    total = _ray_totals(pref, tp.offsets, tp.rays)
+    _scan_ranks(np.add, pref, tp.offsets)
+    tail = total[ray] - pref + tail_bg[ray]   # strictly-later terms + background
+    dw_s = np.where(tp.tw > 0.0,
+                    dotc * tp.Tb - tail / np.maximum(1.0 - tp.w, 1e-300), 0.0)
+    idx = tp.idx[tp.by_ray]
+
+    def ray_sum(slot_values):
+        return np.bincount(idx, slot_values[tp.by_ray], minlength=G)
+
+    dalpha = ray_sum(dw_s * tp.k)
+    # color slot grads: d c / d l_iso = 1; d c / d l_aniso = f; d c / d g via f
+    dli = np.empty((G, 3))
+    dla = np.zeros((G, 3))
+    for ch in range(3):
+        dli[:, ch] = ray_sum(tp.tw * gi[:, ch][ray])
+    if rcfg.anisotropy_enabled:
+        for ch in range(3):
+            twa = tp.tw * ga[:, ch][ray]
+            dla[:, ch] = ray_sum(twa if tp.f is None else twa * tp.f)
+    dg = np.zeros(G)
+    if rcfg.anisotropy_enabled and rcfg.disentangle:
+        la_dot = _dot3(ga, ray, [scene.l_aniso[:, ch][tp.idx] for ch in range(3)])
+        cosg = tp.cos
+        gk = scene.g[tp.idx]
+        s = (1.0 + gk * gk) - (2.0 * gk) * cosg
+        sq = np.sqrt(s)
+        dfdg = (-2.0 * gk) / (s * sq) - 3.0 * (1.0 - gk * gk) * (gk - cosg) / (s * s * sq)
+        dg = ray_sum(tp.tw * la_dot * dfdg)
+    out = (dalpha, dli, dla, dg)
+    if geometry is not None:
+        rot, log_eig = geometry
+        gq = dw_s * (-0.5 * tp.w)            # dL/dq per slot
+        r = [(scene.mu[:, c][tp.idx] - origin[c]) - tp.ts * dirs[c][ray]
+             for c in range(3)]
+        gr = [gq * rc for rc in r]
+        sr = [ray_sum(v) for v in gr]
+        m = {(a, b): ray_sum(gr[a] * r[b]) for a in range(3) for b in range(a, 3)}
+        inv = scene.cov_inv
+        dmu = [2.0 * (inv[:, c, 0] * sr[0] + inv[:, c, 1] * sr[1]
+                      + inv[:, c, 2] * sr[2]) for c in range(3)]
+        dlog = [-2.0 * np.exp(-2.0 * log_eig[:, j])
+                * sum(rot[:, a, j] * rot[:, b, j] * m[min(a, b), max(a, b)]
+                      for a in range(3) for b in range(3)) for j in range(3)]
+        out += (np.stack(dmu + dlog, axis=1),)
+    return out + (mlp_grads,)
+
+
+def _tape_key(work) -> tuple:
+    """Each ray's t-ordered composited splats, ray after ray with each ray's
+    count `n`: the patch loss is smooth in geometry only while this stays
+    the same. The tape's slots past a ray's stop are the ones whose Tb is
+    below TERMINATION_EPSILON."""
+    tp = work[1]
+    kept = tp.by_ray[tp.Tb[tp.by_ray] >= TERMINATION_EPSILON]
+    return tp.n.tobytes(), tp.idx[kept].tobytes()
+
+
 def _fusion_head(scene, cam, mlp):
     """`_render_blocks`' head for cam's frame: None for physical color, else
     (mlp, the frame's camera embedding)."""
@@ -627,6 +822,12 @@ def _block_grids(blocks) -> list:
     """The (rows, cols) pixel grid of each (r0, r1, c0, c1) block."""
     return [(np.arange(r0, r1, dtype=np.float64), np.arange(c0, c1, dtype=np.float64))
             for r0, r1, c0, c1 in blocks]
+
+
+def _view_grids(cam) -> list:
+    """The pixel grids of cam's `_coarse_blocks`, in block order: those
+    whose sets `_render_sets` composites."""
+    return _block_grids(_coarse_blocks(cam.height, cam.width))
 
 
 def _worker_render(payload):

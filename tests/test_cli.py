@@ -17,8 +17,7 @@ from splat360 import (Camera, RenderConfig, cli, init_mlp, load_mlp, load_pfm,
                       make_random_scene, make_sphere_phantom, save_mlp, save_pfm,
                       save_scene, save_volume)
 from splat360.cli import main
-from splat360.fitting import _patch_forward
-from splat360.renderer import _grid_pairs, _shutdown_pools
+from splat360.renderer import _grid_pairs, _patch_forward, _shutdown_pools, _tape_key
 
 
 @pytest.fixture
@@ -346,6 +345,29 @@ def test_fit_non_finite_lr_exits_2_before_any_work(tmp_path, scene_file,
     assert not fdir.exists()
 
 
+def test_fit_manifest_hashes_the_camera_files_it_fitted(tmp_path, scene_file,
+                                                       monkeypatch):
+    # a camera file that appears once the targets are loaded is not fitted,
+    # so the manifest does not list it
+    tdir = tmp_path / "targets"
+    assert main(["render", "--scene", scene_file, "--out", str(tdir),
+                 "--orbit", "ring:1", "--width", "12", "--height", "12"]) == 0
+    real = cli.fit_scene
+
+    def late_camera(*args, **kwargs):
+        late = tdir / "frame_001.camera.json"
+        late.write_bytes((tdir / "frame_000.camera.json").read_bytes())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_scene", late_camera)
+    fdir = str(tmp_path / "fit")
+    assert main(["fit", "--scene", scene_file, "--targets", str(tdir),
+                 "--out", fdir, "--iters", "1"]) == 0
+    assert sorted(_read_manifest(fdir)["inputs"]) == sorted([
+        scene_file, str(tdir / "frame_000.ppm"),
+        str(tdir / "frame_000.camera.json")])
+
+
 def test_anchors_outputs(tmp_path, scene_file):
     out = str(tmp_path / "anc")
     rc = main(["anchors", "--scene", scene_file, "--out", out,
@@ -433,7 +455,7 @@ def test_tape_key_sees_a_t_order_swap(depth1, flips):
 
     def key_at(z0):
         scene = make_scene(mu=[(-0.05, 0.0, z0), (0.05, 0.0, depth1)], alpha=0.5)
-        return cli._tape_key(_patch_forward(
+        return _tape_key(_patch_forward(
             scene, cam, rcfg, _grid_pairs(scene, cam, [(one, one)]), one, one,
             None, None, tape=True)[1])
 
@@ -458,7 +480,7 @@ def test_tape_key_sees_which_ray_holds_which_splats():
 
     a, b = work(0, 1), work(1, 0)
     assert a[1].idx.tobytes() == b[1].idx.tobytes()
-    assert cli._tape_key(a) != cli._tape_key(b)
+    assert _tape_key(a) != _tape_key(b)
 
 
 def test_tape_key_sees_a_moved_termination():
@@ -478,7 +500,7 @@ def test_tape_key_sees_a_moved_termination():
 
     a, b = work(0.5), work(0.4)
     assert [w[1].n.tolist() for w in (a, b)] == [[10], [11]]
-    assert cli._tape_key(a) != cli._tape_key(b)
+    assert _tape_key(a) != _tape_key(b)
 
 
 def test_bench_reports_fps(tmp_path, scene_file, capsys):

@@ -68,9 +68,12 @@ def _camera_doc():
 @pytest.mark.parametrize("key,text", [
     ("width", "1e400"), ("width", "true"), ("width", "3.5"), ("height", "true"),
     ("position", "[1" + "0" * 400 + ", 0, 0]"), ("forward", "[NaN, NaN, NaN]"),
-    ("position", "[Infinity, 0, 0]")],
+    ("position", "[Infinity, 0, 0]"), ("fov_y", '"0.9"'), ("fov_y", "true"),
+    ("near", '"0.01"'), ("near", "true"), ("position", '["0.0", "0.0", "-1.0"]'),
+    ("position", "[0, false, 0]")],
     ids=["overflow", "bool", "fraction", "height_bool", "position_overflow",
-         "forward_nan", "position_inf"])
+         "forward_nan", "position_inf", "fov_string", "fov_bool", "near_string",
+         "near_bool", "position_strings", "position_bool"])
 def test_camera_json_rejects_bad_sizes_with_format_code(tmp_path, key, text):
     doc = _camera_doc()
     doc[key] = "@"
