@@ -145,6 +145,10 @@ def camera_from_doc(doc: dict) -> Camera:
             # Camera would read 3.5 as 3 and true as 1
             if type(doc[key]) is not int:
                 raise TypeError(f"{key} must be an integer, got {doc[key]!r}")
+        # as in a scene file; a misspelt "near" would fall back to its default
+        unknown = set(doc) - {f.name for f in dataclasses.fields(Camera)}
+        if unknown:
+            raise ValueError(f"unknown camera key {sorted(unknown)[0]!r}")
         vals = {k: doc[k] for k in ("position", "forward", "up", "right", "fov_y")}
         vals["near"] = doc.get("near", 1e-3)
         # and "0.9" as 0.9 and true as 1.0, which a scene file may not hold

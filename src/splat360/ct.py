@@ -19,12 +19,23 @@ Gauss-Legendre integrates exactly; the intensity is I_0 * exp(-integral).
 Per-pixel results depend only on that pixel's ray: each ray's pieces are
 summed in increasing t, with elementwise math across rays, so chunking and
 worker count never change the output.
+
+A volume is frozen, so its attenuation field (`_mu_field`: node mu, the
+all-air cell mask and the non-air span) cannot go stale. `_FIELDS` keeps
+each live volume's field per mu_water: `render_drr` builds it on a volume's
+first projection at that mu_water, in the calling process, and a weakref
+finalizer drops it when the volume dies. Each field costs 9 bytes per voxel
+(a float64 mu and a bool air flag) while the volume lives. Pool workers fork
+after the field is built and read the volume and the field from the memory
+they forked with, so a payload carries only the volume's id (its `_FIELDS`
+key), the geometry, the config and a pixel span: about 0.5 KB pickled.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +54,15 @@ AIR_HU = -1000.0
 GAUSS_NODE = 0.5 / math.sqrt(3.0)  # 2-point Gauss-Legendre: midpoint +- this x length
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VoxelVolume:
-    """Regular HU grid; `hu` is indexed [z, y, x] (x fastest in memory)."""
+    """Regular HU grid; `hu` is indexed [z, y, x] (x fastest in memory).
+
+    The constructor copies `spacing`, `origin` and `hu` into read-only
+    float64 arrays, and assigning a field raises, so a volume never changes
+    once built. The attenuation field `render_drr` builds on its first
+    projection at a mu_water (9 bytes per voxel) is therefore kept, in
+    `_FIELDS`, until the volume dies (module docstring)."""
 
     dims: tuple[int, int, int]
     spacing: np.ndarray
@@ -53,27 +70,30 @@ class VoxelVolume:
     hu: np.ndarray
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise VolumeFormatError(f"dims must be 3 positive ints, got {self.dims}")
-        self.spacing = np.asarray(self.spacing, dtype=np.float64).reshape(3)
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        if not (self.spacing > 0).all() or not np.isfinite(self.spacing).all():
+        dims = tuple(int(d) for d in self.dims)
+        if len(dims) != 3 or any(d < 1 for d in dims):
+            raise VolumeFormatError(f"dims must be 3 positive ints, got {dims}")
+        spacing = np.array(self.spacing, dtype=np.float64).reshape(3)
+        origin = np.array(self.origin, dtype=np.float64).reshape(3)
+        if not (spacing > 0).all() or not np.isfinite(spacing).all():
             raise VolumeFormatError("spacing must be positive and finite")
-        if not np.isfinite(self.origin).all():
+        if not np.isfinite(origin).all():
             raise VolumeFormatError("origin must be finite")
-        nx, ny, nz = self.dims
-        self.hu = np.asarray(self.hu, dtype=np.float64)
-        if self.hu.shape != (nz, ny, nx):
-            if self.hu.size == nx * ny * nz:
-                self.hu = self.hu.reshape(nz, ny, nx)
-            else:
-                raise VolumeFormatError(
-                    f"hu has {self.hu.size} values, dims need {nx * ny * nz}")
-        if not np.isfinite(self.hu).all():
+        nx, ny, nz = dims
+        hu = np.asarray(self.hu, dtype=np.float64)
+        if hu.size != nx * ny * nz:
+            raise VolumeFormatError(
+                f"hu has {hu.size} values, dims need {nx * ny * nz}")
+        hu = hu.reshape(nz, ny, nx).copy()
+        if not np.isfinite(hu).all():
             raise VolumeFormatError("hu values must be finite")
-        if (self.hu < -1024.0).any():
+        if (hu < -1024.0).any():
             raise VolumeFormatError("hu values must be >= -1024")
+        for a in (spacing, origin, hu):
+            a.flags.writeable = False
+        for name, value in (("dims", dims), ("spacing", spacing),
+                            ("origin", origin), ("hu", hu)):
+            object.__setattr__(self, name, value)
 
     @property
     def box_lo(self) -> np.ndarray:
@@ -193,12 +213,13 @@ def _mu_field(vol: VoxelVolume, mu_water: float):
     except that cell 0 also holds the half-voxel margin below node 0 and cell
     n - 1 only the margin above node n - 1; so L is -inf when cell 0 is
     occupied and U is +inf when cell n - 1 is. An all-air volume has the
-    empty span [+inf, -inf) on every axis."""
+    empty span [+inf, -inf) on every axis. Both arrays are read-only."""
     mu = hu_to_mu(vol.hu, mu_water)
     air = mu == 0.0
     air[:-1] &= air[1:]
     air[:, :-1] &= air[:, 1:]
     air[:, :, :-1] &= air[:, :, 1:]
+    mu.flags.writeable = air.flags.writeable = False
     span = []
     for ax in range(3):  # x, y, z are array axes 2, 1, 0
         n = air.shape[2 - ax]
@@ -210,6 +231,26 @@ def _mu_field(vol: VoxelVolume, mu_water: float):
             span.append((float(cells[0]) if cells[0] > 0 else -np.inf,
                          float(cells[-1] + 1) if cells[-1] < n - 1 else np.inf))
     return mu, air, span
+
+
+# id(volume) -> (weak reference to the volume, {mu_water: (its `_mu_field`,
+# `_ForkPool.started` when that field was built)}); see the module docstring
+_FIELDS: dict = {}
+
+
+def _field_of(vol: VoxelVolume, mu_water: float) -> tuple:
+    """(`_mu_field(vol, mu_water)`, the fork pool's count of started
+    executors when it was built). The field is built on the pair's first
+    call and kept until vol dies."""
+    from .renderer import _POOL
+    entry = _FIELDS.get(id(vol))
+    if entry is None:
+        entry = _FIELDS[id(vol)] = (weakref.ref(vol), {})
+        weakref.finalize(vol, _FIELDS.pop, id(vol), None)
+    fields = entry[1]
+    if mu_water not in fields:
+        fields[mu_water] = (_mu_field(vol, mu_water), _POOL.started)
+    return fields[mu_water]
 
 
 def _line_integrals(vol: VoxelVolume, field, origins: np.ndarray,
@@ -339,27 +380,42 @@ def render_drr(vol: VoxelVolume, geom: ProjectionGeometry,
                cfg: DrrConfig | None = None, workers: int = 1) -> ImageBuffer:
     """Project the volume onto the detector, one ray per pixel center.
 
-    Pixels split into payloads as `render`'s blocks do, a PIXEL_CHUNK a unit."""
-    from .renderer import _pool_for, _spans  # the one fork pool
+    Pixels split into payloads as `render`'s blocks do, a PIXEL_CHUNK a unit.
+    The volume's attenuation field for cfg.mu_water (9 bytes per voxel) is
+    built here, in this process, on the volume's first projection at that
+    mu_water, and kept in `_FIELDS` until the volume dies (module
+    docstring). A payload carries the volume's id, the geometry, the config
+    and its pixel span, never the volume: each pool worker reads the volume
+    and its field from the memory it forked with. Workers that forked before
+    the field was built are stopped first, so the map runs on workers forked
+    after it."""
+    from .renderer import _POOL, _pool_for, _shutdown_pools, _spans  # the one fork pool
     cfg = cfg if cfg is not None else DrrConfig()
     H, W = geom.det_height, geom.det_width
-    payloads = [(vol, geom, cfg, lo, hi)
+    _, born = _field_of(vol, cfg.mu_water)
+    payloads = [(id(vol), geom, cfg, lo, hi)
                 for lo, hi in _spans(H * W, workers, PIXEL_CHUNK)]
-    parts = (_pool_for(len(payloads)).map(_drr_span, payloads)
-             if len(payloads) > 1 else [_drr_span(payloads[0])])
+    if len(payloads) == 1:
+        parts = [_drr_span(payloads[0])]
+    else:
+        if _POOL.started <= born:  # the running workers lack the field
+            _shutdown_pools()
+        parts = _pool_for(len(payloads)).map(_drr_span, payloads)
     return ImageBuffer(np.concatenate(parts).reshape(H, W, 1))
 
 
 def _drr_span(payload):
-    """Pixels [lo, hi) in flat row-major order."""
+    """Pixels [lo, hi) in flat row-major order of the volume whose id is
+    `key`; the volume and its field are read from `_FIELDS`."""
     # pickled dataclasses arrive as built, without re-running validation
-    vol, geom, cfg, lo, hi = payload
+    key, geom, cfg, lo, hi = payload
+    ref, fields = _FIELDS[key]
+    vol, (field, _) = ref(), fields[cfg.mu_water]
     rows, cols = np.divmod(np.arange(lo, hi, dtype=np.float64), float(geom.det_width))
     d = geom.pixel_positions(rows, cols) - geom.source
     n = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2)
     d = d / n[:, None]
-    li = _line_integrals(vol, _mu_field(vol, cfg.mu_water),
-                         np.broadcast_to(geom.source, d.shape), d)
+    li = _line_integrals(vol, field, np.broadcast_to(geom.source, d.shape), d)
     if cfg.output == "intensity":
         return cfg.i0 * np.exp(-li)
     return li

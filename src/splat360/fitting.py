@@ -25,6 +25,7 @@ targets measures a loss of exactly zero and no parameter moves.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -70,6 +71,13 @@ class FitConfig:
             raise ValueError("lr must be > 0 and finite")
         if not (0 <= self.lambda_mse < math.inf and 0 <= self.lambda_ssim < math.inf):
             raise ValueError("loss weights must be >= 0 and finite")
+        for name in ("iters", "lr_halve_every", "rays_per_step", "seed",
+                     "full_eval_every"):
+            value = getattr(self, name)
+            # bool is an Integral, and iters=True would run one iteration
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.lr_halve_every < 1:

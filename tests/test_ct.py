@@ -1,8 +1,12 @@
 """Attenuation branch: unit conversion, trilinear sampling, exact line integrals."""
+import dataclasses
+import gc
 import hashlib
 import math
 import multiprocessing
 import os
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 from splat360 import (DrrConfig, ProjectionGeometry, VolumeFormatError,
                       VoxelVolume, hu_to_mu, load_volume,
                       make_sphere_phantom, render_drr, save_volume)
-from splat360 import ct
+from splat360 import ct, renderer
 from splat360.ct import AIR_HU, _line_integrals, _mu_field
 from splat360.renderer import _shutdown_pools
 
@@ -436,6 +440,73 @@ def test_drr_worker_bit_identity():
     b = render_drr(vol, geom, workers=3)
     assert multiprocessing.active_children()
     assert np.array_equal(a.data, b.data)
+
+
+class _PayloadSizes:
+    """Stands in for the pool `renderer._pool_for` returns and records the
+    pickled size of every payload it maps."""
+
+    def __init__(self, pool, sizes):
+        self.pool, self.sizes = pool, sizes
+
+    def map(self, fn, payloads):
+        self.sizes.extend(len(pickle.dumps(p, pickle.HIGHEST_PROTOCOL))
+                          for p in payloads)
+        return self.pool.map(fn, payloads)
+
+
+def test_projections_build_the_field_once_and_ship_no_volume(monkeypatch):
+    vol = make_sphere_phantom(33, 1.0, 10.0, hu_inside=200.0)  # 288 KB of HU
+    geom = _sphere_geometry(vol, 65)  # two pixel chunks, so a pool of two
+    one = render_drr(vol, geom, DrrConfig(mu_water=0.03), workers=1)
+    parent, built, sizes = os.getpid(), [], []
+    real_field, real_pool_for = ct._mu_field, renderer._pool_for
+
+    def counted(v, mu_water):
+        assert os.getpid() == parent, "a pool worker built a field"
+        built.append(mu_water)
+        return real_field(v, mu_water)
+
+    monkeypatch.setattr(ct, "_mu_field", counted)
+    monkeypatch.setattr(renderer, "_pool_for",
+                        lambda size: _PayloadSizes(real_pool_for(size), sizes))
+    cfg = DrrConfig(mu_water=0.02)
+    first = render_drr(vol, geom, cfg, workers=2)
+    for _ in range(2):
+        assert np.array_equal(render_drr(vol, geom, cfg, workers=2).data, first.data)
+    assert np.array_equal(render_drr(vol, geom, cfg, workers=1).data, first.data)
+    # the field at mu_water 0.03 was built before the patch, and is kept
+    assert np.array_equal(render_drr(vol, geom, DrrConfig(mu_water=0.03),
+                                     workers=2).data, one.data)
+    assert built == [0.02]
+    assert len(sizes) == 8 and max(sizes) < 4096
+
+
+def test_volume_is_frozen_and_owns_a_read_only_hu():
+    hu = make_sphere_phantom(17, 1.0, 5.0, hu_inside=200.0).hu.copy()
+    vol = VoxelVolume((17, 17, 17), np.ones(3), np.zeros(3), hu)
+    for name in ("spacing", "origin", "hu"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(vol, name)[0] = 1.0
+    for f in dataclasses.fields(vol):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(vol, f.name, getattr(vol, f.name))
+    geom = _sphere_geometry(vol, 17)
+    before = render_drr(vol, geom)
+    hu[...] = 500.0  # the caller's array, not the volume's
+    assert np.array_equal(render_drr(vol, geom).data, before.data)
+    fresh = VoxelVolume(vol.dims, vol.spacing, vol.origin, vol.hu)
+    assert np.array_equal(render_drr(fresh, geom).data, before.data)
+
+
+def test_a_volume_field_is_dropped_with_the_volume():
+    vol = make_sphere_phantom(9, 1.0, 3.0, hu_inside=0.0)
+    render_drr(vol, _sphere_geometry(vol, 9))
+    key, alive = id(vol), weakref.ref(vol)
+    assert key in ct._FIELDS
+    del vol
+    gc.collect()
+    assert alive() is None and key not in ct._FIELDS
 
 
 def _pinned_volume(kind):

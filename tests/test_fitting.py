@@ -162,6 +162,15 @@ def test_config_validation():
     FitConfig(seed=0, full_eval_every=0)
     cfg = FitConfig(ablation=["no_anchoring", "no_anisotropy"])
     assert cfg.ablation == frozenset({"no_anchoring", "no_anisotropy"})
+    # the integer settings take integers only: a fraction or a bool would
+    # fail late in fit_scene or change how often it evaluates
+    for field, bad in (("seed", 1.5), ("iters", 2.5), ("full_eval_every", 2.5),
+                       ("rays_per_step", 16.5), ("lr_halve_every", 3.5),
+                       ("iters", True), ("seed", False), ("rays_per_step", "16"),
+                       ("iters", 3.0)):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: bad})
+    assert FitConfig(iters=np.int64(3)).iters == 3
 
 
 @pytest.mark.parametrize("field", ["lr", "lambda_mse", "lambda_ssim"])

@@ -86,6 +86,20 @@ def test_camera_json_rejects_bad_sizes_with_format_code(tmp_path, key, text):
     assert code == EXIT_FORMAT
 
 
+@pytest.mark.parametrize("key", ["nera", "fov", "Width"])
+def test_camera_json_rejects_unknown_keys_with_format_code(tmp_path, key):
+    # a misspelt "near" used to load with the default near plane
+    doc = _camera_doc()
+    doc[key] = 5
+    path = _write(tmp_path / "c.json", json.dumps(doc).encode())
+    with pytest.raises(FormatError, match=key):
+        load_camera_json(path)
+    save_scene(str(tmp_path / "s.json"), make_random_scene(2, seed=0))
+    code = main(["render", "--scene", str(tmp_path / "s.json"), "--camera", path,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_FORMAT
+
+
 @pytest.mark.parametrize("d,seed", [(5, 0), (16, -1)])
 def test_params_header_values_init_mlp_rejects(tmp_path, d, seed):
     layers = [9 + d, 32, 32, 3]

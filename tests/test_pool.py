@@ -96,6 +96,22 @@ def test_drr_survives_a_killed_busy_worker():
     assert np.array_equal(ref.data, out.data)
 
 
+def test_a_volume_built_after_the_pool_forked_projects_as_on_one_worker():
+    # the running workers forked without the new volume's field, so the
+    # projection restarts the pool; the old volume dies first, so the new
+    # one may take its id, under which the old workers hold a stale field
+    old = make_sphere_phantom(17, 1.0, 5.0, hu_inside=200.0)
+    geom = _sphere_geometry(old, 65)  # two pixel chunks
+    render_drr(old, geom, workers=2)
+    forked = {p.pid for p in multiprocessing.active_children()}
+    assert forked
+    del old
+    vol = make_sphere_phantom(17, 1.0, 7.0, hu_inside=600.0)
+    two = render_drr(vol, geom, workers=2)
+    assert forked.isdisjoint(p.pid for p in multiprocessing.active_children())
+    assert np.array_equal(two.data, render_drr(vol, geom, workers=1).data)
+
+
 def _die_once(payload):
     marker, value = payload
     try:
