@@ -28,7 +28,8 @@ from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
 from .ct import (DrrConfig, ProjectionGeometry, load_volume, read_volume_header,
                  render_drr)
 from .errors import CheckFailure, FormatError, NumericFailure
-from .fitting import FitConfig, _Geometry, composite_loss, fit_scene
+from .fitting import (FitConfig, _appearance_blocks, _Geometry, _scene_of,
+                      composite_loss, fit_scene)
 from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
                      init_mlp, load_mlp, save_mlp)
 from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
@@ -455,15 +456,16 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
 
 
 def _patch_gradcheck(seed: int, tol: float) -> dict:
-    """Patch gradients of alpha, l_iso, l_aniso, g, mu and the covariance
-    log-eigenvalues vs finite differences.
+    """Patch gradients of every block a fit steps but the head (appearance,
+    then geometry) vs finite differences, probed in the unconstrained
+    coordinates Adam steps, so each block's chain rule is checked too.
 
     3 splats, one 16x32 patch, physical color and then a fused MLP, whose
-    camera embedding is held fixed as the fit holds it. A geometry coordinate
-    is probed only where its +-FD_STEP stencil keeps `_tape_key`: across a
+    camera embedding is held fixed as the fit holds it. A coordinate is
+    probed only where its +-FD_STEP stencil keeps `_tape_key`: across a
     cutoff edge, a t-order swap or a moved ray termination the loss jumps,
     and the difference quotient would measure the jump. Raises CheckFailure
-    when no nonzero geometry gradient was probed.
+    when a section probed no nonzero gradient.
     """
     scene = make_random_scene(3, seed=seed + 1, spread=0.12,
                               sigma_range=(0.3, 0.6))
@@ -473,53 +475,47 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
     rows = np.arange(16, dtype=np.float64)
     cols = np.arange(32, dtype=np.float64)
     geo = _Geometry(scene)
-    th0 = geo.pack()
+    sections = {"appearance": _appearance_blocks(scene), "geometry": geo.blocks()}
+    start = _scene_of(scene, [b for blocks in sections.values() for b in blocks])
 
-    def scene_at(th):
-        mu, cov = geo.unpack(th)
-        return dataclasses.replace(scene, mu=mu, cov=cov)
-
-    worst_app = worst_geo = 0.0
-    checked = skipped = 0
+    out = dict.fromkeys([k for name in sections for k in
+                         (name, f"{name}_checked", f"{name}_skipped")], 0)
     for mlp in (None, init_mlp(d=16, seed=seed + 3)):
         kind = "fused" if mlp else "physical"
         e_vec = (None if mlp is None
                  else embed_camera(cam, scene.center, scene.radius, mlp.d))
 
-        def forward(sc, tape=False):
+        def forward(changed, tape=False):
+            sc = _scene_of(start, changed)
             return _patch_forward(sc, cam, rcfg, _grid_pairs(sc, cam, [(rows, cols)]),
                                   rows, cols, mlp, e_vec, tape=tape)
 
-        def loss_of(sc):
-            return composite_loss(forward(sc)[0].reshape(tgt.shape), tgt,
+        def loss_of(changed):
+            return composite_loss(forward(changed)[0].reshape(tgt.shape), tgt,
                                   want_grad=False)[0]
 
-        colors, work = forward(scene, tape=True)
+        colors, work = forward([], tape=True)
         _, gimg = composite_loss(colors.reshape(tgt.shape), tgt)
-        *grads, dgeo, _ = _patch_backward(work, rcfg, gimg.data.reshape(-1, 3),
-                                          mlp, (geo.rot, geo.log_eig))
-        for name, grad in zip(("alpha", "l_iso", "l_aniso", "g"), grads):
-            worst_app = max(worst_app, _fd_check(
-                f"{name} ({kind})",
-                lambda v: loss_of(dataclasses.replace(scene, **{name: v})),
-                getattr(scene, name), grad, range(grad.size), tol))
+        grads = _patch_backward(work, rcfg, gimg.data.reshape(-1, 3), mlp,
+                                (geo.rot, geo.log_eig))
         key = _tape_key(work)
-        smooth = []
-        for i in range(th0.size):
-            step = np.zeros(th0.size)
-            step[i] = FD_STEP
-            if all(_tape_key(forward(scene_at(th0 + sign * step), tape=True)[1]) == key
-                   for sign in (1.0, -1.0)):
-                smooth.append(i)
-        skipped += th0.size - len(smooth)
-        checked += int(np.count_nonzero(np.abs(dgeo.ravel()[smooth]) > 1e-8))
-        worst_geo = max(worst_geo, _fd_check(
-            f"geometry ({kind})", lambda th: loss_of(scene_at(th)), th0, dgeo,
-            smooth, tol))
-    if checked == 0:
-        raise CheckFailure("geometry check probed no nonzero gradient")
-    return {"appearance": worst_app, "geometry": worst_geo,
-            "geometry_checked": checked, "geometry_skipped": skipped}
+        for name, blocks in sections.items():
+            for b in blocks:
+                grad = b.grad(grads, b.theta)
+                steps = FD_STEP * np.eye(b.theta.size).reshape((-1,) + b.theta.shape)
+                smooth = [i for i, step in enumerate(steps) if all(
+                    _tape_key(forward([b.at(b.theta + s)], tape=True)[1]) == key
+                    for s in (step, -step))]
+                out[f"{name}_skipped"] += b.theta.size - len(smooth)
+                out[f"{name}_checked"] += int(np.count_nonzero(
+                    np.abs(grad.flat[smooth]) > 1e-8))
+                out[name] = max(out[name], _fd_check(
+                    f"{b.name} ({kind})", lambda th: loss_of([b.at(th)]),
+                    b.theta, grad, smooth, tol))
+    for name in sections:
+        if out[f"{name}_checked"] == 0:
+            raise CheckFailure(f"{name} check probed no nonzero gradient")
+    return out
 
 
 def cmd_gradcheck(args) -> int:

@@ -1,21 +1,20 @@
 """Desk-scale fitting of splat appearance (and optionally geometry) with Adam.
 
-Each iteration renders one square pixel patch (rays_per_step rays) of a
-round-robin target view, computes the composite loss (MSE + SSIM with an
-adaptive window), and backpropagates analytically through the compositing
-kernel (the renderer's `_patch_forward` and `_patch_backward`) to the
-appearance parameters: alpha via logit, l_iso via logit, l_aniso via
-inverse softplus, g via atanh, so constraints hold by construction.
-Geometry (mu, covariance log-eigenvalues; rotation fixed) moves only under
-optimize_geometry, by the same backward pass, with the fusion head's camera
-embedding held fixed. Patch centers are drawn from depth-gradient anchors
-mixed 50/50 (ANCHOR_MIX) with uniform positions unless the no_anchoring
-ablation is set.
+The fitted parameters are a list of blocks (`_Block`), one Adam group per
+attribute as in 3D Gaussian Splatting: alpha, l_iso, l_aniso and g; under
+optimize_geometry mu and cov (rotation fixed, see `_Geometry`); and the
+fusion MLP's weights, the head. Each iteration renders one square pixel
+patch (rays_per_step rays) of a round-robin target view, computes the
+composite loss (MSE + SSIM with an adaptive window), backpropagates it
+through the compositing kernel with the head's camera embedding held fixed,
+steps each block and builds the next `Scene` from their fields. Patch
+centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
+uniform positions unless the no_anchoring ablation is set.
 
 An appearance-only fit never moves a splat, so where a target view's
 patches over the fit hold at least as many pixels as the view, the pair
-sets of all its blocks are built before the first iteration and kept until
-the fit returns: every patch and full view of it (the anchor depth, each
+sets of all its pixel blocks are built before the first iteration and kept
+until the fit returns: every patch and full view of it (the anchor depth, each
 full_eval_every evaluation and the final report) comes from them. A
 geometry fit, or a view visited less, builds each patch's own pairs and
 calls `render` for its full views. Either way patches and full views match
@@ -27,7 +26,8 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .scene import Camera, ImageBuffer, Scene, image_array
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
 BOUNDARY_NUDGE = 1e-7
-APPEARANCE_PER_GAUSSIAN = 8  # logit(alpha), logit(l_iso) x3, softplus^-1(l_aniso) x3, atanh(g)
-GEOMETRY_PER_GAUSSIAN = 6    # mu x3, covariance log-eigenvalues x3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -188,33 +186,53 @@ def _sigmoid_open(x: np.ndarray) -> np.ndarray:
     return np.clip(_sigmoid(x), 1e-300, 1.0 - 1e-12)
 
 
-def _appearance_theta(scene: Scene) -> np.ndarray:
-    """Unconstrained appearance parameters, flat [G*8]."""
-    cols = [_logit(scene.alpha)[:, None], _logit(scene.l_iso),
-            _inv_softplus(scene.l_aniso), _atanh(scene.g)[:, None]]
-    return np.concatenate(cols, axis=1).ravel()
+def _dsigmoid(x: np.ndarray) -> np.ndarray:
+    s = _sigmoid(x)
+    return s * (1.0 - s)
+
+def _each(f):
+    """`unpack` of a field whose every value is f of its own parameter."""
+    return lambda theta, moved, field: np.where(moved, f(theta), field)
 
 
-def _appearance_of(theta: np.ndarray) -> np.ndarray:
-    """[G, 8] constrained appearance: alpha, l_iso x3, l_aniso x3, g."""
-    th = theta.reshape(-1, APPEARANCE_PER_GAUSSIAN)
-    return np.concatenate([_sigmoid_open(th[:, :1]), _sigmoid(th[:, 1:4]),
-                           _softplus(th[:, 4:7]), _tanh_open(th[:, 7:])], axis=1)
+@dataclass(frozen=True)
+class _Block:
+    """One fitted attribute, stepped by Adam with its own (m, v, t) `state`.
+
+    `name` is the `Scene` field it sets, or "head" for the fusion MLP. Its
+    unconstrained values `theta` map onto `field` by `unpack(theta, moved,
+    field)`, where a value none of whose parameters `moved` keeps its bits;
+    `grad(out, theta)` is d loss / d theta from `_patch_backward`'s `out`.
+    """
+    name: str
+    theta: np.ndarray
+    field: object
+    grad: Callable
+    unpack: Callable
+    state: tuple = (None, None, 0)
+
+    def at(self, theta: np.ndarray, state: tuple | None = None) -> "_Block":
+        return replace(self, theta=theta, state=state or self.state,
+                       field=self.unpack(theta, theta != self.theta, self.field))
+
+    def step(self, out, cfg: FitConfig) -> "_Block":
+        return self.at(*adam_step(self.theta, self.grad(out, self.theta),
+                                  self.state, cfg))
 
 
-def _appearance_chain(theta: np.ndarray) -> np.ndarray:
-    """d(constrained)/d(theta) for each slot, flat [G*8]."""
-    th = theta.reshape(-1, APPEARANCE_PER_GAUSSIAN)
-    a = _sigmoid(th[:, 0])
-    li = _sigmoid(th[:, 1:4])
-    sp = _sigmoid(th[:, 4:7])          # d softplus / dx = sigmoid(x)
-    gv = np.tanh(th[:, 7])
-    out = np.empty(th.shape)
-    out[:, 0] = a * (1.0 - a)
-    out[:, 1:4] = li * (1.0 - li)
-    out[:, 4:7] = sp
-    out[:, 7] = 1.0 - gv * gv
-    return out.ravel()
+def _appearance_blocks(scene: Scene) -> list:
+    """alpha and l_iso via logit, l_aniso via inverse softplus (whose
+    derivative is the sigmoid), g via atanh, so each constraint holds."""
+    return [
+        _Block("alpha", _logit(scene.alpha), scene.alpha,
+               lambda out, th: out[0] * _dsigmoid(th), _each(_sigmoid_open)),
+        _Block("l_iso", _logit(scene.l_iso), scene.l_iso,
+               lambda out, th: out[1] * _dsigmoid(th), _each(_sigmoid)),
+        _Block("l_aniso", _inv_softplus(scene.l_aniso), scene.l_aniso,
+               lambda out, th: out[2] * _sigmoid(th), _each(_softplus)),
+        _Block("g", _atanh(scene.g), scene.g,
+               lambda out, th: out[3] * (1.0 - np.tanh(th) ** 2), _each(_tanh_open)),
+    ]
 
 
 class _Geometry:
@@ -228,17 +246,31 @@ class _Geometry:
         self.rot = eigvec                       # [G,3,3], columns are axes
         self.log_eig = 0.5 * np.log(eigval)     # sigma in log space
 
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.mu, self.log_eig], axis=1).ravel()
+    def blocks(self) -> list:
+        """mu as it is, and cov through s: a splat's whole covariance is
+        rebuilt when any of its s moved."""
+        def unpack_cov(theta, moved, field):
+            cov = np.einsum("gij,gj,gkj->gik", self.rot, np.exp(2.0 * theta), self.rot)
+            cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+            return np.where(moved.any(axis=1)[:, None, None], cov, field)
 
-    def unpack(self, theta: np.ndarray):
-        G = self.mu.shape[0]
-        th = theta.reshape(G, GEOMETRY_PER_GAUSSIAN)
-        mu = th[:, 0:3]
-        lam = np.exp(2.0 * th[:, 3:6])
-        cov = np.einsum("gij,gj,gkj->gik", self.rot, lam, self.rot)
-        cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
-        return mu, cov
+        return [_Block("mu", self.mu, self.mu, lambda out, th: out[4][:, :3],
+                       _each(lambda th: th)),
+                _Block("cov", self.log_eig, self.sym_cov,
+                       lambda out, th: out[4][:, 3:], unpack_cov)]
+
+
+def _head_block(mlp: MlpParams) -> _Block:
+    """The fusion MLP's weights, flat in `MlpParams.to_flat`'s order."""
+    return _Block("head", mlp.to_flat(), mlp, lambda out, th: out[-1].to_flat(),
+                  lambda th, moved, field: field.with_flat(th))
+
+
+def _scene_of(scene: Scene, blocks) -> Scene:
+    """`scene` with each block's field in place of its own."""
+    kw = {f.name: getattr(scene, f.name) for f in fields(scene) if f.init}
+    kw.update((b.name, b.field) for b in blocks if b.name in kw)
+    return Scene(**kw)
 
 
 def _patch_origin(rng: np.random.Generator, H: int, W: int, ph: int, pw: int,
@@ -282,16 +314,10 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         cams.append(cam)
         targets_arr.append(arr)
 
-    theta_app = _appearance_theta(scene)
-    cur_app = np.concatenate([scene.alpha[:, None], scene.l_iso, scene.l_aniso,
-                              scene.g[:, None]], axis=1)
     geo = _Geometry(scene) if cfg.optimize_geometry else None
-    theta_geo = geo.pack() if geo is not None else np.zeros(0)
-    cur_mu = scene.mu
-    cur_cov = geo.sym_cov if geo is not None else scene.cov
-    theta_mlp = live_mlp.to_flat() if live_mlp is not None else np.zeros(0)
-    n_app, n_geo = theta_app.size, theta_geo.size
-    theta = np.concatenate([theta_app, theta_geo, theta_mlp])
+    blocks = {b.name: b for b in _appearance_blocks(scene)
+              + (geo.blocks() if geo is not None else [])
+              + ([_head_block(live_mlp)] if live_mlp is not None else [])}
 
     # view_sets[v] holds view v's block sets where the rule in the module
     # docstring keeps them, else None. The final report renders every view in
@@ -322,7 +348,6 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
                        for v in range(len(cams))]
 
     rng = np.random.default_rng(cfg.seed)
-    state = (None, None, 0)
     trace: list[float] = []
     full_evals: list = []
     cur_scene = scene
@@ -388,35 +413,11 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         trace.append(loss)
         gpix = gimg.data.reshape(ph * pw, 3)
 
-        geometry = None if geo is None else (
-            geo.rot, theta[n_app:n_app + n_geo].reshape(-1, GEOMETRY_PER_GAUSSIAN)[:, 3:])
-        dalpha, dli, dla, dg, *dgeo, mlp_g = _patch_backward(
-            work, rcfg, gpix, live_mlp, geometry)
-        gapp = np.concatenate([dalpha[:, None], dli, dla, dg[:, None]],
-                              axis=1).ravel()
-        gapp = gapp * _appearance_chain(theta[:n_app])
-        parts = [gapp] + [d.ravel() for d in dgeo]
-        if live_mlp is not None:
-            parts.append(mlp_g.to_flat())
-        grad_flat = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        theta_new, state = adam_step(theta, grad_flat, state, cfg)
-        moved = theta_new[:n_app] != theta[:n_app]
-        cur_app = np.where(moved.reshape(cur_app.shape),
-                           _appearance_of(theta_new[:n_app]), cur_app)
-        if geo is not None:
-            gmoved = (theta_new[n_app:n_app + n_geo]
-                      != theta[n_app:n_app + n_geo]).reshape(-1, GEOMETRY_PER_GAUSSIAN)
-            nmu, ncov = geo.unpack(theta_new[n_app:n_app + n_geo])
-            cur_mu = np.where(gmoved[:, 0:3], nmu, cur_mu)
-            cur_cov = np.where(gmoved[:, 3:6].any(axis=1)[:, None, None],
-                               ncov, cur_cov)
-        if live_mlp is not None:
-            live_mlp = live_mlp.with_flat(theta_new[n_app + n_geo:])
-        theta = theta_new
-        cur_scene = Scene(mu=cur_mu, cov=cur_cov, alpha=cur_app[:, 0],
-                          l_iso=cur_app[:, 1:4], l_aniso=cur_app[:, 4:7],
-                          normal=scene.normal, g=cur_app[:, 7],
-                          background=scene.background)
+        geometry = None if geo is None else (geo.rot, blocks["cov"].theta)
+        out = _patch_backward(work, rcfg, gpix, live_mlp, geometry)
+        blocks = {name: b.step(out, cfg) for name, b in blocks.items()}
+        live_mlp = blocks["head"].field if "head" in blocks else None
+        cur_scene = _scene_of(scene, blocks.values())
         if cur_scene.singular.any():  # a geometry step collapsed a splat
             raise failure(f"singular covariance after iteration {it}")
 

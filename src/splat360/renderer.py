@@ -689,8 +689,8 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     past a ray's stop can turn its total from -0.0 to +0.0, but only where
     every term is zero, and the tail is +0.0 either way.
 
-    `geometry` is None or `_Geometry`'s (rot [G,3,3], log_eig s [G,3]). The
-    loss sees geometry only through w = alpha exp(-q/2), as sort order and
+    `geometry` is None or (rot R [G,3,3], log_eig s [G,3]), cov = R diag(exp(2 s))
+    R^T. The loss sees geometry only through w = alpha exp(-q/2), as sort order and
     liveness are piecewise constant. q = min over t of r^T Sigma^-1 r, with
     r = mu - o - t d, is reached at the tape's t, so dq/dmu = 2 Sigma^-1 r and
     dq/ds_j = -2 exp(-2 s_j) (R_j . r)^2 (envelope theorem).

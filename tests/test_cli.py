@@ -1,5 +1,6 @@
 """End-to-end contracts of the command-line entry points."""
 import argparse
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -441,6 +442,20 @@ def test_gradcheck_catches_a_wrong_geometry_gradient(monkeypatch, block):
         return (*app, dgeo, mlp_grads)
 
     monkeypatch.setattr(cli, "_patch_backward", skew_dgeo)
+    assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
+
+
+@pytest.mark.parametrize("name", ["alpha", "l_iso", "l_aniso", "g"])
+def test_gradcheck_catches_a_wrong_chain_factor(monkeypatch, name):
+    # the check probes the unconstrained coordinates Adam steps, so a chain
+    # factor off by 1% fails it as a wrong patch gradient would
+    real = cli._appearance_blocks
+
+    def skew_chain(scene):
+        return [dataclasses.replace(b, grad=lambda out, th, grad=b.grad: 1.01 * grad(out, th))
+                if b.name == name else b for b in real(scene)]
+
+    monkeypatch.setattr(cli, "_appearance_blocks", skew_chain)
     assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
 
 
