@@ -1,11 +1,11 @@
-"""Command-line surface: render, drr, fit, anchors, metrics, gradcheck, bench, info.
+"""Command-line surface: render, drr, fit, anchors, metrics, gradcheck, info.
 
 Every command resolves its configuration up front, writes outputs through an
 atomic tracker (a failure removes whatever was already written), and finishes
 by writing a run manifest: every parsed option, the values resolved from
 them, and sha256 hashes of the inputs. The commands that render (render, drr,
-anchors, bench) take their worker count from --workers, else the
-SPLAT360_WORKERS environment variable, else 1.
+anchors) take their worker count from --workers, else the SPLAT360_WORKERS
+environment variable, else 1.
 
 Exit codes: 0 success, 2 argument error, 3 input-format error, 4 numeric
 failure, 5 check failure.
@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -28,8 +27,8 @@ from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
 from .ct import (DrrConfig, ProjectionGeometry, load_volume, read_volume_header,
                  render_drr)
 from .errors import CheckFailure, FormatError, NumericFailure
-from .fitting import (FitConfig, _appearance_blocks, _Geometry, _scene_of,
-                      composite_loss, fit_scene)
+from .fitting import (FitConfig, _appearance_blocks, _geometry_blocks,
+                      _head_block, _scene_of, composite_loss, fit_scene)
 from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
                      init_mlp, load_mlp, save_mlp)
 from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
@@ -45,6 +44,7 @@ EXIT_FORMAT = 3
 EXIT_NUMERIC = 4
 EXIT_CHECK = 5
 FD_STEP = 1e-5  # central-difference step of every gradient check
+HEAD_PROBES = 12  # fusion-head weights the patch gradient check probes
 
 
 def _sha256(path: str) -> str:
@@ -265,8 +265,11 @@ def cmd_drr(args) -> int:
 def _load_targets(targets_dir: str):
     """(Camera, image, image file, camera file) of each frame_XXX.camera.json
     + frame_XXX.pfm/.ppm, and whether any image is a .pfm."""
-    names = sorted(n for n in os.listdir(targets_dir)
-                   if n.endswith(".camera.json"))
+    try:
+        names = sorted(n for n in os.listdir(targets_dir)
+                       if n.endswith(".camera.json"))
+    except OSError as e:
+        raise FormatError(f"cannot read targets directory: {e}") from e
     if not names:
         raise FormatError(f"no frame_*.camera.json files in {targets_dir}")
     pairs = []
@@ -397,18 +400,28 @@ def _relerr(analytic: float, fd: float, abs_floor: float = 1e-8) -> float:
     return abs(analytic - fd) / max(abs(analytic), abs(fd))
 
 
-def _fd_check(label: str, loss, x: np.ndarray, grad: np.ndarray, coords,
-              tol: float, h: float = FD_STEP) -> float:
-    """Worst relative error of grad against central differences of loss at x.
+def _stencil(x: np.ndarray, i):
+    """x moved by +FD_STEP and by -FD_STEP along coordinate i of x.flat."""
+    xp = x.copy(); xp.flat[i] += FD_STEP
+    xm = x.copy(); xm.flat[i] -= FD_STEP
+    return xp, xm
 
-    Perturbs one coordinate of x.flat at a time; raises CheckFailure on the
-    first error above tol.
-    """
+
+def _central(loss, x: np.ndarray):
+    """i -> the central difference of loss at x along coordinate i of x.flat."""
+    def fd(i):
+        xp, xm = _stencil(x, i)
+        return (loss(xp) - loss(xm)) / (2 * FD_STEP)
+    return fd
+
+
+def _fd_check(label: str, fd, grad: np.ndarray, coords, tol: float) -> float:
+    """Worst relative error of grad.flat[i] against fd(i), a finite
+    difference of the loss, over the coordinates i in coords; raises
+    CheckFailure on the first error above tol."""
     worst = 0.0
     for i in coords:
-        xp = x.copy(); xp.flat[i] += h
-        xm = x.copy(); xm.flat[i] -= h
-        err = _relerr(grad.flat[i], (loss(xp) - loss(xm)) / (2 * h))
+        err = _relerr(grad.flat[i], fd(i))
         worst = max(worst, err)
         if err > tol:
             raise CheckFailure(f"{label} gradient off by rel {err:.2e} (> {tol:g})")
@@ -434,21 +447,21 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
         flat = params.to_flat()
         worst_mlp = max(
             worst_mlp,
-            _fd_check("mlp param", lambda p: float(fuse_forward_batch(
-                x[None, :], params.with_flat(p))[0] @ up),
-                flat, grads.to_flat(), rng.integers(0, flat.size, 6), tol),
-            _fd_check("mlp input", lambda xi: float(fuse_forward_batch(
-                xi[None, :], params)[0] @ up),
-                x, dX[0], rng.integers(0, x.size, 4), tol))
+            _fd_check("mlp param", _central(lambda p: float(fuse_forward_batch(
+                x[None, :], params.with_flat(p))[0] @ up), flat),
+                grads.to_flat(), rng.integers(0, flat.size, 6), tol),
+            _fd_check("mlp input", _central(lambda xi: float(fuse_forward_batch(
+                xi[None, :], params)[0] @ up), x),
+                dX[0], rng.integers(0, x.size, 4), tol))
 
     pred = rng.random((8, 8, 3))
     tgt = rng.random((8, 8, 3))
     _, grad = composite_loss(pred, tgt)
     coords = [np.ravel_multi_index((rng.integers(8), rng.integers(8), rng.integers(3)),
                                    pred.shape) for _ in range(40)]
-    worst_loss = _fd_check("composite_loss",
-                           lambda p: composite_loss(p, tgt, want_grad=False)[0],
-                           pred, grad.data, coords, tol)
+    worst_loss = _fd_check("composite_loss", _central(
+        lambda p: composite_loss(p, tgt, want_grad=False)[0], pred),
+        grad.data, coords, tol)
 
     patch = _patch_gradcheck(seed, tol=max(tol, 1e-3))
     return {"mlp": worst_mlp, "composite_loss": worst_loss, **patch,
@@ -456,12 +469,14 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
 
 
 def _patch_gradcheck(seed: int, tol: float) -> dict:
-    """Patch gradients of every block a fit steps but the head (appearance,
-    then geometry) vs finite differences, probed in the unconstrained
-    coordinates Adam steps, so each block's chain rule is checked too.
+    """Patch gradients of every block a fit steps (appearance, geometry and
+    the head) vs finite differences, probed in the unconstrained coordinates
+    Adam steps, so each block's chain rule is checked too.
 
     3 splats, one 16x32 patch, physical color and then a fused MLP, whose
-    camera embedding is held fixed as the fit holds it. A coordinate is
+    camera embedding is held fixed as the fit holds it. The head is probed
+    in the fused pass only, at HEAD_PROBES seeded coordinates of its
+    weights; every other block at all of its coordinates. A coordinate is
     probed only where its +-FD_STEP stencil keeps `_tape_key`: across a
     cutoff edge, a t-order swap or a moved ray termination the loss jumps,
     and the difference quotient would measure the jump. Raises CheckFailure
@@ -474,44 +489,56 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
     tgt = np.clip(np.random.default_rng(seed + 2).random((16, 32, 3)), 0, 1)
     rows = np.arange(16, dtype=np.float64)
     cols = np.arange(32, dtype=np.float64)
-    geo = _Geometry(scene)
-    sections = {"appearance": _appearance_blocks(scene), "geometry": geo.blocks()}
+    head = init_mlp(d=16, seed=seed + 3)
+    sections = {"appearance": _appearance_blocks(scene),
+                "geometry": _geometry_blocks(scene), "head": [_head_block(head)]}
     start = _scene_of(scene, [b for blocks in sections.values() for b in blocks])
+    head_coords = np.sort(np.random.default_rng(seed + 4).choice(
+        head.to_flat().size, HEAD_PROBES, replace=False))
 
     out = dict.fromkeys([k for name in sections for k in
                          (name, f"{name}_checked", f"{name}_skipped")], 0)
-    for mlp in (None, init_mlp(d=16, seed=seed + 3)):
+    for mlp in (None, head):
         kind = "fused" if mlp else "physical"
         e_vec = (None if mlp is None
                  else embed_camera(cam, scene.center, scene.radius, mlp.d))
 
-        def forward(changed, tape=False):
+        def forward(changed):
             sc = _scene_of(start, changed)
+            m = next((b.field for b in changed if b.name == "head"), mlp)
             return _patch_forward(sc, cam, rcfg, _grid_pairs(sc, cam, [(rows, cols)]),
-                                  rows, cols, mlp, e_vec, tape=tape)
+                                  rows, cols, m, e_vec, tape=True)
 
-        def loss_of(changed):
-            return composite_loss(forward(changed)[0].reshape(tgt.shape), tgt,
-                                  want_grad=False)[0]
+        def probe(changed):
+            """(`_tape_key`, loss) of the patch with `changed` in place of
+            its blocks, from one taped pass: its colors are the bits of an
+            untaped one."""
+            colors, work = forward(changed)
+            return _tape_key(work), composite_loss(colors.reshape(tgt.shape), tgt,
+                                                   want_grad=False)[0]
 
-        colors, work = forward([], tape=True)
+        colors, work = forward([])
         _, gimg = composite_loss(colors.reshape(tgt.shape), tgt)
         grads = _patch_backward(work, rcfg, gimg.data.reshape(-1, 3), mlp,
-                                (geo.rot, geo.log_eig))
+                                geometry=True)
         key = _tape_key(work)
         for name, blocks in sections.items():
+            if name == "head" and mlp is None:
+                continue
             for b in blocks:
                 grad = b.grad(grads, b.theta)
-                steps = FD_STEP * np.eye(b.theta.size).reshape((-1,) + b.theta.shape)
-                smooth = [i for i, step in enumerate(steps) if all(
-                    _tape_key(forward([b.at(b.theta + s)], tape=True)[1]) == key
-                    for s in (step, -step))]
-                out[f"{name}_skipped"] += b.theta.size - len(smooth)
+                coords = head_coords if b.name == "head" else range(b.theta.size)
+                points = {i: [probe([b.at(th)]) for th in _stencil(b.theta, i)]
+                          for i in coords}
+                smooth = [i for i, ((kp, _), (km, _)) in points.items()
+                          if kp == km == key]
+                out[f"{name}_skipped"] += len(points) - len(smooth)
                 out[f"{name}_checked"] += int(np.count_nonzero(
                     np.abs(grad.flat[smooth]) > 1e-8))
                 out[name] = max(out[name], _fd_check(
-                    f"{b.name} ({kind})", lambda th: loss_of([b.at(th)]),
-                    b.theta, grad, smooth, tol))
+                    f"{b.name} ({kind})",
+                    lambda i: (points[i][0][1] - points[i][1][1]) / (2 * FD_STEP),
+                    grad, smooth, tol))
     for name in sections:
         if out[f"{name}_checked"] == 0:
             raise CheckFailure(f"{name} check probed no nonzero gradient")
@@ -521,40 +548,6 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
 def cmd_gradcheck(args) -> int:
     result = run_gradcheck(seed=args.seed, tol=args.tol, draws=args.draws)
     print(json.dumps(result, indent=1))
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-def cmd_bench(args) -> int:
-    if args.scene:
-        scene = load_scene(args.scene)
-    else:
-        scene = make_random_scene(args.gaussians, seed=args.seed, spread=0.5,
-                                  sigma_range=(0.01, 0.04))
-    cams = make_orbit_cameras(scene.center, 2.5 * max(scene.radius, 0.1),
-                              args.frames, 0.3, "ring", args.res, args.res, 0.9)
-    workers = _resolve_workers(args)
-    # the warm-up frame (first camera) is not timed, so pool spawn and cache
-    # effects do not pollute the per-frame numbers
-    render(scene, cams[0], workers=workers)
-    t0 = time.perf_counter()
-    for cam in cams:
-        render(scene, cam, workers=workers)
-    seconds = max(time.perf_counter() - t0, 1e-9)
-    n = len(cams)
-    text = json.dumps({
-        "width": args.res, "height": args.res, "frames": n, "seconds": seconds,
-        "fps": n / seconds, "ms_per_frame": seconds / n * 1000.0,
-        "workers": workers, "cpu_count": os.cpu_count(),
-        "gaussians": scene.alpha.size}, indent=1) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with _Run(args.out) as run:
-            run.write_text("bench.json", text)
-            run.manifest(args, [args.scene] if args.scene else [],
-                         workers=workers, gaussians=scene.alpha.size)
     return EXIT_OK
 
 
@@ -687,15 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("bench", help="frame-rate measurement")
-    p.add_argument("--scene", default=None)
-    p.add_argument("--gaussians", type=int, default=5000)
-    p.add_argument("--res", type=int, default=512)
-    p.add_argument("--frames", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p, out_required=False, workers=True)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("info", help="build and configuration report")
     p.set_defaults(func=cmd_info)

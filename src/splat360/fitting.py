@@ -2,14 +2,17 @@
 
 The fitted parameters are a list of blocks (`_Block`), one Adam group per
 attribute as in 3D Gaussian Splatting: alpha, l_iso, l_aniso and g; under
-optimize_geometry mu and cov (rotation fixed, see `_Geometry`); and the
-fusion MLP's weights, the head. Each iteration renders one square pixel
+optimize_geometry mu and cov (rotation fixed, see `_geometry_blocks`); and
+the fusion MLP's weights, the head. Each iteration renders one square pixel
 patch (rays_per_step rays) of a round-robin target view, computes the
 composite loss (MSE + SSIM with an adaptive window), backpropagates it
 through the compositing kernel with the head's camera embedding held fixed,
-steps each block and builds the next `Scene` from their fields. Patch
-centers are drawn from depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with
-uniform positions unless the no_anchoring ablation is set.
+steps each block and builds the next `Scene` from their fields. Each block
+reads its own gradient from `_patch_backward`'s dict, `out[name]` (cov reads
+`out["cov_inv"]`), and applies its own chain rule, so only this module knows
+how an attribute is parametrised. Patch centers are drawn from
+depth-gradient anchors mixed 50/50 (ANCHOR_MIX) with uniform positions
+unless the no_anchoring ablation is set.
 
 An appearance-only fit never moves a splat, so where a target view's
 patches over the fit hold at least as many pixels as the view, the pair
@@ -202,7 +205,8 @@ class _Block:
     `name` is the `Scene` field it sets, or "head" for the fusion MLP. Its
     unconstrained values `theta` map onto `field` by `unpack(theta, moved,
     field)`, where a value none of whose parameters `moved` keeps its bits;
-    `grad(out, theta)` is d loss / d theta from `_patch_backward`'s `out`.
+    `grad(out, theta)` is d loss / d theta from `_patch_backward`'s `out`,
+    of which it reads `out[name]` (cov reads `out["cov_inv"]`).
     """
     name: str
     theta: np.ndarray
@@ -225,44 +229,46 @@ def _appearance_blocks(scene: Scene) -> list:
     derivative is the sigmoid), g via atanh, so each constraint holds."""
     return [
         _Block("alpha", _logit(scene.alpha), scene.alpha,
-               lambda out, th: out[0] * _dsigmoid(th), _each(_sigmoid_open)),
+               lambda out, th: out["alpha"] * _dsigmoid(th), _each(_sigmoid_open)),
         _Block("l_iso", _logit(scene.l_iso), scene.l_iso,
-               lambda out, th: out[1] * _dsigmoid(th), _each(_sigmoid)),
+               lambda out, th: out["l_iso"] * _dsigmoid(th), _each(_sigmoid)),
         _Block("l_aniso", _inv_softplus(scene.l_aniso), scene.l_aniso,
-               lambda out, th: out[2] * _sigmoid(th), _each(_softplus)),
+               lambda out, th: out["l_aniso"] * _sigmoid(th), _each(_softplus)),
         _Block("g", _atanh(scene.g), scene.g,
-               lambda out, th: out[3] * (1.0 - np.tanh(th) ** 2), _each(_tanh_open)),
+               lambda out, th: out["g"] * (1.0 - np.tanh(th) ** 2),
+               _each(_tanh_open)),
     ]
 
 
-class _Geometry:
-    """mu and covariance log-eigenvalues s, cov = R diag(exp(2 s)) R^T; the
-    eigenvector frames R (`rot`) of the starting scene are held fixed."""
+def _geometry_blocks(scene: Scene) -> list:
+    """mu as it is, and cov through its log-eigenvalues s, cov = R diag(exp(2 s))
+    R^T, with the eigenvector frames R (`rot`) of the starting scene held
+    fixed: a splat's whole covariance is rebuilt when any of its s moved.
+    d Sigma^-1 / d s_j = -2 exp(-2 s_j) R_j R_j^T, so cov's gradient is the
+    contraction of the renderer's "cov_inv" with it."""
+    sym_cov = 0.5 * (scene.cov + np.transpose(scene.cov, (0, 2, 1)))
+    eigval, rot = np.linalg.eigh(sym_cov)       # [G,3,3], columns are axes
 
-    def __init__(self, scene: Scene):
-        self.mu = scene.mu
-        self.sym_cov = 0.5 * (scene.cov + np.transpose(scene.cov, (0, 2, 1)))
-        eigval, eigvec = np.linalg.eigh(self.sym_cov)
-        self.rot = eigvec                       # [G,3,3], columns are axes
-        self.log_eig = 0.5 * np.log(eigval)     # sigma in log space
+    def grad_cov(out, theta):
+        m = out["cov_inv"]
+        return np.stack([-2.0 * np.exp(-2.0 * theta[:, j])
+                         * sum(rot[:, a, j] * rot[:, b, j] * m[:, a, b]
+                               for a in range(3) for b in range(3))
+                         for j in range(3)], axis=1)
 
-    def blocks(self) -> list:
-        """mu as it is, and cov through s: a splat's whole covariance is
-        rebuilt when any of its s moved."""
-        def unpack_cov(theta, moved, field):
-            cov = np.einsum("gij,gj,gkj->gik", self.rot, np.exp(2.0 * theta), self.rot)
-            cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
-            return np.where(moved.any(axis=1)[:, None, None], cov, field)
+    def unpack_cov(theta, moved, field):
+        cov = np.einsum("gij,gj,gkj->gik", rot, np.exp(2.0 * theta), rot)
+        cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+        return np.where(moved.any(axis=1)[:, None, None], cov, field)
 
-        return [_Block("mu", self.mu, self.mu, lambda out, th: out[4][:, :3],
-                       _each(lambda th: th)),
-                _Block("cov", self.log_eig, self.sym_cov,
-                       lambda out, th: out[4][:, 3:], unpack_cov)]
+    return [_Block("mu", scene.mu, scene.mu, lambda out, th: out["mu"],
+                   _each(lambda th: th)),
+            _Block("cov", 0.5 * np.log(eigval), sym_cov, grad_cov, unpack_cov)]
 
 
 def _head_block(mlp: MlpParams) -> _Block:
     """The fusion MLP's weights, flat in `MlpParams.to_flat`'s order."""
-    return _Block("head", mlp.to_flat(), mlp, lambda out, th: out[-1].to_flat(),
+    return _Block("head", mlp.to_flat(), mlp, lambda out, th: out["head"].to_flat(),
                   lambda th, moved, field: field.with_flat(th))
 
 
@@ -314,9 +320,8 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         cams.append(cam)
         targets_arr.append(arr)
 
-    geo = _Geometry(scene) if cfg.optimize_geometry else None
     blocks = {b.name: b for b in _appearance_blocks(scene)
-              + (geo.blocks() if geo is not None else [])
+              + (_geometry_blocks(scene) if cfg.optimize_geometry else [])
               + ([_head_block(live_mlp)] if live_mlp is not None else [])}
 
     # view_sets[v] holds view v's block sets where the rule in the module
@@ -325,7 +330,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     # memory, as kept sets hold about 32 B per live pair and 40 B per pixel
     # for the whole fit
     side = int(math.isqrt(cfg.rays_per_step))
-    keeps = [geo is None and len(range(v, cfg.iters, len(cams)))
+    keeps = [not cfg.optimize_geometry and len(range(v, cfg.iters, len(cams)))
              * min(side, cam.height) * min(side, cam.width) >= cam.height * cam.width
              for v, cam in enumerate(cams)]
     view_sets = [
@@ -413,8 +418,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         trace.append(loss)
         gpix = gimg.data.reshape(ph * pw, 3)
 
-        geometry = None if geo is None else (geo.rot, blocks["cov"].theta)
-        out = _patch_backward(work, rcfg, gpix, live_mlp, geometry)
+        out = _patch_backward(work, rcfg, gpix, live_mlp, cfg.optimize_geometry)
         blocks = {name: b.step(out, cfg) for name, b in blocks.items()}
         live_mlp = blocks["head"].field if "head" in blocks else None
         cur_scene = _scene_of(scene, blocks.values())

@@ -31,7 +31,8 @@ cache and the rays' origin and directions. Of the tape it reads each slot's
 splat, t, k, w, Tb and tw, its color or fused streams, f and cos, each
 ray's final_T, `ray`, `offsets` and `rays` for the running sums along each
 ray, and `by_ray` to add each slot's products into its splat ray after ray;
-`_tape_key` reads n, Tb, by_ray and idx: each ray's composited splats.
+`_tape_key` reads n, Tb, by_ray and idx: each ray's composited splats,
+and of the fusion cache which of the head's hidden units each ray fires.
 Each ray composites only its own live splats, ordered by t and then by
 splat index, so a ray's result does not depend on which other rays, or
 which dead pairs, share its call: a dead entry could only have added a
@@ -653,14 +654,14 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
     colors match a render bitwise whatever grids the pairs came from.
     """
     live, (dx, dy, dz) = _patch_pairs(sets, rows, cols)
-    colors, _, _, *out = _composite(
+    colors, _, _, *streams = _composite(
         scene, rcfg, live, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
     cache = None
     if mlp is not None:
         colors, cache = fuse_forward_batch(
-            fusion_input(out[0], out[1], e_vec, np.stack([dx, dy, dz], axis=1)),
+            fusion_input(streams[0], streams[1], e_vec, np.stack([dx, dy, dz], axis=1)),
             mlp, want_cache=True)
-    return colors, ((scene, out[-1], cache, cam.position, (dx, dy, dz))
+    return colors, ((scene, streams[-1], cache, cam.position, (dx, dy, dz))
                     if tape else None)
 
 
@@ -671,9 +672,11 @@ def _dot3(g: np.ndarray, ray: np.ndarray, vals) -> np.ndarray:
 
 
 def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
-                    mlp: MlpParams | None, geometry=None):
-    """Gradients of the patch loss w.r.t. constrained appearance, geometry
-    and the MLP.
+                    mlp: MlpParams | None, geometry: bool = False) -> dict:
+    """Gradients of the patch loss, keyed by the `Scene` attribute each
+    differentiates: "alpha" [G], "l_iso" [G,3], "l_aniso" [G,3] and "g" [G];
+    with `geometry` also "mu" [G,3] and "cov_inv" [G,3,3] (Sigma^-1); with an
+    MLP also "head", an MlpParams of its weights' gradients.
 
     Each per-slot product is added into its splat's entry (a scatter-add
     over the tape's splat indices). The tape's slots are each ray's live
@@ -689,20 +692,19 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     past a ray's stop can turn its total from -0.0 to +0.0, but only where
     every term is zero, and the tail is +0.0 either way.
 
-    `geometry` is None or (rot R [G,3,3], log_eig s [G,3]), cov = R diag(exp(2 s))
-    R^T. The loss sees geometry only through w = alpha exp(-q/2), as sort order and
-    liveness are piecewise constant. q = min over t of r^T Sigma^-1 r, with
-    r = mu - o - t d, is reached at the tape's t, so dq/dmu = 2 Sigma^-1 r and
-    dq/ds_j = -2 exp(-2 s_j) (R_j . r)^2 (envelope theorem).
-    Returns (dalpha [G], dl_iso [G,3], dl_aniso [G,3], dg [G], mlp_grads),
-    with dgeo [G,6] (mu, then s) before mlp_grads when `geometry` is given.
+    The loss sees geometry only through w = alpha exp(-q/2), as sort order
+    and liveness are piecewise constant. q = min over t of r^T Sigma^-1 r,
+    with r = mu - o - t d, is reached at the tape's t, so dq/dmu = 2 Sigma^-1 r
+    and dq/dSigma^-1 = r r^T (envelope theorem); "cov_inv" is the symmetric
+    sum of the latter, each entry once, and a caller that fits the covariance
+    through its own parameters applies their chain rule to it.
     """
     scene, tp, cache, origin, dirs = work
     P, G = gpix.shape[0], scene.alpha.size
     ray = tp.ray
-    mlp_grads = None
+    out = {}
     if mlp is not None:
-        mlp_grads, dX = fuse_backward_batch(cache, mlp, gpix)
+        out["head"], dX = fuse_backward_batch(cache, mlp, gpix)
         gi = dX[:, 0:3]
         ga = dX[:, 3:6]
         dotc = _dot3(gi, ray, tp.iso)
@@ -746,33 +748,37 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
         sq = np.sqrt(s)
         dfdg = (-2.0 * gk) / (s * sq) - 3.0 * (1.0 - gk * gk) * (gk - cosg) / (s * s * sq)
         dg = ray_sum(tp.tw * la_dot * dfdg)
-    out = (dalpha, dli, dla, dg)
-    if geometry is not None:
-        rot, log_eig = geometry
+    out.update(alpha=dalpha, l_iso=dli, l_aniso=dla, g=dg)
+    if geometry:
         gq = dw_s * (-0.5 * tp.w)            # dL/dq per slot
         r = [(scene.mu[:, c][tp.idx] - origin[c]) - tp.ts * dirs[c][ray]
              for c in range(3)]
         gr = [gq * rc for rc in r]
         sr = [ray_sum(v) for v in gr]
-        m = {(a, b): ray_sum(gr[a] * r[b]) for a in range(3) for b in range(a, 3)}
         inv = scene.cov_inv
-        dmu = [2.0 * (inv[:, c, 0] * sr[0] + inv[:, c, 1] * sr[1]
-                      + inv[:, c, 2] * sr[2]) for c in range(3)]
-        dlog = [-2.0 * np.exp(-2.0 * log_eig[:, j])
-                * sum(rot[:, a, j] * rot[:, b, j] * m[min(a, b), max(a, b)]
-                      for a in range(3) for b in range(3)) for j in range(3)]
-        out += (np.stack(dmu + dlog, axis=1),)
-    return out + (mlp_grads,)
+        out["mu"] = np.stack([2.0 * (inv[:, c, 0] * sr[0] + inv[:, c, 1] * sr[1]
+                                     + inv[:, c, 2] * sr[2]) for c in range(3)], axis=1)
+        dinv = out["cov_inv"] = np.empty((G, 3, 3))
+        for a in range(3):
+            for b in range(a, 3):
+                dinv[:, a, b] = dinv[:, b, a] = ray_sum(gr[a] * r[b])
+    return out
 
 
 def _tape_key(work) -> tuple:
     """Each ray's t-ordered composited splats, ray after ray with each ray's
-    count `n`: the patch loss is smooth in geometry only while this stays
-    the same. The tape's slots past a ray's stop are the ones whose Tb is
-    below TERMINATION_EPSILON."""
-    tp = work[1]
+    count `n`, and with the fusion head the hidden units each ray fires: the
+    patch loss is smooth only while this stays the same, in geometry for the
+    former and in any parameter for the latter, the head's ReLU kinks. The
+    tape's slots past a ray's stop are the ones whose Tb is below
+    TERMINATION_EPSILON."""
+    _, tp, cache, _, _ = work
     kept = tp.by_ray[tp.Tb[tp.by_ray] >= TERMINATION_EPSILON]
-    return tp.n.tobytes(), tp.idx[kept].tobytes()
+    key = (tp.n.tobytes(), tp.idx[kept].tobytes())
+    if cache is not None:
+        _, z1, _, z2, _, _ = cache
+        key += (np.packbits(z1 > 0.0).tobytes(), np.packbits(z2 > 0.0).tobytes())
+    return key
 
 
 def _fusion_head(scene, cam, mlp):

@@ -18,6 +18,7 @@ from splat360 import (Camera, RenderConfig, cli, init_mlp, load_mlp, load_pfm,
                       make_random_scene, make_sphere_phantom, save_mlp, save_pfm,
                       save_scene, save_volume)
 from splat360.cli import main
+from splat360.fusion import MlpParams
 from splat360.renderer import _grid_pairs, _patch_forward, _shutdown_pools, _tape_key
 
 
@@ -155,7 +156,6 @@ _RESOLVED = {
     "drr": {"workers", "source", "detector_center", "detector_u",
             "detector_v", "det_width", "det_height"},
     "fit": {"target_files", "rays_per_step", "target_dtype"},
-    "bench": {"workers", "gaussians"},
 }
 
 
@@ -172,8 +172,7 @@ def test_manifest_config_records_every_option(tmp_path, scene_file, command):
             "anchors": ["--scene", scene_file, *view],
             "drr": ["--volume", vol, "--det-width", "9", "--det-height", "9"],
             "fit": ["--scene", scene_file, "--targets", frames, "--iters", "1"],
-            "metrics": [img, img],
-            "bench": ["--scene", scene_file, "--res", "12", "--frames", "1"]}
+            "metrics": [img, img]}
     out = str(tmp_path / "out")
     assert main([command, *argv[command], "--out", out]) == 0
     man = _read_manifest(out)
@@ -200,8 +199,7 @@ def test_anchors_manifest_tells_apart_runs_that_differ(tmp_path, scene_file):
     ("anchors", "--seed", False), ("metrics", "--seed", False),
     ("info", "--seed", False), ("gradcheck", "--out", False),
     ("info", "--out", False), ("fit", "--seed", True),
-    ("gradcheck", "--seed", True), ("bench", "--seed", True),
-    ("drr", "--step", False)])
+    ("gradcheck", "--seed", True), ("drr", "--step", False)])
 def test_only_options_a_command_uses_parse(command, option, parses):
     required = {"render": ["--scene", "s", "--out", "o"],
                 "anchors": ["--scene", "s", "--out", "o"],
@@ -249,6 +247,18 @@ def test_fit_self_targets_reports_zero(tmp_path, scene_file, capsys):
     assert fitted == Path(scene_file).read_bytes()
     per_view = Path(fdir, "per_view.txt").read_text()
     assert "99.0" in per_view
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_fit_targets_not_a_directory_exits_3(tmp_path, scene_file, capsys, kind):
+    targets = tmp_path / "targets"
+    if kind == "file":
+        targets.write_text("not a directory\n")
+    fdir = tmp_path / "fit"
+    assert main(["fit", "--scene", scene_file, "--targets", str(targets),
+                 "--out", str(fdir)]) == 3
+    assert "targets" in capsys.readouterr().err
+    assert not fdir.exists()
 
 
 def test_fit_numeric_failure_exits_4_keeps_report(tmp_path, scene_file):
@@ -411,7 +421,7 @@ def test_gradcheck_passes(capsys):
     doc = json.loads(capsys.readouterr().out)
     tol = doc["tol"]
     assert doc["mlp"] < tol and doc["composite_loss"] < tol
-    assert doc["geometry_checked"] > 0
+    assert doc["geometry_checked"] > 0 and doc["head_checked"] > 0
 
 
 def test_gradcheck_impossible_tolerance_exits_5():
@@ -420,28 +430,19 @@ def test_gradcheck_impossible_tolerance_exits_5():
     assert rc == 5
 
 
-def test_gradcheck_catches_a_wrong_g_gradient(monkeypatch):
+@pytest.mark.parametrize("key", ["g", "mu", "cov_inv", "head"])
+def test_gradcheck_catches_a_wrong_patch_gradient(monkeypatch, key):
+    # each gradient 1% off, the head's in the fused pass only
     real = cli._patch_backward
 
-    def zero_dg(*args):
-        dalpha, dli, dla, dg, *rest = real(*args)
-        return (dalpha, dli, dla, np.zeros_like(dg), *rest)
+    def skew(*args, **kwargs):
+        grads = real(*args, **kwargs)
+        if key in grads:
+            g = grads[key]
+            grads[key] = g.with_flat(1.01 * g.to_flat()) if key == "head" else 1.01 * g
+        return grads
 
-    monkeypatch.setattr(cli, "_patch_backward", zero_dg)
-    assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
-
-
-@pytest.mark.parametrize("block", [slice(0, 3), slice(3, 6)], ids=["mu", "log_eig"])
-def test_gradcheck_catches_a_wrong_geometry_gradient(monkeypatch, block):
-    real = cli._patch_backward
-
-    def skew_dgeo(*args):
-        *app, dgeo, mlp_grads = real(*args)
-        dgeo = dgeo.copy()
-        dgeo[:, block] *= 1.01
-        return (*app, dgeo, mlp_grads)
-
-    monkeypatch.setattr(cli, "_patch_backward", skew_dgeo)
+    monkeypatch.setattr(cli, "_patch_backward", skew)
     assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
 
 
@@ -476,6 +477,27 @@ def test_tape_key_sees_a_t_order_swap(depth1, flips):
 
     assert key_at(1.0 - 1e-5) == key_at(1.0)
     assert (key_at(1.0 + 1e-5) != key_at(1.0)) == flips
+
+
+def test_tape_key_sees_a_head_unit_turn_on():
+    # the fused patch loss has a kink where one of the head's hidden units
+    # turns on for a ray, as it has a jump where the ray's splats change
+    cam = Camera.look_at(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.9, 1, 1)
+    scene = make_scene(mu=[(0.0, 0.0, 1.0)], alpha=0.5)
+    one = np.zeros(1)
+    mlp = init_mlp(d=16, seed=0)
+
+    def work(bias):
+        b1 = mlp.biases[0].copy()
+        b1[0] = bias
+        head = MlpParams(mlp.d, mlp.seed, mlp.weights, (b1, *mlp.biases[1:]))
+        return _patch_forward(scene, cam, RenderConfig(),
+                              _grid_pairs(scene, cam, [(one, one)]), one, one,
+                              head, np.full(16, 0.1), tape=True)[1]
+
+    z = work(0.0)[2][1][0, 0]  # unit 0's input on the ray, less its bias
+    keys = [_tape_key(work(h - z)) for h in (-2e-6, -1e-6, 1e-6)]
+    assert keys[0] == keys[1] != keys[2]
 
 
 def test_tape_key_sees_which_ray_holds_which_splats():
@@ -516,19 +538,6 @@ def test_tape_key_sees_a_moved_termination():
     a, b = work(0.5), work(0.4)
     assert [w[1].n.tolist() for w in (a, b)] == [[10], [11]]
     assert _tape_key(a) != _tape_key(b)
-
-
-def test_bench_reports_fps(tmp_path, scene_file, capsys):
-    rc = main(["bench", "--scene", scene_file, "--res", "24",
-               "--frames", "2", "--gaussians", "5"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert list(doc) == ["width", "height", "frames", "seconds", "fps",
-                         "ms_per_frame", "workers", "cpu_count", "gaussians"]
-    assert doc["frames"] == 2 and doc["width"] == doc["height"] == 24
-    assert doc["workers"] == 1 and doc["gaussians"] == 5
-    assert doc["fps"] > 0.0
-    assert abs(doc["fps"] * doc["ms_per_frame"] / 1000.0 - 1.0) < 1e-9
 
 
 def test_info_prints_versions(capsys):

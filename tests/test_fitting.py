@@ -16,7 +16,7 @@ from splat360 import (AnchorPoint, AnchorSet, Camera, FitConfig, NumericFailure,
                       select_anchors, validate_scene)
 from splat360 import fitting, metrics, renderer
 from splat360 import scene as scene_module
-from splat360.fitting import _Geometry, _patch_origin
+from splat360.fitting import _patch_origin
 from splat360.fusion import fuse_forward_batch, fusion_input
 from splat360.renderer import _grid_pairs, _patch_backward, _patch_forward
 from conftest import dense_composite
@@ -388,10 +388,11 @@ def test_patch_no_splat_reaches(small_random_scene, with_mlp):
     if not with_mlp:
         assert np.array_equal(colors, np.broadcast_to(s.background, (64, 3)))
     gpix = np.random.default_rng(0).standard_normal((64, 3))
-    *app, mlp_g = _patch_backward(work, rcfg, gpix, mlp)
-    assert all(np.all(g == 0.0) for g in app)
+    grads = _patch_backward(work, rcfg, gpix, mlp, geometry=True)
+    head = grads.pop("head", None)
+    assert all(np.all(g == 0.0) for g in grads.values())
     if with_mlp:
-        assert np.isfinite(mlp_g.to_flat()).all()
+        assert np.isfinite(head.to_flat()).all()
     tgt = np.random.default_rng(1).random((8, 8, 3))
     fitted, _, report = fit_scene(s, [(cam, tgt)],
                                   FitConfig(iters=2, rays_per_step=64, seed=0),
@@ -432,32 +433,34 @@ def test_splats_behind_the_camera_change_no_patch_bit(seed, extra, with_mlp):
     for sc in (s, grown):
         colors, work = _patch_forward(sc, cam, rcfg, _grid_pairs(sc, cam, [(rows, cols)]),
                                       rows, cols, mlp, e_vec, tape=True)
-        geo = _Geometry(sc)
-        outs.append((colors, _patch_backward(work, rcfg, gpix, mlp,
-                                             (geo.rot, geo.log_eig))))
-    (c0, (*app0, m0)), (c1, (*app1, m1)) = outs
+        outs.append((colors, _patch_backward(work, rcfg, gpix, mlp, geometry=True)))
+    (c0, grads0), (c1, grads1) = outs
     G = s.alpha.size
     assert c1.tobytes() == c0.tobytes()
-    assert len(app0) == 5 and np.any(app0[4] != 0.0)
-    for g0, g1 in zip(app0, app1):
-        assert g1[:G].tobytes() == g0.tobytes()
-        assert np.all(g1[G:] == 0.0)
-    if with_mlp:
-        assert m1.to_flat().tobytes() == m0.to_flat().tobytes()
+    assert grads1.keys() == grads0.keys()
+    assert np.any(grads0["mu"] != 0.0) and np.any(grads0["cov_inv"] != 0.0)
+    for key, g0 in grads0.items():
+        g1 = grads1[key]
+        if key == "head":
+            assert g1.to_flat().tobytes() == g0.to_flat().tobytes()
+        else:
+            assert g1[:G].tobytes() == g0.tobytes()
+            assert np.all(g1[G:] == 0.0)
 
 
 def _dense_patch(scene, cam, rcfg, rows, cols, mlp, e_vec):
     """`_patch_forward`'s colors and work from one kernel call over every
     ray x splat pair of the patch."""
     dx, dy, dz = (a.ravel() for a in cam.pixel_dirs(rows[:, None], cols[None, :]))
-    out = dense_composite(scene, cam.position, np.stack([dx, dy, dz], axis=1), rcfg,
-                          cam.near, fused_streams=mlp is not None, tape=True)
-    colors, cache = out[0], None
+    colors, _, _, *streams = dense_composite(
+        scene, cam.position, np.stack([dx, dy, dz], axis=1), rcfg, cam.near,
+        fused_streams=mlp is not None, tape=True)
+    cache = None
     if mlp is not None:
         colors, cache = fuse_forward_batch(
-            fusion_input(out[3], out[4], e_vec, np.stack([dx, dy, dz], axis=1)),
+            fusion_input(streams[0], streams[1], e_vec, np.stack([dx, dy, dz], axis=1)),
             mlp, want_cache=True)
-    return colors, (scene, out[-1], cache, cam.position, (dx, dy, dz))
+    return colors, (scene, streams[-1], cache, cam.position, (dx, dy, dz))
 
 
 def _assert_same_tape(tape, dense):
@@ -519,10 +522,11 @@ def test_tiled_patch_matches_render_and_a_dense_tape(case):
     image = render(s, cam, rcfg, mlp=mlp)[0].data[r0:r0 + ph, c0:c0 + pw]
     dense_colors, dense_work = _dense_patch(s, cam, rcfg, rows, cols, mlp, e_vec)
     assert dense_colors.tobytes() == image.reshape(-1, 3).tobytes()
-    geo = _Geometry(s)
-    geometry = (geo.rot, geo.log_eig) if with_geometry else None
     gpix = np.random.default_rng(ph * 41 + pw).standard_normal((ph * pw, 3))
-    *dense, dense_mlp_g = _patch_backward(dense_work, rcfg, gpix, mlp, geometry)
+    dense = _patch_backward(dense_work, rcfg, gpix, mlp, with_geometry)
+    assert dense.keys() == ({"alpha", "l_iso", "l_aniso", "g"}
+                            | ({"mu", "cov_inv"} if with_geometry else set())
+                            | ({"head"} if mlp is not None else set()))
     blocks = [(np.arange(r, min(r + tile, 48), dtype=np.float64),
                np.arange(c, min(c + tile, 48), dtype=np.float64))
               for r in range(r0 - r0 % tile, r0 + ph, tile)
@@ -537,12 +541,13 @@ def test_tiled_patch_matches_render_and_a_dense_tape(case):
         assert colors.tobytes() == dense_colors.tobytes()
         assert work[1].idx.dtype == np.intp
         _assert_same_tape(work[1], dense_work[1])
-        *grads, mlp_g = _patch_backward(work, rcfg, gpix, mlp, geometry)
-        assert len(grads) == (5 if with_geometry else 4)
-        for g, d in zip(grads, dense):
-            assert g.tobytes() == d.tobytes()
-        if mlp is not None:
-            assert mlp_g.to_flat().tobytes() == dense_mlp_g.to_flat().tobytes()
+        grads = _patch_backward(work, rcfg, gpix, mlp, with_geometry)
+        assert grads.keys() == dense.keys()
+        for key, d in dense.items():
+            g = grads[key]
+            if key == "head":
+                g, d = g.to_flat(), d.to_flat()
+            assert g.tobytes() == d.tobytes(), key
 
 
 def test_patch_forward_culls_ray_splat_pairs(monkeypatch):
