@@ -82,9 +82,8 @@ def select_anchors(grad, k: int = DEFAULT_K,
         raise ValueError("select_anchors expects a single-channel image")
     g = g[:, :, 0]
     H, W = g.shape
-    flat = g.ravel()
-    rows, cols = np.divmod(np.arange(flat.size), W)
-    order = np.lexsort((cols, rows, -flat))
+    # a stable sort keeps equal magnitudes in flat, i.e. (row, col), order
+    rows, cols = np.divmod(np.argsort(-g.ravel(), kind="stable"), W)
     r2 = suppression_radius * suppression_radius
     # each kept anchor ORs the disc of offsets within the radius (the integer
     # test dr^2 + dc^2 < r2) into `blocked`, padded by `reach` on every side
@@ -99,7 +98,7 @@ def select_anchors(grad, k: int = DEFAULT_K,
     sel_r: list[int] = []
     sel_c: list[int] = []
     sel_g: list[float] = []
-    for rr, cc in zip(rows[order].tolist(), cols[order].tolist()):
+    for rr, cc in zip(rows.tolist(), cols.tolist()):
         if blocked[rr + reach, cc + reach]:
             continue
         sel_r.append(rr)

@@ -44,7 +44,7 @@ EXIT_FORMAT = 3
 EXIT_NUMERIC = 4
 EXIT_CHECK = 5
 FD_STEP = 1e-5  # central-difference step of every gradient check
-HEAD_PROBES = 12  # fusion-head weights the patch gradient check probes
+HEAD_PROBES = 12  # fusion-head weights with a gradient the patch check probes
 
 
 def _sha256(path: str) -> str:
@@ -475,12 +475,15 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
 
     3 splats, one 16x32 patch, physical color and then a fused MLP, whose
     camera embedding is held fixed as the fit holds it. The head is probed
-    in the fused pass only, at HEAD_PROBES seeded coordinates of its
-    weights; every other block at all of its coordinates. A coordinate is
-    probed only where its +-FD_STEP stencil keeps `_tape_key`: across a
-    cutoff edge, a t-order swap or a moved ray termination the loss jumps,
-    and the difference quotient would measure the jump. Raises CheckFailure
-    when a section probed no nonzero gradient.
+    in the fused pass only, at HEAD_PROBES seeded coordinates among its
+    weights whose analytic gradient exceeds 1e-8 (a weight into or out of
+    a hidden unit that no ray of the patch fires has an exact zero gradient
+    and difference, and would check nothing); every other block at all of
+    its coordinates. A coordinate is probed only where its +-FD_STEP
+    stencil keeps `_tape_key`: across a cutoff edge, a t-order swap or a
+    moved ray termination the loss jumps, and the difference quotient would
+    measure the jump. Raises CheckFailure when a section probed no nonzero
+    gradient.
     """
     scene = make_random_scene(3, seed=seed + 1, spread=0.12,
                               sigma_range=(0.3, 0.6))
@@ -493,8 +496,6 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
     sections = {"appearance": _appearance_blocks(scene),
                 "geometry": _geometry_blocks(scene), "head": [_head_block(head)]}
     start = _scene_of(scene, [b for blocks in sections.values() for b in blocks])
-    head_coords = np.sort(np.random.default_rng(seed + 4).choice(
-        head.to_flat().size, HEAD_PROBES, replace=False))
 
     out = dict.fromkeys([k for name in sections for k in
                          (name, f"{name}_checked", f"{name}_skipped")], 0)
@@ -527,7 +528,11 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
                 continue
             for b in blocks:
                 grad = b.grad(grads, b.theta)
-                coords = head_coords if b.name == "head" else range(b.theta.size)
+                coords = range(b.theta.size)
+                if b.name == "head":
+                    moving = np.flatnonzero(np.abs(grad) > 1e-8)
+                    coords = np.sort(np.random.default_rng(seed + 4).choice(
+                        moving, min(HEAD_PROBES, moving.size), replace=False))
                 points = {i: [probe([b.at(th)]) for th in _stencil(b.theta, i)]
                           for i in coords}
                 smooth = [i for i, ((kp, _), (km, _)) in points.items()

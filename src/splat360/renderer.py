@@ -46,6 +46,20 @@ past a ray's stop stay in the layout with weight 0 and add -0.0, which
 leaves any sum as it is. So results are independent of block size, worker
 count and batching. Matrix products and pairwise sums
 are deliberately avoided in per-pixel math.
+
+The kernel's working set: a call over N live slots holds a handful of [N]
+float64 arrays at a time, and it is written to keep that handful small,
+since on a 2-vCPU machine a call whose arrays outgrow the cache costs more
+than the arithmetic a larger working set saves. `_phase_factor` gathers
+one ray direction component at a time into a reused buffer. Each slot's
+color, t and fused streams are built in their own rows of the stack that
+`_ray_totals` sums, and tw then multiplies each row in place
+(`_stack_values`); with a tape, a value the tape keeps gets an array of its
+own first and its row takes tw * value from it, so taped and untaped calls
+run one section and give the same bits. An untaped call drops Tb, w, the
+slot order and `ray` before it allocates the stack. Under tracemalloc, an
+untaped call over one block of the `render` benchmark workload (about 22k
+live slots) peaks at about 81 bytes per live slot, 141 with fused streams.
 """
 from __future__ import annotations
 
@@ -149,28 +163,39 @@ def _ray_geometry(scene, v0, v1, v2, cg, dx, dy, dz, sub):
     return ts, tn
 
 
-def _phase_factor(scene, dx, dy, dz, sub, keep_cos=False):
+def _phase_factor(scene, dx, dy, dz, ray, sub, keep_cos=False):
     """Normalized anisotropy factor f = 4*pi*phase, elementwise over slots.
 
-    Slot n is gaussian sub[n] seen along direction (dx[n], dy[n], dz[n]).
-    Grouping matches s = (1 + g^2) - (2 g) cos, f = (1 - g^2) / (s sqrt(s)).
-    Returns (f, cos), cos being None unless keep_cos; without it s is built
-    in cos's buffer. The same math as plain expressions, or keeping cos on
-    every call, made a `fit` benchmark op 6-8% slower (2-vCPU VM).
+    Slot n is gaussian sub[n] seen along ray ray[n], whose direction is
+    (dx, dy, dz)[ray[n]]. Grouping matches cos = dx nx + dy ny + dz nz,
+    s = (1 + g^2) - (2 g) cos, f = (1 - g^2) / (s sqrt(s)). Returns (f, cos),
+    cos being None unless keep_cos. The direction components are gathered
+    one at a time, the second and third into one buffer that later holds
+    s sqrt(s) and then f; without keep_cos, s is built in cos's buffer. So
+    a call holds about four slot arrays at once (see the module docstring
+    on the kernel's working set).
     """
-    cos = dx * scene.normal[:, 0][sub]
-    tmp = dy * scene.normal[:, 1][sub]
-    cos += tmp
-    np.multiply(dz, scene.normal[:, 2][sub], out=tmp)
-    cos += tmp
+    # mode="clip" lets np.take write straight into `out`; "raise" would
+    # buffer it. Every index is in range, so the two give the same result.
+    cos = np.take(dx, ray, mode="clip")
+    cos *= scene.normal[:, 0][sub]
+    d = np.take(dy, ray, mode="clip")
+    d *= scene.normal[:, 1][sub]
+    cos += d
+    np.take(dz, ray, out=d, mode="clip")
+    d *= scene.normal[:, 2][sub]
+    cos += d
     gk = scene.g[sub]
     g2 = gk * gk
-    s = np.multiply(2.0 * gk, cos, out=None if keep_cos else cos)
+    gk *= 2.0
+    s = np.multiply(gk, cos, out=None if keep_cos else cos)
+    del gk
     np.subtract(1.0 + g2, s, out=s)
-    np.sqrt(s, out=tmp)
-    np.multiply(s, tmp, out=tmp)
-    np.divide(1.0 - g2, tmp, out=tmp)
-    return tmp, (cos if keep_cos else None)
+    np.sqrt(s, out=d)
+    np.multiply(s, d, out=d)
+    np.subtract(1.0, g2, out=g2)
+    np.divide(g2, d, out=d)
+    return d, (cos if keep_cos else None)
 
 
 @dataclass
@@ -301,6 +326,47 @@ def _live_pairs(ray, sub, geometry, near: float, P: int):
             np.bincount(ray, minlength=P))
 
 
+def _stack_values(scene, cfg: RenderConfig, idx, ts, f, stack, tape: bool):
+    """Fill rows 1: of `_composite`'s stack, whose row 0 holds tw, with tw
+    times each slot's value: its color (rows 1-3) and t (row 4) and, in an
+    11-row stack, its iso and aniso streams (rows 5-7 and 8-10, zero without
+    anisotropy). Slot n is splat idx[n], `f` its phase factor or None.
+
+    Each value is built in its own row, which then takes tw * value in
+    place, so the section holds no slot array beside the stack but one
+    gather. With `tape` a value the tape keeps is built in an array of its
+    own, and its row takes tw * value from it; returns those values, in row
+    order, or None without `tape`. Either way every row has the same bits.
+    """
+    tw = stack[0]
+
+    def at(row):
+        return None if tape else stack[row]
+
+    def gather(col, row):
+        # mode="clip" as in `_phase_factor`
+        return np.take(col, idx, out=at(row), mode="clip")
+
+    fused = stack.shape[0] == 11
+    iso = [gather(scene.l_iso[:, i], 5 + i) for i in range(3)] if fused else []
+    aniso = []
+    if cfg.anisotropy_enabled:
+        aniso = [gather(scene.l_aniso[:, i], (8 if fused else 1) + i)
+                 for i in range(3)]
+        if f is not None:
+            for a in aniso:
+                np.multiply(f, a, out=a)
+        color = [np.add(iso[i] if fused else scene.l_iso[:, i][idx], aniso[i],
+                        out=at(1 + i)) for i in range(3)]
+    else:
+        color = [gather(scene.l_iso[:, i], 1 + i) for i in range(3)]
+    values = color + [ts] + (iso + aniso if fused else [])
+    for row, v in enumerate(values, 1):
+        np.multiply(tw, v, out=stack[row])
+    stack[len(values) + 1:] = 0.0
+    return values if tape else None
+
+
 def _composite(scene, cfg: RenderConfig, live, dx, dy, dz,
                fused_streams=False, tape=False):
     """Shared compositing kernel over P rays with one origin, the direction
@@ -339,6 +405,7 @@ def _composite(scene, cfg: RenderConfig, live, dx, dy, dz,
     np.exp(q, out=q)
     k = q.copy() if tape else None
     w = np.multiply(scene.alpha[idx], q, out=q)
+    del q
     # transmittance before each slot, the running product of 1 - w over the
     # ray's earlier slots: the multiplications of np.cumprod along the ray
     omw = 1.0 - w
@@ -355,39 +422,26 @@ def _composite(scene, cfg: RenderConfig, live, dx, dy, dz,
     last = slot[start[hit] + n[hit] - 1]
     final_T = np.ones(P)
     final_T[hit] = Tb[last] * omw[last]
-    del omw
+    del omw, start, hit, last
     w[dead] = 0.0
     tw = Tb * w
+    if not tape:
+        del Tb, w, slot
 
     f = cos = None
-    if cfg.anisotropy_enabled:
-        if cfg.disentangle:
-            f, cos = _phase_factor(scene, dx[ray], dy[ray], dz[ray], idx,
-                                   keep_cos=tape)
-            a0 = f * scene.l_aniso[:, 0][idx]
-            a1 = f * scene.l_aniso[:, 1][idx]
-            a2 = f * scene.l_aniso[:, 2][idx]
-        else:
-            a0, a1, a2 = (scene.l_aniso[:, i][idx] for i in range(3))
-        c0 = scene.l_iso[:, 0][idx] + a0
-        c1 = scene.l_iso[:, 1][idx] + a1
-        c2 = scene.l_iso[:, 2][idx] + a2
-    else:
-        a0 = a1 = a2 = None
-        c0, c1, c2 = (scene.l_iso[:, i][idx] for i in range(3))
+    if cfg.anisotropy_enabled and cfg.disentangle:
+        f, cos = _phase_factor(scene, dx, dy, dz, ray, idx, keep_cos=tape)
+    if not tape:
+        del ray
 
     # row 0 of `stack` is tw, each later row tw * (per-slot value), -0.0
     # past each ray's stop (0 * value is +0.0 or -0.0, and only -0.0 leaves a
     # sum of -0.0 terms as it is)
-    values = [c0, c1, c2, ts]
-    if fused_streams:
-        values += [scene.l_iso[:, i][idx] for i in range(3)]
-        values += [a0, a1, a2] if a0 is not None else []
     stack = np.empty((11 if fused_streams else 5, idx.size))
     stack[0] = tw
-    for row, v in enumerate(values, 1):
-        np.multiply(tw, v, out=stack[row])
-    stack[len(values) + 1:] = 0.0
+    if not tape:
+        del tw
+    values = _stack_values(scene, cfg, idx, ts, f, stack, tape)
     stack[:, dead] = -0.0
     tot = _ray_totals(stack, offsets, rays)
     del stack
@@ -401,7 +455,7 @@ def _composite(scene, cfg: RenderConfig, live, dx, dy, dz,
     if fused_streams:
         out += (np.ascontiguousarray(tot[5:8].T), np.ascontiguousarray(tot[8:11].T))
     if tape:
-        out += (_Tape(idx=idx, ts=ts, color=(c0, c1, c2), k=k, w=w, Tb=Tb,
+        out += (_Tape(idx=idx, ts=ts, color=tuple(values[:3]), k=k, w=w, Tb=Tb,
                       tw=tw, final_T=final_T, f=f, cos=cos,
                       iso=tuple(values[4:7]) or None,
                       aniso=tuple(values[7:]) or None, ray=ray,

@@ -424,6 +424,14 @@ def test_gradcheck_passes(capsys):
     assert doc["geometry_checked"] > 0 and doc["head_checked"] > 0
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_gradcheck_probes_only_head_weights_with_a_gradient(seed):
+    # a probe skipped at a ReLU kink checks nothing either way; every other
+    # probed head coordinate must count as checked, |grad| > 1e-8
+    out = cli._patch_gradcheck(seed, 1e-4)
+    assert out["head_checked"] + out["head_skipped"] == cli.HEAD_PROBES
+
+
 def test_gradcheck_impossible_tolerance_exits_5():
     with np.errstate(all="ignore"):
         rc = main(["gradcheck", "--draws", "2", "--tol", "1e-18"])

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from splat360 import (Camera, RenderConfig, Scene, embed_camera,
 from splat360.fusion import fusion_input
 from conftest import (dense_composite, every_pair, kernel_samples, make_scene,
                       ray_slots)
-from splat360.renderer import (TERMINATION_EPSILON, _conics, _origin_terms,
-                               _pairs, _phase_factor, _rank_major, _ray_totals,
-                               _scan_ranks, _shutdown_pools)
+from splat360.renderer import (TERMINATION_EPSILON, _composite, _conics,
+                               _origin_terms, _pair_sets, _pairs, _phase_factor,
+                               _rank_major, _ray_totals, _scan_ranks,
+                               _shutdown_pools, _view_grids)
 from splat_reference import SplatReference, pixel_dir
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -28,8 +30,9 @@ def phase(d, normal, g: float) -> float:
     """Henyey-Greenstein phase value for cos(theta) = d . normal: the
     kernel's normalized factor f over 4 pi."""
     scene = make_scene(normal=normal, g=g)
+    zero = np.zeros(1, dtype=np.intp)
     f, _ = _phase_factor(scene, *(np.array([c], dtype=float) for c in d),
-                         np.zeros(1, dtype=np.intp))
+                         zero, zero)
     return f[0] / (4.0 * math.pi)
 
 
@@ -367,6 +370,50 @@ def test_batch_ray_equals_the_ray_alone(case, near):
         assert kernel_samples(tape, p) == kernel_samples(alone_tape, 0)
         past = ray_slots(tape, p)[tape.n[p]:]
         assert (tape.w[past] == 0.0).all() and (tape.tw[past] == 0.0).all()
+
+
+_CONFIGS = [RenderConfig(), RenderConfig(disentangle=False),
+            RenderConfig(anisotropy_enabled=False), RenderConfig(False, False)]
+
+
+@pytest.mark.parametrize("near", [0.0, 1.8])
+@pytest.mark.parametrize("cfg", _CONFIGS,
+                         ids=["default", "no_disentangle", "no_anisotropy", "neither"])
+@given(_scene_and_rays())
+@settings(max_examples=40, deadline=None)
+def test_taped_and_untaped_calls_return_the_same_bits(cfg, near, case):
+    # a taped call builds the values it keeps in arrays of their own, an
+    # untaped one in the rows of the stack it sums
+    scene, origin, dirs, _ = case
+    for fused_streams in (False, True):
+        untaped = dense_composite(scene, origin, dirs, cfg, near, fused_streams)
+        *taped, _ = dense_composite(scene, origin, dirs, cfg, near, fused_streams,
+                                    tape=True)
+        assert len(taped) == len(untaped) == (5 if fused_streams else 3)
+        for a, b in zip(taped, untaped):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_kernel_working_set_per_live_slot():
+    # one block of the `render` benchmark's scene: an untaped call holds
+    # about ten [N] arrays at its peak (the stack's five rows among them)
+    scene = make_random_scene(2000, seed=2029, spread=0.5, sigma_range=(0.01, 0.04))
+    cam = make_orbit_cameras(scene.center, 2.5 * scene.radius, 8, 0.0,
+                             "fibonacci_sphere", 128, 128, 0.9)[0]
+    ps = next(_pair_sets(scene, cam, _view_grids(cam)[:1]))
+    dx, dy, dz = (a.ravel() for a in ps.dirs)
+    n = ps.sub.size
+    assert n >= 10_000
+    live = [(ps.sub, ps.ts, ps.q, ps.order, ps.count.ravel())]
+    del ps
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _composite(scene, RenderConfig(), live.pop(), dx, dy, dz)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * n
 
 
 @given(_scene_and_rays(), st.sampled_from([0.0, 1.8]), st.data())
