@@ -374,11 +374,11 @@ def test_batch_ray_equals_the_ray_alone(case, near):
 
 _CONFIGS = [RenderConfig(), RenderConfig(disentangle=False),
             RenderConfig(anisotropy_enabled=False), RenderConfig(False, False)]
+_CONFIG_IDS = ["default", "no_disentangle", "no_anisotropy", "neither"]
 
 
 @pytest.mark.parametrize("near", [0.0, 1.8])
-@pytest.mark.parametrize("cfg", _CONFIGS,
-                         ids=["default", "no_disentangle", "no_anisotropy", "neither"])
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=_CONFIG_IDS)
 @given(_scene_and_rays())
 @settings(max_examples=40, deadline=None)
 def test_taped_and_untaped_calls_return_the_same_bits(cfg, near, case):
@@ -395,8 +395,9 @@ def test_taped_and_untaped_calls_return_the_same_bits(cfg, near, case):
 
 
 def test_kernel_working_set_per_live_slot():
-    # one block of the `render` benchmark's scene: an untaped call holds
-    # about ten [N] arrays at its peak (the stack's five rows among them)
+    # a block of a scene built like the `render` benchmark's: an untaped
+    # call holds about ten [N] arrays at its peak, the stack's five rows
+    # among them
     scene = make_random_scene(2000, seed=2029, spread=0.5, sigma_range=(0.01, 0.04))
     cam = make_orbit_cameras(scene.center, 2.5 * scene.radius, 8, 0.0,
                              "fibonacci_sphere", 128, 128, 0.9)[0]
@@ -762,10 +763,7 @@ def test_tape_holds_only_each_rays_live_splats():
 
 
 @pytest.mark.parametrize("fused_streams", [False, True])
-@pytest.mark.parametrize("cfg", [RenderConfig(), RenderConfig(disentangle=False),
-                                 RenderConfig(anisotropy_enabled=False),
-                                 RenderConfig(False, False)],
-                         ids=["default", "no_disentangle", "no_anisotropy", "neither"])
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=_CONFIG_IDS)
 def test_empty_tape_leaves_the_same_fields_none(cfg, fused_streams):
     # a backward pass reads the same fields whether or not any splat reaches
     # the patch (K = 0)
