@@ -57,9 +57,12 @@ color, t and fused streams are built in their own rows of the stack that
 (`_stack_values`); with a tape, a value the tape keeps gets an array of its
 own first and its row takes tw * value from it, so taped and untaped calls
 run one section and give the same bits. An untaped call drops Tb, w, the
-slot order and `ray` before it allocates the stack. Under tracemalloc, an
-untaped call over one block of the `render` benchmark workload (about 22k
-live slots) peaks at about 81 bytes per live slot, 141 with fused streams.
+slot order and `ray` before it allocates the stack, and `_ray_totals` sums
+in the stack's own rank-0 run. Under tracemalloc, an untaped call over a
+block of a scene built like the `render` benchmark workload's (about 22k
+live slots) peaks at a median of 77.7 bytes per live slot over 16 blocks
+(4 frames of the seed-2029 scene `test_kernel_working_set_per_live_slot`
+builds), 133.5 with fused streams.
 """
 from __future__ import annotations
 
@@ -240,19 +243,26 @@ class _Tape:
 
 def _ray_order(ray, sub, ts, P: int):
     """The order that puts pairs ray after ray, each ray's by t and then by
-    splat index, as np.lexsort((sub, ts, ray)) does.
+    splat index, as np.lexsort((sub, ts, ray)) does. Every t must be >= 0
+    (-0.0 included), as a live pair's t, past a near plane >= 0, is.
 
-    An unstable sort by t, then a stable sort by ray (a radix sort while ray
-    indices fit 16 bits), leaves open only the order of two pairs of one ray
-    with equal t; just then lexsort itself runs. On the `fit` workload's
-    kernel calls (about 10k live pairs, 2-vCPU VM, numpy 2.4 on AVX-512) the
-    two sorts took 0.46 ms against lexsort's 1.56 ms.
+    One sort of int64 keys: with rb = max(bit_length(P - 1), 1), a pair's
+    key is its ray index in bits 63 - rb to 62 and the top 63 - rb bits of
+    t's float64 bit pattern below them (t + 0.0 turns -0.0 into +0.0).
+    Non-negative doubles order as their bit patterns do, so distinct keys
+    sort exactly as lexsort would. Two pairs of one ray whose t agree but in
+    their low rb bits share a key; when any neighbours in the sorted keys
+    are equal, lexsort itself runs. On a 64^2 block of the `render`
+    benchmark workload (about 22k live pairs, 2-vCPU VM, numpy 2.4 on
+    AVX-512) this takes about 0.64 ms.
     """
-    order = np.argsort(ts)
-    order = order[np.argsort(ray[order].astype(np.min_scalar_type(P)),
-                             kind="stable")]
-    r, t = ray[order], ts[order]
-    if ((r[1:] == r[:-1]) & (t[1:] == t[:-1])).any():
+    rb = max((P - 1).bit_length(), 1)
+    key = (ts + 0.0).view(np.int64)
+    key >>= rb
+    key |= ray << (63 - rb)
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
         order = np.lexsort((sub, ts, ray))
     return order
 
@@ -289,10 +299,13 @@ def _ray_totals(a, offsets, rays):
 
     Rank j's run is added into the running sums of rank 0's run, rank after
     rank: the additions `_scan_ranks(np.add, ...)` makes, in the same order,
-    so the bits of its running sum at each ray's last slot.
+    so the bits of its running sum at each ray's last slot. The sums are
+    made in rank 0's run of `a` itself, which the call consumes; the slots
+    past it are left as they are. A caller that still needs `a` passes a
+    copy.
     """
     width = offsets[1] if len(offsets) > 1 else 0
-    acc = a[..., :width].copy()
+    acc = a[..., :width]
     for j in range(1, len(offsets) - 1):
         lo, hi = offsets[j], offsets[j + 1]
         acc[..., :hi - lo] += a[..., lo:hi]
@@ -311,16 +324,20 @@ def _live_pairs(ray, sub, geometry, near: float, P: int):
     past `near`. Returns (sub, ts, q, order, count) over the live pairs, in
     their enumeration order: `order` lists them ray after ray, each ray's by
     t and then by splat index (`_ray_order`), and count[r] is ray r's live
-    count. `_composite` takes the tuple as it is.
+    count. When every pair is live, the returned sub, ts and q are the
+    arrays passed in, not copies of them. `_composite` takes the tuple as it
+    is.
     """
     # callers pass the pair as a temporary, so this is its only reference and
     # the arrays over every pair are freed once the live ones are gathered (a
-    # star-unpacked call would keep them alive in its argument tuple)
+    # star-unpacked call would keep them alive in its argument tuple); when
+    # every pair is live nothing is gathered, and the arrays are kept
     ts, q = geometry
     del geometry
     live = q <= CUTOFF_SIGMA * CUTOFF_SIGMA
     live &= ts >= near
-    ray, sub, ts, q = ray[live], sub[live], ts[live], q[live]
+    if not live.all():
+        ray, sub, ts, q = ray[live], sub[live], ts[live], q[live]
     del live
     return (sub, ts, q, _ray_order(ray, sub, ts, P),
             np.bincount(ray, minlength=P))
@@ -773,7 +790,7 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
                     + gpix[:, 2] * bg[2]) * tp.final_T)
 
     pref = dotc * tp.tw                       # per slot, then its running sum
-    total = _ray_totals(pref, tp.offsets, tp.rays)
+    total = _ray_totals(pref.copy(), tp.offsets, tp.rays)
     _scan_ranks(np.add, pref, tp.offsets)
     tail = total[ray] - pref + tail_bg[ray]   # strictly-later terms + background
     dw_s = np.where(tp.tw > 0.0,

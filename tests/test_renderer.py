@@ -18,9 +18,10 @@ from splat360.fusion import fusion_input
 from conftest import (dense_composite, every_pair, kernel_samples, make_scene,
                       ray_slots)
 from splat360.renderer import (TERMINATION_EPSILON, _composite, _conics,
-                               _origin_terms, _pair_sets, _pairs, _phase_factor,
-                               _rank_major, _ray_totals, _scan_ranks,
-                               _shutdown_pools, _view_grids)
+                               _live_pairs, _origin_terms, _pair_sets, _pairs,
+                               _phase_factor, _rank_major, _ray_order,
+                               _ray_totals, _scan_ranks, _shutdown_pools,
+                               _view_grids)
 from splat_reference import SplatReference, pixel_dir
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -703,9 +704,68 @@ def test_ray_totals_equal_the_running_sum_at_each_last_slot(n, rows, data):
         for k, s in enumerate(slot[ray == r]):
             expect[:, r] = a[:, s] if k == 0 else expect[:, r] + a[:, s]
             running[:, s] = expect[:, r]
+    # the totals are summed in a's rank-0 run; every later slot stays as it was
+    scanned = a.copy()
+    width = offsets[1] if len(offsets) > 1 else 0
     assert _ray_totals(a, offsets, rays).tobytes() == expect.tobytes()
-    _scan_ranks(np.add, a, offsets)
-    assert a.tobytes() == running.tobytes()
+    assert a[:, width:].tobytes() == scanned[:, width:].tobytes()
+    _scan_ranks(np.add, scanned, offsets)
+    assert scanned.tobytes() == running.tobytes()
+
+
+@st.composite
+def _ray_order_case(draw):
+    """Splat-major pairs as `_pairs` emits them (sub ascending, each splat's
+    rays ascending) over P rays, with t drawn from a small pool: exact ties,
+    values that differ only in the low bits the int64 key drops, and +-0.0."""
+    k = draw(st.integers(1, 12))
+    P = draw(st.sampled_from([1, 2, 2**k, 2**k + 1, 4096]))
+    rb = max((P - 1).bit_length(), 1)
+    rays = [sorted(draw(st.lists(st.integers(0, P - 1), unique=True,
+                                 max_size=min(P, 8))))
+            for _ in range(draw(st.integers(0, 6)))]
+    ray = np.array([r for rs in rays for r in rs], dtype=np.intp)
+    sub = np.repeat(np.arange(len(rays)), [len(rs) for rs in rays])
+    base = draw(st.lists(st.floats(0.0, 1e3, allow_subnormal=True), min_size=1,
+                         max_size=4))
+    low = [(np.float64(b).view(np.int64) ^ draw(st.integers(1, 2**rb - 1)))
+           for b in base]
+    pool = base + [float(np.int64(v).view(np.float64)) for v in low] + [0.0, -0.0]
+    ts = np.array([draw(st.sampled_from(pool)) for _ in ray], dtype=np.float64)
+    return ray, sub, ts, P
+
+
+@given(_ray_order_case())
+@settings(max_examples=400, deadline=None)
+def test_ray_order_equals_lexsort_on_splat_major_pairs(case):
+    ray, sub, ts, P = case
+    order = _ray_order(ray, sub, ts, P)
+    assert order.tolist() == np.lexsort((sub, ts, ray)).tolist()
+
+
+@given(_scene_and_rays(), st.sampled_from([0.0, 1.8]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_live_pairs_of_every_pair_composite_like_the_live_alone(case, near, data):
+    # a random subset of the pairs is made dead, past the cutoff or before
+    # the near plane, so the call over every pair gathers the live ones; the
+    # call over the live pairs alone keeps its arrays as they are
+    scene, origin, dirs, cfg = case
+    dx, dy, dz = (np.ascontiguousarray(dirs[:, i]) for i in range(3))
+    ray, sub, (ts, q) = every_pair(scene, origin, dx, dy, dz)
+    kill = data.draw(hnp.arrays(np.int8, ray.size, elements=st.integers(0, 2)))
+    q[kill == 1] = data.draw(st.floats(9.0, 1e6, exclude_min=True))
+    ts[kill == 2] = np.nextafter(near, -np.inf) - data.draw(st.floats(0.0, 10.0))
+    live = (q <= 9.0) & (ts >= near)
+    everything = _live_pairs(ray, sub, (ts, q), near, dx.size)
+    kept = sub[live], ts[live], q[live]
+    alone = _live_pairs(ray[live], kept[0], kept[1:], near, dx.size)
+    assert all(a is b for a, b in zip(alone, kept))
+    for a, b in zip(everything, alone):
+        assert a.tobytes() == b.tobytes()
+    full, part = (_composite(scene, cfg, pairs, dx, dy, dz, fused_streams=True)
+                  for pairs in (everything, alone))
+    for f, p in zip(full, part):
+        assert f.tobytes() == p.tobytes()
 
 
 def test_conics_run_once_per_payload(monkeypatch):
