@@ -142,17 +142,14 @@ def camera_to_doc(cam: Camera) -> dict:
 
 def camera_from_doc(doc: dict) -> Camera:
     try:
-        for key in ("width", "height"):
-            # Camera would read 3.5 as 3 and true as 1
-            if type(doc[key]) is not int:
-                raise TypeError(f"{key} must be an integer, got {doc[key]!r}")
         # as in a scene file; a misspelt "near" would fall back to its default
         unknown = set(doc) - {f.name for f in dataclasses.fields(Camera)}
         if unknown:
             raise ValueError(f"unknown camera key {sorted(unknown)[0]!r}")
         vals = {k: doc[k] for k in ("position", "forward", "up", "right", "fov_y")}
         vals["near"] = doc.get("near", 1e-3)
-        # and "0.9" as 0.9 and true as 1.0, which a scene file may not hold
+        # Camera would read "0.9" as 0.9 and true as 1.0, which a scene file
+        # may not hold
         for key, v in vals.items():
             if not all(map(_finite_number, v if isinstance(v, list) else [v])):
                 raise TypeError(f"{key} must hold finite numbers, got {v!r}")
@@ -198,12 +195,13 @@ def _render_config(args) -> RenderConfig:
 
 def cmd_render(args) -> int:
     scene = load_scene(args.scene)
+    mlp = load_mlp(args.mlp) if args.mlp else None
     cams = _cameras_for(args, scene)
     rcfg = _render_config(args)
     workers = _resolve_workers(args)
     with _Run(args.out) as run:
         for i, cam in enumerate(cams):
-            color, depth, trans = render(scene, cam, rcfg, workers=workers)
+            color, depth, trans = render(scene, cam, rcfg, workers=workers, mlp=mlp)
             save_ppm(run.path(f"frame_{i:03d}.ppm"), color.data)
             run.write_text(f"frame_{i:03d}.camera.json",
                            json.dumps(camera_to_doc(cam), indent=1) + "\n")
@@ -213,7 +211,8 @@ def cmd_render(args) -> int:
                 save_pfm(run.path(f"frame_{i:03d}.depth.pfm"), depth.data)
             if args.transmittance:
                 save_pfm(run.path(f"frame_{i:03d}.trans.pfm"), trans.data)
-        run.manifest(args, [args.scene], workers=workers)
+        run.manifest(args, [args.scene] + ([args.mlp] if args.mlp else []),
+                     workers=workers)
     print(f"wrote {len(cams)} frame(s) to {args.out}")
     return EXIT_OK
 
@@ -612,6 +611,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transmittance", action="store_true")
     p.add_argument("--float-color", action="store_true",
                    help="also write linear color PFMs")
+    p.add_argument("--mlp", default=None,
+                   help="draw the fusion head's color from this params file "
+                        "(a fit's mlp.params); depth and transmittance stay "
+                        "physical")
     _add_common(p, workers=True)
     p.set_defaults(func=cmd_render)
 
@@ -638,9 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and covariance scales, and --mlp or --mlp-init the fusion "
                     "head. The report scores only the training views: to score "
                     "held-out views, render the fitted scene at their cameras "
-                    "with `splat360 render --camera`, then compare with "
-                    "`splat360 metrics`; `render` draws the physical color, "
-                    "without the fusion head.")
+                    "with `splat360 render --camera` (and `--mlp` with the "
+                    "fitted mlp.params, for a fit with a fusion head), then "
+                    "compare with `splat360 metrics`.")
     p.add_argument("--scene", required=True, help="starting scene JSON")
     p.add_argument("--targets", required=True,
                    help="directory of frame_*.camera.json + frame_*.pfm/.ppm")

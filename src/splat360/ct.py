@@ -20,6 +20,15 @@ Per-pixel results depend only on that pixel's ray: each ray's pieces are
 summed in increasing t, with elementwise math across rays, so chunking and
 worker count never change the output.
 
+`_piece_sums` integrates RAY_CHUNK rays at a time over three ever smaller
+sets of pieces. Padded slots: every ray of the chunk holds as many cuts per
+axis as its most crossed ray, and the cut generation, the sort and the
+piece lengths run over all of them. Pieces of positive length: each one's
+midpoint, node coordinates and cell, and the air test. Live pieces, those
+outside all-air cells: the Gauss-node fractions, the corner gathers and the
+trilinear sums. On a 64^3 sphere projected to 129^2 pixels the three sets
+hold about 1.06 M, 0.64 M and 0.36 M pieces.
+
 A volume is frozen, so its attenuation field (`_mu_field`: node mu, the
 all-air cell mask and the non-air span) cannot go stale. `_FIELDS` keeps
 each live volume's field per mu_water: `render_drr` builds it on a volume's
@@ -41,7 +50,7 @@ import numpy as np
 
 from .errors import VolumeFormatError
 from .imgfile import atomic_write
-from .scene import ImageBuffer, _finite_vec3
+from .scene import ImageBuffer, _finite_vec3, _integer
 
 # one pool payload per started PIXEL_CHUNK pixels, but at most `workers`
 # payloads, so a payload can hold more: a 129^2 DRR on 2 workers sends two,
@@ -117,10 +126,12 @@ class DrrConfig:
     output: str = "intensity"
 
     def __post_init__(self):
-        if not 0 < self.mu_water < math.inf:
-            raise ValueError("mu_water must be > 0 and finite")
-        if not 0 < self.i0 < math.inf:
-            raise ValueError("i0 must be > 0 and finite")
+        for name in ("mu_water", "i0"):
+            value = getattr(self, name)
+            if isinstance(value, bool):  # True would pass as 1.0
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
         if self.output not in ("intensity", "line_integral"):
             raise ValueError("output must be 'intensity' or 'line_integral'")
 
@@ -149,8 +160,8 @@ class ProjectionGeometry:
     def __post_init__(self):
         for name in ("source", "detector_center", "detector_u", "detector_v"):
             setattr(self, name, _finite_vec3(getattr(self, name), name))
-        self.det_width = int(self.det_width)
-        self.det_height = int(self.det_height)
+        self.det_width = _integer(self.det_width, "det_width")
+        self.det_height = _integer(self.det_height, "det_height")
         if self.det_width < 1 or self.det_height < 1:
             raise ValueError("detector dimensions must be >= 1")
         u, v = self.detector_u, self.detector_v
@@ -310,66 +321,123 @@ def _piece_sums(vol, mu, air, a, b, ta, tb, planes):
     product of three affine factors, a cubic in t, which 2-point
     Gauss-Legendre integrates exactly. Pieces in all-air cells add exactly 0
     and are skipped. `np.bincount` then sums each ray's pieces in increasing
-    t, so a ray's value never depends on the other rays passed with it."""
+    t, so a ray's value never depends on the other rays passed with it.
+
+    Each stage runs on the smallest of three sets of pieces that it needs:
+    - padded slots: every ray holds, per axis, as many cuts as the chunk's
+      most crossed ray. Its slots past its last plane repeat that plane,
+      and a cut outside (ta, tb) moves onto the nearer end, so every extra
+      slot makes a piece of length 0. The cut generation, the sort and the
+      piece lengths run here.
+    - pieces of positive length: their midpoints, node coordinates u and
+      cells, and the air test.
+    - live pieces, those not in an all-air cell: the fractions at the Gauss
+      nodes, the corner gathers and the trilinear sums.
+    """
     R = ta.shape[0]
     top = np.array(vol.dims, dtype=np.float64) - 1.0
-    cuts = [ta, tb]
-    for ax in range(3):
-        # planes between the ends, with one of slack at each for u rounded
-        # at a clipped end, and none the box chord does not cross
-        ua, ub = a[ax] + ta * b[ax], a[ax] + tb * b[ax]
-        lo = np.maximum(np.floor(np.minimum(ua, ub)), planes[0, ax])
-        count = np.minimum(np.ceil(np.maximum(ua, ub)), planes[1, ax]) - lo + 1.0
-        j = np.arange(max(int(count.max()), 0), dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (lo + j - a[ax]) / b[ax]
-        keep = (j < count) & (t > ta) & (t < tb)
-        cuts.append(np.where(keep, t, tb))  # padding: empty pieces
-    cuts = np.sort(np.concatenate(cuts, axis=1), axis=1)
-    length = cuts[:, 1:] - cuts[:, :-1]
-    tm = cuts[:, :-1] + 0.5 * length
-    # each piece's cell from its midpoint; clipped u >= 0, so the int cast
-    # is floor
     nx, ny, _ = vol.dims
     strides = (1, nx, nx * ny)
-    cell = np.zeros(length.shape, dtype=np.int64)
+    # planes between the ends, with one of slack at each for u rounded at a
+    # clipped end, and none the box chord does not cross
+    ua, ub = a + ta * b, a + tb * b
+    first = np.maximum(np.floor(np.minimum(ua, ub)), planes[0])
+    last = np.minimum(np.ceil(np.maximum(ua, ub)), planes[1])
+    width = np.maximum((last - first).max(axis=(1, 2)) + 1.0, 0.0).astype(np.int64)
+    last[last < first] = np.nan  # no plane: every cut is NaN, so lands on ta
+    cuts = [ta, tb]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ax in range(3):
+            # past `last` a ray repeats its last plane; fmax and fmin put a
+            # cut outside (ta, tb), or NaN, onto an end
+            t = np.minimum(first[ax] + np.arange(width[ax], dtype=np.float64),
+                           last[ax])
+            t -= a[ax]
+            t /= b[ax]
+            np.fmax(t, ta, out=t)
+            np.fmin(t, tb, out=t)
+            cuts.append(t)
+    cuts = np.concatenate(cuts, axis=1)
+    cuts.sort(axis=1)
+    # the pieces of positive length, from the flat cuts; the difference
+    # across the end of a row is no piece
+    S = cuts.shape[1]
+    flat = cuts.ravel()
+    length = flat[1:] - flat[:-1]
+    pos = np.empty(flat.size, dtype=bool)
+    np.greater(length, 0.0, out=pos[:-1])
+    pos[S - 1::S] = False
+    per_ray = np.count_nonzero(pos.reshape(R, S), axis=1)
+    pos = pos[:-1]
+    length, tm = length[pos], flat[:-1][pos]
+    tm += 0.5 * length
+    # each piece's node coordinates, and its cell from them: the float sum
+    # of whole node indices times strides is exact
+    u, bp = [], []
+    cell = np.zeros(length.size)
     for ax in range(3):
-        cell += np.clip(a[ax] + tm * b[ax], 0.0, top[ax]).astype(np.int64) * strides[ax]
-    piece = (length > 0.0) & ~air.ravel()[cell]
-    per_ray = np.count_nonzero(piece, axis=1)
-    ray = np.repeat(np.arange(R), per_ray)
-    length, cell, tm = length[piece], cell[piece], tm[piece]
-    ap = np.repeat(a[:, :, 0], per_ray, axis=1)  # the ray terms of each piece
-    bp = np.repeat(b[:, :, 0], per_ray, axis=1)
+        bp.append(np.repeat(b[ax, :, 0], per_ray))
+        u.append(tm * bp[ax])
+        u[ax] += np.repeat(a[ax, :, 0], per_ray)
+        node = np.maximum(u[ax], 0.0)
+        np.minimum(node, top[ax], out=node)
+        np.floor(node, out=node)
+        if strides[ax] != 1:
+            node *= strides[ax]
+        cell += node
+    cell = cell.astype(np.int64)
+    live = np.flatnonzero(~air.ravel()[cell])
+    ray = np.repeat(np.arange(R), per_ray)[live]
+    cell, length = cell[live], length[live]
     # per axis: fractions at both Gauss nodes, i1 - i0 stride; a margin
     # piece (u_mid outside (0, n - 1) on an axis) takes i1 = i0 there, so
     # its fraction is unused
+    gl = GAUSS_NODE * length
     frac, step = [], []
     for ax in range(3):
-        u = ap[ax] + tm * bp[ax]
-        f, half = u - np.floor(np.clip(u, 0.0, top[ax])), GAUSS_NODE * length * bp[ax]
+        ul = u[ax][live]
+        f = np.maximum(ul, 0.0)
+        np.minimum(f, top[ax], out=f)
+        np.floor(f, out=f)
+        np.subtract(ul, f, out=f)
+        half = gl * bp[ax][live]
         frac.append((f - half, f + half))
-        step.append(np.where((u > 0.0) & (u < top[ax]), strides[ax], 0))
+        step.append(np.where((ul > 0.0) & (ul < top[ax]), strides[ax], 0))
     m = mu.ravel()
     sx, sy, sz = step
     c000 = m[cell]
-    c100 = m[cell + sx]
     c010 = m[cell + sy]
-    c110 = m[cell + sx + sy]
     cz = cell + sz
     c001 = m[cz]
-    c101 = m[cz + sx]
     c011 = m[cz + sy]
-    c111 = m[cz + sx + sy]
+    # the x differences, which both Gauss nodes share
+    d00 = m[cell + sx] - c000
+    d10 = m[cell + sx + sy] - c010
+    d01 = m[cz + sx] - c001
+    d11 = m[cz + sx + sy] - c011
     seg = np.zeros(ray.size)  # mu at both Gauss nodes, summed
+    c00, c10, c01, c11 = (np.empty(ray.size) for _ in range(4))
     for fx, fy, fz in zip(*frac):
-        c00 = c000 + (c100 - c000) * fx
-        c10 = c010 + (c110 - c010) * fx
-        c01 = c001 + (c101 - c001) * fx
-        c11 = c011 + (c111 - c011) * fx
-        c0 = c00 + (c10 - c00) * fy
-        c1 = c01 + (c11 - c01) * fy
-        seg += c0 + (c1 - c0) * fz
+        np.multiply(d00, fx, out=c00)
+        c00 += c000
+        np.multiply(d10, fx, out=c10)
+        c10 += c010
+        np.multiply(d01, fx, out=c01)
+        c01 += c001
+        np.multiply(d11, fx, out=c11)
+        c11 += c011
+        # c0 = c00 + (c10 - c00) * fy, into c10, and c1 into c11
+        c10 -= c00
+        c10 *= fy
+        c10 += c00
+        c11 -= c01
+        c11 *= fy
+        c11 += c01
+        # mu = c0 + (c1 - c0) * fz, into c11
+        c11 -= c10
+        c11 *= fz
+        c11 += c10
+        seg += c11
     # a Gauss node that rounding puts a hair outside its cell can read mu
     # just below 0 (seen on rays along node lines)
     np.maximum(seg, 0.0, out=seg)

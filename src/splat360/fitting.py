@@ -27,7 +27,6 @@ targets measures a loss of exactly zero and no parameter moves.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable
@@ -42,7 +41,7 @@ from .metrics import psnr, ssim, ssim_with_grad
 from .renderer import (RenderConfig, _grid_pairs, _patch_backward,
                        _patch_forward, _ray_geometry, _render_sets, _view_grids,
                        render)
-from .scene import Camera, ImageBuffer, Scene, image_array
+from .scene import Camera, ImageBuffer, Scene, _integer, image_array
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
 BOUNDARY_NUDGE = 1e-7
@@ -74,11 +73,8 @@ class FitConfig:
             raise ValueError("loss weights must be >= 0 and finite")
         for name in ("iters", "lr_halve_every", "rays_per_step", "seed",
                      "full_eval_every"):
-            value = getattr(self, name)
-            # bool is an Integral, and iters=True would run one iteration
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+            # iters=True would run one iteration
+            setattr(self, name, _integer(getattr(self, name), name))
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.lr_halve_every < 1:

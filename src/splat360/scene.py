@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +48,14 @@ def _vec3(v, name: str) -> np.ndarray:
     if a.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
     return a.copy()
+
+
+def _integer(v, name: str) -> int:
+    """v as an int; a bool is an Integral, and a float size such as 64.9
+    would be truncated, so both raise ValueError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
 def _finite_vec3(v, name: str) -> np.ndarray:
@@ -202,8 +211,8 @@ class Camera:
         self.up = _finite_vec3(self.up, "up")
         self.right = _finite_vec3(self.right, "right")
         self.fov_y = float(self.fov_y)
-        self.width = int(self.width)
-        self.height = int(self.height)
+        self.width = _integer(self.width, "width")
+        self.height = _integer(self.height, "height")
         self.near = float(self.near)
         if not 0.0 < self.fov_y < math.pi:
             raise ValueError("fov_y must be in (0, pi)")

@@ -115,6 +115,45 @@ def test_render_camera_sidecar_reproduces_frame(tmp_path, scene_file):
     assert got == want
 
 
+def test_render_mlp_draws_the_fused_color(tmp_path, scene_file):
+    scene = splat360.load_scene(scene_file)
+    params = str(tmp_path / "head.params")
+    save_mlp(params, init_mlp(d=16, seed=4))
+    head = load_mlp(params)
+    argv = ["render", "--scene", scene_file, "--orbit", "ring:2", "--width", "16",
+            "--height", "12", "--float-color", "--depth"]
+    plain, fused = str(tmp_path / "plain"), str(tmp_path / "fused")
+    assert main(argv + ["--out", plain]) == 0
+    assert main(argv + ["--out", fused, "--mlp", params]) == 0
+    assert params in _read_manifest(fused)["inputs"]
+    want = tmp_path / "want"
+    want.mkdir()
+    for i in range(2):
+        cam = cli.load_camera_json(os.path.join(plain, f"frame_{i:03d}.camera.json"))
+        for out, mlp in ((plain, None), (fused, head)):
+            color, depth, _ = splat360.render(scene, cam, mlp=mlp)
+            splat360.save_ppm(str(want / "c.ppm"), color.data)
+            splat360.save_pfm(str(want / "c.pfm"), color.data)
+            splat360.save_pfm(str(want / "d.pfm"), depth.data)
+            for name, ref in (("ppm", "c.ppm"), ("pfm", "c.pfm"), ("depth.pfm", "d.pfm")):
+                got = Path(out, f"frame_{i:03d}.{name}").read_bytes()
+                assert got == (want / ref).read_bytes(), (out, i, name)
+        # the head changes the color and leaves depth physical
+        assert (Path(plain, f"frame_{i:03d}.pfm").read_bytes()
+                != Path(fused, f"frame_{i:03d}.pfm").read_bytes())
+        assert (Path(plain, f"frame_{i:03d}.depth.pfm").read_bytes()
+                == Path(fused, f"frame_{i:03d}.depth.pfm").read_bytes())
+
+
+def test_render_bad_mlp_exits_3_no_outputs(tmp_path, scene_file):
+    bad = tmp_path / "bad.params"
+    bad.write_bytes(b"not a params file")
+    out = str(tmp_path / "nope")
+    assert main(["render", "--scene", scene_file, "--out", out,
+                 "--mlp", str(bad)]) == 3
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_render_bad_scene_exits_3_no_outputs(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"not\": \"a scene\"}")
@@ -342,6 +381,8 @@ def test_fit_help_says_what_it_fits_and_how_to_score_held_out_views(capsys):
     assert "`splat360 metrics`" in text
     # and --optimize-geometry has a help line of its own
     assert "--optimize-geometry also fit splat centres" in text
+    # a fused fit's held-out views render with its head
+    assert "`splat360 render --camera` (and `--mlp`" in text
 
 
 def test_fit_non_finite_lr_exits_2_before_any_work(tmp_path, scene_file,

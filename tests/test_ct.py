@@ -20,6 +20,8 @@ from splat360 import ct, renderer
 from splat360.ct import AIR_HU, _line_integrals, _mu_field
 from splat360.renderer import _shutdown_pools
 
+import ct_reference
+
 Z = np.array([0.0, 0.0, 1.0])
 
 
@@ -47,6 +49,13 @@ def test_hu_dense_substitution():
 def test_drr_config_rejects_non_finite(field, bad):
     with pytest.raises(ValueError, match=field):
         DrrConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["mu_water", "i0"])
+def test_drr_config_rejects_bools(field):
+    # True used to pass as 1.0
+    with pytest.raises(ValueError, match=field):
+        DrrConfig(**{field: True})
 
 
 def test_hu_clamped_below_air():
@@ -357,6 +366,17 @@ def test_empty_space_clip_keeps_every_bit(case):
                                                 dirs).tobytes()
 
 
+@given(st.one_of(_volume_and_rays(), _occupied_box_and_rays()))
+@settings(max_examples=150, deadline=None)
+def test_line_integrals_equal_the_reference_bit_for_bit(case):
+    # rays along node planes, in the margins, through all-air cells and
+    # along 1-node axes, against the plain padded form in `ct_reference`
+    vol, origins, dirs = case[:3]
+    field = _mu_field(vol, 0.02)
+    assert (_line_integrals(vol, field, origins, dirs).tobytes()
+            == ct_reference.line_integrals(vol, field, origins, dirs).tobytes())
+
+
 @pytest.mark.parametrize("dims,hu_value,spacing,origin,o,d", [
     # 1.7e-13 off the node line x = 1, the ray leaves the span y < 1 at a
     # node; u_x at the clipped end rounds onto the plane x = 1, which the
@@ -571,6 +591,18 @@ def test_geometry_validation():
         ProjectionGeometry(np.zeros(3), np.array([0.0, 10.0, 0.0]),
                            np.array([1.0, 0.0, 0.0]),
                            np.array([1.0, 0.1, 0.0]), 8, 8)  # u not perp v
+
+
+@pytest.mark.parametrize("sizes", [(64.7, 8), (8, True), (8.0, 8), (8, "8")],
+                         ids=["fraction", "bool", "integral_float", "string"])
+def test_geometry_rejects_detector_sizes_that_are_not_integers(sizes):
+    # (64.7, True) used to build a 64x1 detector
+    axes = (np.zeros(3), np.array([0.0, 10.0, 0.0]), np.array([1.0, 0.0, 0.0]),
+            np.array([0.0, 0.0, 1.0]))
+    geom = ProjectionGeometry(*axes, np.int64(8), 8)
+    assert type(geom.det_width) is int
+    with pytest.raises(ValueError, match="integer"):
+        ProjectionGeometry(*axes, *sizes)
 
 
 @pytest.mark.parametrize("field", ["source", "detector_center", "detector_u",

@@ -152,6 +152,19 @@ def test_camera_rejects_non_finite(field, value):
         Camera(**{**frame, field: value}, fov_y=0.9, width=8, height=8)
 
 
+@pytest.mark.parametrize("sizes", [{"width": 64.9}, {"height": True},
+                                   {"width": 8.0}, {"height": "8"}],
+                         ids=["fraction", "bool", "integral_float", "string"])
+def test_camera_rejects_sizes_that_are_not_integers(sizes):
+    # 64.9 used to build a 64-pixel image and True a 1-pixel one
+    frame = {"position": np.zeros(3), "forward": np.array([0.0, 1.0, 0.0]),
+             "up": np.array([0.0, 0.0, 1.0]), "right": np.array([1.0, 0.0, 0.0])}
+    cam = Camera(**frame, fov_y=0.9, width=np.int64(8), height=8)
+    assert type(cam.width) is int
+    with pytest.raises(ValueError, match="integer"):
+        Camera(**{"width": 8, "height": 8, **sizes}, **frame, fov_y=0.9)
+
+
 def test_scene_json_round_trip(small_random_scene, tmp_path):
     path = tmp_path / "s.json"
     save_scene(str(path), small_random_scene)
