@@ -16,14 +16,17 @@ itself, not a copy of it. A full image, physical or fused, comes only from
 `_render_blocks`, one kernel call per COARSE_TILE block, and `_view_images`,
 which assembles the blocks. The ray x splat pairs come from `_pairs`, which
 enumerates a pixel grid's pairs from each splat's screen-space cutoff conic
-(`_conics`, built once per camera), a superset of the live pairs;
-`_live_pairs` keeps the live ones and orders them, and `_composite` lays
-them out and composites them. `_pair_sets` runs the first two for each grid
-and keeps the result, with the grid's ray directions, as a `_PairSet`, in
-one layout whoever uses it. `render` builds one per block and composites it
-at once; `_render_sets` composites a view from the sets of its blocks that
-a caller kept, and `_patch_forward` a patch from its slices of one or more
-sets (`_patch_pairs`). A patch pixel matches the full image's bit for bit,
+(`_conics`, built once per camera), a superset of the live pairs, splat
+after splat; `_live_pairs` keeps the live ones and orders them with one
+in-place sort of int64 keys whose low bits carry each pair's index
+(`_ray_order`, which takes splat order from that enumeration order), and
+`_composite` lays them out and composites them. `_pair_sets` runs the
+first two for each grid and keeps the result, with the grid's ray
+directions, as a `_PairSet`, in one layout whoever uses it. `render`
+builds one per block and composites it at once; `_render_sets` composites
+a view from the sets of its blocks that a caller kept, and
+`_patch_forward` a patch from its slices of one or more sets
+(`_patch_pairs`). A patch pixel matches the full image's bit for bit,
 and its gradients those of one call over every pair.
 `_patch_forward` hands the backward pass, `_patch_backward`, one work tuple
 that callers pass on unread: the scene, the kernel's `_Tape`, the fusion
@@ -243,28 +246,50 @@ class _Tape:
 
 def _ray_order(ray, sub, ts, P: int):
     """The order that puts pairs ray after ray, each ray's by t and then by
-    splat index, as np.lexsort((sub, ts, ray)) does. Every t must be >= 0
-    (-0.0 included), as a live pair's t, past a near plane >= 0, is.
+    splat index, as np.lexsort((sub, ts, ray)) does. Two preconditions: every
+    t is >= 0 (-0.0 included), as a live pair's t, past a near plane >= 0,
+    is; and the pairs are splat-major (sub non-decreasing in enumeration
+    order), as `_pairs` emits them and a compress keeps them.
 
-    One sort of int64 keys: with rb = max(bit_length(P - 1), 1), a pair's
-    key is its ray index in bits 63 - rb to 62 and the top 63 - rb bits of
-    t's float64 bit pattern below them (t + 0.0 turns -0.0 into +0.0).
-    Non-negative doubles order as their bit patterns do, so distinct keys
-    sort exactly as lexsort would. Two pairs of one ray whose t agree but in
-    their low rb bits share a key; when any neighbours in the sorted keys
-    are equal, lexsort itself runs. On a 64^2 block of the `render`
-    benchmark workload (about 22k live pairs, 2-vCPU VM, numpy 2.4 on
-    AVX-512) this takes about 0.64 ms.
+    One in-place sort of int64 keys, the value packed into the key: with
+    rb = max(bit_length(P - 1), 1) and ib = max(bit_length(N - 1), 1) for N
+    pairs, a pair's key holds its ray in the top rb bits (62 down to
+    63 - rb), then t's float64 bit pattern (t + 0.0 turns -0.0 into +0.0)
+    minus the call's smallest pattern, shifted right only as far as the
+    span needs to fit 63 - rb - ib bits, then the pair's enumeration index
+    in the low ib bits, which the sorted keys give back as the order.
+    Non-negative doubles order as their bit patterns do, so pairs whose ray
+    and t fields differ sort as lexsort would. Neighbours whose fields agree
+    stay in enumeration order, which is splat order, so they too match
+    lexsort unless their exact t fall; t is gathered only at such ties, and
+    only the rays that hold a fall are re-sorted, by lexsort. The fields
+    fit while rb + ib <= 63. On a 64^2 block of the `render` benchmark
+    workload (about 22k live pairs, 2-vCPU VM, numpy 2.4 on AVX-512) this
+    takes about 0.36 ms, half of it in the sort, and re-sorts no ray.
     """
+    n = ts.size
+    if not n:
+        return np.empty(0, dtype=np.intp)
     rb = max((P - 1).bit_length(), 1)
+    ib = max((n - 1).bit_length(), 1)
     key = (ts + 0.0).view(np.int64)
-    key >>= rb
+    key -= key.min()
+    key >>= max(int(key.max()).bit_length() - (63 - rb - ib), 0)
+    key <<= ib
     key |= ray << (63 - rb)
-    order = np.argsort(key)
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        order = np.lexsort((sub, ts, ray))
-    return order
+    key |= np.arange(n)
+    key.sort()
+    low = (1 << ib) - 1
+    tie = np.flatnonzero((key[1:] ^ key[:-1]) <= low)
+    key &= low
+    fall = tie[ts[key[tie + 1]] < ts[key[tie]]]
+    if fall.size:
+        rays = np.unique(ray[key[fall]])
+        count = np.bincount(ray, minlength=P)
+        pos = _runs((np.cumsum(count) - count)[rays], count[rays])
+        seg = key[pos]
+        key[pos] = seg[np.lexsort((sub[seg], ts[seg], ray[seg]))]
+    return key
 
 
 def _rank_major(ray, rank, n):
@@ -323,10 +348,12 @@ def _live_pairs(ray, sub, geometry, near: float, P: int):
     `_ray_geometry` call for the pairs. A pair is live within the cutoff and
     past `near`. Returns (sub, ts, q, order, count) over the live pairs, in
     their enumeration order: `order` lists them ray after ray, each ray's by
-    t and then by splat index (`_ray_order`), and count[r] is ray r's live
-    count. When every pair is live, the returned sub, ts and q are the
-    arrays passed in, not copies of them. `_composite` takes the tuple as it
-    is.
+    t and then by splat index, and count[r] is ray r's live count. The
+    pairs must come splat-major, as `_pairs` enumerates them: the compress
+    keeps that order, and `_ray_order`'s one sort reads splat order from it
+    where two pairs of a ray share its key's t field. When every pair is
+    live, the returned sub, ts and q are the arrays passed in, not copies of
+    them. `_composite` takes the tuple as it is.
     """
     # callers pass the pair as a temporary, so this is its only reference and
     # the arrays over every pair are freed once the live ones are gathered (a

@@ -716,22 +716,42 @@ def test_ray_totals_equal_the_running_sum_at_each_last_slot(n, rows, data):
 @st.composite
 def _ray_order_case(draw):
     """Splat-major pairs as `_pairs` emits them (sub ascending, each splat's
-    rays ascending) over P rays, with t drawn from a small pool: exact ties,
-    values that differ only in the low bits the int64 key drops, and +-0.0."""
+    rays ascending) on up to 8 of P rays, up to a few thousand pairs, with
+    t drawn from a small pool that spans one binade or many (0.0 next to
+    1e3): exact ties, +-0.0, and siblings, t that share a pool value's t
+    field in `_ray_order`'s key and differ from it only in the `shift` low
+    bits the key drops (which depend on the span and on N). The first and
+    last pair hold the pool's smallest and largest t, so the call's span,
+    and its cut, are the pool's; siblings stay between them and land on
+    either side of their pool value in enumeration order."""
     k = draw(st.integers(1, 12))
     P = draw(st.sampled_from([1, 2, 2**k, 2**k + 1, 4096]))
-    rb = max((P - 1).bit_length(), 1)
-    rays = [sorted(draw(st.lists(st.integers(0, P - 1), unique=True,
-                                 max_size=min(P, 8))))
-            for _ in range(draw(st.integers(0, 6)))]
-    ray = np.array([r for rs in rays for r in rs], dtype=np.intp)
-    sub = np.repeat(np.arange(len(rays)), [len(rs) for rs in rays])
-    base = draw(st.lists(st.floats(0.0, 1e3, allow_subnormal=True), min_size=1,
-                         max_size=4))
-    low = [(np.float64(b).view(np.int64) ^ draw(st.integers(1, 2**rb - 1)))
-           for b in base]
-    pool = base + [float(np.int64(v).view(np.float64)) for v in low] + [0.0, -0.0]
-    ts = np.array([draw(st.sampled_from(pool)) for _ in ray], dtype=np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rays = np.sort(rng.choice(P, min(P, draw(st.integers(1, 8))), replace=False))
+    splats = draw(st.one_of(st.integers(0, 40), st.integers(500, 3000)))
+    hits = rng.random((splats, rays.size)) < rng.uniform(0.2, 1.0)
+    sub, col = np.nonzero(hits)
+    ray = rays[col]
+    m = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        pool = np.ldexp(1.0 + rng.random(m), draw(st.integers(-8, 9)))
+    else:
+        pool = np.concatenate([10.0 ** rng.uniform(-6.0, 3.0, m), [0.0, 1e3]])
+    if draw(st.booleans()):
+        pool = np.append(pool, -0.0)
+    ts = rng.choice(pool, ray.size)
+    if ray.size:
+        bits = (pool + 0.0).view(np.int64)
+        lo, hi = int(bits.min()), int(bits.max())
+        ts[0], ts[-1] = pool[bits.argmin()], pool[bits.argmax()]
+        rb = max((P - 1).bit_length(), 1)
+        ib = max((ray.size - 1).bit_length(), 1)
+        shift = max((hi - lo).bit_length() - (63 - rb - ib), 0)
+        pat = (ts + 0.0).view(np.int64)[1:-1]
+        field = (pat - lo) >> shift << shift
+        low = rng.integers(0, 2**shift, pat.size, dtype=np.int64)
+        sibling = np.minimum(lo + field + low, hi).view(np.float64)
+        ts[1:-1] = np.where(rng.random(pat.size) < 0.5, sibling, ts[1:-1])
     return ray, sub, ts, P
 
 
@@ -741,6 +761,48 @@ def test_ray_order_equals_lexsort_on_splat_major_pairs(case):
     ray, sub, ts, P = case
     order = _ray_order(ray, sub, ts, P)
     assert order.tolist() == np.lexsort((sub, ts, ray)).tolist()
+
+
+@pytest.mark.parametrize("farther, lexsorted", [(np.nextafter(1.0, 2.0), [2]),
+                                                (1.0, [])])
+def test_ray_order_resorts_only_the_rays_whose_t_fall(farther, lexsorted,
+                                                      monkeypatch):
+    # 0.0 next to 1e3 leaves this call's key 3 bits short of t, so splats 0
+    # and 1 share ray 0's t field: one ulp apart they fall in enumeration
+    # order and ray 0 alone is re-sorted; as an exact tie they do not fall
+    ray = np.array([0, 0, 1, 1])
+    sub = np.arange(4)
+    ts = np.array([farther, 1.0, 0.0, 1e3])
+    lexsort, sizes = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort",
+                        lambda keys: sizes.append(keys[0].size) or lexsort(keys))
+    order = _ray_order(ray, sub, ts, 2)
+    assert sizes == lexsorted
+    assert order.tolist() == lexsort((sub, ts, ray)).tolist()
+
+
+def test_ray_order_sorts_benchmark_like_blocks_without_lexsort(monkeypatch):
+    # the blocks of 4 frames of the scene test_kernel_working_set_per_live_slot
+    # builds, like the `render` benchmark workload's: no t falls in a key's
+    # tie, so no ray is re-sorted
+    scene = make_random_scene(2000, seed=2029, spread=0.5, sigma_range=(0.01, 0.04))
+    cams = make_orbit_cameras(scene.center, 2.5 * scene.radius, 8, 0.0,
+                              "fibonacci_sphere", 128, 128, 0.9)[:4]
+    calls = []
+    monkeypatch.setattr(splat360.renderer, "_ray_order",
+                        lambda *args: calls.append(args) or _ray_order(*args))
+    for cam in cams:
+        for _ in _pair_sets(scene, cam, _view_grids(cam)):
+            pass
+    monkeypatch.undo()
+    assert len(calls) == 16
+    lexsort, resorts = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: resorts.append(keys) or lexsort(keys))
+    for ray, sub, ts, P in calls:
+        assert ts.size >= 10_000
+        order = _ray_order(ray, sub, ts, P)
+        assert order.tolist() == lexsort((sub, ts, ray)).tolist()
+    assert resorts == []
 
 
 @given(_scene_and_rays(), st.sampled_from([0.0, 1.8]), st.data())
