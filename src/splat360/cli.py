@@ -27,24 +27,19 @@ from .anchors import (DEFAULT_BETA, DEFAULT_K, DEFAULT_SUPPRESSION_RADIUS,
 from .ct import (DrrConfig, ProjectionGeometry, load_volume, read_volume_header,
                  render_drr)
 from .errors import CheckFailure, FormatError, NumericFailure
-from .fitting import (FitConfig, _appearance_blocks, _geometry_blocks,
-                      _head_block, _scene_of, composite_loss, fit_scene)
-from .fusion import (embed_camera, fuse_backward_batch, fuse_forward_batch,
-                     init_mlp, load_mlp, save_mlp)
+from .fitting import FitConfig, fit_scene, run_gradcheck
+from .fusion import init_mlp, load_mlp, save_mlp
 from .imgfile import atomic_write, load_pfm, load_ppm, save_pfm, save_ppm
 from .metrics import psnr, ssim
-from .renderer import (RenderConfig, _grid_pairs, _patch_backward,
-                       _patch_forward, _tape_key, render)
-from .scene import (Camera, Scene, _finite_number, load_scene,
-                    make_orbit_cameras, make_random_scene, save_scene)
+from .renderer import RenderConfig, render
+from .scene import (Camera, Scene, camera_to_doc, load_camera_json, load_scene,
+                    make_orbit_cameras, save_scene)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_NUMERIC = 4
 EXIT_CHECK = 5
-FD_STEP = 1e-5  # central-difference step of every gradient check
-HEAD_PROBES = 12  # fusion-head weights with a gradient the patch check probes
 
 
 def _sha256(path: str) -> str:
@@ -131,42 +126,6 @@ class _Run:
         }
         self.write_text("manifest.json",
                         json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# camera JSON sidecars
-
-def camera_to_doc(cam: Camera) -> dict:
-    return _jsonable(vars(cam))
-
-
-def camera_from_doc(doc: dict) -> Camera:
-    try:
-        # as in a scene file; a misspelt "near" would fall back to its default
-        unknown = set(doc) - {f.name for f in dataclasses.fields(Camera)}
-        if unknown:
-            raise ValueError(f"unknown camera key {sorted(unknown)[0]!r}")
-        vals = {k: doc[k] for k in ("position", "forward", "up", "right", "fov_y")}
-        vals["near"] = doc.get("near", 1e-3)
-        # Camera would read "0.9" as 0.9 and true as 1.0, which a scene file
-        # may not hold
-        for key, v in vals.items():
-            if not all(map(_finite_number, v if isinstance(v, list) else [v])):
-                raise TypeError(f"{key} must hold finite numbers, got {v!r}")
-        return Camera(width=doc["width"], height=doc["height"], **vals)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise FormatError(f"bad camera JSON: {e}") from e
-
-
-def load_camera_json(path: str) -> Camera:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, UnicodeDecodeError) as e:
-        raise FormatError(f"cannot read camera file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"camera file is not valid JSON: {e}") from e
-    return camera_from_doc(doc)
 
 
 def _cameras_for(args, scene: Scene) -> list[Camera]:
@@ -392,162 +351,6 @@ def cmd_metrics(args) -> int:
 
 # ---------------------------------------------------------------------------
 # gradcheck
-
-def _relerr(analytic: float, fd: float, abs_floor: float = 1e-8) -> float:
-    if abs(analytic) < abs_floor and abs(fd) < abs_floor:
-        return abs(analytic - fd)
-    return abs(analytic - fd) / max(abs(analytic), abs(fd))
-
-
-def _stencil(x: np.ndarray, i):
-    """x moved by +FD_STEP and by -FD_STEP along coordinate i of x.flat."""
-    xp = x.copy(); xp.flat[i] += FD_STEP
-    xm = x.copy(); xm.flat[i] -= FD_STEP
-    return xp, xm
-
-
-def _central(loss, x: np.ndarray):
-    """i -> the central difference of loss at x along coordinate i of x.flat."""
-    def fd(i):
-        xp, xm = _stencil(x, i)
-        return (loss(xp) - loss(xm)) / (2 * FD_STEP)
-    return fd
-
-
-def _fd_check(label: str, fd, grad: np.ndarray, coords, tol: float) -> float:
-    """Worst relative error of grad.flat[i] against fd(i), a finite
-    difference of the loss, over the coordinates i in coords; raises
-    CheckFailure on the first error above tol."""
-    worst = 0.0
-    for i in coords:
-        err = _relerr(grad.flat[i], fd(i))
-        worst = max(worst, err)
-        if err > tol:
-            raise CheckFailure(f"{label} gradient off by rel {err:.2e} (> {tol:g})")
-    return worst
-
-
-def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
-    """Finite-difference audit of every analytic gradient path.
-
-    Raises CheckFailure on the first violation; returns worst errors per
-    section otherwise. Each draw checks a seeded random subset of coordinates.
-    """
-    rng = np.random.default_rng(seed)
-    worst_mlp = 0.0
-    for _ in range(draws):
-        d = 16
-        params = init_mlp(d=d, seed=int(rng.integers(1 << 31)))
-        x = np.concatenate([rng.random(3), rng.random(3),
-                            rng.uniform(-1, 1, d), rng.uniform(-1, 1, 3)])
-        up = rng.standard_normal(3)
-        _, cache = fuse_forward_batch(x[None, :], params, want_cache=True)
-        grads, dX = fuse_backward_batch(cache, params, up[None, :])
-        flat = params.to_flat()
-        worst_mlp = max(
-            worst_mlp,
-            _fd_check("mlp param", _central(lambda p: float(fuse_forward_batch(
-                x[None, :], params.with_flat(p))[0] @ up), flat),
-                grads.to_flat(), rng.integers(0, flat.size, 6), tol),
-            _fd_check("mlp input", _central(lambda xi: float(fuse_forward_batch(
-                xi[None, :], params)[0] @ up), x),
-                dX[0], rng.integers(0, x.size, 4), tol))
-
-    pred = rng.random((8, 8, 3))
-    tgt = rng.random((8, 8, 3))
-    _, grad = composite_loss(pred, tgt)
-    coords = [np.ravel_multi_index((rng.integers(8), rng.integers(8), rng.integers(3)),
-                                   pred.shape) for _ in range(40)]
-    worst_loss = _fd_check("composite_loss", _central(
-        lambda p: composite_loss(p, tgt, want_grad=False)[0], pred),
-        grad.data, coords, tol)
-
-    patch = _patch_gradcheck(seed, tol=max(tol, 1e-3))
-    return {"mlp": worst_mlp, "composite_loss": worst_loss, **patch,
-            "tol": tol, "draws": draws}
-
-
-def _patch_gradcheck(seed: int, tol: float) -> dict:
-    """Patch gradients of every block a fit steps (appearance, geometry and
-    the head) vs finite differences, probed in the unconstrained coordinates
-    Adam steps, so each block's chain rule is checked too.
-
-    3 splats, one 16x32 patch, physical color and then a fused MLP, whose
-    camera embedding is held fixed as the fit holds it. The head is probed
-    in the fused pass only, at HEAD_PROBES seeded coordinates among its
-    weights whose analytic gradient exceeds 1e-8 (a weight into or out of
-    a hidden unit that no ray of the patch fires has an exact zero gradient
-    and difference, and would check nothing); every other block at all of
-    its coordinates. A coordinate is probed only where its +-FD_STEP
-    stencil keeps `_tape_key`: across a cutoff edge, a t-order swap or a
-    moved ray termination the loss jumps, and the difference quotient would
-    measure the jump. Raises CheckFailure when a section probed no nonzero
-    gradient.
-    """
-    scene = make_random_scene(3, seed=seed + 1, spread=0.12,
-                              sigma_range=(0.3, 0.6))
-    cam = make_orbit_cameras(scene.center, 0.8, 1, 0.2, "ring", 32, 16, 1.1)[0]
-    rcfg = RenderConfig()
-    tgt = np.clip(np.random.default_rng(seed + 2).random((16, 32, 3)), 0, 1)
-    rows = np.arange(16, dtype=np.float64)
-    cols = np.arange(32, dtype=np.float64)
-    head = init_mlp(d=16, seed=seed + 3)
-    sections = {"appearance": _appearance_blocks(scene),
-                "geometry": _geometry_blocks(scene), "head": [_head_block(head)]}
-    start = _scene_of(scene, [b for blocks in sections.values() for b in blocks])
-
-    out = dict.fromkeys([k for name in sections for k in
-                         (name, f"{name}_checked", f"{name}_skipped")], 0)
-    for mlp in (None, head):
-        kind = "fused" if mlp else "physical"
-        e_vec = (None if mlp is None
-                 else embed_camera(cam, scene.center, scene.radius, mlp.d))
-
-        def forward(changed):
-            sc = _scene_of(start, changed)
-            m = next((b.field for b in changed if b.name == "head"), mlp)
-            return _patch_forward(sc, cam, rcfg, _grid_pairs(sc, cam, [(rows, cols)]),
-                                  rows, cols, m, e_vec, tape=True)
-
-        def probe(changed):
-            """(`_tape_key`, loss) of the patch with `changed` in place of
-            its blocks, from one taped pass: its colors are the bits of an
-            untaped one."""
-            colors, work = forward(changed)
-            return _tape_key(work), composite_loss(colors.reshape(tgt.shape), tgt,
-                                                   want_grad=False)[0]
-
-        colors, work = forward([])
-        _, gimg = composite_loss(colors.reshape(tgt.shape), tgt)
-        grads = _patch_backward(work, rcfg, gimg.data.reshape(-1, 3), mlp,
-                                geometry=True)
-        key = _tape_key(work)
-        for name, blocks in sections.items():
-            if name == "head" and mlp is None:
-                continue
-            for b in blocks:
-                grad = b.grad(grads, b.theta)
-                coords = range(b.theta.size)
-                if b.name == "head":
-                    moving = np.flatnonzero(np.abs(grad) > 1e-8)
-                    coords = np.sort(np.random.default_rng(seed + 4).choice(
-                        moving, min(HEAD_PROBES, moving.size), replace=False))
-                points = {i: [probe([b.at(th)]) for th in _stencil(b.theta, i)]
-                          for i in coords}
-                smooth = [i for i, ((kp, _), (km, _)) in points.items()
-                          if kp == km == key]
-                out[f"{name}_skipped"] += len(points) - len(smooth)
-                out[f"{name}_checked"] += int(np.count_nonzero(
-                    np.abs(grad.flat[smooth]) > 1e-8))
-                out[name] = max(out[name], _fd_check(
-                    f"{b.name} ({kind})",
-                    lambda i: (points[i][0][1] - points[i][1][1]) / (2 * FD_STEP),
-                    grad, smooth, tol))
-    for name in sections:
-        if out[f"{name}_checked"] == 0:
-            raise CheckFailure(f"{name} check probed no nonzero gradient")
-    return out
-
 
 def cmd_gradcheck(args) -> int:
     result = run_gradcheck(seed=args.seed, tol=args.tol, draws=args.draws)

@@ -7,7 +7,9 @@ the fusion MLP's weights, the head. Each iteration renders one square pixel
 patch (rays_per_step rays) of a round-robin target view, computes the
 composite loss (MSE + SSIM with an adaptive window), backpropagates it
 through the compositing kernel with the head's camera embedding held fixed,
-steps each block and builds the next `Scene` from their fields. Each block
+steps each block and builds the next `Scene` from their fields. The work
+up to the step is `_patch_step`, the one iteration body: the gradient check
+(`run_gradcheck`, behind `splat360 gradcheck`) runs it too. Each block
 reads its own gradient from `_patch_backward`'s dict, `out[name]` (cov reads
 `out["cov_inv"]`), and applies its own chain rule, so only this module knows
 how an attribute is parametrised. Patch centers are drawn from
@@ -35,13 +37,15 @@ import numpy as np
 
 from .anchors import (AnchorSet, depth_gradient, sample_anchor_indices,
                       select_anchors)
-from .errors import NumericFailure
-from .fusion import MlpParams, _sigmoid, embed_camera
+from .errors import CheckFailure, NumericFailure
+from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
+                     fuse_forward_batch, init_mlp)
 from .metrics import psnr, ssim, ssim_with_grad
 from .renderer import (RenderConfig, _grid_pairs, _patch_backward,
-                       _patch_forward, _ray_geometry, _render_sets, _view_grids,
-                       render)
-from .scene import Camera, ImageBuffer, Scene, _integer, image_array
+                       _patch_forward, _ray_geometry, _render_sets, _tape_key,
+                       _view_grids, render)
+from .scene import (Camera, ImageBuffer, Scene, _integer, image_array,
+                    make_orbit_cameras, make_random_scene)
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
 BOUNDARY_NUDGE = 1e-7
@@ -49,6 +53,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 ANCHOR_MIX = 0.5             # share of patches centered on an anchor
+FD_STEP = 1e-5  # central-difference step of every gradient check
+HEAD_PROBES = 12  # fusion-head weights with a gradient the patch check probes
 
 
 @dataclass
@@ -215,10 +221,6 @@ class _Block:
         return replace(self, theta=theta, state=state or self.state,
                        field=self.unpack(theta, theta != self.theta, self.field))
 
-    def step(self, out, cfg: FitConfig) -> "_Block":
-        return self.at(*adam_step(self.theta, self.grad(out, self.theta),
-                                  self.state, cfg))
-
 
 def _appearance_blocks(scene: Scene) -> list:
     """alpha and l_iso via logit, l_aniso via inverse softplus (whose
@@ -287,6 +289,34 @@ def _patch_origin(rng: np.random.Generator, H: int, W: int, ph: int, pw: int,
     r0 = min(max(crow - ph // 2, 0), H - ph)
     c0 = min(max(ccol - pw // 2, 0), W - pw)
     return r0, c0
+
+
+def _patch_step(scene: Scene, blocks: dict, cam: Camera, sets, rows: np.ndarray,
+                cols: np.ndarray, e_vec: np.ndarray | None, target: np.ndarray,
+                rcfg: RenderConfig, cfg: FitConfig):
+    """(loss, {block name: d loss / d theta}, work) of the patch rows x cols
+    of `scene`, whose fields are the `blocks`' own, against `target`.
+
+    The one iteration body: `fit_scene` runs it once per iteration and
+    steps each block by Adam, and `_patch_gradcheck` runs it at every point
+    it probes, so the check differentiates the loss the fit does. `sets`
+    hold the patch's pairs, and `e_vec` is the camera embedding the head
+    holds fixed. The fusion head runs when `blocks` hold "head", and the
+    backward pass takes geometry when they hold "mu". `work` is the
+    forward pass's tape. Raises NumericFailure on a non-finite prediction
+    or loss.
+    """
+    mlp = blocks["head"].field if "head" in blocks else None
+    colors, work = _patch_forward(scene, cam, rcfg, sets, rows, cols, mlp, e_vec,
+                                  tape=True)
+    pred = _pred_for_loss(colors.reshape(target.shape), cfg)
+    if not np.isfinite(pred).all():
+        raise NumericFailure("non-finite prediction")
+    loss, gimg = composite_loss(pred, target, cfg.lambda_mse, cfg.lambda_ssim)
+    if not math.isfinite(loss):
+        raise NumericFailure("non-finite loss")
+    out = _patch_backward(work, rcfg, gimg.data.reshape(-1, 3), mlp, "mu" in blocks)
+    return loss, {name: b.grad(out, b.theta) for name, b in blocks.items()}, work
 
 
 def fit_scene(scene: Scene, targets, cfg: FitConfig,
@@ -402,20 +432,15 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
                               live_mlp.d))
         sets = (view_sets[view] if view_sets[view] is not None else
                 _grid_pairs(cur_scene, cam, [(rows, cols)], geometry=_ray_geometry))
-        colors, work = _patch_forward(cur_scene, cam, rcfg, sets, rows, cols,
-                                      live_mlp, e_vec, tape=True)
-        pred = _pred_for_loss(colors.reshape(ph, pw, 3), cfg)
-        if not np.isfinite(pred).all():
-            raise failure(f"non-finite prediction at iteration {it}")
         tgt = targets_arr[view][r0:r0 + ph, c0:c0 + pw]
-        loss, gimg = composite_loss(pred, tgt, cfg.lambda_mse, cfg.lambda_ssim)
-        if not math.isfinite(loss):
-            raise failure(f"non-finite loss at iteration {it}")
+        try:
+            loss, grads, _ = _patch_step(cur_scene, blocks, cam, sets, rows, cols,
+                                         e_vec, tgt, rcfg, cfg)
+        except NumericFailure as e:
+            raise failure(f"{e} at iteration {it}") from e
         trace.append(loss)
-        gpix = gimg.data.reshape(ph * pw, 3)
-
-        out = _patch_backward(work, rcfg, gpix, live_mlp, cfg.optimize_geometry)
-        blocks = {name: b.step(out, cfg) for name, b in blocks.items()}
+        blocks = {name: b.at(*adam_step(b.theta, grads[name], b.state, cfg))
+                  for name, b in blocks.items()}
         live_mlp = blocks["head"].field if "head" in blocks else None
         cur_scene = _scene_of(scene, blocks.values())
         if cur_scene.singular.any():  # a geometry step collapsed a splat
@@ -432,3 +457,166 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     report = make_report(final_loss=float(np.mean([loss for loss, _, _ in views])),
                          per_view=per_view)
     return cur_scene, live_mlp, report
+
+
+# ---------------------------------------------------------------------------
+# gradient check
+
+def _relerr(analytic: float, fd: float, abs_floor: float = 1e-8) -> float:
+    if abs(analytic) < abs_floor and abs(fd) < abs_floor:
+        return abs(analytic - fd)
+    return abs(analytic - fd) / max(abs(analytic), abs(fd))
+
+
+def _stencil(x: np.ndarray, i):
+    """x moved by +FD_STEP and by -FD_STEP along coordinate i of x.flat."""
+    xp = x.copy(); xp.flat[i] += FD_STEP
+    xm = x.copy(); xm.flat[i] -= FD_STEP
+    return xp, xm
+
+
+def _central(loss, x: np.ndarray):
+    """i -> the central difference of loss at x along coordinate i of x.flat."""
+    def fd(i):
+        xp, xm = _stencil(x, i)
+        return (loss(xp) - loss(xm)) / (2 * FD_STEP)
+    return fd
+
+
+def _fd_check(label: str, fd, grad: np.ndarray, coords, tol: float) -> float:
+    """Worst relative error of grad.flat[i] against fd(i), a finite
+    difference of the loss, over the coordinates i in coords; raises
+    CheckFailure on the first error above tol."""
+    worst = 0.0
+    for i in coords:
+        err = _relerr(grad.flat[i], fd(i))
+        worst = max(worst, err)
+        if err > tol:
+            raise CheckFailure(f"{label} gradient off by rel {err:.2e} (> {tol:g})")
+    return worst
+
+
+def run_gradcheck(seed: int = 0, tol: float = 1e-4, draws: int = 100) -> dict:
+    """Finite-difference audit of every analytic gradient path.
+
+    Raises CheckFailure on the first violation; returns worst errors per
+    section otherwise. Each draw checks a seeded random subset of coordinates.
+    Raises ValueError unless tol is finite and > 0 and draws is an integer
+    >= 1: a NaN tol fails no comparison, and no draw checks no MLP gradient.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be > 0 and finite, got {tol!r}")
+    if _integer(draws, "draws") < 1:
+        raise ValueError(f"draws must be >= 1, got {draws!r}")
+    rng = np.random.default_rng(seed)
+    worst_mlp = 0.0
+    for _ in range(draws):
+        d = 16
+        params = init_mlp(d=d, seed=int(rng.integers(1 << 31)))
+        x = np.concatenate([rng.random(3), rng.random(3),
+                            rng.uniform(-1, 1, d), rng.uniform(-1, 1, 3)])
+        up = rng.standard_normal(3)
+        _, cache = fuse_forward_batch(x[None, :], params, want_cache=True)
+        grads, dX = fuse_backward_batch(cache, params, up[None, :])
+        flat = params.to_flat()
+        worst_mlp = max(
+            worst_mlp,
+            _fd_check("mlp param", _central(lambda p: float(fuse_forward_batch(
+                x[None, :], params.with_flat(p))[0] @ up), flat),
+                grads.to_flat(), rng.integers(0, flat.size, 6), tol),
+            _fd_check("mlp input", _central(lambda xi: float(fuse_forward_batch(
+                xi[None, :], params)[0] @ up), x),
+                dX[0], rng.integers(0, x.size, 4), tol))
+
+    pred = rng.random((8, 8, 3))
+    tgt = rng.random((8, 8, 3))
+    _, grad = composite_loss(pred, tgt)
+    coords = [np.ravel_multi_index((rng.integers(8), rng.integers(8), rng.integers(3)),
+                                   pred.shape) for _ in range(40)]
+    worst_loss = _fd_check("composite_loss", _central(
+        lambda p: composite_loss(p, tgt, want_grad=False)[0], pred),
+        grad.data, coords, tol)
+
+    patch = _patch_gradcheck(seed, tol=max(tol, 1e-3))
+    return {"mlp": worst_mlp, "composite_loss": worst_loss, **patch,
+            "tol": tol, "draws": draws}
+
+
+def _patch_gradcheck(seed: int, tol: float) -> dict:
+    """Patch gradients of every block a fit steps (appearance, geometry and
+    the head) vs finite differences, probed in the unconstrained coordinates
+    Adam steps, so each block's chain rule is checked too.
+
+    The base point and every stencil point run `_patch_step`, the fit's one
+    iteration body, at `FitConfig()`: the analytic gradients and the
+    differenced losses come from the fit's own code. 3 splats, one 16x32
+    patch, physical color and then a fused MLP, whose camera embedding is
+    taken from the starting scene and held fixed, as the fit holds it within
+    a step (embedding each probed scene would put the centres' pull on it
+    into the difference quotient). The head is probed in the fused pass
+    only, at HEAD_PROBES seeded coordinates among its weights whose analytic
+    gradient exceeds 1e-8 (a weight into or out of a hidden unit that no ray
+    of the patch fires has an exact zero gradient and difference, and would
+    check nothing); every other block at all of its coordinates. A
+    coordinate is probed only where its +-FD_STEP stencil keeps `_tape_key`:
+    across a cutoff edge, a t-order swap or a moved ray termination the loss
+    jumps, and the difference quotient would measure the jump. Raises
+    CheckFailure when a section probed no nonzero gradient.
+    """
+    scene = make_random_scene(3, seed=seed + 1, spread=0.12,
+                              sigma_range=(0.3, 0.6))
+    cam = make_orbit_cameras(scene.center, 0.8, 1, 0.2, "ring", 32, 16, 1.1)[0]
+    rcfg, cfg = RenderConfig(), FitConfig()
+    tgt = np.clip(np.random.default_rng(seed + 2).random((16, 32, 3)), 0, 1)
+    rows = np.arange(16, dtype=np.float64)
+    cols = np.arange(32, dtype=np.float64)
+    head = init_mlp(d=16, seed=seed + 3)
+    sections = {"appearance": _appearance_blocks(scene),
+                "geometry": _geometry_blocks(scene), "head": [_head_block(head)]}
+    every = [b for blocks in sections.values() for b in blocks]
+    start = _scene_of(scene, every)
+
+    out = dict.fromkeys([k for name in sections for k in
+                         (name, f"{name}_checked", f"{name}_skipped")], 0)
+    for mlp in (None, head):
+        kind = "fused" if mlp else "physical"
+        e_vec = (None if mlp is None
+                 else embed_camera(cam, scene.center, scene.radius, mlp.d))
+        base = {b.name: b for b in every if mlp is not None or b.name != "head"}
+
+        def probe(changed):
+            """(loss, gradients, `_tape_key`) of `_patch_step` with the
+            blocks `changed` in place of their own."""
+            sc = _scene_of(start, changed)
+            loss, grads, work = _patch_step(
+                sc, base | {b.name: b for b in changed}, cam,
+                _grid_pairs(sc, cam, [(rows, cols)]), rows, cols, e_vec, tgt,
+                rcfg, cfg)
+            return loss, grads, _tape_key(work)
+
+        _, grads, key = probe([])
+        for name, blocks in sections.items():
+            if name == "head" and mlp is None:
+                continue
+            for b in blocks:
+                grad = grads[b.name]
+                coords = range(b.theta.size)
+                if b.name == "head":
+                    moving = np.flatnonzero(np.abs(grad) > 1e-8)
+                    coords = np.sort(np.random.default_rng(seed + 4).choice(
+                        moving, min(HEAD_PROBES, moving.size), replace=False))
+                points = {i: [probe([b.at(th)]) for th in _stencil(b.theta, i)]
+                          for i in coords}
+                smooth = [i for i, ((_, _, kp), (_, _, km)) in points.items()
+                          if kp == km == key]
+                out[f"{name}_skipped"] += len(points) - len(smooth)
+                out[f"{name}_checked"] += int(np.count_nonzero(
+                    np.abs(grad.flat[smooth]) > 1e-8))
+                out[name] = max(out[name], _fd_check(
+                    f"{b.name} ({kind})",
+                    lambda i: (points[i][0][0] - points[i][1][0]) / (2 * FD_STEP),
+                    grad, smooth, tol))
+    for name in sections:
+        if out[f"{name}_checked"] == 0:
+            raise CheckFailure(f"{name} check probed no nonzero gradient")
+    return out

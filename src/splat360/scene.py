@@ -1,4 +1,4 @@
-"""Scene primitives, cameras, image buffers, and scene file I/O.
+"""Scene primitives, cameras, image buffers, and scene and camera file I/O.
 
 Conventions fixed here and relied on everywhere else:
   - world space is right-handed, world up is +z;
@@ -25,11 +25,11 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import SceneFormatError
+from .errors import FormatError, SceneFormatError
 from .imgfile import atomic_write
 
 # Covariance eigenvalues below this are treated as singular.
@@ -425,6 +425,40 @@ def save_scene(path, scene: Scene) -> None:
     """Write the scene atomically: a failed write leaves `path` as it was."""
     text = json.dumps(scene_to_json(scene), indent=1) + "\n"
     atomic_write(path, text.encode("utf-8"))
+
+
+def camera_to_doc(cam: Camera) -> dict:
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(cam).items()}
+
+
+def camera_from_doc(doc: dict) -> Camera:
+    try:
+        # as in a scene file; a misspelt "near" would fall back to its default
+        unknown = set(doc) - {f.name for f in fields(Camera)}
+        if unknown:
+            raise ValueError(f"unknown camera key {sorted(unknown)[0]!r}")
+        vals = {k: doc[k] for k in ("position", "forward", "up", "right", "fov_y")}
+        vals["near"] = doc.get("near", 1e-3)
+        # Camera would read "0.9" as 0.9 and true as 1.0, which a scene file
+        # may not hold
+        for key, v in vals.items():
+            if not all(map(_finite_number, v if isinstance(v, list) else [v])):
+                raise TypeError(f"{key} must hold finite numbers, got {v!r}")
+        return Camera(width=doc["width"], height=doc["height"], **vals)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"bad camera JSON: {e}") from e
+
+
+def load_camera_json(path: str) -> Camera:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"cannot read camera file: {e}") from e
+    except json.JSONDecodeError as e:
+        raise FormatError(f"camera file is not valid JSON: {e}") from e
+    return camera_from_doc(doc)
 
 
 def make_random_scene(n: int, seed: int, spread: float = 1.0,

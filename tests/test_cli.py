@@ -1,5 +1,6 @@
 """End-to-end contracts of the command-line entry points."""
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -14,12 +15,13 @@ import pytest
 
 from conftest import make_scene
 import splat360
-from splat360 import (Camera, RenderConfig, cli, init_mlp, load_mlp, load_pfm,
-                      make_random_scene, make_sphere_phantom, save_mlp, save_pfm,
-                      save_scene, save_volume)
+from splat360 import (Camera, RenderConfig, cli, fitting, init_mlp, load_mlp,
+                      load_pfm, make_random_scene, make_sphere_phantom, save_mlp,
+                      save_pfm, save_scene, save_volume)
 from splat360.cli import main
 from splat360.fusion import MlpParams
 from splat360.renderer import _grid_pairs, _patch_forward, _shutdown_pools, _tape_key
+from splat360.scene import load_camera_json
 
 
 @pytest.fixture
@@ -129,7 +131,7 @@ def test_render_mlp_draws_the_fused_color(tmp_path, scene_file):
     want = tmp_path / "want"
     want.mkdir()
     for i in range(2):
-        cam = cli.load_camera_json(os.path.join(plain, f"frame_{i:03d}.camera.json"))
+        cam = load_camera_json(os.path.join(plain, f"frame_{i:03d}.camera.json"))
         for out, mlp in ((plain, None), (fused, head)):
             color, depth, _ = splat360.render(scene, cam, mlp=mlp)
             splat360.save_ppm(str(want / "c.ppm"), color.data)
@@ -469,8 +471,8 @@ def test_gradcheck_passes(capsys):
 def test_gradcheck_probes_only_head_weights_with_a_gradient(seed):
     # a probe skipped at a ReLU kink checks nothing either way; every other
     # probed head coordinate must count as checked, |grad| > 1e-8
-    out = cli._patch_gradcheck(seed, 1e-4)
-    assert out["head_checked"] + out["head_skipped"] == cli.HEAD_PROBES
+    out = fitting._patch_gradcheck(seed, 1e-4)
+    assert out["head_checked"] + out["head_skipped"] == fitting.HEAD_PROBES
 
 
 def test_gradcheck_impossible_tolerance_exits_5():
@@ -482,7 +484,7 @@ def test_gradcheck_impossible_tolerance_exits_5():
 @pytest.mark.parametrize("key", ["g", "mu", "cov_inv", "head"])
 def test_gradcheck_catches_a_wrong_patch_gradient(monkeypatch, key):
     # each gradient 1% off, the head's in the fused pass only
-    real = cli._patch_backward
+    real = fitting._patch_backward
 
     def skew(*args, **kwargs):
         grads = real(*args, **kwargs)
@@ -491,7 +493,7 @@ def test_gradcheck_catches_a_wrong_patch_gradient(monkeypatch, key):
             grads[key] = g.with_flat(1.01 * g.to_flat()) if key == "head" else 1.01 * g
         return grads
 
-    monkeypatch.setattr(cli, "_patch_backward", skew)
+    monkeypatch.setattr(fitting, "_patch_backward", skew)
     assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
 
 
@@ -499,14 +501,60 @@ def test_gradcheck_catches_a_wrong_patch_gradient(monkeypatch, key):
 def test_gradcheck_catches_a_wrong_chain_factor(monkeypatch, name):
     # the check probes the unconstrained coordinates Adam steps, so a chain
     # factor off by 1% fails it as a wrong patch gradient would
-    real = cli._appearance_blocks
+    real = fitting._appearance_blocks
 
     def skew_chain(scene):
         return [dataclasses.replace(b, grad=lambda out, th, grad=b.grad: 1.01 * grad(out, th))
                 if b.name == name else b for b in real(scene)]
 
-    monkeypatch.setattr(cli, "_appearance_blocks", skew_chain)
+    monkeypatch.setattr(fitting, "_appearance_blocks", skew_chain)
     assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
+
+
+def test_gradcheck_sees_the_fits_loss_path(monkeypatch):
+    # the check runs the fit's own step, so a compared image 1% off the
+    # rendered one makes every analytic gradient 1% wrong and fails it
+    real = fitting._pred_for_loss
+    monkeypatch.setattr(fitting, "_pred_for_loss",
+                        lambda arr, cfg: 1.01 * real(arr, cfg))
+    assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"),
+                                         ("--tol", "0"), ("--tol", "-0.5"),
+                                         ("--draws", "0"), ("--draws", "-5")])
+def test_gradcheck_rejects_bounds_that_check_nothing(monkeypatch, capsys,
+                                                     flag, value):
+    # with a doubled alpha gradient the check must fail, so a pass here
+    # would mean the bound let it check nothing
+    real = fitting._patch_backward
+
+    def skew(*args, **kwargs):
+        grads = real(*args, **kwargs)
+        grads["alpha"] = 2.0 * grads["alpha"]
+        return grads
+
+    monkeypatch.setattr(fitting, "_patch_backward", skew)
+    assert main(["gradcheck", "--draws", "1", flag, value]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kw", [{"draws": 1.5}, {"draws": True}])
+def test_gradcheck_draws_must_be_an_integer(kw):
+    with pytest.raises(ValueError, match="draws"):
+        fitting.run_gradcheck(**kw)
+
+
+def test_cli_imports_no_private_name():
+    # the CLI parses, dispatches and writes; what it runs is public API of
+    # the modules that own it
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("splat360"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 @pytest.mark.parametrize("depth1, flips", [(1.0, True), (1.2, False)])

@@ -10,8 +10,8 @@ from splat360 import (FormatError, ParamsFormatError, anchor_set_from_json,
                       fusion, load_mlp, load_pfm, load_ppm, load_scene,
                       load_volume, make_random_scene, make_sphere_phantom,
                       save_scene, save_volume)
-from splat360.cli import EXIT_FORMAT, camera_to_doc, load_camera_json, main
-from splat360.scene import make_orbit_cameras
+from splat360.cli import EXIT_FORMAT, main
+from splat360.scene import camera_to_doc, load_camera_json, make_orbit_cameras
 
 
 def _write(path, data: bytes) -> str:
