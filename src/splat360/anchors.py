@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
+from .imgfile import parse_json
 from .scene import ImageBuffer, image_array
 
 DEFAULT_K = 64
@@ -143,10 +144,7 @@ def anchor_set_to_json(aset: AnchorSet) -> str:
 
 
 def anchor_set_from_json(text: str) -> AnchorSet:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad anchor JSON: {e}") from e
+    doc = parse_json(text, FormatError, "anchor JSON")
     try:
         anchors = tuple(AnchorPoint(int(a["row"]), int(a["col"]),
                                     float(a["grad"]), float(a["prob"]))

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -231,26 +232,19 @@ def _load_targets(targets_dir: str):
     if not names:
         raise FormatError(f"no frame_*.camera.json files in {targets_dir}")
     pairs = []
-    any_pfm = False
     for name in names:
         stem = name[:-len(".camera.json")]
         cam_file = os.path.join(targets_dir, name)
         cam = load_camera_json(cam_file)
-        pfm = os.path.join(targets_dir, stem + ".pfm")
-        ppm = os.path.join(targets_dir, stem + ".ppm")
-        if os.path.exists(pfm):
-            img = load_pfm(pfm)
-            any_pfm = True
-            used = pfm
-        elif os.path.exists(ppm):
-            img = load_ppm(ppm)
-            used = ppm
-        else:
+        pfm, ppm = (os.path.join(targets_dir, stem + ext) for ext in (".pfm", ".ppm"))
+        used = pfm if os.path.exists(pfm) else ppm
+        if not os.path.exists(used):
             raise FormatError(f"no image for {stem} (need .pfm or .ppm)")
+        img = _load_image_any(used)
         if img.shape[2] == 1:
             img = np.repeat(img, 3, axis=2)
         pairs.append((cam, img, used, cam_file))
-    return pairs, any_pfm
+    return pairs, any(p[2].endswith(".pfm") for p in pairs)
 
 
 def cmd_fit(args) -> int:
@@ -494,6 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="build and configuration report")
     p.set_defaults(func=cmd_info)
+    # argparse 3.10 and 3.11 take only -N and -N.N for negative numbers, so
+    # they read a value such as -1e-1 as an option name
+    number = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = number
     return ap
 
 

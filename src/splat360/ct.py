@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VolumeFormatError
-from .imgfile import atomic_write
+from .imgfile import atomic_write, read_file, read_header
 from .scene import ImageBuffer, _finite_vec3, _integer
 
 # one pool payload per started PIXEL_CHUNK pixels, but at most `workers`
@@ -496,11 +496,19 @@ _HEADER_KEYS = ("dims", "spacing", "origin", "data", "dtype")
 
 
 def save_volume(header_path: str, vol: VoxelVolume, raw_name: str | None = None) -> None:
+    """Write `vol` as a header and an int16 raw file beside it. HU that
+    round outside int16 raise VolumeFormatError before either is written."""
     base = os.path.basename(header_path)
     stem = base.rsplit(".", 1)[0] if "." in base else base
     raw_name = raw_name or stem + ".raw"
     nx, ny, nz = vol.dims
-    hu = np.rint(vol.hu).astype("<i2")
+    hu = np.rint(vol.hu)  # >= -1024, as every VoxelVolume's
+    if hu.max() > np.iinfo("<i2").max:
+        # astype would wrap it, and the file would load as other values
+        raise VolumeFormatError(
+            f"hu values above {np.iinfo('<i2').max} do not fit the int16 "
+            f"raw file, got {hu.max():g}")
+    hu = hu.astype("<i2")
     raw_path = os.path.join(os.path.dirname(os.path.abspath(header_path)), raw_name)
     atomic_write(raw_path, hu.tobytes())  # [z,y,x] C-order == x fastest
     sp = vol.spacing
@@ -516,32 +524,10 @@ def save_volume(header_path: str, vol: VoxelVolume, raw_name: str | None = None)
 def read_volume_header(header_path: str) -> tuple[dict[str, str], str]:
     """(key -> value text of every header field, path of the raw payload).
 
-    Keys and values are stripped of surrounding spaces; `#` lines and blank
-    lines are skipped. Raises VolumeFormatError on an unreadable header, an
-    unknown, duplicate or missing key.
+    Raises VolumeFormatError on an unreadable header, an unknown, duplicate
+    or missing key (`imgfile.read_header`).
     """
-    try:
-        with open(header_path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise VolumeFormatError(f"cannot read header {header_path}: {e}") from e
-    kv: dict[str, str] = {}
-    for ln in lines:
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if "=" not in ln:
-            raise VolumeFormatError(f"bad header line (need key=value): {ln!r}")
-        k, v = ln.split("=", 1)
-        k = k.strip()
-        if k not in _HEADER_KEYS:
-            raise VolumeFormatError(f"unknown header key {k!r}")
-        if k in kv:
-            raise VolumeFormatError(f"duplicate header key {k!r}")
-        kv[k] = v.strip()
-    for k in _HEADER_KEYS:
-        if k not in kv:
-            raise VolumeFormatError(f"missing header key {k!r}")
+    kv, _ = read_header(header_path, _HEADER_KEYS, VolumeFormatError)
     return kv, os.path.join(os.path.dirname(os.path.abspath(header_path)), kv["data"])
 
 
@@ -557,11 +543,7 @@ def load_volume(header_path: str) -> VoxelVolume:
         raise VolumeFormatError(f"bad header value: {e}") from e
     if len(dims) != 3 or spacing.size != 3 or origin.size != 3:
         raise VolumeFormatError("dims/spacing/origin must each have 3 entries")
-    try:
-        with open(raw_path, "rb") as f:
-            raw = f.read()
-    except (OSError, ValueError) as e:  # ValueError: NUL byte in the name
-        raise VolumeFormatError(f"cannot read raw file {raw_path}: {e}") from e
+    raw = read_file(raw_path, VolumeFormatError)
     expected = 2 * dims[0] * dims[1] * dims[2]
     if len(raw) != expected:
         raise VolumeFormatError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamsFormatError
-from .imgfile import atomic_write
+from .imgfile import atomic_write, read_header
 from .scene import Camera
 
 EMBED_USED = 13
@@ -189,26 +189,8 @@ def save_mlp(path: str, params: MlpParams) -> None:
 
 
 def load_mlp(path: str) -> MlpParams:
-    try:
-        with open(path, "rb") as f:
-            buf = f.read()
-    except OSError as e:
-        raise ParamsFormatError(f"cannot read params file {path}: {e}") from e
-    fields: dict[str, str] = {}
-    pos = 0
-    for _ in range(3):
-        nl = buf.find(b"\n", pos)
-        if nl < 0:
-            raise ParamsFormatError("truncated params header")
-        line = buf[pos:nl].decode("utf-8", errors="replace")
-        pos = nl + 1
-        if "=" not in line:
-            raise ParamsFormatError(f"bad params header line: {line!r}")
-        k, v = line.split("=", 1)
-        fields[k.strip()] = v.strip()
-    for key in ("layers", "d", "seed"):
-        if key not in fields:
-            raise ParamsFormatError(f"missing params header key {key!r}")
+    fields, body = read_header(path, ("layers", "d", "seed"), ParamsFormatError,
+                               payload=True)
     try:
         layers = [int(t) for t in fields["layers"].split()]
         d = int(fields["d"])
@@ -217,7 +199,6 @@ def load_mlp(path: str) -> MlpParams:
         raise ParamsFormatError(f"bad params header value: {e}") from e
     if layers != [9 + d, HIDDEN, HIDDEN, 3]:
         raise ParamsFormatError(f"unsupported layer sizes {layers}")
-    body = buf[pos:]
     need = 8 * sum(n * m + n for m, n in zip(layers, layers[1:]))
     if len(body) != need:
         raise ParamsFormatError(

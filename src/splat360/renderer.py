@@ -13,8 +13,10 @@ Henyey-Greenstein lobe normalized so f = 1 when g = 0.
 Bit-determinism: every color-producing path (image blocks, with or without
 the fusion head, and the fit's patches) runs the one kernel `_composite`
 itself, not a copy of it. A full image, physical or fused, comes only from
-`_render_blocks`, one kernel call per COARSE_TILE block, and `_view_images`,
-which assembles the blocks. The ray x splat pairs come from `_pairs`, which
+`_render_blocks`, one kernel call per `_PairSet` of a COARSE_TILE block of
+the view (`_view_grids`, the one description of the blocks), each block's
+images carrying their set's first row and column, and `_view_images`, which
+places them there. The ray x splat pairs come from `_pairs`, which
 enumerates a pixel grid's pairs from each splat's screen-space cutoff conic
 (`_conics`, built once per camera), a superset of the live pairs, splat
 after splat; `_live_pairs` keeps the live ones and orders them with one
@@ -879,79 +881,63 @@ def _tape_key(work) -> tuple:
     return key
 
 
-def _fusion_head(scene, cam, mlp):
-    """`_render_blocks`' head for cam's frame: None for physical color, else
-    (mlp, the frame's camera embedding)."""
-    return (None if mlp is None else
-            (mlp, embed_camera(cam, scene.center, scene.radius, mlp.d)))
+def _render_blocks(scene, cam, cfg, mlp, sets) -> list:
+    """(r0, c0, color, depth, transmittance) of each of cam's `_PairSet`s,
+    in turn: the images of the set's whole grid, from one kernel call over
+    its pairs, and where they start in the view.
 
-
-def _render_blocks(scene, cfg, head, sets) -> list:
-    """(color, depth, transmittance) images of each `_PairSet`'s whole grid,
-    in turn, from one kernel call over its pairs.
-
-    `head` is None for physical color, else (MlpParams, embedding vector):
-    the fusion head then runs once over each grid's per-pixel streams (its
-    rows are independent) and its output replaces the color. The kernel
-    gets a set's pairs as their only reference, unless the caller keeps the
-    set, so it frees those of a set built as it is asked for (`render`'s)
-    as it goes: held through the call, they made a `render` frame about 4%
-    slower.
+    With `mlp` the fusion head runs once over each grid's per-pixel streams
+    (its rows are independent), with cam's embedding, and its output
+    replaces the color. The kernel gets a set's pairs as their only
+    reference, unless the caller keeps the set, so it frees those of a set
+    built as it is asked for (`render`'s) as it goes: held through the call,
+    they made a `render` frame about 4% slower.
     """
+    e_vec = (None if mlp is None else
+             embed_camera(cam, scene.center, scene.radius, mlp.d))
     out = []
     for ps in sets:
         dx, dy, dz = (a.ravel() for a in ps.dirs)
-        shape = ps.count.shape
+        r0, c0, shape = ps.r0, ps.c0, ps.count.shape
         # popped into the call, so no name here holds the pairs meanwhile
         live = [(ps.sub, ps.ts, ps.q, ps.order, ps.count.ravel())]
         del ps
         color, depth, trans, *streams = _composite(
-            scene, cfg, live.pop(), dx, dy, dz, fused_streams=head is not None)
-        if head is not None:
-            mlp, e_vec = head
+            scene, cfg, live.pop(), dx, dy, dz, fused_streams=mlp is not None)
+        if mlp is not None:
             color = fuse_forward_batch(
                 fusion_input(*streams, e_vec, np.stack([dx, dy, dz], axis=1)), mlp)
-        out.append((color.reshape(shape + (3,)), depth.reshape(shape + (1,)),
-                    trans.reshape(shape + (1,))))
+        out.append((r0, c0, color.reshape(shape + (3,)),
+                    depth.reshape(shape + (1,)), trans.reshape(shape + (1,))))
     return out
 
 
-def _coarse_blocks(height: int, width: int):
-    return [(r, min(r + COARSE_TILE, height), c, min(c + COARSE_TILE, width))
-            for r in range(0, height, COARSE_TILE)
-            for c in range(0, width, COARSE_TILE)]
-
-
-def _block_grids(blocks) -> list:
-    """The (rows, cols) pixel grid of each (r0, r1, c0, c1) block."""
-    return [(np.arange(r0, r1, dtype=np.float64), np.arange(c0, c1, dtype=np.float64))
-            for r0, r1, c0, c1 in blocks]
-
-
 def _view_grids(cam) -> list:
-    """The pixel grids of cam's `_coarse_blocks`, in block order: those
-    whose sets `_render_sets` composites."""
-    return _block_grids(_coarse_blocks(cam.height, cam.width))
+    """The (rows, cols) pixel grid of each COARSE_TILE x COARSE_TILE block
+    of cam's view, row-major: the grids whose sets `render` composites, and
+    `_render_sets` takes."""
+    return [(np.arange(r, min(r + COARSE_TILE, cam.height), dtype=np.float64),
+             np.arange(c, min(c + COARSE_TILE, cam.width), dtype=np.float64))
+            for r in range(0, cam.height, COARSE_TILE)
+            for c in range(0, cam.width, COARSE_TILE)]
 
 
 def _worker_render(payload):
-    scene, cam, cfg, head, blocks = payload
-    return _render_blocks(scene, cfg, head,
-                          _pair_sets(scene, cam, _block_grids(blocks)))
+    """`_render_blocks` over cam's `_view_grids` lo to hi."""
+    scene, cam, cfg, mlp, lo, hi = payload
+    return _render_blocks(scene, cam, cfg, mlp,
+                          _pair_sets(scene, cam, _view_grids(cam)[lo:hi]))
 
 
-def _view_images(cam, blocks, results):
-    """The color, depth and transmittance images of cam's view from its
-    `_coarse_blocks` and their `_render_blocks` results."""
-    H, W = cam.height, cam.width
-    color = np.empty((H, W, 3))
-    depth = np.empty((H, W, 1))
-    trans = np.empty((H, W, 1))
-    for (r0, r1, c0, c1), (cb, db, tb) in zip(blocks, results):
-        color[r0:r1, c0:c1] = cb
-        depth[r0:r1, c0:c1] = db
-        trans[r0:r1, c0:c1] = tb
-    return ImageBuffer(color), ImageBuffer(depth), ImageBuffer(trans)
+def _view_images(cam, blocks):
+    """The color, depth and transmittance ImageBuffers of cam's view, each
+    `_render_blocks` block placed where it starts."""
+    images = tuple(np.empty((cam.height, cam.width, c)) for c in (3, 1, 1))
+    for r0, c0, *block in blocks:
+        h, w = block[1].shape[:2]
+        for image, b in zip(images, block):
+            image[r0:r0 + h, c0:c0 + w] = b
+    return tuple(map(ImageBuffer, images))
 
 
 def _spans(n: int, workers: int, unit: int = 1) -> list:
@@ -1021,19 +1007,15 @@ def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
     process; more go to `_pool_for`'s fork pool, one worker per payload.
     """
     cfg = cfg if cfg is not None else RenderConfig()
-    blocks = _coarse_blocks(cam.height, cam.width)
-    head = _fusion_head(scene, cam, mlp)
-    payloads = [(scene, cam, cfg, head, blocks[lo:hi])
-                for lo, hi in _spans(len(blocks), workers)]
+    payloads = [(scene, cam, cfg, mlp, lo, hi)
+                for lo, hi in _spans(len(_view_grids(cam)), workers)]
     outs = (_pool_for(len(payloads)).map(_worker_render, payloads)
             if len(payloads) > 1 else [_worker_render(payloads[0])])
-    return _view_images(cam, blocks, [blk for out in outs for blk in out])
+    return _view_images(cam, [blk for out in outs for blk in out])
 
 
 def _render_sets(scene: Scene, cam: Camera, cfg: RenderConfig, mlp, sets):
     """`render(scene, cam, cfg, mlp=mlp)`'s images, bit for bit, composited
-    from `sets`: the `_PairSet`s of cam's `_coarse_blocks`, in that order,
-    built for scene's geometry (an appearance-only fit's kept sets)."""
-    return _view_images(cam, _coarse_blocks(cam.height, cam.width),
-                        _render_blocks(scene, cfg, _fusion_head(scene, cam, mlp),
-                                       sets))
+    from `sets`: the `_PairSet`s of cam's `_view_grids`, built for scene's
+    geometry (an appearance-only fit's kept sets)."""
+    return _view_images(cam, _render_blocks(scene, cam, cfg, mlp, sets))

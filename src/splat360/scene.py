@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import FormatError, SceneFormatError
-from .imgfile import atomic_write
+from .imgfile import atomic_write, parse_json, read_file
 
 # Covariance eigenvalues below this are treated as singular.
 MIN_EIGENVALUE = 1e-12
@@ -406,19 +406,9 @@ def scene_from_json(obj) -> Scene:
     return scene
 
 
-def _reject_constant(name):
-    raise SceneFormatError(f"non-finite JSON constant {name!r} not allowed")
-
-
 def load_scene(path) -> Scene:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f, parse_constant=_reject_constant)
-    except (OSError, UnicodeDecodeError) as e:
-        raise SceneFormatError(f"cannot read scene file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise SceneFormatError(f"scene file is not valid JSON: {e}") from e
-    return scene_from_json(obj)
+    return scene_from_json(parse_json(read_file(path, SceneFormatError),
+                                      SceneFormatError, "scene file"))
 
 
 def save_scene(path, scene: Scene) -> None:
@@ -451,14 +441,8 @@ def camera_from_doc(doc: dict) -> Camera:
 
 
 def load_camera_json(path: str) -> Camera:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, UnicodeDecodeError) as e:
-        raise FormatError(f"cannot read camera file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"camera file is not valid JSON: {e}") from e
-    return camera_from_doc(doc)
+    return camera_from_doc(parse_json(read_file(path, FormatError), FormatError,
+                                      "camera file"))
 
 
 def make_random_scene(n: int, seed: int, spread: float = 1.0,

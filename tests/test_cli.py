@@ -88,6 +88,19 @@ def test_negative_worker_flag_exits_2(tmp_path, scene_file, capsys):
     assert not os.path.exists(out)
 
 
+def test_exponent_form_negative_number_is_a_value(tmp_path, scene_file):
+    # argparse read -1e-1 as an option name: "expected one argument", exit 2
+    assert main(["render", "--scene", scene_file, "--out", str(tmp_path / "o"),
+                 "--orbit", "ring:1", "--width", "8", "--height", "8",
+                 "--elevation", "-1e-1"]) == 0
+    assert _read_manifest(str(tmp_path / "o"))["config"]["elevation"] == -0.1
+
+
+def test_exponent_form_negative_tol_reaches_its_check(capsys):
+    assert main(["gradcheck", "--tol", "-1e-4"]) == 2
+    assert "tol must be > 0" in capsys.readouterr().err
+
+
 def test_workers_flag_only_on_commands_that_render():
     with pytest.raises(SystemExit) as exit_info:
         main(["info", "--workers", "1"])

@@ -643,6 +643,21 @@ def test_failed_volume_save_leaves_the_old_volume(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_volume_save_refuses_hu_beyond_int16(tmp_path):
+    # the int16 cast wrapped these: 70000 loaded back as 4464, and 40000 as
+    # a value below -1024 that load_volume refuses
+    top = make_uniform_volume((2, 2, 2), np.ones(3), np.zeros(3), 32767.0)
+    save_volume(str(tmp_path / "top.vol"), top)
+    assert np.array_equal(load_volume(str(tmp_path / "top.vol")).hu, top.hu)
+    for hu in (32767.5, 40000.0, 70000.0):
+        d = tmp_path / f"hu{hu:g}"
+        d.mkdir()
+        vol = make_uniform_volume((2, 2, 2), np.ones(3), np.zeros(3), hu)
+        with pytest.raises(VolumeFormatError, match="int16"):
+            save_volume(str(d / "v.vol"), vol)
+        assert list(d.iterdir()) == []
+
+
 def test_volume_length_mismatch_names_counts(tmp_path):
     vol = make_uniform_volume((4, 4, 4), np.ones(3), np.zeros(3), 0.0)
     path = tmp_path / "v.vol"

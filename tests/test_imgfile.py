@@ -130,6 +130,21 @@ def test_pfm_load_errors(tmp_path):
         load_pfm(str(zscale))
 
 
+def test_pfm_save_refuses_values_its_reader_refuses(tmp_path):
+    # NaN was written as is and 1e300 as inf, files load_pfm refuses; the
+    # largest float32 is the last value written
+    top = np.full((1, 2, 1), np.finfo(np.float32).max, dtype=np.float64)
+    save_pfm(str(tmp_path / "top.pfm"), top)
+    assert np.array_equal(load_pfm(str(tmp_path / "top.pfm")), top)
+    for value in (np.nan, np.inf, -np.inf, 1e300, -1e39):
+        img = np.zeros((2, 2, 3))
+        img[1, 0, 2] = value
+        with pytest.raises(ImageFormatError):
+            save_pfm(str(tmp_path / "x.pfm"), img)
+        assert not (tmp_path / "x.pfm").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["top.pfm"]
+
+
 def test_pfm_rejects_bad_shape(tmp_path):
     with pytest.raises(ImageFormatError):
         save_pfm(str(tmp_path / "x.pfm"), np.zeros((2, 2, 2)))

@@ -1,15 +1,16 @@
 """Every file loader fails only with FormatError: known defects, then fuzzing."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splat360 import (FormatError, ParamsFormatError, anchor_set_from_json,
-                      fusion, load_mlp, load_pfm, load_ppm, load_scene,
-                      load_volume, make_random_scene, make_sphere_phantom,
-                      save_scene, save_volume)
+from splat360 import (FormatError, ParamsFormatError, SceneFormatError,
+                      anchor_set_from_json, fusion, load_mlp, load_pfm, load_ppm,
+                      load_scene, load_volume, make_random_scene,
+                      make_sphere_phantom, save_scene, save_volume)
 from splat360.cli import EXIT_FORMAT, main
 from splat360.scene import camera_to_doc, load_camera_json, make_orbit_cameras
 
@@ -136,6 +137,25 @@ def test_anchor_probs_must_sum_to_one(probs):
                        for i, p in enumerate(probs)], "beta": 1.0}
     with pytest.raises(FormatError):
         anchor_set_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", [b"[" * 100_000, b"[1" + b"0" * 5000 + b"]"],
+                         ids=["deep", "long_int"])
+@pytest.mark.parametrize("load, error", [
+    (load_scene, SceneFormatError), (load_camera_json, FormatError),
+    (lambda path: anchor_set_from_json(Path(path).read_text()), FormatError)],
+    ids=["scene", "camera", "anchors"])
+def test_json_past_the_parsers_limits(tmp_path, load, error, text):
+    # the parser's recursion limit escaped as RecursionError, and int()'s
+    # digit limit as a ValueError that is no JSONDecodeError
+    with pytest.raises(error):
+        load(_write(tmp_path / "x.json", text))
+
+
+def test_deeply_nested_scene_exits_with_format_code(tmp_path):
+    path = _write(tmp_path / "deep.json", b"[" * 100_000)
+    code = main(["render", "--scene", path, "--out", str(tmp_path / "out")])
+    assert code == EXIT_FORMAT
 
 
 # ---------------------------------------------------------------------------

@@ -267,14 +267,17 @@ def test_render_matches_the_dense_kernel_and_the_reference(small_random_scene,
         assert np.abs(img - r.reshape(img.shape)).max() < 1e-11
 
 
-def test_render_worker_count_bit_identity(small_random_scene):
+@pytest.mark.parametrize("mlp", [None, init_mlp(16, seed=3)],
+                         ids=["physical", "fused"])
+def test_render_worker_count_bit_identity(small_random_scene, mlp):
     s = small_random_scene
-    # 70 rows span two coarse blocks, so workers=3 goes through the pool
+    # 70 rows span two coarse blocks, so workers=3 goes through the pool,
+    # and each worker embeds the camera for the fusion head itself
     cam = make_orbit_cameras(s.center, 3.0 * s.radius, 1, 0.3, "ring",
                              32, 70, 0.9)[0]
-    a, da, ta = render(s, cam, workers=1)
+    a, da, ta = render(s, cam, workers=1, mlp=mlp)
     _shutdown_pools()
-    b, db, tb = render(s, cam, workers=3)
+    b, db, tb = render(s, cam, workers=3, mlp=mlp)
     assert multiprocessing.active_children()
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(da.data, db.data)
@@ -844,7 +847,7 @@ def test_conics_run_once_per_payload(monkeypatch):
 
     monkeypatch.setattr(splat360.renderer, "_conics", counted)
     render(scene, cam, workers=1)
-    assert len(splat360.renderer._coarse_blocks(128, 128)) == 4
+    assert len(_view_grids(cam)) == 4
     assert len(calls) == 1
 
 
