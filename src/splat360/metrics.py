@@ -7,16 +7,21 @@ channels. The private core also returns the analytic gradient with respect
 to the first image, which the fitting loss consumes.
 
 The window filter is separable and runs on a stack of maps [..., H, W] at
-once: per channel, one call for the five moment maps and one for the three
-maps of the gradient. Each of its two passes is one batched matmul of a
-fixed banded tap matrix [s, s + K - 1] (window K, s = min(valid length,
-_BLOCK)) against overlapping blocks of s + K - 1 rows, a strided view at
-stride s over a zero-padded copy. Every map of a stack goes through the
-same BLAS calls on blocks of the same shape, so a map's result does not
-depend on the other maps in its stack; its bits do depend on the BLAS
-build, which fixes the order of each matmul's sums. Bounding the block
-keeps the flops at about _BLOCK + K - 1 per output and tap; a dense band
-over the whole axis would grow them with the image.
+once: one call for the five moment maps of every channel, a [5, C, H, W]
+stack, and one for the three adjoint maps of every channel's gradient,
+[3, C, h, w]; the quotient-rule math between them runs on [C, h, w] arrays.
+Each of the filter's two passes is one batched matmul of a fixed banded tap
+matrix [s, s + K - 1] (window K, s = min(valid length, _BLOCK)) against
+overlapping blocks of s + K - 1 rows, a strided view at stride s over a
+zero-padded copy. Where the blocks cover the stack exactly, with no zeros
+to add, and the stack is C-contiguous, the view is over the stack itself:
+the first pass over a 32 x 32 fit patch at window 11, for one. Every map of
+a stack goes through the same BLAS calls on blocks of the same shape, so a
+map's result does not depend on the other maps in its stack, nor on
+whether it was copied; its bits do depend on the BLAS build, which fixes
+the order of each matmul's sums. Bounding the block keeps the flops at
+about _BLOCK + K - 1 per output and tap; a dense band over the whole axis
+would grow them with the image.
 """
 from __future__ import annotations
 
@@ -79,19 +84,22 @@ def psnr(a, b) -> float:
 
 
 def _band_pass(a: np.ndarray, win: int, lead: int) -> np.ndarray:
-    """Valid-mode correlation along axis -2 of a stack [..., n, c] with the
-    window's taps, after `lead` zeros on each side of that axis:
-    [..., n + 2 lead - win + 1, c]."""
+    """Valid-mode correlation along axis -2 of a float64 stack [..., n, c]
+    with the window's taps, after `lead` zeros on each side of that axis:
+    [..., n + 2 lead - win + 1, c]. A C-contiguous stack whose blocks cover
+    it exactly with no zeros is read in place, not copied."""
     n, c = a.shape[-2:]
     m = n + 2 * lead - win + 1
     s = min(m, _BLOCK)
     nb = -(-m // s)
-    padded = np.zeros(a.shape[:-2] + (nb * s + win - 1, c))
-    padded[..., lead:lead + n, :] = a
+    if lead == 0 and nb * s + win - 1 == n and a.flags.c_contiguous:
+        padded = a
+    else:
+        padded = np.zeros(a.shape[:-2] + (nb * s + win - 1, c))
+        padded[..., lead:lead + n, :] = a
     st = padded.strides
-    blocks = np.lib.stride_tricks.as_strided(
-        padded, a.shape[:-2] + (nb, s + win - 1, c),
-        st[:-2] + (s * st[-2],) + st[-2:], writeable=False)
+    blocks = np.ndarray(a.shape[:-2] + (nb, s + win - 1, c), padded.dtype,
+                        buffer=padded, strides=st[:-2] + (s * st[-2],) + st[-2:])
     out = _BANDS[win][:s, :s + win - 1] @ blocks
     return out.reshape(a.shape[:-2] + (nb * s, c))[..., :m, :]
 
@@ -111,37 +119,6 @@ def _sep_adjoint(stack: np.ndarray, win: int) -> np.ndarray:
     return _sep_valid(stack, win, lead=win - 1)
 
 
-def _ssim_channel(x: np.ndarray, y: np.ndarray, win: int, want_grad: bool):
-    """Mean SSIM over valid windows of one channel; optional d/dx gradient."""
-    c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
-    c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
-    mx, my, mxx, myy, mxy = _sep_valid(np.stack([x, y, x * x, y * y, x * y]), win)
-    vx = mxx - mx * mx
-    vy = myy - my * my
-    cxy = mxy - mx * my
-    a1 = 2.0 * mx * my + c1
-    a2 = 2.0 * cxy + c2
-    b1 = mx * mx + my * my + c1
-    b2 = vx + vy + c2
-    smap = (a1 * a2) / (b1 * b2)
-    npos = smap.size
-    value = float(np.mean(smap))
-    if not want_grad:
-        return value, None
-    # quotient rule through (mu_x, var_x, cov_xy), grouped per window as
-    # dS/dx_i = w_i c (P + a1 y_i - S b1 x_i) so that at x == y the gradient
-    # cancels to 0.0 bitwise. There every map of the moment stack that holds
-    # the same values as another gets the same BLAS calls on blocks of the
-    # same shape, so mx == my and mxx == myy == mxy bit for bit; then
-    # a1 == b1, a2 == b2 and S == 1 exactly, P is exactly zero, and the last
-    # two maps of the adjoint stack are exact negations, whose filtered
-    # images are exact negations too (rounding is symmetric about zero)
-    c = 2.0 / ((b1 * b2) * npos)
-    p_const = my * a2 - a1 * my - smap * (mx * b2 - b1 * mx)
-    gp, gy, gx = _sep_adjoint(np.stack([c * p_const, c * a1, c * (-(smap * b1))]), win)
-    return value, gp + y * gy + x * gx
-
-
 def ssim(a, b) -> float:
     """Mean SSIM over valid window positions, averaged across channels."""
     value, _ = ssim_with_grad(a, b, want_grad=False)
@@ -152,6 +129,7 @@ def ssim_with_grad(a, b, want_grad: bool = True):
     """(ssim, gradient w.r.t. a) — gradient is None when want_grad is False.
 
     The window is 11x11, shrunk to the largest odd size that fits the image.
+    The value is the mean of the channels' means, added in channel order.
     """
     x = image_array(a)
     y = image_array(b)
@@ -159,13 +137,46 @@ def ssim_with_grad(a, b, want_grad: bool = True):
         raise ValueError(f"image shape mismatch: {x.shape} vs {y.shape}")
     win = _ssim_window(x.shape[0], x.shape[1])
     C = x.shape[2]
+    c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
+    c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
+    xc = x.transpose(2, 0, 1)
+    yc = y.transpose(2, 0, 1)
+    moments = np.empty((5, C) + x.shape[:2])
+    moments[0] = xc
+    moments[1] = yc
+    np.multiply(xc, xc, out=moments[2])
+    np.multiply(yc, yc, out=moments[3])
+    np.multiply(xc, yc, out=moments[4])
+    mx, my, mxx, myy, mxy = _sep_valid(moments, win)
+    del moments
+    vx = mxx - mx * mx
+    vy = myy - my * my
+    cxy = mxy - mx * my
+    a1 = 2.0 * mx * my + c1
+    a2 = 2.0 * cxy + c2
+    b1 = mx * mx + my * my + c1
+    b2 = vx + vy + c2
+    smap = (a1 * a2) / (b1 * b2)
     total = 0.0
-    grad = np.zeros_like(x) if want_grad else None
     for ch in range(C):
-        v, g = _ssim_channel(x[:, :, ch], y[:, :, ch], win, want_grad)
-        total += v
-        if want_grad:
-            grad[:, :, ch] = g
-    if want_grad:
-        grad /= C
+        total += float(np.mean(smap[ch]))
+    if not want_grad:
+        return total / C, None
+    # quotient rule through (mu_x, var_x, cov_xy), grouped per window as
+    # dS/dx_i = w_i c (P + a1 y_i - S b1 x_i) so that at x == y the gradient
+    # cancels to 0.0 bitwise. There every map of the moment stack that holds
+    # the same values as another gets the same BLAS calls on blocks of the
+    # same shape, so mx == my and mxx == myy == mxy bit for bit; then
+    # a1 == b1, a2 == b2 and S == 1 exactly, P is exactly zero, and the last
+    # two maps of the adjoint stack are exact negations, whose filtered
+    # images are exact negations too (rounding is symmetric about zero)
+    c = 2.0 / ((b1 * b2) * smap[0].size)
+    p_const = my * a2 - a1 * my - smap * (mx * b2 - b1 * mx)
+    adj = np.empty((3,) + smap.shape)
+    np.multiply(c, p_const, out=adj[0])
+    np.multiply(c, a1, out=adj[1])
+    np.multiply(c, -(smap * b1), out=adj[2])
+    gp, gy, gx = _sep_adjoint(adj, win)
+    grad = np.empty_like(x)
+    np.divide((gp + yc * gy + xc * gx).transpose(1, 2, 0), C, out=grad)
     return total / C, grad

@@ -34,8 +34,9 @@ and its gradients those of one call over every pair.
 that callers pass on unread: the scene, the kernel's `_Tape`, the fusion
 cache and the rays' origin and directions. Of the tape it reads each slot's
 splat, t, k, w, Tb and tw, its color or fused streams, f and cos, each
-ray's final_T, `ray`, `offsets` and `rays` for the running sums along each
-ray, and `by_ray` to add each slot's products into its splat ray after ray;
+ray's final_T, `ray` and `offsets` for the running sums along each ray,
+`count` to find each ray's last slot in `by_ray`, where its total is read,
+and `by_ray` to add each slot's products into its splat ray after ray;
 `_tape_key` reads n, Tb, by_ray and idx: each ray's composited splats,
 and of the fusion cache which of the head's hidden units each ray fires.
 Each ray composites only its own live splats, ordered by t and then by
@@ -218,9 +219,9 @@ class _Tape:
     add nothing to any sum. The layout is rank-major: rank j (each ray's
     (j+1)-th slot) is the run offsets[j]:offsets[j+1], its rays ordered by
     live count, largest first and stably, so the rays holding a rank j slot
-    are a prefix of the rays holding a rank j-1 one; `rays` lists the rays in
-    that order. `ray` is each slot's ray and `by_ray` lists the slots ray
-    after ray, each ray's in rank order.
+    are a prefix of the rays holding a rank j-1 one. `ray` is each slot's
+    ray, `count` each ray's number of slots, and `by_ray` lists the slots
+    ray after ray, each ray's in rank order.
     `color`, `iso` and `aniso` are per-channel triples. `f`/`cos` are None
     unless disentangled with anisotropy, `iso`/`aniso` None without fused
     streams (`aniso` also without anisotropy), whether or not any splat
@@ -241,8 +242,8 @@ class _Tape:
     aniso: tuple | None
     ray: np.ndarray        # ray of each slot
     offsets: list          # rank j is slots offsets[j]:offsets[j+1]
-    rays: np.ndarray       # [P] the rays by slot count, largest first
     by_ray: np.ndarray     # the slots in ray-major order
+    count: np.ndarray      # [P] slots of each ray
     n: np.ndarray          # [P] slots each ray composites
 
 
@@ -328,8 +329,7 @@ def _ray_totals(a, offsets, rays):
     rank: the additions `_scan_ranks(np.add, ...)` makes, in the same order,
     so the bits of its running sum at each ray's last slot. The sums are
     made in rank 0's run of `a` itself, which the call consumes; the slots
-    past it are left as they are. A caller that still needs `a` passes a
-    copy.
+    past it are left as they are.
     """
     width = offsets[1] if len(offsets) > 1 else 0
     acc = a[..., :width]
@@ -505,7 +505,7 @@ def _composite(scene, cfg: RenderConfig, live, dx, dy, dz,
                       tw=tw, final_T=final_T, f=f, cos=cos,
                       iso=tuple(values[4:7]) or None,
                       aniso=tuple(values[7:]) or None, ray=ray,
-                      offsets=offsets, rays=rays, by_ray=slot, n=n),)
+                      offsets=offsets, by_ray=slot, count=count, n=n),)
     return out
 
 
@@ -765,12 +765,6 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
                     if tape else None)
 
 
-def _dot3(g: np.ndarray, ray: np.ndarray, vals) -> np.ndarray:
-    """Per-slot sum over channels of g[ray, ch] * vals[ch]."""
-    return (g[:, 0][ray] * vals[0] + g[:, 1][ray] * vals[1]
-            + g[:, 2][ray] * vals[2])
-
-
 def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
                     mlp: MlpParams | None, geometry: bool = False) -> dict:
     """Gradients of the patch loss, keyed by the `Scene` attribute each
@@ -788,9 +782,12 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     cutoff or before the near plane). np.bincount's sums start at +0.0,
     which a zero term never changes, so the gradients depend neither on the
     enumeration nor on the tape's layout. The running sum along each ray
-    runs rank by rank over the tape's layout, as the kernel's own do; a zero
-    past a ray's stop can turn its total from -0.0 to +0.0, but only where
-    every term is zero, and the tail is +0.0 either way.
+    runs rank by rank over the tape's layout, as the kernel's own do, and
+    each ray's total is read from it at the ray's last slot: the additions
+    `_ray_totals` would make, in the same order. A zero past a ray's stop
+    can turn its total from -0.0 to +0.0, but only where every term is
+    zero, and the tail is +0.0 either way. The pixel gradient is gathered at
+    the slots once per channel, and every per-slot product reuses it.
 
     The loss sees geometry only through w = alpha exp(-q/2), as sort order
     and liveness are piecewise constant. q = min over t of r^T Sigma^-1 r,
@@ -803,24 +800,30 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     P, G = gpix.shape[0], scene.alpha.size
     ray = tp.ray
     out = {}
+    # the pixel gradient at each slot, gathered once per channel: gi of the
+    # isotropic color or stream, ga of the anisotropic one
     if mlp is not None:
         out["head"], dX = fuse_backward_batch(cache, mlp, gpix)
-        gi = dX[:, 0:3]
-        ga = dX[:, 3:6]
-        dotc = _dot3(gi, ray, tp.iso)
+        gi = [dX[:, ch][ray] for ch in range(3)]
+        dotc = gi[0] * tp.iso[0] + gi[1] * tp.iso[1] + gi[2] * tp.iso[2]
         if rcfg.anisotropy_enabled:
-            dotc = dotc + _dot3(ga, ray, tp.aniso)
+            ga = [dX[:, 3 + ch][ray] for ch in range(3)]
+            dotc = dotc + (ga[0] * tp.aniso[0] + ga[1] * tp.aniso[1]
+                           + ga[2] * tp.aniso[2])
         tail_bg = np.zeros(P)
     else:
-        gi = ga = gpix
-        dotc = _dot3(gpix, ray, tp.color)
+        gi = ga = [gpix[:, ch][ray] for ch in range(3)]
+        dotc = gi[0] * tp.color[0] + gi[1] * tp.color[1] + gi[2] * tp.color[2]
         bg = scene.background
         tail_bg = ((gpix[:, 0] * bg[0] + gpix[:, 1] * bg[1]
                     + gpix[:, 2] * bg[2]) * tp.final_T)
 
     pref = dotc * tp.tw                       # per slot, then its running sum
-    total = _ray_totals(pref.copy(), tp.offsets, tp.rays)
     _scan_ranks(np.add, pref, tp.offsets)
+    # each ray's total is its running sum at its last slot
+    hit = np.flatnonzero(tp.count)
+    total = np.zeros(P)
+    total[hit] = pref[tp.by_ray[np.cumsum(tp.count)[hit] - 1]]
     tail = total[ray] - pref + tail_bg[ray]   # strictly-later terms + background
     dw_s = np.where(tp.tw > 0.0,
                     dotc * tp.Tb - tail / np.maximum(1.0 - tp.w, 1e-300), 0.0)
@@ -834,14 +837,15 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     dli = np.empty((G, 3))
     dla = np.zeros((G, 3))
     for ch in range(3):
-        dli[:, ch] = ray_sum(tp.tw * gi[:, ch][ray])
+        dli[:, ch] = ray_sum(tp.tw * gi[ch])
     if rcfg.anisotropy_enabled:
         for ch in range(3):
-            twa = tp.tw * ga[:, ch][ray]
+            twa = tp.tw * ga[ch]
             dla[:, ch] = ray_sum(twa if tp.f is None else twa * tp.f)
     dg = np.zeros(G)
     if rcfg.anisotropy_enabled and rcfg.disentangle:
-        la_dot = _dot3(ga, ray, [scene.l_aniso[:, ch][tp.idx] for ch in range(3)])
+        la = [scene.l_aniso[:, ch][tp.idx] for ch in range(3)]
+        la_dot = ga[0] * la[0] + ga[1] * la[1] + ga[2] * la[2]
         cosg = tp.cos
         gk = scene.g[tp.idx]
         s = (1.0 + gk * gk) - (2.0 * gk) * cosg

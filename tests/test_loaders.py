@@ -139,6 +139,34 @@ def test_anchor_probs_must_sum_to_one(probs):
         anchor_set_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("row", "3"), ("col", 1.7), ("col", True), ("row", -4), ("col", -1),
+    ("row", None), ("grad", "1"), ("prob", "1"), ("grad", True),
+    ("grad", False), ("beta", "2"), ("beta", True), ("beta", 10 ** 400)])
+def test_anchor_fields_take_only_their_json_type(field, value):
+    # int() and float() took strings, fractions and booleans as pixel indices
+    # and numbers, and a negative row or column passed
+    doc = {"anchors": [{"row": 2, "col": 5, "grad": 0.5, "prob": 1.0}], "beta": 1.0}
+    (doc if field == "beta" else doc["anchors"][0])[field] = value
+    with pytest.raises(FormatError):
+        anchor_set_from_json(json.dumps(doc))
+
+
+def test_anchor_json_of_the_known_defect_is_refused():
+    text = ('{"anchors": [{"row": "3", "col": 1.7, "grad": "1", "prob": "1"}, '
+            '{"row": -4, "col": true, "grad": 0, "prob": 0}], "beta": "2"}')
+    with pytest.raises(FormatError):
+        anchor_set_from_json(text)
+
+
+def test_anchor_json_takes_integral_numbers_as_numbers():
+    doc = {"anchors": [{"row": 0, "col": 7, "grad": 2, "prob": 1}], "beta": -1}
+    aset = anchor_set_from_json(json.dumps(doc))
+    a = aset.anchors[0]
+    assert (a.row, a.col, a.grad_mag, a.prob, aset.beta) == (0, 7, 2.0, 1.0, -1.0)
+    assert all(type(v) is float for v in (a.grad_mag, a.prob, aset.beta))
+
+
 @pytest.mark.parametrize("text", [b"[" * 100_000, b"[1" + b"0" * 5000 + b"]"],
                          ids=["deep", "long_int"])
 @pytest.mark.parametrize("load, error", [

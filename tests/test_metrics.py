@@ -8,6 +8,8 @@ from splat360 import psnr, ssim, ssim_with_grad
 from splat360.metrics import (SSIM_SIGMA, _gauss_taps, _sep_adjoint, _sep_valid,
                               _ssim_window)
 
+import ssim_reference
+
 
 def _img(seed, h=16, w=16, c=3):
     rng = np.random.default_rng(seed)
@@ -107,18 +109,21 @@ def test_ssim_grad_finite_difference():
             assert abs(fd - g[i, j, ch]) / denom < 1e-5
 
 
-def _case(k, H, W, win, seed=0):
-    """(stack [k, H, W], window, valid-position stack [k, h, w])."""
+def _case(lead, H, W, win, seed=0):
+    """(stack [*lead, H, W], window, valid-position stack [*lead, h, w])."""
     rng = np.random.default_rng(seed)
-    return (rng.random((k, H, W)), win,
-            rng.standard_normal((k, H - win + 1, W - win + 1)))
+    return (rng.random(lead + (H, W)), win,
+            rng.standard_normal(lead + (H - win + 1, W - win + 1)))
 
 
 @st.composite
 def _filter_case(draw):
+    """One leading axis, or two as ssim_with_grad's [5, C, H, W] moments."""
     H = draw(st.integers(1, 70))
     W = draw(st.integers(1, 70))
-    return _case(draw(st.integers(1, 8)), H, W,
+    lead = draw(st.one_of(st.tuples(st.integers(1, 8)),
+                          st.tuples(st.integers(1, 5), st.integers(1, 3))))
+    return _case(lead, H, W,
                  draw(st.sampled_from(range(1, min(H, W, 11) + 1, 2))),
                  draw(st.integers(0, 2 ** 32 - 1)))
 
@@ -132,11 +137,15 @@ def _filter_reference(img, win):
 
 
 # blocks hold 32 output rows: 64 rows fill two exactly (the filter at 70
-# rows and window 7, the adjoint at 64 rows), 54 or 70 leave a part block
-@example(_case(3, 70, 42, 7))
-@example(_case(2, 64, 32, 11))
-@example(_case(5, 60, 11, 11))
-@example(_case(1, 1, 70, 1))
+# rows and window 7, the adjoint at 64 rows), 54 or 70 leave a part block;
+# the filter reads a stack of at most 42 rows at window 11, or of 70 at
+# window 7, in place, with no zero-padded copy
+@example(_case((3,), 70, 42, 7))
+@example(_case((2,), 64, 32, 11))
+@example(_case((5,), 60, 11, 11))
+@example(_case((1,), 1, 70, 1))
+@example(_case((5, 3), 32, 32, 11))
+@example(_case((5, 1), 42, 17, 11))
 @given(_filter_case())
 @settings(max_examples=150, deadline=None)
 def test_filter_maps_do_not_depend_on_their_stack(case):
@@ -145,7 +154,10 @@ def test_filter_maps_do_not_depend_on_their_stack(case):
     fz = _sep_adjoint(z, win)
     assert fx.shape == z.shape and fz.shape == stack.shape
     np.testing.assert_allclose(fx, _filter_reference(stack, win), rtol=0, atol=1e-13)
-    for i in range(stack.shape[0]):
+    # and the bits of the reference's filter, which always pads a copy
+    assert fx.tobytes() == ssim_reference._sep_valid(stack, win).tobytes()
+    assert fz.tobytes() == ssim_reference._sep_adjoint(z, win).tobytes()
+    for i in np.ndindex(stack.shape[:-2]):
         assert np.array_equal(fx[i], _sep_valid(stack[i], win))
         assert np.array_equal(fz[i], _sep_adjoint(z[i], win))
 
@@ -159,3 +171,39 @@ def test_filter_adjoint_is_its_transpose(case):
     rhs = float(np.sum(stack * _sep_adjoint(z, win)))
     # relative to the size of the terms, as the sum itself may cancel
     assert abs(lhs - rhs) <= 1e-12 * float(np.sum(np.abs(fx * z)))
+
+
+@st.composite
+def _ssim_case(draw):
+    """(x, y, want_grad): sides 1-80, so windows below 11 too, 1 or 3
+    channels, and y independent of x, equal to it, or a rounding away."""
+    H, W = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    C = draw(st.sampled_from([1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.random((H, W, C))
+    kind = draw(st.sampled_from(["independent", "equal", "near"]))
+    if kind == "independent":
+        y = rng.random((H, W, C))
+    elif kind == "equal":
+        y = x.copy()
+    else:
+        y = x + draw(st.sampled_from([1e-12, 1e-6])) * rng.standard_normal(x.shape)
+    return x, y, draw(st.booleans())
+
+
+@example((_img(11, 32, 32), _img(12, 32, 32), True))
+@example((_img(13, 42, 42, 1), _img(13, 42, 42, 1), True))
+@example((_img(14, 75, 9), _img(15, 75, 9), False))
+@given(_ssim_case())
+@settings(max_examples=150, deadline=None)
+def test_ssim_equals_the_reference_bit_for_bit(case):
+    x, y, want_grad = case
+    value, grad = ssim_with_grad(x, y, want_grad)
+    ref_value, ref_grad = ssim_reference.ssim_with_grad(x, y, want_grad)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    if not want_grad:
+        assert grad is None and ref_grad is None
+        return
+    assert grad.shape == x.shape and grad.tobytes() == ref_grad.tobytes()
+    if np.array_equal(x, y):
+        assert np.all(grad == 0.0)
