@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import VolumeFormatError
 from .imgfile import atomic_write, read_file, read_header
+from .renderer import _POOL, _pool_for, _shutdown_pools, _spans  # the one fork pool
 from .scene import ImageBuffer, _finite_vec3, _integer
 
 # one pool payload per started PIXEL_CHUNK pixels, but at most `workers`
@@ -253,7 +254,6 @@ def _field_of(vol: VoxelVolume, mu_water: float) -> tuple:
     """(`_mu_field(vol, mu_water)`, the fork pool's count of started
     executors when it was built). The field is built on the pair's first
     call and kept until vol dies."""
-    from .renderer import _POOL
     entry = _FIELDS.get(id(vol))
     if entry is None:
         entry = _FIELDS[id(vol)] = (weakref.ref(vol), {})
@@ -457,7 +457,6 @@ def render_drr(vol: VoxelVolume, geom: ProjectionGeometry,
     and its field from the memory it forked with. Workers that forked before
     the field was built are stopped first, so the map runs on workers forked
     after it."""
-    from .renderer import _POOL, _pool_for, _shutdown_pools, _spans  # the one fork pool
     cfg = cfg if cfg is not None else DrrConfig()
     H, W = geom.det_height, geom.det_width
     _, born = _field_of(vol, cfg.mu_water)

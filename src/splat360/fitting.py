@@ -21,10 +21,10 @@ patches over the fit hold at least as many pixels as the view, the pair
 sets of all its pixel blocks are built before the first iteration and kept
 until the fit returns: every patch and full view of it (the anchor depth, each
 full_eval_every evaluation and the final report) comes from them. A
-geometry fit, or a view visited less, builds each patch's own pairs and
-calls `render` for its full views. Either way patches and full views match
-`render` bit for bit, so a fit initialized at the scene that produced its
-targets measures a loss of exactly zero and no parameter moves.
+geometry fit, or a view visited less, builds each patch's own pairs, and
+each full view's block by block, as `render` does. Either way patches and
+full views match `render` bit for bit, so a fit initialized at the scene
+that produced its targets measures a loss of exactly zero and no parameter moves.
 """
 from __future__ import annotations
 
@@ -41,9 +41,9 @@ from .errors import CheckFailure, NumericFailure
 from .fusion import (MlpParams, _sigmoid, embed_camera, fuse_backward_batch,
                      fuse_forward_batch, init_mlp)
 from .metrics import psnr, ssim, ssim_with_grad
-from .renderer import (RenderConfig, _grid_pairs, _patch_backward,
+from .renderer import (RenderConfig, _pair_sets, _patch_backward,
                        _patch_forward, _ray_geometry, _render_sets, _tape_key,
-                       _view_grids, render)
+                       _view_grids)
 from .scene import (Camera, ImageBuffer, Scene, _integer, image_array,
                     make_orbit_cameras, make_random_scene)
 
@@ -55,6 +55,7 @@ ADAM_EPSILON = 1e-8
 ANCHOR_MIX = 0.5             # share of patches centered on an anchor
 FD_STEP = 1e-5  # central-difference step of every gradient check
 HEAD_PROBES = 12  # fusion-head weights with a gradient the patch check probes
+MU_STEP = 0.5  # the centres' Adam step per unit of lr, in scene radii
 
 
 @dataclass
@@ -208,13 +209,15 @@ class _Block:
     unconstrained values `theta` map onto `field` by `unpack(theta, moved,
     field)`, where a value none of whose parameters `moved` keeps its bits;
     `grad(out, theta)` is d loss / d theta from `_patch_backward`'s `out`,
-    of which it reads `out[name]` (cov reads `out["cov_inv"]`).
+    of which it reads `out[name]` (cov reads `out["cov_inv"]`). Adam steps
+    theta at `scale` times the fit's lr, as 3D Gaussian Splatting does.
     """
     name: str
     theta: np.ndarray
     field: object
     grad: Callable
     unpack: Callable
+    scale: float = 1.0
     state: tuple = (None, None, 0)
 
     def at(self, theta: np.ndarray, state: tuple | None = None) -> "_Block":
@@ -239,9 +242,11 @@ def _appearance_blocks(scene: Scene) -> list:
 
 
 def _geometry_blocks(scene: Scene) -> list:
-    """mu as it is, and cov through its log-eigenvalues s, cov = R diag(exp(2 s))
-    R^T, with the eigenvector frames R (`rot`) of the starting scene held
-    fixed: a splat's whole covariance is rebuilt when any of its s moved.
+    """mu as it is, in world units, so stepped at MU_STEP starting scene
+    radii per unit of lr, and cov through its log-eigenvalues s, cov = R
+    diag(exp(2 s)) R^T, with the eigenvector frames R (`rot`) of the
+    starting scene held fixed: a splat's whole covariance is rebuilt when
+    any of its s moved.
     d Sigma^-1 / d s_j = -2 exp(-2 s_j) R_j R_j^T, so cov's gradient is the
     contraction of the renderer's "cov_inv" with it."""
     sym_cov = 0.5 * (scene.cov + np.transpose(scene.cov, (0, 2, 1)))
@@ -260,7 +265,7 @@ def _geometry_blocks(scene: Scene) -> list:
         return np.where(moved.any(axis=1)[:, None, None], cov, field)
 
     return [_Block("mu", scene.mu, scene.mu, lambda out, th: out["mu"],
-                   _each(lambda th: th)),
+                   _each(lambda th: th), MU_STEP * scene.radius),
             _Block("cov", 0.5 * np.log(eigval), sym_cov, grad_cov, unpack_cov)]
 
 
@@ -294,20 +299,20 @@ def _patch_origin(rng: np.random.Generator, H: int, W: int, ph: int, pw: int,
 def _patch_step(scene: Scene, blocks: dict, cam: Camera, sets, rows: np.ndarray,
                 cols: np.ndarray, e_vec: np.ndarray | None, target: np.ndarray,
                 rcfg: RenderConfig, cfg: FitConfig):
-    """(loss, {block name: d loss / d theta}, work) of the patch rows x cols
-    of `scene`, whose fields are the `blocks`' own, against `target`.
+    """(loss, {block name: d loss / d theta}, the forward pass's `_Tape`) of
+    the patch rows x cols of `scene`, whose fields are the `blocks`' own,
+    against `target`.
 
     The one iteration body: `fit_scene` runs it once per iteration and
     steps each block by Adam, and `_patch_gradcheck` runs it at every point
     it probes, so the check differentiates the loss the fit does. `sets`
     hold the patch's pairs, and `e_vec` is the camera embedding the head
     holds fixed. The fusion head runs when `blocks` hold "head", and the
-    backward pass takes geometry when they hold "mu". `work` is the
-    forward pass's tape. Raises NumericFailure on a non-finite prediction
-    or loss.
+    backward pass takes geometry when they hold "mu". Raises NumericFailure
+    on a non-finite prediction or loss.
     """
     mlp = blocks["head"].field if "head" in blocks else None
-    colors, work = _patch_forward(scene, cam, rcfg, sets, rows, cols, mlp, e_vec,
+    colors, tape = _patch_forward(scene, cam, rcfg, sets, rows, cols, mlp, e_vec,
                                   tape=True)
     pred = _pred_for_loss(colors.reshape(target.shape), cfg)
     if not np.isfinite(pred).all():
@@ -315,8 +320,8 @@ def _patch_step(scene: Scene, blocks: dict, cam: Camera, sets, rows: np.ndarray,
     loss, gimg = composite_loss(pred, target, cfg.lambda_mse, cfg.lambda_ssim)
     if not math.isfinite(loss):
         raise NumericFailure("non-finite loss")
-    out = _patch_backward(work, rcfg, gimg.data.reshape(-1, 3), mlp, "mu" in blocks)
-    return loss, {name: b.grad(out, b.theta) for name, b in blocks.items()}, work
+    out = _patch_backward(tape, rcfg, gimg.data.reshape(-1, 3), mlp, "mu" in blocks)
+    return loss, {name: b.grad(out, b.theta) for name, b in blocks.items()}, tape
 
 
 def fit_scene(scene: Scene, targets, cfg: FitConfig,
@@ -359,17 +364,15 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
     keeps = [not cfg.optimize_geometry and len(range(v, cfg.iters, len(cams)))
              * min(side, cam.height) * min(side, cam.width) >= cam.height * cam.width
              for v, cam in enumerate(cams)]
-    view_sets = [
-        _grid_pairs(scene, cam, _view_grids(cam), geometry=_ray_geometry)
-        if keep else None
-        for cam, keep in zip(cams, keeps)]
+    view_sets = [list(_pair_sets(scene, cam, _view_grids(cam), geometry=_ray_geometry))
+                 if keep else None for cam, keep in zip(cams, keeps)]
 
     def full_view(view, scene, mlp):
         """`render(scene, cams[view], rcfg, mlp=mlp)`'s images."""
-        cam = cams[view]
-        if view_sets[view] is None:
-            return render(scene, cam, rcfg, workers=1, mlp=mlp)
-        return _render_sets(scene, cam, rcfg, mlp, view_sets[view])
+        cam, sets = cams[view], view_sets[view]
+        if sets is None:
+            sets = _pair_sets(scene, cam, _view_grids(cam), geometry=_ray_geometry)
+        return _render_sets(scene, cam, rcfg, mlp, sets)
 
     anchor_sets: list[AnchorSet | None]
     if "no_anchoring" in cfg.ablation:
@@ -378,6 +381,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         anchor_sets = [select_anchors(depth_gradient(full_view(v, scene, None)[1]))
                        for v in range(len(cams))]
 
+    step_cfgs = {name: replace(cfg, lr=cfg.lr * b.scale) for name, b in blocks.items()}
     rng = np.random.default_rng(cfg.seed)
     trace: list[float] = []
     full_evals: list = []
@@ -430,8 +434,8 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         e_vec = (None if live_mlp is None else
                  embed_camera(cam, cur_scene.center, cur_scene.radius,
                               live_mlp.d))
-        sets = (view_sets[view] if view_sets[view] is not None else
-                _grid_pairs(cur_scene, cam, [(rows, cols)], geometry=_ray_geometry))
+        sets = view_sets[view] if view_sets[view] is not None else list(
+            _pair_sets(cur_scene, cam, [(rows, cols)], geometry=_ray_geometry))
         tgt = targets_arr[view][r0:r0 + ph, c0:c0 + pw]
         try:
             loss, grads, _ = _patch_step(cur_scene, blocks, cam, sets, rows, cols,
@@ -439,7 +443,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         except NumericFailure as e:
             raise failure(f"{e} at iteration {it}") from e
         trace.append(loss)
-        blocks = {name: b.at(*adam_step(b.theta, grads[name], b.state, cfg))
+        blocks = {name: b.at(*adam_step(b.theta, grads[name], b.state, step_cfgs[name]))
                   for name, b in blocks.items()}
         live_mlp = blocks["head"].field if "head" in blocks else None
         cur_scene = _scene_of(scene, blocks.values())
@@ -588,11 +592,11 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
             """(loss, gradients, `_tape_key`) of `_patch_step` with the
             blocks `changed` in place of their own."""
             sc = _scene_of(start, changed)
-            loss, grads, work = _patch_step(
+            loss, grads, tape = _patch_step(
                 sc, base | {b.name: b for b in changed}, cam,
-                _grid_pairs(sc, cam, [(rows, cols)]), rows, cols, e_vec, tgt,
-                rcfg, cfg)
-            return loss, grads, _tape_key(work)
+                list(_pair_sets(sc, cam, [(rows, cols)])), rows, cols, e_vec,
+                tgt, rcfg, cfg)
+            return loss, grads, _tape_key(tape)
 
         _, grads, key = probe([])
         for name, blocks in sections.items():

@@ -26,19 +26,11 @@ in-place sort of int64 keys whose low bits carry each pair's index
 first two for each grid and keeps the result, with the grid's ray
 directions, as a `_PairSet`, in one layout whoever uses it. `render`
 builds one per block and composites it at once; `_render_sets` composites
-a view from the sets of its blocks that a caller kept, and
-`_patch_forward` a patch from its slices of one or more sets
-(`_patch_pairs`). A patch pixel matches the full image's bit for bit,
-and its gradients those of one call over every pair.
-`_patch_forward` hands the backward pass, `_patch_backward`, one work tuple
-that callers pass on unread: the scene, the kernel's `_Tape`, the fusion
-cache and the rays' origin and directions. Of the tape it reads each slot's
-splat, t, k, w, Tb and tw, its color or fused streams, f and cos, each
-ray's final_T, `ray` and `offsets` for the running sums along each ray,
-`count` to find each ray's last slot in `by_ray`, where its total is read,
-and `by_ray` to add each slot's products into its splat ray after ray;
-`_tape_key` reads n, Tb, by_ray and idx: each ray's composited splats,
-and of the fusion cache which of the head's hidden units each ray fires.
+a view from the sets of its blocks that a caller passes, kept or built as
+asked for, and `_patch_forward` a patch from its slices of one or more sets
+(`_patch_pairs`), returning the kernel's `_Tape` for `_patch_backward`. A
+patch pixel matches the full image's bit for bit, and its gradients those
+of one call over every pair.
 Each ray composites only its own live splats, ordered by t and then by
 splat index, so a ray's result does not depend on which other rays, or
 which dead pairs, share its call: a dead entry could only have added a
@@ -226,6 +218,11 @@ class _Tape:
     unless disentangled with anisotropy, `iso`/`aniso` None without fused
     streams (`aniso` also without anisotropy), whether or not any splat
     reaches a ray. When none does, every slot array is empty (N = 0).
+
+    It also carries the scene, the rays' direction components and, from
+    `_patch_forward`, their origin and the fusion head's cache (None without
+    the head). `_patch_backward` reads every field but n; `_tape_key` reads
+    n, Tb, by_ray, idx and which of the head's hidden units each ray fires.
     """
 
     idx: np.ndarray        # splat index of each slot
@@ -245,6 +242,10 @@ class _Tape:
     by_ray: np.ndarray     # the slots in ray-major order
     count: np.ndarray      # [P] slots of each ray
     n: np.ndarray          # [P] slots each ray composites
+    scene: Scene
+    dirs: tuple            # (dx, dy, dz), each [P]
+    origin: np.ndarray | None = None
+    cache: tuple | None = None
 
 
 def _ray_order(ray, sub, ts, P: int):
@@ -505,7 +506,8 @@ def _composite(scene, cfg: RenderConfig, live, dx, dy, dz,
                       tw=tw, final_T=final_T, f=f, cos=cos,
                       iso=tuple(values[4:7]) or None,
                       aniso=tuple(values[7:]) or None, ray=ray,
-                      offsets=offsets, by_ray=slot, count=count, n=n),)
+                      offsets=offsets, by_ray=slot, count=count, n=n,
+                      scene=scene, dirs=(dx, dy, dz)),)
     return out
 
 
@@ -684,12 +686,6 @@ def _pair_sets(scene, cam, grids, geometry=None):
     return (build(rows, cols) for rows, cols in grids)
 
 
-def _grid_pairs(scene, cam, grids, geometry=None) -> list[_PairSet]:
-    """`_pair_sets` as a list: every set is built within this call, which
-    is where a traced fit then counts the building."""
-    return list(_pair_sets(scene, cam, grids, geometry))
-
-
 def _patch_pairs(sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray):
     """`_composite`'s live tuple for the pixel grid rows x cols, and its
     rays' directions (dx, dy, dz), from `_PairSet`s whose grids tile a
@@ -741,9 +737,8 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
                    mlp: MlpParams | None, e_vec: np.ndarray | None,
                    tape: bool = False):
     """Colors [P,3] for the pixel grid rows x cols, rays in row-major order,
-    and with `tape` the work `_patch_backward` reads (else None): the
-    kernel's tape, the fusion cache, and the rays' origin and direction
-    components.
+    and with `tape` the kernel's `_Tape`, with cam's position and the fusion
+    cache in it, for `_patch_backward` (else None).
 
     `sets` are `_PairSet`s built for this scene's geometry whose grids tile
     a region holding the patch: the view's blocks, or the patch's own. The
@@ -761,11 +756,12 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
         colors, cache = fuse_forward_batch(
             fusion_input(streams[0], streams[1], e_vec, np.stack([dx, dy, dz], axis=1)),
             mlp, want_cache=True)
-    return colors, ((scene, streams[-1], cache, cam.position, (dx, dy, dz))
-                    if tape else None)
+    if tape:
+        streams[-1].origin, streams[-1].cache = cam.position, cache
+    return colors, streams[-1] if tape else None
 
 
-def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
+def _patch_backward(tp: _Tape, rcfg: RenderConfig, gpix: np.ndarray,
                     mlp: MlpParams | None, geometry: bool = False) -> dict:
     """Gradients of the patch loss, keyed by the `Scene` attribute each
     differentiates: "alpha" [G], "l_iso" [G,3], "l_aniso" [G,3] and "g" [G];
@@ -796,14 +792,14 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     sum of the latter, each entry once, and a caller that fits the covariance
     through its own parameters applies their chain rule to it.
     """
-    scene, tp, cache, origin, dirs = work
+    scene = tp.scene
     P, G = gpix.shape[0], scene.alpha.size
     ray = tp.ray
     out = {}
     # the pixel gradient at each slot, gathered once per channel: gi of the
     # isotropic color or stream, ga of the anisotropic one
     if mlp is not None:
-        out["head"], dX = fuse_backward_batch(cache, mlp, gpix)
+        out["head"], dX = fuse_backward_batch(tp.cache, mlp, gpix)
         gi = [dX[:, ch][ray] for ch in range(3)]
         dotc = gi[0] * tp.iso[0] + gi[1] * tp.iso[1] + gi[2] * tp.iso[2]
         if rcfg.anisotropy_enabled:
@@ -855,7 +851,7 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     out.update(alpha=dalpha, l_iso=dli, l_aniso=dla, g=dg)
     if geometry:
         gq = dw_s * (-0.5 * tp.w)            # dL/dq per slot
-        r = [(scene.mu[:, c][tp.idx] - origin[c]) - tp.ts * dirs[c][ray]
+        r = [(scene.mu[:, c][tp.idx] - tp.origin[c]) - tp.ts * tp.dirs[c][ray]
              for c in range(3)]
         gr = [gq * rc for rc in r]
         sr = [ray_sum(v) for v in gr]
@@ -869,18 +865,17 @@ def _patch_backward(work, rcfg: RenderConfig, gpix: np.ndarray,
     return out
 
 
-def _tape_key(work) -> tuple:
+def _tape_key(tp: _Tape) -> tuple:
     """Each ray's t-ordered composited splats, ray after ray with each ray's
     count `n`, and with the fusion head the hidden units each ray fires: the
     patch loss is smooth only while this stays the same, in geometry for the
     former and in any parameter for the latter, the head's ReLU kinks. The
     tape's slots past a ray's stop are the ones whose Tb is below
     TERMINATION_EPSILON."""
-    _, tp, cache, _, _ = work
     kept = tp.by_ray[tp.Tb[tp.by_ray] >= TERMINATION_EPSILON]
     key = (tp.n.tobytes(), tp.idx[kept].tobytes())
-    if cache is not None:
-        _, z1, _, z2, _, _ = cache
+    if tp.cache is not None:
+        _, z1, _, z2, _, _ = tp.cache
         key += (np.packbits(z1 > 0.0).tobytes(), np.packbits(z2 > 0.0).tobytes())
     return key
 
@@ -894,8 +889,8 @@ def _render_blocks(scene, cam, cfg, mlp, sets) -> list:
     (its rows are independent), with cam's embedding, and its output
     replaces the color. The kernel gets a set's pairs as their only
     reference, unless the caller keeps the set, so it frees those of a set
-    built as it is asked for (`render`'s) as it goes: held through the call,
-    they made a `render` frame about 4% slower.
+    built as it is asked for (`render`'s, a fit's unkept views') as it goes:
+    held through the call, they made a `render` frame about 4% slower.
     """
     e_vec = (None if mlp is None else
              embed_camera(cam, scene.center, scene.radius, mlp.d))
@@ -1021,5 +1016,5 @@ def render(scene: Scene, cam: Camera, cfg: RenderConfig | None = None,
 def _render_sets(scene: Scene, cam: Camera, cfg: RenderConfig, mlp, sets):
     """`render(scene, cam, cfg, mlp=mlp)`'s images, bit for bit, composited
     from `sets`: the `_PairSet`s of cam's `_view_grids`, built for scene's
-    geometry (an appearance-only fit's kept sets)."""
+    geometry, an appearance-only fit's kept sets or `_pair_sets`' iterator."""
     return _view_images(cam, _render_blocks(scene, cam, cfg, mlp, sets))

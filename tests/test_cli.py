@@ -20,7 +20,7 @@ from splat360 import (Camera, RenderConfig, cli, fitting, init_mlp, load_mlp,
                       save_pfm, save_scene, save_volume)
 from splat360.cli import main
 from splat360.fusion import MlpParams
-from splat360.renderer import _grid_pairs, _patch_forward, _shutdown_pools, _tape_key
+from splat360.renderer import _pair_sets, _patch_forward, _shutdown_pools, _tape_key
 from splat360.scene import load_camera_json
 
 
@@ -582,7 +582,7 @@ def test_tape_key_sees_a_t_order_swap(depth1, flips):
     def key_at(z0):
         scene = make_scene(mu=[(-0.05, 0.0, z0), (0.05, 0.0, depth1)], alpha=0.5)
         return _tape_key(_patch_forward(
-            scene, cam, rcfg, _grid_pairs(scene, cam, [(one, one)]), one, one,
+            scene, cam, rcfg, list(_pair_sets(scene, cam, [(one, one)])), one, one,
             None, None, tape=True)[1])
 
     assert key_at(1.0 - 1e-5) == key_at(1.0)
@@ -597,16 +597,16 @@ def test_tape_key_sees_a_head_unit_turn_on():
     one = np.zeros(1)
     mlp = init_mlp(d=16, seed=0)
 
-    def work(bias):
+    def tape(bias):
         b1 = mlp.biases[0].copy()
         b1[0] = bias
         head = MlpParams(mlp.d, mlp.seed, mlp.weights, (b1, *mlp.biases[1:]))
         return _patch_forward(scene, cam, RenderConfig(),
-                              _grid_pairs(scene, cam, [(one, one)]), one, one,
+                              list(_pair_sets(scene, cam, [(one, one)])), one, one,
                               head, np.full(16, 0.1), tape=True)[1]
 
-    z = work(0.0)[2][1][0, 0]  # unit 0's input on the ray, less its bias
-    keys = [_tape_key(work(h - z)) for h in (-2e-6, -1e-6, 1e-6)]
+    z = tape(0.0).cache[1][0, 0]  # unit 0's input on the ray, less its bias
+    keys = [_tape_key(tape(h - z)) for h in (-2e-6, -1e-6, 1e-6)]
     assert keys[0] == keys[1] != keys[2]
 
 
@@ -618,15 +618,15 @@ def test_tape_key_sees_which_ray_holds_which_splats():
     rows, cols = np.zeros(1), np.arange(2.0)
     d = np.stack(cam.pixel_dirs(rows[:, None], cols[None, :]), axis=-1)[0]
 
-    def work(first, second):
+    def tape(first, second):
         mu = [1.0 * d[first], 1.5 * d[first], 1.0 * d[second]]
         scene = make_scene(mu=mu, sigma=0.01, alpha=0.5)
         return _patch_forward(scene, cam, RenderConfig(),
-                              _grid_pairs(scene, cam, [(rows, cols)]), rows, cols,
+                              list(_pair_sets(scene, cam, [(rows, cols)])), rows, cols,
                               None, None, tape=True)[1]
 
-    a, b = work(0, 1), work(1, 0)
-    assert a[1].idx.tobytes() == b[1].idx.tobytes()
+    a, b = tape(0, 1), tape(1, 0)
+    assert a.idx.tobytes() == b.idx.tobytes()
     assert _tape_key(a) != _tape_key(b)
 
 
@@ -639,14 +639,14 @@ def test_tape_key_sees_a_moved_termination():
     one = np.zeros(1)
     mu = [(0.0, 0.0, 1.0 + 0.1 * i) for i in range(12)]
 
-    def work(alpha0):
+    def tape(alpha0):
         scene = make_scene(mu=mu, sigma=0.01, alpha=[alpha0] + [0.5] * 11)
         return _patch_forward(scene, cam, RenderConfig(),
-                              _grid_pairs(scene, cam, [(one, one)]), one, one,
+                              list(_pair_sets(scene, cam, [(one, one)])), one, one,
                               None, None, tape=True)[1]
 
-    a, b = work(0.5), work(0.4)
-    assert [w[1].n.tolist() for w in (a, b)] == [[10], [11]]
+    a, b = tape(0.5), tape(0.4)
+    assert [t.n.tolist() for t in (a, b)] == [[10], [11]]
     assert _tape_key(a) != _tape_key(b)
 
 

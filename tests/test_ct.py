@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from splat360 import (DrrConfig, ProjectionGeometry, VolumeFormatError,
                       VoxelVolume, hu_to_mu, load_volume,
                       make_sphere_phantom, render_drr, save_volume)
-from splat360 import ct, renderer
+from splat360 import ct
 from splat360.ct import AIR_HU, _line_integrals, _mu_field
 from splat360.renderer import _shutdown_pools
 
@@ -463,7 +463,7 @@ def test_drr_worker_bit_identity():
 
 
 class _PayloadSizes:
-    """Stands in for the pool `renderer._pool_for` returns and records the
+    """Stands in for the pool `ct._pool_for` returns and records the
     pickled size of every payload it maps."""
 
     def __init__(self, pool, sizes):
@@ -480,7 +480,7 @@ def test_projections_build_the_field_once_and_ship_no_volume(monkeypatch):
     geom = _sphere_geometry(vol, 65)  # two pixel chunks, so a pool of two
     one = render_drr(vol, geom, DrrConfig(mu_water=0.03), workers=1)
     parent, built, sizes = os.getpid(), [], []
-    real_field, real_pool_for = ct._mu_field, renderer._pool_for
+    real_field, real_pool_for = ct._mu_field, ct._pool_for
 
     def counted(v, mu_water):
         assert os.getpid() == parent, "a pool worker built a field"
@@ -488,7 +488,7 @@ def test_projections_build_the_field_once_and_ship_no_volume(monkeypatch):
         return real_field(v, mu_water)
 
     monkeypatch.setattr(ct, "_mu_field", counted)
-    monkeypatch.setattr(renderer, "_pool_for",
+    monkeypatch.setattr(ct, "_pool_for",
                         lambda size: _PayloadSizes(real_pool_for(size), sizes))
     cfg = DrrConfig(mu_water=0.02)
     first = render_drr(vol, geom, cfg, workers=2)
