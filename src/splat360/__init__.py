@@ -27,7 +27,7 @@ from .ct import (
 from .anchors import (
     AnchorPoint, AnchorSet, depth_gradient, select_anchors,
     sample_anchor_indices,
-    anchor_set_to_json, anchor_set_from_json,
+    anchor_set_to_json,
 )
 from .fusion import (
     MlpParams, embed_camera, init_mlp,

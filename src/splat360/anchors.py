@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
-from .imgfile import parse_json
-from .scene import ImageBuffer, _finite_number, _integer, image_array
+from .scene import ImageBuffer, image_array
 
 DEFAULT_K = 64
 DEFAULT_SUPPRESSION_RADIUS = 5.0
@@ -142,30 +140,3 @@ def anchor_set_to_json(aset: AnchorSet) -> str:
     }
     return json.dumps(doc, indent=1) + "\n"
 
-
-def _pixel_index(v, name: str) -> int:
-    i = _integer(v, name)
-    if i < 0:
-        raise ValueError(f"{name} must be >= 0, got {i}")
-    return i
-
-
-def _real(v, name: str) -> float:
-    if not _finite_number(v):
-        raise ValueError(f"{name} must be a finite number, got {v!r}")
-    return float(v)
-
-
-def anchor_set_from_json(text: str) -> AnchorSet:
-    """The `AnchorSet` of an anchor JSON document: "row" and "col" are
-    non-negative integers, "grad", "prob" and "beta" finite numbers, and a
-    boolean is neither."""
-    doc = parse_json(text, FormatError, "anchor JSON")
-    try:
-        anchors = tuple(AnchorPoint(_pixel_index(a["row"], "row"),
-                                    _pixel_index(a["col"], "col"),
-                                    _real(a["grad"], "grad"), _real(a["prob"], "prob"))
-                        for a in doc["anchors"])
-        return AnchorSet(anchors, _real(doc["beta"], "beta"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"bad anchor JSON structure: {e}") from e

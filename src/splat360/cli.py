@@ -223,7 +223,7 @@ def cmd_drr(args) -> int:
 
 def _load_targets(targets_dir: str):
     """(Camera, image, image file, camera file) of each frame_XXX.camera.json
-    + frame_XXX.pfm/.ppm, and whether any image is a .pfm."""
+    + frame_XXX.pfm/.ppm."""
     try:
         names = sorted(n for n in os.listdir(targets_dir)
                        if n.endswith(".camera.json"))
@@ -244,19 +244,18 @@ def _load_targets(targets_dir: str):
         if img.shape[2] == 1:
             img = np.repeat(img, 3, axis=2)
         pairs.append((cam, img, used, cam_file))
-    return pairs, any(p[2].endswith(".pfm") for p in pairs)
+    return pairs
 
 
 def cmd_fit(args) -> int:
     scene = load_scene(args.scene)
-    pairs, any_pfm = _load_targets(args.targets)
+    pairs = _load_targets(args.targets)
     ablation = frozenset(p for p in (args.ablation or "").split(",") if p)
     cfg = FitConfig(lr=args.lr, iters=args.iters, lambda_mse=args.lambda_mse,
                     lambda_ssim=args.lambda_ssim,
                     optimize_geometry=args.optimize_geometry,
                     ablation=ablation, seed=args.seed,
-                    lr_halve_every=args.halve_every,
-                    target_dtype="float32" if any_pfm else "float64")
+                    lr_halve_every=args.halve_every)
     mlp = None
     if args.mlp:
         mlp = load_mlp(args.mlp)
@@ -288,8 +287,7 @@ def cmd_fit(args) -> int:
         if args.mlp:
             inputs.append(args.mlp)
         run.manifest(args, inputs, target_files=target_files,
-                     rays_per_step=cfg.rays_per_step,
-                     target_dtype=cfg.target_dtype)
+                     rays_per_step=cfg.rays_per_step)
     print("\n".join(lines))
     print(f"final loss {report.final_loss:.6e} after {report.iterations} iterations "
           f"({report.seconds:.1f}s)")

@@ -70,7 +70,6 @@ class FitConfig:
     seed: int = 0
     rays_per_step: int = 4096
     full_eval_every: int = 100
-    target_dtype: str = "float64"
 
     def __post_init__(self):
         self.ablation = frozenset(self.ablation)
@@ -94,8 +93,6 @@ class FitConfig:
         if bad:
             raise ValueError(f"unknown ablation flags {sorted(bad)}; "
                              f"known: {list(ABLATIONS)}")
-        if self.target_dtype not in ("float64", "float32"):
-            raise ValueError("target_dtype must be 'float64' or 'float32'")
 
 
 @dataclass
@@ -108,12 +105,15 @@ class FitReport:
     final_loss: float
 
 
-def _pred_for_loss(arr: np.ndarray, cfg: FitConfig) -> np.ndarray:
-    # targets decoded from 32-bit image files are compared in that precision,
-    # so a fit started at the scene that produced them measures exactly zero
-    if cfg.target_dtype == "float32":
-        return arr.astype(np.float32).astype(np.float64)
-    return arr
+def _in_float32(target: np.ndarray) -> bool:
+    """Whether every value of `target` equals its float32 rounding; a value
+    beyond float32's range rounds to inf and so does not."""
+    with np.errstate(over="ignore"):
+        return bool((target.astype(np.float32) == target).all())
+
+
+def _pred_for_loss(arr: np.ndarray, in_float32: bool) -> np.ndarray:
+    return arr.astype(np.float32).astype(np.float64) if in_float32 else arr
 
 
 def composite_loss(pred, target, lambda_mse: float = 1.0,
@@ -298,10 +298,10 @@ def _patch_origin(rng: np.random.Generator, H: int, W: int, ph: int, pw: int,
 
 def _patch_step(scene: Scene, blocks: dict, cam: Camera, sets, rows: np.ndarray,
                 cols: np.ndarray, e_vec: np.ndarray | None, target: np.ndarray,
-                rcfg: RenderConfig, cfg: FitConfig):
+                in_float32: bool, rcfg: RenderConfig, cfg: FitConfig):
     """(loss, {block name: d loss / d theta}, the forward pass's `_Tape`) of
     the patch rows x cols of `scene`, whose fields are the `blocks`' own,
-    against `target`.
+    against `target`, compared in float32 when `in_float32` (`fit_scene`).
 
     The one iteration body: `fit_scene` runs it once per iteration and
     steps each block by Adam, and `_patch_gradcheck` runs it at every point
@@ -312,9 +312,8 @@ def _patch_step(scene: Scene, blocks: dict, cam: Camera, sets, rows: np.ndarray,
     on a non-finite prediction or loss.
     """
     mlp = blocks["head"].field if "head" in blocks else None
-    colors, tape = _patch_forward(scene, cam, rcfg, sets, rows, cols, mlp, e_vec,
-                                  tape=True)
-    pred = _pred_for_loss(colors.reshape(target.shape), cfg)
+    colors, tape = _patch_forward(scene, cam, rcfg, sets, rows, cols, mlp, e_vec)
+    pred = _pred_for_loss(colors.reshape(target.shape), in_float32)
     if not np.isfinite(pred).all():
         raise NumericFailure("non-finite prediction")
     loss, gimg = composite_loss(pred, target, cfg.lambda_mse, cfg.lambda_ssim)
@@ -328,7 +327,12 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
               mlp: MlpParams | None = None):
     """Fit appearance (and optionally geometry / MLP) to target images.
 
-    targets: list of (Camera, ImageBuffer or HxWx3 array). Returns
+    targets: list of (Camera, ImageBuffer or HxWx3 array). A view whose
+    every target value equals its float32 rounding, as a decoded PFM's
+    values do, is compared in float32: its patch predictions and full
+    renders are rounded to float32 first, so a fit started at the scene
+    that produced such targets measures exactly zero. Any other view is
+    compared in float64. Returns
     (fitted scene, fitted MlpParams or None, FitReport). Raises NumericFailure
     (with .report carrying progress so far) if a patch prediction, a loss or
     a full-view render turns non-finite, or a covariance turns singular.
@@ -342,6 +346,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
 
     cams: list[Camera] = []
     targets_arr: list[np.ndarray] = []
+    in_float32: list[bool] = []
     for cam, img in targets:
         arr = image_array(img)
         if arr.shape != (cam.height, cam.width, 3):
@@ -350,6 +355,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
                 f"{cam.height}x{cam.width}x3")
         cams.append(cam)
         targets_arr.append(arr)
+        in_float32.append(_in_float32(arr))
 
     blocks = {b.name: b for b in _appearance_blocks(scene)
               + (_geometry_blocks(scene) if cfg.optimize_geometry else [])
@@ -406,7 +412,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         for view, tgt in enumerate(targets_arr):
             try:
                 img, _, _ = full_view(view, scene, mlp)
-                pred = _pred_for_loss(img.data, cfg)
+                pred = _pred_for_loss(img.data, in_float32[view])
                 # composite_loss's terms, keeping the SSIM for the report
                 loss, _ = composite_loss(pred, tgt, cfg.lambda_mse, 0.0,
                                          want_grad=False)
@@ -439,7 +445,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         tgt = targets_arr[view][r0:r0 + ph, c0:c0 + pw]
         try:
             loss, grads, _ = _patch_step(cur_scene, blocks, cam, sets, rows, cols,
-                                         e_vec, tgt, rcfg, cfg)
+                                         e_vec, tgt, in_float32[view], rcfg, cfg)
         except NumericFailure as e:
             raise failure(f"{e} at iteration {it}") from e
         trace.append(loss)
@@ -572,6 +578,7 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
     cam = make_orbit_cameras(scene.center, 0.8, 1, 0.2, "ring", 32, 16, 1.1)[0]
     rcfg, cfg = RenderConfig(), FitConfig()
     tgt = np.clip(np.random.default_rng(seed + 2).random((16, 32, 3)), 0, 1)
+    tgt_in_float32 = _in_float32(tgt)  # decided as `fit_scene` decides
     rows = np.arange(16, dtype=np.float64)
     cols = np.arange(32, dtype=np.float64)
     head = init_mlp(d=16, seed=seed + 3)
@@ -595,7 +602,7 @@ def _patch_gradcheck(seed: int, tol: float) -> dict:
             loss, grads, tape = _patch_step(
                 sc, base | {b.name: b for b in changed}, cam,
                 list(_pair_sets(sc, cam, [(rows, cols)])), rows, cols, e_vec,
-                tgt, rcfg, cfg)
+                tgt, tgt_in_float32, rcfg, cfg)
             return loss, grads, _tape_key(tape)
 
         _, grads, key = probe([])

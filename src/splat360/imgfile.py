@@ -8,8 +8,8 @@ integrals, and fit targets. Both round-trip byte-identically.
 Every file this package writes goes through `atomic_write` (temp file +
 rename), and each on-disk grammar has one reader here: `read_netpbm` for the
 PPM and PFM headers and payloads, `read_header` for `key=value` headers (the
-volume header, the fusion head's params file) and `parse_json` for scene,
-camera and anchor JSON. Each reader raises only its caller's FormatError
+volume header, the fusion head's params file) and `parse_json` for scene
+and camera JSON. Each reader raises only its caller's FormatError
 subclass, so every loader fails only with FormatError.
 """
 from __future__ import annotations

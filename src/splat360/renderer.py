@@ -734,11 +734,10 @@ def _patch_pairs(sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray):
 
 def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
                    sets: list[_PairSet], rows: np.ndarray, cols: np.ndarray,
-                   mlp: MlpParams | None, e_vec: np.ndarray | None,
-                   tape: bool = False):
+                   mlp: MlpParams | None, e_vec: np.ndarray | None):
     """Colors [P,3] for the pixel grid rows x cols, rays in row-major order,
-    and with `tape` the kernel's `_Tape`, with cam's position and the fusion
-    cache in it, for `_patch_backward` (else None).
+    and the kernel's `_Tape`, with cam's position and the fusion cache in it,
+    for `_patch_backward`.
 
     `sets` are `_PairSet`s built for this scene's geometry whose grids tile
     a region holding the patch: the view's blocks, or the patch's own. The
@@ -750,15 +749,14 @@ def _patch_forward(scene: Scene, cam: Camera, rcfg: RenderConfig,
     """
     live, (dx, dy, dz) = _patch_pairs(sets, rows, cols)
     colors, _, _, *streams = _composite(
-        scene, rcfg, live, dx, dy, dz, fused_streams=mlp is not None, tape=tape)
+        scene, rcfg, live, dx, dy, dz, fused_streams=mlp is not None, tape=True)
     cache = None
     if mlp is not None:
         colors, cache = fuse_forward_batch(
             fusion_input(streams[0], streams[1], e_vec, np.stack([dx, dy, dz], axis=1)),
             mlp, want_cache=True)
-    if tape:
-        streams[-1].origin, streams[-1].cache = cam.position, cache
-    return colors, streams[-1] if tape else None
+    streams[-1].origin, streams[-1].cache = cam.position, cache
+    return colors, streams[-1]
 
 
 def _patch_backward(tp: _Tape, rcfg: RenderConfig, gpix: np.ndarray,

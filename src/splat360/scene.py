@@ -18,6 +18,8 @@ Every image, whatever it holds (radiance, depth, transmittance, DRR output,
 a loss gradient), is an H x W x C float64 array with C 1 or 3 and every value
 finite. `image_array` is the one check of that convention; a function that
 takes an image calls it, and an ImageBuffer holds an array that passed it.
+That array stays writable, so `image_array` checks a buffer's array on every
+read, as it checks any other.
 """
 from __future__ import annotations
 
@@ -264,9 +266,7 @@ def image_array(a) -> np.ndarray:
     A 2-D array reads as one channel. Raises ValueError unless C is 1 or 3
     and every value is finite.
     """
-    if isinstance(a, ImageBuffer):
-        return a.data
-    arr = np.asarray(a, dtype=np.float64)
+    arr = np.asarray(a.data if isinstance(a, ImageBuffer) else a, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3 or arr.shape[2] not in (1, 3):
@@ -279,7 +279,8 @@ def image_array(a) -> np.ndarray:
 @dataclass
 class ImageBuffer:
     """An image that passed `image_array`: H x W x C float64, C 1 or 3,
-    every value finite. What it holds is up to the function that made it."""
+    every value finite. What it holds is up to the function that made it.
+    `data` stays writable, so `image_array` checks it again on every read."""
 
     data: np.ndarray
 

@@ -1,4 +1,5 @@
 """Depth-gradient anchors: gradient op, suppression, sampling statistics."""
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from splat360 import (anchor_set_from_json, anchor_set_to_json, depth_gradient,
+from splat360 import (AnchorPoint, AnchorSet, anchor_set_to_json, depth_gradient,
                       sample_anchor_indices, select_anchors)
 
 
@@ -208,13 +209,17 @@ def test_sampling_deterministic():
     assert not np.array_equal(a, sample_anchor_indices(aset, 100, seed=43))
 
 
-def test_anchor_json_round_trip():
+@pytest.mark.parametrize("probs", [[0.5, 0.6], [float("nan"), 1.0],
+                                   [1.0, float("nan")]])
+def test_anchor_probs_must_sum_to_one(probs):
+    with pytest.raises(ValueError, match="sum to 1"):
+        AnchorSet([AnchorPoint(i, i, 1.0, p) for i, p in enumerate(probs)], 1.0)
+
+
+def test_anchor_json_holds_every_anchor_bit_for_bit():
     g = np.random.default_rng(6).random((9, 9))
     aset = select_anchors(g, k=4, suppression_radius=1.0, beta=1.5)
-    text = anchor_set_to_json(aset)
-    back = anchor_set_from_json(text)
-    assert back.beta == aset.beta
-    assert len(back.anchors) == len(aset.anchors)
-    for x, y in zip(back.anchors, aset.anchors):
-        assert (x.row, x.col) == (y.row, y.col)
-        assert x.grad_mag == y.grad_mag and x.prob == y.prob
+    doc = json.loads(anchor_set_to_json(aset))
+    assert doc["beta"] == aset.beta
+    assert doc["anchors"] == [{"row": a.row, "col": a.col, "grad": a.grad_mag,
+                               "prob": a.prob} for a in aset.anchors]

@@ -209,7 +209,7 @@ _RESOLVED = {
     "render": {"workers"}, "anchors": {"workers"}, "metrics": set(),
     "drr": {"workers", "source", "detector_center", "detector_u",
             "detector_v", "det_width", "det_height"},
-    "fit": {"target_files", "rays_per_step", "target_dtype"},
+    "fit": {"target_files", "rays_per_step"},
 }
 
 
@@ -301,6 +301,19 @@ def test_fit_self_targets_reports_zero(tmp_path, scene_file, capsys):
     assert fitted == Path(scene_file).read_bytes()
     per_view = Path(fdir, "per_view.txt").read_text()
     assert "99.0" in per_view
+
+
+def test_each_target_file_decides_its_own_precision(tmp_path, scene_file):
+    # a .ppm view beside a .pfm view is compared in float64: its decoded
+    # values are no float32s, and a sibling's file type no longer decides
+    tdir = tmp_path / "targets"
+    assert main(["render", "--scene", scene_file, "--out", str(tdir),
+                 "--orbit", "ring:2", "--width", "16", "--height", "16",
+                 "--float-color"]) == 0
+    (tdir / "frame_001.pfm").unlink()
+    pairs = cli._load_targets(str(tdir))
+    assert [Path(p[2]).name for p in pairs] == ["frame_000.pfm", "frame_001.ppm"]
+    assert [fitting._in_float32(p[1]) for p in pairs] == [True, False]
 
 
 @pytest.mark.parametrize("kind", ["missing", "file"])
@@ -529,7 +542,7 @@ def test_gradcheck_sees_the_fits_loss_path(monkeypatch):
     # rendered one makes every analytic gradient 1% wrong and fails it
     real = fitting._pred_for_loss
     monkeypatch.setattr(fitting, "_pred_for_loss",
-                        lambda arr, cfg: 1.01 * real(arr, cfg))
+                        lambda arr, in_float32: 1.01 * real(arr, in_float32))
     assert main(["gradcheck", "--draws", "1", "--seed", "0"]) == 5
 
 
@@ -583,7 +596,7 @@ def test_tape_key_sees_a_t_order_swap(depth1, flips):
         scene = make_scene(mu=[(-0.05, 0.0, z0), (0.05, 0.0, depth1)], alpha=0.5)
         return _tape_key(_patch_forward(
             scene, cam, rcfg, list(_pair_sets(scene, cam, [(one, one)])), one, one,
-            None, None, tape=True)[1])
+            None, None)[1])
 
     assert key_at(1.0 - 1e-5) == key_at(1.0)
     assert (key_at(1.0 + 1e-5) != key_at(1.0)) == flips
@@ -603,7 +616,7 @@ def test_tape_key_sees_a_head_unit_turn_on():
         head = MlpParams(mlp.d, mlp.seed, mlp.weights, (b1, *mlp.biases[1:]))
         return _patch_forward(scene, cam, RenderConfig(),
                               list(_pair_sets(scene, cam, [(one, one)])), one, one,
-                              head, np.full(16, 0.1), tape=True)[1]
+                              head, np.full(16, 0.1))[1]
 
     z = tape(0.0).cache[1][0, 0]  # unit 0's input on the ray, less its bias
     keys = [_tape_key(tape(h - z)) for h in (-2e-6, -1e-6, 1e-6)]
@@ -623,7 +636,7 @@ def test_tape_key_sees_which_ray_holds_which_splats():
         scene = make_scene(mu=mu, sigma=0.01, alpha=0.5)
         return _patch_forward(scene, cam, RenderConfig(),
                               list(_pair_sets(scene, cam, [(rows, cols)])), rows, cols,
-                              None, None, tape=True)[1]
+                              None, None)[1]
 
     a, b = tape(0, 1), tape(1, 0)
     assert a.idx.tobytes() == b.idx.tobytes()
@@ -643,7 +656,7 @@ def test_tape_key_sees_a_moved_termination():
         scene = make_scene(mu=mu, sigma=0.01, alpha=[alpha0] + [0.5] * 11)
         return _patch_forward(scene, cam, RenderConfig(),
                               list(_pair_sets(scene, cam, [(one, one)])), one, one,
-                              None, None, tape=True)[1]
+                              None, None)[1]
 
     a, b = tape(0.5), tape(0.4)
     assert [t.n.tolist() for t in (a, b)] == [[10], [11]]

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,8 +152,6 @@ def test_config_validation():
         FitConfig(lr=0.0)
     with pytest.raises(ValueError):
         FitConfig(iters=0)
-    with pytest.raises(ValueError):
-        FitConfig(target_dtype="float16")
     # a negative seed would fail only once the anchors are rendered, and a
     # negative full_eval_every would evaluate every |n| iterations
     with pytest.raises(ValueError, match="seed"):
@@ -336,6 +335,51 @@ def test_fit_mixed_resolution_targets(small_random_scene):
     assert report.final_loss == 0.0
 
 
+@pytest.mark.parametrize("rounded", [{0, 1}, {0}], ids=["every_view", "one_view"])
+def test_fit_on_float32_valued_targets_is_exact_zero(small_random_scene, rounded):
+    # a view whose every value is a float32 is compared in float32, so a fit
+    # started at the scene that rendered it measures exactly zero though
+    # nothing marks the targets as decoded from 32-bit files; each view
+    # decides for itself, so a float64 render beside it stays exact too
+    s = small_random_scene
+    targets = [(cam, img.data.astype(np.float32).astype(np.float64) if v in rounded
+                else img)
+               for v, (cam, img) in enumerate(_self_targets(s, _views(s), RenderConfig()))]
+    fitted, _, report = fit_scene(s, targets, FitConfig(iters=4))
+    assert report.trace == [0.0] * 4
+    assert report.final_loss == 0.0
+    assert scene_to_json(fitted) == scene_to_json(s)
+
+
+def test_a_value_beyond_float32_range_decides_float64(small_random_scene):
+    s = small_random_scene
+    (_, color), = _self_targets(s, _views(s, n=1), RenderConfig())
+    tgt = color.data.astype(np.float32).astype(np.float64)
+    assert fitting._in_float32(tgt)
+    assert not fitting._in_float32(color.data)
+    tgt[2, 3, 0] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not fitting._in_float32(tgt)
+
+
+@pytest.mark.parametrize("value,in_float32", [
+    (float(np.finfo(np.float32).max), True), (2.0 ** -149, True), (-0.0, True),
+    (2.0 ** -150, False), (1.0 + 2.0 ** -52, False), (0.1, False),
+    (2.0 ** 128, False), (-1e300, False)],
+    ids=["float32_max", "least_float32_subnormal", "negative_zero",
+         "half_the_least_subnormal", "one_ulp_above_one", "a_tenth",
+         "past_float32_max", "minus_1e300"])
+def test_one_value_decides_a_targets_precision(value, in_float32):
+    # every other value is a float32, so this one decides; a value that
+    # rounds to 0 or to inf as float32 is not one, and raises no warning
+    tgt = np.full((2, 3, 3), 0.5)
+    tgt[1, 2, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fitting._in_float32(tgt) is in_float32
+
+
 def test_fit_dual_branch_ablation_drops_mlp(small_random_scene):
     rcfg = RenderConfig()
     cams = _views(small_random_scene, n=1)
@@ -384,7 +428,7 @@ def test_patch_no_splat_reaches(small_random_scene, with_mlp):
     rcfg = RenderConfig()
     rows = cols = np.arange(8, dtype=np.float64)
     colors, tape = _patch_forward(s, cam, rcfg, list(_pair_sets(s, cam, [(rows, cols)])),
-                                  rows, cols, mlp, e_vec, tape=True)
+                                  rows, cols, mlp, e_vec)
     if not with_mlp:
         assert np.array_equal(colors, np.broadcast_to(s.background, (64, 3)))
     gpix = np.random.default_rng(0).standard_normal((64, 3))
@@ -433,7 +477,7 @@ def test_splats_behind_the_camera_change_no_patch_bit(seed, extra, with_mlp):
     for sc in (s, grown):
         colors, tape = _patch_forward(sc, cam, rcfg,
                                       list(_pair_sets(sc, cam, [(rows, cols)])),
-                                      rows, cols, mlp, e_vec, tape=True)
+                                      rows, cols, mlp, e_vec)
         outs.append((colors, _patch_backward(tape, rcfg, gpix, mlp, geometry=True)))
     (c0, grads0), (c1, grads1) = outs
     G = s.alpha.size
@@ -541,8 +585,7 @@ def test_tiled_patch_matches_render_and_a_dense_tape(case):
             for r in range(0, 48, tile) for c in range(0, 48, tile)]
     for grids in ([(rows, cols)], blocks, view):
         sets = list(_pair_sets(s, cam, grids))
-        colors, tape = _patch_forward(s, cam, rcfg, sets, rows, cols, mlp,
-                                      e_vec, tape=True)
+        colors, tape = _patch_forward(s, cam, rcfg, sets, rows, cols, mlp, e_vec)
         assert colors.tobytes() == dense_colors.tobytes()
         assert tape.idx.dtype == np.intp
         _assert_same_tape(tape, dense_tape)

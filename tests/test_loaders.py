@@ -1,6 +1,5 @@
 """Every file loader fails only with FormatError: known defects, then fuzzing."""
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splat360 import (FormatError, ParamsFormatError, SceneFormatError,
-                      anchor_set_from_json, fusion, load_mlp, load_pfm, load_ppm,
-                      load_scene, load_volume, make_random_scene,
-                      make_sphere_phantom, save_scene, save_volume)
+                      fusion, load_mlp, load_pfm, load_ppm, load_scene,
+                      load_volume, make_random_scene, make_sphere_phantom,
+                      save_scene, save_volume)
 from splat360.cli import EXIT_FORMAT, main
 from splat360.scene import camera_to_doc, load_camera_json, make_orbit_cameras
 
@@ -130,49 +129,11 @@ def test_pfm_non_finite_image(tmp_path, scale, value):
         load_pfm(_write(tmp_path / "x.pfm", data))
 
 
-@pytest.mark.parametrize("probs", [[0.5, 0.6], [float("nan"), 1.0],
-                                   [1.0, float("nan")]])
-def test_anchor_probs_must_sum_to_one(probs):
-    doc = {"anchors": [{"row": i, "col": i, "grad": 1.0, "prob": p}
-                       for i, p in enumerate(probs)], "beta": 1.0}
-    with pytest.raises(FormatError):
-        anchor_set_from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize("field, value", [
-    ("row", "3"), ("col", 1.7), ("col", True), ("row", -4), ("col", -1),
-    ("row", None), ("grad", "1"), ("prob", "1"), ("grad", True),
-    ("grad", False), ("beta", "2"), ("beta", True), ("beta", 10 ** 400)])
-def test_anchor_fields_take_only_their_json_type(field, value):
-    # int() and float() took strings, fractions and booleans as pixel indices
-    # and numbers, and a negative row or column passed
-    doc = {"anchors": [{"row": 2, "col": 5, "grad": 0.5, "prob": 1.0}], "beta": 1.0}
-    (doc if field == "beta" else doc["anchors"][0])[field] = value
-    with pytest.raises(FormatError):
-        anchor_set_from_json(json.dumps(doc))
-
-
-def test_anchor_json_of_the_known_defect_is_refused():
-    text = ('{"anchors": [{"row": "3", "col": 1.7, "grad": "1", "prob": "1"}, '
-            '{"row": -4, "col": true, "grad": 0, "prob": 0}], "beta": "2"}')
-    with pytest.raises(FormatError):
-        anchor_set_from_json(text)
-
-
-def test_anchor_json_takes_integral_numbers_as_numbers():
-    doc = {"anchors": [{"row": 0, "col": 7, "grad": 2, "prob": 1}], "beta": -1}
-    aset = anchor_set_from_json(json.dumps(doc))
-    a = aset.anchors[0]
-    assert (a.row, a.col, a.grad_mag, a.prob, aset.beta) == (0, 7, 2.0, 1.0, -1.0)
-    assert all(type(v) is float for v in (a.grad_mag, a.prob, aset.beta))
-
-
 @pytest.mark.parametrize("text", [b"[" * 100_000, b"[1" + b"0" * 5000 + b"]"],
                          ids=["deep", "long_int"])
 @pytest.mark.parametrize("load, error", [
-    (load_scene, SceneFormatError), (load_camera_json, FormatError),
-    (lambda path: anchor_set_from_json(Path(path).read_text()), FormatError)],
-    ids=["scene", "camera", "anchors"])
+    (load_scene, SceneFormatError), (load_camera_json, FormatError)],
+    ids=["scene", "camera"])
 def test_json_past_the_parsers_limits(tmp_path, load, error, text):
     # the parser's recursion limit escaped as RecursionError, and int()'s
     # digit limit as a ValueError that is no JSONDecodeError
@@ -288,30 +249,6 @@ def test_fuzzed_params_raise_only_format_error(tmp_path_factory, data):
 
 _number = st.one_of(st.integers(-3, 40), st.floats(), st.text(max_size=3),
                     st.none())
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_fuzzed_anchor_json_raises_only_format_error(data):
-    n = data.draw(st.integers(0, 4))
-    doc = {"anchors": [{"row": i, "col": i, "grad": 1.0, "prob": 1.0 / n}
-                       for i in range(n)], "beta": 1.0}
-    for _ in range(data.draw(st.integers(0, 3)) if n else 0):
-        a = doc["anchors"][data.draw(st.integers(0, n - 1))]
-        a[data.draw(st.sampled_from(["row", "col", "grad", "prob", "x"]))] = \
-            data.draw(_number)
-    for key in data.draw(st.lists(st.sampled_from(["anchors", "beta"]), max_size=2)):
-        doc[key] = data.draw(st.one_of(_number, st.lists(_number, max_size=2)))
-    text = json.dumps(doc)
-    if data.draw(st.booleans()):
-        text = _mutated(data, text.encode()).decode("utf-8", "replace")
-    try:
-        aset = anchor_set_from_json(text)
-    except FormatError:
-        return
-    assert abs(float(np.sum(aset.probs)) - 1.0) <= 1e-9 or not aset.anchors
-
-
 _json_value = st.one_of(_number, st.booleans(), st.integers(2 ** 62, 2 ** 70),
                         st.just(float("inf")))
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splat360 import psnr, ssim, ssim_with_grad
+from splat360 import (Camera, RenderConfig, composite_loss, psnr, render, ssim,
+                      ssim_with_grad)
 from splat360.metrics import (SSIM_SIGMA, _gauss_taps, _sep_adjoint, _sep_valid,
                               _ssim_window)
 
@@ -36,6 +37,21 @@ def test_psnr_symmetric():
 def test_psnr_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((4, 4, 3)), np.zeros((4, 5, 3)))
+
+
+@pytest.mark.parametrize("metric", [
+    psnr, ssim, composite_loss,
+    lambda a, b: composite_loss(a, b, lambda_ssim=0.0, want_grad=False)],
+    ids=["psnr", "ssim", "composite_loss", "mse_loss_alone"])
+def test_nan_written_into_a_render_is_refused(simple_scene, metric):
+    # an ImageBuffer's array stays writable, so every read checks it again
+    cam = Camera.look_at(np.array([0.0, 0.0, -1.0]), np.zeros(3), 0.9, 8, 8)
+    color = render(simple_scene, cam, RenderConfig())[0]
+    clean = color.data.copy()
+    color.data[3, 4, 1] = np.nan
+    for a, b in ((color, clean), (clean, color)):
+        with pytest.raises(ValueError, match="image values must be finite"):
+            metric(a, b)
 
 
 def test_ssim_identity_exactly_one():

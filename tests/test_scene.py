@@ -405,6 +405,16 @@ def test_every_image_taker_rejects_non_finite_values(take, bad):
         take(img)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("take", ["depth_gradient", "select_anchors"])
+def test_a_value_written_into_a_buffer_is_checked_again(take, bad):
+    # an ImageBuffer's array stays writable, so each taker checks it on read
+    buf = ImageBuffer(np.ones((8, 8)))
+    buf.data[3, 4, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _IMAGE_TAKERS[take](buf)
+
+
 def test_perturb_appearance_repeats_keeps_geometry_and_clips(small_random_scene):
     # values on the clip bounds, so that roughly half of the draws cross them
     G = small_random_scene.alpha.size
