@@ -251,11 +251,9 @@ def cmd_fit(args) -> int:
     scene = load_scene(args.scene)
     pairs = _load_targets(args.targets)
     ablation = frozenset(p for p in (args.ablation or "").split(",") if p)
-    cfg = FitConfig(lr=args.lr, iters=args.iters, lambda_mse=args.lambda_mse,
-                    lambda_ssim=args.lambda_ssim,
+    cfg = FitConfig(lr=args.lr, iters=args.iters, lambda_ssim=args.lambda_ssim,
                     optimize_geometry=args.optimize_geometry,
-                    ablation=ablation, seed=args.seed,
-                    lr_halve_every=args.halve_every)
+                    ablation=ablation, seed=args.seed)
     mlp = None
     if args.mlp:
         mlp = load_mlp(args.mlp)
@@ -444,9 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of frame_*.camera.json + frame_*.pfm/.ppm")
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.0002)
-    p.add_argument("--lambda-mse", type=float, default=1.0)
-    p.add_argument("--lambda-ssim", type=float, default=0.2)
-    p.add_argument("--halve-every", type=int, default=50000)
+    p.add_argument("--lambda-ssim", type=float, default=0.2,
+                   help="weight of the 1 - SSIM term beside the MSE")
     p.add_argument("--ablation", default="",
                    help="comma list: no_anchoring,no_disentangle,"
                         "no_dual_branch,no_anisotropy")

@@ -34,10 +34,10 @@ all-air cell mask and the non-air span) cannot go stale. `_FIELDS` keeps
 each live volume's field per mu_water: `render_drr` builds it on a volume's
 first projection at that mu_water, in the calling process, and a weakref
 finalizer drops it when the volume dies. Each field costs 9 bytes per voxel
-(a float64 mu and a bool air flag) while the volume lives. Pool workers fork
-after the field is built and read the volume and the field from the memory
-they forked with, so a payload carries only the volume's id (its `_FIELDS`
-key), the geometry, the config and a pixel span: about 0.5 KB pickled.
+(a float64 mu and a bool air flag) while the volume lives. Building a field
+stops the pool's workers, so workers fork after it and read the volume and
+the field from the memory they forked with: a payload carries only the
+volume's id (its `_FIELDS` key), the geometry, the config and a pixel span.
 """
 from __future__ import annotations
 
@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import VolumeFormatError
 from .imgfile import atomic_write, read_file, read_header
-from .renderer import _POOL, _pool_for, _shutdown_pools, _spans  # the one fork pool
-from .scene import ImageBuffer, _finite_vec3, _integer
+from .renderer import _pool_for, _shutdown_pools, _spans  # the one fork pool
+from .scene import ImageBuffer, _finite_vec3, _integer, _real
 
 # one pool payload per started PIXEL_CHUNK pixels, but at most `workers`
 # payloads, so a payload can hold more: a 129^2 DRR on 2 workers sends two,
@@ -128,11 +128,10 @@ class DrrConfig:
 
     def __post_init__(self):
         for name in ("mu_water", "i0"):
-            value = getattr(self, name)
-            if isinstance(value, bool):  # True would pass as 1.0
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            value = _real(getattr(self, name), name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be > 0 and finite")
+            setattr(self, name, value)
         if self.output not in ("intensity", "line_integral"):
             raise ValueError("output must be 'intensity' or 'line_integral'")
 
@@ -245,23 +244,23 @@ def _mu_field(vol: VoxelVolume, mu_water: float):
     return mu, air, span
 
 
-# id(volume) -> (weak reference to the volume, {mu_water: (its `_mu_field`,
-# `_ForkPool.started` when that field was built)}); see the module docstring
+# id(volume) -> (weak reference to the volume, {mu_water: its `_mu_field`});
+# see the module docstring
 _FIELDS: dict = {}
 
 
-def _field_of(vol: VoxelVolume, mu_water: float) -> tuple:
-    """(`_mu_field(vol, mu_water)`, the fork pool's count of started
-    executors when it was built). The field is built on the pair's first
-    call and kept until vol dies."""
+def _keep_field(vol: VoxelVolume, mu_water: float) -> None:
+    """Build `_mu_field(vol, mu_water)` on the pair's first call and keep
+    it until vol dies. Building it stops the pool's workers, which forked
+    without it, so the next map forks workers that hold it."""
     entry = _FIELDS.get(id(vol))
     if entry is None:
         entry = _FIELDS[id(vol)] = (weakref.ref(vol), {})
         weakref.finalize(vol, _FIELDS.pop, id(vol), None)
     fields = entry[1]
     if mu_water not in fields:
-        fields[mu_water] = (_mu_field(vol, mu_water), _POOL.started)
-    return fields[mu_water]
+        fields[mu_water] = _mu_field(vol, mu_water)
+        _shutdown_pools()
 
 
 def _line_integrals(vol: VoxelVolume, field, origins: np.ndarray,
@@ -454,19 +453,16 @@ def render_drr(vol: VoxelVolume, geom: ProjectionGeometry,
     mu_water, and kept in `_FIELDS` until the volume dies (module
     docstring). A payload carries the volume's id, the geometry, the config
     and its pixel span, never the volume: each pool worker reads the volume
-    and its field from the memory it forked with. Workers that forked before
-    the field was built are stopped first, so the map runs on workers forked
-    after it."""
+    and its field from the memory it forked with, as `_keep_field` stops the
+    workers that forked before the field was built."""
     cfg = cfg if cfg is not None else DrrConfig()
     H, W = geom.det_height, geom.det_width
-    _, born = _field_of(vol, cfg.mu_water)
+    _keep_field(vol, cfg.mu_water)
     payloads = [(id(vol), geom, cfg, lo, hi)
                 for lo, hi in _spans(H * W, workers, PIXEL_CHUNK)]
     if len(payloads) == 1:
         parts = [_drr_span(payloads[0])]
     else:
-        if _POOL.started <= born:  # the running workers lack the field
-            _shutdown_pools()
         parts = _pool_for(len(payloads)).map(_drr_span, payloads)
     return ImageBuffer(np.concatenate(parts).reshape(H, W, 1))
 
@@ -477,7 +473,7 @@ def _drr_span(payload):
     # pickled dataclasses arrive as built, without re-running validation
     key, geom, cfg, lo, hi = payload
     ref, fields = _FIELDS[key]
-    vol, (field, _) = ref(), fields[cfg.mu_water]
+    vol, field = ref(), fields[cfg.mu_water]
     rows, cols = np.divmod(np.arange(lo, hi, dtype=np.float64), float(geom.det_width))
     d = geom.pixel_positions(rows, cols) - geom.source
     n = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2)

@@ -44,7 +44,7 @@ from .metrics import psnr, ssim, ssim_with_grad
 from .renderer import (RenderConfig, _pair_sets, _patch_backward,
                        _patch_forward, _ray_geometry, _render_sets, _tape_key,
                        _view_grids)
-from .scene import (Camera, ImageBuffer, Scene, _integer, image_array,
+from .scene import (Camera, ImageBuffer, Scene, _integer, _real, image_array,
                     make_orbit_cameras, make_random_scene)
 
 ABLATIONS = ("no_anchoring", "no_disentangle", "no_dual_branch", "no_anisotropy")
@@ -60,10 +60,11 @@ MU_STEP = 0.5  # the centres' Adam step per unit of lr, in scene radii
 
 @dataclass
 class FitConfig:
+    """Each of `fit_scene`'s `iters` iterations scores a patch of about
+    `rays_per_step` rays by `composite_loss` at `lambda_ssim` and steps each
+    block with Adam at `lr` times the block's `scale`."""
     lr: float = 0.0002
-    lr_halve_every: int = 50000
     iters: int = 100
-    lambda_mse: float = 1.0
     lambda_ssim: float = 0.2
     optimize_geometry: bool = False
     ablation: frozenset = frozenset()
@@ -73,18 +74,17 @@ class FitConfig:
 
     def __post_init__(self):
         self.ablation = frozenset(self.ablation)
+        self.lr = _real(self.lr, "lr")
+        self.lambda_ssim = _real(self.lambda_ssim, "lambda_ssim")
         if not 0 < self.lr < math.inf:
             raise ValueError("lr must be > 0 and finite")
-        if not (0 <= self.lambda_mse < math.inf and 0 <= self.lambda_ssim < math.inf):
-            raise ValueError("loss weights must be >= 0 and finite")
-        for name in ("iters", "lr_halve_every", "rays_per_step", "seed",
-                     "full_eval_every"):
+        if not 0 <= self.lambda_ssim < math.inf:
+            raise ValueError("lambda_ssim must be >= 0 and finite")
+        for name in ("iters", "rays_per_step", "seed", "full_eval_every"):
             # iters=True would run one iteration
             setattr(self, name, _integer(getattr(self, name), name))
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
-        if self.lr_halve_every < 1:
-            raise ValueError("lr_halve_every must be >= 1")
         if self.rays_per_step < 1:
             raise ValueError("rays_per_step must be >= 1")
         if self.seed < 0 or self.full_eval_every < 0:
@@ -116,31 +116,35 @@ def _pred_for_loss(arr: np.ndarray, in_float32: bool) -> np.ndarray:
     return arr.astype(np.float32).astype(np.float64) if in_float32 else arr
 
 
-def composite_loss(pred, target, lambda_mse: float = 1.0,
-                   lambda_ssim: float = 0.2, want_grad: bool = True):
-    """(lambda_mse * MSE + lambda_ssim * (1 - SSIM), analytic pixel gradient).
-
-    The gradient is None when want_grad is False; the loss bits are the same
-    either way. The SSIM window shrinks to fit small images, so patch losses
-    stay well defined.
+def composite_loss(pred, target, lambda_ssim: float = 0.2, want_grad: bool = True):
+    """(MSE + lambda_ssim * (1 - SSIM), analytic pixel gradient); the
+    gradient is None when want_grad is False, and the loss bits are the same
+    either way. The MSE has no weight: scaling the whole loss leaves Adam's
+    step as it is (but through its epsilon). The SSIM window shrinks to fit
+    small images. Raises ValueError on images of unequal shapes or with a
+    non-finite value, and NumericFailure when their loss or gradient is not.
     """
     p = image_array(pred)
     t = image_array(target)
     if p.shape != t.shape:
         raise ValueError(f"image shape mismatch: {p.shape} vs {t.shape}")
-    diff = p - t
-    loss = lambda_mse * float(np.mean(diff * diff))
-    grad = (2.0 * lambda_mse / diff.size) * diff if want_grad else None
-    if lambda_ssim != 0.0:
-        s, ds = ssim_with_grad(p, t, want_grad)
-        loss += lambda_ssim * (1.0 - s)
-        if want_grad:
-            grad = grad - lambda_ssim * ds
+    with np.errstate(all="ignore"):  # an overflow raises NumericFailure below
+        diff = p - t
+        loss = float(np.mean(diff * diff))
+        grad = (2.0 / diff.size) * diff if want_grad else None
+        if lambda_ssim != 0.0:
+            s, ds = ssim_with_grad(p, t, want_grad)
+            loss += lambda_ssim * (1.0 - s)
+            if want_grad:
+                grad = grad - lambda_ssim * ds
+    if not (math.isfinite(loss) and (grad is None or np.isfinite(grad).all())):
+        raise NumericFailure("non-finite loss")
     return loss, (ImageBuffer(grad) if want_grad else None)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state, cfg: FitConfig):
-    """One Adam update; state is (m, v, t) and lr halves every lr_halve_every."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state, lr: float):
+    """One Adam update at step size lr; state is (m, v, t), (None, None, 0)
+    before the first."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
@@ -150,12 +154,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state, cfg: FitConfig):
         m = np.zeros_like(params)
         v = np.zeros_like(params)
     t2 = t + 1
-    lr_eff = cfg.lr * 0.5 ** ((t2 - 1) // cfg.lr_halve_every)
     m2 = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
     v2 = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
     mhat = m2 / (1.0 - ADAM_BETA1 ** t2)
     vhat = v2 / (1.0 - ADAM_BETA2 ** t2)
-    new = params - lr_eff * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
+    new = params - lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
     return new, (m2, v2, t2)
 
 
@@ -309,16 +312,14 @@ def _patch_step(scene: Scene, blocks: dict, cam: Camera, sets, rows: np.ndarray,
     hold the patch's pairs, and `e_vec` is the camera embedding the head
     holds fixed. The fusion head runs when `blocks` hold "head", and the
     backward pass takes geometry when they hold "mu". Raises NumericFailure
-    on a non-finite prediction or loss.
+    on a non-finite prediction or loss (`composite_loss`).
     """
     mlp = blocks["head"].field if "head" in blocks else None
     colors, tape = _patch_forward(scene, cam, rcfg, sets, rows, cols, mlp, e_vec)
     pred = _pred_for_loss(colors.reshape(target.shape), in_float32)
     if not np.isfinite(pred).all():
         raise NumericFailure("non-finite prediction")
-    loss, gimg = composite_loss(pred, target, cfg.lambda_mse, cfg.lambda_ssim)
-    if not math.isfinite(loss):
-        raise NumericFailure("non-finite loss")
+    loss, gimg = composite_loss(pred, target, cfg.lambda_ssim)
     out = _patch_backward(tape, rcfg, gimg.data.reshape(-1, 3), mlp, "mu" in blocks)
     return loss, {name: b.grad(out, b.theta) for name, b in blocks.items()}, tape
 
@@ -387,7 +388,6 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         anchor_sets = [select_anchors(depth_gradient(full_view(v, scene, None)[1]))
                        for v in range(len(cams))]
 
-    step_cfgs = {name: replace(cfg, lr=cfg.lr * b.scale) for name, b in blocks.items()}
     rng = np.random.default_rng(cfg.seed)
     trace: list[float] = []
     full_evals: list = []
@@ -406,21 +406,22 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         return err
 
     def view_losses(scene, mlp):
-        """(composite loss, compared image, SSIM) of each view's full render;
-        the SSIM is None where the loss has no SSIM term."""
+        """(composite loss, compared image, SSIM) of each view's full render."""
         out = []
         for view, tgt in enumerate(targets_arr):
             try:
                 img, _, _ = full_view(view, scene, mlp)
                 pred = _pred_for_loss(img.data, in_float32[view])
-                # composite_loss's terms, keeping the SSIM for the report
-                loss, _ = composite_loss(pred, tgt, cfg.lambda_mse, 0.0,
-                                         want_grad=False)
-                s = None
-                if cfg.lambda_ssim != 0.0:
+                # composite_loss at lambda_ssim 0 is the MSE term alone; its
+                # SSIM term is added here, so the report keeps the SSIM
+                loss, _ = composite_loss(pred, tgt, 0.0, want_grad=False)
+                with np.errstate(all="ignore"):  # a non-finite loss raises below
                     s = ssim(pred, tgt)
-                    loss += cfg.lambda_ssim * (1.0 - s)
-            except ValueError as e:  # the render or its compared image is not finite
+                loss += cfg.lambda_ssim * (1.0 - s)
+                if not math.isfinite(loss):
+                    raise NumericFailure("non-finite loss")
+            except (ValueError, NumericFailure) as e:
+                # the render, its compared image or its loss is not finite
                 raise failure(f"full-view render after iteration "
                               f"{len(trace)}: {e}") from e
             out.append((loss, pred, s))
@@ -449,7 +450,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
         except NumericFailure as e:
             raise failure(f"{e} at iteration {it}") from e
         trace.append(loss)
-        blocks = {name: b.at(*adam_step(b.theta, grads[name], b.state, step_cfgs[name]))
+        blocks = {name: b.at(*adam_step(b.theta, grads[name], b.state, cfg.lr * b.scale))
                   for name, b in blocks.items()}
         live_mlp = blocks["head"].field if "head" in blocks else None
         cur_scene = _scene_of(scene, blocks.values())
@@ -461,8 +462,7 @@ def fit_scene(scene: Scene, targets, cfg: FitConfig,
             full_evals.append([it, sum(loss for loss, _, _ in losses) / len(cams)])
 
     views = view_losses(cur_scene, live_mlp)
-    per_view = [{"view": i, "psnr": psnr(pred, tgt),
-                 "ssim": ssim(pred, tgt) if s is None else s}
+    per_view = [{"view": i, "psnr": psnr(pred, tgt), "ssim": s}
                 for i, ((_, pred, s), tgt) in enumerate(zip(views, targets_arr))]
     report = make_report(final_loss=float(np.mean([loss for loss, _, _ in views])),
                          per_view=per_view)

@@ -949,16 +949,13 @@ def _spans(n: int, workers: int, unit: int = 1) -> list:
 
 
 class _ForkPool:
-    """Forked workers behind a blocking `map` that returns a list; `started`
-    counts the executors it has started, so a caller can tell whether the
-    running workers forked after a given moment."""
+    """Forked workers behind a blocking `map` that returns a list."""
 
-    size, executor, started = 0, None, 0
+    size, executor = 0, None
 
     def map(self, fn, payloads) -> list:
         for rerun in (False, True):
             if self.executor is None:
-                self.started += 1
                 self.executor = ProcessPoolExecutor(
                     self.size, mp_context=multiprocessing.get_context("fork"))
             try:

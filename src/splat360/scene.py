@@ -60,6 +60,13 @@ def _integer(v, name: str) -> int:
     return int(v)
 
 
+def _real(v, name: str) -> float:
+    """v as a float; a bool (True would pass as 1.0) or a non-Real raises ValueError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
 def _finite_vec3(v, name: str) -> np.ndarray:
     a = _vec3(v, name)
     if not np.isfinite(a).all():

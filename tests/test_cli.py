@@ -16,8 +16,8 @@ import pytest
 from conftest import make_scene
 import splat360
 from splat360 import (Camera, RenderConfig, cli, fitting, init_mlp, load_mlp,
-                      load_pfm, make_random_scene, make_sphere_phantom, save_mlp,
-                      save_pfm, save_scene, save_volume)
+                      load_pfm, load_scene, make_random_scene, make_sphere_phantom,
+                      save_mlp, save_pfm, save_scene, save_volume)
 from splat360.cli import main
 from splat360.fusion import MlpParams
 from splat360.renderer import _pair_sets, _patch_forward, _shutdown_pools, _tape_key
@@ -253,7 +253,8 @@ def test_anchors_manifest_tells_apart_runs_that_differ(tmp_path, scene_file):
     ("anchors", "--seed", False), ("metrics", "--seed", False),
     ("info", "--seed", False), ("gradcheck", "--out", False),
     ("info", "--out", False), ("fit", "--seed", True),
-    ("gradcheck", "--seed", True), ("drr", "--step", False)])
+    ("gradcheck", "--seed", True), ("drr", "--step", False),
+    ("fit", "--lambda-mse", False), ("fit", "--halve-every", False)])
 def test_only_options_a_command_uses_parse(command, option, parses):
     required = {"render": ["--scene", "s", "--out", "o"],
                 "anchors": ["--scene", "s", "--out", "o"],
@@ -341,6 +342,25 @@ def test_fit_numeric_failure_exits_4_keeps_report(tmp_path, scene_file):
     rep = json.loads(Path(fdir, "fit_report.json").read_text())
     assert "error" in rep
     assert not os.path.exists(os.path.join(fdir, "fitted_scene.json"))
+
+
+def test_fit_whose_loss_overflows_exits_4_keeps_report(tmp_path, scene_file):
+    # .ppm targets are compared in float64, so a finite but huge prediction
+    # reaches the loss, whose square overflows
+    tdir = str(tmp_path / "targets")
+    assert main(["render", "--scene", scene_file, "--out", tdir,
+                 "--orbit", "ring:1", "--width", "12", "--height", "12"]) == 0
+    scene = load_scene(scene_file)
+    bright = str(tmp_path / "bright.json")
+    save_scene(bright, dataclasses.replace(
+        scene, l_aniso=np.full_like(scene.l_aniso, 1e200)))
+    fdir = tmp_path / "boom"
+    assert main(["fit", "--scene", bright, "--targets", tdir, "--out", str(fdir),
+                 "--iters", "2"]) == 4
+    rep = json.loads((fdir / "fit_report.json").read_text())
+    assert rep["error"] == "non-finite loss at iteration 1"
+    assert rep["iterations"] == 0
+    assert not (fdir / "fitted_scene.json").exists()
 
 
 def test_fit_diverging_mlp_exits_4_keeps_report(tmp_path, scene_file):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splat360 import (DrrConfig, ProjectionGeometry, VolumeFormatError,
+from splat360 import (DrrConfig, FitConfig, ProjectionGeometry, VolumeFormatError,
                       VoxelVolume, hu_to_mu, load_volume,
                       make_sphere_phantom, render_drr, save_volume)
 from splat360 import ct
@@ -51,11 +51,14 @@ def test_drr_config_rejects_non_finite(field, bad):
         DrrConfig(**{field: bad})
 
 
-@pytest.mark.parametrize("field", ["mu_water", "i0"])
-def test_drr_config_rejects_bools(field):
-    # True used to pass as 1.0
+@pytest.mark.parametrize("config, field", [
+    (DrrConfig, "mu_water"), (DrrConfig, "i0"),
+    (FitConfig, "lr"), (FitConfig, "lambda_ssim")])
+@pytest.mark.parametrize("bad", [True, "0.02", None])
+def test_drr_config_rejects_bools(config, field, bad):
+    # True used to pass as 1.0, and a string or None raised TypeError
     with pytest.raises(ValueError, match=field):
-        DrrConfig(**{field: True})
+        config(**{field: bad})
 
 
 def test_hu_clamped_below_air():
